@@ -252,43 +252,19 @@ pub fn render_mechanism(rows: &[Measurement]) -> String {
             m.opt_stats.bytes_copied,
             m.opt_stats.bytes_elided
         ));
+        // Every `Stats` counter, per variant, straight from the field
+        // table: what the optimizer did, what the store and the pool did.
         for (label, st) in [("unopt", &m.unopt_stats), ("opt", &m.opt_stats)] {
-            s.push_str(&format!(
-                "  {:<10} {:<5} allocs {:>6} | blocks_reused {:>6} | zeroing_elided {:>12} B | pool_dispatches {:>5}\n",
-                m.dataset,
-                label,
-                st.num_allocs,
-                st.blocks_reused,
-                st.bytes_zeroing_elided,
-                st.pool_dispatches
-            ));
-        }
-        // Parallel mechanism: which maps ran parallel-and-in-place, and
-        // how the work-stealing pool's chunks and workers were used.
-        for (label, st) in [("unopt", &m.unopt_stats), ("opt", &m.opt_stats)] {
-            s.push_str(&format!(
-                "  {:<10} {:<5} threads {:>3} | maps_par_inplace {:>4} | chunks {:>6} ({:>5} stolen) | workers {:>4}/{:<4}\n",
-                m.dataset,
-                label,
-                m.threads,
-                st.maps_parallel_in_place,
-                st.par_chunks,
-                st.par_chunks_stolen,
-                st.par_workers_engaged,
-                st.par_workers_offered
-            ));
-        }
-        // Peak-memory mechanism: what block merging bought, per variant.
-        for (label, st) in [("unopt", &m.unopt_stats), ("opt", &m.opt_stats)] {
-            s.push_str(&format!(
-                "  {:<10} {:<5} peak_bytes_live {:>12} B | blocks_merged {:>3} | carried_releases {:>4} | color_slab_hits {:>4}\n",
-                m.dataset,
-                label,
-                st.peak_bytes_live,
-                st.blocks_merged,
-                st.carried_releases,
-                st.color_slab_hits
-            ));
+            let counters: Vec<String> = st.counters().map(|(k, v)| format!("{k} {v}")).collect();
+            for line in counters.chunks(5) {
+                s.push_str(&format!(
+                    "  {:<10} {:<5} threads {:>3} | {}\n",
+                    m.dataset,
+                    label,
+                    m.threads,
+                    line.join(" | ")
+                ));
+            }
         }
         for (label, pl) in [("unopt", &m.unopt_plan), ("opt", &m.opt_plan)] {
             s.push_str(&format!(
@@ -766,33 +742,14 @@ pub fn render_json(results: &[(TableSpec, Vec<Measurement>)], server: &[ServerBe
             .iter()
             .enumerate()
             {
+                s.push_str(&format!("\"{label}\": {{"));
+                for (k, v) in st.counters() {
+                    s.push_str(&format!("\"{k}\": {v}, "));
+                }
                 s.push_str(&format!(
-                    "\"{label}\": {{\"bytes_copied\": {}, \"bytes_elided\": {}, \
-                     \"num_allocs\": {}, \"blocks_reused\": {}, \
-                     \"bytes_zeroing_elided\": {}, \"pool_dispatches\": {}, \
-                     \"maps_parallel_in_place\": {}, \"par_chunks\": {}, \
-                     \"par_chunks_stolen\": {}, \"par_workers_engaged\": {}, \
-                     \"par_workers_offered\": {}, \
-                     \"peak_bytes_live\": {}, \"blocks_merged\": {}, \
-                     \"carried_releases\": {}, \"color_slab_hits\": {}, \
-                     \"plan_builds\": {}, \"plan_cache_hits\": {}, \
+                    "\"plan_builds\": {}, \"plan_cache_hits\": {}, \
                      \"stampedes_coalesced\": {}, \
                      \"plan_build_ms\": {:.6}, \"passes\": [",
-                    st.bytes_copied,
-                    st.bytes_elided,
-                    st.num_allocs,
-                    st.blocks_reused,
-                    st.bytes_zeroing_elided,
-                    st.pool_dispatches,
-                    st.maps_parallel_in_place,
-                    st.par_chunks,
-                    st.par_chunks_stolen,
-                    st.par_workers_engaged,
-                    st.par_workers_offered,
-                    st.peak_bytes_live,
-                    st.blocks_merged,
-                    st.carried_releases,
-                    st.color_slab_hits,
                     pl.builds,
                     pl.cache_hits,
                     pl.stampedes_coalesced,

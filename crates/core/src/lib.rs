@@ -83,34 +83,6 @@ pub struct Options {
     /// allocations (disjoint live ranges, or provably disjoint LMAD
     /// footprints) share one block, cutting peak allocation.
     pub merge: bool,
-    /// Whole-program coloring inside the merge pass: build the full
-    /// interference graph over the candidate allocations, color it so
-    /// *k* allocations share the chromatic number's worth of blocks
-    /// (growing a host block when a later member is provably larger),
-    /// and release dead loop-carried ping-pong blocks per iteration
-    /// ([`merge::MergeRecord::CarriedRelease`]). Off, the pass degrades
-    /// to the legacy greedy pairwise first-fit.
-    pub coloring: bool,
-    /// Run the parallel-safety analysis ([`par_safety`]): prove per
-    /// kernel mapnest that iterations write disjoint rows, so the
-    /// executor can dispatch them in parallel without private-row
-    /// buffers. Disabling keeps the legacy schedule (parallel through
-    /// buffers, direct writes trusted unverified).
-    pub par_safety: bool,
-    /// **Test-only mutation hook.** Approve short-circuit candidates past
-    /// a failing write check, producing deliberately illegal elisions;
-    /// the checked VM's sanitizer must catch them (see
-    /// [`short_circuit::short_circuit_force_unsafe`]).
-    pub force_unsafe_short_circuit: bool,
-    /// **Test-only mutation hook.** Push interference-rejected merge
-    /// candidates into a host block anyway; the checked VM's merge
-    /// cross-check must catch the resulting footprint overlaps.
-    pub force_unsafe_merge: bool,
-    /// **Test-only mutation hook.** Mark every kernel mapnest
-    /// parallel-safe regardless of proof; the checked VM's pre-dispatch
-    /// enumeration must catch the resulting overlaps (as
-    /// `Diagnostic::ParOverlap`) and serialize the map.
-    pub force_unsafe_parallel: bool,
 }
 
 impl Default for Options {
@@ -121,41 +93,19 @@ impl Default for Options {
             hoist: true,
             mapnest_in_place: true,
             merge: false,
-            coloring: false,
-            par_safety: true,
-            force_unsafe_short_circuit: false,
-            force_unsafe_merge: false,
-            force_unsafe_parallel: false,
         }
     }
-}
-
-/// Whether [`Options::optimized`] defaults to whole-program coloring:
-/// `true` unless the `ARRAYMEM_COLORING` environment variable is set to
-/// `0`/`off`/`false` (the CI toggle sweep runs the whole suite in both
-/// positions). Read once.
-pub fn coloring_default() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| match std::env::var("ARRAYMEM_COLORING") {
-        Ok(v) => {
-            let v = v.trim();
-            !(v == "0" || v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false"))
-        }
-        Err(_) => true,
-    })
 }
 
 impl Options {
     /// The standard optimized configuration: short-circuiting and block
     /// merging on, with every supporting ingredient (hoisting, in-place
     /// mapnests) at its default. `Options::default()` is the unoptimized
-    /// baseline. Coloring follows [`coloring_default`] (on unless
-    /// `ARRAYMEM_COLORING=0`).
+    /// baseline.
     pub fn optimized() -> Options {
         Options {
             short_circuit: true,
             merge: true,
-            coloring: coloring_default(),
             ..Options::default()
         }
     }
@@ -178,6 +128,44 @@ pub struct Compiled {
 /// Run the standard memory pipeline over a (memory-free) source program.
 pub fn compile(prog: &Program, opts: &Options) -> Result<Compiled, String> {
     Pipeline::standard().run(prog, opts)
+}
+
+/// **Mutation-test hook**, kept out of [`Options`] and of the pipeline
+/// fingerprint: one deliberate fault for the checked VM's sanitizer to
+/// catch. The first three are consumed by [`compile_sabotaged`]; the last
+/// two by `arraymem_exec::lower_plan_sabotaged`. Each entry ignores the
+/// other's variants.
+#[doc(hidden)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Sabotage {
+    /// Approve short-circuit candidates past a failing write check
+    /// (caught as `Diagnostic::CircuitOverlap`).
+    ShortCircuit,
+    /// Push interference-rejected merge candidates into a host block
+    /// anyway (caught as `Diagnostic::MergeOverlap`).
+    Merge,
+    /// Mark every kernel mapnest parallel-safe regardless of proof
+    /// (caught as `Diagnostic::ParOverlap`, the map then runs serially).
+    Parallel,
+    /// Fire every scheduled block release one statement early (caught as
+    /// `Diagnostic::UseAfterRelease`).
+    EarlyRelease,
+    /// Release each carried ping-pong block right after its replacement's
+    /// `alloc`, before the body's last use of it (caught as
+    /// `Diagnostic::UseAfterRelease`).
+    EarlyCarriedRelease,
+}
+
+/// [`compile`] with one pass forced past its proof. The forced decisions
+/// show in the compiled program and its records, so the result can never
+/// share a plan-cache key with the honest compile it differs from.
+#[doc(hidden)]
+pub fn compile_sabotaged(
+    prog: &Program,
+    opts: &Options,
+    sabotage: Sabotage,
+) -> Result<Compiled, String> {
+    Pipeline::standard().run_inner(prog, opts, Some(sabotage), &mut |_, _| {})
 }
 
 /// As [`compile`], invoking `observe(stage_name, program)` with the input

@@ -16,10 +16,10 @@
 //! the first *color* none of whose members it interferes with. All
 //! members of a color share one allocation — the color's representative —
 //! so *k* allocations collapse to the number of colors the scan needs.
-//! Under `coloring` the representative's allocation may also be **grown**
-//! to a later member's provably larger size (when that size is in scope
-//! at the representative's `alloc`), so a smaller-first program order no
-//! longer blocks sharing.
+//! The representative's allocation may also be **grown** to a later
+//! member's provably larger size (when that size is in scope at the
+//! representative's `alloc`), so a smaller-first program order does not
+//! block sharing.
 //!
 //! Legality is two-tiered, and the tier is observable:
 //!
@@ -32,10 +32,10 @@
 //!   concretely at runtime, the way `CircuitCheck` footprints are
 //!   re-proved.
 //!
-//! **Loop-carried existential memory** gets its own treatment instead of
-//! the historical bail to lifetime-only merging: a top-level loop that
-//! ping-pongs its carried block (each iteration allocates a fresh yield
-//! block, making the incoming block dead at the yield) is assigned a
+//! **Loop-carried existential memory** gets its own treatment: a
+//! top-level loop that ping-pongs its carried block (each iteration
+//! allocates a fresh yield block, making the incoming block dead at the
+//! yield) is assigned a
 //! *color* whose blocks the executor recycles per iteration — a
 //! [`MergeRecord::CarriedRelease`] instructs the plan to release the
 //! incoming block into the color's slab once its last in-body use has
@@ -263,8 +263,8 @@ pub struct MergeOutcome {
     pub victim: Var,
     /// Live ranges overlapped; disjoint footprints justified the merge.
     pub by_footprint: bool,
-    /// Pushed through a failing interference check by the test-only
-    /// `force_unsafe_merge` hook.
+    /// Pushed through a failing interference check by the
+    /// `Sabotage::Merge` mutation hook.
     pub forced: bool,
 }
 
@@ -284,7 +284,7 @@ pub struct HostGrowth {
 #[derive(Clone, Debug, Default)]
 pub struct MergeReport {
     pub merged: Vec<MergeOutcome>,
-    /// Host allocations grown under `coloring`.
+    /// Host allocations grown to a later member's size.
     pub grown: Vec<HostGrowth>,
     /// Blocks that kept their own allocation, with the reason the closed
     /// taxonomy assigns (precedence: interference over size over element
@@ -324,8 +324,8 @@ struct Cand {
 struct Color {
     rep: Var,
     elem: ElemType,
-    /// Current size of the representative's allocation — grows under
-    /// `coloring` when a provably larger member joins.
+    /// Current size of the representative's allocation — grows when a
+    /// provably larger member joins.
     size: Poly,
     alloc_idx: usize,
     members: Vec<usize>,
@@ -342,34 +342,25 @@ enum Fit {
     Interferes,
 }
 
-/// Run block merging over a memory-annotated program. `coloring` enables
-/// the whole-program extensions (host growth, carried-release coloring of
-/// loop ping-pong memory); off, the pass degrades to the legacy behavior.
-/// `force_unsafe` (test-only) pushes interference-rejected candidates
-/// into a host anyway, so the checked VM's merge cross-check can be shown
-/// to fire.
-pub fn merge_blocks(
-    prog: &mut Program,
-    env: &Env,
-    coloring: bool,
-    force_unsafe: bool,
-) -> MergeReport {
+/// Run block merging over a memory-annotated program: whole-program
+/// coloring of the top-level allocations (with host growth), then
+/// carried-release coloring of loop ping-pong memory.
+pub fn merge_blocks(prog: &mut Program, env: &Env) -> MergeReport {
+    merge_blocks_with(prog, env, false)
+}
+
+/// [`merge_blocks`]; `force_unsafe` is the `Sabotage::Merge` mutation
+/// hook: interference-rejected candidates are pushed into a host anyway,
+/// so the checked VM's merge cross-check can be shown to fire.
+pub(crate) fn merge_blocks_with(prog: &mut Program, env: &Env, force_unsafe: bool) -> MergeReport {
     let mut report = MergeReport::default();
-    color_toplevel(prog, env, coloring, force_unsafe, &mut report);
-    if coloring {
-        schedule_carried_releases(prog, &mut report);
-    }
+    color_toplevel(prog, env, force_unsafe, &mut report);
+    schedule_carried_releases(prog, &mut report);
     report
 }
 
 /// Phase 1: whole-program coloring of the top-level allocations.
-fn color_toplevel(
-    prog: &mut Program,
-    env: &Env,
-    coloring: bool,
-    force_unsafe: bool,
-    report: &mut MergeReport,
-) {
+fn color_toplevel(prog: &mut Program, env: &Env, force_unsafe: bool, report: &mut MergeReport) {
     // Candidate allocations: top-level `alloc` statements, in order.
     let allocs: Vec<(usize, Var, ElemType, Poly)> = prog
         .body
@@ -599,14 +590,11 @@ fn color_toplevel(
                 continue;
             }
             // The member's footprints must fit inside the color's block —
-            // or, under `coloring`, the block grows to the member's
-            // provably larger size when that size is in scope at the
-            // representative's `alloc`.
+            // or the block grows to the member's provably larger size
+            // when that size is in scope at the representative's `alloc`.
             let grow = if env.prove_le(&cand.size, &color.size) {
                 None
-            } else if coloring
-                && env.prove_le(&color.size, &cand.size)
-                && growable(&cand.size, color.alloc_idx)
+            } else if env.prove_le(&color.size, &cand.size) && growable(&cand.size, color.alloc_idx)
             {
                 Some(cand.size.clone())
             } else {
@@ -630,9 +618,11 @@ fn color_toplevel(
                 break;
             }
             saw_interference = true;
-            if forced_color.is_none() && force_unsafe {
-                // Forcing needs enumerable footprints on both sides, so
-                // the checked VM has pairs to refute.
+            if forced_color.is_none() && force_unsafe && grow.is_none() {
+                // Forcing injects an interference fault only: the member
+                // must fit the block as it is, and both sides need
+                // enumerable footprints, so the checked VM has pairs to
+                // refute.
                 let enumerable = cand.occ.lmads.is_some()
                     && color
                         .members
@@ -738,7 +728,7 @@ fn color_toplevel(
     }
 }
 
-/// Phase 2 (under `coloring`): color loop-carried ping-pong memory. For
+/// Phase 2: color loop-carried ping-pong memory. For
 /// every top-level loop mem parameter whose body yields a fresh in-body
 /// allocation, the incoming block is dead once its last in-body use has
 /// passed — provided nothing outside the iteration can still reach the
@@ -773,7 +763,7 @@ fn schedule_carried_releases(prog: &Program, report: &mut MergeReport) {
             }
             // The yield block must be a fresh allocation of the body
             // itself — the ping-pong shape. Nested existential results
-            // keep the historical conservative treatment.
+            // keep the conservative treatment.
             let Some(a_idx) = body.stms.iter().position(|s| {
                 matches!(s.exp, Exp::Alloc { .. }) && s.pat.first().map(|pe| pe.var) == Some(y)
             }) else {
@@ -1107,7 +1097,7 @@ mod tests {
         let mut env = Env::new();
         env.assume_ge(n, 1);
 
-        let report = merge_blocks(&mut prog, &env, false, false);
+        let report = merge_blocks(&mut prog, &env);
         assert_eq!(report.merged.len(), 1);
         assert!(report.merged[0].by_footprint);
         assert!(!report.merged[0].forced);
@@ -1172,10 +1162,10 @@ mod tests {
         );
     }
 
-    /// Under `coloring`, a small-then-large allocation order no longer
-    /// blocks sharing: the host's `alloc` grows to the later member's
-    /// provably larger size (which is in scope at the host's `alloc`) and
-    /// the rewritten IR carries the grown size.
+    /// A small-then-large allocation order does not block sharing: the
+    /// host's `alloc` grows to the later member's provably larger size
+    /// (which is in scope at the host's `alloc`) and the rewritten IR
+    /// carries the grown size.
     #[test]
     fn host_grows_to_larger_member() {
         let mut bld = Builder::new("grow");
@@ -1200,29 +1190,13 @@ mod tests {
         let mut env = Env::new();
         env.assume_ge(n, 1);
 
-        // Legacy greedy: the larger block cannot fit into the earlier
-        // smaller host — no merge.
-        let opts_off = Options {
+        let opts = Options {
             merge: true,
-            coloring: false,
-            ..Options::default()
-        }
-        .with_env(env.clone());
-        let off = compile(&prog, &opts_off).expect("compile");
-        assert!(
-            off.report.merges.is_empty(),
-            "greedy first-fit cannot host a larger member"
-        );
-
-        // Coloring: the host grows.
-        let opts_on = Options {
-            merge: true,
-            coloring: true,
             ..Options::default()
         }
         .with_env(env);
-        let on = compile(&prog, &opts_on).expect("compile");
-        assert_eq!(on.report.merges.len(), 1, "coloring merges via growth");
+        let on = compile(&prog, &opts).expect("compile");
+        assert_eq!(on.report.merges.len(), 1, "merges via growth");
         assert_eq!(count_allocs(&on.program.body), 1, "one block serves both");
         let grown = on
             .compile_report
@@ -1245,9 +1219,8 @@ mod tests {
     }
 
     /// Hand-built top-level loop that ping-pongs its carried block (the
-    /// body allocates a fresh yield block every iteration): coloring
-    /// schedules a per-iteration release of the incoming block; without
-    /// coloring the record is absent.
+    /// body allocates a fresh yield block every iteration): the pass
+    /// schedules a per-iteration release of the incoming block.
     #[test]
     fn carried_pingpong_gets_release_record() {
         let n = sym("cr_n");
@@ -1338,18 +1311,8 @@ mod tests {
         let mut env = Env::new();
         env.assume_ge(n, 1);
 
-        let mut off = prog.clone();
-        let rep_off = merge_blocks(&mut off, &env, false, false);
-        assert!(
-            !rep_off
-                .records
-                .iter()
-                .any(|r| matches!(r, MergeRecord::CarriedRelease { .. })),
-            "no carried release without coloring"
-        );
-
         let mut on = prog.clone();
-        let rep_on = merge_blocks(&mut on, &env, true, false);
+        let rep_on = merge_blocks(&mut on, &env);
         let carried: Vec<_> = rep_on
             .records
             .iter()
@@ -1465,7 +1428,7 @@ mod tests {
         env.assume_ge(n, 1);
 
         let mut on = prog.clone();
-        let rep = merge_blocks(&mut on, &env, true, false);
+        let rep = merge_blocks(&mut on, &env);
         assert!(
             !rep.records
                 .iter()
@@ -1501,7 +1464,6 @@ mod tests {
         for _ in 0..5 {
             let opts = Options {
                 merge: true,
-                coloring: true,
                 ..Options::default()
             }
             .with_env(env.clone());

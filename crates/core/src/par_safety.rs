@@ -33,9 +33,9 @@
 //! checks and merge records use — and lowering threads them into the
 //! `ExecPlan`'s map instructions.
 //!
-//! The `force_unsafe_parallel` mutation hook upgrades every kernel map to
-//! `Safe` regardless of proof, so tests can demonstrate the checked VM's
-//! `ParOverlap` detector actually fires.
+//! The `Sabotage::Parallel` mutation hook (`force_safe`) upgrades every
+//! kernel map to `Safe` regardless of proof, so tests can demonstrate the
+//! checked VM's `ParOverlap` detector actually fires.
 
 use crate::remark::ParReject;
 use crate::short_circuit::{ixfn_set, rowwise_map_disjoint};
@@ -66,14 +66,12 @@ pub struct ParSafetyRecord {
     pub level: ParLevel,
     /// For non-`Safe` verdicts (or forced ones): the failed proof.
     pub reject: Option<ParReject>,
-    /// Set when `force_unsafe_parallel` overrode the analysis to `Safe`.
+    /// Set when `Sabotage::Parallel` overrode the analysis to `Safe`.
     pub forced: bool,
 }
 
 /// Analyze every kernel mapnest of `prog`, returning one record per map.
-/// `force_unsafe` is the test-only mutation hook: every verdict becomes
-/// [`ParLevel::Safe`] (the genuine reject, if any, is kept on the record).
-pub fn par_safety(prog: &Program, env: &Env, force_unsafe: bool) -> Vec<ParSafetyRecord> {
+pub fn par_safety(prog: &Program, env: &Env) -> Vec<ParSafetyRecord> {
     let mut bindings: HashMap<Var, MemBinding> = HashMap::new();
     crate::introduce::collect_bindings(&prog.body, &mut bindings);
     for (v, ty) in &prog.params {
@@ -85,15 +83,27 @@ pub fn par_safety(prog: &Program, env: &Env, force_unsafe: bool) -> Vec<ParSafet
         }
     }
     let mut records = Vec::new();
-    walk(&prog.body, env, &bindings, force_unsafe, &mut records);
+    walk(&prog.body, env, &bindings, &mut records);
     records
+}
+
+/// The `Sabotage::Parallel` mutation hook: every kernel-map verdict
+/// becomes [`ParLevel::Safe`], the genuine reject kept on the record.
+/// Scatter records stay serial — the executor has no parallel schedule
+/// for a scatter to be forced onto.
+pub(crate) fn force_safe(records: &mut [ParSafetyRecord]) {
+    for r in records {
+        if r.level != ParLevel::Safe && r.reject != Some(ParReject::RuntimeIndexedWrite) {
+            r.level = ParLevel::Safe;
+            r.forced = true;
+        }
+    }
 }
 
 fn walk(
     block: &Block,
     env: &Env,
     bindings: &HashMap<Var, MemBinding>,
-    force: bool,
     out: &mut Vec<ParSafetyRecord>,
 ) {
     for stm in &block.stms {
@@ -105,12 +115,11 @@ fn walk(
                         .clone()
                         .or_else(|| bindings.get(&stm.pat[0].var).cloned());
                     let (level, reject) = classify(m, out_mb, env, bindings);
-                    let forced = force && level != ParLevel::Safe;
                     out.push(ParSafetyRecord {
                         stm: stm.pat[0].var,
-                        level: if force { ParLevel::Safe } else { level },
+                        level,
                         reject,
-                        forced,
+                        forced: false,
                     });
                 }
             }
@@ -122,10 +131,7 @@ fn walk(
                 // write disjointness is unprovable, not merely unproven
                 // (see `arraymem_lmad::OpaqueIxFn`). The record pins the
                 // serial schedule — and enters the plan-cache key — so
-                // the give-up is observable, never silent. The
-                // `force_unsafe_parallel` hook deliberately does not
-                // apply: the executor has no parallel schedule for a
-                // scatter to be forced onto.
+                // the give-up is observable, never silent.
                 out.push(ParSafetyRecord {
                     stm: stm.pat[0].var,
                     level: ParLevel::Serial,
@@ -134,8 +140,8 @@ fn walk(
                 });
             }
             Exp::If { then_b, else_b, .. } => {
-                walk(then_b, env, bindings, force, out);
-                walk(else_b, env, bindings, force, out);
+                walk(then_b, env, bindings, out);
+                walk(else_b, env, bindings, out);
             }
             Exp::Loop {
                 index, count, body, ..
@@ -143,7 +149,7 @@ fn walk(
                 let mut env2 = env.clone();
                 env2.assume_ge(*index, 0);
                 env2.assume_le(*index, count.clone() - Poly::constant(1));
-                walk(body, &env2, bindings, force, out);
+                walk(body, &env2, bindings, out);
             }
             _ => {}
         }

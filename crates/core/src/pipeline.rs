@@ -22,7 +22,7 @@
 
 use crate::remark::{RejectReason, Remark, RemarkKind};
 use crate::short_circuit::{self, Report};
-use crate::{cleanup, hoist, introduce, release::ReleasePlan, Options};
+use crate::{cleanup, hoist, introduce, release::ReleasePlan, Options, Sabotage};
 use arraymem_ir::pretty::program_to_string;
 use arraymem_ir::{Block, Exp, MapBody, Program, Type, Var};
 use std::collections::HashSet;
@@ -146,6 +146,8 @@ pub struct PassCx<'a> {
     pub report: Report,
     /// Early release points scheduled by the release stage.
     pub num_releases: usize,
+    /// The one pass to force past its proof (mutation self-tests only).
+    pub(crate) sabotage: Option<Sabotage>,
 }
 
 impl PassCx<'_> {
@@ -291,11 +293,12 @@ impl Pass for ShortCircuitPass {
     }
 
     fn run(&self, prog: &mut Program, cx: &mut PassCx) -> Result<(), String> {
-        let report = if cx.opts.force_unsafe_short_circuit {
-            short_circuit::short_circuit_force_unsafe(prog, &cx.opts.env, cx.opts.mapnest_in_place)
-        } else {
-            short_circuit::short_circuit_with(prog, &cx.opts.env, cx.opts.mapnest_in_place)
-        };
+        let report = short_circuit::drive(
+            prog,
+            &cx.opts.env,
+            cx.opts.mapnest_in_place,
+            cx.sabotage == Some(Sabotage::ShortCircuit),
+        );
         for c in &report.candidates {
             let (kind, message) = if c.succeeded {
                 (
@@ -343,11 +346,10 @@ impl Pass for MergePass {
     }
 
     fn run(&self, prog: &mut Program, cx: &mut PassCx) -> Result<(), String> {
-        let rep = crate::merge::merge_blocks(
+        let rep = crate::merge::merge_blocks_with(
             prog,
             &cx.opts.env,
-            cx.opts.coloring,
-            cx.opts.force_unsafe_merge,
+            cx.sabotage == Some(Sabotage::Merge),
         );
         for m in &rep.merged {
             let how = match (m.forced, m.by_footprint) {
@@ -436,13 +438,11 @@ impl Pass for ParSafetyPass {
         "par_safety"
     }
 
-    fn enabled(&self, opts: &Options) -> bool {
-        opts.par_safety
-    }
-
     fn run(&self, prog: &mut Program, cx: &mut PassCx) -> Result<(), String> {
-        let records =
-            crate::par_safety::par_safety(prog, &cx.opts.env, cx.opts.force_unsafe_parallel);
+        let mut records = crate::par_safety::par_safety(prog, &cx.opts.env);
+        if cx.sabotage == Some(Sabotage::Parallel) {
+            crate::par_safety::force_safe(&mut records);
+        }
         for r in &records {
             let (kind, message) = match (r.level, r.forced) {
                 (crate::par_safety::ParLevel::Safe, false) => (
@@ -538,8 +538,7 @@ pub struct Pipeline {
 impl Pipeline {
     /// The standard middle-end: `introduce → antiunify → hoist →
     /// short_circuit → merge → cleanup → par_safety → release` (`hoist`,
-    /// `short_circuit`, `merge` and `par_safety` subject to their
-    /// [`Options`] switches).
+    /// `short_circuit` and `merge` subject to their [`Options`] switches).
     pub fn standard() -> Pipeline {
         Pipeline {
             passes: vec![
@@ -576,13 +575,6 @@ impl Pipeline {
             .map(|s| s.to_string())
             .collect();
         parts.push(format!("mapnest_in_place={}", opts.mapnest_in_place));
-        parts.push(format!("coloring={}", opts.coloring));
-        parts.push(format!("force_unsafe={}", opts.force_unsafe_short_circuit));
-        parts.push(format!("force_unsafe_merge={}", opts.force_unsafe_merge));
-        parts.push(format!(
-            "force_unsafe_parallel={}",
-            opts.force_unsafe_parallel
-        ));
         crate::fingerprint::fingerprint_items(&parts)
     }
 
@@ -600,6 +592,16 @@ impl Pipeline {
         opts: &Options,
         observe: &mut dyn FnMut(&str, &Program),
     ) -> Result<crate::Compiled, String> {
+        self.run_inner(prog, opts, None, observe)
+    }
+
+    pub(crate) fn run_inner(
+        &self,
+        prog: &Program,
+        opts: &Options,
+        sabotage: Option<Sabotage>,
+        observe: &mut dyn FnMut(&str, &Program),
+    ) -> Result<crate::Compiled, String> {
         arraymem_ir::validate::validate(prog)?;
         let fp = self.fingerprint(opts);
         let t_total = Instant::now();
@@ -609,6 +611,7 @@ impl Pipeline {
             remarks: Vec::new(),
             report: Report::default(),
             num_releases: 0,
+            sabotage,
         };
         let mut passes: Vec<PassRun> = Vec::new();
         if print_ir_enabled() {

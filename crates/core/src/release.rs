@@ -38,11 +38,6 @@ fn block_key(b: &Block) -> usize {
 }
 
 impl ReleasePlan {
-    /// An empty plan: nothing is ever released early.
-    pub fn none() -> ReleasePlan {
-        ReleasePlan::default()
-    }
-
     /// Compute the release plan of a program (with or without memory
     /// annotations; a memory-free program yields an empty plan).
     pub fn compute(prog: &Program) -> ReleasePlan {
@@ -61,24 +56,6 @@ impl ReleasePlan {
         }
         let mut plan = ReleasePlan::default();
         plan.visit_block(&prog.body, &am, &class_mems);
-        plan
-    }
-
-    /// **Test-only mutation hook.** A deliberately wrong plan: every
-    /// release scheduled after statement `k+1` fires after statement `k`
-    /// instead — one statement *before* the last-use analysis allows. A
-    /// block whose final use is a read therefore gets recycled while that
-    /// read is still pending, which the checked VM's use-after-release
-    /// detector must flag (mutation-style self-test of both the plan and
-    /// the sanitizer).
-    pub fn compute_skewed_early(prog: &Program) -> ReleasePlan {
-        let mut plan = ReleasePlan::compute(prog);
-        for rel in plan.per_block.values_mut() {
-            for k in 0..rel.len().saturating_sub(1) {
-                let moved = std::mem::take(&mut rel[k + 1]);
-                rel[k].extend(moved);
-            }
-        }
         plan
     }
 

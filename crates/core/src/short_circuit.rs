@@ -210,26 +210,22 @@ impl Ctx {
     }
 }
 
-/// Run the short-circuiting pass over a memory-annotated program.
-pub fn short_circuit(prog: &mut Program, env: &Env) -> Report {
-    short_circuit_with(prog, env, true)
-}
-
-/// As [`short_circuit`], with the mapnest in-place post-pass switchable
-/// (for ablations).
+/// Run the short-circuiting pass over a memory-annotated program, with
+/// the mapnest in-place post-pass switchable (for ablations).
 pub fn short_circuit_with(prog: &mut Program, env: &Env, mapnest_in_place: bool) -> Report {
     drive(prog, env, mapnest_in_place, false)
 }
 
-/// **Test-only mutation hook.** As [`short_circuit_with`], but a write
-/// check that fails the non-overlap test does *not* fail the candidate:
-/// the resulting program contains a deliberately illegal elision, and the
-/// checked VM's sanitizer must catch it (mutation-style self-test).
-pub fn short_circuit_force_unsafe(prog: &mut Program, env: &Env, mapnest_in_place: bool) -> Report {
-    drive(prog, env, mapnest_in_place, true)
-}
-
-fn drive(prog: &mut Program, env: &Env, mapnest_in_place: bool, force_unsafe: bool) -> Report {
+/// The pass proper. `force_unsafe` is the `Sabotage::ShortCircuit`
+/// mutation hook: a write check that fails the non-overlap test does
+/// *not* fail the candidate, so the resulting program contains a
+/// deliberately illegal elision for the checked VM's sanitizer to catch.
+pub(crate) fn drive(
+    prog: &mut Program,
+    env: &Env,
+    mapnest_in_place: bool,
+    force_unsafe: bool,
+) -> Report {
     let am = aliases(prog);
     let mut bindings = HashMap::new();
     crate::introduce::collect_bindings(&prog.body, &mut bindings);

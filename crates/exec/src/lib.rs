@@ -38,9 +38,9 @@ pub mod vm;
 
 pub use cache::{PlanCache, PlanStats, PrepareOutcome};
 pub use kernel::{KernelCtx, KernelRegistry};
-pub use plan::{
-    lower_plan, lower_plan_carried_skewed, lower_plan_full, lower_plan_with, ExecPlan, Slot,
-};
+#[doc(hidden)]
+pub use plan::lower_plan_sabotaged;
+pub use plan::{lower_plan_full, ExecPlan, Slot};
 pub use pool::{default_threads, DispatchInfo};
 pub use stats::{Diagnostic, Stats};
 pub use store::{ArenaStats, CellState, MemStore, SharedArena};

@@ -28,7 +28,7 @@
 
 use crate::kernel::KernelRegistry;
 use crate::value::Value;
-use arraymem_core::{CircuitCheck, MergeRecord, ParLevel, ParSafetyRecord, ReleasePlan};
+use arraymem_core::{CircuitCheck, MergeRecord, ParLevel, ParSafetyRecord, ReleasePlan, Sabotage};
 use arraymem_ir::{
     Block, Constant, ElemType, Exp, MapBody, PatElem, Program, ScalarExp, SliceSpec, Stm, Type,
     UpdateSrc, Var,
@@ -167,9 +167,10 @@ pub(crate) struct MapKernelInstr {
     pub inputs: Vec<Slot>,
     pub args: Vec<LExp>,
     pub in_place: bool,
-    /// The `par_safety` stage's verdict for this mapnest, when records
-    /// were lowered into the plan (`None` = legacy schedule).
-    pub par: Option<ParLevel>,
+    /// The `par_safety` stage's verdict for this mapnest. A map lowered
+    /// without its record gets the conservative verdict: `Serial` when it
+    /// writes its result directly, `NeedsBuffer` otherwise.
+    pub par: ParLevel,
 }
 
 #[derive(Clone, Debug)]
@@ -371,8 +372,8 @@ pub(crate) struct ParamSpec {
 }
 
 /// An executable plan: the compiled-and-lowered form of one program.
-/// Build once with [`lower_plan`] (or via `Session::prepare`, which
-/// caches), execute many times in any [`crate::Mode`].
+/// Build once with [`lower_plan_full`] (or via `Session::prepare_full`,
+/// which caches), execute many times in any [`crate::Mode`].
 #[derive(Clone, Debug)]
 pub struct ExecPlan {
     pub(crate) name: String,
@@ -413,22 +414,14 @@ impl ExecPlan {
     }
 }
 
-/// Lower a program, computing its [`ReleasePlan`] here — once per plan,
-/// never per run. `checks` are the compile report's circuit checks (pass
-/// `&[]` when not running checked).
-pub fn lower_plan(
-    prog: &Program,
-    kernels: &KernelRegistry,
-    checks: &[CircuitCheck],
-) -> Result<ExecPlan, String> {
-    lower_plan_full(prog, kernels, checks, &[], &[])
-}
-
-/// [`lower_plan`] additionally lowering the compile report's
-/// [`MergeRecord`]s — checked-mode runs of the plan re-prove every
-/// footprint-justified merge concretely — and its [`ParSafetyRecord`]s,
-/// which pick each kernel map's dispatch schedule (parallel in-place,
-/// buffered, or serial).
+/// Lower a compiled program together with the records its compile
+/// produced — the compiler→executor contract. The [`ReleasePlan`] is
+/// computed here, once per plan, never per run. `checks` are the compile
+/// report's circuit checks (checked-mode runs re-prove them; pass `&[]`
+/// otherwise); `merges` carry the footprint pairs checked mode re-proves
+/// and the carried releases the plan executes; `par` picks each kernel
+/// map's dispatch schedule (parallel in place, buffered, or serial). A
+/// map without a record is scheduled conservatively, never trusted.
 pub fn lower_plan_full(
     prog: &Program,
     kernels: &KernelRegistry,
@@ -436,62 +429,37 @@ pub fn lower_plan_full(
     merges: &[MergeRecord],
     par: &[ParSafetyRecord],
 ) -> Result<ExecPlan, String> {
-    let release = ReleasePlan::compute(prog);
-    build_plan(prog, kernels, checks, merges, par, &release)
+    lower(prog, kernels, checks, merges, par, None)
 }
 
-/// [`lower_plan`] with a caller-supplied release plan (the test-only
-/// skew hook: `Session::run_with_plan` lowers under a deliberately wrong
-/// plan to prove the use-after-release detector fires).
-pub fn lower_plan_with(
-    prog: &Program,
-    kernels: &KernelRegistry,
-    checks: &[CircuitCheck],
-    release: &ReleasePlan,
-) -> Result<ExecPlan, String> {
-    build_plan_inner(prog, kernels, checks, &[], &[], release, false)
-}
-
-/// [`lower_plan_full`] with every carried release **skewed early** — the
-/// test-only mutation hook for the coloring pass: the incoming block is
-/// released right after the yield `alloc`, *before* its analyzed last
-/// use, so a checked-mode run must surface the premature release as a
-/// `UseAfterRelease` diagnostic (proving the carried-release re-proof
-/// actually fires).
-pub fn lower_plan_carried_skewed(
+/// [`lower_plan_full`] with one release decision deliberately wrong
+/// (`Sabotage::EarlyRelease` or `Sabotage::EarlyCarriedRelease`; other
+/// variants lower honestly): a checked-mode run of the plan must report
+/// the premature release as a `UseAfterRelease` diagnostic.
+#[doc(hidden)]
+pub fn lower_plan_sabotaged(
     prog: &Program,
     kernels: &KernelRegistry,
     checks: &[CircuitCheck],
     merges: &[MergeRecord],
     par: &[ParSafetyRecord],
+    sabotage: Sabotage,
+) -> Result<ExecPlan, String> {
+    lower(prog, kernels, checks, merges, par, Some(sabotage))
+}
+
+fn lower(
+    prog: &Program,
+    kernels: &KernelRegistry,
+    checks: &[CircuitCheck],
+    merges: &[MergeRecord],
+    par: &[ParSafetyRecord],
+    sabotage: Option<Sabotage>,
 ) -> Result<ExecPlan, String> {
     let release = ReleasePlan::compute(prog);
-    build_plan_inner(prog, kernels, checks, merges, par, &release, true)
-}
-
-fn build_plan(
-    prog: &Program,
-    kernels: &KernelRegistry,
-    checks: &[CircuitCheck],
-    merges: &[MergeRecord],
-    par: &[ParSafetyRecord],
-    release: &ReleasePlan,
-) -> Result<ExecPlan, String> {
-    build_plan_inner(prog, kernels, checks, merges, par, release, false)
-}
-
-fn build_plan_inner(
-    prog: &Program,
-    kernels: &KernelRegistry,
-    checks: &[CircuitCheck],
-    merges: &[MergeRecord],
-    par: &[ParSafetyRecord],
-    release: &ReleasePlan,
-    skew_carried: bool,
-) -> Result<ExecPlan, String> {
     let mut lw = Lowerer {
         scope: Scope::default(),
-        release,
+        release: &release,
         checks,
         merges,
         par: par.iter().map(|r| (r.stm, r.level)).collect(),
@@ -500,7 +468,7 @@ fn build_plan_inner(
         depth: 0,
         merge_checks: Vec::new(),
         pending_carried: Vec::new(),
-        skew_carried,
+        sabotage,
     };
     let mut params = Vec::with_capacity(prog.params.len());
     for (v, ty) in &prog.params {
@@ -626,10 +594,11 @@ struct Lowerer<'a> {
     /// slots), and the statement loop emits each one after its anchor
     /// statement.
     pending_carried: Vec<PendingCarried>,
-    /// Test-only: anchor every carried release at the yield `alloc`
-    /// instead of the analyzed last use, so checked mode can be shown to
-    /// catch a premature release.
-    skew_carried: bool,
+    /// Mutation self-tests: `EarlyRelease` fires each scheduled release
+    /// one statement early; `EarlyCarriedRelease` anchors every carried
+    /// release at the yield `alloc` instead of the analyzed last use.
+    /// Checked mode must catch either as a use after release.
+    sabotage: Option<Sabotage>,
 }
 
 /// One carried release staged for the loop body being lowered.
@@ -750,7 +719,20 @@ impl Lowerer<'_> {
         for (k, stm) in block.stms.iter().enumerate() {
             self.lower_stm(stm, out)?;
             let site = stm.pat.first().map(|p| p.var);
-            for mv in self.release.after(block, k) {
+            // `EarlyRelease` shifts the schedule one statement left
+            // (statement 0 also keeps its own releases).
+            let skew = self.sabotage == Some(Sabotage::EarlyRelease);
+            let due: &[Var] = if skew && k > 0 {
+                &[]
+            } else {
+                self.release.after(block, k)
+            };
+            let early: &[Var] = if skew {
+                self.release.after(block, k + 1)
+            } else {
+                &[]
+            };
+            for mv in due.iter().chain(early) {
                 let slot = self.resolve(*mv)?;
                 out.push(Instr::Release { slot, site }, site);
                 self.num_releases += 1;
@@ -758,7 +740,7 @@ impl Lowerer<'_> {
             if !self.pending_carried.is_empty() {
                 let pat0 = stm.pat.first().map(|p| p.var);
                 for i in 0..self.pending_carried.len() {
-                    let anchor = if self.skew_carried {
+                    let anchor = if self.sabotage == Some(Sabotage::EarlyCarriedRelease) {
                         self.pending_carried[i].yield_mem
                     } else {
                         self.pending_carried[i].anchor
@@ -1163,6 +1145,12 @@ impl Lowerer<'_> {
                     .iter()
                     .map(|a| self.lower_exp(a))
                     .collect::<Result<Vec<_>, _>>()?;
+                let direct = m.in_place_result || row_shape.is_empty();
+                let par = match self.par.get(&stm.pat[0].var) {
+                    Some(level) => *level,
+                    None if direct => ParLevel::Serial,
+                    None => ParLevel::NeedsBuffer,
+                };
                 let row_shape = row_shape.iter().map(|p| self.slot_poly(p)).collect();
                 let dest = self.lower_dest(&stm.pat[0])?;
                 out.push(
@@ -1176,7 +1164,7 @@ impl Lowerer<'_> {
                         inputs,
                         args,
                         in_place: m.in_place_result,
-                        par: self.par.get(&stm.pat[0].var).copied(),
+                        par,
                     })),
                     blame,
                 );
@@ -1406,7 +1394,7 @@ fn fmt_instr(i: &Instr) -> String {
             format!("{} <- gather %{src} [%{idx}]", fmt_dest(dest))
         }
         Instr::MapKernel(mk) => format!(
-            "{} <- map_kernel {}#{} width {:?} inputs [{}] args [{}]{}",
+            "{} <- map_kernel {}#{} width {:?} inputs [{}] args [{}]{}{}",
             fmt_dest(&mk.dest),
             mk.kernel_name,
             mk.kernel
@@ -1415,14 +1403,11 @@ fn fmt_instr(i: &Instr) -> String {
             mk.width.poly,
             fmt_slots(&mk.inputs),
             mk.args.iter().map(fmt_exp).collect::<Vec<_>>().join(", "),
-            match (mk.in_place, mk.par) {
-                (true, Some(ParLevel::Safe)) => " in-place par-safe",
-                (true, Some(ParLevel::Serial)) => " in-place par-serial",
-                (true, _) => " in-place",
-                (false, Some(ParLevel::Safe)) => " par-safe",
-                (false, Some(ParLevel::Serial)) => " par-serial",
-                (false, Some(ParLevel::NeedsBuffer)) => " par-buffered",
-                (false, _) => "",
+            if mk.in_place { " in-place" } else { "" },
+            match mk.par {
+                ParLevel::Safe => " par-safe",
+                ParLevel::Serial => " par-serial",
+                ParLevel::NeedsBuffer => " par-buffered",
             }
         ),
         Instr::MapLambda(ml) => format!(

@@ -1,6 +1,7 @@
 //! Execution instrumentation, including the checked-mode sanitizer's
 //! structured diagnostics.
 
+use crate::store::MemStore;
 use std::time::Duration;
 
 /// One sanitizer finding from a `Mode::Checked` run. Every variant names
@@ -188,182 +189,168 @@ impl std::fmt::Display for Diagnostic {
     }
 }
 
-/// Counters and timers collected by one program execution. The benchmark
-/// tables are computed from wall time; the byte counters let tests assert
-/// the *mechanism* (short-circuiting removed this many copied bytes), not
-/// just the symptom.
-#[derive(Clone, Debug, Default)]
-pub struct Stats {
+/// Whether a [`Stats`] field shows up in [`Stats::counters`]: integer
+/// counters do; timers, flags and the diagnostics list do not.
+trait AsCounter {
+    fn as_counter(&self) -> Option<u64> {
+        None
+    }
+}
+impl AsCounter for u64 {
+    fn as_counter(&self) -> Option<u64> {
+        Some(*self)
+    }
+}
+impl AsCounter for Duration {}
+impl AsCounter for bool {}
+impl AsCounter for Vec<Diagnostic> {}
+
+/// The one `Stats` field table: `name: type, aggregation, source`. From
+/// it come the struct, [`Stats::merge`] (`sum`, `max`, `and`, `append`),
+/// [`Stats::counters`], and — for `store` rows, which mirror the
+/// [`MemStore`] counter of the same name — the per-run reset and
+/// copy-back in `execute_plan`. A new field cannot be added without
+/// deciding how it aggregates.
+macro_rules! stats_table {
+    ($($(#[$doc:meta])* $f:ident: $t:ty, $agg:ident, $src:ident;)*) => {
+        /// Counters and timers collected by one program execution. The
+        /// benchmark tables are computed from wall time; the byte counters
+        /// let tests assert the *mechanism* (short-circuiting removed this
+        /// many copied bytes), not just the symptom.
+        #[derive(Clone, Debug, Default)]
+        pub struct Stats {
+            $($(#[$doc])* pub $f: $t,)*
+        }
+
+        impl Stats {
+            /// Fold another run's figures into this accumulator — the
+            /// server's per-tenant and global aggregation. Counters and
+            /// durations sum; `peak_bytes_live` takes the max (runs against
+            /// one store are sequential, so the peak-of-peaks is the store's
+            /// true high-water mark); diagnostics append; `plan_cache_hit`
+            /// ANDs (true only if *every* merged run was answered from the
+            /// cache).
+            pub fn merge(&mut self, other: &Stats) {
+                $(stats_table!(@$agg self.$f, other.$f);)*
+            }
+
+            /// Every integer counter as `(field name, value)`, in table
+            /// order — what the bench harness prints and serializes.
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($f), self.$f.as_counter())),*]
+                    .into_iter()
+                    .filter_map(|(name, v)| v.map(|v| (name, v)))
+            }
+
+            /// Start the store's counters over, so only the program body
+            /// is measured (the peak restarts from the loaded inputs).
+            pub(crate) fn begin_body(store: &mut MemStore) {
+                $(stats_table!(@reset $src store.$f);)*
+                store.reset_peak();
+            }
+
+            /// Copy the store's body-only counters onto this run's stats.
+            pub(crate) fn take_store_counters(&mut self, store: &MemStore) {
+                $(stats_table!(@take $src self.$f, store.$f);)*
+            }
+        }
+    };
+    (@sum $a:expr, $b:expr) => { $a += $b };
+    (@max $a:expr, $b:expr) => { $a = $a.max($b) };
+    (@and $a:expr, $b:expr) => { $a = $a && $b };
+    (@append $a:expr, $b:expr) => { $a.extend($b.iter().cloned()) };
+    (@reset store $c:expr) => { $c = 0 };
+    (@reset run $c:expr) => {};
+    (@take store $a:expr, $b:expr) => { $a = $b };
+    (@take run $a:expr, $b:expr) => {};
+}
+
+stats_table! {
     /// Bytes allocated by `alloc` statements and temporaries.
-    pub bytes_allocated: u64,
-    pub num_allocs: u64,
+    bytes_allocated: u64, sum, store;
+    num_allocs: u64, sum, store;
     /// Allocations served from the store's free list (last-use driven
     /// recycling) instead of the heap.
-    pub blocks_reused: u64,
+    blocks_reused: u64, sum, store;
     /// Bytes of zero-fill skipped because the block was recycled.
-    pub bytes_zeroing_elided: u64,
+    bytes_zeroing_elided: u64, sum, store;
     /// Allocations served by adopting a block from the shared
     /// cross-tenant arena (a subset of `blocks_reused`).
-    pub arena_blocks_adopted: u64,
+    arena_blocks_adopted: u64, sum, store;
     /// Bytes zeroed on cross-tenant adoption: recycled contents never
     /// cross a tenant boundary, so the zero-fill elision is forfeited
     /// there and the scrub cost counted here instead.
-    pub bytes_cross_tenant_scrubbed: u64,
+    bytes_cross_tenant_scrubbed: u64, sum, store;
     /// High-water mark of bytes simultaneously live in the store during
     /// the program body (inputs included) — the quantity block merging
     /// reduces.
-    pub peak_bytes_live: u64,
+    peak_bytes_live: u64, max, store;
     /// Memory blocks the merge pass folded into another allocation (a
     /// compile-time property of the executed plan).
-    pub blocks_merged: u64,
+    blocks_merged: u64, sum, run;
     /// Carried releases that fired: a loop's dead ping-pong block was
     /// returned to its color's slab inside the body instead of living to
-    /// the end-of-run sweep (the coloring pass's `CarriedRelease`
-    /// records, guarded concretely per iteration).
-    pub carried_releases: u64,
+    /// the end-of-run sweep (the merge pass's `CarriedRelease` records,
+    /// guarded concretely per iteration).
+    carried_releases: u64, sum, store;
     /// Colored allocations served from their color's slab (a subset of
     /// `blocks_reused`): the previous iteration's carried release coming
     /// straight back.
-    pub color_slab_hits: u64,
+    color_slab_hits: u64, sum, store;
     /// Map statements that went through the persistent worker pool
     /// (small trip counts run inline and are not counted).
-    pub pool_dispatches: u64,
+    pool_dispatches: u64, sum, run;
     /// Kernel mapnests that executed **parallel and in place**: dispatched
     /// to the pool writing their result memory directly, under a
     /// `par_safety` proof, with no private-row buffer.
-    pub maps_parallel_in_place: u64,
+    maps_parallel_in_place: u64, sum, run;
     /// Work-stealing chunks claimed across all pool dispatches.
-    pub par_chunks: u64,
+    par_chunks: u64, sum, run;
     /// Chunks claimed by a worker other than the dispatching thread.
-    pub par_chunks_stolen: u64,
+    par_chunks_stolen: u64, sum, run;
     /// Per-dispatch worker utilization, summed: participants that claimed
     /// at least one chunk…
-    pub par_workers_engaged: u64,
+    par_workers_engaged: u64, sum, run;
     /// …out of the worker slots offered to those dispatches.
-    pub par_workers_offered: u64,
+    par_workers_offered: u64, sum, run;
     /// Checked mode: `par_safety`-approved maps whose pre-dispatch
     /// concrete enumeration confirmed chunk-wise disjoint writes.
-    pub par_checks_verified: u64,
+    par_checks_verified: u64, sum, run;
     /// Bytes moved by update/concat copies and mapnest result copies.
-    pub bytes_copied: u64,
-    pub num_copies: u64,
+    bytes_copied: u64, sum, run;
+    num_copies: u64, sum, run;
     /// Bytes whose copy was *elided* by short-circuiting.
-    pub bytes_elided: u64,
-    pub num_elided: u64,
+    bytes_elided: u64, sum, run;
+    num_elided: u64, sum, run;
     /// Kernel instances launched.
-    pub kernel_launches: u64,
+    kernel_launches: u64, sum, run;
     /// Time spent inside kernels / lambda bodies.
-    pub kernel_time: Duration,
+    kernel_time: Duration, sum, run;
     /// Time spent in copies the optimizer targets.
-    pub copy_time: Duration,
+    copy_time: Duration, sum, run;
     /// Total execution wall time of the program body.
-    pub total_time: Duration,
+    total_time: Duration, sum, run;
     /// Checked mode: shadow cells marked or inspected.
-    pub cells_checked: u64,
+    cells_checked: u64, sum, run;
     /// Checked mode: short-circuit checks whose recorded footprints all
     /// evaluated to concrete LMADs and came out conflict-free (every
     /// write × later-use pair disjoint; vacuously so when the optimizer
     /// recorded no later uses). Counted per execution of the circuit
     /// statement's block, so loop-scoped circuits count per iteration.
-    pub circuits_verified: u64,
+    circuits_verified: u64, sum, run;
     /// Checked mode: footprint-justified merges whose recorded pairs all
     /// evaluated concretely and came out disjoint.
-    pub merges_verified: u64,
+    merges_verified: u64, sum, run;
     /// Checked mode: sanitizer findings (empty on a clean run).
-    pub diagnostics: Vec<Diagnostic>,
+    diagnostics: Vec<Diagnostic>, append, run;
     /// Diagnostics dropped beyond the per-run cap.
-    pub diagnostics_suppressed: u64,
+    diagnostics_suppressed: u64, sum, run;
     /// Whether this run's `prepare` was answered from the session's plan
     /// cache (the harness asserts warm runs never re-lower).
-    pub plan_cache_hit: bool,
+    plan_cache_hit: bool, and, run;
     /// Time the session spent lowering the plan for this run (zero on a
     /// cache hit).
-    pub plan_build_time: Duration,
-}
-
-impl Stats {
-    pub fn reset(&mut self) {
-        *self = Stats::default();
-    }
-
-    /// Fold another run's figures into this accumulator — the server's
-    /// per-tenant and global aggregation. Counters and durations sum;
-    /// `peak_bytes_live` takes the max (runs against one store are
-    /// sequential, so the peak-of-peaks is the store's true high-water
-    /// mark); diagnostics append; `plan_cache_hit` ANDs (true only if
-    /// *every* merged run was answered from the cache).
-    ///
-    /// `other` is destructured exhaustively, with no `..` rest pattern:
-    /// adding a field to `Stats` without deciding how it aggregates is a
-    /// compile error at this site (and in the mirror-image unit test).
-    pub fn merge(&mut self, other: &Stats) {
-        let Stats {
-            bytes_allocated,
-            num_allocs,
-            blocks_reused,
-            bytes_zeroing_elided,
-            arena_blocks_adopted,
-            bytes_cross_tenant_scrubbed,
-            peak_bytes_live,
-            blocks_merged,
-            carried_releases,
-            color_slab_hits,
-            pool_dispatches,
-            maps_parallel_in_place,
-            par_chunks,
-            par_chunks_stolen,
-            par_workers_engaged,
-            par_workers_offered,
-            par_checks_verified,
-            bytes_copied,
-            num_copies,
-            bytes_elided,
-            num_elided,
-            kernel_launches,
-            kernel_time,
-            copy_time,
-            total_time,
-            cells_checked,
-            circuits_verified,
-            merges_verified,
-            diagnostics,
-            diagnostics_suppressed,
-            plan_cache_hit,
-            plan_build_time,
-        } = other;
-        self.bytes_allocated += bytes_allocated;
-        self.num_allocs += num_allocs;
-        self.blocks_reused += blocks_reused;
-        self.bytes_zeroing_elided += bytes_zeroing_elided;
-        self.arena_blocks_adopted += arena_blocks_adopted;
-        self.bytes_cross_tenant_scrubbed += bytes_cross_tenant_scrubbed;
-        self.peak_bytes_live = self.peak_bytes_live.max(*peak_bytes_live);
-        self.blocks_merged += blocks_merged;
-        self.carried_releases += carried_releases;
-        self.color_slab_hits += color_slab_hits;
-        self.pool_dispatches += pool_dispatches;
-        self.maps_parallel_in_place += maps_parallel_in_place;
-        self.par_chunks += par_chunks;
-        self.par_chunks_stolen += par_chunks_stolen;
-        self.par_workers_engaged += par_workers_engaged;
-        self.par_workers_offered += par_workers_offered;
-        self.par_checks_verified += par_checks_verified;
-        self.bytes_copied += bytes_copied;
-        self.num_copies += num_copies;
-        self.bytes_elided += bytes_elided;
-        self.num_elided += num_elided;
-        self.kernel_launches += kernel_launches;
-        self.kernel_time += *kernel_time;
-        self.copy_time += *copy_time;
-        self.total_time += *total_time;
-        self.cells_checked += cells_checked;
-        self.circuits_verified += circuits_verified;
-        self.merges_verified += merges_verified;
-        self.diagnostics.extend(diagnostics.iter().cloned());
-        self.diagnostics_suppressed += diagnostics_suppressed;
-        self.plan_cache_hit = self.plan_cache_hit && *plan_cache_hit;
-        self.plan_build_time += *plan_build_time;
-    }
+    plan_build_time: Duration, sum, run;
 }
 
 impl std::fmt::Display for Stats {

@@ -11,6 +11,7 @@
 //! is read, which the differential tests check against the pure-mode
 //! ground truth.
 
+use crate::value::InputValue;
 use arraymem_ir::ElemType;
 use arraymem_symbolic::Sym;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -655,23 +656,19 @@ impl MemStore {
         self.fresh(Buffer::new(elem, len))
     }
 
-    /// Allocate a block initialized from an `f32` vector.
-    pub fn alloc_f32(&mut self, data: Vec<f32>) -> usize {
-        self.fresh_input(Buffer::F32(data))
-    }
-
-    pub fn alloc_i64(&mut self, data: Vec<i64>) -> usize {
-        self.fresh_input(Buffer::I64(data))
-    }
-
-    pub fn alloc_f64(&mut self, data: Vec<f64>) -> usize {
-        self.fresh_input(Buffer::F64(data))
-    }
-
-    /// Fresh block holding program input: every cell is legitimately
-    /// readable from the start.
-    fn fresh_input(&mut self, b: Buffer) -> usize {
-        let id = self.fresh(b);
+    /// Allocate a `len`-element block holding the program-input array
+    /// `data` (the caller checked both against the parameter's type).
+    /// Inputs recycle like any other allocation, so a warm run uploads
+    /// into the blocks its predecessor released instead of growing the
+    /// store; every cell is legitimately readable from the start.
+    pub(crate) fn alloc_input(&mut self, elem: ElemType, len: usize, data: &InputValue) -> usize {
+        let id = self.alloc(elem, len);
+        match (&mut self.blocks[id], data) {
+            (Buffer::F32(v), InputValue::ArrayF32(d)) => v.copy_from_slice(d),
+            (Buffer::F64(v), InputValue::ArrayF64(d)) => v.copy_from_slice(d),
+            (Buffer::I64(v), InputValue::ArrayI64(d)) => v.copy_from_slice(d),
+            _ => unreachable!("input checked against the parameter type"),
+        }
         if let Some(sh) = &mut self.shadow {
             sh[id].cells.fill(CellState::Input);
         }
@@ -830,7 +827,7 @@ mod tests {
         let r = s.raw(b);
         assert_eq!(r.len, 10);
         assert_eq!(r.elem, ElemType::F32);
-        let b2 = s.alloc_i64(vec![1, 2, 3]);
+        let b2 = s.alloc_input(ElemType::I64, 3, &InputValue::ArrayI64(vec![1, 2, 3]));
         assert_eq!(s.len(b2), 3);
         assert_eq!(s.bytes_allocated, 40 + 24);
         assert_eq!(s.num_allocs, 2);
@@ -935,7 +932,7 @@ mod tests {
         assert_eq!(s.shadow_cell(c, 2), Some(CellState::Stale));
         assert_eq!(s.shadow_cell(c, 3), Some(CellState::Zeroed));
         // Input allocations are readable everywhere.
-        let d = s.alloc_i64(vec![1, 2]);
+        let d = s.alloc_input(ElemType::I64, 2, &InputValue::ArrayI64(vec![1, 2]));
         assert_eq!(s.shadow_cell(d, 1), Some(CellState::Input));
         // Disabling drops the layer entirely.
         s.disable_shadow();

@@ -407,7 +407,8 @@ fn release_plan_recycles_chained_intermediates() {
 /// A store reused across runs (one `Session`) must produce bit-identical
 /// outputs to a fresh store — recycled blocks skip zero-filling, so this
 /// is the test that programs fully write before they read — while serving
-/// the repeat run's allocations entirely from the free list.
+/// the repeat run's allocations, input upload included, entirely from the
+/// free list.
 #[test]
 fn session_reuse_is_equivalence_preserving() {
     let mut kernels = KernelRegistry::new();
@@ -441,17 +442,23 @@ fn session_reuse_is_equivalence_preserving() {
     let rows = 12usize;
     let data: Vec<f32> = (0..rows * 16).map(|i| (i as f32).sin()).collect();
     let inputs = vec![InputValue::I64(rows as i64), InputValue::ArrayF32(data)];
-    let (fresh_out, fresh_stats) = crate::Session::new()
-        .run(&compiled.program, &inputs, &kernels, Mode::Memory, 2)
-        .unwrap();
+    let run = |s: &mut crate::Session| {
+        let h = s
+            .prepare_full(
+                &compiled.program,
+                &kernels,
+                &[],
+                &compiled.report.merges,
+                &compiled.report.par_safety,
+            )
+            .unwrap();
+        s.run_plan(h, &inputs, &kernels, Mode::Memory, 2).unwrap()
+    };
+    let (fresh_out, fresh_stats) = run(&mut crate::Session::new());
     assert!(fresh_stats.num_allocs > 0);
     let mut session = crate::Session::new();
-    let (first, _) = session
-        .run(&compiled.program, &inputs, &kernels, Mode::Memory, 2)
-        .unwrap();
-    let (second, warm_stats) = session
-        .run(&compiled.program, &inputs, &kernels, Mode::Memory, 2)
-        .unwrap();
+    let (first, _) = run(&mut session);
+    let (second, warm_stats) = run(&mut session);
     for ((a, b_), c_) in fresh_out.iter().zip(&first).zip(&second) {
         assert!(a.approx_eq(b_, 0.0), "fresh vs reused-session run 1");
         assert!(a.approx_eq(c_, 0.0), "fresh vs reused-session run 2");
@@ -462,6 +469,17 @@ fn session_reuse_is_equivalence_preserving() {
     );
     assert!(warm_stats.blocks_reused > 0);
     assert!(warm_stats.bytes_zeroing_elided > 0);
+    // Input upload recycles too: once the block population has settled
+    // (run 2), 50 more warm runs add no block to the store.
+    let settled = session.store_mut().num_blocks();
+    for _ in 0..50 {
+        run(&mut session);
+    }
+    assert_eq!(
+        session.store_mut().num_blocks(),
+        settled,
+        "warm runs must upload inputs into recycled blocks"
+    );
 }
 
 /// Randomized equivalence of the tiered access plans: flat accesses
@@ -499,7 +517,8 @@ fn access_plans_match_generic_indexing() {
         let n = ixfn.num_elems();
         let max_off = ixfn.all_offsets().into_iter().max().unwrap_or(0);
         let mut store = crate::store::MemStore::new();
-        let block = store.alloc_f32((0..=max_off).map(|i| i as f32 * 0.5).collect());
+        let data: Vec<f32> = (0..=max_off).map(|i| i as f32 * 0.5).collect();
+        let block = store.alloc_input(ElemType::F32, data.len(), &InputValue::ArrayF32(data));
         let view = crate::view::View::new(store.raw(block), ixfn.clone());
         plans_seen.insert(format!("{:?}", std::mem::discriminant(&ixfn.classify())));
         for f in 0..n {

@@ -480,11 +480,12 @@ fn copy_generic<T: Copy>(dst: &ViewMut, src: &View, n: i64) {
 mod tests {
     use super::*;
     use crate::store::MemStore;
+    use crate::InputValue;
     use arraymem_ir::ElemType;
 
     fn store_with(data: Vec<f32>) -> (MemStore, usize) {
         let mut s = MemStore::new();
-        let b = s.alloc_f32(data);
+        let b = s.alloc_input(ElemType::F32, data.len(), &InputValue::ArrayF32(data));
         (s, b)
     }
 
@@ -524,9 +525,8 @@ mod tests {
     #[test]
     fn copy_between_strided_views_matches_naive() {
         // dst: every other element of a block; src: a reversed view.
-        let mut s = MemStore::new();
+        let (mut s, sb) = store_with((0..8).map(|i| i as f32).collect());
         let db = s.alloc(ElemType::F32, 16);
-        let sb = s.alloc_f32((0..8).map(|i| i as f32).collect());
         let dst = ViewMut::new(
             s.raw(db),
             ConcreteIxFn::from_lmad(ConcreteLmad {
@@ -552,7 +552,11 @@ mod tests {
     fn contiguous_copy_uses_memcpy_path() {
         let mut s = MemStore::new();
         let db = s.alloc(ElemType::I64, 6);
-        let sb = s.alloc_i64(vec![1, 2, 3, 4, 5, 6]);
+        let sb = s.alloc_input(
+            ElemType::I64,
+            6,
+            &InputValue::ArrayI64(vec![1, 2, 3, 4, 5, 6]),
+        );
         let dst = ViewMut::new(s.raw(db), ConcreteIxFn::row_major(&[6]));
         let src = View::new(s.raw(sb), ConcreteIxFn::row_major(&[6]));
         copy_view(&dst, &src);

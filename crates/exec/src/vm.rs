@@ -1,6 +1,6 @@
 //! The plan executor.
 //!
-//! Programs are not interpreted from the IR tree: [`Session::prepare`]
+//! Programs are not interpreted from the IR tree: [`Session::prepare_full`]
 //! lowers a compiled program once into a flat [`ExecPlan`] (see
 //! [`crate::plan`]) and caches it by a structural fingerprint;
 //! [`Session::run_plan`] then replays the instruction stream against a
@@ -19,7 +19,8 @@
 //!   stage's verdict: `Safe` maps run parallel writing their result
 //!   memory directly, `NeedsBuffer` maps run parallel through private
 //!   row buffers, and `Serial` maps (direct writes with unproven
-//!   disjointness) are serialized.
+//!   disjointness) are serialized. A map lowered without its record is
+//!   held to the conservative verdict, never trusted.
 //! - [`Mode::Pure`]: direct functional value semantics — every operation
 //!   materializes a fresh dense array and annotations are ignored. This is
 //!   the semantic ground truth: the paper's invariant that deleting memory
@@ -30,9 +31,9 @@
 //!   promised: no read of a never-written cell in a recycled block (the
 //!   zero-fill elision's obligation), no read of a released block (the
 //!   last-use plan's obligation), no two map iterations writing one cell
-//!   (the in-place mapnest's obligation), and — via
-//!   [`Session::run_with_checks`] — concrete disjointness of every
-//!   footprint pair a short-circuit's symbolic non-overlap test approved.
+//!   (the in-place mapnest's obligation), and — for the circuit checks
+//!   lowered into the plan — concrete disjointness of every footprint
+//!   pair a short-circuit's symbolic non-overlap test approved.
 //!   Mapnests the `par_safety` stage proved safe are **not** serialized:
 //!   their chunk disjointness is re-proved concretely by enumeration
 //!   before each dispatch, and only a failed re-proof (reported as
@@ -45,16 +46,14 @@
 use crate::cache::PlanCache;
 use crate::kernel::{KernelCtx, KernelRegistry};
 use crate::plan::{
-    lower_plan_with, slot_lookup, Dest, ExecPlan, Instr, LExp, LSlice, LUpdateSrc, ParamSpec,
-    Stream,
+    slot_lookup, Dest, ExecPlan, Instr, LExp, LSlice, LUpdateSrc, ParamSpec, Stream,
 };
 use crate::pool::parallel_for_worker;
 use crate::stats::{Diagnostic, Stats};
 use crate::store::{CellState, MemStore};
 use crate::value::{ArrayRef, InputValue, OutputValue, Value};
 use crate::view::{copy_view, fix_outer, View, ViewMut};
-use arraymem_core::{CircuitCheck, MergeRecord, ReleasePlan};
-use arraymem_core::{ParLevel, ParSafetyRecord};
+use arraymem_core::{CircuitCheck, MergeRecord, ParLevel, ParSafetyRecord};
 use arraymem_ir::validate::lmad_slice_is_injective;
 use arraymem_ir::{BinOp, ElemType, Program, Type, UnOp};
 use arraymem_lmad::{
@@ -167,36 +166,16 @@ impl Session {
         &mut self.store
     }
 
-    /// Lower `prog` into an executable plan, or return the cached handle
-    /// if this session has prepared a structurally identical program (same
-    /// IR fingerprint, same kernel registry, no checks) before.
-    pub fn prepare(
-        &mut self,
-        prog: &Program,
-        kernels: &KernelRegistry,
-    ) -> Result<PlanHandle, String> {
-        self.prepare_with_checks(prog, kernels, &[])
-    }
-
-    /// [`prepare`](Session::prepare) with checked-mode circuit checks
-    /// lowered into the plan (pass the compile report's
-    /// [`CircuitCheck`]s; they are part of the cache key).
-    pub fn prepare_with_checks(
-        &mut self,
-        prog: &Program,
-        kernels: &KernelRegistry,
-        checks: &[CircuitCheck],
-    ) -> Result<PlanHandle, String> {
-        self.prepare_full(prog, kernels, checks, &[], &[])
-    }
-
-    /// [`prepare_with_checks`](Session::prepare_with_checks) additionally
-    /// lowering the compile report's [`MergeRecord`]s (`Report::merges`)
-    /// and [`ParSafetyRecord`]s (`Report::par_safety`) into the plan:
-    /// checked-mode runs re-prove every footprint pair a
-    /// footprint-justified merge relied on and every chunk-disjointness
-    /// verdict a parallel map relied on, and the plan stamps
-    /// `Stats::blocks_merged`. All record sets are part of the cache key.
+    /// Lower a compiled program and the records its compile produced —
+    /// circuit checks (`Report::checks`), merge records (`Report::merges`)
+    /// and parallel-safety records (`Report::par_safety`) — into an
+    /// executable plan, or return the cached handle if a structurally
+    /// identical request (same IR fingerprint, kernel registry and record
+    /// sets) was prepared before. The records are the compiler→executor
+    /// contract: merges carry the carried releases the plan executes and
+    /// the footprint pairs checked mode re-proves, par-safety verdicts
+    /// pick each kernel map's schedule, and the plan stamps
+    /// `Stats::blocks_merged`.
     pub fn prepare_full(
         &mut self,
         prog: &Program,
@@ -252,103 +231,11 @@ impl Session {
             (out, stats)
         })
     }
-
-    /// Prepare (cached) and execute a program in one call.
-    pub fn run(
-        &mut self,
-        prog: &Program,
-        inputs: &[InputValue],
-        kernels: &KernelRegistry,
-        mode: Mode,
-        threads: usize,
-    ) -> Result<(Vec<OutputValue>, Stats), String> {
-        self.run_with_checks(prog, inputs, kernels, mode, threads, &[])
-    }
-
-    /// [`run`](Session::run), additionally cross-checking each recorded
-    /// short-circuit decision at runtime (checked mode only): the
-    /// candidate's write footprints and the destination's recorded later
-    /// uses are evaluated to concrete LMADs and every pair is proved
-    /// disjoint by enumeration, or reported as a
-    /// [`Diagnostic::CircuitOverlap`]. Pass the compile report's
-    /// [`CircuitCheck`]s (`Report::checks`).
-    pub fn run_with_checks(
-        &mut self,
-        prog: &Program,
-        inputs: &[InputValue],
-        kernels: &KernelRegistry,
-        mode: Mode,
-        threads: usize,
-        checks: &[CircuitCheck],
-    ) -> Result<(Vec<OutputValue>, Stats), String> {
-        self.run_full(prog, inputs, kernels, mode, threads, checks, &[], &[])
-    }
-
-    /// [`run_with_checks`](Session::run_with_checks) additionally carrying
-    /// the compile report's merge records (`Report::merges`) and
-    /// parallel-safety records (`Report::par_safety`) — the full set of
-    /// runtime obligations the optimizer took on.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_full(
-        &mut self,
-        prog: &Program,
-        inputs: &[InputValue],
-        kernels: &KernelRegistry,
-        mode: Mode,
-        threads: usize,
-        checks: &[CircuitCheck],
-        merges: &[MergeRecord],
-        par: &[ParSafetyRecord],
-    ) -> Result<(Vec<OutputValue>, Stats), String> {
-        let h = self.prepare_full(prog, kernels, checks, merges, par)?;
-        self.run_plan(h, inputs, kernels, mode, threads)
-    }
-
-    /// [`run_with_checks`](Session::run_with_checks) with a caller-supplied
-    /// release plan, lowered fresh and uncached. Tests use this to execute
-    /// under a *deliberately wrong* plan
-    /// ([`ReleasePlan::compute_skewed_early`]) and assert the checked
-    /// mode's use-after-release detector fires.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_with_plan(
-        &mut self,
-        prog: &Program,
-        inputs: &[InputValue],
-        kernels: &KernelRegistry,
-        mode: Mode,
-        threads: usize,
-        checks: &[CircuitCheck],
-        plan: &ReleasePlan,
-    ) -> Result<(Vec<OutputValue>, Stats), String> {
-        let lowered = lower_plan_with(prog, kernels, checks, plan)?;
-        execute_plan(&mut self.store, &lowered, inputs, kernels, mode, threads)
-    }
-
-    /// [`run_full`](Session::run_full) lowered fresh and uncached with
-    /// every carried release **skewed early**
-    /// ([`crate::plan::lower_plan_carried_skewed`]): the coloring pass's
-    /// mutation hook. The incoming ping-pong block is released right
-    /// after its replacement's `alloc`, before the body's analyzed last
-    /// use of it, so a checked-mode run must report the premature
-    /// release as a [`crate::Diagnostic::UseAfterRelease`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_carried_skewed(
-        &mut self,
-        prog: &Program,
-        inputs: &[InputValue],
-        kernels: &KernelRegistry,
-        mode: Mode,
-        threads: usize,
-        checks: &[CircuitCheck],
-        merges: &[MergeRecord],
-        par: &[ParSafetyRecord],
-    ) -> Result<(Vec<OutputValue>, Stats), String> {
-        let lowered = crate::plan::lower_plan_carried_skewed(prog, kernels, checks, merges, par)?;
-        execute_plan(&mut self.store, &lowered, inputs, kernels, mode, threads)
-    }
 }
 
-/// Execute a program in a one-shot [`Session`].
+/// Execute a program in a one-shot [`Session`], lowered without compile
+/// records: the `Mode::Pure` oracle, or a quick look at a program whose
+/// kernel maps are then all scheduled conservatively.
 pub fn run_program(
     prog: &Program,
     inputs: &[InputValue],
@@ -356,7 +243,9 @@ pub fn run_program(
     mode: Mode,
     threads: usize,
 ) -> Result<(Vec<OutputValue>, Stats), String> {
-    Session::new().run(prog, inputs, kernels, mode, threads)
+    let mut session = Session::new();
+    let h = session.prepare_full(prog, kernels, &[], &[], &[])?;
+    session.run_plan(h, inputs, kernels, mode, threads)
 }
 
 /// Run one plan against a store: load inputs, execute the stream, extract
@@ -395,32 +284,15 @@ pub fn execute_plan(
     for (spec, input) in plan.params.iter().zip(inputs) {
         m.load_param(spec, input)?;
     }
-    // Only the body execution is measured.
-    m.store.bytes_allocated = 0;
-    m.store.num_allocs = 0;
-    m.store.blocks_reused = 0;
-    m.store.bytes_zeroing_elided = 0;
-    m.store.arena_blocks_adopted = 0;
-    m.store.bytes_cross_tenant_scrubbed = 0;
-    m.store.carried_releases = 0;
-    m.store.color_slab_hits = 0;
+    Stats::begin_body(m.store);
     m.store.begin_colors(plan.num_colors);
-    m.store.reset_peak();
     let t0 = Instant::now();
     m.exec_stream(&plan.body)?;
     m.stats.total_time = t0.elapsed();
     if m.checked() {
         m.verify_merges(&plan.merge_checks);
     }
-    m.stats.bytes_allocated = m.store.bytes_allocated;
-    m.stats.num_allocs = m.store.num_allocs;
-    m.stats.blocks_reused = m.store.blocks_reused;
-    m.stats.bytes_zeroing_elided = m.store.bytes_zeroing_elided;
-    m.stats.arena_blocks_adopted = m.store.arena_blocks_adopted;
-    m.stats.bytes_cross_tenant_scrubbed = m.store.bytes_cross_tenant_scrubbed;
-    m.stats.carried_releases = m.store.carried_releases;
-    m.stats.color_slab_hits = m.store.color_slab_hits;
-    m.stats.peak_bytes_live = m.store.peak_bytes_live;
+    m.stats.take_store_counters(m.store);
     m.stats.blocks_merged = plan.blocks_merged;
     let mut out = Vec::with_capacity(plan.results.len());
     for (slot, v) in &plan.results {
@@ -498,21 +370,14 @@ impl Machine<'_> {
                     .map(|p| p.eval(&self.regs).ok_or("unresolved param shape"))
                     .collect::<Result<_, _>>()?;
                 let n: i64 = shape_c.iter().product();
-                let block = match (elem, arr) {
-                    (ElemType::F32, InputValue::ArrayF32(d)) => {
-                        assert_eq!(d.len() as i64, n, "input length mismatch for {v}");
-                        self.store.alloc_f32(d.clone())
-                    }
-                    (ElemType::F64, InputValue::ArrayF64(d)) => {
-                        assert_eq!(d.len() as i64, n);
-                        self.store.alloc_f64(d.clone())
-                    }
-                    (ElemType::I64, InputValue::ArrayI64(d)) => {
-                        assert_eq!(d.len() as i64, n);
-                        self.store.alloc_i64(d.clone())
-                    }
+                let len = match (elem, arr) {
+                    (ElemType::F32, InputValue::ArrayF32(d)) => d.len(),
+                    (ElemType::F64, InputValue::ArrayF64(d)) => d.len(),
+                    (ElemType::I64, InputValue::ArrayI64(d)) => d.len(),
                     _ => return Err(format!("input type mismatch for {v}")),
                 };
+                assert_eq!(len as i64, n, "input length mismatch for {v}");
+                let block = self.store.alloc_input(*elem, len, arr);
                 self.regs[spec.slot as usize] = Value::Array(ArrayRef::new(
                     block,
                     *elem,
@@ -955,7 +820,7 @@ impl Machine<'_> {
                     .collect::<Result<_, _>>()?;
                 let row_elems: i64 = row_shape_c.iter().product();
                 let scalar_rows = row_shape_c.is_empty();
-                let par_proven = matches!(mk.par, Some(ParLevel::Safe));
+                let par_proven = mk.par == ParLevel::Safe;
                 // Checked mode re-proves a `Safe` verdict concretely before
                 // dispatching: enumerate every iteration's write footprint
                 // and confirm no cell is written twice. A failed re-proof
@@ -975,7 +840,7 @@ impl Machine<'_> {
                 // freely; `Serial` maps never dispatch in parallel.
                 let workers = match self.mode {
                     Mode::Pure => self.threads,
-                    Mode::Memory if matches!(mk.par, Some(ParLevel::Serial)) => 1,
+                    Mode::Memory if mk.par == ParLevel::Serial => 1,
                     Mode::Memory => self.threads,
                     // Under the sanitizer, only maps the pre-dispatch
                     // re-proof cleared may run parallel.

@@ -1,23 +1,20 @@
 //! The differential oracle: one program, every semantics.
 //!
-//! [`run_all_modes`] executes seven legs and reports the first divergence
+//! [`run_all_modes`] executes six legs and reports the first divergence
 //! as an `Err` (rather than panicking) so the minimizer can use it as a
-//! predicate:
+//! predicate. Every compiled leg is prepared with its compile's own
+//! records, so it executes the plan production executes:
 //!
 //! 1. pure value semantics on the source program;
 //! 2. the unoptimized compile under `Mode::Memory`;
-//! 3. the fully optimized compile (whole-program coloring on) under
-//!    `Mode::Memory`;
-//! 4. the coloring toggle: the same optimization pipeline with the merge
-//!    pass held to greedy pairwise (coloring off) — both positions of
-//!    the toggle must agree with the oracle;
-//! 5. the optimized compile under `Mode::Checked` in a caller-shared
+//! 3. the fully optimized compile under `Mode::Memory`;
+//! 4. the optimized compile under `Mode::Checked` in a caller-shared
 //!    session (so corpus replay recycles blocks across programs), with
 //!    the sanitizer required to stay silent;
-//! 6. a thread sweep (1 and 8 workers) of the optimized program through
+//! 5. a thread sweep (1 and 8 workers) of the optimized program through
 //!    a second shared session — work-stealing dispatch must be
 //!    bit-identical to serial execution;
-//! 7. a multi-tenant leg: two tenants run the optimized program
+//! 6. a multi-tenant leg: two tenants run the optimized program
 //!    *concurrently* through one process-shared [`Server`] (one in
 //!    `Memory` mode, one in `Checked`), so corpus replay exercises the
 //!    sharded plan cache, stampede coalescing, and cross-tenant arena
@@ -25,7 +22,7 @@
 //!    single-tenant oracle bit-for-bit, with the sanitizer silent.
 
 use crate::gen::GenOp;
-use arraymem_core::{compile, CompileReport, Options};
+use arraymem_core::{compile, CircuitCheck, CompileReport, Compiled, Options};
 use arraymem_exec::{run_program, KernelRegistry, Mode, OutputValue, Session, Stats};
 use arraymem_ir::Program;
 use arraymem_server::{ExecRequest, Server, ServerConfig};
@@ -64,6 +61,26 @@ fn shared_server() -> &'static Server {
     })
 }
 
+/// Prepare a compile's program with the compile's own records (plus
+/// `checks` for a checked-mode leg) and run it once in `session`.
+fn run_compiled(
+    session: &mut Session,
+    compiled: &Compiled,
+    checks: &[CircuitCheck],
+    kernels: &KernelRegistry,
+    mode: Mode,
+    threads: usize,
+) -> Result<(Vec<OutputValue>, Stats), String> {
+    let h = session.prepare_full(
+        &compiled.program,
+        kernels,
+        checks,
+        &compiled.report.merges,
+        &compiled.report.par_safety,
+    )?;
+    session.run_plan(h, &[], kernels, mode, threads)
+}
+
 /// Run every leg; `Err` describes the first divergence, sanitizer
 /// finding, or execution failure.
 pub fn run_all_modes(
@@ -76,9 +93,10 @@ pub fn run_all_modes(
     let opt = compile(prog, &Options::optimized()).map_err(|e| format!("opt compile: {e}"))?;
     let (pure_out, _) =
         run_program(prog, &[], &kernels, Mode::Pure, 1).map_err(|e| format!("pure: {e}"))?;
-    let (u_out, u_stats) = run_program(&unopt.program, &[], &kernels, Mode::Memory, 1)
-        .map_err(|e| format!("unopt run: {e}"))?;
-    let (o_out, o_stats) = run_program(&opt.program, &[], &kernels, Mode::Memory, 1)
+    let (u_out, u_stats) =
+        run_compiled(&mut Session::new(), &unopt, &[], &kernels, Mode::Memory, 1)
+            .map_err(|e| format!("unopt run: {e}"))?;
+    let (o_out, o_stats) = run_compiled(&mut Session::new(), &opt, &[], &kernels, Mode::Memory, 1)
         .map_err(|e| format!("opt run: {e}"))?;
     if differ(&pure_out, &u_out) {
         return Err("pure vs unopt outputs differ".into());
@@ -92,34 +110,9 @@ pub fn run_all_modes(
             u_stats.bytes_copied, o_stats.bytes_copied
         ));
     }
-    // Coloring toggle leg: the merge pass held to greedy pairwise must
-    // agree with the oracle too. (No peak comparison here: on adversarial
-    // random shapes the two algorithms can pick different share hosts and
-    // trade a handful of bytes either way; the curated workload suite is
-    // where coloring must dominate.)
-    let greedy_opts = Options {
-        coloring: false,
-        ..Options::optimized()
-    };
-    let greedy = compile(prog, &greedy_opts).map_err(|e| format!("greedy compile: {e}"))?;
-    let (g_out, _) = run_program(&greedy.program, &[], &kernels, Mode::Memory, 1)
-        .map_err(|e| format!("greedy run: {e}"))?;
-    if differ(&pure_out, &g_out) {
-        return Err("pure vs greedy-merge outputs differ".into());
-    }
     // Checked leg in the shared session: recycled blocks, silent sanitizer.
     let checks: Vec<_> = opt.report.checks().cloned().collect();
-    let (c_out, c_stats) = checked_session
-        .run_full(
-            &opt.program,
-            &[],
-            &kernels,
-            Mode::Checked,
-            1,
-            &checks,
-            &opt.report.merges,
-            &opt.report.par_safety,
-        )
+    let (c_out, c_stats) = run_compiled(checked_session, &opt, &checks, &kernels, Mode::Checked, 1)
         .map_err(|e| format!("checked run: {e}"))?;
     if differ(&o_out, &c_out) {
         return Err("checked mode changed the output".into());
@@ -129,17 +122,7 @@ pub fn run_all_modes(
     }
     // Thread sweep through the second shared session.
     for threads in [1usize, 8] {
-        let (p_out, _) = par_session
-            .run_full(
-                &opt.program,
-                &[],
-                &kernels,
-                Mode::Memory,
-                threads,
-                &[],
-                &opt.report.merges,
-                &opt.report.par_safety,
-            )
+        let (p_out, _) = run_compiled(par_session, &opt, &[], &kernels, Mode::Memory, threads)
             .map_err(|e| format!("par sweep at {threads} threads: {e}"))?;
         if differ(&o_out, &p_out) {
             return Err(format!("{threads}-worker run diverged from the serial leg"));

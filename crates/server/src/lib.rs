@@ -134,23 +134,6 @@ pub struct ExecRequest<'a> {
 }
 
 impl<'a> ExecRequest<'a> {
-    /// A plain `Mode::Memory` request with no runtime-obligation records.
-    pub fn new(
-        program: &'a Program,
-        kernels: &'a KernelRegistry,
-        inputs: &'a [InputValue],
-    ) -> ExecRequest<'a> {
-        ExecRequest {
-            program,
-            kernels,
-            checks: &[],
-            merges: &[],
-            par: &[],
-            inputs,
-            mode: Mode::Memory,
-        }
-    }
-
     /// A request carrying a compile's merge and par-safety records
     /// (checked-mode callers pass the collected circuit checks too —
     /// `Report::checks` yields borrows, so the caller owns the `Vec`).

@@ -78,16 +78,31 @@ fn main() {
     println!("{}", arraymem_ir::pretty::program_to_string(&opt.program));
 
     // ---- 3. Prepare (lower to an executable plan) and run both.
-    // `Session::prepare` flattens the program into a linear instruction
-    // stream once; repeated runs replay the cached plan and recycle the
-    // previous run's memory blocks.
+    // `Session::prepare_full` takes the compiled program together with
+    // the records its compile produced — they are the compiler→executor
+    // contract — and flattens it into a linear instruction stream once;
+    // repeated runs replay the cached plan and recycle the previous run's
+    // memory blocks.
     let nn = 6usize;
     let data: Vec<f32> = (0..nn * nn).map(|i| i as f32).collect();
     let inputs = vec![InputValue::I64(nn as i64), InputValue::ArrayF32(data)];
     let kernels = KernelRegistry::new();
     let mut session = Session::new();
-    let hu = session.prepare(&unopt.program, &kernels).unwrap();
-    let ho = session.prepare(&opt.program, &kernels).unwrap();
+    let mut prepare = |c: &arraymem_core::Compiled| {
+        session
+            .prepare_full(
+                &c.program,
+                &kernels,
+                &[],
+                &c.report.merges,
+                &c.report.par_safety,
+            )
+            .unwrap()
+    };
+    let hu = prepare(&unopt);
+    let ho = prepare(&opt);
+    // A second prepare of the same program is a cache hit — no re-lowering.
+    assert_eq!(prepare(&opt), ho);
     let (out_u, stats_u) = session
         .run_plan(hu, &inputs, &kernels, Mode::Memory, 1)
         .unwrap();
@@ -95,8 +110,6 @@ fn main() {
         .run_plan(ho, &inputs, &kernels, Mode::Memory, 1)
         .unwrap();
     assert_eq!(out_u, out_o, "same results either way");
-    // A second prepare of the same program is a cache hit — no re-lowering.
-    assert_eq!(session.prepare(&opt.program, &kernels).unwrap(), ho);
     assert_eq!(session.plan_stats().cache_hits, 1);
 
     println!("=== Execution statistics ===");

@@ -5,79 +5,63 @@
 # with an empty cargo registry (--offline). Run from the repo root:
 #
 #   scripts/verify.sh
+#
+# Each tier prints its wall time; the last line prints the gate's.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "== format (rustfmt, check only) =="
-cargo fmt --check
+gate_start=$(date +%s)
 
-echo "== build (release, offline) =="
-cargo build --release --offline --workspace
+# tier <title> <command...>: run one tier, print how long it took.
+tier() {
+    title=$1
+    shift
+    echo "== $title =="
+    tier_start=$(date +%s)
+    "$@"
+    echo "-- $title: $(($(date +%s) - tier_start)) s"
+}
 
-echo "== lint (clippy, warnings are errors) =="
-cargo clippy --offline --all-targets -- -D warnings
+tier "format (rustfmt, check only)" cargo fmt --check
 
-echo "== tests (offline) =="
-cargo test --release --offline --workspace -q
+tier "build (release, offline)" cargo build --release --offline --workspace
 
-echo "== smoke tables (tiny datasets, one measured run each) =="
-cargo run --release --offline -p arraymem-bench --bin tables -- --smoke
+tier "lint (clippy, warnings are errors)" \
+    cargo clippy --offline --all-targets -- -D warnings
 
-echo "== checked tier (shadow-memory sanitizer over all workloads) =="
+# The whole suite at the default pool width, with parallel dispatch
+# disabled (1) and with maps oversubscribed onto 8 workers: proven-parallel
+# maps must be bit-identical either way. This covers the fuzz smoke, the
+# committed corpus (every seed in every mode, every regression still
+# rejected for its recorded reason), the merge workloads and the
+# multi-tenant server tests — none is re-run on its own.
+tier "tests (offline, default threads)" \
+    cargo test --release --offline --workspace -q
+tier "tests (ARRAYMEM_THREADS=1)" \
+    env ARRAYMEM_THREADS=1 cargo test --release --offline --workspace -q
+tier "tests (ARRAYMEM_THREADS=8)" \
+    env ARRAYMEM_THREADS=8 cargo test --release --offline --workspace -q
+
+tier "smoke tables (tiny datasets, one measured run each)" \
+    cargo run --release --offline -p arraymem-bench --bin tables -- --smoke
+
 # Exit 1 on any sanitizer finding: uninitialized read of a recycled
 # block, use-after-release, map race, or a short-circuit whose concrete
 # footprints overlap.
-cargo run --release --offline -p arraymem-bench --bin tables -- --smoke --check
+tier "checked tier (shadow-memory sanitizer over all workloads)" \
+    cargo run --release --offline -p arraymem-bench --bin tables -- --smoke --check
 
-echo "== checked fuzz smoke (500 random programs under the sanitizer) =="
-cargo test --release --offline -p arraymem-bench --test differential_fuzz -q
-
-echo "== corpus tier (committed fuzz corpus: all modes, 1 and 8 workers) =="
-# Every committed seed replays through pure, unoptimized, optimized,
-# checked (shared session, silent sanitizer) and a 1/8-worker sweep;
-# every committed regression must keep firing the structured rejection
-# named in its `note: expects=...` header.
-cargo test --release --offline -p arraymem-bench --test differential_fuzz -q corpus_
-
-echo "== merge tier (block merging: workload peaks + on/off toggle fuzz) =="
-# Every workload runs merge-off, greedy merge, and merge-with-coloring
-# through one session with bit-identical outputs and a strictly lower
-# peak wherever the pass engaged; the differential fuzzer then toggles
-# the pass per random program.
-cargo test --release --offline -p arraymem-bench --test merge_workloads -q
-cargo test --release --offline -p arraymem-bench --test differential_fuzz -q merge_toggle_equivalence
-
-echo "== coloring tier (whole-program coloring on/off, 1 and 8 workers) =="
-# ARRAYMEM_COLORING=0 holds Options::optimized() to the legacy greedy
-# pairwise merge; the default is whole-program coloring with per-color
-# arena slabs. The full suite must pass in both positions of the toggle
-# at both schedule widths — outputs may never depend on either knob.
-ARRAYMEM_COLORING=0 ARRAYMEM_THREADS=1 cargo test --release --offline --workspace -q
-ARRAYMEM_COLORING=0 ARRAYMEM_THREADS=8 cargo test --release --offline --workspace -q
-ARRAYMEM_THREADS=1 cargo test --release --offline -p arraymem-bench --test merge_workloads -q
-ARRAYMEM_THREADS=8 cargo test --release --offline -p arraymem-bench --test merge_workloads -q
-
-echo "== threads tier (suite at 1 worker and at 8 workers) =="
-# ARRAYMEM_THREADS pins the worker pool's default width: the whole test
-# suite must pass with parallel dispatch disabled (1) and with maps
-# oversubscribed onto 8 workers — proven-parallel maps must be
-# bit-identical either way (the par_safety/differential suites assert
-# this explicitly, but every other test also runs under both schedules).
-ARRAYMEM_THREADS=1 cargo test --release --offline --workspace -q
-ARRAYMEM_THREADS=8 cargo test --release --offline --workspace -q
-
-echo "== server tier (multi-tenant concurrency under an 8-wide pool) =="
-# Single-flight stampede coalescing, options-toggle key races,
-# cross-tenant arena isolation under the sanitizer, admission-control
-# queueing/rejection, and four tenants running distinct workloads
-# concurrently through one server.
-ARRAYMEM_THREADS=8 cargo test --release --offline -p arraymem-bench --test server -q
-
-echo "== per-pass IR snapshots (NW, interleaved IR validation forced on) =="
 # ARRAYMEM_VERIFY_IR re-runs the full structural+memory validator after
 # every pipeline stage even in this release build; a violation panics
 # naming the offending pass.
-ARRAYMEM_VERIFY_IR=1 cargo test --release --offline -p arraymem-bench --test pass_snapshots -q
+tier "per-pass IR snapshots (NW, interleaved IR validation forced on)" \
+    env ARRAYMEM_VERIFY_IR=1 cargo test --release --offline -p arraymem-bench --test pass_snapshots -q
 
-echo "== verify: OK =="
+# The repo benchmark is a package of its own that calls the crates'
+# public API from outside; building it untouched and running its smoke
+# catches API drift before the benchmark driver does.
+tier "benchmark (builds against the public API, smoke run)" \
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
+
+echo "== verify: OK ($(($(date +%s) - gate_start)) s) =="

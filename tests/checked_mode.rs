@@ -7,10 +7,18 @@
 //! that was never rewritten, a release plan skewed one statement early, a
 //! map whose result index function collapses iterations onto one cell —
 //! and asserts the corresponding diagnostic fires and names the offending
-//! statement.
+//! statement. Compiler and lowering faults come from the hidden
+//! [`Sabotage`] entries (`compile_sabotaged`, `lower_plan_sabotaged`);
+//! everything runs through the one production path, prepared with the
+//! compile's own records.
 
-use arraymem_core::{compile, Options, ReleasePlan};
-use arraymem_exec::{Diagnostic, KernelRegistry, Mode, Session};
+use arraymem_core::{
+    compile, compile_sabotaged, CircuitCheck, Compiled, Options, ParSafetyRecord, Sabotage,
+};
+use arraymem_exec::{
+    execute_plan, lower_plan_sabotaged, Diagnostic, InputValue, KernelRegistry, MemStore, Mode,
+    PlanHandle, Session, Stats,
+};
 use arraymem_ir::{BinOp, Builder, ElemType, Exp, Program, ScalarExp, SliceSpec};
 use arraymem_lmad::{Dim, IndexFn, Lmad, Transform, TripletSlice};
 use arraymem_symbolic::Poly;
@@ -27,11 +35,80 @@ fn opts(short_circuit: bool) -> Options {
     }
 }
 
+/// Prepare `compiled` the way production prepares it: with the compile's
+/// own merge and par-safety records, plus `checks`.
+fn prepare(
+    session: &mut Session,
+    compiled: &Compiled,
+    checks: &[CircuitCheck],
+    kernels: &KernelRegistry,
+) -> PlanHandle {
+    session
+        .prepare_full(
+            &compiled.program,
+            kernels,
+            checks,
+            &compiled.report.merges,
+            &compiled.report.par_safety,
+        )
+        .expect("prepare")
+}
+
+/// One checked-mode run of `compiled` in `session`.
+fn run_checked_in(
+    session: &mut Session,
+    compiled: &Compiled,
+    checks: &[CircuitCheck],
+    kernels: &KernelRegistry,
+    threads: usize,
+) -> Stats {
+    let h = prepare(session, compiled, checks, kernels);
+    let (_, stats) = session
+        .run_plan(h, &[], kernels, Mode::Checked, threads)
+        .expect("checked run");
+    stats
+}
+
+/// [`run_checked_in`] a fresh session, on one thread.
+fn run_checked(compiled: &Compiled, checks: &[CircuitCheck], kernels: &KernelRegistry) -> Stats {
+    run_checked_in(&mut Session::new(), compiled, checks, kernels, 1)
+}
+
+/// One checked-mode run of `compiled` lowered with `sabotage` (uncached,
+/// fresh store) through the executor entry the server calls.
+fn run_checked_sabotaged(
+    compiled: &Compiled,
+    checks: &[CircuitCheck],
+    inputs: &[InputValue],
+    kernels: &KernelRegistry,
+    sabotage: Sabotage,
+) -> Stats {
+    let plan = lower_plan_sabotaged(
+        &compiled.program,
+        kernels,
+        checks,
+        &compiled.report.merges,
+        &compiled.report.par_safety,
+        sabotage,
+    )
+    .expect("sabotaged lowering");
+    let (_, stats) = execute_plan(
+        &mut MemStore::new(),
+        &plan,
+        inputs,
+        kernels,
+        Mode::Checked,
+        1,
+    )
+    .expect("sabotaged run");
+    stats
+}
+
 /// `xss[0:3] ← bs` while `y = copy xss[1:4]` still reads the overlap:
 /// constructing `bs` directly in `xss`'s memory would clobber cells the
 /// later read needs, so the static write check must reject the candidate —
-/// and when the test-only `force_unsafe_short_circuit` hook pushes it
-/// through anyway, the runtime footprint cross-check must catch it.
+/// and when `Sabotage::ShortCircuit` pushes it through anyway, the
+/// runtime footprint cross-check must catch it.
 fn overlapping_update_program() -> Program {
     let bld = Builder::new("forced_overlap");
     let mut b = bld.block();
@@ -81,14 +158,7 @@ fn static_check_rejects_the_overlapping_update() {
 #[test]
 fn forced_illegal_short_circuit_is_caught_by_the_footprint_cross_check() {
     let prog = overlapping_update_program();
-    let forced = compile(
-        &prog,
-        &Options {
-            force_unsafe_short_circuit: true,
-            ..opts(true)
-        },
-    )
-    .expect("compile");
+    let forced = compile_sabotaged(&prog, &opts(true), Sabotage::ShortCircuit).expect("compile");
     assert!(
         forced
             .report
@@ -103,9 +173,7 @@ fn forced_illegal_short_circuit_is_caught_by_the_footprint_cross_check() {
         "forced circuits must still record their footprints"
     );
     let kernels = KernelRegistry::new();
-    let (_, stats) = Session::new()
-        .run_with_checks(&forced.program, &[], &kernels, Mode::Checked, 1, &checks)
-        .expect("checked run");
+    let stats = run_checked(&forced, &checks, &kernels);
     let hit = stats.diagnostics.iter().find_map(|d| match d {
         Diagnostic::CircuitOverlap { stm, root, .. } => Some((stm.clone(), root.clone())),
         _ => None,
@@ -143,16 +211,12 @@ fn reading_a_recycled_never_written_block_is_an_uninit_read() {
     let compiled = compile(&prog, &opts(false)).expect("compile");
     let kernels = KernelRegistry::new();
     let mut session = Session::new();
-    let (_, first) = session
-        .run_with_checks(&compiled.program, &[], &kernels, Mode::Checked, 1, &[])
-        .expect("first run");
+    let first = run_checked_in(&mut session, &compiled, &[], &kernels, 1);
     assert!(
         first.diagnostics.is_empty(),
         "fresh blocks are zero-filled; nothing to report: {first}"
     );
-    let (_, second) = session
-        .run_with_checks(&compiled.program, &[], &kernels, Mode::Checked, 1, &[])
-        .expect("second run");
+    let second = run_checked_in(&mut session, &compiled, &[], &kernels, 1);
     let stm = second
         .diagnostics
         .iter()
@@ -185,23 +249,10 @@ fn skewed_release_plan_triggers_use_after_release() {
     let compiled = compile(&prog, &opts(false)).expect("compile");
     let kernels = KernelRegistry::new();
     // The honest plan is clean…
-    let (_, honest) = Session::new()
-        .run_with_checks(&compiled.program, &[], &kernels, Mode::Checked, 1, &[])
-        .expect("honest run");
+    let honest = run_checked(&compiled, &[], &kernels);
     assert!(honest.diagnostics.is_empty(), "{honest}");
     // …the skewed plan is not.
-    let plan = ReleasePlan::compute_skewed_early(&compiled.program);
-    let (_, skewed) = Session::new()
-        .run_with_plan(
-            &compiled.program,
-            &[],
-            &kernels,
-            Mode::Checked,
-            1,
-            &[],
-            &plan,
-        )
-        .expect("skewed run");
+    let skewed = run_checked_sabotaged(&compiled, &[], &[], &kernels, Sabotage::EarlyRelease);
     let (stm, released_after) = skewed
         .diagnostics
         .iter()
@@ -254,9 +305,7 @@ fn overlapping_map_result_layout_is_a_map_race() {
     }
     assert!(sabotaged, "test must find the map statement");
     let kernels = KernelRegistry::new();
-    let (_, stats) = Session::new()
-        .run_with_checks(&compiled.program, &[], &kernels, Mode::Checked, 1, &[])
-        .expect("checked run");
+    let stats = run_checked(&compiled, &[], &kernels);
     let hit = stats.diagnostics.iter().find_map(|d| match d {
         Diagnostic::MapRace {
             stm,
@@ -277,8 +326,7 @@ fn overlapping_map_result_layout_is_a_map_race() {
 
 /// Two same-size arrays read together by a `concat`: their live ranges
 /// and footprints both overlap, so the merge pass must reject the pair —
-/// and when the test-only `force_unsafe_merge` hook folds them into one
-/// block anyway, the checked VM's merge cross-check must refute the
+/// and when `Sabotage::Merge` folds them into one block anyway, the checked VM's merge cross-check must refute the
 /// recorded footprint pairs concretely.
 fn interfering_blocks_program() -> Program {
     let bld = Builder::new("forced_merge");
@@ -312,13 +360,13 @@ fn merge_pass_rejects_the_interfering_pair() {
 #[test]
 fn forced_illegal_merge_is_caught_by_the_merge_cross_check() {
     let prog = interfering_blocks_program();
-    let forced = compile(
+    let forced = compile_sabotaged(
         &prog,
         &Options {
             merge: true,
-            force_unsafe_merge: true,
             ..Options::default()
         },
+        Sabotage::Merge,
     )
     .expect("compile");
     assert_eq!(forced.report.merges.len(), 1, "the hook must force a merge");
@@ -330,18 +378,7 @@ fn forced_illegal_merge_is_caught_by_the_merge_cross_check() {
         "a forced merge must carry footprint pairs for the VM to refute"
     );
     let kernels = KernelRegistry::new();
-    let (_, stats) = Session::new()
-        .run_full(
-            &forced.program,
-            &[],
-            &kernels,
-            Mode::Checked,
-            1,
-            &[],
-            &forced.report.merges,
-            &[],
-        )
-        .expect("checked run");
+    let stats = run_checked(&forced, &[], &kernels);
     let hit = stats.diagnostics.iter().find_map(|d| match d {
         Diagnostic::MergeOverlap { host, victim, .. } => Some((host.clone(), victim.clone())),
         _ => None,
@@ -369,10 +406,9 @@ fn forced_illegal_merge_is_caught_by_the_merge_cross_check() {
 
 /// A map whose result layout collapses every iteration onto one cell:
 /// the `par_safety` analysis must reject it (`WriteOverlapNotProven`),
-/// the test-only `force_unsafe_parallel` hook must promote the rejected
-/// map to `Safe` anyway, and the checked VM's pre-dispatch re-proof must
-/// refute the forced verdict as a [`Diagnostic::ParOverlap`] and run the
-/// map serially.
+/// and when the record is promoted to `Safe` anyway, the checked VM's
+/// pre-dispatch re-proof must refute the forced verdict as a
+/// [`Diagnostic::ParOverlap`] and run the map serially.
 #[test]
 fn forced_parallel_verdict_is_refuted_as_par_overlap() {
     use arraymem_core::par_safety::par_safety;
@@ -416,7 +452,7 @@ fn forced_parallel_verdict_is_refuted_as_par_overlap() {
     assert!(sabotaged, "test must find the map statement");
     // Re-analysing the sabotaged program rejects the map...
     let env = arraymem_symbolic::Env::default();
-    let honest = par_safety(&compiled.program, &env, false);
+    let honest = par_safety(&compiled.program, &env);
     assert!(
         honest
             .iter()
@@ -424,32 +460,23 @@ fn forced_parallel_verdict_is_refuted_as_par_overlap() {
                 && r.reject == Some(ParReject::WriteOverlapNotProven)),
         "{honest:?}"
     );
-    // ...and the mutation hook forces it through, keeping the genuine
-    // rejection reason for the remark.
-    let forced = par_safety(&compiled.program, &env, true);
-    let fr = forced
-        .iter()
-        .find(|r| r.forced)
-        .expect("the hook must force the rejected map");
-    assert_eq!(fr.level, ParLevel::Safe);
-    assert_eq!(fr.reject, Some(ParReject::WriteOverlapNotProven));
+    // ...and the records are promoted by hand, the way `Sabotage::Parallel`
+    // promotes a compile's (the program here was doctored after its
+    // compile, so there is no compile to sabotage).
+    compiled.report.par_safety = honest
+        .into_iter()
+        .map(|r| ParSafetyRecord {
+            level: ParLevel::Safe,
+            forced: true,
+            ..r
+        })
+        .collect();
     let mut kernels = KernelRegistry::new();
     kernels.register("bump", |ctx| {
         let v = ctx.inputs[0].get_i64(&[ctx.i]);
         ctx.out.set_i64(&[], v + 1);
     });
-    let (_, stats) = Session::new()
-        .run_full(
-            &compiled.program,
-            &[],
-            &kernels,
-            Mode::Checked,
-            4,
-            &[],
-            &[],
-            &forced,
-        )
-        .expect("checked run");
+    let stats = run_checked_in(&mut Session::new(), &compiled, &[], &kernels, 4);
     let hit = stats.diagnostics.iter().find_map(|d| match d {
         Diagnostic::ParOverlap {
             stm,
@@ -483,14 +510,15 @@ fn forced_parallel_verdict_is_refuted_as_par_overlap() {
     );
 }
 
-/// `force_unsafe_parallel` flows through [`Options`] into the pipeline:
-/// NW's diagonal mapnest — which the analysis genuinely rejects — is
-/// promoted to `Safe`, and the checked VM re-proves the promoted verdict
+/// `Sabotage::Parallel` flows through `compile_sabotaged` into the
+/// pipeline: NW's diagonal mapnest — which the analysis genuinely rejects
+/// — is promoted to `Safe` (the genuine reject kept on the record), and
+/// the checked VM re-proves the promoted verdict
 /// concretely before dispatching. NW's per-iteration writes *are*
 /// disjoint (only the symbolic proof is out of reach), so the re-proof
 /// verifies the promotion and the outputs stay identical.
 #[test]
-fn options_force_unsafe_parallel_promotes_rejected_maps() {
+fn sabotaged_parallel_promotes_rejected_maps() {
     use arraymem_core::ParLevel;
     let case = arraymem_workloads::nw::case("forced", 16, 16, 2);
     let honest = compile(
@@ -508,12 +536,10 @@ fn options_force_unsafe_parallel_promotes_rejected_maps() {
         honest.report.par_safety
     );
     assert!(honest.report.par_safety.iter().all(|r| !r.forced));
-    let forced = compile(
+    let forced = compile_sabotaged(
         &case.program,
-        &Options {
-            force_unsafe_parallel: true,
-            ..Options::optimized().with_env(case.env.clone())
-        },
+        &Options::optimized().with_env(case.env.clone()),
+        Sabotage::Parallel,
     )
     .expect("compile");
     let promoted: Vec<_> = forced
@@ -526,7 +552,9 @@ fn options_force_unsafe_parallel_promotes_rejected_maps() {
         !promoted.is_empty(),
         "the hook must promote NW's rejected map"
     );
-    assert!(promoted.iter().all(|r| r.level == ParLevel::Safe));
+    assert!(promoted
+        .iter()
+        .all(|r| r.level == ParLevel::Safe && r.reject.is_some()));
     let mut s1 = Session::new();
     let (honest_out, honest_stats) = case.run_checked_in_at(&mut s1, &honest, 4);
     let mut s2 = Session::new();
@@ -549,19 +577,15 @@ fn options_force_unsafe_parallel_promotes_rejected_maps() {
     );
 }
 
-/// The coloring pass's carried-release records are real claims about
+/// The merge pass's carried-release records are real claims about
 /// loop-carried lifetimes, and checked mode must re-prove them: the
-/// test-only skewed lowering anchors each `ReleaseCarried` at the yield
+/// `Sabotage::EarlyCarriedRelease` lowering anchors each `ReleaseCarried` at the yield
 /// allocation — *before* the loop body has finished reading the carried
 /// block — and the sanitizer must catch the resulting read.
 #[test]
 fn skewed_carried_release_triggers_use_after_release() {
     let case = arraymem_workloads::hotspot::case("64", 64, 6, 2);
-    let opts = Options {
-        coloring: true,
-        ..Options::optimized()
-    }
-    .with_env(case.env.clone());
+    let opts = Options::optimized().with_env(case.env.clone());
     let compiled = compile(&case.program, &opts).expect("compile");
     assert!(
         compiled
@@ -573,19 +597,7 @@ fn skewed_carried_release_triggers_use_after_release() {
     );
     let checks: Vec<_> = compiled.report.checks().cloned().collect();
     // The honest lowering is clean under the sanitizer…
-    let mut honest = Session::new();
-    let h = honest
-        .prepare_full(
-            &compiled.program,
-            &case.kernels,
-            &checks,
-            &compiled.report.merges,
-            &compiled.report.par_safety,
-        )
-        .expect("prepare");
-    let (_, honest_stats) = honest
-        .run_plan(h, &case.inputs, &case.kernels, Mode::Checked, 1)
-        .expect("honest run");
+    let (_, honest_stats) = case.run_checked_in_at(&mut Session::new(), &compiled, 1);
     assert!(honest_stats.diagnostics.is_empty(), "{honest_stats}");
     assert!(
         honest_stats.carried_releases > 0,
@@ -593,18 +605,13 @@ fn skewed_carried_release_triggers_use_after_release() {
     );
     // …the skewed one is not: the carried block is parked in its color
     // slab while the stencil still reads it.
-    let (_, skewed) = Session::new()
-        .run_carried_skewed(
-            &compiled.program,
-            &case.inputs,
-            &case.kernels,
-            Mode::Checked,
-            1,
-            &checks,
-            &compiled.report.merges,
-            &compiled.report.par_safety,
-        )
-        .expect("skewed run");
+    let skewed = run_checked_sabotaged(
+        &compiled,
+        &checks,
+        &case.inputs,
+        &case.kernels,
+        Sabotage::EarlyCarriedRelease,
+    );
     assert!(
         skewed
             .diagnostics
@@ -613,4 +620,40 @@ fn skewed_carried_release_triggers_use_after_release() {
         "expected a UseAfterRelease from the premature carried release; got {:?}",
         skewed.diagnostics
     );
+}
+
+/// A sabotaged compile can never be served the honest compile's plan (or
+/// the reverse): the forced decisions show in the program or its records,
+/// and both are in the plan-cache key.
+#[test]
+fn sabotaged_compiles_miss_the_honest_plan() {
+    let nw = arraymem_workloads::nw::case("forced", 16, 16, 2);
+    let merge_only = Options {
+        merge: true,
+        ..Options::default()
+    };
+    let cases = [
+        (
+            Sabotage::ShortCircuit,
+            overlapping_update_program(),
+            opts(true),
+        ),
+        (Sabotage::Merge, interfering_blocks_program(), merge_only),
+        (
+            Sabotage::Parallel,
+            nw.program.clone(),
+            Options::optimized().with_env(nw.env.clone()),
+        ),
+    ];
+    for (sabotage, prog, options) in &cases {
+        let honest = compile(prog, options).expect("compile");
+        let forced = compile_sabotaged(prog, options, *sabotage).expect("compile");
+        let mut session = Session::new();
+        let h_honest = prepare(&mut session, &honest, &[], &nw.kernels);
+        let h_forced = prepare(&mut session, &forced, &[], &nw.kernels);
+        assert_ne!(h_honest, h_forced, "{sabotage:?} shared the honest plan");
+        assert_eq!(prepare(&mut session, &honest, &[], &nw.kernels), h_honest);
+        let stats = session.plan_stats();
+        assert_eq!((stats.builds, stats.cache_hits), (2, 1), "{sabotage:?}");
+    }
 }

@@ -19,7 +19,9 @@
 //! Set `ARRAYMEM_SLOW=1` to raise the iteration counts ~3-5x.
 
 use arraymem_bench::tables::{table_cases, KNOWN_BENCHMARKS};
-use arraymem_core::{compile, MergeReject, Options, ParReject, RejectReason, RemarkKind};
+use arraymem_core::{
+    compile, compile_sabotaged, MergeReject, Options, ParReject, RejectReason, RemarkKind, Sabotage,
+};
 use arraymem_exec::{run_program, KernelRegistry, Mode, Session};
 use arraymem_fuzz::corpus::{self, CorpusEntry};
 use arraymem_fuzz::diff::fail_with_repro;
@@ -216,8 +218,8 @@ fn corpus_replays_clean_in_every_mode() {
         }
     }
     assert!(
-        carried > 0 || !arraymem_core::coloring_default(),
-        "no corpus entry exercises the coloring pass's carried-release scheduling"
+        carried > 0,
+        "no corpus entry exercises the merge pass's carried-release scheduling"
     );
 }
 
@@ -350,7 +352,7 @@ fn coverage_signal_grows_the_corpus_beyond_its_first_seed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Predicate for the minimizer demo: under the `force_unsafe_merge`
+/// Predicate for the minimizer demo: under the `Sabotage::Merge`
 /// mutation hook, rejected merges are taken anyway and the compiled
 /// program's outputs corrupt. The risky replay runs **out of process**:
 /// an unsafely shared block can put a copy's source and destination
@@ -367,9 +369,7 @@ fn injected_merge_diverges(ops: &[GenOp]) -> bool {
     if run_program(&prog, &[], &kernels, Mode::Pure, 1).is_err() {
         return false;
     }
-    let mut opts = Options::optimized();
-    opts.force_unsafe_merge = true;
-    let Ok(compiled) = compile(&prog, &opts) else {
+    let Ok(compiled) = compile_sabotaged(&prog, &Options::optimized(), Sabotage::Merge) else {
         return false;
     };
     let hook_was_live = compiled.compile_report.remarks.iter().any(|rm| {
@@ -416,10 +416,19 @@ fn replay_forced_merge_child() {
         println!("FORCED-MERGE-CLEAN");
         return;
     };
-    let mut opts = Options::optimized();
-    opts.force_unsafe_merge = true;
-    let compiled = compile(&prog, &opts).expect("parent pre-filtered the compile");
-    match run_program(&compiled.program, &[], &kernels, Mode::Memory, 1) {
+    let compiled = compile_sabotaged(&prog, &Options::optimized(), Sabotage::Merge)
+        .expect("parent pre-filtered the compile");
+    let run = |session: &mut Session| {
+        let h = session.prepare_full(
+            &compiled.program,
+            &kernels,
+            &[],
+            &compiled.report.merges,
+            &compiled.report.par_safety,
+        )?;
+        session.run_plan(h, &[], &kernels, Mode::Memory, 1)
+    };
+    match run(&mut Session::new()) {
         Ok((out, _)) if out == pure_out => println!("FORCED-MERGE-CLEAN"),
         _ => println!("FORCED-MERGE-DIVERGED"),
     }
@@ -775,7 +784,7 @@ fn direct_pass_constructions(cov: &mut Coverage) {
     };
     let env = Env::default();
     let harvest_par = |cov: &mut Coverage, prog: &arraymem_ir::Program| {
-        for r in par_safety(prog, &env, false) {
+        for r in par_safety(prog, &env) {
             if let Some(why) = r.reject {
                 cov.par_rejects.insert(why);
             }
@@ -875,7 +884,7 @@ fn direct_pass_constructions(cov: &mut Coverage) {
         .find_map(|s| matches!(s.exp, Exp::Alloc { .. }).then(|| s.pat[0].var))
         .expect("compiled program has an alloc");
     compiled.program.body.result.push(block_var);
-    let report = merge_blocks(&mut compiled.program, &env, true, false);
+    let report = merge_blocks(&mut compiled.program, &env);
     for (_, why) in &report.rejected {
         cov.merge_rejects.insert(*why);
     }

