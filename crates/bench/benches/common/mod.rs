@@ -1,11 +1,9 @@
-//! Shared bench scaffolding: benchmark one paper table.
+//! Shared bench scaffolding.
 //!
-//! Hand-rolled harness (warm-up + trimmed averaging over a fixed sample
-//! count) instead of criterion, so `cargo bench` works with no network
-//! and no third-party crates. Each `[[bench]]` target sets
-//! `harness = false` and calls [`bench_table`] from its `main`.
+//! Hand-rolled harness (warm-up + averaging over a fixed sample count)
+//! instead of criterion, so `cargo bench` works with no network and no
+//! third-party crates. The `[[bench]]` target sets `harness = false`.
 
-use arraymem_bench::tables::table_cases;
 use std::time::{Duration, Instant};
 
 const SAMPLES: usize = 10;
@@ -18,27 +16,4 @@ pub fn sample<F: FnMut()>(mut f: F) -> Duration {
         f();
     }
     t0.elapsed() / SAMPLES as u32
-}
-
-/// Benchmark ref/unopt/opt for every (quick-sized) dataset of one table's
-/// benchmark, printing one line per variant.
-#[allow(dead_code)] // each [[bench]] target uses a subset of this module
-pub fn bench_table(benchmark: &'static str) {
-    for case in table_cases(benchmark, true).expect("known benchmark") {
-        let unopt = case.compile(false);
-        let opt = case.compile(true);
-        let group = format!("{}/{}", case.name, case.dataset);
-        let r = sample(|| {
-            std::hint::black_box((case.reference)(&case.inputs));
-        });
-        println!("{group}/reference        {:>12.3?}", r);
-        let u = sample(|| {
-            std::hint::black_box(case.run(&unopt));
-        });
-        println!("{group}/unopt_futhark    {:>12.3?}", u);
-        let o = sample(|| {
-            std::hint::black_box(case.run(&opt));
-        });
-        println!("{group}/opt_futhark      {:>12.3?}", o);
-    }
 }

@@ -9,48 +9,25 @@
 //! tables --figures       # print the figure artifacts instead
 //! tables --check         # run cases under the checked-mode sanitizer
 //!                        # instead of measuring; exit 1 on any finding
-//! tables --json PATH     # also write timing + mechanism rows as JSON
-//! tables --threads LIST  # measure each table at every thread count in
-//!                        # the comma-separated LIST, e.g. 1,2,4,8
-//! tables --server N      # also run the multi-tenant server sweep: N
-//!                        # concurrent clients round-robin over tenants
-//! tables --tenants M     # tenant count for --server (default 4)
 //! ```
+//!
+//! Thread scaling, the multi-tenant server and machine-readable output
+//! are the repo benchmark's job (`benchmark/`, see its README).
 
-use arraymem_bench::tables::{
-    all_tables, check_table, measure_table_at, render_json, render_mechanism, render_server,
-    render_table, run_server_bench, RunMode, ServerBenchRow, TableSpec,
-};
-use arraymem_workloads::Measurement;
+use arraymem_bench::tables::{all_tables, check_table, run_table, RunMode};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     for (i, a) in args.iter().enumerate() {
-        let is_value_arg = i > 0
-            && (args[i - 1] == "--table"
-                || args[i - 1] == "--json"
-                || args[i - 1] == "--threads"
-                || args[i - 1] == "--server"
-                || args[i - 1] == "--tenants");
+        let is_value_arg = i > 0 && args[i - 1] == "--table";
         if !is_value_arg
             && !matches!(
                 a.as_str(),
-                "--quick"
-                    | "--smoke"
-                    | "--figures"
-                    | "--table"
-                    | "--check"
-                    | "--json"
-                    | "--threads"
-                    | "--server"
-                    | "--tenants"
+                "--quick" | "--smoke" | "--figures" | "--table" | "--check"
             )
         {
             eprintln!("error: unknown argument {a:?}");
-            eprintln!(
-                "usage: tables [--quick] [--smoke] [--table N] [--figures] [--check] \
-                 [--json PATH] [--threads LIST] [--server N_CLIENTS] [--tenants M]"
-            );
+            eprintln!("usage: tables [--quick] [--smoke] [--table N] [--figures] [--check]");
             std::process::exit(2);
         }
     }
@@ -82,135 +59,27 @@ fn main() {
             std::process::exit(2);
         }
     }
-    let json_path: Option<&String> = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1));
-    if args.iter().any(|a| a == "--json") && json_path.is_none() {
-        eprintln!("error: --json requires a path");
-        std::process::exit(2);
-    }
-    // Thread counts to measure at: the default pool width, or a sweep.
-    let thread_counts: Vec<usize> = match args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-    {
-        Some(list) => {
-            let parsed: Result<Vec<usize>, _> =
-                list.split(',').map(|s| s.trim().parse::<usize>()).collect();
-            match parsed {
-                Ok(ts) if !ts.is_empty() && ts.iter().all(|&t| t > 0) => ts,
-                _ => {
-                    eprintln!("error: --threads takes a comma-separated list of positive counts");
-                    std::process::exit(2);
-                }
-            }
-        }
-        None => {
-            if args.iter().any(|a| a == "--threads") {
-                eprintln!("error: --threads requires a list, e.g. --threads 1,2,4,8");
-                std::process::exit(2);
-            }
-            vec![arraymem_exec::default_threads()]
-        }
-    };
-    // Server sweep: client count (0 = off) and tenant fan-out.
-    let server_clients: usize = match args
-        .iter()
-        .position(|a| a == "--server")
-        .and_then(|i| args.get(i + 1))
-    {
-        Some(n) => match n.parse() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("error: --server takes a positive client count");
-                std::process::exit(2);
-            }
-        },
-        None => {
-            if args.iter().any(|a| a == "--server") {
-                eprintln!("error: --server requires a client count, e.g. --server 16");
-                std::process::exit(2);
-            }
-            0
-        }
-    };
-    let server_tenants: usize = match args
-        .iter()
-        .position(|a| a == "--tenants")
-        .and_then(|i| args.get(i + 1))
-    {
-        Some(n) => match n.parse() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("error: --tenants takes a positive tenant count");
-                std::process::exit(2);
-            }
-        },
-        None => 4,
-    };
     let check = args.iter().any(|a| a == "--check");
     let mut total_findings = 0u64;
-    let mut measured: Vec<(TableSpec, Vec<Measurement>)> = Vec::new();
-    let mut server_specs: Vec<TableSpec> = Vec::new();
     for spec in all_tables() {
-        if let Some(t) = only {
-            if spec.number != t {
-                continue;
-            }
+        if only.is_some_and(|t| spec.number != t) {
+            continue;
         }
-        if check {
-            match check_table(&spec, mode) {
-                Ok((report, findings)) => {
-                    print!("{report}");
-                    total_findings += findings;
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                }
-            }
+        let report = if check {
+            check_table(&spec, mode).map(|(report, findings)| {
+                total_findings += findings;
+                report
+            })
         } else {
-            let mut rows = Vec::new();
-            for &t in &thread_counts {
-                match measure_table_at(&spec, mode, t) {
-                    Ok(mut r) => rows.append(&mut r),
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            println!("{}{}", render_table(&spec, &rows), render_mechanism(&rows));
-            measured.push((spec, rows));
-            server_specs.push(spec);
-        }
-    }
-    let server_rows: Vec<ServerBenchRow> = if server_clients > 0 && !check {
-        match run_server_bench(&server_specs, mode, server_clients, server_tenants) {
-            Ok(rows) => {
-                println!("{}", render_server(&rows));
-                rows
-            }
+            run_table(&spec, mode).map(|table| table + "\n")
+        };
+        match report {
+            Ok(report) => print!("{report}"),
             Err(e) => {
                 eprintln!("error: {e}");
                 std::process::exit(2);
             }
         }
-    } else {
-        Vec::new()
-    };
-    if let Some(path) = json_path {
-        if check {
-            eprintln!("error: --json is for measurement runs, not --check");
-            std::process::exit(2);
-        }
-        if let Err(e) = std::fs::write(path, render_json(&measured, &server_rows)) {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(2);
-        }
-        eprintln!("wrote {path}");
     }
     if check {
         if total_findings > 0 {

@@ -4,9 +4,10 @@
 //! for a given array is inlined for every array access" (§VII). This crate
 //! plays that role on the CPU:
 //!
-//! - [`store`]: numbered memory blocks with allocation accounting;
+//! - [`store`]: numbered, untyped memory blocks, recycled through one
+//!   free list, with allocation accounting;
 //! - [`view`]: LMAD-addressed views over blocks — the runtime counterpart
-//!   of index functions, with contiguous fast paths;
+//!   of index functions; the element type lives here, not in the block;
 //! - [`kernel`]: the registry of native kernels a `map` may invoke (the
 //!   moral equivalent of generated device code);
 //! - [`pool`]: a persistent work-stealing worker pool (parked workers
@@ -43,7 +44,7 @@ pub use plan::lower_plan_sabotaged;
 pub use plan::{lower_plan_full, ExecPlan, Slot};
 pub use pool::{default_threads, DispatchInfo};
 pub use stats::{Diagnostic, Stats};
-pub use store::{ArenaStats, CellState, MemStore, SharedArena};
+pub use store::{ArenaStats, MemStore, SharedArena};
 pub use value::{ArrayRef, InputValue, OutputValue, Value};
 pub use view::{View, ViewMut};
 pub use vm::{execute_plan, run_program, Mode, PlanHandle, Session};

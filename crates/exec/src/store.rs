@@ -1,15 +1,20 @@
 //! Memory blocks and the store.
 //!
-//! The store recycles blocks through per-storage-class free lists, driven
-//! by the compiler's last-use analysis: when the VM learns a block is
-//! dead it calls [`MemStore::release`], and a later `alloc` of a fitting
-//! size takes the block back instead of growing the heap. A reused block
-//! is **not** re-zeroed (the whole point — `vec![0; len]` is a full write
-//! of the block); the elided zeroing is counted in
-//! [`MemStore::bytes_zeroing_elided`]. This relies on the same discipline
-//! as the paper's memory blocks: an allocation is fully written before it
-//! is read, which the differential tests check against the pure-mode
-//! ground truth.
+//! A block is an untyped region of 8-byte words, as in the paper: only
+//! the array bound to it (`@mem → ixfn` plus its element type) knows how
+//! to read it. How a block's bytes are laid out, recycled and handed out
+//! is known here and in [`crate::view`] (which moves them), nowhere else.
+//!
+//! The store recycles blocks through one free list bucketed by capacity,
+//! driven by the compiler's last-use analysis: when the VM learns a block
+//! is dead it calls [`MemStore::release`], and a later `alloc` of a
+//! fitting size — of *any* element type — takes the block back instead of
+//! growing the heap. A reused block is **not** re-zeroed (the whole point
+//! — zero-filling is a full write of the block); the elided zeroing is
+//! counted in [`MemStore::bytes_zeroing_elided`]. This relies on the same
+//! discipline as the paper's memory blocks: an allocation is fully
+//! written before it is read, which the differential tests check against
+//! the pure-mode ground truth.
 
 use crate::value::InputValue;
 use arraymem_ir::ElemType;
@@ -20,7 +25,7 @@ use std::sync::{Arc, Mutex};
 /// Per-cell shadow state, tracked only while the store's shadow layer is
 /// enabled (checked mode). One entry per *element* of each block.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CellState {
+pub(crate) enum CellState {
     /// Recycled without zero-fill; never written since. Reading this is
     /// exactly the bug the zeroing elision gambles against.
     Stale,
@@ -36,124 +41,75 @@ pub enum CellState {
 }
 
 /// Shadow bookkeeping for one block.
+#[derive(Default)]
 struct ShadowBlock {
     cells: Vec<CellState>,
     /// Statement after which the release plan freed the block, if any.
     released_by: Option<Sym>,
 }
 
-/// A typed buffer backing one memory block.
-pub enum Buffer {
-    F32(Vec<f32>),
-    F64(Vec<f64>),
-    I64(Vec<i64>),
-    /// Booleans are stored as 64-bit words (0/1) so the VM's integer
-    /// accessors apply uniformly; `ElemType::Bool::size_bytes()` is 8.
-    Bool(Vec<i64>),
+/// The storage behind one memory block: 8-byte-aligned words, tagged at
+/// (re)allocation with the element type and count of the array that will
+/// live there. The tag only sizes the [`RawBuf`] that views bounds-check
+/// against; the words carry no type, so a released `f32` block can serve
+/// an `i64` request. Booleans are 64-bit words (0/1):
+/// `ElemType::Bool::size_bytes()` is 8.
+///
+/// Invariant: the bytes of the last word past `len` elements are zero
+/// (views cannot reach them and [`recycle`](Block::recycle) re-zeroes
+/// them), so growing a block only ever exposes zeros.
+struct Block {
+    words: Vec<u64>,
+    elem: ElemType,
+    /// Length in elements of `elem`.
+    len: usize,
 }
 
-impl Buffer {
-    pub fn new(elem: ElemType, len: usize) -> Buffer {
-        match elem {
-            ElemType::F32 => Buffer::F32(vec![0.0; len]),
-            ElemType::F64 => Buffer::F64(vec![0.0; len]),
-            ElemType::I64 => Buffer::I64(vec![0; len]),
-            ElemType::Bool => Buffer::Bool(vec![0i64; len]),
+impl Block {
+    fn new(elem: ElemType, len: usize) -> Block {
+        Block {
+            words: vec![0; (len * elem.size_bytes()).div_ceil(8)],
+            elem,
+            len,
         }
     }
 
-    pub fn len(&self) -> usize {
-        match self {
-            Buffer::F32(v) => v.len(),
-            Buffer::F64(v) => v.len(),
-            Buffer::I64(v) => v.len(),
-            Buffer::Bool(v) => v.len(),
+    /// What a block id holds while its storage is parked in the arena.
+    fn vacated() -> Block {
+        Block::new(ElemType::I64, 0)
+    }
+
+    fn size_bytes(&self) -> usize {
+        self.len * self.elem.size_bytes()
+    }
+
+    fn capacity_bytes(&self) -> usize {
+        self.words.capacity() * 8
+    }
+
+    fn bytes_mut(&mut self) -> &mut [u8] {
+        // SAFETY: `words` is an initialized `[u64]`, every byte of which is
+        // a valid `u8`; the slice covers exactly that storage and borrows
+        // `self` mutably for as long as it lives.
+        unsafe {
+            std::slice::from_raw_parts_mut(self.words.as_mut_ptr() as *mut u8, self.words.len() * 8)
         }
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn capacity(&self) -> usize {
-        match self {
-            Buffer::F32(v) => v.capacity(),
-            Buffer::F64(v) => v.capacity(),
-            Buffer::I64(v) => v.capacity(),
-            Buffer::Bool(v) => v.capacity(),
+    /// Re-tag a recycled block as `len` elements of `elem` without
+    /// re-zeroing what is already there. Returns the bytes whose
+    /// zero-fill was elided — the surviving prefix, `min(old, new)` bytes;
+    /// everything past it reads zero.
+    fn recycle(&mut self, elem: ElemType, len: usize) -> usize {
+        let (old, new) = (self.size_bytes(), len * elem.size_bytes());
+        self.words.resize(new.div_ceil(8), 0);
+        if new % 8 != 0 {
+            // A shrink can cut through a word: restore the invariant.
+            self.bytes_mut()[new..].fill(0);
         }
-    }
-
-    pub fn elem(&self) -> ElemType {
-        match self {
-            Buffer::F32(_) => ElemType::F32,
-            Buffer::F64(_) => ElemType::F64,
-            Buffer::I64(_) => ElemType::I64,
-            Buffer::Bool(_) => ElemType::Bool,
-        }
-    }
-
-    fn base_ptr(&mut self) -> *mut u8 {
-        match self {
-            Buffer::F32(v) => v.as_mut_ptr() as *mut u8,
-            Buffer::F64(v) => v.as_mut_ptr() as *mut u8,
-            Buffer::I64(v) => v.as_mut_ptr() as *mut u8,
-            Buffer::Bool(v) => v.as_mut_ptr() as *mut u8,
-        }
-    }
-
-    /// Re-tag a word buffer between `I64` and `Bool` (they share storage
-    /// class). No-op when the element type already matches.
-    fn retag(&mut self, elem: ElemType) {
-        if self.elem() == elem {
-            return;
-        }
-        debug_assert_eq!(storage_class(self.elem()), storage_class(elem));
-        let words = match std::mem::replace(self, Buffer::I64(Vec::new())) {
-            Buffer::I64(v) | Buffer::Bool(v) => v,
-            other => {
-                *self = other;
-                unreachable!("retag across storage classes");
-            }
-        };
-        *self = match elem {
-            ElemType::I64 => Buffer::I64(words),
-            ElemType::Bool => Buffer::Bool(words),
-            _ => unreachable!(),
-        };
-    }
-
-    /// Zero the first `n` elements. Cross-tenant adoption pays this on
-    /// the surviving prefix: recycled bytes never cross a tenant
-    /// boundary. (The grown tail past the prefix was freshly zeroed by
-    /// [`recycle_to`](Buffer::recycle_to) already.)
-    fn zero_prefix(&mut self, n: usize) {
-        match self {
-            Buffer::F32(v) => v[..n].fill(0.0),
-            Buffer::F64(v) => v[..n].fill(0.0),
-            Buffer::I64(v) | Buffer::Bool(v) => v[..n].fill(0),
-        }
-    }
-
-    /// Resize a recycled buffer to `len` elements without re-zeroing what
-    /// is already there. Returns the number of *elements* whose zero-fill
-    /// was elided (the surviving prefix).
-    fn recycle_to(&mut self, len: usize) -> usize {
-        fn go<T: Clone + Default>(v: &mut Vec<T>, len: usize) -> usize {
-            let old = v.len();
-            if old >= len {
-                v.truncate(len);
-                len
-            } else {
-                v.resize(len, T::default());
-                old
-            }
-        }
-        match self {
-            Buffer::F32(v) => go(v, len),
-            Buffer::F64(v) => go(v, len),
-            Buffer::I64(v) | Buffer::Bool(v) => go(v, len),
-        }
+        self.elem = elem;
+        self.len = len;
+        old.min(new)
     }
 }
 
@@ -171,29 +127,26 @@ pub struct RawBuf {
 unsafe impl Send for RawBuf {}
 unsafe impl Sync for RawBuf {}
 
-/// Free lists cannot hand an `f32` buffer to an `f64` request: buffers
-/// keep their `Vec` element width. `I64` and `Bool` share a class.
-const NUM_CLASSES: usize = 3;
-const NUM_BUCKETS: usize = usize::BITS as usize;
+/// Power-of-two size class of a capacity in bytes: bucket `b` holds
+/// capacities in `[2^b, 2^(b+1))` (zero-capacity blocks land in bucket 0).
+fn size_bucket(bytes: usize) -> usize {
+    (usize::BITS - bytes.max(1).leading_zeros() - 1) as usize
+}
 
-fn storage_class(elem: ElemType) -> usize {
-    match elem {
-        ElemType::F32 => 0,
-        ElemType::F64 => 1,
-        ElemType::I64 | ElemType::Bool => 2,
+/// The free list of `capacity`'s size class, in a table of lists indexed
+/// by [`size_bucket`] that grows on a bucket's first use.
+fn bucket_mut<T>(lists: &mut Vec<Vec<T>>, capacity: usize) -> &mut Vec<T> {
+    let bucket = size_bucket(capacity);
+    if lists.len() <= bucket {
+        lists.resize_with(bucket + 1, Vec::new);
     }
+    &mut lists[bucket]
 }
 
-/// Power-of-two size class: bucket `b` holds capacities in
-/// `[2^b, 2^(b+1))` (zero-capacity blocks land in bucket 0).
-fn size_bucket(cap: usize) -> usize {
-    (usize::BITS - cap.max(1).leading_zeros() - 1) as usize
-}
-
-/// A buffer parked in the shared arena, tagged with the tenant that
+/// A block parked in the shared arena, tagged with the tenant that
 /// donated it — adoption policy and scrubbing depend on the tag.
 struct Parked {
-    buf: Buffer,
+    buf: Block,
     owner: u64,
 }
 
@@ -241,9 +194,10 @@ impl ArenaMeter {
     }
 }
 
+#[derive(Default)]
 struct ArenaInner {
-    /// `free[storage class][size bucket]` → parked buffers.
-    free: Vec<Vec<Vec<Parked>>>,
+    /// `free[size bucket]` → parked blocks.
+    free: Vec<Vec<Parked>>,
     parked: usize,
     donated: u64,
     adopted_same: u64,
@@ -271,20 +225,6 @@ pub struct SharedArena {
     meter: ArenaMeter,
 }
 
-impl Default for ArenaInner {
-    fn default() -> ArenaInner {
-        ArenaInner {
-            free: (0..NUM_CLASSES)
-                .map(|_| (0..NUM_BUCKETS).map(|_| Vec::new()).collect())
-                .collect(),
-            parked: 0,
-            donated: 0,
-            adopted_same: 0,
-            adopted_cross: 0,
-        }
-    }
-}
-
 impl SharedArena {
     pub fn new() -> SharedArena {
         SharedArena::default()
@@ -302,33 +242,30 @@ impl SharedArena {
         }
     }
 
-    fn donate(&self, buf: Buffer, owner: u64) {
-        if buf.capacity() == 0 {
+    fn donate(&self, buf: Block, owner: u64) {
+        if buf.capacity_bytes() == 0 {
             return;
         }
-        let class = storage_class(buf.elem());
-        let bucket = size_bucket(buf.capacity());
         let mut g = self.inner.lock().unwrap();
-        g.free[class][bucket].push(Parked { buf, owner });
+        bucket_mut(&mut g.free, buf.capacity_bytes()).push(Parked { buf, owner });
         g.parked += 1;
         g.donated += 1;
     }
 
-    /// Take a parked buffer of storage class `class` with capacity
-    /// `>= len`, preferring one the requester donated itself. Returns the
-    /// buffer and whether it crossed a tenant boundary (the caller must
-    /// scrub if so).
-    fn adopt(&self, class: usize, len: usize, owner: u64) -> Option<(Buffer, bool)> {
-        let start = size_bucket(len);
+    /// Take a parked block with capacity `>= bytes`, preferring one the
+    /// requester donated itself. Returns the block and whether it crossed
+    /// a tenant boundary (the caller must scrub if so).
+    fn adopt(&self, bytes: usize, owner: u64) -> Option<(Block, bool)> {
+        let start = size_bucket(bytes);
         let mut g = self.inner.lock().unwrap();
         // First pass: a same-owner fit anywhere (keeps elision alive);
         // second pass: any fit, paying the scrub.
         for same_only in [true, false] {
-            for bucket in start..NUM_BUCKETS {
-                let list = &mut g.free[class][bucket];
-                let pos = list
-                    .iter()
-                    .position(|p| p.buf.capacity() >= len && (!same_only || p.owner == owner));
+            for bucket in start..g.free.len() {
+                let list = &mut g.free[bucket];
+                let pos = list.iter().position(|p| {
+                    p.buf.capacity_bytes() >= bytes && (!same_only || p.owner == owner)
+                });
                 if let Some(pos) = pos {
                     let p = list.swap_remove(pos);
                     let cross = p.owner != owner;
@@ -346,22 +283,23 @@ impl SharedArena {
     }
 }
 
-/// The store of memory blocks. Released blocks park in per-class
-/// free lists and are recycled by later allocations; everything else
-/// is arena-style — block ids stay valid until the store drops.
+/// The store of memory blocks. Released blocks park in the free list and
+/// are recycled by later allocations; everything else is arena-style —
+/// block ids stay valid until the store drops.
+#[derive(Default)]
 pub struct MemStore {
-    blocks: Vec<Buffer>,
+    blocks: Vec<Block>,
     /// `live[id]` is false while `id` sits in a free list.
     live: Vec<bool>,
-    /// `free[storage class][size bucket]` → block ids.
-    free: Vec<Vec<Vec<usize>>>,
+    /// `free[size bucket]` → block ids.
+    free: Vec<Vec<usize>>,
     /// Total elements × size *freshly* allocated, in bytes (reuse is
     /// counted separately).
     pub bytes_allocated: u64,
     pub num_allocs: u64,
     /// Allocations served from the free list instead of the heap.
     pub blocks_reused: u64,
-    /// Bytes of `vec![0; len]` zero-fill skipped thanks to reuse.
+    /// Bytes of zero-fill skipped thanks to reuse.
     pub bytes_zeroing_elided: u64,
     /// Bytes charged per live block (the *requested* length, so the
     /// figure is comparable whether an allocation was fresh or recycled
@@ -370,7 +308,7 @@ pub struct MemStore {
     /// Total bytes currently charged to live blocks.
     bytes_live: u64,
     /// High-water mark of [`bytes_live`](Self::bytes_live) since the last
-    /// [`reset_peak`](MemStore::reset_peak).
+    /// `reset_peak`.
     pub peak_bytes_live: u64,
     /// Checked-mode shadow layer: one [`ShadowBlock`] per block while
     /// enabled, `None` otherwise (the fast modes pay nothing for it).
@@ -406,39 +344,13 @@ pub struct MemStore {
     pub color_slab_hits: u64,
 }
 
-impl Default for MemStore {
-    fn default() -> MemStore {
-        MemStore::new()
-    }
-}
-
 impl MemStore {
     pub fn new() -> MemStore {
-        MemStore {
-            blocks: Vec::new(),
-            live: Vec::new(),
-            free: vec![vec![Vec::new(); NUM_BUCKETS]; NUM_CLASSES],
-            bytes_allocated: 0,
-            num_allocs: 0,
-            blocks_reused: 0,
-            bytes_zeroing_elided: 0,
-            charged: Vec::new(),
-            bytes_live: 0,
-            peak_bytes_live: 0,
-            shadow: None,
-            arena: None,
-            arena_meter: None,
-            vacant: Vec::new(),
-            arena_blocks_adopted: 0,
-            bytes_cross_tenant_scrubbed: 0,
-            color_slots: Vec::new(),
-            carried_releases: 0,
-            color_slab_hits: 0,
-        }
+        MemStore::default()
     }
 
     /// Join a cross-tenant recycling arena under tenant tag `tenant`.
-    /// From here on, allocations that miss the local free lists try the
+    /// From here on, allocations that miss the local free list try the
     /// arena before the heap, and [`donate_free_blocks`]
     /// (MemStore::donate_free_blocks) hands parked blocks back.
     pub fn attach_arena(&mut self, arena: SharedArena, tenant: u64) {
@@ -446,7 +358,7 @@ impl MemStore {
         self.arena = Some((arena, tenant));
     }
 
-    /// Drain every block parked in the local free lists into the shared
+    /// Drain every block parked in the local free list into the shared
     /// arena (no-op without an attached arena); returns the number
     /// donated. Servers call this after each execution so one tenant's
     /// end-of-run blocks can feed another tenant's next allocation.
@@ -455,18 +367,15 @@ impl MemStore {
             return 0;
         };
         let mut donated = 0;
-        for class in 0..NUM_CLASSES {
-            for bucket in 0..NUM_BUCKETS {
-                while let Some(id) = self.free[class][bucket].pop() {
-                    let buf = std::mem::replace(&mut self.blocks[id], Buffer::I64(Vec::new()));
-                    if let Some(sh) = &mut self.shadow {
-                        sh[id].cells.clear();
-                        sh[id].released_by = None;
-                    }
-                    self.vacant.push(id);
-                    arena.donate(buf, tenant);
-                    donated += 1;
+        for bucket in 0..self.free.len() {
+            while let Some(id) = self.free[bucket].pop() {
+                let buf = std::mem::replace(&mut self.blocks[id], Block::vacated());
+                if let Some(sh) = &mut self.shadow {
+                    sh[id] = ShadowBlock::default();
                 }
+                self.vacant.push(id);
+                arena.donate(buf, tenant);
+                donated += 1;
             }
         }
         donated
@@ -476,131 +385,142 @@ impl MemStore {
     /// set. Called at the start of a run body, after inputs are loaded:
     /// inputs are charged identically under every pass configuration, so
     /// per-run peaks stay comparable across a session.
-    pub fn reset_peak(&mut self) {
+    pub(crate) fn reset_peak(&mut self) {
         self.peak_bytes_live = self.bytes_live;
     }
 
-    fn charge(&mut self, block: usize, bytes: u64) {
-        if self.charged.len() <= block {
-            self.charged.resize(block + 1, 0);
-        }
-        self.charged[block] = bytes;
-        self.bytes_live += bytes;
-        self.peak_bytes_live = self.peak_bytes_live.max(self.bytes_live);
-        if let Some(m) = &self.arena_meter {
-            m.charge(bytes);
-        }
+    /// Turn the shadow layer on (checked mode) or off (the fast modes).
+    /// Pre-existing blocks (recycled across runs by a session) start
+    /// all-`Stale`: nothing written in an earlier run may be read before
+    /// *this* run writes it.
+    pub(crate) fn set_shadow(&mut self, on: bool) {
+        self.shadow = on.then(|| {
+            let stale = |b: &Block| ShadowBlock {
+                cells: vec![CellState::Stale; b.len],
+                released_by: None,
+            };
+            self.blocks.iter().map(stale).collect()
+        });
     }
 
-    fn uncharge(&mut self, block: usize) {
-        let bytes = self.charged[block];
-        self.bytes_live -= bytes;
-        self.charged[block] = 0;
-        if let Some(m) = &self.arena_meter {
-            m.uncharge(bytes);
-        }
-    }
-
-    /// Turn on the shadow layer. Pre-existing blocks (recycled across
-    /// runs by a session) get all-`Stale` cells: nothing written in *this*
-    /// run may be read before this run writes it.
-    pub fn enable_shadow(&mut self) {
-        self.shadow = Some(
-            self.blocks
-                .iter()
-                .map(|b| ShadowBlock {
-                    cells: vec![CellState::Stale; b.len()],
-                    released_by: None,
-                })
-                .collect(),
-        );
-    }
-
-    /// Drop the shadow layer (back to fast modes).
-    pub fn disable_shadow(&mut self) {
-        self.shadow = None;
-    }
-
-    pub fn shadow_enabled(&self) -> bool {
+    pub(crate) fn shadow_enabled(&self) -> bool {
         self.shadow.is_some()
     }
 
     /// Record that statement `writer` wrote element `off` of `block`.
-    pub fn shadow_mark(&mut self, block: usize, off: usize, writer: Sym) {
+    pub(crate) fn shadow_mark(&mut self, block: usize, off: usize, writer: Sym) {
         if let Some(sh) = &mut self.shadow {
             sh[block].cells[off] = CellState::Written(writer);
         }
     }
 
     /// The shadow state of one cell (None while the layer is off).
-    pub fn shadow_cell(&self, block: usize, off: usize) -> Option<CellState> {
+    pub(crate) fn shadow_cell(&self, block: usize, off: usize) -> Option<CellState> {
         self.shadow.as_ref().map(|sh| sh[block].cells[off])
     }
 
     /// The statement after which the release plan freed `block`, if the
     /// block currently sits released with a recorded site.
-    pub fn shadow_released_by(&self, block: usize) -> Option<Sym> {
+    pub(crate) fn shadow_released_by(&self, block: usize) -> Option<Sym> {
         self.shadow.as_ref().and_then(|sh| sh[block].released_by)
     }
 
-    /// Install a buffer as a live block, reusing a vacated id (one whose
-    /// buffer was donated to the arena) when available. The shadow entry
-    /// starts all-`Zeroed`; callers refine it.
-    fn install(&mut self, b: Buffer) -> usize {
-        let cells = vec![CellState::Zeroed; b.len()];
-        match self.vacant.pop() {
-            Some(id) => {
-                if let Some(sh) = &mut self.shadow {
-                    sh[id] = ShadowBlock {
-                        cells,
-                        released_by: None,
-                    };
-                }
-                self.blocks[id] = b;
-                self.live[id] = true;
-                id
-            }
-            None => {
-                if let Some(sh) = &mut self.shadow {
-                    sh.push(ShadowBlock {
-                        cells,
-                        released_by: None,
-                    });
-                }
-                self.blocks.push(b);
-                self.live.push(true);
-                self.blocks.len() - 1
-            }
+    /// Put a (not yet live) buffer under a block id, reusing a vacated one
+    /// — whose buffer was donated to the arena — when available.
+    fn install(&mut self, b: Block) -> usize {
+        if let Some(id) = self.vacant.pop() {
+            self.blocks[id] = b;
+            return id;
         }
+        self.blocks.push(b);
+        self.live.push(false);
+        self.charged.push(0);
+        if let Some(sh) = &mut self.shadow {
+            sh.push(ShadowBlock::default());
+        }
+        self.blocks.len() - 1
     }
 
-    fn fresh(&mut self, b: Buffer) -> usize {
-        let bytes = (b.len() * b.elem().size_bytes()) as u64;
-        self.bytes_allocated += bytes;
-        self.num_allocs += 1;
-        let id = self.install(b);
-        self.charge(id, bytes);
+    /// The one way a block becomes live: charge the bytes it was sized
+    /// for and start its shadow cells over — the first `stale` bytes are
+    /// a recycled region (`Stale`), the rest was zero-filled.
+    fn go_live(&mut self, id: usize, stale: usize) -> usize {
+        let b = &self.blocks[id];
+        let (len, elem_size, bytes) = (b.len, b.elem.size_bytes(), b.size_bytes() as u64);
+        self.live[id] = true;
+        self.charged[id] = bytes;
+        self.bytes_live += bytes;
+        self.peak_bytes_live = self.peak_bytes_live.max(self.bytes_live);
+        if let Some(m) = &self.arena_meter {
+            m.charge(bytes);
+        }
+        if let Some(sh) = &mut self.shadow {
+            let s = &mut sh[id];
+            s.released_by = None;
+            s.cells.clear();
+            s.cells.resize(len, CellState::Zeroed);
+            s.cells[..stale.div_ceil(elem_size)].fill(CellState::Stale);
+        }
         id
     }
 
-    /// Pop a released block of storage class `class` with capacity `>= len`,
-    /// if any. Buckets above `size_bucket(len)` hold only fitting blocks;
-    /// the starting bucket needs a capacity check.
-    fn take_reusable(&mut self, class: usize, len: usize) -> Option<usize> {
-        let start = size_bucket(len);
-        let lists = &mut self.free[class];
-        if let Some(pos) = lists[start]
-            .iter()
-            .position(|&id| self.blocks[id].capacity() >= len)
-        {
-            return Some(lists[start].swap_remove(pos));
+    /// The one way a recycled buffer comes back, whichever list held it:
+    /// resize keeping the stale prefix (zeroing elided — or, for a buffer
+    /// that crossed a tenant boundary, `scrub`bed so recycled bytes never
+    /// do), zero the grown tail, count the reuse. The prefix is `Stale`
+    /// in shadow memory even when scrubbed: a recycled region must be
+    /// fully written before it is read, so checked mode fires identically
+    /// on either side of a tenant boundary.
+    fn revive(&mut self, id: usize, elem: ElemType, len: usize, scrub: bool) -> usize {
+        let b = &mut self.blocks[id];
+        let kept = b.recycle(elem, len);
+        if scrub {
+            b.bytes_mut()[..kept].fill(0);
+            self.bytes_cross_tenant_scrubbed += kept as u64;
+        } else {
+            self.bytes_zeroing_elided += kept as u64;
         }
-        for bucket in lists[start + 1..].iter_mut() {
-            if let Some(id) = bucket.pop() {
-                return Some(id);
-            }
+        self.blocks_reused += 1;
+        self.go_live(id, kept)
+    }
+
+    /// The one way a live block dies: uncharge it and poison its shadow
+    /// cells, recording the statement after which the release plan fired
+    /// (later reads report it in their use-after-release diagnostic).
+    /// Returns `false` — and does nothing — for a block already dead: two
+    /// memory variables can name one block after an in-place update.
+    fn retire(&mut self, block: usize, site: Option<Sym>) -> bool {
+        if !self.live[block] {
+            return false;
         }
-        None
+        self.live[block] = false;
+        let bytes = std::mem::take(&mut self.charged[block]);
+        self.bytes_live -= bytes;
+        if let Some(m) = &self.arena_meter {
+            m.uncharge(bytes);
+        }
+        if let Some(sh) = &mut self.shadow {
+            let s = &mut sh[block];
+            s.released_by = site;
+            s.cells.fill(CellState::Released);
+        }
+        true
+    }
+
+    fn park(&mut self, block: usize) {
+        bucket_mut(&mut self.free, self.blocks[block].capacity_bytes()).push(block);
+    }
+
+    /// Pop a released block with capacity `>= bytes`, if any. Buckets
+    /// above `size_bucket(bytes)` hold only fitting blocks; the starting
+    /// bucket needs a capacity check.
+    fn take_reusable(&mut self, bytes: usize) -> Option<usize> {
+        let start = size_bucket(bytes);
+        let fits = |&id: &usize| self.blocks[id].capacity_bytes() >= bytes;
+        if let Some(pos) = self.free.get(start)?.iter().position(fits) {
+            return Some(self.free[start].swap_remove(pos));
+        }
+        self.free[start + 1..].iter_mut().find_map(Vec::pop)
     }
 
     /// Allocate a block of `len` elements; returns its id. Fresh blocks
@@ -608,52 +528,21 @@ impl MemStore {
     /// (zeroing elided) — callers must fully write before reading, the
     /// same obligation every memory-mode destination already has.
     pub fn alloc(&mut self, elem: ElemType, len: usize) -> usize {
-        if let Some(id) = self.take_reusable(storage_class(elem), len) {
-            let b = &mut self.blocks[id];
-            b.retag(elem);
-            let kept = b.recycle_to(len);
-            self.blocks_reused += 1;
-            self.bytes_zeroing_elided += (kept * elem.size_bytes()) as u64;
-            self.live[id] = true;
-            self.charge(id, (len * elem.size_bytes()) as u64);
-            if let Some(sh) = &mut self.shadow {
-                // The surviving prefix is stale garbage; only the grown
-                // tail was freshly zeroed by `recycle_to`.
-                let s = &mut sh[id];
-                s.released_by = None;
-                s.cells.clear();
-                s.cells.resize(len, CellState::Zeroed);
-                s.cells[..kept].fill(CellState::Stale);
-            }
-            return id;
+        let bytes = len * elem.size_bytes();
+        if let Some(id) = self.take_reusable(bytes) {
+            return self.revive(id, elem, len, false);
         }
         if let Some((arena, tenant)) = self.arena.clone() {
-            if let Some((mut buf, cross)) = arena.adopt(storage_class(elem), len, tenant) {
-                buf.retag(elem);
-                let kept = buf.recycle_to(len);
-                if cross {
-                    buf.zero_prefix(kept);
-                    self.bytes_cross_tenant_scrubbed += (kept * elem.size_bytes()) as u64;
-                } else {
-                    self.bytes_zeroing_elided += (kept * elem.size_bytes()) as u64;
-                }
-                self.blocks_reused += 1;
+            if let Some((buf, cross)) = arena.adopt(bytes, tenant) {
                 self.arena_blocks_adopted += 1;
                 let id = self.install(buf);
-                self.charge(id, (len * elem.size_bytes()) as u64);
-                if let Some(sh) = &mut self.shadow {
-                    // Same provenance rule as the local free list: the
-                    // surviving prefix is a recycled region the program
-                    // must fully write before reading — `Stale` even when
-                    // a cross-tenant scrub zeroed the bytes, so checked
-                    // mode fires identically on either side of a tenant
-                    // boundary.
-                    sh[id].cells[..kept].fill(CellState::Stale);
-                }
-                return id;
+                return self.revive(id, elem, len, cross);
             }
         }
-        self.fresh(Buffer::new(elem, len))
+        self.bytes_allocated += bytes as u64;
+        self.num_allocs += 1;
+        let id = self.install(Block::new(elem, len));
+        self.go_live(id, 0)
     }
 
     /// Allocate a `len`-element block holding the program-input array
@@ -662,131 +551,88 @@ impl MemStore {
     /// into the blocks its predecessor released instead of growing the
     /// store; every cell is legitimately readable from the start.
     pub(crate) fn alloc_input(&mut self, elem: ElemType, len: usize, data: &InputValue) -> usize {
+        let (data_elem, bytes) = data.array_bytes().expect("input is an array");
+        assert!(
+            data_elem == elem && bytes.len() == len * elem.size_bytes(),
+            "input checked against the parameter type"
+        );
         let id = self.alloc(elem, len);
-        match (&mut self.blocks[id], data) {
-            (Buffer::F32(v), InputValue::ArrayF32(d)) => v.copy_from_slice(d),
-            (Buffer::F64(v), InputValue::ArrayF64(d)) => v.copy_from_slice(d),
-            (Buffer::I64(v), InputValue::ArrayI64(d)) => v.copy_from_slice(d),
-            _ => unreachable!("input checked against the parameter type"),
-        }
+        self.blocks[id].bytes_mut()[..bytes.len()].copy_from_slice(bytes);
         if let Some(sh) = &mut self.shadow {
             sh[id].cells.fill(CellState::Input);
         }
         id
     }
 
-    /// Return a dead block to its free list. Safe to call twice for the
-    /// same id (two memory variables can name one block after an in-place
-    /// update); the second call is a no-op.
+    /// Return a dead block to the free list. Safe to call twice for the
+    /// same id; the second call is a no-op.
     pub fn release(&mut self, block: usize) {
         self.release_at(block, None);
     }
 
-    /// [`release`](MemStore::release), additionally recording (for the
-    /// shadow layer) the statement after which the release plan fired —
-    /// later reads of the block report it in their use-after-release
-    /// diagnostic.
-    pub fn release_at(&mut self, block: usize, site: Option<Sym>) {
-        if !self.live[block] {
-            return;
+    /// [`release`](MemStore::release), recording the release site for the
+    /// shadow layer.
+    pub(crate) fn release_at(&mut self, block: usize, site: Option<Sym>) {
+        if self.retire(block, site) {
+            self.park(block);
         }
-        self.live[block] = false;
-        self.uncharge(block);
-        if let Some(sh) = &mut self.shadow {
-            let s = &mut sh[block];
-            s.released_by = site;
-            s.cells.fill(CellState::Released);
-        }
-        let class = storage_class(self.blocks[block].elem());
-        let bucket = size_bucket(self.blocks[block].capacity());
-        self.free[class][bucket].push(block);
     }
 
     /// Prepare per-color slabs for a plan lowered with `n` colors:
     /// [`release_colored`](MemStore::release_colored) parks into them and
-    /// [`alloc_colored`](MemStore::alloc_colored) pops from them.
-    /// Clears any leftover slabs from an aborted run (parked ids are
-    /// simply forgotten — their blocks are not live, and
-    /// [`drain_colors`](MemStore::drain_colors) at the end of the
-    /// previous successful run already emptied the slots).
-    pub fn begin_colors(&mut self, n: u32) {
+    /// [`alloc_colored`](MemStore::alloc_colored) pops from them
+    /// ([`drain_colors`](MemStore::drain_colors) emptied the previous
+    /// run's).
+    pub(crate) fn begin_colors(&mut self, n: u32) {
         self.color_slots.clear();
         self.color_slots.resize(n as usize, Vec::new());
     }
 
-    /// Park a dead block in color `c`'s slab instead of the free lists:
+    /// Park a dead block in color `c`'s slab instead of the free list:
     /// the next allocation colored `c` (the loop's next-iteration
-    /// ping-pong block) takes it back. Same shadow poisoning as
-    /// [`release_at`](MemStore::release_at), so checked mode catches a
-    /// premature carried release exactly like a premature plan release.
-    pub fn release_colored(&mut self, block: usize, color: u32, site: Option<Sym>) {
-        if !self.live[block] {
-            return;
+    /// ping-pong block) takes it back. Same shadow poisoning as a plan
+    /// release, so checked mode catches a premature carried release
+    /// exactly like a premature plan release.
+    pub(crate) fn release_colored(&mut self, block: usize, color: u32, site: Option<Sym>) {
+        if self.retire(block, site) {
+            self.color_slots[color as usize].push(block);
+            self.carried_releases += 1;
         }
-        self.live[block] = false;
-        self.uncharge(block);
-        if let Some(sh) = &mut self.shadow {
-            let s = &mut sh[block];
-            s.released_by = site;
-            s.cells.fill(CellState::Released);
-        }
-        self.color_slots[color as usize].push(block);
-        self.carried_releases += 1;
     }
 
     /// Allocate a block colored `c`: pop a fitting block from the color's
     /// slab if one is parked there (the previous iteration's carried
     /// release), falling back to [`alloc`](MemStore::alloc) otherwise.
-    /// Slab hits follow the free-list recycling contract — stale prefix
-    /// kept (zeroing elided), grown tail zeroed, shadow prefix `Stale`.
-    pub fn alloc_colored(&mut self, elem: ElemType, len: usize, color: u32) -> usize {
+    pub(crate) fn alloc_colored(&mut self, elem: ElemType, len: usize, color: u32) -> usize {
+        let bytes = len * elem.size_bytes();
         let slot = &mut self.color_slots[color as usize];
-        let pos = slot.iter().position(|&id| {
-            storage_class(self.blocks[id].elem()) == storage_class(elem)
-                && self.blocks[id].capacity() >= len
-        });
+        let pos = slot
+            .iter()
+            .position(|&id| self.blocks[id].capacity_bytes() >= bytes);
         let Some(pos) = pos else {
             return self.alloc(elem, len);
         };
         let id = slot.swap_remove(pos);
-        let b = &mut self.blocks[id];
-        b.retag(elem);
-        let kept = b.recycle_to(len);
-        self.blocks_reused += 1;
         self.color_slab_hits += 1;
-        self.bytes_zeroing_elided += (kept * elem.size_bytes()) as u64;
-        self.live[id] = true;
-        self.charge(id, (len * elem.size_bytes()) as u64);
-        if let Some(sh) = &mut self.shadow {
-            let s = &mut sh[id];
-            s.released_by = None;
-            s.cells.clear();
-            s.cells.resize(len, CellState::Zeroed);
-            s.cells[..kept].fill(CellState::Stale);
-        }
-        id
+        self.revive(id, elem, len, false)
     }
 
     /// Move every block still parked in a color slab to the ordinary free
-    /// lists and drop the slabs. Called at the end of a run, before
+    /// list and drop the slabs. Called at the end of a run, before
     /// [`release_all_live`](MemStore::release_all_live), so slab
     /// residents recycle across runs and feed
     /// [`donate_free_blocks`](MemStore::donate_free_blocks) exactly like
     /// plan-released blocks.
-    pub fn drain_colors(&mut self) {
-        for slot in std::mem::take(&mut self.color_slots) {
-            for id in slot {
-                let class = storage_class(self.blocks[id].elem());
-                let bucket = size_bucket(self.blocks[id].capacity());
-                self.free[class][bucket].push(id);
-            }
+    pub(crate) fn drain_colors(&mut self) {
+        for id in std::mem::take(&mut self.color_slots).into_iter().flatten() {
+            self.park(id);
         }
     }
 
     /// Release every live block — end-of-run recycling, so a store reused
     /// across runs (a [`crate::Session`]) serves the next run's
     /// allocations from this run's blocks.
-    pub fn release_all_live(&mut self) {
+    pub(crate) fn release_all_live(&mut self) {
         for id in 0..self.blocks.len() {
             self.release(id);
         }
@@ -795,18 +641,18 @@ impl MemStore {
     pub fn raw(&mut self, block: usize) -> RawBuf {
         let b = &mut self.blocks[block];
         RawBuf {
-            len: b.len(),
-            elem: b.elem(),
-            ptr: b.base_ptr(),
+            len: b.len,
+            elem: b.elem,
+            ptr: b.words.as_mut_ptr() as *mut u8,
         }
     }
 
     pub fn elem(&self, block: usize) -> ElemType {
-        self.blocks[block].elem()
+        self.blocks[block].elem
     }
 
     pub fn len(&self, block: usize) -> usize {
-        self.blocks[block].len()
+        self.blocks[block].len
     }
 
     pub fn num_blocks(&self) -> usize {
@@ -844,27 +690,6 @@ mod tests {
         assert_eq!(s.num_allocs, 1, "reuse must not count as an alloc");
         assert_eq!(s.blocks_reused, 1);
         assert_eq!(s.bytes_zeroing_elided, 800 * 4);
-    }
-
-    #[test]
-    fn reuse_respects_storage_class() {
-        let mut s = MemStore::new();
-        let a = s.alloc(ElemType::F32, 64);
-        s.release(a);
-        let b = s.alloc(ElemType::F64, 64);
-        assert_ne!(b, a, "f64 request must not take an f32 block");
-        let c = s.alloc(ElemType::F32, 64);
-        assert_eq!(c, a);
-    }
-
-    #[test]
-    fn bool_and_i64_share_a_class() {
-        let mut s = MemStore::new();
-        let a = s.alloc(ElemType::I64, 32);
-        s.release(a);
-        let b = s.alloc(ElemType::Bool, 32);
-        assert_eq!(b, a);
-        assert_eq!(s.elem(b), ElemType::Bool);
     }
 
     #[test]
@@ -906,7 +731,7 @@ mod tests {
     fn shadow_tracks_cell_lifecycle_across_recycling() {
         use arraymem_symbolic::sym;
         let mut s = MemStore::new();
-        s.enable_shadow();
+        s.set_shadow(true);
         // Fresh allocation: zero-filled cells.
         let a = s.alloc(ElemType::I64, 4);
         assert_eq!(s.shadow_cell(a, 0), Some(CellState::Zeroed));
@@ -935,10 +760,10 @@ mod tests {
         let d = s.alloc_input(ElemType::I64, 2, &InputValue::ArrayI64(vec![1, 2]));
         assert_eq!(s.shadow_cell(d, 1), Some(CellState::Input));
         // Disabling drops the layer entirely.
-        s.disable_shadow();
+        s.set_shadow(false);
         assert_eq!(s.shadow_cell(c, 0), None);
         // Re-enabling marks every pre-existing block stale.
-        s.enable_shadow();
+        s.set_shadow(true);
         assert_eq!(s.shadow_cell(d, 0), Some(CellState::Stale));
     }
 
@@ -980,7 +805,7 @@ mod tests {
         a_store.attach_arena(arena.clone(), 1);
         let mut b_store = MemStore::new();
         b_store.attach_arena(arena.clone(), 2);
-        b_store.enable_shadow();
+        b_store.set_shadow(true);
         let a = a_store.alloc(ElemType::I64, 64);
         fill_i64(&mut a_store, a, 7);
         a_store.release(a);
@@ -1087,7 +912,7 @@ mod tests {
     fn colored_release_poisons_shadow_cells() {
         use arraymem_symbolic::sym;
         let mut s = MemStore::new();
-        s.enable_shadow();
+        s.set_shadow(true);
         s.begin_colors(1);
         let a = s.alloc_colored(ElemType::I64, 4, 0);
         let site = sym("carried_site");
@@ -1133,7 +958,7 @@ mod tests {
         donor.attach_arena(arena.clone(), 1);
         let mut adopter = MemStore::new();
         adopter.attach_arena(arena.clone(), 2);
-        adopter.enable_shadow();
+        adopter.set_shadow(true);
         // 96 sentinel elements donated; 40 requested across the boundary.
         let a = donor.alloc(ElemType::I64, 96);
         fill_i64(&mut donor, a, 0x5A5A_5A5A_5A5A_5A5A_u64 as i64);

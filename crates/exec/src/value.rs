@@ -124,6 +124,25 @@ pub enum InputValue {
     ArrayI64(Vec<i64>),
 }
 
+impl InputValue {
+    /// An array input's element type and its data as raw bytes (`None`
+    /// for a scalar) — how inputs enter the untyped block store.
+    pub(crate) fn array_bytes(&self) -> Option<(ElemType, &[u8])> {
+        fn bytes<T: Copy>(d: &[T]) -> &[u8] {
+            // SAFETY: only instantiated at f32/f64/i64 below — plain data
+            // without padding, so every byte of `d` is an initialized
+            // `u8`; the slice covers exactly `d` and shares its lifetime.
+            unsafe { std::slice::from_raw_parts(d.as_ptr() as *const u8, size_of_val(d)) }
+        }
+        match self {
+            InputValue::ArrayF32(d) => Some((ElemType::F32, bytes(d))),
+            InputValue::ArrayF64(d) => Some((ElemType::F64, bytes(d))),
+            InputValue::ArrayI64(d) => Some((ElemType::I64, bytes(d))),
+            _ => None,
+        }
+    }
+}
+
 /// Program outputs extracted in logical row-major order.
 #[derive(Clone, Debug, PartialEq)]
 pub enum OutputValue {

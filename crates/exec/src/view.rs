@@ -2,8 +2,12 @@
 //!
 //! A [`View`]/[`ViewMut`] pairs a raw block handle with a concrete index
 //! function; element access computes `base + ixfn(i, j, ...)` — exactly
-//! the code the paper's compiler inlines per access. Contiguous fast paths
-//! hand kernels plain slices.
+//! the code the paper's compiler inlines per access. A block is untyped
+//! words ([`crate::store`]); the view's element type says how to read
+//! them. Kernels use the typed accessors (`get_f32`, `write_i64_off`, …);
+//! the VM moves elements it does not interpret by *width* (4 or 8 bytes)
+//! and converts to and from [`Value`] with [`View::get`] /
+//! [`ViewMut::set`].
 //!
 //! Views may alias (e.g. NW's kernel reads bars of the same block its
 //! output is rebased into); the compiler's non-overlap proof is what makes
@@ -11,11 +15,31 @@
 //! explicit bounds checks.
 
 use crate::store::RawBuf;
+use crate::value::Value;
+use arraymem_ir::ElemType;
 use arraymem_lmad::concrete::AccessClass;
 use arraymem_lmad::{ConcreteIxFn, ConcreteLmad};
 
+/// A Rust type a typed accessor may read block words as.
+trait Elem: Copy {
+    const TYPE: ElemType;
+}
+
+impl Elem for f32 {
+    const TYPE: ElemType = ElemType::F32;
+}
+
+impl Elem for f64 {
+    const TYPE: ElemType = ElemType::F64;
+}
+
+impl Elem for i64 {
+    const TYPE: ElemType = ElemType::I64;
+}
+
+/// A read-only view.
 #[derive(Clone)]
-struct ViewCore {
+pub struct View {
     buf: RawBuf,
     ixfn: ConcreteIxFn,
     /// Access tier, classified once at view creation: flat accesses
@@ -24,32 +48,80 @@ struct ViewCore {
     plan: AccessClass,
 }
 
-impl ViewCore {
-    fn new(buf: RawBuf, ixfn: ConcreteIxFn) -> ViewCore {
+/// A writable view: everything a [`View`] reads (it derefs to one), plus
+/// the stores.
+#[derive(Clone)]
+pub struct ViewMut(View);
+
+impl std::ops::Deref for ViewMut {
+    type Target = View;
+
+    fn deref(&self) -> &View {
+        &self.0
+    }
+}
+
+impl View {
+    pub fn new(buf: RawBuf, ixfn: ConcreteIxFn) -> View {
         let plan = ixfn.classify();
-        ViewCore { buf, ixfn, plan }
+        View { buf, ixfn, plan }
     }
 
+    /// A view whose access class was classified earlier (at array-value
+    /// creation or plan-lower time), skipping the per-view re-classify.
+    pub(crate) fn with_class(buf: RawBuf, ixfn: ConcreteIxFn, plan: AccessClass) -> View {
+        debug_assert_eq!(plan, ixfn.classify());
+        View { buf, ixfn, plan }
+    }
+
+    pub fn ixfn(&self) -> &ConcreteIxFn {
+        &self.ixfn
+    }
+
+    pub fn shape(&self) -> Vec<i64> {
+        self.ixfn.shape()
+    }
+
+    pub fn num_elems(&self) -> i64 {
+        self.ixfn.num_elems()
+    }
+
+    /// The single LMAD, when the view is one LMAD (the common case kernels
+    /// specialize on).
+    pub fn lmad(&self) -> Option<&ConcreteLmad> {
+        self.ixfn.as_single()
+    }
+
+    /// A sub-view with the outer dimension fixed at `i`.
+    pub fn row(&self, i: i64) -> View {
+        View::new(self.buf, fix_outer(&self.ixfn, i))
+    }
+
+    /// Bounds-check a memory offset against the block.
     #[inline]
-    fn offset(&self, idx: &[i64]) -> usize {
-        let off = if let Some(l) = self.ixfn.as_single() {
-            l.apply(idx)
-        } else {
-            self.ixfn.index(idx)
-        };
-        debug_assert!(off >= 0, "negative element offset {off}");
-        let off = off as usize;
+    fn in_block(&self, off: i64) -> usize {
+        // A negative offset wraps far past any block length.
         assert!(
-            off < self.buf.len,
-            "view access out of bounds: {off} >= {}",
+            (off as usize) < self.buf.len,
+            "view access out of bounds: offset {off} outside block of {}",
             self.buf.len
         );
-        off
+        off as usize
     }
 
+    /// Memory offset of a logical index.
+    #[inline]
+    fn offset(&self, idx: &[i64]) -> usize {
+        self.in_block(match self.ixfn.as_single() {
+            Some(l) => l.apply(idx),
+            None => self.ixfn.index(idx),
+        })
+    }
+
+    /// Memory offset of a flat logical position.
     #[inline]
     fn offset_flat(&self, flat: i64) -> usize {
-        let off = match self.plan {
+        self.in_block(match self.plan {
             AccessClass::Contiguous { base } => base + flat,
             AccessClass::RowContiguous {
                 base,
@@ -58,303 +130,246 @@ impl ViewCore {
             } => base + (flat / inner) * row_stride + flat % inner,
             AccessClass::Strided => self.ixfn.lmads[0].offset_of_flat(flat),
             AccessClass::General => self.ixfn.index_flat(flat),
-        };
-        debug_assert!(off >= 0, "negative element offset {off} (flat {flat})");
-        let off = off as usize;
-        assert!(
-            off < self.buf.len,
-            "view access out of bounds: flat {flat} -> offset {off} >= block len {}",
-            self.buf.len
-        );
-        off
-    }
-}
-
-/// Booleans share the i64 accessors (both are 64-bit words in storage).
-fn elem_compatible(stored: arraymem_ir::ElemType, accessed: arraymem_ir::ElemType) -> bool {
-    use arraymem_ir::ElemType as ET;
-    stored == accessed || (stored == ET::Bool && accessed == ET::I64)
-}
-
-/// A read-only view.
-#[derive(Clone)]
-pub struct View {
-    core: ViewCore,
-}
-
-/// A writable view.
-#[derive(Clone)]
-pub struct ViewMut {
-    core: ViewCore,
-}
-
-macro_rules! typed_access {
-    ($get:ident, $get_flat:ident, $ty:ty, $variant:ident) => {
-        /// Read one element by logical index.
-        #[inline]
-        pub fn $get(&self, idx: &[i64]) -> $ty {
-            debug_assert!(elem_compatible(
-                self.core.buf.elem,
-                arraymem_ir::ElemType::$variant
-            ));
-            let off = self.core.offset(idx);
-            unsafe { *(self.core.buf.ptr as *const $ty).add(off) }
-        }
-
-        /// Read one element by flat logical position.
-        #[inline]
-        pub fn $get_flat(&self, flat: i64) -> $ty {
-            debug_assert!(elem_compatible(
-                self.core.buf.elem,
-                arraymem_ir::ElemType::$variant
-            ));
-            let off = self.core.offset_flat(flat);
-            unsafe { *(self.core.buf.ptr as *const $ty).add(off) }
-        }
-    };
-}
-
-impl View {
-    pub fn new(buf: RawBuf, ixfn: ConcreteIxFn) -> View {
-        View {
-            core: ViewCore::new(buf, ixfn),
-        }
+        })
     }
 
-    /// A view whose access class was classified earlier (at array-value
-    /// creation or plan-lower time), skipping the per-view re-classify.
-    pub fn with_class(buf: RawBuf, ixfn: ConcreteIxFn, plan: AccessClass) -> View {
-        debug_assert_eq!(plan, ixfn.classify());
-        View {
-            core: ViewCore { buf, ixfn, plan },
-        }
-    }
-
-    pub fn ixfn(&self) -> &ConcreteIxFn {
-        &self.core.ixfn
-    }
-
-    pub fn shape(&self) -> Vec<i64> {
-        self.core.ixfn.shape()
-    }
-
-    pub fn num_elems(&self) -> i64 {
-        self.core.ixfn.num_elems()
-    }
-
-    /// The single LMAD, when the view is one LMAD (the common case kernels
-    /// specialize on).
-    pub fn lmad(&self) -> Option<&ConcreteLmad> {
-        self.core.ixfn.as_single()
-    }
-
-    typed_access!(get_f32, get_f32_flat, f32, F32);
-    typed_access!(get_f64, get_f64_flat, f64, F64);
-    typed_access!(get_i64, get_i64_flat, i64, I64);
-
-    /// Contiguous row-major fast path: the whole view as a plain slice.
-    pub fn as_slice_f32(&self) -> Option<&[f32]> {
-        let base = self.core.ixfn.contiguous_base()?;
-        let n = self.num_elems();
-        if base < 0 || n < 0 || (base + n) as usize > self.core.buf.len {
-            return None;
-        }
-        unsafe {
-            Some(std::slice::from_raw_parts(
-                (self.core.buf.ptr as *const f32).add(base as usize),
-                n as usize,
-            ))
-        }
-    }
-
-    pub fn as_slice_i64(&self) -> Option<&[i64]> {
-        let base = self.core.ixfn.contiguous_base()?;
-        let n = self.num_elems();
-        if base < 0 || n < 0 || (base + n) as usize > self.core.buf.len {
-            return None;
-        }
-        unsafe {
-            Some(std::slice::from_raw_parts(
-                (self.core.buf.ptr as *const i64).add(base as usize),
-                n as usize,
-            ))
-        }
-    }
-
-    /// Read by precomputed flat memory offset (as produced by the view's
-    /// LMAD) — the incremental-addressing style of generated kernel code.
     #[inline]
-    pub fn read_i64_off(&self, off: i64) -> i64 {
-        assert!(off >= 0 && (off as usize) < self.core.buf.len);
-        unsafe { *(self.core.buf.ptr as *const i64).add(off as usize) }
+    fn load<T: Elem>(&self, off: usize) -> T {
+        // Booleans share the i64 accessors (both are 64-bit words).
+        debug_assert!(
+            self.buf.elem == T::TYPE || (self.buf.elem, T::TYPE) == (ElemType::Bool, ElemType::I64)
+        );
+        // SAFETY: `off` passed `in_block`, so it is inside the block's
+        // `len` elements, each `size_of::<T>()` bytes wide.
+        unsafe { *(self.buf.ptr as *const T).add(off) }
     }
 
+    /// Read one element by logical index.
+    #[inline]
+    pub fn get_f32(&self, idx: &[i64]) -> f32 {
+        self.load(self.offset(idx))
+    }
+
+    /// See [`View::get_f32`].
+    #[inline]
+    pub fn get_f64(&self, idx: &[i64]) -> f64 {
+        self.load(self.offset(idx))
+    }
+
+    /// See [`View::get_f32`].
+    #[inline]
+    pub fn get_i64(&self, idx: &[i64]) -> i64 {
+        self.load(self.offset(idx))
+    }
+
+    /// Read by precomputed memory offset (as produced by the view's LMAD)
+    /// — the incremental-addressing style of generated kernel code.
     #[inline]
     pub fn read_f32_off(&self, off: i64) -> f32 {
-        assert!(off >= 0 && (off as usize) < self.core.buf.len);
-        unsafe { *(self.core.buf.ptr as *const f32).add(off as usize) }
+        self.load(self.in_block(off))
     }
 
-    /// A sub-view with the outer dimension fixed at `i`.
-    pub fn row(&self, i: i64) -> View {
-        View {
-            core: ViewCore::new(self.core.buf, fix_outer(&self.core.ixfn, i)),
+    /// See [`View::read_f32_off`].
+    #[inline]
+    pub fn read_i64_off(&self, off: i64) -> i64 {
+        self.load(self.in_block(off))
+    }
+
+    /// The element at memory offset `off`, widened to a word.
+    #[inline]
+    fn load_word(&self, off: usize) -> u64 {
+        // SAFETY: as in `load`; the width is the element type's.
+        unsafe {
+            match self.buf.elem.size_bytes() {
+                4 => *(self.buf.ptr as *const u32).add(off) as u64,
+                _ => *(self.buf.ptr as *const u64).add(off),
+            }
         }
+    }
+
+    #[inline]
+    fn value_at(&self, off: usize) -> Value {
+        let w = self.load_word(off);
+        match self.buf.elem {
+            ElemType::F32 => Value::F32(f32::from_bits(w as u32)),
+            ElemType::F64 => Value::F64(f64::from_bits(w)),
+            ElemType::I64 => Value::I64(w as i64),
+            ElemType::Bool => Value::Bool(w != 0),
+        }
+    }
+
+    /// The element at flat logical position `flat`, as the [`Value`] of
+    /// the view's element type.
+    #[inline]
+    pub(crate) fn get(&self, flat: i64) -> Value {
+        self.value_at(self.offset_flat(flat))
+    }
+
+    /// [`View::get`] by logical index.
+    #[inline]
+    pub(crate) fn get_at(&self, idx: &[i64]) -> Value {
+        self.value_at(self.offset(idx))
+    }
+
+    /// Contiguous row-major fast path: the whole view as a plain slice of
+    /// `T`, which must have the element type's width.
+    fn as_slice<T: Copy>(&self) -> Option<&[T]> {
+        let (base, n) = self.slice_bounds::<T>()?;
+        // SAFETY: `slice_bounds` checked `base + n <= len` elements of
+        // `size_of::<T>()` bytes each.
+        unsafe {
+            Some(std::slice::from_raw_parts(
+                (self.buf.ptr as *const T).add(base),
+                n,
+            ))
+        }
+    }
+
+    fn slice_bounds<T>(&self) -> Option<(usize, usize)> {
+        assert_eq!(size_of::<T>(), self.buf.elem.size_bytes());
+        let base = self.ixfn.contiguous_base()?;
+        let n = self.num_elems();
+        (base >= 0 && n >= 0 && (base + n) as usize <= self.buf.len)
+            .then_some((base as usize, n as usize))
     }
 }
 
 impl ViewMut {
     pub fn new(buf: RawBuf, ixfn: ConcreteIxFn) -> ViewMut {
-        ViewMut {
-            core: ViewCore::new(buf, ixfn),
-        }
+        ViewMut(View::new(buf, ixfn))
     }
 
     /// See [`View::with_class`].
-    pub fn with_class(buf: RawBuf, ixfn: ConcreteIxFn, plan: AccessClass) -> ViewMut {
-        debug_assert_eq!(plan, ixfn.classify());
-        ViewMut {
-            core: ViewCore { buf, ixfn, plan },
-        }
-    }
-
-    pub fn ixfn(&self) -> &ConcreteIxFn {
-        &self.core.ixfn
-    }
-
-    pub fn shape(&self) -> Vec<i64> {
-        self.core.ixfn.shape()
-    }
-
-    pub fn num_elems(&self) -> i64 {
-        self.core.ixfn.num_elems()
-    }
-
-    pub fn lmad(&self) -> Option<&ConcreteLmad> {
-        self.core.ixfn.as_single()
-    }
-
-    typed_access!(get_f32, get_f32_flat, f32, F32);
-    typed_access!(get_f64, get_f64_flat, f64, F64);
-    typed_access!(get_i64, get_i64_flat, i64, I64);
-
-    #[inline]
-    pub fn set_f32(&self, idx: &[i64], v: f32) {
-        let off = self.core.offset(idx);
-        unsafe { *(self.core.buf.ptr as *mut f32).add(off) = v }
-    }
-
-    #[inline]
-    pub fn set_f64(&self, idx: &[i64], v: f64) {
-        let off = self.core.offset(idx);
-        unsafe { *(self.core.buf.ptr as *mut f64).add(off) = v }
-    }
-
-    #[inline]
-    pub fn set_i64(&self, idx: &[i64], v: i64) {
-        let off = self.core.offset(idx);
-        unsafe { *(self.core.buf.ptr as *mut i64).add(off) = v }
-    }
-
-    #[inline]
-    pub fn set_f32_flat(&self, flat: i64, v: f32) {
-        let off = self.core.offset_flat(flat);
-        unsafe { *(self.core.buf.ptr as *mut f32).add(off) = v }
-    }
-
-    #[inline]
-    pub fn set_i64_flat(&self, flat: i64, v: i64) {
-        let off = self.core.offset_flat(flat);
-        unsafe { *(self.core.buf.ptr as *mut i64).add(off) = v }
-    }
-
-    /// Contiguous row-major fast path for writers.
-    ///
-    /// Views are raw-pointer handles (GPU-buffer style): several may alias
-    /// one block, and the compiler's non-overlap proofs — not the borrow
-    /// checker — guarantee exclusive access, hence the `&self` receiver.
-    #[allow(clippy::mut_from_ref)]
-    pub fn as_slice_f32_mut(&self) -> Option<&mut [f32]> {
-        let base = self.core.ixfn.contiguous_base()?;
-        let n = self.num_elems();
-        if base < 0 || n < 0 || (base + n) as usize > self.core.buf.len {
-            return None;
-        }
-        unsafe {
-            Some(std::slice::from_raw_parts_mut(
-                (self.core.buf.ptr as *mut f32).add(base as usize),
-                n as usize,
-            ))
-        }
-    }
-
-    /// See [`Self::as_slice_f32_mut`] for the aliasing discipline.
-    #[allow(clippy::mut_from_ref)]
-    pub fn as_slice_i64_mut(&self) -> Option<&mut [i64]> {
-        let base = self.core.ixfn.contiguous_base()?;
-        let n = self.num_elems();
-        if base < 0 || n < 0 || (base + n) as usize > self.core.buf.len {
-            return None;
-        }
-        unsafe {
-            Some(std::slice::from_raw_parts_mut(
-                (self.core.buf.ptr as *mut i64).add(base as usize),
-                n as usize,
-            ))
-        }
-    }
-
-    #[inline]
-    pub fn read_i64_off(&self, off: i64) -> i64 {
-        assert!(off >= 0 && (off as usize) < self.core.buf.len);
-        unsafe { *(self.core.buf.ptr as *const i64).add(off as usize) }
-    }
-
-    #[inline]
-    pub fn read_f32_off(&self, off: i64) -> f32 {
-        assert!(off >= 0 && (off as usize) < self.core.buf.len);
-        unsafe { *(self.core.buf.ptr as *const f32).add(off as usize) }
-    }
-
-    /// Write by precomputed flat memory offset.
-    #[inline]
-    pub fn write_i64_off(&self, off: i64, v: i64) {
-        assert!(off >= 0 && (off as usize) < self.core.buf.len);
-        unsafe { *(self.core.buf.ptr as *mut i64).add(off as usize) = v }
-    }
-
-    #[inline]
-    pub fn write_f32_off(&self, off: i64, v: f32) {
-        assert!(off >= 0 && (off as usize) < self.core.buf.len);
-        unsafe { *(self.core.buf.ptr as *mut f32).add(off as usize) = v }
+    pub(crate) fn with_class(buf: RawBuf, ixfn: ConcreteIxFn, plan: AccessClass) -> ViewMut {
+        ViewMut(View::with_class(buf, ixfn, plan))
     }
 
     pub fn row(&self, i: i64) -> ViewMut {
-        ViewMut {
-            core: ViewCore::new(self.core.buf, fix_outer(&self.core.ixfn, i)),
-        }
+        ViewMut(self.0.row(i))
     }
 
     /// Read-only alias of this view.
     pub fn as_view(&self) -> View {
-        View {
-            core: self.core.clone(),
-        }
+        self.0.clone()
     }
 
     /// The underlying raw buffer (for constructing derived views).
-    pub fn raw(&self) -> RawBuf {
-        self.core.buf
+    pub(crate) fn raw(&self) -> RawBuf {
+        self.buf
+    }
+
+    // Views are raw-pointer handles (GPU-buffer style): several may alias
+    // one block, and the compiler's non-overlap proofs — not the borrow
+    // checker — guarantee exclusive access, hence the `&self` receivers.
+
+    #[inline]
+    fn store<T: Elem>(&self, off: usize, v: T) {
+        debug_assert!(
+            self.buf.elem == T::TYPE || (self.buf.elem, T::TYPE) == (ElemType::Bool, ElemType::I64)
+        );
+        // SAFETY: as in `View::load`.
+        unsafe { *(self.buf.ptr as *mut T).add(off) = v }
+    }
+
+    /// Write one element by logical index.
+    #[inline]
+    pub fn set_f32(&self, idx: &[i64], v: f32) {
+        self.store(self.offset(idx), v)
+    }
+
+    /// See [`ViewMut::set_f32`].
+    #[inline]
+    pub fn set_f64(&self, idx: &[i64], v: f64) {
+        self.store(self.offset(idx), v)
+    }
+
+    /// See [`ViewMut::set_f32`].
+    #[inline]
+    pub fn set_i64(&self, idx: &[i64], v: i64) {
+        self.store(self.offset(idx), v)
+    }
+
+    /// Write by precomputed memory offset.
+    #[inline]
+    pub fn write_f32_off(&self, off: i64, v: f32) {
+        self.store(self.in_block(off), v)
+    }
+
+    /// See [`ViewMut::write_f32_off`].
+    #[inline]
+    pub fn write_i64_off(&self, off: i64, v: i64) {
+        self.store(self.in_block(off), v)
+    }
+
+    /// `v` as the word an element of this view's type stores (an `f32`
+    /// in the low half).
+    #[inline]
+    fn word_of(&self, v: &Value) -> u64 {
+        match self.buf.elem {
+            ElemType::F32 => v.as_f32().to_bits() as u64,
+            ElemType::F64 => v.as_f64().to_bits(),
+            ElemType::I64 => v.as_i64() as u64,
+            ElemType::Bool => (v.as_i64() != 0) as u64,
+        }
+    }
+
+    #[inline]
+    fn store_word(&self, off: usize, w: u64) {
+        // SAFETY: as in `View::load_word`.
+        unsafe {
+            match self.buf.elem.size_bytes() {
+                4 => *(self.buf.ptr as *mut u32).add(off) = w as u32,
+                _ => *(self.buf.ptr as *mut u64).add(off) = w,
+            }
+        }
+    }
+
+    /// Store `v`, converted to the view's element type, at flat logical
+    /// position `flat`.
+    #[inline]
+    pub(crate) fn set(&self, flat: i64, v: &Value) {
+        self.store_word(self.offset_flat(flat), self.word_of(v))
+    }
+
+    /// Copy the element at flat position `from` of `src` (a view of the
+    /// same element type) to flat position `to` — uninterpreted, by width.
+    #[inline]
+    pub(crate) fn copy_elem(&self, to: i64, src: &View, from: i64) {
+        debug_assert_eq!(self.buf.elem.size_bytes(), src.buf.elem.size_bytes());
+        self.store_word(self.offset_flat(to), src.load_word(src.offset_flat(from)))
+    }
+
+    /// Store `v` into every element of the view.
+    pub(crate) fn fill(&self, v: &Value) {
+        let w = self.word_of(v);
+        let filled = match self.buf.elem.size_bytes() {
+            4 => self.as_slice_mut::<u32>().map(|s| s.fill(w as u32)),
+            _ => self.as_slice_mut::<u64>().map(|s| s.fill(w)),
+        };
+        if filled.is_none() {
+            for f in 0..self.num_elems() {
+                self.store_word(self.offset_flat(f), w);
+            }
+        }
+    }
+
+    /// Contiguous row-major fast path for writers; see [`View::as_slice`].
+    #[allow(clippy::mut_from_ref)]
+    fn as_slice_mut<T: Copy>(&self) -> Option<&mut [T]> {
+        let (base, n) = self.slice_bounds::<T>()?;
+        // SAFETY: as in `View::as_slice`; exclusivity is the compiler's
+        // non-overlap proof (see above).
+        unsafe {
+            Some(std::slice::from_raw_parts_mut(
+                (self.buf.ptr as *mut T).add(base),
+                n,
+            ))
+        }
     }
 }
 
-unsafe impl Send for View {}
-unsafe impl Sync for View {}
-unsafe impl Send for ViewMut {}
-unsafe impl Sync for ViewMut {}
-
 /// Fix the outer logical dimension of an index function at `i`.
-pub fn fix_outer(ixfn: &ConcreteIxFn, i: i64) -> ConcreteIxFn {
+pub(crate) fn fix_outer(ixfn: &ConcreteIxFn, i: i64) -> ConcreteIxFn {
     let mut out = ixfn.clone();
     let logical = out.lmads.last_mut().unwrap();
     assert!(!logical.dims.is_empty(), "cannot fix a rank-0 view");
@@ -365,61 +380,47 @@ pub fn fix_outer(ixfn: &ConcreteIxFn, i: i64) -> ConcreteIxFn {
     out
 }
 
-/// Copy all elements of `src` into `dst` (same logical shape), returning
-/// the number of bytes moved. This is the runtime's "update"/"concat"
-/// copy, with a `memcpy` fast path when both sides are contiguous.
-pub fn copy_view(dst: &ViewMut, src: &View) -> u64 {
+/// Copy all elements of `src` into `dst` (same logical shape and element
+/// type), returning the number of bytes moved. This is the runtime's one
+/// copy routine — "update", "concat", the mapnest's row copy-out and
+/// result download — tiered: one `memcpy` when both sides are contiguous,
+/// a `memmove` per row when both are row-contiguous, element by element
+/// otherwise. Elements move by width; their type is never looked at.
+pub(crate) fn copy_view(dst: &ViewMut, src: &View) -> u64 {
     let n = src.num_elems();
     debug_assert_eq!(dst.num_elems(), n);
     if n <= 0 {
         return 0;
     }
-    let elem = src.core.buf.elem;
-    match elem {
-        arraymem_ir::ElemType::F32 => {
-            if let (Some(d), Some(s)) = (dst.as_slice_f32_mut(), src.as_slice_f32()) {
-                d.copy_from_slice(s);
-            } else {
-                copy_generic::<f32>(dst, src, n);
-            }
-        }
-        arraymem_ir::ElemType::I64 => {
-            if let (Some(d), Some(s)) = (dst.as_slice_i64_mut(), src.as_slice_i64()) {
-                d.copy_from_slice(s);
-            } else {
-                copy_generic::<i64>(dst, src, n);
-            }
-        }
-        arraymem_ir::ElemType::F64 => copy_generic::<f64>(dst, src, n),
-        arraymem_ir::ElemType::Bool => copy_generic::<i64>(dst, src, n),
+    let width = src.buf.elem.size_bytes();
+    match width {
+        4 => copy_elems::<u32>(dst, src, n),
+        _ => copy_elems::<u64>(dst, src, n),
     }
-    n as u64 * elem.size_bytes() as u64
+    n as u64 * width as u64
 }
 
-fn copy_generic<T: Copy>(dst: &ViewMut, src: &View, n: i64) {
-    // Generic strided copy through both index functions. Specialize the
+fn copy_elems<T: Copy>(dst: &ViewMut, src: &View, n: i64) {
+    if let (Some(d), Some(s)) = (dst.as_slice_mut::<T>(), src.as_slice::<T>()) {
+        d.copy_from_slice(s);
+        return;
+    }
+    // SAFETY (every raw move below): `T` has the element width (asserted by
+    // `as_slice` above), and each offset passed `in_block` — directly, via
+    // `offset_flat`, or as a whole row in the assert before the `memmove`.
+    let (sp, dp) = (src.buf.ptr as *const T, dst.buf.ptr as *mut T);
+    // Strided copy through both index functions. Specialize the
     // innermost dimension when both sides are single LMADs.
-    let (Some(dl), Some(sl)) = (dst.lmad(), src.lmad()) else {
+    let lmads = dst.lmad().zip(src.lmad());
+    let Some((dl, sl)) = lmads.filter(|(_, sl)| !sl.dims.is_empty()) else {
         for f in 0..n {
-            let so = src.core.offset_flat(f);
-            let do_ = dst.core.offset_flat(f);
-            unsafe {
-                *(dst.core.buf.ptr as *mut T).add(do_) = *(src.core.buf.ptr as *const T).add(so);
-            }
+            let (so, do_) = (src.offset_flat(f), dst.offset_flat(f));
+            unsafe { *dp.add(do_) = *sp.add(so) }
         }
         return;
     };
     let shape = sl.shape();
     let rank = shape.len();
-    if rank == 0 {
-        let so = sl.offset as usize;
-        let do_ = dl.offset as usize;
-        assert!(so < src.core.buf.len && do_ < dst.core.buf.len);
-        unsafe {
-            *(dst.core.buf.ptr as *mut T).add(do_) = *(src.core.buf.ptr as *const T).add(so);
-        }
-        return;
-    }
     // Iterate the outer dims, stream the innermost. When both innermost
     // strides are 1 (row-contiguous on both sides — e.g. copying a bar of
     // a rebased matrix) each run is a single `memcpy`.
@@ -435,32 +436,17 @@ fn copy_generic<T: Copy>(dst: &ViewMut, src: &View, n: i64) {
         if rows_contiguous {
             assert!(
                 so >= 0
-                    && (so + inner) as usize <= src.core.buf.len
+                    && (so + inner) as usize <= src.buf.len
                     && do_ >= 0
-                    && (do_ + inner) as usize <= dst.core.buf.len,
+                    && (do_ + inner) as usize <= dst.buf.len,
                 "copy out of bounds"
             );
             // memmove, not memcpy: src and dst may be views of one block.
-            unsafe {
-                std::ptr::copy(
-                    (src.core.buf.ptr as *const T).add(so as usize),
-                    (dst.core.buf.ptr as *mut T).add(do_ as usize),
-                    inner as usize,
-                );
-            }
+            unsafe { std::ptr::copy(sp.add(so as usize), dp.add(do_ as usize), inner as usize) }
         } else {
             for _ in 0..inner {
-                assert!(
-                    so >= 0
-                        && (so as usize) < src.core.buf.len
-                        && do_ >= 0
-                        && (do_ as usize) < dst.core.buf.len,
-                    "copy out of bounds"
-                );
-                unsafe {
-                    *(dst.core.buf.ptr as *mut T).add(do_ as usize) =
-                        *(src.core.buf.ptr as *const T).add(so as usize);
-                }
+                let (s, d) = (src.in_block(so), dst.in_block(do_));
+                unsafe { *dp.add(d) = *sp.add(s) }
                 so += s_in;
                 do_ += d_in;
             }
@@ -495,7 +481,7 @@ mod tests {
         let v = ViewMut::new(s.raw(b), ConcreteIxFn::row_major(&[3, 4]));
         v.set_f32(&[2, 3], 7.5);
         assert_eq!(v.get_f32(&[2, 3]), 7.5);
-        assert_eq!(v.as_view().get_f32_flat(11), 7.5);
+        assert_eq!(v.as_view().get(11).as_f32(), 7.5);
     }
 
     #[test]
@@ -522,45 +508,69 @@ mod tests {
         let _ = v.get_f32(&[3]); // offset 6 > len 4
     }
 
+    /// One input array per element width: the copy tiers move elements
+    /// by width, so `f64` takes the paths `i64` does.
+    fn inputs_0_to_8() -> [InputValue; 3] {
+        [
+            InputValue::ArrayF32((0..8).map(|i| i as f32).collect()),
+            InputValue::ArrayF64((0..8).map(|i| i as f64).collect()),
+            InputValue::ArrayI64((0..8).collect()),
+        ]
+    }
+
     #[test]
     fn copy_between_strided_views_matches_naive() {
         // dst: every other element of a block; src: a reversed view.
-        let (mut s, sb) = store_with((0..8).map(|i| i as f32).collect());
-        let db = s.alloc(ElemType::F32, 16);
-        let dst = ViewMut::new(
-            s.raw(db),
-            ConcreteIxFn::from_lmad(ConcreteLmad {
-                offset: 0,
-                dims: vec![(8, 2)],
-            }),
-        );
-        let src = View::new(
-            s.raw(sb),
-            ConcreteIxFn::from_lmad(ConcreteLmad {
-                offset: 7,
-                dims: vec![(8, -1)],
-            }),
-        );
-        let bytes = copy_view(&dst, &src);
-        assert_eq!(bytes, 32);
-        for i in 0..8 {
-            assert_eq!(dst.get_f32(&[i]), (7 - i) as f32, "elem {i}");
+        for data in inputs_0_to_8() {
+            let elem = data.array_bytes().unwrap().0;
+            let mut s = MemStore::new();
+            let sb = s.alloc_input(elem, 8, &data);
+            let db = s.alloc(elem, 16);
+            let dst = ViewMut::new(
+                s.raw(db),
+                ConcreteIxFn::from_lmad(ConcreteLmad {
+                    offset: 0,
+                    dims: vec![(8, 2)],
+                }),
+            );
+            let src = View::new(
+                s.raw(sb),
+                ConcreteIxFn::from_lmad(ConcreteLmad {
+                    offset: 7,
+                    dims: vec![(8, -1)],
+                }),
+            );
+            let bytes = copy_view(&dst, &src);
+            assert_eq!(bytes, 8 * elem.size_bytes() as u64);
+            for i in 0..8 {
+                assert_eq!(dst.get(i).as_i64(), 7 - i, "{elem:?} elem {i}");
+            }
         }
     }
 
     #[test]
     fn contiguous_copy_uses_memcpy_path() {
-        let mut s = MemStore::new();
-        let db = s.alloc(ElemType::I64, 6);
-        let sb = s.alloc_input(
-            ElemType::I64,
-            6,
-            &InputValue::ArrayI64(vec![1, 2, 3, 4, 5, 6]),
-        );
-        let dst = ViewMut::new(s.raw(db), ConcreteIxFn::row_major(&[6]));
-        let src = View::new(s.raw(sb), ConcreteIxFn::row_major(&[6]));
-        copy_view(&dst, &src);
-        assert_eq!(dst.as_slice_i64_mut().unwrap(), &[1, 2, 3, 4, 5, 6]);
+        for data in inputs_0_to_8() {
+            let elem = data.array_bytes().unwrap().0;
+            let mut s = MemStore::new();
+            let db = s.alloc(elem, 8);
+            let sb = s.alloc_input(elem, 8, &data);
+            let dst = ViewMut::new(s.raw(db), ConcreteIxFn::row_major(&[8]));
+            let src = View::new(s.raw(sb), ConcreteIxFn::row_major(&[8]));
+            // Both sides hand out plain slices: the single-memcpy tier.
+            match elem.size_bytes() {
+                4 => {
+                    assert!(dst.as_slice_mut::<u32>().is_some() && src.as_slice::<u32>().is_some())
+                }
+                _ => {
+                    assert!(dst.as_slice_mut::<u64>().is_some() && src.as_slice::<u64>().is_some())
+                }
+            }
+            copy_view(&dst, &src);
+            for i in 0..8 {
+                assert_eq!(dst.get(i).as_i64(), i, "{elem:?} elem {i}");
+            }
+        }
     }
 
     #[test]
@@ -606,7 +616,7 @@ mod tests {
             ],
         };
         let v = View::new(s.raw(b), ix);
-        let got: Vec<f32> = (0..6).map(|i| v.get_f32_flat(i)).collect();
+        let got: Vec<f32> = (0..6).map(|i| v.get(i).as_f32()).collect();
         assert_eq!(got, vec![0.0, 3.0, 1.0, 4.0, 2.0, 5.0]);
     }
 }
@@ -630,8 +640,8 @@ mod negative_len_tests {
                 dims: vec![(-2, 1)],
             }),
         );
-        assert!(v.as_slice_f32_mut().is_none());
-        assert!(v.as_view().as_slice_f32().is_none());
+        assert!(v.as_slice_mut::<f32>().is_none());
+        assert!(v.as_slice::<f32>().is_none());
         // And copying through it is a no-op, not UB.
         let src = View::new(
             s.raw(b),

@@ -46,11 +46,11 @@
 use crate::cache::PlanCache;
 use crate::kernel::{KernelCtx, KernelRegistry};
 use crate::plan::{
-    slot_lookup, Dest, ExecPlan, Instr, LExp, LSlice, LUpdateSrc, ParamSpec, Stream,
+    slot_lookup, Dest, ExecPlan, Instr, LExp, LSlice, LUpdateSrc, ParamSpec, Slot, SlotPoly, Stream,
 };
 use crate::pool::parallel_for_worker;
 use crate::stats::{Diagnostic, Stats};
-use crate::store::{CellState, MemStore};
+use crate::store::{CellState, MemStore, RawBuf};
 use crate::value::{ArrayRef, InputValue, OutputValue, Value};
 use crate::view::{copy_view, fix_outer, View, ViewMut};
 use arraymem_core::{CircuitCheck, MergeRecord, ParLevel, ParSafetyRecord};
@@ -260,12 +260,8 @@ pub fn execute_plan(
     mode: Mode,
     threads: usize,
 ) -> Result<(Vec<OutputValue>, Stats), String> {
-    if mode == Mode::Checked {
-        store.enable_shadow();
-    } else {
-        store.disable_shadow();
-    }
-    let mut m = Machine {
+    store.set_shadow(mode == Mode::Checked);
+    let result = Machine {
         store,
         kernels,
         regs: vec![Value::I64(0); plan.num_slots() as usize],
@@ -273,69 +269,31 @@ pub fn execute_plan(
         threads: threads.max(1),
         mode,
         cur_stm: None,
-    };
-    if inputs.len() != plan.params.len() {
-        return Err(format!(
-            "expected {} inputs, got {}",
-            plan.params.len(),
-            inputs.len()
-        ));
     }
-    for (spec, input) in plan.params.iter().zip(inputs) {
-        m.load_param(spec, input)?;
-    }
-    Stats::begin_body(m.store);
-    m.store.begin_colors(plan.num_colors);
-    let t0 = Instant::now();
-    m.exec_stream(&plan.body)?;
-    m.stats.total_time = t0.elapsed();
-    if m.checked() {
-        m.verify_merges(&plan.merge_checks);
-    }
-    m.stats.take_store_counters(m.store);
-    m.stats.blocks_merged = plan.blocks_merged;
-    let mut out = Vec::with_capacity(plan.results.len());
-    for (slot, v) in &plan.results {
-        m.cur_stm = Some(*v);
-        let value = m.regs[*slot as usize].clone();
-        out.push(extract(&mut m, &value));
-    }
-    let stats = m.stats;
-    // Results are extracted (deep-copied) above; everything the run
-    // allocated can feed the next run's allocations — including blocks
-    // still parked in color slabs.
+    .run(plan, inputs);
+    // Results were deep-copied out, so everything the run allocated —
+    // blocks still parked in color slabs included — can feed the next
+    // run's allocations. A failed run releases too: a rejected request
+    // must not pin its tenant's memory.
     store.drain_colors();
     store.release_all_live();
-    Ok((out, stats))
+    result
 }
 
-fn extract(m: &mut Machine, v: &Value) -> OutputValue {
-    match v {
-        Value::I64(x) => OutputValue::I64(*x),
-        Value::F32(x) => OutputValue::F32(*x),
-        Value::F64(x) => OutputValue::F64(*x),
-        Value::Bool(x) => OutputValue::Bool(*x),
-        Value::Mem(_) => OutputValue::I64(0),
-        Value::Array(a) => {
-            // Result extraction is a read like any other: never-written or
-            // already-released result cells are exactly what escapes to
-            // the caller.
-            m.check_read(a.block, &a.ixfn);
-            let view = m.view(a);
-            let n = view.num_elems();
-            match a.elem {
-                ElemType::F32 => {
-                    OutputValue::ArrayF32((0..n).map(|f| view.get_f32_flat(f)).collect())
-                }
-                ElemType::F64 => {
-                    OutputValue::ArrayF64((0..n).map(|f| view.get_f64_flat(f)).collect())
-                }
-                ElemType::I64 | ElemType::Bool => {
-                    OutputValue::ArrayI64((0..n).map(|f| view.get_i64_flat(f)).collect())
-                }
-            }
-        }
-    }
+/// A result array copied out into a dense vector, through the runtime's
+/// one (tiered) copy routine.
+fn download<T: Clone + Default>(src: &View, elem: ElemType) -> Vec<T> {
+    let mut out = vec![T::default(); src.num_elems().max(0) as usize];
+    let buf = RawBuf {
+        ptr: out.as_mut_ptr() as *mut u8,
+        len: out.len(),
+        elem,
+    };
+    copy_view(
+        &ViewMut::new(buf, ConcreteIxFn::row_major(&src.shape())),
+        src,
+    );
+    out
 }
 
 impl Machine<'_> {
@@ -348,48 +306,102 @@ impl Machine<'_> {
         self.mode == Mode::Checked
     }
 
+    /// Load inputs, execute the stream, extract the results.
+    fn run(
+        &mut self,
+        plan: &ExecPlan,
+        inputs: &[InputValue],
+    ) -> Result<(Vec<OutputValue>, Stats), String> {
+        if inputs.len() != plan.params.len() {
+            return Err(format!(
+                "expected {} inputs, got {}",
+                plan.params.len(),
+                inputs.len()
+            ));
+        }
+        for (spec, input) in plan.params.iter().zip(inputs) {
+            self.load_param(spec, input)?;
+        }
+        Stats::begin_body(self.store);
+        self.store.begin_colors(plan.num_colors);
+        let t0 = Instant::now();
+        self.exec_stream(&plan.body)?;
+        self.stats.total_time = t0.elapsed();
+        if self.checked() {
+            self.verify_merges(&plan.merge_checks);
+        }
+        self.stats.take_store_counters(self.store);
+        self.stats.blocks_merged = plan.blocks_merged;
+        let mut out = Vec::with_capacity(plan.results.len());
+        for (slot, v) in &plan.results {
+            self.cur_stm = Some(*v);
+            let value = self.regs[*slot as usize].clone();
+            out.push(self.extract(&value));
+        }
+        Ok((out, std::mem::take(&mut self.stats)))
+    }
+
+    fn extract(&mut self, v: &Value) -> OutputValue {
+        match v {
+            Value::I64(x) => OutputValue::I64(*x),
+            Value::F32(x) => OutputValue::F32(*x),
+            Value::F64(x) => OutputValue::F64(*x),
+            Value::Bool(x) => OutputValue::Bool(*x),
+            Value::Mem(_) => OutputValue::I64(0),
+            Value::Array(a) => {
+                // Result extraction is a read like any other: never-written
+                // or already-released result cells are exactly what escapes
+                // to the caller.
+                self.check_read(a.block, &a.ixfn);
+                let view = self.view(a);
+                match a.elem {
+                    ElemType::F32 => OutputValue::ArrayF32(download(&view, a.elem)),
+                    ElemType::F64 => OutputValue::ArrayF64(download(&view, a.elem)),
+                    ElemType::I64 | ElemType::Bool => {
+                        OutputValue::ArrayI64(download(&view, a.elem))
+                    }
+                }
+            }
+        }
+    }
+
     fn load_param(&mut self, spec: &ParamSpec, input: &InputValue) -> Result<(), String> {
         let v = spec.var;
-        match (&spec.ty, input) {
-            (Type::Scalar(ElemType::I64), InputValue::I64(x)) => {
-                self.regs[spec.slot as usize] = Value::I64(*x);
-            }
-            (Type::Scalar(ElemType::F32), InputValue::F32(x)) => {
-                self.regs[spec.slot as usize] = Value::F32(*x);
-            }
-            (Type::Scalar(ElemType::F64), InputValue::F64(x)) => {
-                self.regs[spec.slot as usize] = Value::F64(*x);
-            }
-            (Type::Scalar(ElemType::Bool), InputValue::Bool(x)) => {
-                self.regs[spec.slot as usize] = Value::Bool(*x);
-            }
+        self.regs[spec.slot as usize] = match (&spec.ty, input) {
+            (Type::Scalar(ElemType::I64), InputValue::I64(x)) => Value::I64(*x),
+            (Type::Scalar(ElemType::F32), InputValue::F32(x)) => Value::F32(*x),
+            (Type::Scalar(ElemType::F64), InputValue::F64(x)) => Value::F64(*x),
+            (Type::Scalar(ElemType::Bool), InputValue::Bool(x)) => Value::Bool(*x),
             (Type::Array { elem, .. }, arr) => {
-                let shape_c: Vec<i64> = spec
-                    .shape
+                let shape_c = self.eval_shape(&spec.shape, "unresolved param shape")?;
+                let n = shape_c
                     .iter()
-                    .map(|p| p.eval(&self.regs).ok_or("unresolved param shape"))
-                    .collect::<Result<_, _>>()?;
-                let n: i64 = shape_c.iter().product();
-                let len = match (elem, arr) {
-                    (ElemType::F32, InputValue::ArrayF32(d)) => d.len(),
-                    (ElemType::F64, InputValue::ArrayF64(d)) => d.len(),
-                    (ElemType::I64, InputValue::ArrayI64(d)) => d.len(),
+                    .try_fold(1i64, |n, &d| n.checked_mul(d).filter(|_| d >= 0))
+                    .ok_or_else(|| format!("shape {shape_c:?} of {v} has no element count"))?;
+                let len = match arr.array_bytes() {
+                    Some((e, bytes)) if e == *elem => bytes.len() / e.size_bytes(),
                     _ => return Err(format!("input type mismatch for {v}")),
                 };
-                assert_eq!(len as i64, n, "input length mismatch for {v}");
+                // A request's arrays come from outside: a wrong length is
+                // the client's error, not a broken invariant.
+                if len as i64 != n {
+                    return Err(format!(
+                        "input length mismatch for {v}: expected {n} elements, got {len}"
+                    ));
+                }
                 let block = self.store.alloc_input(*elem, len, arr);
-                self.regs[spec.slot as usize] = Value::Array(ArrayRef::new(
-                    block,
-                    *elem,
-                    ConcreteIxFn::row_major(&shape_c),
-                ));
                 // The parameter's memory block variable.
                 if let Some(ms) = spec.mem_slot {
                     self.regs[ms as usize] = Value::Mem(block);
                 }
+                Value::Array(ArrayRef::new(
+                    block,
+                    *elem,
+                    ConcreteIxFn::row_major(&shape_c),
+                ))
             }
             _ => return Err(format!("input mismatch for {v}")),
-        }
+        };
         Ok(())
     }
 
@@ -413,16 +425,9 @@ impl Machine<'_> {
     /// Shadow-mark every cell of `ixfn`'s footprint as written by the
     /// executing statement. No-op outside checked mode.
     fn mark_write(&mut self, block: usize, ixfn: &ConcreteIxFn) {
-        if !self.store.shadow_enabled() {
-            return;
-        }
-        let Some(writer) = self.cur_stm else { return };
-        let len = self.store.len(block);
-        let offs = ixfn.all_offsets();
-        self.stats.cells_checked += offs.len() as u64;
-        for off in offs {
-            if off >= 0 && (off as usize) < len {
-                self.store.shadow_mark(block, off as usize, writer);
+        if self.store.shadow_enabled() {
+            for off in ixfn.all_offsets() {
+                self.mark_cell(block, off);
             }
         }
     }
@@ -464,10 +469,9 @@ impl Machine<'_> {
         }
     }
 
-    /// Shadow-mark a single cell as written by the executing statement —
-    /// the per-lane variant of [`mark_write`](Machine::mark_write) for
-    /// runtime-indexed (scatter) writes, where only the lanes that passed
-    /// the bounds check were actually written. No-op outside checked mode.
+    /// Shadow-mark a single cell as written by the executing statement
+    /// (scatter marks only the lanes that passed the bounds check). No-op
+    /// outside checked mode.
     fn mark_cell(&mut self, block: usize, off: i64) {
         if !self.store.shadow_enabled() {
             return;
@@ -493,66 +497,27 @@ impl Machine<'_> {
         }
     }
 
-    /// Dynamic race detector for one map statement: enumerate each
-    /// iteration's write footprint (the result index function with the
-    /// outer dimension fixed) and report the first cell two different
-    /// iterations both write. No-op outside checked mode.
-    fn race_check(&mut self, block: usize, ixfn: &ConcreteIxFn, width: i64) {
-        if !self.store.shadow_enabled() || ixfn.rank() == 0 {
-            return;
-        }
+    /// The row-footprint enumeration behind both the map race detector
+    /// and the parallel pre-dispatch re-proof: enumerate each iteration's
+    /// write footprint (the result index function with the outer
+    /// dimension fixed) and report — with the diagnostic `overlap(stm,
+    /// ixfn, offset, iter_a, iter_b)` builds — the first cell two
+    /// different iterations both write. Returns whether the rows are
+    /// pairwise disjoint. The enumeration is thread-count independent, so
+    /// a verdict at one thread count transfers to any other.
+    fn rows_disjoint(
+        &mut self,
+        ixfn: &ConcreteIxFn,
+        width: i64,
+        overlap: impl FnOnce(String, String, i64, i64, i64) -> Diagnostic,
+    ) -> bool {
         let mut owner: HashMap<i64, i64> = HashMap::new();
         for i in 0..width.max(0) {
-            let row = fix_outer(ixfn, i);
-            for off in row.all_offsets() {
+            for off in fix_outer(ixfn, i).all_offsets() {
                 self.stats.cells_checked += 1;
                 match owner.insert(off, i) {
                     Some(prev) if prev != i => {
-                        let d = Diagnostic::MapRace {
-                            stm: self.stm_name(),
-                            block,
-                            offset: off,
-                            iter_a: prev,
-                            iter_b: i,
-                            ixfn: format!("{ixfn:?}"),
-                        };
-                        self.diag(d);
-                        return;
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-
-    /// Checked mode's pre-dispatch re-proof for a `par_safety`-approved
-    /// map: concretely enumerate each iteration's write footprint and
-    /// confirm chunk-wise disjointness. Returns `true` when the symbolic
-    /// verdict holds (the map may run parallel under the sanitizer); an
-    /// overlap reports [`Diagnostic::ParOverlap`] and the caller runs the
-    /// map serially. The enumeration is thread-count independent, so a
-    /// verdict at one thread count transfers to any other.
-    fn par_precheck(&mut self, block: usize, ixfn: &ConcreteIxFn, width: i64) -> bool {
-        if ixfn.rank() == 0 {
-            // A rank-0 result cannot be split into per-iteration rows;
-            // fall back to serial without claiming a verification.
-            return false;
-        }
-        let mut owner: HashMap<i64, i64> = HashMap::new();
-        for i in 0..width.max(0) {
-            let row = fix_outer(ixfn, i);
-            for off in row.all_offsets() {
-                self.stats.cells_checked += 1;
-                match owner.insert(off, i) {
-                    Some(prev) if prev != i => {
-                        let d = Diagnostic::ParOverlap {
-                            stm: self.stm_name(),
-                            block,
-                            offset: off,
-                            iter_a: prev,
-                            iter_b: i,
-                            ixfn: format!("{ixfn:?}"),
-                        };
+                        let d = overlap(self.stm_name(), format!("{ixfn:?}"), off, prev, i);
                         self.diag(d);
                         return false;
                     }
@@ -560,8 +525,115 @@ impl Machine<'_> {
                 }
             }
         }
-        self.stats.par_checks_verified += 1;
         true
+    }
+
+    /// Dynamic race detector for one map statement: no two iterations may
+    /// write one cell. No-op outside checked mode.
+    fn race_check(&mut self, block: usize, ixfn: &ConcreteIxFn, width: i64) {
+        if !self.store.shadow_enabled() || ixfn.rank() == 0 {
+            return;
+        }
+        self.rows_disjoint(ixfn, width, |stm, ixfn, offset, iter_a, iter_b| {
+            Diagnostic::MapRace {
+                stm,
+                block,
+                offset,
+                iter_a,
+                iter_b,
+                ixfn,
+            }
+        });
+    }
+
+    /// Checked mode's pre-dispatch re-proof for a `par_safety`-approved
+    /// map. Returns `true` when the symbolic verdict holds (the map may
+    /// run parallel under the sanitizer); an overlap reports
+    /// [`Diagnostic::ParOverlap`] and the caller runs the map serially.
+    fn par_precheck(&mut self, block: usize, ixfn: &ConcreteIxFn, width: i64) -> bool {
+        // A rank-0 result cannot be split into per-iteration rows; fall
+        // back to serial without claiming a verification.
+        let proven = ixfn.rank() > 0
+            && self.rows_disjoint(ixfn, width, |stm, ixfn, offset, iter_a, iter_b| {
+                Diagnostic::ParOverlap {
+                    stm,
+                    block,
+                    offset,
+                    iter_a,
+                    iter_b,
+                    ixfn,
+                }
+            });
+        self.stats.par_checks_verified += proven as u64;
+        proven
+    }
+
+    /// A gather/scatter lane whose runtime index lies outside `[0,
+    /// extent)`: checked mode records the finding and the caller skips
+    /// the lane; the unchecked evaluators abort.
+    fn oob_lane(&mut self, what: &str, lane: i64, index: i64, extent: i64) -> Result<(), String> {
+        if !self.checked() {
+            return Err(format!(
+                "{what} index {index} out of bounds for {extent} elements (lane {lane})"
+            ));
+        }
+        let d = Diagnostic::IndexOutOfBounds {
+            stm: self.stm_name(),
+            lane,
+            index,
+            extent,
+        };
+        self.diag(d);
+        Ok(())
+    }
+
+    /// An array operand about to be read in full.
+    fn operand(&mut self, slot: Slot) -> ArrayRef {
+        let a = self.regs[slot as usize].as_array().clone();
+        self.check_read(a.block, &a.ixfn);
+        a
+    }
+
+    /// Views of a map's input arrays, each about to be read in full.
+    fn input_views(&mut self, slots: &[Slot]) -> Vec<View> {
+        slots
+            .iter()
+            .map(|s| {
+                let a = self.operand(*s);
+                self.view(&a)
+            })
+            .collect()
+    }
+
+    /// Bind `slot` to a fresh array the executing statement just wrote in
+    /// full.
+    fn bind_written(&mut self, slot: Slot, a: ArrayRef) {
+        self.mark_write(a.block, &a.ixfn);
+        self.regs[slot as usize] = Value::Array(a);
+    }
+
+    /// One accounted copy: time it, count it, and shadow-mark the
+    /// destination footprint (a view of `block`) as written.
+    fn copy_into(&mut self, block: usize, dst: &ViewMut, src: &View) {
+        let t = Instant::now();
+        self.stats.bytes_copied += copy_view(dst, src);
+        self.stats.copy_time += t.elapsed();
+        self.stats.num_copies += 1;
+        self.mark_write(block, dst.ixfn());
+    }
+
+    /// Account a copy of `a` the optimizer elided.
+    fn count_elided(&mut self, a: &ArrayRef) {
+        self.stats.bytes_elided += a.ixfn.num_elems() as u64 * a.elem.size_bytes() as u64;
+        self.stats.num_elided += 1;
+    }
+
+    /// Evaluate a symbolic shape against the register file.
+    fn eval_shape(&self, shape: &[SlotPoly], err: &'static str) -> Result<Vec<i64>, &'static str> {
+        shape
+            .iter()
+            .map(|p| p.eval(&self.regs).ok_or(err))
+            .collect()
     }
 
     /// Execute a (linear, jump-threaded) instruction stream.
@@ -621,10 +693,9 @@ impl Machine<'_> {
                 let view = self.view_mut(&dst);
                 let n = view.num_elems();
                 for i in 0..n {
-                    view.set_i64_flat(i, i);
+                    view.set(i, &Value::I64(i));
                 }
-                self.mark_write(dst.block, &dst.ixfn);
-                self.regs[dest.slot as usize] = Value::Array(dst);
+                self.bind_written(dest.slot, dst);
             }
             Instr::Scratch { dest } => {
                 let dst = self.fresh_dest(dest)?;
@@ -633,51 +704,14 @@ impl Machine<'_> {
             Instr::Replicate { dest, value } => {
                 let v = self.eval_lexp(value)?;
                 let dst = self.fresh_dest(dest)?;
-                let view = self.view_mut(&dst);
-                let n = view.num_elems();
-                match dst.elem {
-                    ElemType::F32 => {
-                        let x = v.as_f32();
-                        if let Some(s) = view.as_slice_f32_mut() {
-                            s.fill(x);
-                        } else {
-                            for i in 0..n {
-                                view.set_f32_flat(i, x);
-                            }
-                        }
-                    }
-                    ElemType::F64 => {
-                        let x = v.as_f64();
-                        for i in 0..n {
-                            view.set_f64(&unflat(&view.shape(), i), x);
-                        }
-                    }
-                    ElemType::I64 | ElemType::Bool => {
-                        let x = v.as_i64();
-                        if let Some(s) = view.as_slice_i64_mut() {
-                            s.fill(x);
-                        } else {
-                            for i in 0..n {
-                                view.set_i64_flat(i, x);
-                            }
-                        }
-                    }
-                }
-                self.mark_write(dst.block, &dst.ixfn);
-                self.regs[dest.slot as usize] = Value::Array(dst);
+                self.view_mut(&dst).fill(&v);
+                self.bind_written(dest.slot, dst);
             }
             Instr::Copy { dest, src } => {
-                let src_a = self.regs[*src as usize].as_array().clone();
-                self.check_read(src_a.block, &src_a.ixfn);
+                let src_a = self.operand(*src);
                 let dst = self.fresh_dest(dest)?;
-                let sv = self.view(&src_a);
-                let dv = self.view_mut(&dst);
-                let t = Instant::now();
-                let bytes = copy_view(&dv, &sv);
-                self.stats.copy_time += t.elapsed();
-                self.stats.bytes_copied += bytes;
-                self.stats.num_copies += 1;
-                self.mark_write(dst.block, &dst.ixfn);
+                let (sv, dv) = (self.view(&src_a), self.view_mut(&dst));
+                self.copy_into(dst.block, &dv, &sv);
                 self.regs[dest.slot as usize] = Value::Array(dst);
             }
             Instr::Concat { dest, args } => {
@@ -685,28 +719,17 @@ impl Machine<'_> {
                 let dv = self.view_mut(&dst);
                 let mut row = 0i64;
                 for arg in args {
-                    let src_a = self.regs[arg.src as usize].as_array().clone();
                     // Every argument is read (an elided one was constructed
                     // directly in the destination — its cells must already
                     // be written there).
-                    self.check_read(src_a.block, &src_a.ixfn);
+                    let src_a = self.operand(arg.src);
                     let rows = src_a.ixfn.shape()[0];
-                    let elided_here = arg.elided && self.mem_like();
-                    if elided_here {
-                        let bytes = src_a.ixfn.num_elems() as u64 * src_a.elem.size_bytes() as u64;
-                        self.stats.bytes_elided += bytes;
-                        self.stats.num_elided += 1;
+                    if arg.elided && self.mem_like() {
+                        self.count_elided(&src_a);
                     } else {
                         let sv = self.view(&src_a);
                         // Destination sub-view: rows [row, row+rows).
-                        let sub = slice_rows(&dv, row, rows);
-                        let t = Instant::now();
-                        let bytes = copy_view(&sub, &sv);
-                        self.stats.copy_time += t.elapsed();
-                        self.stats.bytes_copied += bytes;
-                        self.stats.num_copies += 1;
-                        let sub_ix = sub.ixfn().clone();
-                        self.mark_write(dst.block, &sub_ix);
+                        self.copy_into(dst.block, &slice_rows(&dv, row, rows), &sv);
                     }
                     row += rows;
                 }
@@ -738,56 +761,32 @@ impl Machine<'_> {
             }
             Instr::Gather { dest, src, idx } => {
                 let src_a = self.regs[*src as usize].as_array().clone();
-                let idx_a = self.regs[*idx as usize].as_array().clone();
+                let idx_a = self.operand(*idx);
                 if idx_a.elem != ElemType::I64 {
                     return Err("gather index array must be i64".into());
                 }
-                self.check_read(idx_a.block, &idx_a.ixfn);
                 let dst = self.fresh_dest(dest)?;
                 let iv = self.view(&idx_a);
                 let sv = self.view(&src_a);
                 let dv = self.view_mut(&dst);
                 let n = iv.num_elems();
                 let extent = src_a.ixfn.num_elems();
-                let src_shape = sv.shape();
-                let dst_shape = dv.shape();
                 let t = Instant::now();
                 for k in 0..n.max(0) {
-                    let j = iv.get_i64_flat(k);
+                    let j = iv.get(k).as_i64();
                     if j < 0 || j >= extent {
-                        // Checked mode records the finding and skips the
-                        // lane; the unchecked evaluators abort.
-                        if self.checked() {
-                            let d = Diagnostic::IndexOutOfBounds {
-                                stm: self.stm_name(),
-                                lane: k,
-                                index: j,
-                                extent,
-                            };
-                            self.diag(d);
-                            continue;
-                        }
-                        return Err(format!(
-                            "gather index {j} out of bounds for {extent} elements (lane {k})"
-                        ));
+                        self.oob_lane("gather", k, j, extent)?;
+                        continue;
                     }
                     if self.store.shadow_enabled() {
-                        let off = src_a.ixfn.index(&unflat(&src_shape, j));
-                        self.check_cell(src_a.block, off, &src_a.ixfn);
+                        self.check_cell(src_a.block, src_a.ixfn.index_flat(j), &src_a.ixfn);
                     }
-                    match dst.elem {
-                        ElemType::F32 => dv.set_f32_flat(k, sv.get_f32_flat(j)),
-                        ElemType::F64 => {
-                            dv.set_f64(&unflat(&dst_shape, k), sv.get_f64(&unflat(&src_shape, j)))
-                        }
-                        ElemType::I64 | ElemType::Bool => dv.set_i64_flat(k, sv.get_i64_flat(j)),
-                    }
+                    dv.copy_elem(k, &sv, j);
                 }
                 self.stats.copy_time += t.elapsed();
                 self.stats.bytes_copied += n.max(0) as u64 * dst.elem.size_bytes() as u64;
                 self.stats.num_copies += 1;
-                self.mark_write(dst.block, &dst.ixfn);
-                self.regs[dest.slot as usize] = Value::Array(dst);
+                self.bind_written(dest.slot, dst);
             }
             Instr::MapKernel(mk) => {
                 let width = mk.width.eval(&self.regs).ok_or("unresolved map width")?;
@@ -796,28 +795,13 @@ impl Machine<'_> {
                     Some(k) => self.kernels.by_index(k).clone(),
                     None => return Err(format!("unregistered kernel {}", mk.kernel_name)),
                 };
-                let in_arrays: Vec<ArrayRef> = mk
-                    .inputs
-                    .iter()
-                    .map(|s| self.regs[*s as usize].as_array().clone())
-                    .collect();
-                for a in &in_arrays {
-                    self.check_read(a.block, &a.ixfn);
-                }
-                let inputs: Vec<View> = in_arrays.iter().map(|a| self.view(a)).collect();
+                let inputs = self.input_views(&mk.inputs);
                 let argv: Vec<Value> = mk
                     .args
                     .iter()
                     .map(|a| self.eval_lexp(a))
                     .collect::<Result<_, _>>()?;
-                let row_shape_c: Vec<i64> = mk
-                    .row_shape
-                    .iter()
-                    .map(|p| {
-                        p.eval(&self.regs)
-                            .ok_or_else(|| "unresolved row shape".to_string())
-                    })
-                    .collect::<Result<_, _>>()?;
+                let row_shape_c = self.eval_shape(&mk.row_shape, "unresolved row shape")?;
                 let row_elems: i64 = row_shape_c.iter().product();
                 let scalar_rows = row_shape_c.is_empty();
                 let par_proven = mk.par == ParLevel::Safe;
@@ -905,12 +889,11 @@ impl Machine<'_> {
                 if let Some(b) = temp_block {
                     self.store.release(b);
                 }
+                let bytes = (width * row_elems).max(0) as u64 * mk.elem.size_bytes() as u64;
                 if !direct {
-                    let bytes = (width * row_elems).max(0) as u64 * mk.elem.size_bytes() as u64;
                     self.stats.bytes_copied += bytes;
                     self.stats.num_copies += width.max(0) as u64;
                 } else if mk.in_place && self.mem_like() && !scalar_rows {
-                    let bytes = (width * row_elems).max(0) as u64 * mk.elem.size_bytes() as u64;
                     self.stats.bytes_elided += bytes;
                     self.stats.num_elided += width.max(0) as u64;
                 }
@@ -924,8 +907,7 @@ impl Machine<'_> {
                 if !precheck_ran {
                     self.race_check(dst.block, &dst.ixfn, width);
                 }
-                self.mark_write(dst.block, &dst.ixfn);
-                self.regs[mk.dest.slot as usize] = Value::Array(dst);
+                self.bind_written(mk.dest.slot, dst);
             }
             Instr::MapLambda(ml) => {
                 // Interpreted elementwise map over rank-1 inputs.
@@ -935,39 +917,19 @@ impl Machine<'_> {
                     .iter()
                     .map(|d| self.fresh_dest(d))
                     .collect::<Result<_, _>>()?;
-                let in_arrays: Vec<ArrayRef> = ml
-                    .inputs
-                    .iter()
-                    .map(|s| self.regs[*s as usize].as_array().clone())
-                    .collect();
-                for a in &in_arrays {
-                    self.check_read(a.block, &a.ixfn);
-                }
-                let in_views: Vec<View> = in_arrays.iter().map(|a| self.view(a)).collect();
+                let in_views = self.input_views(&ml.inputs);
                 let out_views: Vec<ViewMut> = dsts.iter().map(|a| self.view_mut(a)).collect();
                 let t0 = Instant::now();
                 // Parameter slots are overwritten per element; body-local
                 // slots are re-executed before any use, so the register
                 // file needs no per-element reset.
                 for i in 0..width {
-                    for (p, (view, a)) in ml.params.iter().zip(in_views.iter().zip(&in_arrays)) {
-                        let v = match a.elem {
-                            ElemType::F32 => Value::F32(view.get_f32(&[i])),
-                            ElemType::F64 => Value::F64(view.get_f64(&[i])),
-                            ElemType::I64 => Value::I64(view.get_i64(&[i])),
-                            ElemType::Bool => Value::Bool(view.get_i64(&[i]) != 0),
-                        };
-                        self.regs[*p as usize] = v;
+                    for (p, view) in ml.params.iter().zip(&in_views) {
+                        self.regs[*p as usize] = view.get(i);
                     }
                     self.exec_stream(&ml.body)?;
-                    for ((r, out), dst) in ml.results.iter().zip(&out_views).zip(&dsts) {
-                        let v = &self.regs[*r as usize];
-                        match dst.elem {
-                            ElemType::F32 => out.set_f32(&[i], v.as_f32()),
-                            ElemType::F64 => out.set_f64(&[i], v.as_f64()),
-                            ElemType::I64 => out.set_i64(&[i], v.as_i64()),
-                            ElemType::Bool => out.set_i64(&[i], v.as_bool() as i64),
-                        }
+                    for (r, out) in ml.results.iter().zip(&out_views) {
+                        out.set(i, &self.regs[*r as usize]);
                     }
                 }
                 self.stats.kernel_time += t0.elapsed();
@@ -977,8 +939,7 @@ impl Machine<'_> {
                 self.cur_stm = ml.stm_var;
                 for (d, dst) in ml.dests.iter().zip(dsts) {
                     self.race_check(dst.block, &dst.ixfn, width);
-                    self.mark_write(dst.block, &dst.ixfn);
-                    self.regs[d.slot as usize] = Value::Array(dst);
+                    self.bind_written(d.slot, dst);
                 }
             }
             Instr::Update(u) => {
@@ -1001,16 +962,13 @@ impl Machine<'_> {
                     // indices are legal and the last write wins — the
                     // schedule `par_safety` pinned with
                     // `ParReject::RuntimeIndexedWrite`.
-                    let idx_a = self.regs[*idx_slot as usize].as_array().clone();
-                    if idx_a.elem != ElemType::I64 {
-                        return Err("scatter index array must be i64".into());
-                    }
                     let LUpdateSrc::Array(s) = &u.src else {
                         return Err("scatter requires an array source".into());
                     };
-                    let src_a = self.regs[*s as usize].as_array().clone();
-                    self.check_read(idx_a.block, &idx_a.ixfn);
-                    self.check_read(src_a.block, &src_a.ixfn);
+                    let (idx_a, src_a) = (self.operand(*idx_slot), self.operand(*s));
+                    if idx_a.elem != ElemType::I64 {
+                        return Err("scatter index array must be i64".into());
+                    }
                     let iv = self.view(&idx_a);
                     let sv = self.view(&src_a);
                     let dview = self.view_mut(&result);
@@ -1023,41 +981,18 @@ impl Machine<'_> {
                         ));
                     }
                     let extent = result.ixfn.num_elems();
-                    let src_shape = sv.shape();
-                    let dst_shape = dview.shape();
                     let t = Instant::now();
                     let mut lanes_written = 0u64;
                     for k in 0..n.max(0) {
-                        let j = iv.get_i64_flat(k);
+                        let j = iv.get(k).as_i64();
                         if j < 0 || j >= extent {
-                            if self.checked() {
-                                let d = Diagnostic::IndexOutOfBounds {
-                                    stm: self.stm_name(),
-                                    lane: k,
-                                    index: j,
-                                    extent,
-                                };
-                                self.diag(d);
-                                continue;
-                            }
-                            return Err(format!(
-                                "scatter index {j} out of bounds for {extent} elements (lane {k})"
-                            ));
+                            self.oob_lane("scatter", k, j, extent)?;
+                            continue;
                         }
-                        match result.elem {
-                            ElemType::F32 => dview.set_f32_flat(j, sv.get_f32_flat(k)),
-                            ElemType::F64 => dview.set_f64(
-                                &unflat(&dst_shape, j),
-                                sv.get_f64(&unflat(&src_shape, k)),
-                            ),
-                            ElemType::I64 | ElemType::Bool => {
-                                dview.set_i64_flat(j, sv.get_i64_flat(k))
-                            }
-                        }
+                        dview.copy_elem(j, &sv, k);
                         lanes_written += 1;
                         if self.store.shadow_enabled() {
-                            let off = result.ixfn.index(&unflat(&dst_shape, j));
-                            self.mark_cell(result.block, off);
+                            self.mark_cell(result.block, result.ixfn.index_flat(j));
                         }
                     }
                     self.stats.copy_time += t.elapsed();
@@ -1095,41 +1030,21 @@ impl Machine<'_> {
                 match &u.src {
                     LUpdateSrc::Scalar(se) => {
                         let v = self.eval_lexp(se)?;
-                        let dview = ViewMut::new(self.store.raw(result.block), slice_ixfn.clone());
-                        let n = dview.num_elems();
-                        for f in 0..n.max(0) {
-                            match result.elem {
-                                ElemType::F32 => dview.set_f32_flat(f, v.as_f32()),
-                                ElemType::F64 => {
-                                    let idx = unflat(&dview.shape(), f);
-                                    dview.set_f64(&idx, v.as_f64());
-                                }
-                                ElemType::I64 | ElemType::Bool => dview.set_i64_flat(f, v.as_i64()),
-                            }
-                        }
-                        self.mark_write(result.block, &slice_ixfn);
+                        let dview = ViewMut::new(self.store.raw(result.block), slice_ixfn);
+                        dview.fill(&v);
+                        self.mark_write(result.block, dview.ixfn());
                     }
                     LUpdateSrc::Array(s) => {
-                        let src_a = self.regs[*s as usize].as_array().clone();
                         // Read check either way: an elided update's source
                         // was constructed directly in the destination
                         // slice, so its cells must already be written there.
-                        self.check_read(src_a.block, &src_a.ixfn);
+                        let src_a = self.operand(*s);
                         if u.elided && self.mem_like() {
-                            let bytes =
-                                src_a.ixfn.num_elems() as u64 * src_a.elem.size_bytes() as u64;
-                            self.stats.bytes_elided += bytes;
-                            self.stats.num_elided += 1;
+                            self.count_elided(&src_a);
                         } else {
                             let sv = self.view(&src_a);
-                            let dview =
-                                ViewMut::new(self.store.raw(result.block), slice_ixfn.clone());
-                            let t = Instant::now();
-                            let bytes = copy_view(&dview, &sv);
-                            self.stats.copy_time += t.elapsed();
-                            self.stats.bytes_copied += bytes;
-                            self.stats.num_copies += 1;
-                            self.mark_write(result.block, &slice_ixfn);
+                            let dview = ViewMut::new(self.store.raw(result.block), slice_ixfn);
+                            self.copy_into(result.block, &dview, &sv);
                         }
                     }
                 }
@@ -1137,12 +1052,11 @@ impl Machine<'_> {
             }
             Instr::Release { slot, site } => {
                 // Return blocks that just saw their last use to the free
-                // list. Checked mode records the release site: a later
+                // list. The shadow layer records the release site: a later
                 // read of the block names the statement whose plan entry
                 // freed it.
                 if let Value::Mem(id) = self.regs[*slot as usize] {
-                    let site = if self.checked() { *site } else { None };
-                    self.store.release_at(id, site);
+                    self.store.release_at(id, *site);
                 }
             }
             Instr::ReleaseCarried {
@@ -1170,8 +1084,7 @@ impl Machine<'_> {
                         |g| matches!(self.regs[*g as usize], Value::Mem(id) if id == incoming_id),
                     );
                 if !aliased {
-                    let site = if self.checked() { *site } else { None };
-                    self.store.release_colored(incoming_id, *color, site);
+                    self.store.release_colored(incoming_id, *color, *site);
                 }
             }
             Instr::CopySlots { pairs } => {
@@ -1197,12 +1110,36 @@ impl Machine<'_> {
         Ok(())
     }
 
+    /// The footprint-pair loop behind both cross-checks: prove each
+    /// (concrete) pair disjoint by enumeration, reporting every
+    /// intersecting pair with the diagnostic `overlap(offset, a, b)`
+    /// builds. Returns whether every pair enumerated cleanly — a pair too
+    /// large to enumerate confirms nothing.
+    fn pairs_disjoint<'p>(
+        &mut self,
+        pairs: impl Iterator<Item = (&'p ConcreteLmad, &'p ConcreteLmad)>,
+        overlap: impl Fn(i64, &ConcreteLmad, &ConcreteLmad) -> Diagnostic,
+    ) -> bool {
+        let mut confirmed = true;
+        for (a, b) in pairs {
+            match footprint_check(a, b, FOOTPRINT_CAP) {
+                FootprintCheck::Disjoint => {}
+                FootprintCheck::TooLarge => confirmed = false,
+                FootprintCheck::Overlap(off) => {
+                    confirmed = false;
+                    self.diag(overlap(off, a, b));
+                }
+            }
+        }
+        confirmed
+    }
+
     /// Cross-check lowered short-circuit footprints with the current
     /// block's symbols in scope: evaluate the recorded symbolic footprints
-    /// and prove each (write, later-use) pair disjoint by enumeration.
-    /// The instruction sits at the end of the defining block, so circuits
-    /// inside loop bodies are re-verified per iteration against that
-    /// iteration's concrete offsets. Checked mode only.
+    /// and prove each (write, later-use) pair disjoint. The instruction
+    /// sits at the end of the defining block, so circuits inside loop
+    /// bodies are re-verified per iteration against that iteration's
+    /// concrete offsets. Checked mode only.
     fn verify_checks(&mut self, checks: &[crate::plan::LoweredCheck]) {
         for c in checks {
             let (writes, uses): (Vec<ConcreteLmad>, Vec<ConcreteLmad>) = {
@@ -1212,29 +1149,17 @@ impl Machine<'_> {
                     c.uses.iter().filter_map(|l| l.eval(&lookup)).collect(),
                 )
             };
+            let pairs = writes.iter().flat_map(|w| uses.iter().map(move |u| (w, u)));
+            let disjoint = self.pairs_disjoint(pairs, |offset, w, u| Diagnostic::CircuitOverlap {
+                root: c.root.clone(),
+                stm: c.stm.clone(),
+                offset,
+                write_ixfn: format!("{w:?}"),
+                use_ixfn: format!("{u:?}"),
+            });
             // The check only counts as verified when every recorded
-            // footprint evaluated and every pair enumerated cleanly.
-            let mut confirmed = writes.len() == c.writes.len() && uses.len() == c.uses.len();
-            for w in &writes {
-                for u in &uses {
-                    match footprint_check(w, u, FOOTPRINT_CAP) {
-                        FootprintCheck::Disjoint => {}
-                        FootprintCheck::TooLarge => confirmed = false,
-                        FootprintCheck::Overlap(off) => {
-                            confirmed = false;
-                            let d = Diagnostic::CircuitOverlap {
-                                root: c.root.clone(),
-                                stm: c.stm.clone(),
-                                offset: off,
-                                write_ixfn: format!("{w:?}"),
-                                use_ixfn: format!("{u:?}"),
-                            };
-                            self.diag(d);
-                        }
-                    }
-                }
-            }
-            if confirmed {
+            // footprint evaluated as well.
+            if disjoint && writes.len() == c.writes.len() && uses.len() == c.uses.len() {
                 self.stats.circuits_verified += 1;
             }
         }
@@ -1243,41 +1168,28 @@ impl Machine<'_> {
     /// Re-prove every footprint-justified merge: each recorded
     /// (victim-tenant, resident) pair is evaluated to concrete LMADs
     /// against the final register file (merge footprints reference
-    /// top-level scalars, which stay bound for the whole run) and
-    /// enumerated for disjointness — the merge-pass analogue of
-    /// [`verify_checks`](Machine::verify_checks).
+    /// top-level scalars, which stay bound for the whole run) — the
+    /// merge-pass analogue of [`verify_checks`](Machine::verify_checks).
     fn verify_merges(&mut self, checks: &[crate::plan::LoweredMergeCheck]) {
         for c in checks {
-            let pairs: Vec<(Option<ConcreteLmad>, Option<ConcreteLmad>)> = {
+            let pairs: Vec<(ConcreteLmad, ConcreteLmad)> = {
                 let lookup = slot_lookup(&c.vars, &self.regs);
                 c.pairs
                     .iter()
-                    .map(|(a, b)| (a.eval(&lookup), b.eval(&lookup)))
+                    .filter_map(|(a, b)| Some((a.eval(&lookup)?, b.eval(&lookup)?)))
                     .collect()
             };
-            let mut confirmed = true;
-            for pair in &pairs {
-                let (Some(v), Some(r)) = pair else {
-                    confirmed = false;
-                    continue;
-                };
-                match footprint_check(v, r, FOOTPRINT_CAP) {
-                    FootprintCheck::Disjoint => {}
-                    FootprintCheck::TooLarge => confirmed = false,
-                    FootprintCheck::Overlap(off) => {
-                        confirmed = false;
-                        let d = Diagnostic::MergeOverlap {
-                            host: c.host.clone(),
-                            victim: c.victim.clone(),
-                            offset: off,
-                            victim_ixfn: format!("{v:?}"),
-                            resident_ixfn: format!("{r:?}"),
-                        };
-                        self.diag(d);
+            let disjoint =
+                self.pairs_disjoint(pairs.iter().map(|(v, r)| (v, r)), |offset, v, r| {
+                    Diagnostic::MergeOverlap {
+                        host: c.host.clone(),
+                        victim: c.victim.clone(),
+                        offset,
+                        victim_ixfn: format!("{v:?}"),
+                        resident_ixfn: format!("{r:?}"),
                     }
-                }
-            }
-            if confirmed {
+                });
+            if disjoint && pairs.len() == c.pairs.len() {
                 self.stats.merges_verified += 1;
             }
         }
@@ -1314,11 +1226,7 @@ impl Machine<'_> {
                 .ok_or_else(|| format!("cannot evaluate index function of {}", d.var))?;
             Ok(ArrayRef::with_class(block, d.elem, ixfn, class))
         } else {
-            let shape: Vec<i64> = d
-                .shape
-                .iter()
-                .map(|p| p.eval(&self.regs).ok_or("unresolved shape"))
-                .collect::<Result<_, _>>()?;
+            let shape = self.eval_shape(&d.shape, "unresolved shape")?;
             let n: i64 = shape.iter().product();
             let block = self.store.alloc(d.elem, n.max(0) as usize);
             Ok(ArrayRef::new(
@@ -1353,13 +1261,7 @@ impl Machine<'_> {
                     let off = a.ixfn.index(&idx);
                     self.check_cell(a.block, off, &a.ixfn);
                 }
-                let view = self.view(&a);
-                match a.elem {
-                    ElemType::F32 => Value::F32(view.get_f32(&idx)),
-                    ElemType::F64 => Value::F64(view.get_f64(&idx)),
-                    ElemType::I64 => Value::I64(view.get_i64(&idx)),
-                    ElemType::Bool => Value::Bool(view.get_i64(&idx) != 0),
-                }
+                self.view(&a).get_at(&idx)
             }
             LExp::Select(c, t, f) => {
                 if self.eval_lexp(c)?.as_bool() {
@@ -1384,41 +1286,29 @@ fn coerce(v: Value, elem: Option<ElemType>) -> Value {
 
 fn eval_bin(op: BinOp, x: &Value, y: &Value) -> Result<Value, String> {
     use BinOp::*;
+    // The float arm, once for both widths.
+    macro_rules! float_bin {
+        ($v:ident, $a:expr, $b:expr) => {{
+            let (a, b) = ($a, $b);
+            match op {
+                Add => Value::$v(a + b),
+                Sub => Value::$v(a - b),
+                Mul => Value::$v(a * b),
+                Div => Value::$v(a / b),
+                Rem => Value::$v(a % b),
+                Min => Value::$v(a.min(b)),
+                Max => Value::$v(a.max(b)),
+                Eq => Value::Bool(a == b),
+                Ne => Value::Bool(a != b),
+                Lt => Value::Bool(a < b),
+                Le => Value::Bool(a <= b),
+                And | Or => return Err("boolean op on floats".into()),
+            }
+        }};
+    }
     Ok(match (x, y) {
-        (Value::F32(_), _) | (_, Value::F32(_)) => {
-            let (a, b) = (x.as_f32(), y.as_f32());
-            match op {
-                Add => Value::F32(a + b),
-                Sub => Value::F32(a - b),
-                Mul => Value::F32(a * b),
-                Div => Value::F32(a / b),
-                Rem => Value::F32(a % b),
-                Min => Value::F32(a.min(b)),
-                Max => Value::F32(a.max(b)),
-                Eq => Value::Bool(a == b),
-                Ne => Value::Bool(a != b),
-                Lt => Value::Bool(a < b),
-                Le => Value::Bool(a <= b),
-                And | Or => return Err("boolean op on floats".into()),
-            }
-        }
-        (Value::F64(_), _) | (_, Value::F64(_)) => {
-            let (a, b) = (x.as_f64(), y.as_f64());
-            match op {
-                Add => Value::F64(a + b),
-                Sub => Value::F64(a - b),
-                Mul => Value::F64(a * b),
-                Div => Value::F64(a / b),
-                Rem => Value::F64(a % b),
-                Min => Value::F64(a.min(b)),
-                Max => Value::F64(a.max(b)),
-                Eq => Value::Bool(a == b),
-                Ne => Value::Bool(a != b),
-                Lt => Value::Bool(a < b),
-                Le => Value::Bool(a <= b),
-                And | Or => return Err("boolean op on floats".into()),
-            }
-        }
+        (Value::F32(_), _) | (_, Value::F32(_)) => float_bin!(F32, x.as_f32(), y.as_f32()),
+        (Value::F64(_), _) | (_, Value::F64(_)) => float_bin!(F64, x.as_f64(), y.as_f64()),
         (Value::Bool(a), Value::Bool(b)) => match op {
             And => Value::Bool(*a && *b),
             Or => Value::Bool(*a || *b),
@@ -1449,6 +1339,11 @@ fn eval_bin(op: BinOp, x: &Value, y: &Value) -> Result<Value, String> {
 
 fn eval_un(op: UnOp, x: &Value) -> Result<Value, String> {
     use UnOp::*;
+    // A float function at the operand's width (non-floats widen to f32).
+    let float = |f64_fn: fn(f64) -> f64, f32_fn: fn(f32) -> f32| match x {
+        Value::F64(v) => Value::F64(f64_fn(*v)),
+        v => Value::F32(f32_fn(v.as_f32())),
+    };
     Ok(match op {
         Neg => match x {
             Value::F32(v) => Value::F32(-v),
@@ -1457,18 +1352,9 @@ fn eval_un(op: UnOp, x: &Value) -> Result<Value, String> {
             _ => return Err("neg on non-number".into()),
         },
         Not => Value::Bool(!x.as_bool()),
-        Sqrt => match x {
-            Value::F64(v) => Value::F64(v.sqrt()),
-            v => Value::F32(v.as_f32().sqrt()),
-        },
-        Exp => match x {
-            Value::F64(v) => Value::F64(v.exp()),
-            v => Value::F32(v.as_f32().exp()),
-        },
-        Log => match x {
-            Value::F64(v) => Value::F64(v.ln()),
-            v => Value::F32(v.as_f32().ln()),
-        },
+        Sqrt => float(f64::sqrt, f32::sqrt),
+        Exp => float(f64::exp, f32::exp),
+        Log => float(f64::ln, f32::ln),
         Abs => match x {
             Value::F32(v) => Value::F32(v.abs()),
             Value::F64(v) => Value::F64(v.abs()),
@@ -1490,13 +1376,6 @@ fn slice_rows(v: &ViewMut, row: i64, rows: i64) -> ViewMut {
     logical.offset += row * stride;
     logical.dims[0] = (rows, stride);
     ViewMut::new(v.raw(), ixfn)
-}
-
-/// Unrank a flat position into an index vector.
-fn unflat(shape: &[i64], flat: i64) -> Vec<i64> {
-    let mut idx = vec![0i64; shape.len()];
-    arraymem_lmad::concrete::unrank(flat, shape, &mut idx);
-    idx
 }
 
 /// Evaluate a (symbolic) layout transform against a concrete index

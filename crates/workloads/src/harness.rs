@@ -61,8 +61,8 @@ impl Case {
         self.run_in_at(session, compiled, arraymem_exec::pool::default_threads())
     }
 
-    /// [`run_in`](Case::run_in) at an explicit thread count — the scaling
-    /// benchmark sweeps this while reusing one session per thread count.
+    /// [`run_in`](Case::run_in) at an explicit thread count — the
+    /// thread-invariance tests sweep this over one session.
     pub fn run_in_at(
         &self,
         session: &mut Session,
@@ -183,8 +183,6 @@ impl Case {
 pub struct Measurement {
     pub name: String,
     pub dataset: String,
-    /// Worker-pool thread count the variants were executed at.
-    pub threads: usize,
     pub reference: Duration,
     pub unopt: Duration,
     pub opt: Duration,
@@ -238,14 +236,6 @@ fn average_body_time<F: FnMut() -> Duration>(runs: usize, mut f: F) -> Duration 
 /// allocations are served from the blocks the previous run released. The
 /// reported stats are those of the final (steady-state) run.
 pub fn measure_case(case: &Case) -> Measurement {
-    measure_case_at(case, arraymem_exec::pool::default_threads())
-}
-
-/// [`measure_case`] at an explicit worker-pool thread count. The plan
-/// cache is keyed on the program and its obligation records, not the
-/// thread count, so per-thread-count sessions keep the one-build
-/// invariant.
-pub fn measure_case_at(case: &Case, threads: usize) -> Measurement {
     let unopt = case.compile(false);
     let opt = case.compile(true);
     let reference = average_body_time(case.runs, || {
@@ -257,7 +247,7 @@ pub fn measure_case_at(case: &Case, threads: usize) -> Measurement {
         let mut session = Session::new();
         let mut last_stats: Option<Stats> = None;
         let t = average_body_time(case.runs, || {
-            let (out, stats) = case.run_in_at(&mut session, compiled, threads);
+            let (out, stats) = case.run_in(&mut session, compiled);
             std::hint::black_box(out);
             let t = stats.total_time;
             last_stats = Some(stats);
@@ -281,7 +271,6 @@ pub fn measure_case_at(case: &Case, threads: usize) -> Measurement {
     Measurement {
         name: case.name.clone(),
         dataset: case.dataset.clone(),
-        threads,
         reference,
         unopt: unopt_t,
         opt: opt_t,

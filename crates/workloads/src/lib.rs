@@ -23,7 +23,7 @@ pub mod nn;
 pub mod nw;
 pub mod optionpricing;
 
-pub use harness::{measure_case, measure_case_at, Case, Measurement, RefFn};
+pub use harness::{measure_case, Case, Measurement, RefFn};
 
 #[cfg(test)]
 mod tests;

@@ -60,8 +60,26 @@ tier "per-pass IR snapshots (NW, interleaved IR validation forced on)" \
 
 # The repo benchmark is a package of its own that calls the crates'
 # public API from outside; building it untouched and running its smoke
-# catches API drift before the benchmark driver does.
+# catches API drift before the benchmark driver does. Its unit tests
+# (medians, compare verdicts, JSON) are in no workspace, so only this
+# tier runs them.
 tier "benchmark (builds against the public API, smoke run)" \
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
+tier "benchmark (its own unit tests)" \
+    cargo test --release --offline --quiet --manifest-path benchmark/Cargo.toml
+
+# ROADMAP item 3's line target, as a number in every PR: lines of each
+# crate's src/*.rs up to its first #[cfg(test)], tests.rs excluded.
+src_lines() {
+    for crate in exec core bench server; do
+        n=0
+        for f in crates/$crate/src/*.rs; do
+            [ "$f" = "crates/$crate/src/tests.rs" ] && continue
+            n=$((n + $(awk '/#\[cfg\(test\)\]/{exit}{n++}END{print n+0}' "$f")))
+        done
+        echo "crates/$crate/src: $n"
+    done
+}
+tier "non-test source lines (exec, core, bench, server)" src_lines
 
 echo "== verify: OK ($(($(date +%s) - gate_start)) s) =="

@@ -17,7 +17,7 @@
 
 use arraymem_bench::tables::table_cases;
 use arraymem_core::{compile, Options};
-use arraymem_exec::{Diagnostic, KernelRegistry, Mode, OutputValue, PlanCache, Stats};
+use arraymem_exec::{Diagnostic, InputValue, KernelRegistry, Mode, OutputValue, PlanCache, Stats};
 use arraymem_ir::{Builder, ElemType, Program, ScalarExp};
 use arraymem_server::{ExecRequest, Server, ServerConfig, ServerError};
 use arraymem_symbolic::Poly;
@@ -363,6 +363,52 @@ fn oversized_cross_tenant_donation_never_leaks() {
     );
     let arena = server.arena_stats();
     assert!(arena.adopted_cross_tenant >= 1, "{arena:?}");
+}
+
+/// A malformed request is that request's error, not its tenant's end. A
+/// wrong-length input array must not panic inside `execute`: the tenant's
+/// mutex is held there, and a poisoned mutex fails every later request of
+/// the tenant *and* `global_stats()`. The request comes back as a typed
+/// error, leaves nothing charged to the tenant, and the tenant's next
+/// good request succeeds.
+#[test]
+fn malformed_input_is_a_typed_error_and_the_tenant_lives_on() {
+    let mut bld = Builder::new("add8");
+    let xs = bld.array_param("xs", ElemType::F32, vec![c(8)]);
+    let ys = bld.array_param("ys", ElemType::F32, vec![c(8)]);
+    let mut b = bld.block();
+    let zs = b.concat("zs", vec![xs, ys]);
+    let compiled = compile(&bld.finish(b.finish(vec![zs])), &Options::default()).expect("compile");
+    let kernels = KernelRegistry::new();
+    let server = Server::new(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+    let eight = InputValue::ArrayF32((0..8).map(|i| i as f32).collect());
+
+    // The first array uploads fine; the second holds 3 elements for `[8]f32`.
+    let bad = [eight.clone(), InputValue::ArrayF32(vec![1.0; 3])];
+    let req = ExecRequest::from_compiled(&compiled, &kernels, &[], &bad, Mode::Memory);
+    let err = server
+        .execute("a", req)
+        .expect_err("a 3-element array is not an [8]f32");
+    assert!(
+        matches!(&err, ServerError::Execution(msg) if msg.contains("length mismatch")),
+        "{err}"
+    );
+    assert_eq!(
+        server.arena_stats().live_bytes,
+        0,
+        "the rejected request's uploaded block must not stay charged"
+    );
+
+    let good = [eight.clone(), eight];
+    let req = ExecRequest::from_compiled(&compiled, &kernels, &[], &good, Mode::Memory);
+    let (out, _) = server.execute("a", req).expect("the tenant's next request");
+    let expect: Vec<f32> = (0..8).chain(0..8).map(|i| i as f32).collect();
+    assert_eq!(out, vec![OutputValue::ArrayF32(expect)]);
+    assert_eq!(server.tenant_stats("a").expect("tenant a").runs, 1);
+    assert_eq!(server.global_stats().runs, 1);
 }
 
 /// Input upload draws from recycled blocks like every other allocation,
