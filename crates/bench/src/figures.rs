@@ -14,32 +14,25 @@ fn c(x: i64) -> Poly {
     Poly::constant(x)
 }
 
+/// The points of the integer LMAD `offset + {(card : stride), ...}`.
+fn points(offset: i64, dims: &[(i64, i64)]) -> Vec<i64> {
+    let dims = dims.iter().map(|&(card, stride)| Dim { card, stride });
+    ConcreteLmad {
+        offset,
+        dims: dims.collect(),
+    }
+    .points()
+}
+
 /// Fig. 2: the NW anti-diagonal access pattern, rendered on a small
 /// blocked matrix. `W` cells are written, `v`/`h` are the read bars.
 pub fn fig2_nw_pattern(q: i64, b: i64, diag: i64) -> String {
     let n = q * b + 1;
-    let lookup = |_s| None;
-    let at = |off: Poly, dims: Vec<Dim>| -> Vec<i64> {
-        Lmad::new(off, dims).eval(&lookup).unwrap().points()
-    };
     let i = diag;
     let bs = n * b - b;
-    let w = at(
-        c(i * b + n + 1),
-        vec![
-            Dim::new(c(i + 1), c(bs)),
-            Dim::new(c(b), c(n)),
-            Dim::new(c(b), c(1)),
-        ],
-    );
-    let rv = at(
-        c(i * b),
-        vec![Dim::new(c(i + 1), c(bs)), Dim::new(c(b + 1), c(n))],
-    );
-    let rh = at(
-        c(i * b + 1),
-        vec![Dim::new(c(i + 1), c(bs)), Dim::new(c(b), c(1))],
-    );
+    let w = points(i * b + n + 1, &[(i + 1, bs), (b, n), (b, 1)]);
+    let rv = points(i * b, &[(i + 1, bs), (b + 1, n)]);
+    let rh = points(i * b + 1, &[(i + 1, bs), (b, 1)]);
     let mut grid = vec![b'.'; (n * n) as usize];
     for x in rv {
         grid[x as usize] = b'v';
@@ -90,7 +83,7 @@ pub fn fig3_chain() -> String {
         )]))
         .unwrap();
     s.push_str(&format!("  es = (flatten ds)[2:]   ixfn: {es:?}\n"));
-    let conc = es.eval(&|_| None).unwrap();
+    let conc = es.map(Poly::as_const).unwrap();
     s.push_str(&format!(
         "  es[5] -> flat offset {} in the memory of as\n",
         conc.index(&[5])
@@ -139,43 +132,19 @@ pub fn fig10_patterns() -> String {
     let n = q * b;
     let k = 1i64;
     let mut grid = vec![b'.'; (n * n) as usize];
-    let mark = |grid: &mut Vec<u8>, l: ConcreteLmad, ch: u8| {
-        for x in l.points() {
+    let mut mark = |offset: i64, dims: &[(i64, i64)], ch: u8| {
+        for x in points(offset, dims) {
             grid[x as usize] = ch;
         }
     };
     // Green diagonal, blue row perimeter, yellow column perimeter, red interior.
-    mark(
-        &mut grid,
-        ConcreteLmad {
-            offset: k * b * n + k * b,
-            dims: vec![(b, n), (b, 1)],
-        },
-        b'G',
-    );
     let m = q - 1 - k;
+    mark(k * b * n + k * b, &[(b, n), (b, 1)], b'G');
+    mark(k * b * n + (k + 1) * b, &[(m, b), (b, n), (b, 1)], b'B');
+    mark((k + 1) * b * n + k * b, &[(m, b * n), (b, n), (b, 1)], b'Y');
     mark(
-        &mut grid,
-        ConcreteLmad {
-            offset: k * b * n + (k + 1) * b,
-            dims: vec![(m, b), (b, n), (b, 1)],
-        },
-        b'B',
-    );
-    mark(
-        &mut grid,
-        ConcreteLmad {
-            offset: (k + 1) * b * n + k * b,
-            dims: vec![(m, b * n), (b, n), (b, 1)],
-        },
-        b'Y',
-    );
-    mark(
-        &mut grid,
-        ConcreteLmad {
-            offset: (k + 1) * b * n + (k + 1) * b,
-            dims: vec![(m, b * n), (m, b), (b, n), (b, 1)],
-        },
+        (k + 1) * b * n + (k + 1) * b,
+        &[(m, b * n), (m, b), (b, n), (b, 1)],
         b'R',
     );
     for r in 0..n {

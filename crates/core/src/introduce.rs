@@ -18,13 +18,9 @@ use std::collections::HashMap;
 
 type Bindings = HashMap<Var, MemBinding>;
 
-/// Run memory introduction over the whole program (in place).
-pub fn introduce_memory(prog: &mut Program) -> Result<(), String> {
-    introduce_memory_with(prog, &mut Vec::new())
-}
-
-/// As [`introduce_memory`], recording a [`Remark`] for every normalization
-/// copy the anti-unification fallbacks insert (§IV-C).
+/// Run memory introduction over the whole program (in place), recording
+/// a [`Remark`] for every normalization copy the anti-unification
+/// fallbacks insert (§IV-C).
 pub fn introduce_memory_with(prog: &mut Program, remarks: &mut Vec<Remark>) -> Result<(), String> {
     let mut tbl: Bindings = HashMap::new();
     for (v, ty) in &prog.params {

@@ -1,9 +1,9 @@
 //! The paper's primary contribution: an LMAD-based notion of memory in the
 //! IR, and the **array short-circuiting** optimization.
 //!
-//! The middle-end is organized as a [`pipeline::Pipeline`] of named
-//! [`pipeline::Pass`] stages (all operating on the shared IR of
-//! `arraymem-ir`, whose memory annotations are optional "add-ons"):
+//! The middle-end is one fixed table of named stages ([`pipeline`]), all
+//! operating on the shared IR of `arraymem-ir`, whose memory annotations
+//! are optional "add-ons":
 //!
 //! 1. `introduce` ([`introduce`]) — insert `alloc` statements and
 //!    `@mem → ixfn` annotations (paper §IV-C); `if`/`loop` results get
@@ -54,7 +54,7 @@ pub use fingerprint::{combine_fingerprints, fingerprint, fingerprint_items};
 pub use memtable::MemTable;
 pub use merge::{HostGrowth, MergeOutcome, MergeRecord, MergeReport};
 pub use par_safety::{ParLevel, ParSafetyRecord};
-pub use pipeline::{CompileReport, IrStats, Pass, PassCx, PassRun, Pipeline};
+pub use pipeline::{CompileReport, IrStats, PassRun};
 pub use release::ReleasePlan;
 pub use remark::{MergeReject, ParReject, RejectReason, Remark, RemarkKind};
 pub use short_circuit::{CandidateOutcome, CircuitCheck, Rejection, Report};
@@ -127,7 +127,7 @@ pub struct Compiled {
 
 /// Run the standard memory pipeline over a (memory-free) source program.
 pub fn compile(prog: &Program, opts: &Options) -> Result<Compiled, String> {
-    Pipeline::standard().run(prog, opts)
+    pipeline::run(prog, opts, None, &mut |_, _| {})
 }
 
 /// **Mutation-test hook**, kept out of [`Options`] and of the pipeline
@@ -165,7 +165,7 @@ pub fn compile_sabotaged(
     opts: &Options,
     sabotage: Sabotage,
 ) -> Result<Compiled, String> {
-    Pipeline::standard().run_inner(prog, opts, Some(sabotage), &mut |_, _| {})
+    pipeline::run(prog, opts, Some(sabotage), &mut |_, _| {})
 }
 
 /// As [`compile`], invoking `observe(stage_name, program)` with the input
@@ -176,7 +176,7 @@ pub fn compile_observed(
     opts: &Options,
     observe: &mut dyn FnMut(&str, &Program),
 ) -> Result<Compiled, String> {
-    Pipeline::standard().run_observed(prog, opts, observe)
+    pipeline::run(prog, opts, None, observe)
 }
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //!
 //! Every transformation of the memory middle-end — memory introduction,
 //! the anti-unification audit, allocation hoisting, short-circuiting,
-//! dead-allocation cleanup and release scheduling — runs as a named
-//! [`Pass`] driven by [`Pipeline`]. The driver records, per stage:
+//! dead-allocation cleanup and release scheduling — runs as a named stage
+//! of one fixed table, driven by [`run`]. The driver records, per stage:
 //!
 //! - wall time and delta [`IrStats`] (statement/alloc/elision counts);
 //! - the structured [`Remark`]s the stage emitted;
@@ -14,8 +14,8 @@
 //!   a pass that breaks the memory discipline panics *by name* instead of
 //!   surfacing as a miscompile several stages later.
 //!
-//! The pipeline's [fingerprint](Pipeline::fingerprint) — pass set,
-//! ordering and the options that change pass behavior — is stamped into
+//! The pipeline's fingerprint — pass set, ordering and the options that
+//! change pass behavior — is stamped into
 //! [`Program::pipeline_fingerprint`], which the executor's plan cache
 //! hashes: toggling any pass changes the cache key, so a stale plan
 //! compiled under a different pipeline is never served.
@@ -138,16 +138,14 @@ impl CompileReport {
 }
 
 /// Mutable state shared by the stages of one pipeline run.
-pub struct PassCx<'a> {
-    pub opts: &'a Options,
+struct PassCx<'a> {
+    opts: &'a Options,
     /// Remarks accumulated across stages (every stage appends).
-    pub remarks: Vec<Remark>,
+    remarks: Vec<Remark>,
     /// The short-circuiting candidate report (empty until that stage).
-    pub report: Report,
-    /// Early release points scheduled by the release stage.
-    pub num_releases: usize,
+    report: Report,
     /// The one pass to force past its proof (mutation self-tests only).
-    pub(crate) sabotage: Option<Sabotage>,
+    sabotage: Option<Sabotage>,
 }
 
 impl PassCx<'_> {
@@ -161,29 +159,31 @@ impl PassCx<'_> {
     }
 }
 
-/// One named middle-end stage.
-pub trait Pass {
-    fn name(&self) -> &'static str;
-    /// Whether the stage runs under the given options. Disabled stages do
-    /// not execute, produce no [`PassRun`], and change the pipeline
-    /// [fingerprint](Pipeline::fingerprint).
-    fn enabled(&self, _opts: &Options) -> bool {
-        true
-    }
-    fn run(&self, prog: &mut Program, cx: &mut PassCx) -> Result<(), String>;
+/// One named middle-end stage. A stage disabled under the given options
+/// does not execute, produces no [`PassRun`], and changes the pipeline
+/// [`fingerprint`].
+struct Stage {
+    name: &'static str,
+    enabled: fn(&Options) -> bool,
+    run: fn(&mut Program, &mut PassCx) -> Result<(), String>,
 }
 
+/// The standard middle-end, in order.
+#[rustfmt::skip]
+static STAGES: [Stage; 8] = [
+    Stage { name: "introduce", enabled: |_| true, run: introduce_stage },
+    Stage { name: "antiunify", enabled: |_| true, run: antiunify_stage },
+    Stage { name: "hoist", enabled: |o| o.hoist, run: hoist_stage },
+    Stage { name: "short_circuit", enabled: |o| o.short_circuit, run: short_circuit_stage },
+    Stage { name: "merge", enabled: |o| o.merge, run: merge_stage },
+    Stage { name: "cleanup", enabled: |_| true, run: cleanup_stage },
+    Stage { name: "par_safety", enabled: |_| true, run: par_safety_stage },
+    Stage { name: "release", enabled: |_| true, run: release_stage },
+];
+
 /// Memory introduction (paper §IV-C), as a stage.
-struct IntroducePass;
-
-impl Pass for IntroducePass {
-    fn name(&self) -> &'static str {
-        "introduce"
-    }
-
-    fn run(&self, prog: &mut Program, cx: &mut PassCx) -> Result<(), String> {
-        introduce::introduce_memory_with(prog, &mut cx.remarks)
-    }
+fn introduce_stage(prog: &mut Program, cx: &mut PassCx) -> Result<(), String> {
+    introduce::introduce_memory_with(prog, &mut cx.remarks)
 }
 
 /// Audit of the anti-unification results: every `mem`-typed pattern
@@ -192,16 +192,8 @@ impl Pass for IntroducePass {
 /// and every such array gets an [`ExistentialMemory`](RemarkKind) remark.
 /// This stage runs directly after `introduce`, before short-circuiting may
 /// legitimately rebase results away from their existential blocks.
-struct AntiunifyPass;
-
-impl Pass for AntiunifyPass {
-    fn name(&self) -> &'static str {
-        "antiunify"
-    }
-
-    fn run(&self, prog: &mut Program, cx: &mut PassCx) -> Result<(), String> {
-        audit_block(&prog.body, cx)
-    }
+fn antiunify_stage(prog: &mut Program, cx: &mut PassCx) -> Result<(), String> {
+    audit_block(&prog.body, cx)
 }
 
 fn audit_block(block: &Block, cx: &mut PassCx) -> Result<(), String> {
@@ -253,80 +245,56 @@ fn audit_block(block: &Block, cx: &mut PassCx) -> Result<(), String> {
 }
 
 /// Allocation hoisting (§V property 2), as a stage.
-struct HoistPass;
-
-impl Pass for HoistPass {
-    fn name(&self) -> &'static str {
-        "hoist"
+fn hoist_stage(prog: &mut Program, cx: &mut PassCx) -> Result<(), String> {
+    let swaps = hoist::hoist_allocations(prog);
+    if swaps > 0 {
+        cx.remark(
+            "hoist",
+            None,
+            RemarkKind::Hoisted,
+            format!("{swaps} upward moves of allocations and their size scalars"),
+        );
     }
-
-    fn enabled(&self, opts: &Options) -> bool {
-        opts.hoist
-    }
-
-    fn run(&self, prog: &mut Program, cx: &mut PassCx) -> Result<(), String> {
-        let swaps = hoist::hoist_allocations(prog);
-        if swaps > 0 {
-            cx.remark(
-                "hoist",
-                None,
-                RemarkKind::Hoisted,
-                format!("{swaps} upward moves of allocations and their size scalars"),
-            );
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 /// Array short-circuiting (§V), as a stage. Every candidate outcome —
 /// elision or rejection, with the rejecting legality check — becomes a
 /// remark anchored at the circuit-point statement.
-struct ShortCircuitPass;
-
-impl Pass for ShortCircuitPass {
-    fn name(&self) -> &'static str {
-        "short_circuit"
+fn short_circuit_stage(prog: &mut Program, cx: &mut PassCx) -> Result<(), String> {
+    let report = short_circuit::drive(
+        prog,
+        &cx.opts.env,
+        cx.opts.mapnest_in_place,
+        cx.sabotage == Some(Sabotage::ShortCircuit),
+    );
+    for c in &report.candidates {
+        let (kind, message) = if c.succeeded {
+            (
+                RemarkKind::CircuitElided,
+                format!("short-circuited {} into the destination memory", c.root),
+            )
+        } else {
+            let why = c
+                .rejection
+                .expect("rejected candidate must carry a structured rejection");
+            (
+                RemarkKind::CircuitRejected(why),
+                format!("rejected candidate {}: {}", c.root, c.reason),
+            )
+        };
+        cx.remark("short_circuit", Some(c.stm), kind, message);
     }
-
-    fn enabled(&self, opts: &Options) -> bool {
-        opts.short_circuit
-    }
-
-    fn run(&self, prog: &mut Program, cx: &mut PassCx) -> Result<(), String> {
-        let report = short_circuit::drive(
-            prog,
-            &cx.opts.env,
-            cx.opts.mapnest_in_place,
-            cx.sabotage == Some(Sabotage::ShortCircuit),
+    for &v in &report.in_place_stms {
+        cx.remark(
+            "short_circuit",
+            Some(v),
+            RemarkKind::MapInPlace,
+            format!("mapnest {v} constructs its rows in place"),
         );
-        for c in &report.candidates {
-            let (kind, message) = if c.succeeded {
-                (
-                    RemarkKind::CircuitElided,
-                    format!("short-circuited {} into the destination memory", c.root),
-                )
-            } else {
-                let why = c
-                    .rejection
-                    .expect("rejected candidate must carry a structured rejection");
-                (
-                    RemarkKind::CircuitRejected(why),
-                    format!("rejected candidate {}: {}", c.root, c.reason),
-                )
-            };
-            cx.remark("short_circuit", Some(c.stm), kind, message);
-        }
-        for &v in &report.in_place_stms {
-            cx.remark(
-                "short_circuit",
-                Some(v),
-                RemarkKind::MapInPlace,
-                format!("mapnest {v} constructs its rows in place"),
-            );
-        }
-        cx.report = report;
-        Ok(())
     }
+    cx.report = report;
+    Ok(())
 }
 
 /// Memory block merging (see [`crate::merge`]), as a stage. Runs after
@@ -334,96 +302,71 @@ impl Pass for ShortCircuitPass {
 /// before cleanup (which collects the vacated `alloc`s). Its executor
 /// obligations — the footprint pairs checked mode must re-prove — travel
 /// in [`Report::merges`] next to the circuit checks.
-struct MergePass;
-
-impl Pass for MergePass {
-    fn name(&self) -> &'static str {
-        "merge"
-    }
-
-    fn enabled(&self, opts: &Options) -> bool {
-        opts.merge
-    }
-
-    fn run(&self, prog: &mut Program, cx: &mut PassCx) -> Result<(), String> {
-        let rep = crate::merge::merge_blocks_with(
-            prog,
-            &cx.opts.env,
-            cx.sabotage == Some(Sabotage::Merge),
+fn merge_stage(prog: &mut Program, cx: &mut PassCx) -> Result<(), String> {
+    let rep =
+        crate::merge::merge_blocks_with(prog, &cx.opts.env, cx.sabotage == Some(Sabotage::Merge));
+    for m in &rep.merged {
+        let how = match (m.forced, m.by_footprint) {
+            (true, _) => "forced past interference",
+            (false, true) => "disjoint footprints",
+            (false, false) => "disjoint live ranges",
+        };
+        cx.remark(
+            "merge",
+            Some(m.victim),
+            RemarkKind::BlocksMerged,
+            format!("merged block {} into {} ({how})", m.victim, m.host),
         );
-        for m in &rep.merged {
-            let how = match (m.forced, m.by_footprint) {
-                (true, _) => "forced past interference",
-                (false, true) => "disjoint footprints",
-                (false, false) => "disjoint live ranges",
-            };
-            cx.remark(
-                "merge",
-                Some(m.victim),
-                RemarkKind::BlocksMerged,
-                format!("merged block {} into {} ({how})", m.victim, m.host),
-            );
-        }
-        for g in &rep.grown {
-            cx.remark(
-                "merge",
-                Some(g.host),
-                RemarkKind::HostGrown,
-                format!(
-                    "grew host block {} to fit {} ({} -> {})",
-                    g.host, g.member, g.from, g.to
-                ),
-            );
-        }
-        for &(v, why) in &rep.rejected {
-            cx.remark(
-                "merge",
-                Some(v),
-                RemarkKind::MergeRejected(why),
-                format!("block {v} keeps its own allocation ({why:?})"),
-            );
-        }
-        for r in &rep.records {
-            if let crate::merge::MergeRecord::CarriedRelease {
-                loop_mem,
-                yield_mem,
-                ..
-            } = r
-            {
-                cx.remark(
-                    "merge",
-                    Some(*loop_mem),
-                    RemarkKind::CarriedRelease,
-                    format!(
-                        "carried block {loop_mem} released in-body once {yield_mem} replaces it"
-                    ),
-                );
-            }
-        }
-        cx.report.merges = rep.records;
-        Ok(())
     }
+    for g in &rep.grown {
+        cx.remark(
+            "merge",
+            Some(g.host),
+            RemarkKind::HostGrown,
+            format!(
+                "grew host block {} to fit {} ({} -> {})",
+                g.host, g.member, g.from, g.to
+            ),
+        );
+    }
+    for &(v, why) in &rep.rejected {
+        cx.remark(
+            "merge",
+            Some(v),
+            RemarkKind::MergeRejected(why),
+            format!("block {v} keeps its own allocation ({why:?})"),
+        );
+    }
+    for r in &rep.records {
+        if let crate::merge::MergeRecord::CarriedRelease {
+            loop_mem,
+            yield_mem,
+            ..
+        } = r
+        {
+            cx.remark(
+                "merge",
+                Some(*loop_mem),
+                RemarkKind::CarriedRelease,
+                format!("carried block {loop_mem} released in-body once {yield_mem} replaces it"),
+            );
+        }
+    }
+    cx.report.merges = rep.records;
+    Ok(())
 }
 
 /// Dead-allocation elimination, as a stage.
-struct CleanupPass;
-
-impl Pass for CleanupPass {
-    fn name(&self) -> &'static str {
-        "cleanup"
+fn cleanup_stage(prog: &mut Program, cx: &mut PassCx) -> Result<(), String> {
+    for m in cleanup::remove_dead_allocs(prog) {
+        cx.remark(
+            "cleanup",
+            Some(m),
+            RemarkKind::DeadAllocRemoved,
+            format!("removed dead allocation {m}"),
+        );
     }
-
-    fn run(&self, prog: &mut Program, cx: &mut PassCx) -> Result<(), String> {
-        for m in cleanup::remove_dead_allocs(prog) {
-            cx.remark(
-                "cleanup",
-                Some(m),
-                RemarkKind::DeadAllocRemoved,
-                format!("removed dead allocation {m}"),
-            );
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 /// Parallel-safety analysis ([`crate::par_safety`]), as a stage. Runs
@@ -431,61 +374,53 @@ impl Pass for CleanupPass {
 /// layout) and before release scheduling. Its records — the executor
 /// obligations behind every parallel in-place dispatch — travel in
 /// [`Report::par_safety`] next to the circuit checks and merge records.
-struct ParSafetyPass;
-
-impl Pass for ParSafetyPass {
-    fn name(&self) -> &'static str {
-        "par_safety"
+fn par_safety_stage(prog: &mut Program, cx: &mut PassCx) -> Result<(), String> {
+    let mut records = crate::par_safety::par_safety(prog, &cx.opts.env);
+    if cx.sabotage == Some(Sabotage::Parallel) {
+        crate::par_safety::force_safe(&mut records);
     }
-
-    fn run(&self, prog: &mut Program, cx: &mut PassCx) -> Result<(), String> {
-        let mut records = crate::par_safety::par_safety(prog, &cx.opts.env);
-        if cx.sabotage == Some(Sabotage::Parallel) {
-            crate::par_safety::force_safe(&mut records);
-        }
-        for r in &records {
-            let (kind, message) = match (r.level, r.forced) {
-                (crate::par_safety::ParLevel::Safe, false) => (
-                    RemarkKind::MapParallelSafe,
-                    format!(
-                        "mapnest {} proven parallel-safe: runs in place, in parallel",
-                        r.stm
-                    ),
+    for r in &records {
+        let (kind, message) = match (r.level, r.forced) {
+            (crate::par_safety::ParLevel::Safe, false) => (
+                RemarkKind::MapParallelSafe,
+                format!(
+                    "mapnest {} proven parallel-safe: runs in place, in parallel",
+                    r.stm
                 ),
-                (crate::par_safety::ParLevel::Safe, true) => (
-                    RemarkKind::MapParallelSafe,
-                    format!(
-                        "mapnest {} FORCED parallel-safe past {:?}",
-                        r.stm,
-                        r.reject.expect("forced record keeps the genuine reject")
-                    ),
+            ),
+            (crate::par_safety::ParLevel::Safe, true) => (
+                RemarkKind::MapParallelSafe,
+                format!(
+                    "mapnest {} FORCED parallel-safe past {:?}",
+                    r.stm,
+                    r.reject.expect("forced record keeps the genuine reject")
                 ),
-                (level, _) => {
-                    let why = r
-                        .reject
-                        .expect("non-safe verdict must carry a structured reject");
-                    let how = match level {
-                        crate::par_safety::ParLevel::NeedsBuffer => {
-                            "runs parallel through private row buffers"
-                        }
-                        _ => "is serialized",
-                    };
-                    let what = if why == crate::remark::ParReject::RuntimeIndexedWrite {
-                        "scatter"
-                    } else {
-                        "mapnest"
-                    };
-                    (
-                        RemarkKind::MapParRejected(why),
-                        format!("{what} {} {how} ({why:?})", r.stm),
-                    )
-                }
-            };
-            cx.remark("par_safety", Some(r.stm), kind, message);
-        }
-        cx.report.par_safety = records;
-        Ok(())
+            ),
+            (level, _) => {
+                let why = r
+                    .reject
+                    .expect("non-safe verdict must carry a structured reject");
+                let how = match level {
+                    crate::par_safety::ParLevel::NeedsBuffer => {
+                        "runs parallel through private row buffers"
+                    }
+                    _ => "is serialized",
+                };
+                let what = if why == crate::remark::ParReject::RuntimeIndexedWrite {
+                    "scatter"
+                } else {
+                    "mapnest"
+                };
+                (
+                    RemarkKind::MapParRejected(why),
+                    format!("{what} {} {how} ({why:?})", r.stm),
+                )
+            }
+        };
+        cx.remark("par_safety", Some(r.stm), kind, message);
     }
+    cx.report.par_safety = records;
+    Ok(())
 }
 
 /// Release scheduling, as a stage. The [`ReleasePlan`] itself is keyed by
@@ -493,26 +428,17 @@ impl Pass for ParSafetyPass {
 /// (`crate::Compiled`); the stage computes it for its timing row and
 /// remark and drops it — the executor recomputes at lowering time, where
 /// the plan feeds `Instr::Release` placement.
-struct ReleasePass;
-
-impl Pass for ReleasePass {
-    fn name(&self) -> &'static str {
-        "release"
+fn release_stage(prog: &mut Program, cx: &mut PassCx) -> Result<(), String> {
+    let n = ReleasePlan::compute(prog).num_releases();
+    if n > 0 {
+        cx.remark(
+            "release",
+            None,
+            RemarkKind::ReleaseScheduled,
+            format!("scheduled {n} early release points"),
+        );
     }
-
-    fn run(&self, prog: &mut Program, cx: &mut PassCx) -> Result<(), String> {
-        let n = ReleasePlan::compute(prog).num_releases();
-        cx.num_releases = n;
-        if n > 0 {
-            cx.remark(
-                "release",
-                None,
-                RemarkKind::ReleaseScheduled,
-                format!("scheduled {n} early release points"),
-            );
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 fn print_ir_enabled() -> bool {
@@ -530,134 +456,84 @@ fn verify_ir_enabled() -> bool {
         })
 }
 
-/// The pipeline driver: an ordered list of stages.
-pub struct Pipeline {
-    passes: Vec<Box<dyn Pass>>,
+/// Fingerprint of the *effective* pipeline: the enabled stage names in
+/// order, plus the option switches that change pass behavior without
+/// removing a stage. Stamped into [`Program::pipeline_fingerprint`],
+/// from where the executor's plan cache picks it up — compiling the
+/// same source under different pipelines yields different cache keys.
+fn fingerprint(opts: &Options) -> u64 {
+    let mut parts: Vec<String> = STAGES
+        .iter()
+        .filter(|s| (s.enabled)(opts))
+        .map(|s| s.name.to_string())
+        .collect();
+    parts.push(format!("mapnest_in_place={}", opts.mapnest_in_place));
+    crate::fingerprint::fingerprint_items(&parts)
 }
 
-impl Pipeline {
-    /// The standard middle-end: `introduce → antiunify → hoist →
-    /// short_circuit → merge → cleanup → par_safety → release` (`hoist`,
-    /// `short_circuit` and `merge` subject to their [`Options`] switches).
-    pub fn standard() -> Pipeline {
-        Pipeline {
-            passes: vec![
-                Box::new(IntroducePass),
-                Box::new(AntiunifyPass),
-                Box::new(HoistPass),
-                Box::new(ShortCircuitPass),
-                Box::new(MergePass),
-                Box::new(CleanupPass),
-                Box::new(ParSafetyPass),
-                Box::new(ReleasePass),
-            ],
-        }
+/// Run the standard middle-end — `introduce → antiunify → hoist →
+/// short_circuit → merge → cleanup → par_safety → release` (`hoist`,
+/// `short_circuit` and `merge` subject to their [`Options`] switches) —
+/// over a (memory-free) source program, invoking `observe(stage_name,
+/// program)` with the input program (stage name `"input"`) and after
+/// every executed stage.
+pub(crate) fn run(
+    prog: &Program,
+    opts: &Options,
+    sabotage: Option<Sabotage>,
+    observe: &mut dyn FnMut(&str, &Program),
+) -> Result<crate::Compiled, String> {
+    arraymem_ir::validate::validate(prog)?;
+    let fp = fingerprint(opts);
+    let t_total = Instant::now();
+    let mut p = prog.clone();
+    let mut cx = PassCx {
+        opts,
+        remarks: Vec::new(),
+        report: Report::default(),
+        sabotage,
+    };
+    let mut passes: Vec<PassRun> = Vec::new();
+    if print_ir_enabled() {
+        eprintln!("== {}: input IR ==\n{}", p.name, program_to_string(&p));
     }
-
-    /// Names of the stages that would execute under `opts`, in order.
-    pub fn stage_names(&self, opts: &Options) -> Vec<&'static str> {
-        self.passes
-            .iter()
-            .filter(|p| p.enabled(opts))
-            .map(|p| p.name())
-            .collect()
-    }
-
-    /// Fingerprint of the *effective* pipeline: the enabled pass names in
-    /// order, plus the option switches that change pass behavior without
-    /// removing a stage. Stamped into [`Program::pipeline_fingerprint`],
-    /// from where the executor's plan cache picks it up — compiling the
-    /// same source under different pipelines yields different cache keys.
-    pub fn fingerprint(&self, opts: &Options) -> u64 {
-        let mut parts: Vec<String> = self
-            .stage_names(opts)
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        parts.push(format!("mapnest_in_place={}", opts.mapnest_in_place));
-        crate::fingerprint::fingerprint_items(&parts)
-    }
-
-    /// Run the pipeline over a (memory-free) source program.
-    pub fn run(&self, prog: &Program, opts: &Options) -> Result<crate::Compiled, String> {
-        self.run_observed(prog, opts, &mut |_, _| {})
-    }
-
-    /// As [`Pipeline::run`], invoking `observe(stage_name, program)` with
-    /// the input program (stage name `"input"`) and after every executed
-    /// stage — the hook behind per-pass IR snapshot tests.
-    pub fn run_observed(
-        &self,
-        prog: &Program,
-        opts: &Options,
-        observe: &mut dyn FnMut(&str, &Program),
-    ) -> Result<crate::Compiled, String> {
-        self.run_inner(prog, opts, None, observe)
-    }
-
-    pub(crate) fn run_inner(
-        &self,
-        prog: &Program,
-        opts: &Options,
-        sabotage: Option<Sabotage>,
-        observe: &mut dyn FnMut(&str, &Program),
-    ) -> Result<crate::Compiled, String> {
-        arraymem_ir::validate::validate(prog)?;
-        let fp = self.fingerprint(opts);
-        let t_total = Instant::now();
-        let mut p = prog.clone();
-        let mut cx = PassCx {
-            opts,
-            remarks: Vec::new(),
-            report: Report::default(),
-            num_releases: 0,
-            sabotage,
-        };
-        let mut passes: Vec<PassRun> = Vec::new();
+    observe("input", &p);
+    for stage in STAGES.iter().filter(|s| (s.enabled)(opts)) {
+        let name = stage.name;
+        let before = ir_stats(&p);
+        let remarks_before = cx.remarks.len();
+        let t0 = Instant::now();
+        (stage.run)(&mut p, &mut cx)?;
+        passes.push(PassRun {
+            name,
+            time: t0.elapsed(),
+            before,
+            after: ir_stats(&p),
+            remarks: cx.remarks.len() - remarks_before,
+        });
         if print_ir_enabled() {
-            eprintln!("== {}: input IR ==\n{}", p.name, program_to_string(&p));
+            eprintln!(
+                "== {}: IR after `{name}` ==\n{}",
+                p.name,
+                program_to_string(&p)
+            );
         }
-        observe("input", &p);
-        for pass in &self.passes {
-            if !pass.enabled(opts) {
-                continue;
+        if verify_ir_enabled() {
+            if let Err(e) = arraymem_ir::validate::validate_memory(&p) {
+                panic!("pipeline: pass `{name}` produced invalid IR: {e}");
             }
-            let before = ir_stats(&p);
-            let remarks_before = cx.remarks.len();
-            let t0 = Instant::now();
-            pass.run(&mut p, &mut cx)?;
-            passes.push(PassRun {
-                name: pass.name(),
-                time: t0.elapsed(),
-                before,
-                after: ir_stats(&p),
-                remarks: cx.remarks.len() - remarks_before,
-            });
-            if print_ir_enabled() {
-                eprintln!(
-                    "== {}: IR after `{}` ==\n{}",
-                    p.name,
-                    pass.name(),
-                    program_to_string(&p)
-                );
-            }
-            if verify_ir_enabled() {
-                if let Err(e) = arraymem_ir::validate::validate_memory(&p) {
-                    panic!("pipeline: pass `{}` produced invalid IR: {e}", pass.name());
-                }
-            }
-            observe(pass.name(), &p);
         }
-        p.pipeline_fingerprint = fp;
-        Ok(crate::Compiled {
-            program: p,
-            report: cx.report,
-            compile_report: CompileReport {
-                passes,
-                remarks: cx.remarks,
-                pipeline_fingerprint: fp,
-                total_time: t_total.elapsed(),
-            },
-        })
+        observe(name, &p);
     }
+    p.pipeline_fingerprint = fp;
+    Ok(crate::Compiled {
+        program: p,
+        report: cx.report,
+        compile_report: CompileReport {
+            passes,
+            remarks: cx.remarks,
+            pipeline_fingerprint: fp,
+            total_time: t_total.elapsed(),
+        },
+    })
 }

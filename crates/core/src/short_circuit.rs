@@ -130,10 +130,6 @@ impl Report {
         self.candidates.iter().filter(|c| c.succeeded).count()
     }
 
-    pub fn failures(&self) -> usize {
-        self.candidates.len() - self.successes()
-    }
-
     /// Runtime cross-checks recorded by successful candidates.
     pub fn checks(&self) -> impl Iterator<Item = &CircuitCheck> {
         self.candidates.iter().filter_map(|c| c.check.as_ref())

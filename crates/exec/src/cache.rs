@@ -112,10 +112,6 @@ impl PlanCache {
         }
     }
 
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Total plans currently cached (sums every shard; takes each read
     /// lock briefly).
     pub fn len(&self) -> usize {
@@ -303,8 +299,8 @@ mod tests {
 
     #[test]
     fn shard_count_rounds_to_power_of_two() {
-        assert_eq!(PlanCache::new(0).num_shards(), 1);
-        assert_eq!(PlanCache::new(3).num_shards(), 4);
-        assert_eq!(PlanCache::new(16).num_shards(), 16);
+        assert_eq!(PlanCache::new(0).shards.len(), 1);
+        assert_eq!(PlanCache::new(3).shards.len(), 4);
+        assert_eq!(PlanCache::new(16).shards.len(), 16);
     }
 }

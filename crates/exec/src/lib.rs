@@ -6,14 +6,20 @@
 //!
 //! - [`store`]: numbered, untyped memory blocks, recycled through one
 //!   free list, with allocation accounting;
-//! - [`view`]: LMAD-addressed views over blocks — the runtime counterpart
-//!   of index functions; the element type lives here, not in the block;
+//! - [`view`]: LMAD-addressed views over blocks — an index function whose
+//!   coefficients are integers (`arraymem_lmad::IndexFn<i64>`) plus a
+//!   block; the element type lives here, not in the block;
 //! - [`kernel`]: the registry of native kernels a `map` may invoke (the
 //!   moral equivalent of generated device code);
 //! - [`pool`]: a persistent work-stealing worker pool (parked workers
 //!   reused across every map of every run, chunks claimed off a shared
 //!   atomic counter, degrading gracefully to inline execution on small
 //!   trip counts) with per-dispatch utilization accounting;
+//! - [`plan`]: lowering — nested IR to a flat instruction stream, names to
+//!   slots, and every LMAD coefficient `Poly → SlotPoly` (a polynomial
+//!   over register slots), which the machine takes `→ i64` per run: the
+//!   executor computes with the compiler's LMAD structure over integers
+//!   and never builds a polynomial;
 //! - [`vm`]: the machine executing compiled programs. It runs in three
 //!   modes: `Memory` (obeying the compiler's memory annotations — allocs,
 //!   rebased index functions, elided copies), `Pure` (direct value

@@ -11,10 +11,14 @@
 //!   stream, executed per element);
 //! - every `Var` resolves to a dense `u32` **slot** — the executor's
 //!   environment is a `Vec<Value>`, not a `HashMap`;
-//! - every symbolic polynomial / index function is paired with its
-//!   pre-resolved `Sym → slot` list, so runtime evaluation reads slots
-//!   directly; fully-constant index functions are evaluated **now** and
-//!   their [`AccessClass`] recorded in the plan;
+//! - every coefficient of every index function, transform and footprint
+//!   goes `Poly → SlotPoly` (its symbols resolved to slots) here and
+//!   `SlotPoly → i64` in the executor, both through the LMAD family's one
+//!   `map`: what the plan holds is the compiler's `IndexFn`/`Transform`/
+//!   `Lmad` over another coefficient type, and what the executor computes
+//!   with is the same structure over integers. Fully-constant index
+//!   functions are evaluated **now** and their [`AccessClass`] recorded in
+//!   the plan;
 //! - kernel names resolve to dense registry indices once;
 //! - the compiler's [`ReleasePlan`] is fused into the stream as explicit
 //!   [`Instr::Release`] instructions — no per-run `ReleasePlan::compute`;
@@ -34,7 +38,7 @@ use arraymem_ir::{
     UpdateSrc, Var,
 };
 use arraymem_lmad::concrete::AccessClass;
-use arraymem_lmad::{ConcreteIxFn, IndexFn, Lmad, Transform, TripletSlice};
+use arraymem_lmad::{ConcreteIxFn, IndexFn, Lmad, Transform};
 use arraymem_symbolic::{Poly, Sym};
 use std::collections::HashMap;
 
@@ -42,38 +46,15 @@ use std::collections::HashMap;
 /// `Vec<Value>`, indexed by these).
 pub type Slot = u32;
 
-/// Pre-resolved symbol→slot pairs for evaluating a symbolic expression
-/// against the register file. `None` slots are symbols that were not in
-/// scope at lower time; they evaluate to "unresolved", exactly as a
-/// missing environment entry did in the tree-walking VM.
-pub(crate) type SlotVars = Vec<(Sym, Option<Slot>)>;
-
-/// A lookup closure over pre-resolved symbol slots. The var lists are
-/// tiny (a handful of size symbols), so a linear scan beats hashing.
-pub(crate) fn slot_lookup<'a>(
-    vars: &'a [(Sym, Option<Slot>)],
-    regs: &'a [Value],
-) -> impl Fn(Sym) -> Option<i64> + 'a {
-    move |s| {
-        for (v, slot) in vars {
-            if *v == s {
-                return slot.and_then(|i| match &regs[i as usize] {
-                    Value::I64(x) => Some(*x),
-                    Value::Bool(b) => Some(*b as i64),
-                    _ => None,
-                });
-            }
-        }
-        None
-    }
-}
-
 /// A polynomial with its variables pre-resolved to slots; constants fold
-/// at lower time.
-#[derive(Clone, Debug)]
+/// at lower time. This is the coefficient type of everything LMAD-shaped
+/// in a plan, and it prints as the polynomial it lowers.
+#[derive(Clone)]
 pub(crate) struct SlotPoly {
     poly: Poly,
-    vars: SlotVars,
+    /// The slot of each of `poly`'s symbols; `None` for a symbol that was
+    /// not in scope at lower time, which evaluates to "unresolved".
+    slots: Vec<(Sym, Option<Slot>)>,
     konst: Option<i64>,
 }
 
@@ -82,13 +63,31 @@ impl SlotPoly {
         if let Some(k) = self.konst {
             return Some(k);
         }
-        let lookup = slot_lookup(&self.vars, regs);
-        self.poly.eval(&lookup)
+        // A handful of size symbols at most: a linear scan beats hashing.
+        self.poly.eval(|s| {
+            let (_, slot) = self.slots.iter().find(|(v, _)| *v == s)?;
+            match &regs[(*slot)? as usize] {
+                Value::I64(x) => Some(*x),
+                Value::Bool(b) => Some(*b as i64),
+                _ => None,
+            }
+        })
     }
 }
 
+impl std::fmt::Debug for SlotPoly {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:?}", self.poly)
+    }
+}
+
+/// Evaluate a lowered shape against the register file.
+pub(crate) fn eval_shape(shape: &[SlotPoly], regs: &[Value]) -> Option<Vec<i64>> {
+    shape.iter().map(|p| p.eval(regs)).collect()
+}
+
 /// An index function lowered against the slot scope. `Ready` means every
-/// polynomial was constant: the concrete index function *and its access
+/// polynomial was constant: the integer index function *and its access
 /// class* are computed once per plan, never per run.
 #[derive(Clone, Debug)]
 pub(crate) enum LoweredIxFn {
@@ -96,19 +95,15 @@ pub(crate) enum LoweredIxFn {
         ixfn: ConcreteIxFn,
         class: AccessClass,
     },
-    Dynamic {
-        ixfn: IndexFn,
-        vars: SlotVars,
-    },
+    Dynamic(IndexFn<SlotPoly>),
 }
 
 impl LoweredIxFn {
     pub(crate) fn eval_access(&self, regs: &[Value]) -> Option<(ConcreteIxFn, AccessClass)> {
         match self {
             LoweredIxFn::Ready { ixfn, class } => Some((ixfn.clone(), *class)),
-            LoweredIxFn::Dynamic { ixfn, vars } => {
-                let lookup = slot_lookup(vars, regs);
-                let c = ixfn.eval(&lookup)?;
+            LoweredIxFn::Dynamic(ixfn) => {
+                let c = ixfn.map(|p| p.eval(regs))?;
                 let class = c.classify();
                 Some((c, class))
             }
@@ -190,8 +185,8 @@ pub(crate) struct MapLambdaInstr {
 
 #[derive(Clone, Debug)]
 pub(crate) enum LSlice {
-    /// Triplet or LMAD slicing: a transform plus its resolved symbols.
-    Tr { tr: Transform, vars: SlotVars },
+    /// Triplet or LMAD slicing.
+    Tr(Transform<SlotPoly>),
     /// Point indexing: the coordinates are scalar expressions.
     Point(Vec<LExp>),
     /// Scatter: the slot holds the runtime index array; element `k` of
@@ -221,9 +216,8 @@ pub(crate) enum LUpdateSrc {
 pub(crate) struct LoweredCheck {
     pub root: String,
     pub stm: String,
-    pub writes: Vec<Lmad>,
-    pub uses: Vec<Lmad>,
-    pub vars: SlotVars,
+    pub writes: Vec<Lmad<SlotPoly>>,
+    pub uses: Vec<Lmad<SlotPoly>>,
 }
 
 /// A checked-mode merge cross-check with its footprint symbols resolved:
@@ -235,8 +229,7 @@ pub(crate) struct LoweredCheck {
 pub(crate) struct LoweredMergeCheck {
     pub host: String,
     pub victim: String,
-    pub pairs: Vec<(Lmad, Lmad)>,
-    pub vars: SlotVars,
+    pub pairs: Vec<(Lmad<SlotPoly>, Lmad<SlotPoly>)>,
 }
 
 /// One lowered instruction.
@@ -279,8 +272,7 @@ pub(crate) enum Instr {
     Transform {
         dest: Dest,
         src: Slot,
-        tr: Transform,
-        vars: SlotVars,
+        tr: Transform<SlotPoly>,
     },
     /// Runtime-indexed read: `dest[k] = src[idx[k]]` over the index
     /// array's length, with every index bounds-checked against `src`'s
@@ -620,41 +612,37 @@ impl Lowerer<'_> {
         self.scope.get(v).ok_or_else(|| format!("unbound {v}"))
     }
 
-    fn slot_vars(&self, syms: impl IntoIterator<Item = Sym>) -> SlotVars {
-        let mut out: SlotVars = Vec::new();
-        for s in syms {
-            if !out.iter().any(|(v, _)| *v == s) {
-                out.push((s, self.scope.get(s)));
-            }
+    fn slot_poly(&self, p: &Poly) -> SlotPoly {
+        SlotPoly {
+            slots: p
+                .vars()
+                .into_iter()
+                .map(|s| (s, self.scope.get(s)))
+                .collect(),
+            konst: p.as_const(),
+            poly: p.clone(),
         }
-        out
     }
 
-    fn slot_poly(&self, p: &Poly) -> SlotPoly {
-        let vars = self.slot_vars(p.vars());
-        let konst = if vars.is_empty() {
-            p.eval(|_| None)
-        } else {
-            None
-        };
-        SlotPoly {
-            poly: p.clone(),
-            vars,
-            konst,
-        }
+    fn lower_lmad(&self, l: &Lmad) -> Lmad<SlotPoly> {
+        l.map(|p| Some(self.slot_poly(p)))
+            .expect("lowering a coefficient cannot fail")
+    }
+
+    fn lower_transform(&self, tr: &Transform) -> Transform<SlotPoly> {
+        tr.map(|p| Some(self.slot_poly(p)))
+            .expect("lowering a coefficient cannot fail")
     }
 
     fn lower_ixfn(&self, ix: &IndexFn) -> LoweredIxFn {
-        let vars = self.slot_vars(ix.vars());
-        if vars.is_empty() {
-            if let Some(c) = ix.eval(&|_| None) {
-                let class = c.classify();
-                return LoweredIxFn::Ready { ixfn: c, class };
-            }
-        }
-        LoweredIxFn::Dynamic {
-            ixfn: ix.clone(),
-            vars,
+        match ix.map(Poly::as_const) {
+            Some(ixfn) => LoweredIxFn::Ready {
+                class: ixfn.classify(),
+                ixfn,
+            },
+            None => LoweredIxFn::Dynamic(IndexFn {
+                lmads: ix.lmads.iter().map(|l| self.lower_lmad(l)).collect(),
+            }),
         }
     }
 
@@ -774,20 +762,11 @@ impl Lowerer<'_> {
                 .checks
                 .iter()
                 .filter(|c| names.contains(&c.stm))
-                .map(|c| {
-                    let syms: Vec<Sym> = c
-                        .writes
-                        .iter()
-                        .chain(&c.uses)
-                        .flat_map(|l| l.vars())
-                        .collect();
-                    LoweredCheck {
-                        root: c.root.clone(),
-                        stm: c.stm.clone(),
-                        writes: c.writes.clone(),
-                        uses: c.uses.clone(),
-                        vars: self.slot_vars(syms),
-                    }
+                .map(|c| LoweredCheck {
+                    root: c.root.clone(),
+                    stm: c.stm.clone(),
+                    writes: c.writes.iter().map(|l| self.lower_lmad(l)).collect(),
+                    uses: c.uses.iter().map(|l| self.lower_lmad(l)).collect(),
                 })
                 .collect();
             if !lowered.is_empty() {
@@ -810,15 +789,14 @@ impl Lowerer<'_> {
                 if pairs.is_empty() {
                     continue; // lifetime-justified: nothing to re-prove
                 }
-                let syms: Vec<Sym> = pairs
+                let pairs = pairs
                     .iter()
-                    .flat_map(|(a, b)| a.vars().into_iter().chain(b.vars()))
+                    .map(|(a, b)| (self.lower_lmad(a), self.lower_lmad(b)))
                     .collect();
                 self.merge_checks.push(LoweredMergeCheck {
                     host: host.to_string(),
                     victim: victim.to_string(),
-                    pairs: pairs.clone(),
-                    vars: self.slot_vars(syms),
+                    pairs,
                 });
             }
         }
@@ -896,17 +874,9 @@ impl Lowerer<'_> {
             }
             Exp::Transform { src, tr } => {
                 let src = self.resolve(*src)?;
-                let vars = self.slot_vars(transform_vars(tr));
+                let tr = self.lower_transform(tr);
                 let dest = self.lower_dest(&stm.pat[0])?;
-                out.push(
-                    Instr::Transform {
-                        dest,
-                        src,
-                        tr: tr.clone(),
-                        vars,
-                    },
-                    blame,
-                );
+                out.push(Instr::Transform { dest, src, tr }, blame);
             }
             Exp::Gather { src, idx } => {
                 let src = self.resolve(*src)?;
@@ -925,13 +895,11 @@ impl Lowerer<'_> {
                 let (slice_l, lmad_slice) = match slice {
                     SliceSpec::Triplet(ts) => {
                         let tr = Transform::Slice(ts.clone());
-                        let vars = self.slot_vars(transform_vars(&tr));
-                        (LSlice::Tr { tr, vars }, false)
+                        (LSlice::Tr(self.lower_transform(&tr)), false)
                     }
                     SliceSpec::Lmad(l) => {
                         let tr = Transform::LmadSlice(l.clone());
-                        let vars = self.slot_vars(transform_vars(&tr));
-                        (LSlice::Tr { tr, vars }, true)
+                        (LSlice::Tr(self.lower_transform(&tr)), true)
                     }
                     SliceSpec::Point(es) => (
                         LSlice::Point(
@@ -1208,45 +1176,6 @@ fn patch_target(i: &mut Instr, t: usize) {
     }
 }
 
-fn transform_vars(tr: &Transform) -> Vec<Sym> {
-    let mut out: Vec<Sym> = Vec::new();
-    let add = |p: &Poly, out: &mut Vec<Sym>| {
-        for v in p.vars() {
-            if !out.contains(&v) {
-                out.push(v);
-            }
-        }
-    };
-    match tr {
-        Transform::Permute(_) | Transform::Reverse(_) => {}
-        Transform::Reshape(ps) => {
-            for p in ps {
-                add(p, &mut out);
-            }
-        }
-        Transform::Slice(ts) => {
-            for t in ts {
-                match t {
-                    TripletSlice::Range { start, len, step } => {
-                        add(start, &mut out);
-                        add(len, &mut out);
-                        add(step, &mut out);
-                    }
-                    TripletSlice::Fix(p) => add(p, &mut out),
-                }
-            }
-        }
-        Transform::LmadSlice(l) => {
-            for v in l.vars() {
-                if !out.contains(&v) {
-                    out.push(v);
-                }
-            }
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Pretty printing (golden-snapshot friendly).
 
@@ -1328,7 +1257,7 @@ fn fmt_dest(d: &Dest) -> String {
                 LoweredIxFn::Ready { ixfn, class } => {
                     format!(" @ {block} {ixfn:?} [{class:?}]")
                 }
-                LoweredIxFn::Dynamic { ixfn, .. } => format!(" @ {block} {ixfn:?}"),
+                LoweredIxFn::Dynamic(ixfn) => format!(" @ {block} {ixfn:?}"),
             }
         }
         None => String::new(),
@@ -1340,7 +1269,7 @@ fn fmt_exp(e: &LExp) -> String {
     match e {
         LExp::Const(v) => format!("{v:?}"),
         LExp::Slot(s) => format!("%{s}"),
-        LExp::Size(p) => format!("size({:?})", p.poly),
+        LExp::Size(p) => format!("size({p:?})"),
         LExp::Bin(op, a, b) => format!("({} {op:?} {})", fmt_exp(a), fmt_exp(b)),
         LExp::Un(op, a) => format!("{op:?}({})", fmt_exp(a)),
         LExp::Index { arr, idx } => format!(
@@ -1371,7 +1300,7 @@ fn fmt_instr(i: &Instr) -> String {
             color,
         } => {
             let c = color.map(|c| format!(" color {c}")).unwrap_or_default();
-            format!("%{dst} <- alloc {elem:?} x {:?}{c}", size.poly)
+            format!("%{dst} <- alloc {elem:?} x {size:?}{c}")
         }
         Instr::Iota { dest } => format!("{} <- iota", fmt_dest(dest)),
         Instr::Scratch { dest } => format!("{} <- scratch", fmt_dest(dest)),
@@ -1400,7 +1329,7 @@ fn fmt_instr(i: &Instr) -> String {
             mk.kernel
                 .map(|k| k.to_string())
                 .unwrap_or_else(|| "?".into()),
-            mk.width.poly,
+            mk.width,
             fmt_slots(&mk.inputs),
             mk.args.iter().map(fmt_exp).collect::<Vec<_>>().join(", "),
             if mk.in_place { " in-place" } else { "" },
@@ -1413,13 +1342,13 @@ fn fmt_instr(i: &Instr) -> String {
         Instr::MapLambda(ml) => format!(
             "[{}] <- map_lambda width {:?} inputs [{}] params [{}]",
             ml.dests.iter().map(fmt_dest).collect::<Vec<_>>().join(", "),
-            ml.width.poly,
+            ml.width,
             fmt_slots(&ml.inputs),
             fmt_slots(&ml.params),
         ),
         Instr::Update(u) => {
             let slice = match &u.slice {
-                LSlice::Tr { tr, .. } => format!("{tr:?}"),
+                LSlice::Tr(tr) => format!("{tr:?}"),
                 LSlice::Point(es) => format!(
                     "point[{}]",
                     es.iter().map(fmt_exp).collect::<Vec<_>>().join(", ")

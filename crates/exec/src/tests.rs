@@ -493,8 +493,11 @@ fn access_plans_match_generic_indexing() {
     let mut plans_seen = std::collections::HashSet::new();
     for case in 0..500 {
         let rank = r.usize_in(3) + 1;
-        let dims: Vec<(i64, i64)> = (0..rank)
-            .map(|_| (r.i64_in(1, 5), r.i64_in(-6, 7)))
+        let dims = (0..rank)
+            .map(|_| Dim {
+                card: r.i64_in(1, 5),
+                stride: r.i64_in(-6, 7),
+            })
             .collect();
         let mut l = ConcreteLmad { offset: 0, dims };
         // Shift so every touched offset is non-negative, then bound.
@@ -726,4 +729,145 @@ fn recycling_keeps_its_contract_across_types_colors_and_tenants() {
         "generator must reach every revive flavour: {cross_width} cross-width, \
          {cross_tenant} cross-tenant, {slab_hits} slab hits, {grown} grown"
     );
+}
+
+/// Regression: an integer `/` or `%` whose divisor is an input's zero (or
+/// `i64::MIN / -1`) is an error of the request, not a panic of the VM —
+/// at top level and inside a `map_lambda` body alike.
+#[test]
+fn integer_division_by_zero_is_an_error_not_a_panic() {
+    use arraymem_ir::BinOp;
+    let kernels = KernelRegistry::new();
+    for op in [BinOp::Div, BinOp::Rem] {
+        let mut b = Builder::new("div_scalar");
+        let x = b.scalar_param("dx", ElemType::I64);
+        let y = b.scalar_param("dy", ElemType::I64);
+        let mut body = b.block();
+        let q = body.scalar(
+            "q",
+            ElemType::I64,
+            ScalarExp::bin(op, ScalarExp::var(x), ScalarExp::var(y)),
+        );
+        let prog = b.finish(body.finish(vec![q]));
+        let run = |x, y| {
+            let inputs = [InputValue::I64(x), InputValue::I64(y)];
+            run_program(&prog, &inputs, &kernels, Mode::Pure, 1).map(|(out, _)| out)
+        };
+        let defined = if op == BinOp::Div { 3 } else { 1 };
+        assert_eq!(run(7, 2), Ok(vec![OutputValue::I64(defined)]));
+        for (x, y) in [(7, 0), (i64::MIN, -1)] {
+            let err = run(x, y).expect_err("undefined quotient");
+            assert!(err.contains("undefined"), "{op:?} {x} {y}: {err}");
+        }
+
+        let mut b = Builder::new("div_lambda");
+        let n = b.scalar_param("dn", ElemType::I64);
+        let xs = b.array_param("dxs", ElemType::I64, vec![p(n)]);
+        let mut body = b.block();
+        let qs = body.map_lambda("qs", p(n), vec![xs], ElemType::I64, |lb, ps| {
+            let q = lb.scalar(
+                "q",
+                ElemType::I64,
+                ScalarExp::bin(op, ScalarExp::i64(7), ScalarExp::var(ps[0])),
+            );
+            vec![q]
+        });
+        let prog = b.finish(body.finish(vec![qs]));
+        let inputs = [InputValue::I64(3), InputValue::ArrayI64(vec![1, 0, 2])];
+        for mode in [Mode::Pure, Mode::Memory] {
+            let compiled = compile(&prog, &Options::default()).expect("compile");
+            let err = run_program(&compiled.program, &inputs, &kernels, mode, 1)
+                .expect_err("element 1 divides by zero");
+            assert!(err.contains("undefined"), "{op:?} {mode:?}: {err}");
+        }
+    }
+}
+
+/// Lowering maps coefficients `Poly → SlotPoly` and the executor maps
+/// `SlotPoly → i64`; the composition must be evaluation of the symbolic
+/// original under the bindings the registers hold — for an index function
+/// and a transform with live size symbols — and a symbol bound nowhere
+/// must come out `None` on both sides.
+#[test]
+fn lowered_coefficients_evaluate_like_the_symbolic_ones() {
+    use crate::plan::{lower_plan_full, Instr, LoweredIxFn};
+    use crate::value::Value;
+    use arraymem_core::CircuitCheck;
+    use arraymem_ir::Exp;
+    use arraymem_symbolic::sym;
+
+    let mut b = Builder::new("lowered_coeffs");
+    let n = b.scalar_param("ln", ElemType::I64);
+    let m = b.scalar_param("lm", ElemType::I64);
+    let a = b.array_param("lA", ElemType::F32, vec![p(n) * p(m)]);
+    let mut body = b.block();
+    let rows = Lmad::new(p(m), vec![Dim::new(p(n) - c(1), p(m)), Dim::new(p(m), 1)]);
+    let tail = body.slice("tail", a, Transform::LmadSlice(rows));
+    let cols = body.transform("cols", tail, Transform::Permute(vec![1, 0]));
+    let window = body.slice(
+        "window",
+        cols,
+        Transform::Slice(vec![
+            TripletSlice::range(c(1), p(m) - c(1), c(1)),
+            TripletSlice::Fix(p(n) - c(2)),
+        ]),
+    );
+    let prog = b.finish(body.finish(vec![window]));
+    let compiled = compile(&prog, &Options::default()).expect("compile");
+
+    // A footprint over a symbol no statement binds, anchored at `window`.
+    let ghost = Lmad::new(Poly::var(sym("ghost")), vec![Dim::new(p(n), 1)]);
+    let recorded = [CircuitCheck {
+        root: "tail".into(),
+        stm: window.to_string(),
+        dst_block: a,
+        writes: vec![ghost.clone()],
+        uses: vec![Lmad::new(p(m), vec![Dim::new(p(n), p(m))])],
+    }];
+    let kernels = KernelRegistry::new();
+    let plan = lower_plan_full(&compiled.program, &kernels, &recorded, &[], &[]).expect("lower");
+
+    let (nv, mv) = (5, 3);
+    let mut regs = vec![Value::I64(0); plan.num_slots() as usize];
+    regs[plan.params[0].slot as usize] = Value::I64(nv);
+    regs[plan.params[1].slot as usize] = Value::I64(mv);
+    let bound = |s| [(n, nv), (m, mv)].iter().find(|b| b.0 == s).map(|b| b.1);
+
+    let stms = compiled.program.body.stms.iter();
+    let mut sources = stms.filter(|s| matches!(s.exp, Exp::Transform { .. }));
+    let (mut transforms, mut checks_seen) = (0, 0);
+    for instr in &plan.body.instrs {
+        match instr {
+            Instr::Transform { dest, tr, .. } => {
+                let stm = sources.next().expect("one statement per instruction");
+                let Exp::Transform { tr: sym_tr, .. } = &stm.exp else {
+                    unreachable!()
+                };
+                let got = tr.map(|p| p.eval(&regs)).expect("closed transform");
+                assert_eq!(Some(got), sym_tr.map(|p| p.eval(bound)), "{sym_tr:?}");
+                let sym_ix = &stm.pat[0].mem.as_ref().expect("introduced").ixfn;
+                let LoweredIxFn::Dynamic(ix) = &dest.mem.as_ref().expect("lowered").ixfn else {
+                    panic!("{sym_ix:?} depends on the size parameters")
+                };
+                assert_eq!(ix.map(|p| p.eval(&regs)), sym_ix.map(|p| p.eval(bound)));
+                assert_eq!(format!("{ix:?}"), format!("{sym_ix:?}"));
+                transforms += 1;
+            }
+            Instr::VerifyChecks { checks } => {
+                let [lowered] = &checks[..] else {
+                    panic!("one check was recorded")
+                };
+                assert_eq!(lowered.writes[0].map(|p| p.eval(&regs)), None);
+                assert_eq!(ghost.map(|p| p.eval(bound)), None);
+                assert_eq!(
+                    lowered.uses[0].map(|p| p.eval(&regs)),
+                    recorded[0].uses[0].map(|p| p.eval(bound))
+                );
+                assert!(lowered.uses[0].map(|p| p.eval(&regs)).is_some());
+                checks_seen += 1;
+            }
+            _ => {}
+        }
+    }
+    assert_eq!((transforms, checks_seen), (3, 1));
 }

@@ -97,13 +97,6 @@ impl Value {
         }
     }
 
-    pub fn as_mem(&self) -> usize {
-        match self {
-            Value::Mem(m) => *m,
-            _ => panic!("not a memory block: {self:?}"),
-        }
-    }
-
     pub fn as_array(&self) -> &ArrayRef {
         match self {
             Value::Array(a) => a,

@@ -152,12 +152,6 @@ impl View {
 
     /// See [`View::get_f32`].
     #[inline]
-    pub fn get_f64(&self, idx: &[i64]) -> f64 {
-        self.load(self.offset(idx))
-    }
-
-    /// See [`View::get_f32`].
-    #[inline]
     pub fn get_i64(&self, idx: &[i64]) -> i64 {
         self.load(self.offset(idx))
     }
@@ -279,12 +273,6 @@ impl ViewMut {
 
     /// See [`ViewMut::set_f32`].
     #[inline]
-    pub fn set_f64(&self, idx: &[i64], v: f64) {
-        self.store(self.offset(idx), v)
-    }
-
-    /// See [`ViewMut::set_f32`].
-    #[inline]
     pub fn set_i64(&self, idx: &[i64], v: i64) {
         self.store(self.offset(idx), v)
     }
@@ -373,10 +361,9 @@ pub(crate) fn fix_outer(ixfn: &ConcreteIxFn, i: i64) -> ConcreteIxFn {
     let mut out = ixfn.clone();
     let logical = out.lmads.last_mut().unwrap();
     assert!(!logical.dims.is_empty(), "cannot fix a rank-0 view");
-    let (card, stride) = logical.dims.remove(0);
-    debug_assert!(i >= 0 && i < card, "row {i} out of {card}");
-    let _ = card;
-    logical.offset += i * stride;
+    let outer = logical.dims.remove(0);
+    debug_assert!(i >= 0 && i < outer.card, "row {i} out of {}", outer.card);
+    logical.offset += i * outer.stride;
     out
 }
 
@@ -425,7 +412,7 @@ fn copy_elems<T: Copy>(dst: &ViewMut, src: &View, n: i64) {
     // strides are 1 (row-contiguous on both sides — e.g. copying a bar of
     // a rebased matrix) each run is a single `memcpy`.
     let inner = shape[rank - 1];
-    let (s_in, d_in) = (sl.dims[rank - 1].1, dl.dims[rank - 1].1);
+    let (s_in, d_in) = (sl.dims[rank - 1].stride, dl.dims[rank - 1].stride);
     let rows_contiguous = s_in == 1 && d_in == 1 && inner > 0;
     let outer: i64 = shape[..rank - 1].iter().product();
     let mut idx = vec![0i64; rank];
@@ -468,6 +455,7 @@ mod tests {
     use crate::store::MemStore;
     use crate::InputValue;
     use arraymem_ir::ElemType;
+    use arraymem_lmad::Dim;
 
     fn store_with(data: Vec<f32>) -> (MemStore, usize) {
         let mut s = MemStore::new();
@@ -502,7 +490,7 @@ mod tests {
             s.raw(b),
             ConcreteIxFn::from_lmad(ConcreteLmad {
                 offset: 3,
-                dims: vec![(4, 1)],
+                dims: vec![Dim { card: 4, stride: 1 }],
             }),
         );
         let _ = v.get_f32(&[3]); // offset 6 > len 4
@@ -530,14 +518,17 @@ mod tests {
                 s.raw(db),
                 ConcreteIxFn::from_lmad(ConcreteLmad {
                     offset: 0,
-                    dims: vec![(8, 2)],
+                    dims: vec![Dim { card: 8, stride: 2 }],
                 }),
             );
             let src = View::new(
                 s.raw(sb),
                 ConcreteIxFn::from_lmad(ConcreteLmad {
                     offset: 7,
-                    dims: vec![(8, -1)],
+                    dims: vec![Dim {
+                        card: 8,
+                        stride: -1,
+                    }],
                 }),
             );
             let bytes = copy_view(&dst, &src);
@@ -582,14 +573,14 @@ mod tests {
             s.raw(db),
             ConcreteIxFn::from_lmad(ConcreteLmad {
                 offset: 0,
-                dims: vec![(0, 1)],
+                dims: vec![Dim { card: 0, stride: 1 }],
             }),
         );
         let src = View::new(
             s.raw(sb),
             ConcreteIxFn::from_lmad(ConcreteLmad {
                 offset: 0,
-                dims: vec![(0, 1)],
+                dims: vec![Dim { card: 0, stride: 1 }],
             }),
         );
         assert_eq!(copy_view(&dst, &src), 0);
@@ -603,15 +594,15 @@ mod tests {
             lmads: vec![
                 ConcreteLmad {
                     offset: 0,
-                    dims: vec![(2, 3), (3, 1)],
+                    dims: vec![Dim { card: 2, stride: 3 }, Dim { card: 3, stride: 1 }],
                 },
                 ConcreteLmad {
                     offset: 0,
-                    dims: vec![(3, 1), (2, 3)],
+                    dims: vec![Dim { card: 3, stride: 1 }, Dim { card: 2, stride: 3 }],
                 },
                 ConcreteLmad {
                     offset: 0,
-                    dims: vec![(6, 1)],
+                    dims: vec![Dim { card: 6, stride: 1 }],
                 },
             ],
         };
@@ -626,6 +617,7 @@ mod negative_len_tests {
     use super::*;
     use crate::store::MemStore;
     use arraymem_ir::ElemType;
+    use arraymem_lmad::Dim;
 
     /// Regression (code review): a view whose runtime-computed length is
     /// negative must not produce a wrapped-length slice.
@@ -637,7 +629,10 @@ mod negative_len_tests {
             s.raw(b),
             ConcreteIxFn::from_lmad(ConcreteLmad {
                 offset: 4,
-                dims: vec![(-2, 1)],
+                dims: vec![Dim {
+                    card: -2,
+                    stride: 1,
+                }],
             }),
         );
         assert!(v.as_slice_mut::<f32>().is_none());
@@ -647,7 +642,10 @@ mod negative_len_tests {
             s.raw(b),
             ConcreteIxFn::from_lmad(ConcreteLmad {
                 offset: 0,
-                dims: vec![(-2, 1)],
+                dims: vec![Dim {
+                    card: -2,
+                    stride: 1,
+                }],
             }),
         );
         assert_eq!(copy_view(&v, &src), 0);

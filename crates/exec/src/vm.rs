@@ -46,7 +46,7 @@
 use crate::cache::PlanCache;
 use crate::kernel::{KernelCtx, KernelRegistry};
 use crate::plan::{
-    slot_lookup, Dest, ExecPlan, Instr, LExp, LSlice, LUpdateSrc, ParamSpec, Slot, SlotPoly, Stream,
+    eval_shape, Dest, ExecPlan, Instr, LExp, LSlice, LUpdateSrc, ParamSpec, Slot, Stream,
 };
 use crate::pool::parallel_for_worker;
 use crate::stats::{Diagnostic, Stats};
@@ -57,10 +57,8 @@ use arraymem_core::{CircuitCheck, MergeRecord, ParLevel, ParSafetyRecord};
 use arraymem_ir::validate::lmad_slice_is_injective;
 use arraymem_ir::{BinOp, ElemType, Program, Type, UnOp};
 use arraymem_lmad::{
-    footprint_check, ConcreteIxFn, ConcreteLmad, FootprintCheck, IndexFn, Lmad, Transform,
-    TripletSlice,
+    footprint_check, ConcreteIxFn, ConcreteLmad, FootprintCheck, Transform, TripletSlice,
 };
-use arraymem_symbolic::Poly;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -115,15 +113,12 @@ struct Machine<'a> {
 /// exactly once.
 ///
 /// A session is the single-tenant special case of the server layering:
-/// [`Session::new`] owns a private single-shard [`PlanCache`];
-/// [`Session::with_cache`] shares a (typically global) one, in which
-/// case [`plan_stats`](Session::plan_stats) reports the shared cache's
-/// accounting across every client.
+/// it owns a private single-shard [`PlanCache`] where the server shares
+/// one across tenants.
 pub struct Session {
     store: MemStore,
-    cache: Arc<PlanCache>,
-    /// Session-local handle table: `PlanHandle(i)` indexes here, so
-    /// handles stay dense and session-scoped even over a shared cache.
+    cache: PlanCache,
+    /// Session-local handle table: `PlanHandle(i)` indexes here.
     handles: Vec<Arc<ExecPlan>>,
     by_key: HashMap<u64, usize>,
     /// Outcome of the most recent `prepare`: (was answered without
@@ -140,25 +135,13 @@ impl Default for Session {
 
 impl Session {
     pub fn new() -> Session {
-        Session::with_cache(Arc::new(PlanCache::new(1)))
-    }
-
-    /// A session over a shared plan cache: programs another client of
-    /// `cache` already prepared are answered without lowering here.
-    pub fn with_cache(cache: Arc<PlanCache>) -> Session {
         Session {
             store: MemStore::new(),
-            cache,
+            cache: PlanCache::new(1),
             handles: Vec::new(),
             by_key: HashMap::new(),
             last_prepare: (true, Duration::ZERO),
         }
-    }
-
-    /// The plan cache this session prepares against (share it with
-    /// [`Session::with_cache`]).
-    pub fn cache(&self) -> &Arc<PlanCache> {
-        &self.cache
     }
 
     /// The session's memory store (tests attach arenas through this).
@@ -200,8 +183,7 @@ impl Session {
     }
 
     /// Cumulative prepare accounting of the session's cache (the harness
-    /// asserts `cache_hits == runs - builds` per benchmarked case). Over
-    /// a shared cache this aggregates every sharing client.
+    /// asserts `cache_hits == runs - builds` per benchmarked case).
     pub fn plan_stats(&self) -> PlanStats {
         self.cache.stats()
     }
@@ -373,7 +355,8 @@ impl Machine<'_> {
             (Type::Scalar(ElemType::F64), InputValue::F64(x)) => Value::F64(*x),
             (Type::Scalar(ElemType::Bool), InputValue::Bool(x)) => Value::Bool(*x),
             (Type::Array { elem, .. }, arr) => {
-                let shape_c = self.eval_shape(&spec.shape, "unresolved param shape")?;
+                let shape_c =
+                    eval_shape(&spec.shape, &self.regs).ok_or("unresolved param shape")?;
                 let n = shape_c
                     .iter()
                     .try_fold(1i64, |n, &d| n.checked_mul(d).filter(|_| d >= 0))
@@ -628,14 +611,6 @@ impl Machine<'_> {
         self.stats.num_elided += 1;
     }
 
-    /// Evaluate a symbolic shape against the register file.
-    fn eval_shape(&self, shape: &[SlotPoly], err: &'static str) -> Result<Vec<i64>, &'static str> {
-        shape
-            .iter()
-            .map(|p| p.eval(&self.regs).ok_or(err))
-            .collect()
-    }
-
     /// Execute a (linear, jump-threaded) instruction stream.
     fn exec_stream(&mut self, s: &Stream) -> Result<(), String> {
         let mut pc = 0usize;
@@ -735,18 +710,12 @@ impl Machine<'_> {
                 }
                 self.regs[dest.slot as usize] = Value::Array(dst);
             }
-            Instr::Transform {
-                dest,
-                src,
-                tr,
-                vars,
-            } => {
+            Instr::Transform { dest, src, tr } => {
                 let src_a = self.regs[*src as usize].as_array().clone();
-                let ixfn = {
-                    let lookup = slot_lookup(vars, &self.regs);
-                    apply_transform_concrete(&src_a.ixfn, tr, &lookup)
-                }
-                .ok_or("unsupported concrete transform")?;
+                let ixfn = tr
+                    .map(|p| p.eval(&self.regs))
+                    .and_then(|tr| src_a.ixfn.transform(&tr))
+                    .ok_or("unsupported concrete transform")?;
                 if self.mode == Mode::Pure {
                     // Materialize the transformed view into a fresh array.
                     let dst = self.fresh_dest(dest)?;
@@ -801,7 +770,8 @@ impl Machine<'_> {
                     .iter()
                     .map(|a| self.eval_lexp(a))
                     .collect::<Result<_, _>>()?;
-                let row_shape_c = self.eval_shape(&mk.row_shape, "unresolved row shape")?;
+                let row_shape_c =
+                    eval_shape(&mk.row_shape, &self.regs).ok_or("unresolved row shape")?;
                 let row_elems: i64 = row_shape_c.iter().product();
                 let scalar_rows = row_shape_c.is_empty();
                 let par_proven = mk.par == ParLevel::Safe;
@@ -1001,22 +971,20 @@ impl Machine<'_> {
                     self.regs[u.dest.slot as usize] = Value::Array(result);
                     return Ok(());
                 }
-                let slice_ixfn = match &u.slice {
-                    LSlice::Tr { tr, vars } => {
-                        let lookup = slot_lookup(vars, &self.regs);
-                        apply_transform_concrete(&result.ixfn, tr, &lookup)
-                    }
+                let slice = match &u.slice {
+                    LSlice::Tr(tr) => tr.map(|p| p.eval(&self.regs)),
                     LSlice::Point(es) => {
                         let mut fixed = Vec::with_capacity(es.len());
                         for e in es {
-                            let v = self.eval_lexp(e)?.as_i64();
-                            fixed.push(TripletSlice::Fix(Poly::constant(v)));
+                            fixed.push(TripletSlice::Fix(self.eval_lexp(e)?.as_i64()));
                         }
-                        apply_transform_concrete(&result.ixfn, &Transform::Slice(fixed), &|_| None)
+                        Some(Transform::Slice(fixed))
                     }
                     LSlice::Scatter(_) => unreachable!("scatter handled above"),
-                }
-                .ok_or_else(|| "bad slice".to_string())?;
+                };
+                let slice_ixfn = slice
+                    .and_then(|tr| result.ixfn.transform(&tr))
+                    .ok_or("bad slice")?;
                 // The language's dynamic legality check for LMAD-slice
                 // updates (§III-B): the written positions must not
                 // self-overlap.
@@ -1142,13 +1110,11 @@ impl Machine<'_> {
     /// concrete offsets. Checked mode only.
     fn verify_checks(&mut self, checks: &[crate::plan::LoweredCheck]) {
         for c in checks {
-            let (writes, uses): (Vec<ConcreteLmad>, Vec<ConcreteLmad>) = {
-                let lookup = slot_lookup(&c.vars, &self.regs);
-                (
-                    c.writes.iter().filter_map(|l| l.eval(&lookup)).collect(),
-                    c.uses.iter().filter_map(|l| l.eval(&lookup)).collect(),
-                )
-            };
+            let [writes, uses] = [&c.writes, &c.uses].map(|ls| {
+                ls.iter()
+                    .filter_map(|l| l.map(|p| p.eval(&self.regs)))
+                    .collect::<Vec<ConcreteLmad>>()
+            });
             let pairs = writes.iter().flat_map(|w| uses.iter().map(move |u| (w, u)));
             let disjoint = self.pairs_disjoint(pairs, |offset, w, u| Diagnostic::CircuitOverlap {
                 root: c.root.clone(),
@@ -1172,13 +1138,16 @@ impl Machine<'_> {
     /// merge-pass analogue of [`verify_checks`](Machine::verify_checks).
     fn verify_merges(&mut self, checks: &[crate::plan::LoweredMergeCheck]) {
         for c in checks {
-            let pairs: Vec<(ConcreteLmad, ConcreteLmad)> = {
-                let lookup = slot_lookup(&c.vars, &self.regs);
-                c.pairs
-                    .iter()
-                    .filter_map(|(a, b)| Some((a.eval(&lookup)?, b.eval(&lookup)?)))
-                    .collect()
-            };
+            let pairs: Vec<(ConcreteLmad, ConcreteLmad)> = c
+                .pairs
+                .iter()
+                .filter_map(|(a, b)| {
+                    Some((
+                        a.map(|p| p.eval(&self.regs))?,
+                        b.map(|p| p.eval(&self.regs))?,
+                    ))
+                })
+                .collect();
             let disjoint =
                 self.pairs_disjoint(pairs.iter().map(|(v, r)| (v, r)), |offset, v, r| {
                     Diagnostic::MergeOverlap {
@@ -1226,7 +1195,7 @@ impl Machine<'_> {
                 .ok_or_else(|| format!("cannot evaluate index function of {}", d.var))?;
             Ok(ArrayRef::with_class(block, d.elem, ixfn, class))
         } else {
-            let shape = self.eval_shape(&d.shape, "unresolved shape")?;
+            let shape = eval_shape(&d.shape, &self.regs).ok_or("unresolved shape")?;
             let n: i64 = shape.iter().product();
             let block = self.store.alloc(d.elem, n.max(0) as usize);
             Ok(ArrayRef::new(
@@ -1318,12 +1287,15 @@ fn eval_bin(op: BinOp, x: &Value, y: &Value) -> Result<Value, String> {
         },
         _ => {
             let (a, b) = (x.as_i64(), y.as_i64());
+            // Operands are program inputs: a zero divisor (or `MIN / -1`)
+            // is the request's error, never a panic.
+            let undefined = || format!("integer {op:?} of {a} by {b} is undefined");
             match op {
                 Add => Value::I64(a + b),
                 Sub => Value::I64(a - b),
                 Mul => Value::I64(a * b),
-                Div => Value::I64(a.div_euclid(b)),
-                Rem => Value::I64(a.rem_euclid(b)),
+                Div => Value::I64(a.checked_div_euclid(b).ok_or_else(undefined)?),
+                Rem => Value::I64(a.checked_rem_euclid(b).ok_or_else(undefined)?),
                 Min => Value::I64(a.min(b)),
                 Max => Value::I64(a.max(b)),
                 Eq => Value::Bool(a == b),
@@ -1371,76 +1343,9 @@ fn eval_un(op: UnOp, x: &Value) -> Result<Value, String> {
 fn slice_rows(v: &ViewMut, row: i64, rows: i64) -> ViewMut {
     let mut ixfn = v.ixfn().clone();
     let logical = ixfn.lmads.last_mut().unwrap();
-    let (card, stride) = logical.dims[0];
-    debug_assert!(row + rows <= card);
-    logical.offset += row * stride;
-    logical.dims[0] = (rows, stride);
+    let outer = &mut logical.dims[0];
+    debug_assert!(row + rows <= outer.card);
+    outer.card = rows;
+    logical.offset += row * outer.stride;
     ViewMut::new(v.raw(), ixfn)
-}
-
-/// Evaluate a (symbolic) layout transform against a concrete index
-/// function by constantizing its polynomials and reusing the symbolic
-/// transform algebra.
-pub fn apply_transform_concrete(
-    ixfn: &ConcreteIxFn,
-    tr: &Transform,
-    lookup: &impl Fn(arraymem_symbolic::Sym) -> Option<i64>,
-) -> Option<ConcreteIxFn> {
-    let sym_ixfn = concrete_to_symbolic(ixfn);
-    let tr_c = constantize_transform(tr, lookup)?;
-    let out = sym_ixfn.transform(&tr_c)?;
-    out.eval(&|_| None)
-}
-
-fn concrete_to_symbolic(ixfn: &ConcreteIxFn) -> IndexFn {
-    IndexFn {
-        lmads: ixfn
-            .lmads
-            .iter()
-            .map(|l| {
-                Lmad::new(
-                    Poly::constant(l.offset),
-                    l.dims
-                        .iter()
-                        .map(|&(c, s)| {
-                            arraymem_lmad::Dim::new(Poly::constant(c), Poly::constant(s))
-                        })
-                        .collect(),
-                )
-            })
-            .collect(),
-    }
-}
-
-fn constantize_transform(
-    tr: &Transform,
-    lookup: &impl Fn(arraymem_symbolic::Sym) -> Option<i64>,
-) -> Option<Transform> {
-    let cp = |p: &Poly| -> Option<Poly> { Some(Poly::constant(p.eval(lookup)?)) };
-    Some(match tr {
-        Transform::Permute(p) => Transform::Permute(p.clone()),
-        Transform::Reverse(d) => Transform::Reverse(*d),
-        Transform::Reshape(s) => Transform::Reshape(s.iter().map(&cp).collect::<Option<_>>()?),
-        Transform::Slice(ts) => Transform::Slice(
-            ts.iter()
-                .map(|t| {
-                    Some(match t {
-                        TripletSlice::Range { start, len, step } => TripletSlice::Range {
-                            start: cp(start)?,
-                            len: cp(len)?,
-                            step: cp(step)?,
-                        },
-                        TripletSlice::Fix(i) => TripletSlice::Fix(cp(i)?),
-                    })
-                })
-                .collect::<Option<_>>()?,
-        ),
-        Transform::LmadSlice(l) => Transform::LmadSlice(Lmad::new(
-            cp(&l.offset)?,
-            l.dims
-                .iter()
-                .map(|d| Some(arraymem_lmad::Dim::new(cp(&d.card)?, cp(&d.stride)?)))
-                .collect::<Option<_>>()?,
-        )),
-    })
 }

@@ -113,9 +113,4 @@ impl Coverage {
     pub fn bits(&self) -> impl Iterator<Item = &(&'static str, u16)> {
         self.bits.iter()
     }
-
-    /// The engaged mechanism names.
-    pub fn mechanisms(&self) -> impl Iterator<Item = &&'static str> {
-        self.mech.iter()
-    }
 }

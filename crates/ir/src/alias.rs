@@ -37,22 +37,6 @@ impl AliasMap {
     pub fn same_class(&self, a: Var, b: Var) -> bool {
         self.root(a) == self.root(b)
     }
-
-    /// All variables known to this map that share `v`'s class (including
-    /// `v` itself).
-    pub fn class_members(&self, v: Var) -> Vec<Var> {
-        let r = self.root(v);
-        let mut out: Vec<Var> = self
-            .parent
-            .keys()
-            .copied()
-            .filter(|&k| self.root(k) == r)
-            .collect();
-        if !out.contains(&v) {
-            out.push(v);
-        }
-        out
-    }
 }
 
 /// Compute the alias classes of a program.

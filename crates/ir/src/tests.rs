@@ -4,7 +4,7 @@ use crate::exp::*;
 use crate::lastuse::{block_last_uses, used_after};
 use crate::types::ElemType;
 use crate::validate::{lmad_slice_is_injective, validate};
-use arraymem_lmad::{ConcreteLmad, Lmad, Transform, TripletSlice};
+use arraymem_lmad::{ConcreteLmad, Dim, Lmad, Transform, TripletSlice};
 use arraymem_symbolic::Poly;
 use std::collections::HashSet;
 
@@ -171,26 +171,26 @@ fn injectivity_dynamic_check() {
     // Diagonal of a 4x4: offsets 0,5,10,15 — injective.
     let diag = ConcreteLmad {
         offset: 0,
-        dims: vec![(4, 5)],
+        dims: vec![Dim { card: 4, stride: 5 }],
     };
     assert!(lmad_slice_is_injective(&diag));
     // Overlapping: stride 1 with card 4 and stride 2 with card 4.
     let bad = ConcreteLmad {
         offset: 0,
-        dims: vec![(4, 2), (4, 1)],
+        dims: vec![Dim { card: 4, stride: 2 }, Dim { card: 4, stride: 1 }],
     };
     assert!(!lmad_slice_is_injective(&bad));
     // Zero stride is rejected outright.
     let zero = ConcreteLmad {
         offset: 3,
-        dims: vec![(4, 0)],
+        dims: vec![Dim { card: 4, stride: 0 }],
     };
     assert!(!lmad_slice_is_injective(&zero));
     // Non-obvious but injective (fails the sufficient check, passes the
     // exact fallback): strides 3 and 4 with cards 2 — {0,3,4,7}.
     let odd = ConcreteLmad {
         offset: 0,
-        dims: vec![(2, 3), (2, 4)],
+        dims: vec![Dim { card: 2, stride: 3 }, Dim { card: 2, stride: 4 }],
     };
     assert!(lmad_slice_is_injective(&odd));
 }

@@ -4,7 +4,6 @@
 
 use crate::exp::*;
 use crate::types::{ElemType, Type};
-use arraymem_symbolic::Poly;
 use std::collections::{HashMap, HashSet};
 
 /// Validate a program; `Err` carries a description of the first violation.
@@ -310,11 +309,6 @@ fn validate_mem_block(
     Ok(())
 }
 
-/// Check two symbolic shapes for (canonical-form) equality.
-pub fn shapes_equal(a: &[Poly], b: &[Poly]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x == y)
-}
-
 /// The dynamic legality checks the language inserts for LMAD-slice updates
 /// (§III-B): strides non-zero and dimensions non-overlapping, so the
 /// update has no output dependences. Used by the evaluators.
@@ -326,7 +320,7 @@ pub fn lmad_slice_is_injective(l: &arraymem_lmad::ConcreteLmad) -> bool {
     let mut dims: Vec<(i64, i64)> = l
         .dims
         .iter()
-        .map(|&(c, s)| (c, s.abs()))
+        .map(|d| (d.card, d.stride.abs()))
         .filter(|&(c, _)| c > 1)
         .collect();
     if dims.iter().any(|&(_, s)| s == 0) {

@@ -164,14 +164,6 @@ impl Summary {
         }
     }
 
-    /// Prove that the summary is disjoint from one LMAD.
-    pub fn disjoint_from_lmad(&self, l: &Lmad, env: &Env) -> bool {
-        match self {
-            Summary::Top => false,
-            Summary::Set(v) => v.iter().all(|m| non_overlap(m, l, env)),
-        }
-    }
-
     /// Prove that two summaries are disjoint (pairwise non-overlap).
     pub fn disjoint_from(&self, other: &Summary, env: &Env) -> bool {
         match (self, other) {

@@ -1,62 +1,27 @@
-//! Fully concrete LMADs and index functions, used by the runtime.
+//! The integer instantiation of [`Lmad`] and [`IndexFn`]: the access path.
 //!
 //! During final code generation "the actual structure of the LMAD for a
 //! given array is inlined for every array access" (paper §VII). Our
-//! runtime's equivalent is these small, flat structs whose `index`
-//! computation is a handful of multiply-adds, plus fast paths the kernels
-//! use to keep per-access cost minimal.
+//! runtime's equivalent is the same LMAD structure with `i64`
+//! coefficients, whose `index` computation is a handful of multiply-adds,
+//! plus the fast paths the kernels use to keep per-access cost minimal.
 
-/// A concrete LMAD: `offset + {(card : stride), ...}`, outer dimension
-/// first. Strides may be negative (e.g. reversed dimensions).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ConcreteLmad {
-    pub offset: i64,
-    /// `(cardinality, stride)` pairs.
-    pub dims: Vec<(i64, i64)>,
-}
+use crate::{IndexFn, Lmad};
 
-impl ConcreteLmad {
-    pub fn row_major(shape: &[i64]) -> ConcreteLmad {
-        let mut dims = Vec::with_capacity(shape.len());
-        let mut stride = 1i64;
-        for &d in shape.iter().rev() {
-            dims.push((d, stride));
-            stride *= d;
-        }
-        dims.reverse();
-        ConcreteLmad { offset: 0, dims }
-    }
+/// An LMAD whose coefficients are numbers.
+pub type ConcreteLmad = Lmad<i64>;
 
-    pub fn rank(&self) -> usize {
-        self.dims.len()
-    }
+/// An index function whose coefficients are numbers.
+pub type ConcreteIxFn = IndexFn<i64>;
 
-    pub fn shape(&self) -> Vec<i64> {
-        self.dims.iter().map(|&(c, _)| c).collect()
-    }
-
-    pub fn num_points(&self) -> i64 {
-        self.dims.iter().map(|&(c, _)| c).product()
-    }
-
-    /// `L(y1..yq) = offset + Σ yi·si`.
-    #[inline]
-    pub fn apply(&self, idx: &[i64]) -> i64 {
-        debug_assert_eq!(idx.len(), self.dims.len());
-        let mut out = self.offset;
-        for (y, &(_, s)) in idx.iter().zip(&self.dims) {
-            out += y * s;
-        }
-        out
-    }
-
+impl Lmad<i64> {
     /// Enumerate all points of the LMAD (set semantics) in logical
     /// (row-major over the cardinalities) order.
     pub fn points(&self) -> Vec<i64> {
         let n = self.num_points().max(0) as usize;
         let mut out = Vec::with_capacity(n);
         let mut idx = vec![0i64; self.dims.len()];
-        if self.dims.iter().any(|&(c, _)| c <= 0) {
+        if self.dims.iter().any(|d| d.card <= 0) {
             return out;
         }
         loop {
@@ -69,23 +34,12 @@ impl ConcreteLmad {
                 }
                 d -= 1;
                 idx[d] += 1;
-                if idx[d] < self.dims[d].0 {
+                if idx[d] < self.dims[d].card {
                     break;
                 }
                 idx[d] = 0;
             }
         }
-    }
-
-    pub fn is_row_major_contiguous(&self) -> bool {
-        let mut stride = 1i64;
-        for &(c, s) in self.dims.iter().rev() {
-            if s != stride {
-                return false;
-            }
-            stride *= c;
-        }
-        true
     }
 
     /// Element offset of flat logical position `flat` (row-major over the
@@ -94,9 +48,9 @@ impl ConcreteLmad {
     #[inline]
     pub fn offset_of_flat(&self, mut flat: i64) -> i64 {
         let mut off = self.offset;
-        for &(c, s) in self.dims.iter().rev() {
-            off += flat.rem_euclid(c) * s;
-            flat = flat.div_euclid(c);
+        for d in self.dims.iter().rev() {
+            off += flat.rem_euclid(d.card) * d.stride;
+            flat = flat.div_euclid(d.card);
         }
         off
     }
@@ -116,7 +70,7 @@ pub enum FootprintCheck {
 }
 
 /// Brute-force footprint intersection of two concrete LMADs (set
-/// semantics, like [`ConcreteLmad::points`]). `cap` bounds the number of
+/// semantics, like [`Lmad::points`]). `cap` bounds the number of
 /// points enumerated per side.
 pub fn footprint_check(a: &ConcreteLmad, b: &ConcreteLmad, cap: i64) -> FootprintCheck {
     if a.num_points().max(0) > cap || b.num_points().max(0) > cap {
@@ -146,7 +100,7 @@ pub fn unrank(mut x: i64, shape: &[i64], out: &mut [i64]) {
     }
 }
 
-/// The access tier of a concrete index function, classified **once** at
+/// The access tier of an integer index function, classified **once** at
 /// view creation so per-element address computation costs a couple of
 /// integer ops instead of re-deriving the LMAD structure per access.
 ///
@@ -175,44 +129,9 @@ pub enum AccessClass {
     General,
 }
 
-/// A concrete index function: a chain of LMADs, applied last-to-first with
-/// unranking in between (paper Fig. 3).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ConcreteIxFn {
-    pub lmads: Vec<ConcreteLmad>,
-}
-
-impl ConcreteIxFn {
-    pub fn from_lmad(l: ConcreteLmad) -> ConcreteIxFn {
-        ConcreteIxFn { lmads: vec![l] }
-    }
-
-    pub fn row_major(shape: &[i64]) -> ConcreteIxFn {
-        ConcreteIxFn::from_lmad(ConcreteLmad::row_major(shape))
-    }
-
-    pub fn logical(&self) -> &ConcreteLmad {
-        self.lmads.last().unwrap()
-    }
-
-    pub fn shape(&self) -> Vec<i64> {
-        self.logical().shape()
-    }
-
-    pub fn rank(&self) -> usize {
-        self.logical().rank()
-    }
-
+impl IndexFn<i64> {
     pub fn num_elems(&self) -> i64 {
         self.logical().num_points()
-    }
-
-    pub fn as_single(&self) -> Option<&ConcreteLmad> {
-        if self.lmads.len() == 1 {
-            Some(&self.lmads[0])
-        } else {
-            None
-        }
     }
 
     /// Map a logical index to the flat element offset in the memory block.
@@ -249,22 +168,22 @@ impl ConcreteIxFn {
         // Are dims[1..] row-major contiguous? Then `inner` (their point
         // count) is the contiguous row length.
         let mut inner = 1i64;
-        for &(c, s) in l.dims[1..].iter().rev() {
-            if s != inner || c <= 0 {
+        for d in l.dims[1..].iter().rev() {
+            if d.stride != inner || d.card <= 0 {
                 return AccessClass::Strided;
             }
-            inner *= c;
+            inner *= d.card;
         }
-        let (c0, s0) = l.dims[0];
-        if c0 <= 0 {
+        let outer = l.dims[0];
+        if outer.card <= 0 {
             return AccessClass::Strided;
         }
-        if s0 == inner {
+        if outer.stride == inner {
             return AccessClass::Contiguous { base: l.offset };
         }
         AccessClass::RowContiguous {
             base: l.offset,
-            row_stride: s0,
+            row_stride: outer.stride,
             inner,
         }
     }
@@ -287,11 +206,15 @@ impl ConcreteIxFn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Dim;
 
     #[test]
     fn row_major_matches_manual() {
         let l = ConcreteLmad::row_major(&[3, 4]);
-        assert_eq!(l.dims, vec![(3, 4), (4, 1)]);
+        assert_eq!(
+            l.dims,
+            vec![Dim { card: 3, stride: 4 }, Dim { card: 4, stride: 1 }]
+        );
         assert_eq!(l.apply(&[2, 3]), 11);
         assert!(l.is_row_major_contiguous());
     }
@@ -300,7 +223,7 @@ mod tests {
     fn points_enumeration() {
         let l = ConcreteLmad {
             offset: 1,
-            dims: vec![(2, 2), (4, 8)],
+            dims: vec![Dim { card: 2, stride: 2 }, Dim { card: 4, stride: 8 }],
         };
         assert_eq!(l.points(), vec![1, 9, 17, 25, 3, 11, 19, 27]);
     }
@@ -321,21 +244,21 @@ mod tests {
         // Rows 0..3 of a 6x1 vector vs rows 1..5: overlap starts at 1.
         let a = ConcreteLmad {
             offset: 0,
-            dims: vec![(3, 1)],
+            dims: vec![Dim { card: 3, stride: 1 }],
         };
         let b = ConcreteLmad {
             offset: 1,
-            dims: vec![(4, 1)],
+            dims: vec![Dim { card: 4, stride: 1 }],
         };
         assert_eq!(footprint_check(&a, &b, 1 << 10), FootprintCheck::Overlap(1));
         // Even and odd strided footprints are disjoint.
         let evens = ConcreteLmad {
             offset: 0,
-            dims: vec![(5, 2)],
+            dims: vec![Dim { card: 5, stride: 2 }],
         };
         let odds = ConcreteLmad {
             offset: 1,
-            dims: vec![(5, 2)],
+            dims: vec![Dim { card: 5, stride: 2 }],
         };
         assert_eq!(
             footprint_check(&evens, &odds, 1 << 10),
@@ -344,7 +267,10 @@ mod tests {
         // Cap exceeded: undecided, never a wrong verdict.
         let big = ConcreteLmad {
             offset: 0,
-            dims: vec![(1 << 20, 1)],
+            dims: vec![Dim {
+                card: 1 << 20,
+                stride: 1,
+            }],
         };
         assert_eq!(footprint_check(&big, &a, 1 << 10), FootprintCheck::TooLarge);
     }
@@ -357,7 +283,7 @@ mod tests {
         assert_eq!(ix.contiguous_base(), Some(7));
         let t = ConcreteIxFn::from_lmad(ConcreteLmad {
             offset: 0,
-            dims: vec![(4, 1), (4, 4)],
+            dims: vec![Dim { card: 4, stride: 1 }, Dim { card: 4, stride: 4 }],
         });
         assert_eq!(t.contiguous_base(), None);
     }

@@ -1,18 +1,20 @@
 //! Index functions: chains of LMADs mapping logical array indexes to flat
-//! offsets inside a memory block (paper §IV).
+//! offsets inside a memory block (paper §IV). Like [`Lmad`], generic over
+//! the coefficients: symbolic in the compiler, integers at run time.
 
-use crate::lmad::{Dim, Lmad};
+use crate::lmad::{Coeff, Dim, Lmad};
 use arraymem_symbolic::{Poly, Sym};
+use std::fmt::Debug;
 
 /// A triplet-notation slice of one dimension: either a strided range
 /// (keeps the dimension) or a fixed index (drops it).
 #[derive(Clone, Debug, PartialEq)]
-pub enum TripletSlice {
+pub enum TripletSlice<C = Poly> {
     /// `[start ; len ; step]` — `len` elements starting at `start`,
     /// advancing by `step` (§IV-B).
-    Range { start: Poly, len: Poly, step: Poly },
+    Range { start: C, len: C, step: C },
     /// A single index; removes the dimension.
-    Fix(Poly),
+    Fix(C),
 }
 
 impl TripletSlice {
@@ -36,29 +38,55 @@ impl TripletSlice {
 /// A change-of-layout transformation (paper footnote 12). All of these are
 /// O(1) on index functions: no elements move in memory.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Transform {
+pub enum Transform<C = Poly> {
     /// Permute dimensions; `perm[k]` is the source dimension that becomes
     /// result dimension `k`. Transposition of a matrix is `Permute([1,0])`.
     Permute(Vec<usize>),
     /// Triplet-notation slicing, one entry per source dimension.
-    Slice(Vec<TripletSlice>),
+    Slice(Vec<TripletSlice<C>>),
     /// Generalized LMAD slicing (§III-B): the slice LMAD's points index the
     /// flat (row-major) index space of the source array.
-    LmadSlice(Lmad),
+    LmadSlice(Lmad<C>),
     /// Reshape to a new logical shape (same number of elements).
-    Reshape(Vec<Poly>),
+    Reshape(Vec<C>),
     /// Reverse one dimension.
     Reverse(usize),
 }
 
-impl Transform {
+impl<C> Transform<C> {
+    /// The same transform over other coefficients (see [`Lmad::map`]).
+    pub fn map<D>(&self, mut f: impl FnMut(&C) -> Option<D>) -> Option<Transform<D>> {
+        Some(match self {
+            Transform::Permute(p) => Transform::Permute(p.clone()),
+            Transform::Reverse(d) => Transform::Reverse(*d),
+            Transform::Reshape(s) => Transform::Reshape(s.iter().map(f).collect::<Option<_>>()?),
+            Transform::Slice(ts) => Transform::Slice(
+                ts.iter()
+                    .map(|t| {
+                        Some(match t {
+                            TripletSlice::Range { start, len, step } => TripletSlice::Range {
+                                start: f(start)?,
+                                len: f(len)?,
+                                step: f(step)?,
+                            },
+                            TripletSlice::Fix(i) => TripletSlice::Fix(f(i)?),
+                        })
+                    })
+                    .collect::<Option<_>>()?,
+            ),
+            Transform::LmadSlice(l) => Transform::LmadSlice(l.map(f)?),
+        })
+    }
+}
+
+impl<C: Coeff> Transform<C> {
     /// The inverse transformation, when one exists (§V-A: "we currently
     /// support only the transformations that are invertible — such as
     /// reverting the elements of a dimension and permuting an array's
     /// dimensions"). `input_shape` is the shape of the transform's *input*
     /// array, needed to invert reshapes. Slices select subsets and are not
     /// invertible.
-    pub fn invert(&self, input_shape: &[Poly]) -> Option<Transform> {
+    pub fn invert(&self, input_shape: &[C]) -> Option<Transform<C>> {
         match self {
             Transform::Permute(p) => {
                 let mut inv = vec![0; p.len()];
@@ -75,7 +103,7 @@ impl Transform {
 
     /// Shape of the result of applying this transform to an array of shape
     /// `in_shape`.
-    pub fn result_shape(&self, in_shape: &[Poly]) -> Vec<Poly> {
+    pub fn result_shape(&self, in_shape: &[C]) -> Vec<C> {
         match self {
             Transform::Permute(p) => p.iter().map(|&i| in_shape[i].clone()).collect(),
             Transform::Slice(ts) => ts
@@ -103,8 +131,7 @@ impl Transform {
 /// `non_overlap`-style disjointness is never provable against it, and
 /// the passes degrade soundly by rejecting (with a remark) instead of
 /// optimizing. Lifetime-based reasoning (release scheduling, liveness,
-/// lifetime-only block sharing) stays valid — [`OpaqueIxFn::may_touch`]
-/// is the conservative affine cover those analyses may use.
+/// lifetime-only block sharing) stays valid.
 #[derive(Clone, Debug, PartialEq)]
 pub struct OpaqueIxFn {
     /// Number of runtime-indexed element accesses (the index array's
@@ -123,14 +150,6 @@ impl OpaqueIxFn {
             count: count.into(),
             extent: extent.into(),
         }
-    }
-
-    /// The conservative affine cover: a unit-stride stripe over the whole
-    /// extent. Sound for may-touch (liveness) reasoning; useless for
-    /// disjointness — never feed it to a non-overlap test expecting the
-    /// footprint of the cells actually accessed.
-    pub fn may_touch(&self) -> IndexFn {
-        IndexFn::row_major(std::slice::from_ref(&self.extent))
     }
 }
 
@@ -152,33 +171,19 @@ impl std::fmt::Display for OpaqueIxFn {
 /// produces the flat offset into the memory block. Most index functions
 /// are a single LMAD; chains only arise from reshapes that no single LMAD
 /// can express (e.g. flattening a column-major matrix).
-#[derive(Clone, PartialEq)]
-pub struct IndexFn {
-    pub lmads: Vec<Lmad>,
+#[derive(Clone, PartialEq, Eq)]
+pub struct IndexFn<C = Poly> {
+    pub lmads: Vec<Lmad<C>>,
 }
 
-impl IndexFn {
-    pub fn from_lmad(l: Lmad) -> IndexFn {
+impl<C> IndexFn<C> {
+    pub fn from_lmad(l: Lmad<C>) -> IndexFn<C> {
         IndexFn { lmads: vec![l] }
     }
 
-    /// Row-major index function for a fresh array of the given shape.
-    pub fn row_major(shape: &[Poly]) -> IndexFn {
-        IndexFn::from_lmad(Lmad::row_major(shape))
-    }
-
-    pub fn col_major(shape: &[Poly]) -> IndexFn {
-        IndexFn::from_lmad(Lmad::col_major(shape))
-    }
-
     /// The logical LMAD — the one applied directly to array indexes.
-    pub fn logical(&self) -> &Lmad {
+    pub fn logical(&self) -> &Lmad<C> {
         self.lmads.last().unwrap()
-    }
-
-    /// Logical array shape.
-    pub fn shape(&self) -> Vec<Poly> {
-        self.logical().shape()
     }
 
     pub fn rank(&self) -> usize {
@@ -186,7 +191,7 @@ impl IndexFn {
     }
 
     /// `Some` iff the chain is a single LMAD.
-    pub fn as_single(&self) -> Option<&Lmad> {
+    pub fn as_single(&self) -> Option<&Lmad<C>> {
         if self.lmads.len() == 1 {
             Some(&self.lmads[0])
         } else {
@@ -194,39 +199,33 @@ impl IndexFn {
         }
     }
 
-    /// Symbolic application; only defined for single-LMAD chains (unranking
-    /// is not polynomial). Multi-LMAD chains are applied concretely via
-    /// [`crate::ConcreteIxFn`].
-    pub fn apply(&self, idx: &[Poly]) -> Option<Poly> {
-        Some(self.as_single()?.apply(idx))
+    /// The same chain over other coefficients (see [`Lmad::map`]).
+    pub fn map<D>(&self, mut f: impl FnMut(&C) -> Option<D>) -> Option<IndexFn<D>> {
+        let lmads = self.lmads.iter().map(|l| l.map(&mut f));
+        Some(IndexFn {
+            lmads: lmads.collect::<Option<_>>()?,
+        })
+    }
+}
+
+impl<C: Coeff> IndexFn<C> {
+    /// Row-major index function for a fresh array of the given shape.
+    pub fn row_major(shape: &[C]) -> IndexFn<C> {
+        IndexFn::from_lmad(Lmad::row_major(shape))
     }
 
-    /// All variables appearing in the chain.
-    pub fn vars(&self) -> Vec<Sym> {
-        let mut vs: Vec<Sym> = self.lmads.iter().flat_map(|l| l.vars()).collect();
-        vs.sort();
-        vs.dedup();
-        vs
+    pub fn col_major(shape: &[C]) -> IndexFn<C> {
+        IndexFn::from_lmad(Lmad::col_major(shape))
     }
 
-    pub fn subst(&self, s: Sym, value: &Poly) -> IndexFn {
-        IndexFn {
-            lmads: self.lmads.iter().map(|l| l.subst(s, value)).collect(),
-        }
-    }
-
-    /// Evaluate to a concrete index function.
-    pub fn eval<F: Fn(Sym) -> Option<i64>>(&self, lookup: &F) -> Option<crate::ConcreteIxFn> {
-        let mut lmads = Vec::with_capacity(self.lmads.len());
-        for l in &self.lmads {
-            lmads.push(l.eval(lookup)?);
-        }
-        Some(crate::ConcreteIxFn { lmads })
+    /// Logical array shape.
+    pub fn shape(&self) -> Vec<C> {
+        self.logical().shape()
     }
 
     /// Apply a change-of-layout transformation, producing the index function
     /// of the result array. O(1); never manifests elements.
-    pub fn transform(&self, t: &Transform) -> Option<IndexFn> {
+    pub fn transform(&self, t: &Transform<C>) -> Option<IndexFn<C>> {
         let mut out = self.clone();
         let logical = out.lmads.last_mut().unwrap();
         match t {
@@ -241,8 +240,8 @@ impl IndexFn {
                     return None;
                 }
                 let dim = &mut logical.dims[*d];
-                logical.offset = logical.offset.clone()
-                    + (dim.card.clone() - Poly::constant(1)) * dim.stride.clone();
+                logical.offset =
+                    logical.offset.clone() + (dim.card.clone() - C::from(1)) * dim.stride.clone();
                 dim.stride = -(dim.stride.clone());
             }
             Transform::Slice(ts) => {
@@ -334,13 +333,37 @@ impl IndexFn {
     /// space (e.g. the `W` slice of `xss`), produce the index function of an
     /// array whose transform `t` yielded the short-circuited array — i.e.
     /// solve `W = t ∘ ixfn` for `ixfn` by applying `t⁻¹` (paper §V-A(a)).
-    pub fn untransform(&self, t: &Transform, input_shape: &[Poly]) -> Option<IndexFn> {
+    pub fn untransform(&self, t: &Transform<C>, input_shape: &[C]) -> Option<IndexFn<C>> {
         let inv = t.invert(input_shape)?;
         self.transform(&inv)
     }
 }
 
-impl std::fmt::Debug for IndexFn {
+/// The prover-facing operations, which need symbols.
+impl IndexFn {
+    /// Symbolic application; only defined for single-LMAD chains (unranking
+    /// is not polynomial). Multi-LMAD chains are applied in integers
+    /// ([`IndexFn::index`]).
+    pub fn apply(&self, idx: &[Poly]) -> Option<Poly> {
+        Some(self.as_single()?.apply(idx))
+    }
+
+    /// All variables appearing in the chain.
+    pub fn vars(&self) -> Vec<Sym> {
+        let mut vs: Vec<Sym> = self.lmads.iter().flat_map(|l| l.vars()).collect();
+        vs.sort();
+        vs.dedup();
+        vs
+    }
+
+    pub fn subst(&self, s: Sym, value: &Poly) -> IndexFn {
+        IndexFn {
+            lmads: self.lmads.iter().map(|l| l.subst(s, value)).collect(),
+        }
+    }
+}
+
+impl<C: Debug> Debug for IndexFn<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         if let Some(l) = self.as_single() {
             write!(f, "{l:?}")

@@ -19,8 +19,14 @@
 //! 3. **Index analysis**: aggregation of access summaries across loops
 //!    (§II-B, §V-B) and the static non-overlap test (Fig. 8, §V-C).
 //!
-//! Symbolic quantities are [`arraymem_symbolic::Poly`]s; the runtime uses
-//! the fully concrete mirror types in [`concrete`].
+//! There is one LMAD family — [`Dim`], [`Lmad`], [`IndexFn`],
+//! [`TripletSlice`], [`Transform`] — generic over its coefficient type.
+//! The structure and the layout algebra (`row_major`, `apply`, `permute`,
+//! `transform`, ...) are written once over ring operations. The
+//! default instantiation, over [`arraymem_symbolic::Poly`], adds what the
+//! prover needs (`subst`, `vars`, `normalize_set`, [`aggregate`],
+//! [`overlap`]); the `i64` one ([`ConcreteLmad`], [`ConcreteIxFn`]) adds
+//! the access path ([`concrete`]). `map` takes one to the other.
 
 pub mod aggregate;
 pub mod concrete;

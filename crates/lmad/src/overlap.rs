@@ -342,7 +342,7 @@ fn split_variants(
 }
 
 #[cfg(test)]
-mod soundness_oracle {
+pub(crate) mod soundness_oracle {
     //! Randomized soundness oracle: the symbolic test may answer "cannot
     //! prove" for disjoint footprints (it is deliberately incomplete), but
     //! it must never answer "disjoint" for footprints that intersect.
@@ -355,7 +355,10 @@ mod soundness_oracle {
     fn random_concrete(rng: &mut Rng64) -> ConcreteLmad {
         let rank = rng.i64_incl(1, 3) as usize;
         let dims = (0..rank)
-            .map(|_| (rng.i64_incl(1, 6), rng.i64_incl(-9, 9)))
+            .map(|_| Dim {
+                card: rng.i64_incl(1, 6),
+                stride: rng.i64_incl(-9, 9),
+            })
             .collect();
         ConcreteLmad {
             offset: rng.i64_incl(0, 30),
@@ -363,14 +366,11 @@ mod soundness_oracle {
         }
     }
 
-    fn to_symbolic(l: &ConcreteLmad) -> Lmad {
-        Lmad::new(
-            Poly::constant(l.offset),
-            l.dims
-                .iter()
-                .map(|&(c, s)| Dim::new(Poly::constant(c), Poly::constant(s)))
-                .collect(),
-        )
+    /// The embedding of a number as a constant polynomial, in the shape
+    /// `map` takes: `l.map(to_symbolic)` is the constant-`Poly` twin of an
+    /// integer LMAD, index function or transform.
+    pub(crate) fn to_symbolic(c: &i64) -> Option<Poly> {
+        Some(Poly::constant(*c))
     }
 
     /// A sampled assumption environment together with a concrete variable
@@ -465,8 +465,8 @@ mod soundness_oracle {
             );
             let lookup = |s| sc.vars.iter().find(|&&(v, _)| v == s).map(|&(_, x)| x);
             let (ca, cb) = (
-                la.eval(&lookup).expect("closed under assignment"),
-                lb.eval(&lookup).expect("closed under assignment"),
+                la.map(|p| p.eval(lookup)).expect("closed under assignment"),
+                lb.map(|p| p.eval(lookup)).expect("closed under assignment"),
             );
             let really = match footprint_check(&ca, &cb, 1 << 16) {
                 FootprintCheck::Disjoint => true,
@@ -515,7 +515,11 @@ mod soundness_oracle {
                 FootprintCheck::Overlap(_) => false,
                 FootprintCheck::TooLarge => continue,
             };
-            let symbolic = non_overlap(&to_symbolic(&ca), &to_symbolic(&cb), &env);
+            let symbolic = non_overlap(
+                &ca.map(to_symbolic).unwrap(),
+                &cb.map(to_symbolic).unwrap(),
+                &env,
+            );
             assert!(
                 really || !symbolic,
                 "iteration {i}: symbolic test claims disjoint but footprints \

@@ -1,6 +1,8 @@
 use crate::aggregate::{aggregate, Summary};
+use crate::concrete::unrank;
+use crate::overlap::soundness_oracle::to_symbolic;
 use crate::overlap::{non_overlap, non_overlap_traced};
-use crate::{Dim, IndexFn, Lmad, Transform, TripletSlice};
+use crate::{ConcreteIxFn, ConcreteLmad, Dim, IndexFn, Lmad, Transform, TripletSlice};
 use arraymem_symbolic::{sym, Env, Poly, Rng64, Sym};
 
 fn v(name: &str) -> Poly {
@@ -186,7 +188,7 @@ fn fig3_index_fn_chain() {
     );
     assert_eq!(es.lmads[1], Lmad::new(c(2), vec![dim(c(6), c(1))]));
     // es[5]: L1(5) = 7; unrank 7 over (2,4) = (1,3); L2(1,3) = 33+2+24 = 59.
-    let conc = es.eval(&|_| None).unwrap();
+    let conc = es.map(|p| p.eval(|_| None)).unwrap();
     assert_eq!(conc.index(&[5]), 59);
 }
 
@@ -198,7 +200,7 @@ fn transpose_then_flatten_needs_two_lmads() {
     let t = a.transform(&Transform::Permute(vec![1, 0])).unwrap();
     let f = t.transform(&Transform::Reshape(vec![c(24)])).unwrap();
     assert_eq!(f.lmads.len(), 2);
-    let conc = f.eval(&|_| None).unwrap();
+    let conc = f.map(|p| p.eval(|_| None)).unwrap();
     // element (i) of flatten(transpose A) is A[i%4, i/4] = mem[(i%4)*6 + i/4]
     for i in 0..24 {
         assert_eq!(conc.index(&[i]), (i % 4) * 6 + i / 4);
@@ -234,12 +236,12 @@ fn slice_column_from_matrix() {
 fn reverse_is_self_inverse() {
     let a = IndexFn::row_major(&[c(10)]);
     let r = a.transform(&Transform::Reverse(0)).unwrap();
-    let conc = r.eval(&|_| None).unwrap();
+    let conc = r.map(|p| p.eval(|_| None)).unwrap();
     for i in 0..10 {
         assert_eq!(conc.index(&[i]), 9 - i);
     }
     let back = r.untransform(&Transform::Reverse(0), &[c(10)]).unwrap();
-    let cb = back.eval(&|_| None).unwrap();
+    let cb = back.map(|p| p.eval(|_| None)).unwrap();
     for i in 0..10 {
         assert_eq!(cb.index(&[i]), i);
     }
@@ -390,10 +392,14 @@ fn nw_nonoverlap_concrete_validation() {
                         None
                     }
                 };
-                let w: std::collections::HashSet<i64> =
-                    nw_w().eval(&lookup).unwrap().points().into_iter().collect();
-                let rv = nw_rvert().eval(&lookup).unwrap().points();
-                let rh = nw_rhoriz().eval(&lookup).unwrap().points();
+                let w: std::collections::HashSet<i64> = nw_w()
+                    .map(|p| p.eval(lookup))
+                    .unwrap()
+                    .points()
+                    .into_iter()
+                    .collect();
+                let rv = nw_rvert().map(|p| p.eval(lookup)).unwrap().points();
+                let rh = nw_rhoriz().map(|p| p.eval(lookup)).unwrap().points();
                 for p in rv.iter().chain(rh.iter()) {
                     assert!(
                         !w.contains(p),
@@ -462,9 +468,13 @@ fn prop_non_overlap_sound() {
         let b = arb_lmad(&mut r);
         let env = Env::new();
         if non_overlap(&a, &b, &env) {
-            let pa: std::collections::HashSet<i64> =
-                a.eval(&|_| None).unwrap().points().into_iter().collect();
-            let pb = b.eval(&|_| None).unwrap().points();
+            let pa: std::collections::HashSet<i64> = a
+                .map(|p| p.eval(|_| None))
+                .unwrap()
+                .points()
+                .into_iter()
+                .collect();
+            let pb = b.map(|p| p.eval(|_| None)).unwrap().points();
             for p in pb {
                 assert!(
                     !pa.contains(&p),
@@ -483,8 +493,8 @@ fn prop_normalize_preserves_set() {
         let a = arb_lmad(&mut r);
         let env = Env::new();
         if let Some(n) = a.normalize_set(&env) {
-            let mut pa = a.eval(&|_| None).unwrap().points();
-            let mut pn = n.eval(&|_| None).unwrap().points();
+            let mut pa = a.map(|p| p.eval(|_| None)).unwrap().points();
+            let mut pn = n.map(|p| p.eval(|_| None)).unwrap().points();
             pa.sort_unstable();
             pa.dedup();
             pn.sort_unstable();
@@ -509,13 +519,17 @@ fn prop_aggregate_overapproximates() {
         let a = aggregate(&l, sym("agg_i"), &c(count), &env).unwrap();
         let union: std::collections::HashSet<i64> = (0..count)
             .flat_map(|i| {
-                l.eval(&|s: Sym| if s == sym("agg_i") { Some(i) } else { None })
+                l.map(|p| p.eval(|s: Sym| (s == sym("agg_i")).then_some(i)))
                     .unwrap()
                     .points()
             })
             .collect();
-        let agg: std::collections::HashSet<i64> =
-            a.eval(&|_| None).unwrap().points().into_iter().collect();
+        let agg: std::collections::HashSet<i64> = a
+            .map(|p| p.eval(|_| None))
+            .unwrap()
+            .points()
+            .into_iter()
+            .collect();
         assert!(union.is_subset(&agg));
     }
 }
@@ -528,7 +542,7 @@ fn prop_permute_semantics() {
         for cols in 1i64..6 {
             let a = IndexFn::row_major(&[c(rows), c(cols)]);
             let t = a.transform(&Transform::Permute(vec![1, 0])).unwrap();
-            let ct = t.eval(&|_| None).unwrap();
+            let ct = t.map(|p| p.eval(|_| None)).unwrap();
             for i in 0..cols {
                 for j in 0..rows {
                     assert_eq!(ct.index(&[i, j]), j * cols + i);
@@ -549,11 +563,233 @@ fn prop_reshape_semantics() {
             let f = rev
                 .transform(&Transform::Reshape(vec![c(rows * cols)]))
                 .unwrap();
-            let cf = f.eval(&|_| None).unwrap();
-            let cr = rev.eval(&|_| None).unwrap();
+            let cf = f.map(|p| p.eval(|_| None)).unwrap();
+            let cr = rev.map(|p| p.eval(|_| None)).unwrap();
             for i in 0..rows * cols {
                 assert_eq!(cf.index(&[i]), cr.index(&[i / cols, i % cols]));
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The layout algebra is one algebra: `i64` against constant `Poly`
+// ---------------------------------------------------------------------
+
+/// A random integer LMAD of the given rank (cardinalities `1..=hi_card`,
+/// strides of either sign) whose points all land in `[0, n)`; degenerates
+/// to zero strides — or to an empty LMAD when `n == 0` — if nothing fits.
+fn arb_lmad_within(r: &mut Rng64, rank: usize, hi_card: i64, n: i64) -> ConcreteLmad {
+    for _ in 0..8 {
+        let dims: Vec<Dim<i64>> = (0..rank)
+            .map(|_| Dim {
+                card: r.i64_incl(1, hi_card),
+                stride: r.i64_incl(-3, 3),
+            })
+            .collect();
+        let reach = |sign: i64| -> i64 {
+            let far = |d: &Dim<i64>| (d.card - 1) * (d.stride * sign).max(0);
+            dims.iter().map(far).sum()
+        };
+        let (below, above) = (reach(-1), reach(1));
+        if below + above < n {
+            let offset = r.i64_incl(below, n - 1 - above);
+            return ConcreteLmad { offset, dims };
+        }
+    }
+    let card = if n == 0 { 0 } else { r.i64_incl(1, hi_card) };
+    ConcreteLmad {
+        offset: if n == 0 { 0 } else { r.i64_in(0, n) },
+        dims: vec![Dim { card, stride: 0 }; rank.max(1)],
+    }
+}
+
+/// Rank 0–4, strides of either sign, now and then a zero cardinality, and
+/// one time in four a two-LMAD chain (a strided outer LMAD with an inner
+/// one picking points of its flat index space).
+fn arb_concrete_ixfn(r: &mut Rng64) -> ConcreteIxFn {
+    if r.chance(0.25) {
+        let (outer_rank, inner_rank) = (2 + r.usize_in(2), 1 + r.usize_in(2));
+        let outer = arb_lmad_within(r, outer_rank, 3, 1 << 20);
+        let inner = arb_lmad_within(r, inner_rank, 3, outer.num_points());
+        return ConcreteIxFn {
+            lmads: vec![outer, inner],
+        };
+    }
+    let rank = r.usize_in(5);
+    let dims = (0..rank)
+        .map(|_| Dim {
+            card: if r.chance(0.1) { 0 } else { r.i64_incl(1, 4) },
+            stride: r.i64_incl(-6, 6),
+        })
+        .collect();
+    ConcreteIxFn::from_lmad(ConcreteLmad {
+        offset: r.i64_incl(-5, 40),
+        dims,
+    })
+}
+
+/// A random shape with `n` elements.
+fn arb_shape(r: &mut Rng64, n: i64) -> Vec<i64> {
+    if n == 0 {
+        let mut shape: Vec<i64> = (0..r.usize_in(3)).map(|_| r.i64_incl(1, 3)).collect();
+        let at = r.usize_in(shape.len() + 1);
+        shape.insert(at, 0);
+        return shape;
+    }
+    let mut shape = Vec::new();
+    let mut rest = n;
+    for _ in 0..r.usize_in(3) {
+        let divisors: Vec<i64> = (1..=rest).filter(|d| rest % d == 0).collect();
+        let d = divisors[r.usize_in(divisors.len())];
+        shape.push(d);
+        rest /= d;
+    }
+    if rest != 1 {
+        shape.push(rest);
+    }
+    shape
+}
+
+/// A random transform applicable to an array of shape `shape`, together
+/// with what it means: the source logical index of a result logical index.
+type IndexMap = Box<dyn Fn(&[i64]) -> Vec<i64>>;
+
+fn arb_transform(r: &mut Rng64, shape: &[i64]) -> (Transform<i64>, IndexMap) {
+    let rank = shape.len();
+    let n: i64 = shape.iter().product();
+    let shape = shape.to_vec();
+    match r.usize_in(5) {
+        0 => {
+            let mut perm: Vec<usize> = (0..rank).collect();
+            for k in (1..rank).rev() {
+                perm.swap(k, r.usize_in(k + 1));
+            }
+            let p = perm.clone();
+            let back = move |idx: &[i64]| {
+                let mut src = vec![0; p.len()];
+                for (k, &d) in p.iter().enumerate() {
+                    src[d] = idx[k];
+                }
+                src
+            };
+            (Transform::Permute(perm), Box::new(back))
+        }
+        1 if rank > 0 => {
+            let d = r.usize_in(rank);
+            let back = move |idx: &[i64]| {
+                let mut src = idx.to_vec();
+                src[d] = shape[d] - 1 - idx[d];
+                src
+            };
+            (Transform::Reverse(d), Box::new(back))
+        }
+        2 => {
+            let slices: Vec<TripletSlice<i64>> = shape
+                .iter()
+                .map(|&d| {
+                    if d > 0 && r.chance(0.3) {
+                        return TripletSlice::Fix(r.i64_in(0, d));
+                    }
+                    let l = arb_lmad_within(r, 1, d.max(1), d);
+                    TripletSlice::Range {
+                        start: l.offset,
+                        len: l.dims[0].card,
+                        step: l.dims[0].stride,
+                    }
+                })
+                .collect();
+            let ts = slices.clone();
+            let back = move |idx: &[i64]| {
+                let mut kept = idx.iter();
+                ts.iter()
+                    .map(|t| match t {
+                        TripletSlice::Fix(i) => *i,
+                        TripletSlice::Range { start, step, .. } => {
+                            start + kept.next().unwrap() * step
+                        }
+                    })
+                    .collect()
+            };
+            (Transform::Slice(slices), Box::new(back))
+        }
+        3 => {
+            let slice_rank = 1 + r.usize_in(2);
+            let l = arb_lmad_within(r, slice_rank, 3, n);
+            let picked = l.clone();
+            let back = move |idx: &[i64]| {
+                let mut src = vec![0; shape.len()];
+                unrank(picked.apply(idx), &shape, &mut src);
+                src
+            };
+            (Transform::LmadSlice(l), Box::new(back))
+        }
+        _ => {
+            let new_shape = arb_shape(r, n);
+            let to = new_shape.clone();
+            let back = move |idx: &[i64]| {
+                let flat = ConcreteLmad::row_major(&to).apply(idx);
+                let mut src = vec![0; shape.len()];
+                unrank(flat, &shape, &mut src);
+                src
+            };
+            (Transform::Reshape(new_shape), Box::new(back))
+        }
+    }
+}
+
+/// Fig. 3 by hand: apply the last LMAD, unrank into the previous one's
+/// index space, apply it, and so on down to the block offset.
+fn naive_index(ixfn: &ConcreteIxFn, idx: &[i64]) -> i64 {
+    let mut idx = idx.to_vec();
+    for k in (0..ixfn.lmads.len()).rev() {
+        let x = ixfn.lmads[k].apply(&idx);
+        if k == 0 {
+            return x;
+        }
+        idx = vec![0; ixfn.lmads[k - 1].rank()];
+        unrank(x, &ixfn.lmads[k - 1].shape(), &mut idx);
+    }
+    unreachable!("an index function has at least one LMAD")
+}
+
+/// The `i64` instantiation of the layout algebra computes what the
+/// constant-`Poly` instantiation computes — structurally, LMAD for LMAD —
+/// and what it computes is right: after every step of a random transform
+/// chain, the offsets of the transformed function are those of a naive
+/// per-index walk of the *untransformed* one through the transforms'
+/// meaning.
+#[test]
+fn prop_integer_algebra_is_the_polynomial_algebra() {
+    let mut r = Rng64::new(0x1A3D_0C0E);
+    let mut chained = 0;
+    for case in 0..600 {
+        let base = arb_concrete_ixfn(&mut r);
+        let mut ints = base.clone();
+        let mut polys: IndexFn = base.map(to_symbolic).unwrap();
+        // The composed meaning of the transforms so far.
+        let mut back: IndexMap = Box::new(|idx| idx.to_vec());
+        for step in 0..r.i64_incl(1, 4) {
+            let shape = ints.shape();
+            let (tr, meaning) = arb_transform(&mut r, &shape);
+            let what = format!("case {case} step {step}: {tr:?} of {ints:?}");
+            ints = ints.transform(&tr).expect(&what);
+            polys = polys.transform(&tr.map(to_symbolic).unwrap()).expect(&what);
+            assert_eq!(polys.map(Poly::as_const), Some(ints.clone()), "{what}");
+            let earlier = back;
+            back = Box::new(move |idx| earlier(&meaning(idx)));
+
+            let shape = ints.shape();
+            let mut idx = vec![0; shape.len()];
+            let walked: Vec<i64> = (0..ints.num_elems().max(0))
+                .map(|flat| {
+                    unrank(flat, &shape, &mut idx);
+                    naive_index(&base, &back(&idx))
+                })
+                .collect();
+            assert_eq!(ints.all_offsets(), walked, "{what}");
+        }
+        chained += (ints.lmads.len() > 1) as usize;
+    }
+    assert!(chained > 30, "only {chained} cases ended as LMAD chains");
 }

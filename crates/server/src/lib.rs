@@ -188,7 +188,7 @@ struct TenantState {
 /// The multi-tenant front door. See the crate docs.
 pub struct Server {
     config: ServerConfig,
-    cache: Arc<PlanCache>,
+    cache: PlanCache,
     arena: SharedArena,
     admission: Admission,
     tenants: Mutex<HashMap<String, Arc<Tenant>>>,
@@ -203,23 +203,14 @@ impl Default for Server {
 
 impl Server {
     pub fn new(config: ServerConfig) -> Server {
-        Server::with_cache(config, Arc::new(PlanCache::new(config.cache_shards)))
-    }
-
-    /// A server over a caller-supplied (possibly shared) plan cache.
-    pub fn with_cache(config: ServerConfig, cache: Arc<PlanCache>) -> Server {
         Server {
             config,
-            cache,
+            cache: PlanCache::new(config.cache_shards),
             arena: SharedArena::new(),
             admission: Admission::new(config.max_in_flight, config.queue_depth),
             tenants: Mutex::new(HashMap::new()),
             next_tenant_tag: Mutex::new(1),
         }
-    }
-
-    pub fn config(&self) -> ServerConfig {
-        self.config
     }
 
     fn tenant(&self, name: &str) -> Arc<Tenant> {
@@ -326,12 +317,6 @@ impl Server {
     /// stampedes).
     pub fn plan_stats(&self) -> PlanStats {
         self.cache.stats()
-    }
-
-    /// The shared cache itself (to share with another server or
-    /// `Session::with_cache`).
-    pub fn cache(&self) -> &Arc<PlanCache> {
-        &self.cache
     }
 
     /// The cross-tenant arena's accounting.

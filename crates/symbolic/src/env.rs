@@ -52,10 +52,6 @@ impl Env {
         self.lower.get(&var).copied()
     }
 
-    pub fn upper_bound(&self, var: Sym) -> Option<&Poly> {
-        self.upper.get(&var)
-    }
-
     pub fn equalities(&self) -> &[(Sym, Poly)] {
         &self.equalities
     }

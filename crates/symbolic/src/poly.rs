@@ -158,15 +158,6 @@ impl Poly {
         self.terms.iter().map(|(m, &c)| (m, c))
     }
 
-    pub fn num_terms(&self) -> usize {
-        self.terms.len()
-    }
-
-    /// The constant term.
-    pub fn constant_term(&self) -> i64 {
-        self.terms.get(&Monomial::one()).copied().unwrap_or(0)
-    }
-
     /// All distinct variables occurring in the polynomial.
     pub fn vars(&self) -> Vec<Sym> {
         let mut vs: Vec<Sym> = self.terms.keys().flat_map(|m| m.vars()).collect();

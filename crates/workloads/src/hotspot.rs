@@ -77,7 +77,7 @@ fn row_kernel(temp: &View, power: &View, n: i64, r: i64, out: &arraymem_exec::Vi
     let pl = power.lmad().expect("power is one LMAD");
     let pbase = pl.offset + r * n;
     let ol = out.lmad().expect("row is one LMAD").clone();
-    let sc = ol.dims[0].1;
+    let sc = ol.dims[0].stride;
     let mut woff = ol.offset;
     for cc in 0..n {
         let t = temp.read_f32_off(base + cc);

@@ -153,7 +153,7 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
         let nz = ctx.arg_i64(2);
         let f = &ctx.inputs[0];
         let l = f.lmad().expect("lattice is one LMAD");
-        let (sc, sq) = (l.dims[0].1, l.dims[1].1);
+        let (sc, sq) = (l.dims[0].stride, l.dims[1].stride);
         let base = l.offset;
         let cell = ctx.i;
         let x = cell % nx;
@@ -170,7 +170,7 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
         let mut woff = ol.offset;
         for v in out {
             ctx.out.write_f32_off(woff, v);
-            woff += ol.dims[0].1;
+            woff += ol.dims[0].stride;
         }
     });
 }

@@ -111,7 +111,7 @@ fn mm_sub_block(a: &mut [f32], n: usize, io: usize, jo: usize, ko: usize, b: usi
 /// local buffer (the kernels' "shared memory staging", as Rodinia does).
 fn load_block(v: &View, b: usize, buf: &mut [f32]) {
     let l = v.lmad().expect("block is one LMAD");
-    let (sr, sc) = (l.dims[0].1, l.dims[1].1);
+    let (sr, sc) = (l.dims[0].stride, l.dims[1].stride);
     for r in 0..b {
         let mut off = l.offset + r as i64 * sr;
         for cc in 0..b {
@@ -123,7 +123,7 @@ fn load_block(v: &View, b: usize, buf: &mut [f32]) {
 
 fn store_block(out: &arraymem_exec::ViewMut, b: usize, buf: &[f32]) {
     let l = out.lmad().expect("block is one LMAD").clone();
-    let (sr, sc) = (l.dims[0].1, l.dims[1].1);
+    let (sr, sc) = (l.dims[0].stride, l.dims[1].stride);
     for r in 0..b {
         let mut off = l.offset + r as i64 * sr;
         for cc in 0..b {

@@ -79,8 +79,8 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
     reg.register("nn_argmin", |ctx| {
         let dists = &ctx.inputs[0];
         let l = dists.lmad().expect("dists is one LMAD");
-        let n = l.dims[0].0;
-        let s = l.dims[0].1;
+        let n = l.dims[0].card;
+        let s = l.dims[0].stride;
         let mut best = f32::INFINITY;
         let mut best_i = 0i64;
         let mut off = l.offset;

@@ -81,18 +81,18 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
         let mut off = vl.offset;
         for v in vert.iter_mut() {
             *v = vlm.read_i64_off(off);
-            off += vl.dims[0].1;
+            off += vl.dims[0].stride;
         }
         // row_above starts as the horizontal bar; diag_left as the corner.
         let mut above = vec![0i64; b];
         let mut off = hl.offset;
         for a in above.iter_mut() {
             *a = hlm.read_i64_off(off);
-            off += hl.dims[0].1;
+            off += hl.dims[0].stride;
         }
         let mut cur = vec![0i64; b];
         let ol = ctx.out.lmad().expect("block is one LMAD").clone();
-        let (sr, sc) = (ol.dims[0].1, ol.dims[1].1);
+        let (sr, sc) = (ol.dims[0].stride, ol.dims[1].stride);
         let mut corner = vert[0];
         for r in 0..b {
             let mut left = vert[r + 1];

@@ -83,7 +83,7 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
         let steps = ctx.arg_i64(0) as usize;
         let l = ctx.out.lmad().expect("path row is one LMAD").clone();
         let s0 = l.offset;
-        let st = l.dims[0].1;
+        let st = l.dims[0].stride;
         let out = &ctx.out;
         gen_path(ctx.i, steps, &mut |t, v| {
             out.write_f32_off(s0 + t as i64 * st, v)
@@ -94,19 +94,19 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
         let row = ctx.inputs[0].row(ctx.i);
         let l = row.lmad().expect("path row is one LMAD").clone();
         let v = payoff(
-            &mut |t| row.read_f32_off(l.offset + t as i64 * l.dims[0].1),
+            &mut |t| row.read_f32_off(l.offset + t as i64 * l.dims[0].stride),
             steps,
         );
         ctx.out.set_f32(&[], v);
     });
     reg.register("op_mean", |ctx| {
         let l = ctx.inputs[0].lmad().expect("payoffs one LMAD").clone();
-        let n = l.dims[0].0;
+        let n = l.dims[0].card;
         let mut total = 0f32;
         let mut off = l.offset;
         for _ in 0..n {
             total += ctx.inputs[0].read_f32_off(off);
-            off += l.dims[0].1;
+            off += l.dims[0].stride;
         }
         ctx.out.set_f32(&[0], total / n as f32);
     });

@@ -18,7 +18,7 @@
 use arraymem_bench::tables::table_cases;
 use arraymem_core::{compile, Options};
 use arraymem_exec::{Diagnostic, InputValue, KernelRegistry, Mode, OutputValue, PlanCache, Stats};
-use arraymem_ir::{Builder, ElemType, Program, ScalarExp};
+use arraymem_ir::{BinOp, Builder, ElemType, Program, ScalarExp};
 use arraymem_server::{ExecRequest, Server, ServerConfig, ServerError};
 use arraymem_symbolic::Poly;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -407,6 +407,40 @@ fn malformed_input_is_a_typed_error_and_the_tenant_lives_on() {
     let (out, _) = server.execute("a", req).expect("the tenant's next request");
     let expect: Vec<f32> = (0..8).chain(0..8).map(|i| i as f32).collect();
     assert_eq!(out, vec![OutputValue::ArrayF32(expect)]);
+    assert_eq!(server.tenant_stats("a").expect("tenant a").runs, 1);
+    assert_eq!(server.global_stats().runs, 1);
+}
+
+/// A zero divisor arriving as a request input is that request's typed
+/// error — not a panic unwinding with the tenant's store locked: the
+/// tenant serves its next request and the aggregate stats still answer.
+#[test]
+fn division_by_zero_is_a_typed_error_and_the_tenant_lives_on() {
+    let mut bld = Builder::new("quot");
+    let x = bld.scalar_param("x", ElemType::I64);
+    let mut b = bld.block();
+    let quotient = ScalarExp::bin(BinOp::Div, ScalarExp::i64(7), ScalarExp::var(x));
+    let q = b.scalar("q", ElemType::I64, quotient);
+    let compiled = compile(&bld.finish(b.finish(vec![q])), &Options::default()).expect("compile");
+    let kernels = KernelRegistry::new();
+    let server = Server::new(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+    let run = |x| {
+        let inputs = [InputValue::I64(x)];
+        let req = ExecRequest::from_compiled(&compiled, &kernels, &[], &inputs, Mode::Memory);
+        server.execute("a", req).map(|(out, _)| out)
+    };
+    let err = run(0).expect_err("7 / 0 has no value");
+    assert!(
+        matches!(&err, ServerError::Execution(msg) if msg.contains("undefined")),
+        "{err}"
+    );
+    assert_eq!(
+        run(2).expect("the tenant's next request"),
+        [OutputValue::I64(3)]
+    );
     assert_eq!(server.tenant_stats("a").expect("tenant a").runs, 1);
     assert_eq!(server.global_stats().runs, 1);
 }
