@@ -3,7 +3,7 @@
 //! remove those `alloc` statements (this is where the footprint reduction
 //! comes from, in addition to the copy elision).
 
-use arraymem_ir::{Block, Exp, MapBody, Program, Var};
+use arraymem_ir::{Block, Exp, Program, Var};
 use std::collections::HashSet;
 
 /// Remove `alloc` statements whose block variable is referenced by no
@@ -30,21 +30,8 @@ fn collect_used(block: &Block, used: &mut HashSet<Var>) {
                 used.extend(mb.ixfn.vars());
             }
         }
-        match &stm.exp {
-            Exp::If { then_b, else_b, .. } => {
-                collect_used(then_b, used);
-                collect_used(else_b, used);
-            }
-            Exp::Loop { body, inits, .. } => {
-                used.extend(inits.iter().copied());
-                collect_used(body, used);
-            }
-            Exp::Map(m) => {
-                if let MapBody::Lambda { body, .. } = &m.body {
-                    collect_used(body, used);
-                }
-            }
-            _ => {}
+        for b in stm.exp.blocks() {
+            collect_used(b, used);
         }
     }
     used.extend(block.result.iter().copied());
@@ -59,18 +46,8 @@ fn prune(block: &mut Block, used: &HashSet<Var>, removed: &mut Vec<Var>) {
         keep
     });
     for stm in &mut block.stms {
-        match &mut stm.exp {
-            Exp::If { then_b, else_b, .. } => {
-                prune(then_b, used, removed);
-                prune(else_b, used, removed);
-            }
-            Exp::Loop { body, .. } => prune(body, used, removed),
-            Exp::Map(m) => {
-                if let MapBody::Lambda { body, .. } = &mut m.body {
-                    prune(body, used, removed);
-                }
-            }
-            _ => {}
+        for b in stm.exp.blocks_mut() {
+            prune(b, used, removed);
         }
     }
 }

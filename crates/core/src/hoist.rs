@@ -4,7 +4,7 @@
 //! is already in scope when a short-circuit candidate's fresh array is
 //! defined.
 
-use arraymem_ir::{Block, Exp, MapBody, Program, Var};
+use arraymem_ir::{Block, Exp, Program, Var};
 use std::collections::HashSet;
 
 /// Hoist allocations in every block of the program. Returns the number of
@@ -16,20 +16,9 @@ pub fn hoist_allocations(prog: &mut Program) -> usize {
 
 fn hoist_block(block: &mut Block) -> usize {
     let mut swaps = 0;
-    // Recurse first.
     for stm in &mut block.stms {
-        match &mut stm.exp {
-            Exp::If { then_b, else_b, .. } => {
-                swaps += hoist_block(then_b);
-                swaps += hoist_block(else_b);
-            }
-            Exp::Loop { body, .. } => swaps += hoist_block(body),
-            Exp::Map(m) => {
-                if let MapBody::Lambda { body, .. } = &mut m.body {
-                    swaps += hoist_block(body);
-                }
-            }
-            _ => {}
+        for b in stm.exp.blocks_mut() {
+            swaps += hoist_block(b);
         }
     }
     // Stable partition by repeatedly bubbling hoistable statements above

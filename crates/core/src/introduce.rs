@@ -7,33 +7,22 @@
 //! with normalization copies inserted when anti-unification fails.
 
 use crate::antiunify::{anti_unify, Existential};
-use crate::memtable::param_block_sym;
+use crate::memtable::MemTable;
 use crate::remark::{Remark, RemarkKind};
 use arraymem_ir::{
-    Block, ElemType, Exp, MapBody, MemBinding, PatElem, Program, ScalarExp, Stm, Type, Var,
+    param_block_sym, Block, ElemType, Exp, MemBinding, PatElem, Program, ScalarExp, Stm, Type, Var,
 };
 use arraymem_lmad::IndexFn;
 use arraymem_symbolic::{Poly, Sym};
 use std::collections::HashMap;
 
-type Bindings = HashMap<Var, MemBinding>;
-
 /// Run memory introduction over the whole program (in place), recording
 /// a [`Remark`] for every normalization copy the anti-unification
 /// fallbacks insert (§IV-C).
 pub fn introduce_memory_with(prog: &mut Program, remarks: &mut Vec<Remark>) -> Result<(), String> {
-    let mut tbl: Bindings = HashMap::new();
-    for (v, ty) in &prog.params {
-        if ty.is_array() {
-            tbl.insert(
-                *v,
-                MemBinding {
-                    block: param_block_sym(*v),
-                    ixfn: IndexFn::row_major(ty.shape()),
-                },
-            );
-        }
-    }
+    // The program carries no annotation yet: the table starts as the
+    // parameters' bindings and grows as statements are annotated.
+    let mut tbl = MemTable::build(prog);
     let body = std::mem::take(&mut prog.body);
     prog.body = introduce_block(body, &mut tbl, remarks)?;
     Ok(())
@@ -41,7 +30,7 @@ pub fn introduce_memory_with(prog: &mut Program, remarks: &mut Vec<Remark>) -> R
 
 fn introduce_block(
     block: Block,
-    tbl: &mut Bindings,
+    tbl: &mut MemTable,
     remarks: &mut Vec<Remark>,
 ) -> Result<Block, String> {
     let mut out: Vec<Stm> = Vec::with_capacity(block.stms.len());
@@ -67,7 +56,7 @@ fn alloc_stm(elem: ElemType, size: Poly, prefix: &str) -> (Stm, Var) {
 
 fn introduce_stm(
     mut stm: Stm,
-    tbl: &mut Bindings,
+    tbl: &mut MemTable,
     out: &mut Vec<Stm>,
     remarks: &mut Vec<Remark>,
 ) -> Result<(), String> {
@@ -80,11 +69,8 @@ fn introduce_stm(
         | Exp::Concat { .. }
         | Exp::Gather { .. }
         | Exp::Map(_) => {
-            if let Exp::Map(m) = &mut stm.exp {
-                if let MapBody::Lambda { body, .. } = &mut m.body {
-                    let inner = std::mem::take(body);
-                    *body = introduce_block(inner, tbl, remarks)?;
-                }
+            for body in stm.exp.blocks_mut() {
+                *body = introduce_block(std::mem::take(body), tbl, remarks)?;
             }
             for pe in &mut stm.pat {
                 if !pe.ty.is_array() {
@@ -105,7 +91,7 @@ fn introduce_stm(
         }
         Exp::Transform { src, tr } => {
             let src_mb = tbl
-                .get(src)
+                .get(*src)
                 .ok_or_else(|| format!("transform of unbound array {src}"))?
                 .clone();
             let ixfn = src_mb
@@ -123,7 +109,7 @@ fn introduce_stm(
         }
         Exp::Update { dst, .. } => {
             let mb = tbl
-                .get(dst)
+                .get(*dst)
                 .ok_or_else(|| format!("update of unbound array {dst}"))?
                 .clone();
             tbl.insert(stm.pat[0].var, mb.clone());
@@ -142,7 +128,7 @@ fn introduce_stm(
 
 /// Append a normalization copy of `v` (row-major, fresh block) to `block`,
 /// replacing result position `pos`. Used when anti-unification fails.
-fn normalize_result(block: &mut Block, pos: usize, ty: &Type, tbl: &mut Bindings) {
+fn normalize_result(block: &mut Block, pos: usize, ty: &Type, tbl: &mut MemTable) {
     let v = block.result[pos];
     let elem = ty.elem().unwrap();
     let (astm, m) = alloc_stm(elem, ty.num_elems(), "norm");
@@ -182,7 +168,7 @@ fn bind_existential_values(block: &mut Block, values: &[Poly]) -> Vec<Var> {
 
 fn introduce_if(
     mut stm: Stm,
-    tbl: &mut Bindings,
+    tbl: &mut MemTable,
     out: &mut Vec<Stm>,
     remarks: &mut Vec<Remark>,
 ) -> Result<(), String> {
@@ -205,8 +191,8 @@ fn introduce_if(
         if !pe.ty.is_array() {
             continue;
         }
-        let get = |tbl: &Bindings, v: Var| -> MemBinding {
-            tbl.get(&v).cloned().unwrap_or_else(|| MemBinding {
+        let get = |tbl: &MemTable, v: Var| -> MemBinding {
+            tbl.get(v).cloned().unwrap_or_else(|| MemBinding {
                 block: param_block_sym(v),
                 ixfn: IndexFn::row_major(pe.ty.shape()),
             })
@@ -299,13 +285,13 @@ fn loop_copy_fallback<F>(
     array_positions: &[usize],
     mem_vars: &[Var],
     inits: &mut [Var],
-    tbl: &mut Bindings,
+    tbl: &mut MemTable,
     out: &mut Vec<Stm>,
     remarks: &mut Vec<Remark>,
     try_round: &F,
 ) -> Result<(Block, Vec<LoopPlan>), String>
 where
-    F: Fn(&[IndexFn], &[Var], &Bindings) -> Result<(Block, Vec<MemBinding>, Vec<Remark>), String>,
+    F: Fn(&[IndexFn], &[Var], &MemTable) -> Result<(Block, Vec<MemBinding>, Vec<Remark>), String>,
 {
     normalize_loop(params, array_positions, inits, tbl, out)?;
     for &i in array_positions {
@@ -327,10 +313,8 @@ where
     let (mut b3, _res, round_remarks) = try_round(&norm_ixfns, mem_vars, tbl)?;
     remarks.extend(round_remarks);
     for &i in array_positions {
-        let mut t2: HashMap<Var, MemBinding> = HashMap::new();
-        collect_bindings(&b3, &mut t2);
-        let cur = t2
-            .get(&b3.result[i])
+        let cur = MemTable::of_block(&b3)
+            .get(b3.result[i])
             .map(|mb| mb.ixfn.clone())
             .unwrap_or_else(|| IndexFn::row_major(params[i].ty.shape()));
         if cur != IndexFn::row_major(params[i].ty.shape()) {
@@ -352,7 +336,7 @@ where
 
 fn introduce_loop(
     mut stm: Stm,
-    tbl: &mut Bindings,
+    tbl: &mut MemTable,
     out: &mut Vec<Stm>,
     remarks: &mut Vec<Remark>,
 ) -> Result<(), String> {
@@ -386,7 +370,7 @@ fn introduce_loop(
     // remarks are kept, so discarded rounds don't double-report.
     let try_round = |param_ixfns: &[IndexFn],
                      mem_vars: &[Var],
-                     tbl: &Bindings|
+                     tbl: &MemTable|
      -> Result<(Block, Vec<MemBinding>, Vec<Remark>), String> {
         let mut round_tbl = tbl.clone();
         for (k, &i) in array_positions.iter().enumerate() {
@@ -405,7 +389,7 @@ fn introduce_loop(
             let v = b.result[i];
             res.push(
                 round_tbl
-                    .get(&v)
+                    .get(v)
                     .cloned()
                     .ok_or_else(|| format!("loop body result {v} has no memory binding"))?,
             );
@@ -420,7 +404,7 @@ fn introduce_loop(
     let init_ixfns: Vec<IndexFn> = array_positions
         .iter()
         .map(|&i| {
-            tbl.get(&inits[i])
+            tbl.get(inits[i])
                 .map(|mb| mb.ixfn.clone())
                 .unwrap_or_else(|| IndexFn::row_major(params[i].ty.shape()))
         })
@@ -543,18 +527,17 @@ fn introduce_loop(
     let mut body_extra: Vec<Var> = Vec::new();
     let mut pre_stms: Vec<Stm> = Vec::new();
     let mut pat_extra: Vec<PatElem> = Vec::new();
-    let mut body_bindings: HashMap<Var, MemBinding> = HashMap::new();
-    collect_bindings(&body, &mut body_bindings);
+    let body_bindings = MemTable::of_block(&body);
     for (k, &i) in array_positions.iter().enumerate() {
         let plan = &plans[k];
         new_params.push(PatElem::new(plan.mem_var, Type::Mem));
         let init_mb = tbl
-            .get(&inits[i])
+            .get(inits[i])
             .cloned()
             .ok_or_else(|| format!("loop initializer {} has no memory binding", inits[i]))?;
         new_inits.push(init_mb.block);
         let res_block = body_bindings
-            .get(&body.result[i])
+            .get(body.result[i])
             .map(|mb| mb.block)
             .unwrap_or(plan.mem_var);
         body_extra.push(res_block);
@@ -625,7 +608,7 @@ fn normalize_loop(
     params: &[PatElem],
     array_positions: &[usize],
     inits: &mut [Var],
-    tbl: &mut Bindings,
+    tbl: &mut MemTable,
     out: &mut Vec<Stm>,
 ) -> Result<(), String> {
     for &i in array_positions {
@@ -649,35 +632,4 @@ fn normalize_loop(
         inits[i] = cv;
     }
     Ok(())
-}
-
-/// Collect pattern memory bindings of a block (shallow + nested).
-pub fn collect_bindings(block: &Block, out: &mut HashMap<Var, MemBinding>) {
-    for stm in &block.stms {
-        for pe in &stm.pat {
-            if let Some(mb) = &pe.mem {
-                out.insert(pe.var, mb.clone());
-            }
-        }
-        match &stm.exp {
-            Exp::If { then_b, else_b, .. } => {
-                collect_bindings(then_b, out);
-                collect_bindings(else_b, out);
-            }
-            Exp::Loop { params, body, .. } => {
-                for pe in params {
-                    if let Some(mb) = &pe.mem {
-                        out.insert(pe.var, mb.clone());
-                    }
-                }
-                collect_bindings(body, out);
-            }
-            Exp::Map(m) => {
-                if let MapBody::Lambda { body, .. } = &m.body {
-                    collect_bindings(body, out);
-                }
-            }
-            _ => {}
-        }
-    }
 }

@@ -30,6 +30,13 @@
 //! 7. `release` ([`release`]) — schedule early block releases (the plan
 //!    itself is recomputed at lowering time; the stage records its size).
 //!
+//! The stages share their scoping analyses instead of re-deriving them:
+//! nested blocks are reached through `arraymem_ir`'s traversal
+//! (`Exp::blocks`, `Block::for_each_stm`, `Stm::bound`), a loop body's
+//! environment is `arraymem_ir::loop_env`, and "where does this array
+//! live" is answered by the one binding table, [`MemTable`]. No stage
+//! matches on `if` / `loop` / lambda-`map` merely to recurse.
+//!
 //! [`compile`] runs the standard pipeline and returns the optimized
 //! program together with a [`Report`] of every short-circuit candidate and
 //! a [`CompileReport`] of per-stage timings and structured [`Remark`]s.

@@ -1,64 +1,48 @@
-//! A side table collecting the memory bindings of every array variable in
-//! a program (from pattern annotations and synthesized parameter
-//! bindings).
+//! The one binding table: the memory binding of every array variable —
+//! pattern elements and loop merge parameters at every depth, and the
+//! caller-provided row-major block of each array *parameter*. Every pass
+//! that asks "where does this array live" reads it from here.
 
-use arraymem_ir::{Block, Exp, MapBody, MemBinding, Program, Var};
+use arraymem_ir::{param_block_sym, Block, MemBinding, Program, Var};
 use arraymem_lmad::IndexFn;
-use arraymem_symbolic::Sym;
 use std::collections::HashMap;
 
-/// Maps array variables to their memory bindings and records the memory
-/// block synthesized for each array *parameter* (parameters arrive in
-/// caller-provided blocks, row-major).
 #[derive(Clone, Default, Debug)]
 pub struct MemTable {
     bindings: HashMap<Var, MemBinding>,
-    /// block var synthesized for each array parameter.
-    pub param_blocks: Vec<(Var, Var)>,
 }
 
 impl MemTable {
-    /// Build the table for a memory-annotated program.
+    /// The table of a whole program: parameters, then every annotation of
+    /// the body (none yet for a program memory introduction has not seen).
     pub fn build(prog: &Program) -> MemTable {
         let mut t = MemTable::default();
         for (v, ty) in &prog.params {
             if ty.is_array() {
                 let block = param_block_sym(*v);
-                t.bindings.insert(
-                    *v,
-                    MemBinding {
-                        block,
-                        ixfn: IndexFn::row_major(ty.shape()),
-                    },
-                );
-                t.param_blocks.push((*v, block));
+                let ixfn = IndexFn::row_major(ty.shape());
+                t.insert(*v, MemBinding { block, ixfn });
             }
         }
-        t.walk(&prog.body);
+        t.add_block(&prog.body);
         t
     }
 
-    fn walk(&mut self, block: &Block) {
-        for stm in &block.stms {
-            for pe in &stm.pat {
+    /// The annotations inside one block only (no parameters).
+    pub(crate) fn of_block(block: &Block) -> MemTable {
+        let mut t = MemTable::default();
+        t.add_block(block);
+        t
+    }
+
+    fn add_block(&mut self, block: &Block) {
+        block.for_each_stm(&mut |stm| {
+            for pe in stm.bound() {
                 if let Some(mb) = &pe.mem {
-                    self.bindings.insert(pe.var, mb.clone());
+                    self.insert(pe.var, mb.clone());
                 }
             }
-            match &stm.exp {
-                Exp::If { then_b, else_b, .. } => {
-                    self.walk(then_b);
-                    self.walk(else_b);
-                }
-                Exp::Loop { body, .. } => self.walk(body),
-                Exp::Map(m) => {
-                    if let MapBody::Lambda { body, .. } = &m.body {
-                        self.walk(body);
-                    }
-                }
-                _ => {}
-            }
-        }
+        });
     }
 
     pub fn get(&self, v: Var) -> Option<&MemBinding> {
@@ -68,11 +52,8 @@ impl MemTable {
     pub fn insert(&mut self, v: Var, mb: MemBinding) {
         self.bindings.insert(v, mb);
     }
-}
 
-/// The deterministic block symbol used for an array parameter's memory —
-/// re-exported from `arraymem-ir`, which holds the canonical definition
-/// shared with the validator and the executor's lowerer.
-pub fn param_block_sym(param: Var) -> Sym {
-    arraymem_ir::param_block_sym(param)
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Var, &MemBinding)> {
+        self.bindings.iter().map(|(v, mb)| (*v, mb))
+    }
 }

@@ -49,9 +49,9 @@
 //! final blocks), before `cleanup` (which deletes the vacated `alloc`s)
 //! and `release` (whose plan sees the merged liveness).
 
-use crate::introduce::collect_bindings;
+use crate::memtable::MemTable;
 use crate::remark::MergeReject;
-use arraymem_ir::{Block, ElemType, Exp, MapBody, MemBinding, Program, SliceSpec, Type, Var};
+use arraymem_ir::{Block, ElemType, Exp, MemBinding, PatElem, Program, SliceSpec, Stm, Type, Var};
 use arraymem_lmad::overlap::non_overlap;
 use arraymem_lmad::Lmad;
 use arraymem_symbolic::{Env, Poly};
@@ -100,53 +100,43 @@ impl MemAliases {
     }
 
     fn scan(&mut self, block: &Block) {
-        for stm in &block.stms {
-            match &stm.exp {
-                Exp::If { then_b, else_b, .. } => {
-                    for (k, pe) in stm.pat.iter().enumerate() {
-                        if matches!(pe.ty, Type::Mem) {
-                            if let Some(r) = then_b.result.get(k) {
-                                self.union(pe.var, *r);
-                            }
-                            if let Some(r) = else_b.result.get(k) {
-                                self.union(pe.var, *r);
-                            }
+        block.for_each_stm(&mut |stm| match &stm.exp {
+            Exp::If { then_b, else_b, .. } => {
+                for (k, pe) in stm.pat.iter().enumerate() {
+                    if matches!(pe.ty, Type::Mem) {
+                        if let Some(r) = then_b.result.get(k) {
+                            self.union(pe.var, *r);
+                        }
+                        if let Some(r) = else_b.result.get(k) {
+                            self.union(pe.var, *r);
                         }
                     }
-                    self.scan(then_b);
-                    self.scan(else_b);
                 }
-                Exp::Loop {
-                    params,
-                    inits,
-                    body,
-                    ..
-                } => {
-                    for (k, pp) in params.iter().enumerate() {
-                        if matches!(pp.ty, Type::Mem) {
-                            if let Some(init) = inits.get(k) {
-                                self.union(pp.var, *init);
-                            }
-                            // Iteration n+1's parameter is iteration n's
-                            // result; the loop output is the last one.
-                            if let Some(r) = body.result.get(k) {
-                                self.union(pp.var, *r);
-                            }
-                            if let Some(pe) = stm.pat.get(k) {
-                                self.union(pp.var, pe.var);
-                            }
-                        }
-                    }
-                    self.scan(body);
-                }
-                Exp::Map(m) => {
-                    if let MapBody::Lambda { body, .. } = &m.body {
-                        self.scan(body);
-                    }
-                }
-                _ => {}
             }
-        }
+            Exp::Loop {
+                params,
+                inits,
+                body,
+                ..
+            } => {
+                for (k, pp) in params.iter().enumerate() {
+                    if matches!(pp.ty, Type::Mem) {
+                        if let Some(init) = inits.get(k) {
+                            self.union(pp.var, *init);
+                        }
+                        // Iteration n+1's parameter is iteration n's
+                        // result; the loop output is the last one.
+                        if let Some(r) = body.result.get(k) {
+                            self.union(pp.var, *r);
+                        }
+                        if let Some(pe) = stm.pat.get(k) {
+                            self.union(pp.var, pe.var);
+                        }
+                    }
+                }
+            }
+            _ => {}
+        });
     }
 }
 
@@ -156,63 +146,54 @@ impl MemAliases {
 /// [`arraymem_lmad::OpaqueIxFn`]): a runtime index may land anywhere
 /// within the extent, so footprint-justified sharing is off the table for
 /// them and only disjoint lifetimes can let them share a block.
-fn runtime_indexed_arrays(block: &Block, out: &mut Vec<Var>) {
-    for stm in &block.stms {
-        match &stm.exp {
-            Exp::Gather { src, .. } => out.push(*src),
-            Exp::Update {
-                dst,
-                slice: SliceSpec::Scatter(_),
-                ..
-            } => out.push(*dst),
-            Exp::If { then_b, else_b, .. } => {
-                runtime_indexed_arrays(then_b, out);
-                runtime_indexed_arrays(else_b, out);
-            }
-            Exp::Loop { body, .. } => runtime_indexed_arrays(body, out),
-            Exp::Map(m) => {
-                if let MapBody::Lambda { body, .. } = &m.body {
-                    runtime_indexed_arrays(body, out);
-                }
-            }
-            _ => {}
-        }
-    }
+fn runtime_indexed_arrays(block: &Block) -> Vec<Var> {
+    let mut out = Vec::new();
+    block.for_each_stm(&mut |stm| match &stm.exp {
+        Exp::Gather { src, .. } => out.push(*src),
+        Exp::Update {
+            dst,
+            slice: SliceSpec::Scatter(_),
+            ..
+        } => out.push(*dst),
+        _ => {}
+    });
+    out
 }
 
-/// Memory bindings (pattern or loop parameter) at nesting depth ≥ 1
-/// inside an expression — the tenants `Exp::free_vars` cannot surface.
-fn deep_blocks(exp: &Exp, out: &mut Vec<Var>) {
-    fn scan_block(b: &Block, out: &mut Vec<Var>) {
-        for stm in &b.stms {
-            for pe in &stm.pat {
-                if let Some(mb) = &pe.mem {
-                    out.push(mb.block);
-                }
-            }
-            deep_blocks(&stm.exp, out);
-        }
+/// The block a binding is annotated into, if any.
+fn block_of(pe: &PatElem) -> Option<Var> {
+    pe.mem.as_ref().map(|mb| mb.block)
+}
+
+/// Every memory block a statement may touch, each with whether the touch
+/// is *direct* — a pattern element bound into the block, or an operand
+/// bound into it, so the footprints are the tenant's own. A touch through
+/// a mem var named as an operand (a loop initializer) or through a
+/// binding at nesting depth ≥ 1 (a merge parameter, a nested tenant —
+/// what `Exp::free_vars` cannot surface) writes footprints this pass
+/// never sees.
+fn touched_blocks(stm: &Stm, table: &MemTable) -> Vec<(Var, bool)> {
+    let mut out: Vec<(Var, bool)> = Vec::new();
+    out.extend(stm.pat.iter().filter_map(block_of).map(|b| (b, true)));
+    for u in stm.exp.free_vars() {
+        out.push(match table.get(u) {
+            Some(mb) => (mb.block, true),
+            None => (u, false),
+        });
     }
-    match exp {
-        Exp::If { then_b, else_b, .. } => {
-            scan_block(then_b, out);
-            scan_block(else_b, out);
-        }
-        Exp::Loop { params, body, .. } => {
-            for pp in params {
-                if let Some(mb) = &pp.mem {
-                    out.push(mb.block);
-                }
-            }
-            scan_block(body, out);
-        }
-        Exp::Map(m) => {
-            if let MapBody::Lambda { body, .. } = &m.body {
-                scan_block(body, out);
-            }
-        }
-        _ => {}
+    let merge_params = stm.bound().skip(stm.pat.len());
+    out.extend(merge_params.filter_map(block_of).map(|b| (b, false)));
+    for nested in stm.exp.blocks() {
+        nested.for_each_stm(&mut |s| {
+            out.extend(s.bound().filter_map(block_of).map(|b| (b, false)));
+        });
     }
+    out
+}
+
+/// Does `stm` touch block `m` (see [`touched_blocks`])?
+fn touches(stm: &Stm, m: Var, table: &MemTable) -> bool {
+    touched_blocks(stm, table).iter().any(|(b, _)| *b == m)
 }
 
 /// One coloring decision, in the transport form the executor consumes.
@@ -388,8 +369,7 @@ fn color_toplevel(prog: &mut Program, env: &Env, force_unsafe: bool, report: &mu
     // from the ordered candidate list — never from a hash set — so the
     // liveness scan, the coloring, the remark stream and the golden
     // snapshots are identical across runs.
-    let mut bindings: HashMap<Var, MemBinding> = HashMap::new();
-    collect_bindings(&prog.body, &mut bindings);
+    let bindings = MemTable::of_block(&prog.body);
     let mut aliases = MemAliases::build(&prog.body);
     let mut class: HashMap<Var, Vec<Var>> = HashMap::new();
     for (_, m, _, _) in &allocs {
@@ -432,45 +412,17 @@ fn color_toplevel(prog: &mut Program, env: &Env, force_unsafe: bool, report: &mu
             last.entry(m).and_modify(|l| *l = (*l).max(i)).or_insert(i);
         };
     for (i, stm) in prog.body.stms.iter().enumerate() {
-        for pe in &stm.pat {
-            if let Some(mb) = &pe.mem {
-                for c in resolve(mb.block) {
-                    touch(c, i, &mut first, &mut last);
-                    if c != mb.block {
-                        opaque.insert(c);
-                    }
-                }
-            }
-        }
-        for u in stm.exp.free_vars() {
-            if let Some(mb) = bindings.get(&u) {
-                for c in resolve(mb.block) {
-                    touch(c, i, &mut first, &mut last);
-                    if c != mb.block {
-                        opaque.insert(c);
-                    }
-                }
-            } else {
-                // A mem var used as an operand (a loop initializer): the
-                // expression may write through it with footprints this
-                // pass never sees.
-                for c in resolve(u) {
-                    touch(c, i, &mut first, &mut last);
+        for (b, direct) in touched_blocks(stm, &bindings) {
+            for c in resolve(b) {
+                touch(c, i, &mut first, &mut last);
+                if !direct || c != b {
                     opaque.insert(c);
                 }
             }
         }
-        let mut deep = Vec::new();
-        deep_blocks(&stm.exp, &mut deep);
-        for b in deep {
-            for c in resolve(b) {
-                touch(c, i, &mut first, &mut last);
-                opaque.insert(c);
-            }
-        }
     }
     for r in &prog.body.result {
-        let backing = bindings.get(r).map(|mb| mb.block).unwrap_or(*r);
+        let backing = bindings.get(*r).map(|mb| mb.block).unwrap_or(*r);
         for c in resolve(backing) {
             last.insert(c, usize::MAX);
             if c != backing {
@@ -484,10 +436,8 @@ fn color_toplevel(prog: &mut Program, env: &Env, force_unsafe: bool, report: &mu
     // lifetimes — and when overlapping lifetimes sink them, the reject is
     // reported as `RuntimeIndexed` rather than a generic interference.
     let mut runtime_indexed: HashSet<Var> = HashSet::new();
-    let mut ri_arrays = Vec::new();
-    runtime_indexed_arrays(&prog.body, &mut ri_arrays);
-    for a in ri_arrays {
-        if let Some(mb) = bindings.get(&a) {
+    for a in runtime_indexed_arrays(&prog.body) {
+        if let Some(mb) = bindings.get(a) {
             for c in resolve(mb.block) {
                 runtime_indexed.insert(c);
                 opaque.insert(c);
@@ -735,8 +685,7 @@ fn color_toplevel(prog: &mut Program, env: &Env, force_unsafe: bool, report: &mu
 /// blocks the parameter cycles through. Each qualifying parameter gets a
 /// [`MergeRecord::CarriedRelease`] with its own runtime color.
 fn schedule_carried_releases(prog: &Program, report: &mut MergeReport) {
-    let mut bindings: HashMap<Var, MemBinding> = HashMap::new();
-    collect_bindings(&prog.body, &mut bindings);
+    let bindings = MemTable::of_block(&prog.body);
     let mut next_color: u32 = 0;
     for (loop_idx, stm) in prog.body.stms.iter().enumerate() {
         let Exp::Loop {
@@ -748,8 +697,7 @@ fn schedule_carried_releases(prog: &Program, report: &mut MergeReport) {
         else {
             continue;
         };
-        let mut body_bindings: HashMap<Var, MemBinding> = HashMap::new();
-        collect_bindings(body, &mut body_bindings);
+        let body_bindings = MemTable::of_block(body);
         for (k, pp) in params.iter().enumerate() {
             if !matches!(pp.ty, Type::Mem) {
                 continue;
@@ -776,20 +724,9 @@ fn schedule_carried_releases(prog: &Program, report: &mut MergeReport) {
             // Arrays living in the carried block inside one iteration: the
             // loop's own array parameters annotated `@ m`, plus any body
             // binding into `m`.
-            let mut carried: HashSet<Var> = HashSet::new();
-            carried.insert(m);
-            for pp2 in params {
-                if pp2.mem.as_ref().is_some_and(|mb| mb.block == m) {
-                    carried.insert(pp2.var);
-                }
-            }
-            for s in &body.stms {
-                for pe in &s.pat {
-                    if pe.mem.as_ref().is_some_and(|mb| mb.block == m) {
-                        carried.insert(pe.var);
-                    }
-                }
-            }
+            let tenants = body.stms.iter().flat_map(|s| &s.pat).chain(params);
+            let in_m = tenants.filter(|pe| block_of(pe) == Some(m));
+            let carried: HashSet<Var> = in_m.map(|pe| pe.var).collect();
             // The carried block must be dead at the yield: no other body
             // result may still live in it.
             if body
@@ -803,72 +740,32 @@ fn schedule_carried_releases(prog: &Program, report: &mut MergeReport) {
             // Iteration 0 frees the *initial* block, so nothing bound in
             // it may outlive the loop's first iteration: no in-body or
             // parameter binding may name it directly…
-            if body_bindings.values().any(|mb| mb.block == init_m)
-                || params
-                    .iter()
-                    .any(|pp2| pp2.mem.as_ref().is_some_and(|mb| mb.block == init_m))
+            if body_bindings.iter().any(|(_, mb)| mb.block == init_m)
+                || params.iter().any(|pp| block_of(pp) == Some(init_m))
             {
                 continue;
             }
-            // …no outer array living in it may be read inside the body…
-            let outer: Vec<Var> = {
-                let mut vs: Vec<Var> = bindings
-                    .iter()
-                    .filter(|(v, mb)| mb.block == init_m && !body_bindings.contains_key(*v))
-                    .map(|(v, _)| *v)
-                    .collect();
-                vs.sort();
-                vs
-            };
-            let body_reads_init = body.stms.iter().any(|s| {
-                let mut deep = Vec::new();
-                deep_blocks(&s.exp, &mut deep);
-                s.exp
-                    .free_vars()
-                    .iter()
-                    .any(|v| *v == init_m || outer.binary_search(v).is_ok())
-                    || deep.contains(&init_m)
-            });
-            if body_reads_init {
+            // …no outer array living in it may be read inside the body
+            // (with no binding into it inside the loop, every array the
+            // table places there is an outer one)…
+            if body.stms.iter().any(|s| touches(s, init_m, &bindings)) {
                 continue;
             }
             // …and nothing after the loop may reach it.
-            let used_later = prog.body.stms.iter().skip(loop_idx + 1).any(|s| {
-                let mut deep = Vec::new();
-                deep_blocks(&s.exp, &mut deep);
-                s.exp
-                    .free_vars()
-                    .iter()
-                    .any(|v| *v == init_m || outer.binary_search(v).is_ok())
-                    || deep.contains(&init_m)
-                    || s.pat
-                        .iter()
-                        .any(|pe| pe.mem.as_ref().is_some_and(|mb| mb.block == init_m))
-            }) || prog
-                .body
-                .result
-                .iter()
-                .any(|r| *r == init_m || outer.binary_search(r).is_ok());
-            if used_later {
+            let lives_in_init =
+                |r: &Var| *r == init_m || bindings.get(*r).is_some_and(|mb| mb.block == init_m);
+            let later = &prog.body.stms[loop_idx + 1..];
+            if later.iter().any(|s| touches(s, init_m, &bindings))
+                || prog.body.result.iter().any(lives_in_init)
+            {
                 continue;
             }
 
             // Release point: after the last body statement touching the
             // carried block or its arrays — and no earlier than the yield
             // `alloc`, whose block the executor's identity guard reads.
-            let mut release_after = a_idx;
-            for (i, s) in body.stms.iter().enumerate() {
-                let mut deep = Vec::new();
-                deep_blocks(&s.exp, &mut deep);
-                let touched = s.exp.free_vars().iter().any(|v| carried.contains(v))
-                    || deep.contains(&m)
-                    || s.pat
-                        .iter()
-                        .any(|pe| pe.mem.as_ref().is_some_and(|mb| mb.block == m));
-                if touched {
-                    release_after = release_after.max(i);
-                }
-            }
+            let last_touch = body.stms.iter().rposition(|s| touches(s, m, &bindings));
+            let release_after = last_touch.map_or(a_idx, |i| i.max(a_idx));
             let Some(anchor) = body.stms[release_after].pat.first().map(|pe| pe.var) else {
                 continue;
             };
@@ -904,62 +801,27 @@ fn occupancy_fit(victim: &Occupancy, resident: &Occupancy, env: &Env) -> Fit {
 }
 
 /// Rewrite every memory binding whose block was merged away onto its
-/// host, at every nesting depth (patterns and loop merge parameters) —
-/// the same walk `collect_bindings` performs, mutably.
+/// host, at every nesting depth (patterns and loop merge parameters).
 fn rewrite_blocks(prog: &mut Program, rename: &HashMap<Var, Var>) {
-    rewrite_block(&mut prog.body, rename);
-}
-
-fn rewrite_block(block: &mut Block, rename: &HashMap<Var, Var>) {
-    for stm in &mut block.stms {
-        for pe in &mut stm.pat {
-            if let Some(mb) = &mut pe.mem {
-                if let Some(host) = rename.get(&mb.block) {
-                    mb.block = *host;
-                }
-            }
+    let renamed = |v: &mut Var| {
+        if let Some(host) = rename.get(v) {
+            *v = *host;
         }
-        match &mut stm.exp {
-            Exp::If { then_b, else_b, .. } => {
-                rewrite_block(then_b, rename);
-                rewrite_block(else_b, rename);
-            }
-            Exp::Loop {
-                params,
-                inits,
-                body,
-                ..
-            } => {
-                for pp in params {
-                    if let Some(mb) = &mut pp.mem {
-                        if let Some(host) = rename.get(&mb.block) {
-                            mb.block = *host;
-                        }
-                    }
-                }
-                for init in inits {
-                    if let Some(host) = rename.get(init) {
-                        *init = *host;
-                    }
-                }
-                rewrite_block(body, rename);
-            }
-            Exp::Map(m) => {
-                if let MapBody::Lambda { body, .. } = &mut m.body {
-                    rewrite_block(body, rename);
-                }
-            }
-            _ => {}
+    };
+    prog.body.for_each_stm_mut(&mut |stm| {
+        for mb in stm.bound_mut().filter_map(|pe| pe.mem.as_mut()) {
+            renamed(&mut mb.block);
         }
-    }
-    // A vacated block's variable can flow out of a nested block as an
-    // existential-memory result; the program-level result never names a
-    // victim (such blocks are rejected as `Escapes`).
-    for r in &mut block.result {
-        if let Some(host) = rename.get(r) {
-            *r = *host;
+        if let Exp::Loop { inits, .. } = &mut stm.exp {
+            inits.iter_mut().for_each(renamed);
         }
-    }
+        // A vacated block's variable can flow out of a nested block as
+        // an existential-memory result; the program-level result never
+        // names a victim (such blocks are rejected as `Escapes`).
+        for nested in stm.exp.blocks_mut() {
+            nested.result.iter_mut().for_each(renamed);
+        }
+    });
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@ use crate::remark::{RejectReason, Remark, RemarkKind};
 use crate::short_circuit::{self, Report};
 use crate::{cleanup, hoist, introduce, release::ReleasePlan, Options, Sabotage};
 use arraymem_ir::pretty::program_to_string;
-use arraymem_ir::{Block, Exp, MapBody, Program, Type, Var};
+use arraymem_ir::{Exp, Program, Type, Var};
 use std::collections::HashSet;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -50,47 +50,20 @@ pub struct IrStats {
 /// Compute [`IrStats`] for a program.
 pub fn ir_stats(prog: &Program) -> IrStats {
     let mut s = IrStats::default();
-    stats_block(&prog.body, &mut s);
-    s
-}
-
-fn stats_block(block: &Block, s: &mut IrStats) {
-    for stm in &block.stms {
+    prog.body.for_each_stm(&mut |stm| {
         s.stms += 1;
-        for pe in &stm.pat {
-            if pe.mem.is_some() {
-                s.mem_bindings += 1;
-            }
-        }
+        s.mem_bindings += stm.bound().filter(|pe| pe.mem.is_some()).count();
         match &stm.exp {
             Exp::Alloc { .. } => s.allocs += 1,
             Exp::Update { elided: true, .. } => s.elided_updates += 1,
             Exp::Concat { elided, .. } => {
                 s.elided_concat_args += elided.iter().filter(|e| **e).count();
             }
-            Exp::If { then_b, else_b, .. } => {
-                stats_block(then_b, s);
-                stats_block(else_b, s);
-            }
-            Exp::Loop { params, body, .. } => {
-                for pp in params {
-                    if pp.mem.is_some() {
-                        s.mem_bindings += 1;
-                    }
-                }
-                stats_block(body, s);
-            }
-            Exp::Map(m) => {
-                if m.in_place_result {
-                    s.in_place_maps += 1;
-                }
-                if let MapBody::Lambda { body, .. } = &m.body {
-                    stats_block(body, s);
-                }
-            }
+            Exp::Map(m) if m.in_place_result => s.in_place_maps += 1,
             _ => {}
         }
-    }
+    });
+    s
 }
 
 /// What one executed stage did: timing, before/after stats, remark count.
@@ -193,55 +166,40 @@ fn introduce_stage(prog: &mut Program, cx: &mut PassCx) -> Result<(), String> {
 /// This stage runs directly after `introduce`, before short-circuiting may
 /// legitimately rebase results away from their existential blocks.
 fn antiunify_stage(prog: &mut Program, cx: &mut PassCx) -> Result<(), String> {
-    audit_block(&prog.body, cx)
-}
-
-fn audit_block(block: &Block, cx: &mut PassCx) -> Result<(), String> {
-    for stm in &block.stms {
-        if matches!(stm.exp, Exp::If { .. } | Exp::Loop { .. }) {
-            let mem_vars: Vec<Var> = stm
-                .pat
-                .iter()
-                .filter(|pe| pe.ty == Type::Mem)
-                .map(|pe| pe.var)
-                .collect();
-            let mut referenced: HashSet<Var> = HashSet::new();
-            for pe in &stm.pat {
-                if let Some(mb) = &pe.mem {
-                    if mem_vars.contains(&mb.block) {
-                        referenced.insert(mb.block);
-                        cx.remark(
-                            "antiunify",
-                            Some(pe.var),
-                            RemarkKind::ExistentialMemory,
-                            format!("{} carries existential memory {}", pe.var, mb.block),
-                        );
-                    }
-                }
-            }
-            for m in &mem_vars {
-                if !referenced.contains(m) {
-                    return Err(format!(
-                        "existential memory {m} backs no result of its statement"
-                    ));
+    let mut orphan: Option<Var> = None;
+    prog.body.for_each_stm(&mut |stm| {
+        if !matches!(stm.exp, Exp::If { .. } | Exp::Loop { .. }) {
+            return;
+        }
+        let mem_vars: Vec<Var> = stm
+            .pat
+            .iter()
+            .filter(|pe| pe.ty == Type::Mem)
+            .map(|pe| pe.var)
+            .collect();
+        let mut referenced: HashSet<Var> = HashSet::new();
+        for pe in &stm.pat {
+            if let Some(mb) = &pe.mem {
+                if mem_vars.contains(&mb.block) {
+                    referenced.insert(mb.block);
+                    cx.remark(
+                        "antiunify",
+                        Some(pe.var),
+                        RemarkKind::ExistentialMemory,
+                        format!("{} carries existential memory {}", pe.var, mb.block),
+                    );
                 }
             }
         }
-        match &stm.exp {
-            Exp::If { then_b, else_b, .. } => {
-                audit_block(then_b, cx)?;
-                audit_block(else_b, cx)?;
-            }
-            Exp::Loop { body, .. } => audit_block(body, cx)?,
-            Exp::Map(m) => {
-                if let MapBody::Lambda { body, .. } = &m.body {
-                    audit_block(body, cx)?;
-                }
-            }
-            _ => {}
-        }
+        let unbacked = mem_vars.into_iter().find(|m| !referenced.contains(m));
+        orphan = orphan.or(unbacked);
+    });
+    match orphan {
+        Some(m) => Err(format!(
+            "existential memory {m} backs no result of its statement"
+        )),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Allocation hoisting (§V property 2), as a stage.

@@ -21,8 +21,9 @@
 //!   enclosing scopes is left to the end-of-run sweep
 //!   (`MemStore::release_all_live` in the executor).
 
+use crate::memtable::MemTable;
 use arraymem_ir::alias::{aliases, AliasMap};
-use arraymem_ir::{Block, Exp, MapBody, Program, Stm, Var};
+use arraymem_ir::{Block, Exp, Program, Stm, Var};
 use std::collections::{HashMap, HashSet};
 
 /// For each block of a program (keyed by address — the program must not
@@ -45,13 +46,11 @@ impl ReleasePlan {
         // Associate every array variable with the memory variables its
         // pattern annotations name, then lift to alias-class roots: a use
         // of any class member is a use of all the class's blocks.
-        let mut var2mem: Vec<(Var, Var)> = Vec::new();
-        collect_mem_bindings(&prog.body, &mut var2mem);
         let mut class_mems: HashMap<Var, Vec<Var>> = HashMap::new();
-        for (v, m) in &var2mem {
-            let e = class_mems.entry(am.root(*v)).or_default();
-            if !e.contains(m) {
-                e.push(*m);
+        for (v, mb) in MemTable::of_block(&prog.body).iter() {
+            let e = class_mems.entry(am.root(v)).or_default();
+            if !e.contains(&mb.block) {
+                e.push(mb.block);
             }
         }
         let mut plan = ReleasePlan::default();
@@ -107,18 +106,8 @@ impl ReleasePlan {
         }
         self.per_block.insert(block_key(block), releases);
         for stm in &block.stms {
-            match &stm.exp {
-                Exp::If { then_b, else_b, .. } => {
-                    self.visit_block(then_b, am, class_mems);
-                    self.visit_block(else_b, am, class_mems);
-                }
-                Exp::Loop { body, .. } => self.visit_block(body, am, class_mems),
-                Exp::Map(m) => {
-                    if let MapBody::Lambda { body, .. } = &m.body {
-                        self.visit_block(body, am, class_mems);
-                    }
-                }
-                _ => {}
+            for b in stm.exp.blocks() {
+                self.visit_block(b, am, class_mems);
             }
         }
     }
@@ -129,20 +118,12 @@ impl ReleasePlan {
 /// every block associated with the alias class of any free variable —
 /// nested blocks included, via `Exp::free_vars`.
 fn mem_uses(stm: &Stm, am: &AliasMap, class_mems: &HashMap<Var, Vec<Var>>, out: &mut HashSet<Var>) {
-    for pe in &stm.pat {
-        if let Some(mb) = &pe.mem {
-            out.insert(mb.block);
-        }
-    }
+    out.extend(
+        stm.bound()
+            .filter_map(|pe| pe.mem.as_ref().map(|mb| mb.block)),
+    );
     if matches!(stm.exp, Exp::Alloc { .. }) {
         out.insert(stm.pat[0].var);
-    }
-    if let Exp::Loop { params, .. } = &stm.exp {
-        for pp in params {
-            if let Some(mb) = &pp.mem {
-                out.insert(mb.block);
-            }
-        }
     }
     for v in stm.exp.free_vars() {
         // `v` itself may be a memory variable (annotations of nested
@@ -151,36 +132,6 @@ fn mem_uses(stm: &Stm, am: &AliasMap, class_mems: &HashMap<Var, Vec<Var>>, out: 
         out.insert(v);
         if let Some(ms) = class_mems.get(&am.root(v)) {
             out.extend(ms.iter().copied());
-        }
-    }
-}
-
-fn collect_mem_bindings(block: &Block, out: &mut Vec<(Var, Var)>) {
-    for stm in &block.stms {
-        for pe in &stm.pat {
-            if let Some(mb) = &pe.mem {
-                out.push((pe.var, mb.block));
-            }
-        }
-        match &stm.exp {
-            Exp::If { then_b, else_b, .. } => {
-                collect_mem_bindings(then_b, out);
-                collect_mem_bindings(else_b, out);
-            }
-            Exp::Loop { params, body, .. } => {
-                for pp in params {
-                    if let Some(mb) = &pp.mem {
-                        out.push((pp.var, mb.block));
-                    }
-                }
-                collect_mem_bindings(body, out);
-            }
-            Exp::Map(m) => {
-                if let MapBody::Lambda { body, .. } = &m.body {
-                    collect_mem_bindings(body, out);
-                }
-            }
-            _ => {}
         }
     }
 }

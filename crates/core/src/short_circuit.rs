@@ -28,11 +28,13 @@
 //! memory when safe (§V-A(e)); this is decided by a post-pass over the
 //! final bindings and surfaces as `MapExp::in_place_result`.
 
+use crate::memtable::MemTable;
 use crate::remark::RejectReason;
 use arraymem_ir::alias::{aliases, AliasMap};
 use arraymem_ir::lastuse::used_after;
 use arraymem_ir::{
-    Block, Exp, MapBody, MemBinding, Program, ScalarExp, SliceSpec, Stm, UpdateSrc, Var,
+    loop_env, param_block_sym, Block, Exp, MapBody, MapExp, MemBinding, Program, ScalarExp,
+    SliceSpec, Stm, Type, UpdateSrc, Var,
 };
 use arraymem_lmad::aggregate::Summary;
 use arraymem_lmad::overlap::non_overlap;
@@ -137,7 +139,7 @@ impl Report {
 }
 
 /// Where to apply an elision once a candidate succeeds.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 enum CircuitAction {
     /// Mark `Update` at this statement path as elided.
     ElideUpdate,
@@ -166,6 +168,48 @@ struct Candidate {
 }
 
 impl Candidate {
+    /// A live candidate: `web` seeds the rebased alias web (the root's
+    /// binding inside `dst_block`).
+    fn new(
+        kind: CandidateKind,
+        root: Var,
+        dst_block: Var,
+        web: HashMap<Var, MemBinding>,
+        circuit_at: usize,
+        action: CircuitAction,
+    ) -> Candidate {
+        Candidate {
+            kind,
+            root,
+            dst_block,
+            rebased: web,
+            uses_dst: Summary::empty(),
+            writes_bs: Summary::empty(),
+            circuit_at,
+            action,
+            failed: None,
+            finished: false,
+            finished_at: None,
+            forced: false,
+        }
+    }
+
+    /// A candidate rejected where it was found: recorded, so the remarks
+    /// prove the pass saw it, and inert. Its `dst_block` is never read —
+    /// the root stands in.
+    fn rejected(
+        kind: CandidateKind,
+        root: Var,
+        circuit_at: usize,
+        action: CircuitAction,
+        why: RejectReason,
+        message: &str,
+    ) -> Candidate {
+        let mut c = Candidate::new(kind, root, root, HashMap::new(), circuit_at, action);
+        c.fail(why, message);
+        c
+    }
+
     fn fail(&mut self, kind: RejectReason, reason: impl Into<String>) {
         self.fail_with(Rejection::new(kind, reason));
     }
@@ -185,7 +229,7 @@ impl Candidate {
 struct Ctx {
     am: AliasMap,
     /// Global (pre-pass) bindings of every array var.
-    bindings: HashMap<Var, MemBinding>,
+    bindings: MemTable,
     /// Optimistic overlay: rebasings from candidates that have *finished*
     /// successfully during this run.
     overlay: HashMap<Var, MemBinding>,
@@ -201,7 +245,7 @@ impl Ctx {
     fn binding(&self, v: Var) -> Option<MemBinding> {
         self.overlay
             .get(&v)
-            .or_else(|| self.bindings.get(&v))
+            .or_else(|| self.bindings.get(v))
             .cloned()
     }
 }
@@ -222,23 +266,9 @@ pub(crate) fn drive(
     mapnest_in_place: bool,
     force_unsafe: bool,
 ) -> Report {
-    let am = aliases(prog);
-    let mut bindings = HashMap::new();
-    crate::introduce::collect_bindings(&prog.body, &mut bindings);
-    for (v, ty) in &prog.params {
-        if ty.is_array() {
-            bindings.insert(
-                *v,
-                MemBinding {
-                    block: crate::memtable::param_block_sym(*v),
-                    ixfn: IndexFn::row_major(ty.shape()),
-                },
-            );
-        }
-    }
     let mut ctx = Ctx {
-        am,
-        bindings,
+        am: aliases(prog),
+        bindings: MemTable::build(prog),
         overlay: HashMap::new(),
         report: Report::default(),
         force_unsafe,
@@ -252,15 +282,13 @@ pub(crate) fn drive(
         .params
         .iter()
         .filter(|(_, ty)| ty.is_array())
-        .map(|(v, _)| crate::memtable::param_block_sym(*v))
+        .map(|(v, _)| param_block_sym(*v))
         .collect();
-    let mut body = std::mem::take(&mut prog.body);
-    run_block(&mut body, &live_after, env, &outer_allocs, &mut ctx);
+    run_block(&mut prog.body, &live_after, env, &outer_allocs, &mut ctx);
     // Post-pass: decide which kernel maps build their rows in place.
     if mapnest_in_place {
-        mark_in_place_maps(&mut body, env, &mut ctx);
+        mark_in_place_maps(prog, env, &mut ctx.report);
     }
-    prog.body = body;
     ctx.report
 }
 
@@ -273,8 +301,10 @@ fn run_block(
     outer_allocs: &HashSet<Var>,
     ctx: &mut Ctx,
 ) {
-    let n = block.stms.len();
-    for k in 0..n {
+    for k in 0..block.stms.len() {
+        if block.stms[k].exp.blocks().next().is_none() {
+            continue;
+        }
         // Liveness for the nested block: classes used after stm k, plus the
         // enclosing live set.
         let mut nested_live = live_after.clone();
@@ -294,33 +324,28 @@ fn run_block(
                 allocs.insert(s.pat[0].var);
             }
         }
-        match &mut block.stms[k].exp {
-            Exp::If { then_b, else_b, .. } => {
-                run_block(then_b, &nested_live, env, &allocs, ctx);
-                run_block(else_b, &nested_live, env, &allocs, ctx);
-            }
-            Exp::Loop {
-                params,
-                index,
-                count,
-                body,
-                ..
-            } => {
-                // Merge-parameter classes stay live across iterations, and
-                // memory merge parameters are backed by allocations made
-                // before the loop.
-                for pe in params.iter() {
-                    nested_live.insert(ctx.am.root(pe.var));
-                    if pe.ty == arraymem_ir::Type::Mem {
-                        allocs.insert(pe.var);
-                    }
+        let inner_env = if let Exp::Loop {
+            params,
+            index,
+            count,
+            ..
+        } = &block.stms[k].exp
+        {
+            // Merge-parameter classes stay live across iterations, and
+            // memory merge parameters are backed by allocations made
+            // before the loop.
+            for pe in params {
+                nested_live.insert(ctx.am.root(pe.var));
+                if pe.ty == Type::Mem {
+                    allocs.insert(pe.var);
                 }
-                let mut env2 = env.clone();
-                env2.assume_ge(*index, 0);
-                env2.assume_le(*index, count.clone() - Poly::constant(1));
-                run_block(body, &nested_live, &env2, &allocs, ctx);
             }
-            _ => {}
+            loop_env(env, *index, count)
+        } else {
+            env.clone()
+        };
+        for b in block.stms[k].exp.blocks_mut() {
+            run_block(b, &nested_live, &inner_env, &allocs, ctx);
         }
     }
     analyze_stms(block, live_after, env, outer_allocs, ctx);
@@ -387,6 +412,52 @@ fn slice_region(ixfn: &IndexFn, slice: &SliceSpec) -> Summary {
     }
 }
 
+/// Where one block's own statements bind what: every definition, the
+/// `alloc`s (property 2) and the scalars expressible as polynomials (for
+/// translating index functions into scope, §V-A(b)).
+struct BlockIndex {
+    alloc_pos: HashMap<Var, usize>,
+    def_pos: HashMap<Var, usize>,
+    scalar_defs: HashMap<Var, Poly>,
+}
+
+impl BlockIndex {
+    fn of(block: &Block) -> BlockIndex {
+        let mut ix = BlockIndex {
+            alloc_pos: HashMap::new(),
+            def_pos: HashMap::new(),
+            scalar_defs: HashMap::new(),
+        };
+        for (k, stm) in block.stms.iter().enumerate() {
+            for pe in &stm.pat {
+                ix.def_pos.insert(pe.var, k);
+            }
+            match &stm.exp {
+                Exp::Alloc { .. } => {
+                    ix.alloc_pos.insert(stm.pat[0].var, k);
+                }
+                Exp::Scalar(se) => {
+                    if let Some(p) = scalar_to_poly(se) {
+                        ix.scalar_defs.insert(stm.pat[0].var, p);
+                    }
+                }
+                _ => {}
+            }
+        }
+        ix
+    }
+
+    /// The allocations in scope just before statement `k`.
+    fn allocs_before(&self, k: usize, outer_allocs: &HashSet<Var>) -> HashSet<Var> {
+        let local = self.alloc_pos.iter().filter(|(_, &at)| at < k);
+        outer_allocs
+            .iter()
+            .chain(local.map(|(v, _)| v))
+            .copied()
+            .collect()
+    }
+}
+
 /// Main backward walk over one block's statements.
 fn analyze_stms(
     block: &mut Block,
@@ -395,27 +466,7 @@ fn analyze_stms(
     outer_allocs: &HashSet<Var>,
     ctx: &mut Ctx,
 ) {
-    // Positions of allocs and scalar definitions for translation/property 2.
-    let mut alloc_pos: HashMap<Var, usize> = HashMap::new();
-    let mut def_pos: HashMap<Var, usize> = HashMap::new();
-    let mut scalar_defs: HashMap<Var, Poly> = HashMap::new();
-    for (k, stm) in block.stms.iter().enumerate() {
-        for pe in &stm.pat {
-            def_pos.insert(pe.var, k);
-        }
-        match &stm.exp {
-            Exp::Alloc { .. } => {
-                alloc_pos.insert(stm.pat[0].var, k);
-            }
-            Exp::Scalar(se) => {
-                if let Some(p) = scalar_to_poly(se) {
-                    scalar_defs.insert(stm.pat[0].var, p);
-                }
-            }
-            _ => {}
-        }
-    }
-
+    let index = BlockIndex::of(block);
     let mut cands: Vec<Candidate> = Vec::new();
     for k in (0..block.stms.len()).rev() {
         // 1. Process this statement against every active candidate.
@@ -423,44 +474,17 @@ fn analyze_stms(
             if !cands[ci].active() || k >= cands[ci].circuit_at {
                 continue;
             }
-            let mut cand = std::mem::replace(
-                &mut cands[ci],
-                Candidate {
-                    kind: CandidateKind::Update,
-                    root: Sym::fresh("hole"),
-                    dst_block: Sym::fresh("hole"),
-                    rebased: HashMap::new(),
-                    uses_dst: Summary::empty(),
-                    writes_bs: Summary::empty(),
-                    circuit_at: 0,
-                    action: CircuitAction::ElideUpdate,
-                    failed: None,
-                    finished: true,
-                    finished_at: None,
-                    forced: false,
-                },
-            );
-            process_stm(
-                &mut cand,
-                block,
-                k,
-                env,
-                outer_allocs,
-                &alloc_pos,
-                &def_pos,
-                &scalar_defs,
-                ctx,
-            );
+            process_stm(&mut cands[ci], block, k, env, outer_allocs, &index, ctx);
             // Publish a successful finish immediately so transitive
             // chaining (Fig. 6a) sees the rebased destination.
-            if cand.finished && cand.failed.is_none() {
+            if cands[ci].finished && cands[ci].failed.is_none() {
                 // This rebase vacates the blocks its web vars lived in.
                 // Any other candidate whose *destination* is one of those
                 // blocks baked index functions (and footprint summaries)
                 // for cells that no longer back the destination arrays:
                 // its elision would write into dead memory. Failing it
                 // merely keeps the copy, which is always sound.
-                let vacated: HashSet<Var> = cand
+                let vacated: HashSet<Var> = cands[ci]
                     .rebased
                     .iter()
                     .filter_map(|(v, mb)| {
@@ -482,11 +506,10 @@ fn analyze_stms(
                         );
                     }
                 }
-                for (v, mb) in &cand.rebased {
+                for (v, mb) in &cands[ci].rebased {
                     ctx.overlay.insert(*v, mb.clone());
                 }
             }
-            cands[ci] = cand;
         }
         // 2. Maybe create new candidates at this statement.
         create_candidates(block, k, live_after, &mut cands, ctx);
@@ -537,7 +560,13 @@ fn analyze_stms(
             continue;
         }
         // Rebase the web's definitions.
-        apply_rebase(block, &cand.rebased);
+        block.for_each_stm_mut(&mut |stm| {
+            for pe in stm.bound_mut() {
+                if let Some(mb) = cand.rebased.get(&pe.var) {
+                    pe.mem = Some(mb.clone());
+                }
+            }
+        });
         for (v, mb) in &cand.rebased {
             ctx.overlay.insert(*v, mb.clone());
         }
@@ -573,40 +602,19 @@ fn create_candidates(
             src: UpdateSrc::Array(src),
             elided: false,
         } => {
-            let mut cand_or_fail =
-                |reason: Option<Rejection>, rebased: HashMap<Var, MemBinding>, dst_block: Var| {
-                    cands.push(Candidate {
-                        kind: CandidateKind::Update,
-                        root: *src,
-                        dst_block,
-                        rebased,
-                        uses_dst: Summary::empty(),
-                        writes_bs: Summary::empty(),
-                        circuit_at: k,
-                        action: CircuitAction::ElideUpdate,
-                        failed: reason,
-                        finished: false,
-                        finished_at: None,
-                        forced: false,
-                    });
-                };
+            let mut reject = |why: RejectReason, message: &str| {
+                let (kind, action) = (CandidateKind::Update, CircuitAction::ElideUpdate);
+                cands.push(Candidate::rejected(kind, *src, k, action, why, message));
+            };
             if let SliceSpec::Scatter(_) = slice {
                 // Runtime-indexed write: the written positions are data, so
                 // no affine rebased index function exists for the source.
                 // Recorded as a rejection (not skipped silently) so remarks
                 // prove the pass saw — and gave up on — the scatter.
-                let dst_block = ctx
-                    .binding(*dst)
-                    .map(|mb| mb.block)
-                    .unwrap_or_else(|| Sym::fresh("none"));
-                cand_or_fail(
-                    Some(Rejection::new(
-                        RejectReason::RuntimeIndexedWrite,
-                        "scatter writes through runtime indices: the copy is \
-                         kept and bounds are enforced dynamically",
-                    )),
-                    HashMap::new(),
-                    dst_block,
+                reject(
+                    RejectReason::RuntimeIndexedWrite,
+                    "scatter writes through runtime indices: the copy is \
+                     kept and bounds are enforced dynamically",
                 );
                 return;
             }
@@ -614,13 +622,9 @@ fn create_candidates(
                 return; // not a circuit point: src aliases dst
             }
             if used_after(block, k, *src, live_after, &ctx.am) {
-                cand_or_fail(
-                    Some(Rejection::new(
-                        RejectReason::NotLastUse,
-                        "source used after the circuit point",
-                    )),
-                    HashMap::new(),
-                    Sym::fresh("none"),
+                reject(
+                    RejectReason::NotLastUse,
+                    "source used after the circuit point",
                 );
                 return;
             }
@@ -628,36 +632,31 @@ fn create_candidates(
                 return;
             };
             let Some(tr) = slice_transform(slice) else {
-                cand_or_fail(
-                    Some(Rejection::new(
-                        RejectReason::SliceNotExpressible,
-                        "slice not expressible as a transform",
-                    )),
-                    HashMap::new(),
-                    dst_mb.block,
+                reject(
+                    RejectReason::SliceNotExpressible,
+                    "slice not expressible as a transform",
                 );
                 return;
             };
-            let Some(new_ixfn) = dst_mb.ixfn.transform(&tr) else {
-                cand_or_fail(
-                    Some(Rejection::new(
-                        RejectReason::SliceNotExpressible,
-                        "could not slice the destination index function",
-                    )),
-                    HashMap::new(),
-                    dst_mb.block,
+            let Some(ixfn) = dst_mb.ixfn.transform(&tr) else {
+                reject(
+                    RejectReason::SliceNotExpressible,
+                    "could not slice the destination index function",
                 );
                 return;
             };
-            let mut rebased = HashMap::new();
-            rebased.insert(
+            let web = MemBinding {
+                block: dst_mb.block,
+                ixfn,
+            };
+            cands.push(Candidate::new(
+                CandidateKind::Update,
                 *src,
-                MemBinding {
-                    block: dst_mb.block,
-                    ixfn: new_ixfn,
-                },
-            );
-            cand_or_fail(None, rebased, dst_mb.block);
+                dst_mb.block,
+                HashMap::from([(*src, web)]),
+                k,
+                CircuitAction::ElideUpdate,
+            ));
         }
         Exp::Concat { args, elided } => {
             let res = stm.pat[0].var;
@@ -680,35 +679,19 @@ fn create_candidates(
                 if elided[a_idx] {
                     continue;
                 }
-                let mut cand_or_fail =
-                    |reason: Option<Rejection>, rebased: HashMap<Var, MemBinding>| {
-                        cands.push(Candidate {
-                            kind: CandidateKind::Concat,
-                            root: a,
-                            dst_block: res_mb.block,
-                            rebased,
-                            uses_dst: Summary::empty(),
-                            writes_bs: Summary::empty(),
-                            circuit_at: k,
-                            action: CircuitAction::ElideConcatArg(a_idx),
-                            failed: reason,
-                            finished: false,
-                            finished_at: None,
-                            forced: false,
-                        });
-                    };
+                let (kind, action) = (CandidateKind::Concat, CircuitAction::ElideConcatArg(a_idx));
+                let mut reject = |why: RejectReason, message: &str| {
+                    cands.push(Candidate::rejected(kind, a, k, action, why, message));
+                };
                 // The two "not lastly used" shapes are recorded as rejected
                 // candidates rather than skipped silently — aliasing args
                 // (`concat bs bs`, or two args from one web) were a
                 // historical fuzzer bug class: eliding both would rebase
                 // the same memory onto two destinations (footnote 17).
                 if ctx.am.same_class(a, res) {
-                    cand_or_fail(
-                        Some(Rejection::new(
-                            RejectReason::AliasingConcatArg,
-                            "concat argument aliases the concat result",
-                        )),
-                        HashMap::new(),
+                    reject(
+                        RejectReason::AliasingConcatArg,
+                        "concat argument aliases the concat result",
                     );
                     continue;
                 }
@@ -717,24 +700,18 @@ fn create_candidates(
                     .enumerate()
                     .any(|(j, &b)| j != a_idx && ctx.am.same_class(a, b))
                 {
-                    cand_or_fail(
-                        Some(Rejection::new(
-                            RejectReason::AliasingConcatArg,
-                            "concat argument aliases another argument — eliding \
-                             both would rebase one alias web onto two \
-                             destinations (footnote 17)",
-                        )),
-                        HashMap::new(),
+                    reject(
+                        RejectReason::AliasingConcatArg,
+                        "concat argument aliases another argument — eliding \
+                         both would rebase one alias web onto two \
+                         destinations (footnote 17)",
                     );
                     continue;
                 }
                 if used_after(block, k, a, live_after, &ctx.am) {
-                    cand_or_fail(
-                        Some(Rejection::new(
-                            RejectReason::NotLastUse,
-                            "concat argument used after the circuit point",
-                        )),
-                        HashMap::new(),
+                    reject(
+                        RejectReason::NotLastUse,
+                        "concat argument used after the circuit point",
                     );
                     continue;
                 }
@@ -743,26 +720,26 @@ fn create_candidates(
                 for d in &res_shape[1..] {
                     ts.push(TripletSlice::full(d.clone()));
                 }
-                let Some(new_ixfn) = res_mb.ixfn.transform(&Transform::Slice(ts)) else {
-                    cand_or_fail(
-                        Some(Rejection::new(
-                            RejectReason::SliceNotExpressible,
-                            "could not slice the result index function at the \
-                             argument's rows",
-                        )),
-                        HashMap::new(),
+                let Some(ixfn) = res_mb.ixfn.transform(&Transform::Slice(ts)) else {
+                    reject(
+                        RejectReason::SliceNotExpressible,
+                        "could not slice the result index function at the \
+                         argument's rows",
                     );
                     continue;
                 };
-                let mut rebased = HashMap::new();
-                rebased.insert(
+                let web = MemBinding {
+                    block: res_mb.block,
+                    ixfn,
+                };
+                cands.push(Candidate::new(
+                    kind,
                     a,
-                    MemBinding {
-                        block: res_mb.block,
-                        ixfn: new_ixfn,
-                    },
-                );
-                cand_or_fail(None, rebased);
+                    res_mb.block,
+                    HashMap::from([(a, web)]),
+                    k,
+                    action,
+                ));
             }
         }
         _ => {}
@@ -784,35 +761,19 @@ fn slice_arg_shape(block: &Block, v: Var, ctx: &Ctx) -> Option<Vec<Poly>> {
 
 /// Process statement `k` for an active candidate (the heart of the
 /// backward analysis).
-#[allow(clippy::too_many_arguments)]
 fn process_stm(
     cand: &mut Candidate,
     block: &Block,
     k: usize,
     env: &Env,
     outer_allocs: &HashSet<Var>,
-    alloc_pos: &HashMap<Var, usize>,
-    def_pos: &HashMap<Var, usize>,
-    scalar_defs: &HashMap<Var, Poly>,
+    index: &BlockIndex,
     ctx: &Ctx,
 ) {
     let stm = &block.stms[k];
-    let defs: Vec<Var> = stm.pat.iter().map(|p| p.var).collect();
-    let web_def: Option<Var> = defs.iter().copied().find(|v| cand.rebased.contains_key(v));
-
+    let web_def = stm.pat.iter().find(|pe| cand.rebased.contains_key(&pe.var));
     if let Some(def) = web_def {
-        process_web_def(
-            cand,
-            block,
-            k,
-            def,
-            env,
-            outer_allocs,
-            alloc_pos,
-            def_pos,
-            scalar_defs,
-            ctx,
-        );
+        process_web_def(cand, block, k, def.var, env, outer_allocs, index, ctx);
         return;
     }
     // A transform *of* a web member defines a forward alias whose index
@@ -862,33 +823,26 @@ fn check_write(cand: &mut Candidate, region: &Summary, env: &Env, what: &str, fo
             );
         }
     }
-    let mut w = cand.writes_bs.clone();
-    w.union(region);
-    cand.writes_bs = w;
+    cand.writes_bs.union(region);
 }
 
 /// Translate an index function to be valid at definition position `at`:
 /// substitute (to a fixpoint) variables defined at or after `at` with their
 /// scalar definitions; fail if any remain (§V-A(b)).
-fn translate_ixfn(
-    ixfn: &IndexFn,
-    at: usize,
-    def_pos: &HashMap<Var, usize>,
-    scalar_defs: &HashMap<Var, Poly>,
-) -> Result<IndexFn, Rejection> {
+fn translate_ixfn(ixfn: &IndexFn, at: usize, index: &BlockIndex) -> Result<IndexFn, Rejection> {
     let mut cur = ixfn.clone();
     for _ in 0..8 {
         let later: Vec<Var> = cur
             .vars()
             .into_iter()
-            .filter(|v| def_pos.get(v).is_some_and(|&d| d >= at))
+            .filter(|v| index.def_pos.get(v).is_some_and(|&d| d >= at))
             .collect();
         if later.is_empty() {
             return Ok(cur);
         }
         let mut progressed = false;
         for v in later {
-            if let Some(p) = scalar_defs.get(&v) {
+            if let Some(p) = index.scalar_defs.get(&v) {
                 cur = cur.subst(v, p);
                 progressed = true;
             } else {
@@ -916,15 +870,13 @@ fn process_web_def(
     def: Var,
     env: &Env,
     outer_allocs: &HashSet<Var>,
-    alloc_pos: &HashMap<Var, usize>,
-    def_pos: &HashMap<Var, usize>,
-    scalar_defs: &HashMap<Var, Poly>,
+    index: &BlockIndex,
     ctx: &Ctx,
 ) {
     let stm = &block.stms[k];
     let binding = cand.rebased[&def].clone();
     // Property 3b: the binding must be expressible at this definition.
-    let translated = match translate_ixfn(&binding.ixfn, k, def_pos, scalar_defs) {
+    let translated = match translate_ixfn(&binding.ixfn, k, index) {
         Ok(ix) => MemBinding {
             block: binding.block,
             ixfn: ix,
@@ -939,7 +891,7 @@ fn process_web_def(
     let finalize = |cand: &mut Candidate| {
         // Property 2: destination memory allocated before this point.
         let ok = outer_allocs.contains(&cand.dst_block)
-            || alloc_pos.get(&cand.dst_block).is_some_and(|&a| a < k);
+            || index.alloc_pos.get(&cand.dst_block).is_some_and(|&a| a < k);
         if !ok {
             cand.fail(
                 RejectReason::DestinationNotAllocated,
@@ -1138,31 +1090,23 @@ fn process_web_def(
                 .iter()
                 .position(|pe| pe.var == def)
                 .expect("web def in pattern");
-            let mut visible_allocs = outer_allocs.clone();
-            for (v, &at) in alloc_pos {
-                if at < k {
-                    visible_allocs.insert(*v);
-                }
-            }
+            let visible_allocs = index.allocs_before(k, outer_allocs);
             let mut ok = true;
             for branch in [then_b, else_b] {
-                match analyze_nested_result(
+                match analyze_nested_candidate(
                     branch,
                     branch.result[pos],
+                    None,
                     &translated,
                     cand.dst_block,
                     env,
                     &visible_allocs,
                     ctx,
                 ) {
-                    Ok((reb, uses, writes)) => {
-                        for (v, mb) in reb {
-                            cand.rebased.insert(v, mb);
-                        }
+                    Ok((reb, uses, writes, _)) => {
+                        cand.rebased.extend(reb);
                         cand.uses_dst.union(&uses);
-                        let mut w = cand.writes_bs.clone();
-                        w.union(&writes);
-                        cand.writes_bs = w;
+                        cand.writes_bs.union(&writes);
                     }
                     Err(e) => {
                         cand.fail(e.kind, format!("if-branch analysis failed: {}", e.message));
@@ -1178,7 +1122,7 @@ fn process_web_def(
         Exp::Loop {
             params,
             inits,
-            index,
+            index: loop_index,
             count,
             body,
         } => {
@@ -1192,34 +1136,22 @@ fn process_web_def(
                 .iter()
                 .position(|pe| pe.var == def)
                 .expect("web def in pattern");
-            let mut env2 = env.clone();
-            env2.assume_ge(*index, 0);
-            env2.assume_le(*index, count.clone() - Poly::constant(1));
-            let param_var = params[pos].var;
-            let mut visible_allocs = outer_allocs.clone();
-            for (v, &at) in alloc_pos {
-                if at < k {
-                    visible_allocs.insert(*v);
-                }
-            }
             match analyze_loop_body(
                 body,
                 body.result[pos],
-                param_var,
+                params[pos].var,
                 &translated,
                 cand.dst_block,
-                &env2,
-                &visible_allocs,
+                &loop_env(env, *loop_index, count),
+                &index.allocs_before(k, outer_allocs),
                 ctx,
             ) {
                 Ok((reb, uses_i, writes_i)) => {
-                    for (v, mb) in reb {
-                        cand.rebased.insert(v, mb);
-                    }
+                    cand.rebased.extend(reb);
                     // Cross-iteration safety: the writes of iteration i must
                     // not overlap the uses of any *later* iteration j > i
                     // (the loop is sequential; fig. 7b).
-                    if !cross_iteration_disjoint(&writes_i, &uses_i, *index, count, env) {
+                    if !cross_iteration_disjoint(&writes_i, &uses_i, *loop_index, count, env) {
                         cand.fail(
                             RejectReason::OverlapTestFailed,
                             "loop writes may overlap later iterations' uses",
@@ -1227,8 +1159,8 @@ fn process_web_def(
                         return;
                     }
                     // Aggregate the body summaries over the whole loop.
-                    let uses_all = uses_i.aggregate(*index, count, env);
-                    let writes_all = writes_i.aggregate(*index, count, env);
+                    let uses_all = uses_i.aggregate(*loop_index, count, env);
+                    let writes_all = writes_i.aggregate(*loop_index, count, env);
                     if !writes_all.disjoint_from(&cand.uses_dst, env) {
                         cand.fail(
                             RejectReason::OverlapTestFailed,
@@ -1237,9 +1169,7 @@ fn process_web_def(
                         return;
                     }
                     cand.uses_dst.union(&uses_all);
-                    let mut w = cand.writes_bs.clone();
-                    w.union(&writes_all);
-                    cand.writes_bs = w;
+                    cand.writes_bs.union(&writes_all);
                     // The initializer joins the web with the same binding.
                     cand.rebased.insert(inits[pos], translated.clone());
                 }
@@ -1255,39 +1185,15 @@ fn process_web_def(
     }
 }
 
-/// Analyze a nested block in which `target` (the block's result) must be
-/// short-circuited to `binding`. Returns the rebased web and the block's
-/// destination uses/writes.
-fn analyze_nested_result(
-    block: &Block,
-    target: Var,
-    binding: &MemBinding,
-    dst_block: Var,
-    env: &Env,
-    outer_allocs: &HashSet<Var>,
-    ctx: &Ctx,
-) -> Result<(HashMap<Var, MemBinding>, Summary, Summary), Rejection> {
-    let (reb, uses, writes, _) = analyze_nested_candidate(
-        block,
-        target,
-        None,
-        binding,
-        dst_block,
-        env,
-        outer_allocs,
-        ctx,
-    )?;
-    Ok((reb, uses, writes))
-}
-
-/// Run the backward candidate analysis over a nested block. `extra_web`
-/// optionally seeds another variable (a loop merge parameter) into the
-/// web with the same binding.
 /// Rebased bindings for the web, its write/use summaries, and the
-/// position of the destination alloc if the nested block owns it.
+/// position of the fresh definition.
 type NestedCandidateResult =
     Result<(HashMap<Var, MemBinding>, Summary, Summary, Option<usize>), Rejection>;
 
+/// Run the backward candidate analysis over a nested block whose result
+/// `target` must be short-circuited to `binding` (Fig. 5). `extra_web`
+/// optionally seeds another variable (a loop merge parameter) into the
+/// web with the same binding.
 #[allow(clippy::too_many_arguments)]
 fn analyze_nested_candidate(
     block: &Block,
@@ -1299,58 +1205,22 @@ fn analyze_nested_candidate(
     outer_allocs: &HashSet<Var>,
     ctx: &Ctx,
 ) -> NestedCandidateResult {
-    let mut alloc_pos: HashMap<Var, usize> = HashMap::new();
-    let mut def_pos: HashMap<Var, usize> = HashMap::new();
-    let mut scalar_defs: HashMap<Var, Poly> = HashMap::new();
-    for (k, stm) in block.stms.iter().enumerate() {
-        for pe in &stm.pat {
-            def_pos.insert(pe.var, k);
-        }
-        match &stm.exp {
-            Exp::Alloc { .. } => {
-                alloc_pos.insert(stm.pat[0].var, k);
-            }
-            Exp::Scalar(se) => {
-                if let Some(p) = scalar_to_poly(se) {
-                    scalar_defs.insert(stm.pat[0].var, p);
-                }
-            }
-            _ => {}
-        }
-    }
+    let index = BlockIndex::of(block);
     let mut web = HashMap::from([(target, binding.clone())]);
-    if let Some((v, mb)) = extra_web {
-        web.insert(v, mb);
-    }
-    let mut child = Candidate {
-        kind: CandidateKind::Update,
-        root: target,
+    web.extend(extra_web);
+    let mut child = Candidate::new(
+        CandidateKind::Update,
+        target,
         dst_block,
-        rebased: web,
-        uses_dst: Summary::empty(),
-        writes_bs: Summary::empty(),
-        circuit_at: block.stms.len(),
-        action: CircuitAction::ElideUpdate,
-        failed: None,
-        finished: false,
-        finished_at: None,
-        forced: false,
-    };
+        web,
+        block.stms.len(),
+        CircuitAction::ElideUpdate,
+    );
     for k in (0..block.stms.len()).rev() {
         if !child.active() {
             break;
         }
-        process_stm(
-            &mut child,
-            block,
-            k,
-            env,
-            outer_allocs,
-            &alloc_pos,
-            &def_pos,
-            &scalar_defs,
-            ctx,
-        );
+        process_stm(&mut child, block, k, env, outer_allocs, &index, ctx);
     }
     if let Some(e) = child.failed {
         return Err(e);
@@ -1369,7 +1239,7 @@ fn analyze_nested_candidate(
     ))
 }
 
-/// Like [`analyze_nested_result`] but for a loop body, where the merge
+/// [`analyze_nested_candidate`] for a loop body, where the merge
 /// parameter (the previous iteration's value) is treated as an array
 /// resident in the destination memory with the same binding — its reads
 /// therefore register as destination uses, which is exactly condition (3)
@@ -1417,44 +1287,70 @@ fn analyze_loop_body(
     Ok((reb, uses, writes))
 }
 
+/// Two distinct iterations of a mapnest of the given width: fresh
+/// symbols `i, d ≥ 0` and `j = i + 1 + d`, both rows within `[0, width)`.
+/// Returns the environment knowing that, and the two row indices.
+pub(crate) fn iteration_pair(env: &Env, width: &Poly) -> (Env, Poly, Poly) {
+    let i = Sym::fresh("iter_i");
+    let d = Sym::fresh("iter_d");
+    let mut pair = env.clone();
+    pair.assume_ge(i, 0);
+    pair.assume_ge(d, 0);
+    pair.assume_le(i, width.clone() - Poly::constant(2) - Poly::var(d));
+    pair.assume_le(d, width.clone() - Poly::constant(2));
+    let j = Poly::var(i) + Poly::constant(1) + Poly::var(d);
+    (pair, Poly::var(i), j)
+}
+
+/// Row `at` of an index function: the outer dimension fixed, the rest
+/// whole. `None` for a rank-0 layout or an inexpressible slice.
+pub(crate) fn row_of(ixfn: &IndexFn, at: Poly) -> Option<IndexFn> {
+    let shape = ixfn.shape();
+    let (_, inner) = shape.split_first()?;
+    let mut ts = vec![TripletSlice::Fix(at)];
+    ts.extend(inner.iter().map(|s| TripletSlice::full(s.clone())));
+    ixfn.transform(&Transform::Slice(ts))
+}
+
 /// Per-iteration mapnest check: writes of iteration `i` (row `i` of the
 /// rebased output) must not overlap the row-wise reads of any *other*
 /// iteration `j ≠ i` (iterations execute out of order, §V-B). Same-row
 /// overlap is fine: instance `i` reads its own inputs before/while writing
 /// its own row, with no cross-instance interference.
-pub(crate) fn rowwise_map_disjoint(
-    out_ixfn: &IndexFn,
-    in_ixfn: &IndexFn,
-    width: &Poly,
-    env: &Env,
-) -> bool {
-    let i = Sym::fresh("map_i");
-    let d = Sym::fresh("map_d");
-    let row = |ixfn: &IndexFn, at: Poly| -> Option<Lmad> {
-        let shape = ixfn.shape();
-        let mut ts = vec![TripletSlice::Fix(at)];
-        for s in &shape[1..] {
-            ts.push(TripletSlice::full(s.clone()));
-        }
-        let f = ixfn.transform(&Transform::Slice(ts))?;
-        f.as_single().cloned()
-    };
-    let mut env2 = env.clone();
-    env2.assume_ge(i, 0);
-    env2.assume_ge(d, 0);
-    // Both i and j = i+1+d lie in [0, width).
-    env2.assume_le(i, width.clone() - Poly::constant(2) - Poly::var(d));
-    env2.assume_le(d, width.clone() - Poly::constant(2));
-    let j = Poly::var(i) + Poly::constant(1) + Poly::var(d);
+fn rowwise_map_disjoint(out_ixfn: &IndexFn, in_ixfn: &IndexFn, width: &Poly, env: &Env) -> bool {
+    let (pair, i, j) = iteration_pair(env, width);
+    let row = |ixfn: &IndexFn, at: &Poly| row_of(ixfn, at.clone())?.as_single().cloned();
     // Direction 1: write row i vs read row j > i.
     // Direction 2: write row j vs read row i < j.
-    let (Some(w_i), Some(u_j)) = (row(out_ixfn, Poly::var(i)), row(in_ixfn, j.clone())) else {
+    let (Some(w_i), Some(u_j)) = (row(out_ixfn, &i), row(in_ixfn, &j)) else {
         return false;
     };
-    let (Some(w_j), Some(u_i)) = (row(out_ixfn, j), row(in_ixfn, Poly::var(i))) else {
+    let (Some(w_j), Some(u_i)) = (row(out_ixfn, &j), row(in_ixfn, &i)) else {
         return false;
     };
-    non_overlap(&w_i, &u_j, &env2) && non_overlap(&w_j, &u_i, &env2)
+    non_overlap(&w_i, &u_j, &pair) && non_overlap(&w_j, &u_i, &pair)
+}
+
+/// The input-aliasing discipline of in-place mapnests (§V-A(e)): every
+/// input sharing the result's block must be fully disjoint from the
+/// output footprint, or — when read row-wise — disjoint across
+/// iterations.
+pub(crate) fn inputs_clear(m: &MapExp, out_mb: &MemBinding, env: &Env, table: &MemTable) -> bool {
+    let out_set = ixfn_set(&out_mb.ixfn);
+    let whole: &[usize] = match &m.body {
+        MapBody::Kernel { whole_inputs, .. } => whole_inputs,
+        MapBody::Lambda { .. } => &[],
+    };
+    m.inputs.iter().enumerate().all(|(ii, inp)| {
+        let Some(imb) = table.get(*inp) else {
+            return true;
+        };
+        imb.block != out_mb.block
+            || out_set.disjoint_from(&ixfn_set(&imb.ixfn), env)
+            || (!whole.contains(&ii)
+                && imb.ixfn.rank() >= 1
+                && rowwise_map_disjoint(&out_mb.ixfn, &imb.ixfn, &m.width, env))
+    })
 }
 
 /// `W(i) ∩ U(j) = ∅` for all `j > i` within the loop bounds: substitute
@@ -1519,9 +1415,10 @@ fn stm_dst_uses(stm: &Stm, dst_block: Var, skip: &HashSet<Var>, env: &Env, ctx: 
                 add_var(*s, &mut uses);
             }
         }
-        Exp::If { then_b, else_b, .. } => {
-            uses.union(&block_dst_uses(then_b, dst_block, skip, env, ctx));
-            uses.union(&block_dst_uses(else_b, dst_block, skip, env, ctx));
+        Exp::If { .. } => {
+            for b in stm.exp.blocks() {
+                uses.union(&block_dst_uses(b, dst_block, skip, env, ctx));
+            }
         }
         Exp::Loop {
             params,
@@ -1534,9 +1431,8 @@ fn stm_dst_uses(stm: &Stm, dst_block: Var, skip: &HashSet<Var>, env: &Env, ctx: 
                 add_var(*init, &mut uses);
             }
             // A nested loop's body uses, aggregated over its iterations.
-            let mut env2 = env.clone();
-            env2.assume_ge(*index, 0);
-            env2.assume_le(*index, count.clone() - Poly::constant(1));
+            // The body itself is summarized under the enclosing `env`;
+            // only the aggregation knows the index bounds.
             let mut inner = block_dst_uses(body, dst_block, skip, env, ctx);
             for pe in params {
                 if let Some(mb) = &pe.mem {
@@ -1545,7 +1441,7 @@ fn stm_dst_uses(stm: &Stm, dst_block: Var, skip: &HashSet<Var>, env: &Env, ctx: 
                     }
                 }
             }
-            uses.union(&inner.aggregate(*index, count, &env2));
+            uses.union(&inner.aggregate(*index, count, &loop_env(env, *index, count)));
         }
         // Change-of-layout transforms are O(1) metadata operations: they
         // touch no memory and are not uses.
@@ -1582,117 +1478,24 @@ fn block_dst_uses(
     uses
 }
 
-/// Rewrite the definitions of rebased variables with their new bindings.
-fn apply_rebase(block: &mut Block, rebased: &HashMap<Var, MemBinding>) {
-    for stm in &mut block.stms {
-        for pe in &mut stm.pat {
-            if let Some(mb) = rebased.get(&pe.var) {
-                pe.mem = Some(mb.clone());
-            }
-        }
-        match &mut stm.exp {
-            Exp::If { then_b, else_b, .. } => {
-                apply_rebase(then_b, rebased);
-                apply_rebase(else_b, rebased);
-            }
-            Exp::Loop { params, body, .. } => {
-                for pe in params.iter_mut() {
-                    if let Some(mb) = rebased.get(&pe.var) {
-                        pe.mem = Some(mb.clone());
-                    }
-                }
-                apply_rebase(body, rebased);
-            }
-            Exp::Map(m) => {
-                if let MapBody::Lambda { body, .. } = &mut m.body {
-                    apply_rebase(body, rebased);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
 /// Post-pass: a kernel map with a non-scalar row may construct each row
 /// directly in its result memory when no input view can alias memory the
 /// map is writing (§V-A(e)). With the final (possibly rebased) bindings
 /// this is a local check per map statement.
-fn mark_in_place_maps(block: &mut Block, env: &Env, ctx: &mut Ctx) {
+fn mark_in_place_maps(prog: &mut Program, env: &Env, report: &mut Report) {
     // Rebuild the final bindings (pattern annotations are authoritative).
-    let mut bindings: HashMap<Var, MemBinding> = ctx.bindings.clone();
-    let mut tmp = HashMap::new();
-    crate::introduce::collect_bindings(block, &mut tmp);
-    bindings.extend(tmp);
-    mark_block(block, env, &bindings, &mut ctx.report);
-}
-
-fn mark_block(
-    block: &mut Block,
-    env: &Env,
-    bindings: &HashMap<Var, MemBinding>,
-    report: &mut Report,
-) {
-    for stm in &mut block.stms {
-        match &mut stm.exp {
-            Exp::Map(m) => {
-                let is_row = matches!(
-                    &m.body,
-                    MapBody::Kernel { row_shape, .. } if !row_shape.is_empty()
-                );
-                if is_row {
-                    let out_mb = stm.pat[0]
-                        .mem
-                        .clone()
-                        .or_else(|| bindings.get(&stm.pat[0].var).cloned());
-                    if let Some(out_mb) = out_mb {
-                        let out_set = ixfn_set(&out_mb.ixfn);
-                        let whole: &[usize] = match &m.body {
-                            MapBody::Kernel { whole_inputs, .. } => whole_inputs,
-                            MapBody::Lambda { .. } => &[],
-                        };
-                        let mut safe = true;
-                        for (ii, inp) in m.inputs.iter().enumerate() {
-                            let Some(imb) = bindings.get(inp) else {
-                                continue;
-                            };
-                            if imb.block != out_mb.block {
-                                continue;
-                            }
-                            if out_set.disjoint_from(&ixfn_set(&imb.ixfn), env) {
-                                continue;
-                            }
-                            // Row-wise inputs: the per-iteration check the
-                            // candidate analysis already performed (§V-B).
-                            let row_wise = !whole.contains(&ii) && imb.ixfn.rank() >= 1;
-                            if row_wise
-                                && rowwise_map_disjoint(&out_mb.ixfn, &imb.ixfn, &m.width, env)
-                            {
-                                continue;
-                            }
-                            safe = false;
-                            break;
-                        }
-                        if safe {
-                            m.in_place_result = true;
-                            report.in_place_maps += 1;
-                            report.in_place_stms.push(stm.pat[0].var);
-                        }
-                    }
-                }
-            }
-            Exp::If { then_b, else_b, .. } => {
-                mark_block(then_b, env, bindings, report);
-                mark_block(else_b, env, bindings, report);
-            }
-            Exp::Loop {
-                index, count, body, ..
-            } => {
-                let mut env2 = env.clone();
-                env2.assume_ge(*index, 0);
-                env2.assume_le(*index, count.clone() - Poly::constant(1));
-                mark_block(body, &env2, bindings, report);
-            }
-            _ => {}
+    let table = MemTable::build(prog);
+    prog.body.for_each_stm_in_mut(env, &mut |stm, env| {
+        let Exp::Map(m) = &mut stm.exp else { return };
+        let is_row = matches!(&m.body, MapBody::Kernel { row_shape, .. } if !row_shape.is_empty());
+        let out_mb = stm.pat[0]
+            .mem
+            .as_ref()
+            .or_else(|| table.get(stm.pat[0].var));
+        if is_row && out_mb.is_some_and(|out_mb| inputs_clear(m, out_mb, env, &table)) {
+            m.in_place_result = true;
+            report.in_place_maps += 1;
+            report.in_place_stms.push(stm.pat[0].var);
         }
-    }
+    });
 }

@@ -272,8 +272,11 @@ fn fig4b_rebases_the_whole_alias_web() {
         opt.report.candidates
     );
     // as, bs and cs must all reside in xss's memory now.
-    let mut bindings = std::collections::HashMap::new();
-    crate::introduce::collect_bindings(&opt.program.body, &mut bindings);
+    let bindings: std::collections::HashMap<Var, arraymem_ir::MemBinding> =
+        crate::MemTable::build(&opt.program)
+            .iter()
+            .map(|(v, mb)| (v, mb.clone()))
+            .collect();
     let names: std::collections::HashMap<String, Var> = bindings
         .keys()
         .map(|v| (format!("{v}").split('#').next().unwrap().to_string(), *v))
@@ -546,8 +549,11 @@ fn fig6a_transitive_chaining() {
     // Paper footnote 24: the rebased index functions are
     //   cs ↦ t + {(2n : 1)}, as ↦ t + {(n : 1)}, bs ↦ t + n + {(n : 1)}
     // with t = i·2n.
-    let mut bindings = std::collections::HashMap::new();
-    crate::introduce::collect_bindings(&opt.program.body, &mut bindings);
+    let bindings: std::collections::HashMap<Var, arraymem_ir::MemBinding> =
+        crate::MemTable::build(&opt.program)
+            .iter()
+            .map(|(v, mb)| (v, mb.clone()))
+            .collect();
     let mut names: std::collections::HashMap<String, Var> = bindings
         .keys()
         .map(|v| (format!("{v}").split('#').next().unwrap().to_string(), *v))

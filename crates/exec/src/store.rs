@@ -65,18 +65,39 @@ struct Block {
     len: usize,
 }
 
+/// The one place an allocation is sized: the bytes of `len` elements of
+/// `elem`, or `Err` when that overflows or exceeds `isize::MAX` (no Rust
+/// allocation may). A size reaches here from a program input, so it must
+/// fail the request, not wrap into a short block behind a long `RawBuf`.
+fn block_bytes(elem: ElemType, len: usize) -> Result<usize, String> {
+    len.checked_mul(elem.size_bytes())
+        .filter(|&bytes| bytes <= isize::MAX as usize)
+        .ok_or_else(|| format!("allocation of {len} {elem} elements exceeds the address space"))
+}
+
+/// `Vec::resize` that fails with `Err` instead of aborting the process
+/// when the grown vector cannot be allocated.
+fn try_resize<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) -> Result<(), String> {
+    v.try_reserve_exact(len.saturating_sub(v.len()))
+        .map_err(|_| format!("out of memory sizing a block to {len} entries"))?;
+    v.resize(len, fill);
+    Ok(())
+}
+
 impl Block {
-    fn new(elem: ElemType, len: usize) -> Block {
-        Block {
-            words: vec![0; (len * elem.size_bytes()).div_ceil(8)],
-            elem,
-            len,
-        }
+    fn new(elem: ElemType, len: usize) -> Result<Block, String> {
+        let mut b = Block::vacated();
+        b.recycle(elem, len)?;
+        Ok(b)
     }
 
     /// What a block id holds while its storage is parked in the arena.
     fn vacated() -> Block {
-        Block::new(ElemType::I64, 0)
+        Block {
+            words: Vec::new(),
+            elem: ElemType::I64,
+            len: 0,
+        }
     }
 
     fn size_bytes(&self) -> usize {
@@ -100,16 +121,16 @@ impl Block {
     /// re-zeroing what is already there. Returns the bytes whose
     /// zero-fill was elided — the surviving prefix, `min(old, new)` bytes;
     /// everything past it reads zero.
-    fn recycle(&mut self, elem: ElemType, len: usize) -> usize {
-        let (old, new) = (self.size_bytes(), len * elem.size_bytes());
-        self.words.resize(new.div_ceil(8), 0);
+    fn recycle(&mut self, elem: ElemType, len: usize) -> Result<usize, String> {
+        let (old, new) = (self.size_bytes(), block_bytes(elem, len)?);
+        try_resize(&mut self.words, new.div_ceil(8), 0)?;
         if new % 8 != 0 {
             // A shrink can cut through a word: restore the invariant.
             self.bytes_mut()[new..].fill(0);
         }
         self.elem = elem;
         self.len = len;
-        old.min(new)
+        Ok(old.min(new))
     }
 }
 
@@ -444,9 +465,20 @@ impl MemStore {
     /// The one way a block becomes live: charge the bytes it was sized
     /// for and start its shadow cells over — the first `stale` bytes are
     /// a recycled region (`Stale`), the rest was zero-filled.
-    fn go_live(&mut self, id: usize, stale: usize) -> usize {
+    fn go_live(&mut self, id: usize, stale: usize) -> Result<usize, String> {
         let b = &self.blocks[id];
         let (len, elem_size, bytes) = (b.len, b.elem.size_bytes(), b.size_bytes() as u64);
+        if let Some(sh) = &mut self.shadow {
+            let s = &mut sh[id];
+            s.released_by = None;
+            s.cells.clear();
+            if let Err(e) = try_resize(&mut s.cells, len, CellState::Zeroed) {
+                // The block stays dead; keep its storage reachable.
+                self.park(id);
+                return Err(e);
+            }
+            s.cells[..stale.div_ceil(elem_size)].fill(CellState::Stale);
+        }
         self.live[id] = true;
         self.charged[id] = bytes;
         self.bytes_live += bytes;
@@ -454,14 +486,7 @@ impl MemStore {
         if let Some(m) = &self.arena_meter {
             m.charge(bytes);
         }
-        if let Some(sh) = &mut self.shadow {
-            let s = &mut sh[id];
-            s.released_by = None;
-            s.cells.clear();
-            s.cells.resize(len, CellState::Zeroed);
-            s.cells[..stale.div_ceil(elem_size)].fill(CellState::Stale);
-        }
-        id
+        Ok(id)
     }
 
     /// The one way a recycled buffer comes back, whichever list held it:
@@ -471,9 +496,15 @@ impl MemStore {
     /// in shadow memory even when scrubbed: a recycled region must be
     /// fully written before it is read, so checked mode fires identically
     /// on either side of a tenant boundary.
-    fn revive(&mut self, id: usize, elem: ElemType, len: usize, scrub: bool) -> usize {
+    fn revive(
+        &mut self,
+        id: usize,
+        elem: ElemType,
+        len: usize,
+        scrub: bool,
+    ) -> Result<usize, String> {
         let b = &mut self.blocks[id];
-        let kept = b.recycle(elem, len);
+        let kept = b.recycle(elem, len)?;
         if scrub {
             b.bytes_mut()[..kept].fill(0);
             self.bytes_cross_tenant_scrubbed += kept as u64;
@@ -527,8 +558,20 @@ impl MemStore {
     /// are zero-initialized; recycled blocks keep their stale contents
     /// (zeroing elided) — callers must fully write before reading, the
     /// same obligation every memory-mode destination already has.
+    ///
+    /// # Panics
+    /// When `len` elements exceed the address space or memory runs out;
+    /// the VM sizes blocks from program inputs and calls
+    /// [`try_alloc`](MemStore::try_alloc).
     pub fn alloc(&mut self, elem: ElemType, len: usize) -> usize {
-        let bytes = len * elem.size_bytes();
+        self.try_alloc(elem, len)
+            .unwrap_or_else(|e| panic!("MemStore::alloc: {e}"))
+    }
+
+    /// [`alloc`](MemStore::alloc) with an oversized or unsatisfiable
+    /// request as an `Err` that leaves the store as it was.
+    pub(crate) fn try_alloc(&mut self, elem: ElemType, len: usize) -> Result<usize, String> {
+        let bytes = block_bytes(elem, len)?;
         if let Some(id) = self.take_reusable(bytes) {
             return self.revive(id, elem, len, false);
         }
@@ -539,9 +582,10 @@ impl MemStore {
                 return self.revive(id, elem, len, cross);
             }
         }
+        let fresh = Block::new(elem, len)?;
         self.bytes_allocated += bytes as u64;
         self.num_allocs += 1;
-        let id = self.install(Block::new(elem, len));
+        let id = self.install(fresh);
         self.go_live(id, 0)
     }
 
@@ -550,18 +594,23 @@ impl MemStore {
     /// Inputs recycle like any other allocation, so a warm run uploads
     /// into the blocks its predecessor released instead of growing the
     /// store; every cell is legitimately readable from the start.
-    pub(crate) fn alloc_input(&mut self, elem: ElemType, len: usize, data: &InputValue) -> usize {
+    pub(crate) fn alloc_input(
+        &mut self,
+        elem: ElemType,
+        len: usize,
+        data: &InputValue,
+    ) -> Result<usize, String> {
         let (data_elem, bytes) = data.array_bytes().expect("input is an array");
         assert!(
             data_elem == elem && bytes.len() == len * elem.size_bytes(),
             "input checked against the parameter type"
         );
-        let id = self.alloc(elem, len);
+        let id = self.try_alloc(elem, len)?;
         self.blocks[id].bytes_mut()[..bytes.len()].copy_from_slice(bytes);
         if let Some(sh) = &mut self.shadow {
             sh[id].cells.fill(CellState::Input);
         }
-        id
+        Ok(id)
     }
 
     /// Return a dead block to the free list. Safe to call twice for the
@@ -603,14 +652,19 @@ impl MemStore {
     /// Allocate a block colored `c`: pop a fitting block from the color's
     /// slab if one is parked there (the previous iteration's carried
     /// release), falling back to [`alloc`](MemStore::alloc) otherwise.
-    pub(crate) fn alloc_colored(&mut self, elem: ElemType, len: usize, color: u32) -> usize {
-        let bytes = len * elem.size_bytes();
+    pub(crate) fn alloc_colored(
+        &mut self,
+        elem: ElemType,
+        len: usize,
+        color: u32,
+    ) -> Result<usize, String> {
+        let bytes = block_bytes(elem, len)?;
         let slot = &mut self.color_slots[color as usize];
         let pos = slot
             .iter()
             .position(|&id| self.blocks[id].capacity_bytes() >= bytes);
         let Some(pos) = pos else {
-            return self.alloc(elem, len);
+            return self.try_alloc(elem, len);
         };
         let id = slot.swap_remove(pos);
         self.color_slab_hits += 1;
@@ -673,7 +727,9 @@ mod tests {
         let r = s.raw(b);
         assert_eq!(r.len, 10);
         assert_eq!(r.elem, ElemType::F32);
-        let b2 = s.alloc_input(ElemType::I64, 3, &InputValue::ArrayI64(vec![1, 2, 3]));
+        let b2 = s
+            .alloc_input(ElemType::I64, 3, &InputValue::ArrayI64(vec![1, 2, 3]))
+            .unwrap();
         assert_eq!(s.len(b2), 3);
         assert_eq!(s.bytes_allocated, 40 + 24);
         assert_eq!(s.num_allocs, 2);
@@ -757,7 +813,9 @@ mod tests {
         assert_eq!(s.shadow_cell(c, 2), Some(CellState::Stale));
         assert_eq!(s.shadow_cell(c, 3), Some(CellState::Zeroed));
         // Input allocations are readable everywhere.
-        let d = s.alloc_input(ElemType::I64, 2, &InputValue::ArrayI64(vec![1, 2]));
+        let d = s
+            .alloc_input(ElemType::I64, 2, &InputValue::ArrayI64(vec![1, 2]))
+            .unwrap();
         assert_eq!(s.shadow_cell(d, 1), Some(CellState::Input));
         // Disabling drops the layer entirely.
         s.set_shadow(false);
@@ -865,7 +923,7 @@ mod tests {
     fn colored_release_parks_in_slab_and_colored_alloc_pops_it() {
         let mut s = MemStore::new();
         s.begin_colors(2);
-        let a = s.alloc_colored(ElemType::I64, 64, 0);
+        let a = s.alloc_colored(ElemType::I64, 64, 0).unwrap();
         fill_i64(&mut s, a, 7);
         s.release_colored(a, 0, None);
         assert_eq!(s.carried_releases, 1);
@@ -873,10 +931,10 @@ mod tests {
         let other = s.alloc(ElemType::I64, 64);
         assert_ne!(other, a);
         // Nor an allocation of a different color.
-        let c1 = s.alloc_colored(ElemType::I64, 64, 1);
+        let c1 = s.alloc_colored(ElemType::I64, 64, 1).unwrap();
         assert_ne!(c1, a);
         // The matching color pops the parked block, elision intact.
-        let b = s.alloc_colored(ElemType::I64, 64, 0);
+        let b = s.alloc_colored(ElemType::I64, 64, 0).unwrap();
         assert_eq!(b, a);
         assert_eq!(read_i64(&mut s, b), vec![7; 64]);
         assert_eq!(s.color_slab_hits, 1);
@@ -887,10 +945,10 @@ mod tests {
     fn colored_release_uncharges_liveness() {
         let mut s = MemStore::new();
         s.begin_colors(1);
-        let a = s.alloc_colored(ElemType::I64, 64, 0);
+        let a = s.alloc_colored(ElemType::I64, 64, 0).unwrap();
         assert_eq!(s.peak_bytes_live, 512);
         s.release_colored(a, 0, None);
-        let b = s.alloc_colored(ElemType::I64, 64, 0);
+        let b = s.alloc_colored(ElemType::I64, 64, 0).unwrap();
         assert_eq!(b, a);
         // Ping-pong through the slab: peak stays one block, not two.
         assert_eq!(s.peak_bytes_live, 512);
@@ -900,7 +958,7 @@ mod tests {
     fn drain_colors_moves_slab_residents_to_free_lists() {
         let mut s = MemStore::new();
         s.begin_colors(1);
-        let a = s.alloc_colored(ElemType::I64, 64, 0);
+        let a = s.alloc_colored(ElemType::I64, 64, 0).unwrap();
         s.release_colored(a, 0, None);
         s.drain_colors();
         let b = s.alloc(ElemType::I64, 64);
@@ -914,12 +972,12 @@ mod tests {
         let mut s = MemStore::new();
         s.set_shadow(true);
         s.begin_colors(1);
-        let a = s.alloc_colored(ElemType::I64, 4, 0);
+        let a = s.alloc_colored(ElemType::I64, 4, 0).unwrap();
         let site = sym("carried_site");
         s.release_colored(a, 0, Some(site));
         assert_eq!(s.shadow_cell(a, 0), Some(CellState::Released));
         assert_eq!(s.shadow_released_by(a), Some(site));
-        let b = s.alloc_colored(ElemType::I64, 4, 0);
+        let b = s.alloc_colored(ElemType::I64, 4, 0).unwrap();
         assert_eq!(b, a);
         assert_eq!(s.shadow_released_by(b), None);
         assert_eq!(s.shadow_cell(b, 0), Some(CellState::Stale));

@@ -521,7 +521,9 @@ fn access_plans_match_generic_indexing() {
         let max_off = ixfn.all_offsets().into_iter().max().unwrap_or(0);
         let mut store = crate::store::MemStore::new();
         let data: Vec<f32> = (0..=max_off).map(|i| i as f32 * 0.5).collect();
-        let block = store.alloc_input(ElemType::F32, data.len(), &InputValue::ArrayF32(data));
+        let block = store
+            .alloc_input(ElemType::F32, data.len(), &InputValue::ArrayF32(data))
+            .unwrap();
         let view = crate::view::View::new(store.raw(block), ixfn.clone());
         plans_seen.insert(format!("{:?}", std::mem::discriminant(&ixfn.classify())));
         for f in 0..n {
@@ -634,7 +636,7 @@ fn recycling_keeps_its_contract_across_types_colors_and_tenants() {
                     s.color_slab_hits,
                 );
                 let id = if r.chance(0.4) {
-                    s.alloc_colored(elem, len, r.usize_in(2) as u32)
+                    s.alloc_colored(elem, len, r.usize_in(2) as u32).unwrap()
                 } else {
                     s.alloc(elem, len)
                 };
@@ -870,4 +872,46 @@ fn lowered_coefficients_evaluate_like_the_symbolic_ones() {
         }
     }
     assert_eq!((transforms, checks_seen), (3, 1));
+}
+
+/// Regression: a block size is a program input. `iota n` with `n = 2^61`
+/// used to wrap `len * 8` to a 0-word block behind a `RawBuf` of 2^61
+/// elements (every bounds check passed; SIGSEGV), and `n = i64::MAX`
+/// panicked `capacity overflow`. Both are the request's error, in every
+/// mode, and the store serves the next allocation.
+#[test]
+fn oversized_allocation_is_an_error_not_a_crash() {
+    let kernels = KernelRegistry::new();
+    let mut b = Builder::new("big_iota");
+    let n = b.scalar_param("bn", ElemType::I64);
+    let mut body = b.block();
+    let xs = body.iota("bxs", p(n));
+    let prog = b.finish(body.finish(vec![xs]));
+    let compiled = compile(&prog, &Options::default()).expect("compile");
+    for mode in [Mode::Pure, Mode::Memory, Mode::Checked] {
+        let prog = if mode == Mode::Pure {
+            &prog
+        } else {
+            &compiled.program
+        };
+        for n in [1i64 << 61, i64::MAX, 1 << 45] {
+            let err = run_program(prog, &[InputValue::I64(n)], &kernels, mode, 1)
+                .expect_err("no such block can exist");
+            assert!(
+                err.contains("address space") || err.contains("out of memory"),
+                "{mode:?} {n}: {err}"
+            );
+        }
+        let (out, _) = run_program(prog, &[InputValue::I64(3)], &kernels, mode, 1).expect("iota 3");
+        assert_eq!(out, vec![OutputValue::ArrayI64(vec![0, 1, 2])]);
+    }
+
+    let mut store = crate::store::MemStore::new();
+    store.begin_colors(1);
+    for len in [1usize << 61, usize::MAX, isize::MAX as usize / 4 + 1] {
+        assert!(store.try_alloc(ElemType::F32, len).is_err(), "{len}");
+        assert!(store.alloc_colored(ElemType::I64, len, 0).is_err(), "{len}");
+    }
+    let id = store.alloc(ElemType::F32, 4);
+    assert_eq!((store.len(id), store.num_blocks()), (4, 1));
 }

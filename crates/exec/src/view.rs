@@ -459,7 +459,9 @@ mod tests {
 
     fn store_with(data: Vec<f32>) -> (MemStore, usize) {
         let mut s = MemStore::new();
-        let b = s.alloc_input(ElemType::F32, data.len(), &InputValue::ArrayF32(data));
+        let b = s
+            .alloc_input(ElemType::F32, data.len(), &InputValue::ArrayF32(data))
+            .unwrap();
         (s, b)
     }
 
@@ -512,7 +514,7 @@ mod tests {
         for data in inputs_0_to_8() {
             let elem = data.array_bytes().unwrap().0;
             let mut s = MemStore::new();
-            let sb = s.alloc_input(elem, 8, &data);
+            let sb = s.alloc_input(elem, 8, &data).unwrap();
             let db = s.alloc(elem, 16);
             let dst = ViewMut::new(
                 s.raw(db),
@@ -545,7 +547,7 @@ mod tests {
             let elem = data.array_bytes().unwrap().0;
             let mut s = MemStore::new();
             let db = s.alloc(elem, 8);
-            let sb = s.alloc_input(elem, 8, &data);
+            let sb = s.alloc_input(elem, 8, &data).unwrap();
             let dst = ViewMut::new(s.raw(db), ConcreteIxFn::row_major(&[8]));
             let src = View::new(s.raw(sb), ConcreteIxFn::row_major(&[8]));
             // Both sides hand out plain slices: the single-memcpy tier.

@@ -372,7 +372,7 @@ impl Machine<'_> {
                         "input length mismatch for {v}: expected {n} elements, got {len}"
                     ));
                 }
-                let block = self.store.alloc_input(*elem, len, arr);
+                let block = self.store.alloc_input(*elem, len, arr)?;
                 // The parameter's memory block variable.
                 if let Some(ms) = spec.mem_slot {
                     self.regs[ms as usize] = Value::Mem(block);
@@ -659,8 +659,8 @@ impl Machine<'_> {
                 let n = n.max(0) as usize;
                 let block = match color {
                     Some(c) => self.store.alloc_colored(*elem, n, *c),
-                    None => self.store.alloc(*elem, n),
-                };
+                    None => self.store.try_alloc(*elem, n),
+                }?;
                 self.regs[*dst as usize] = Value::Mem(block);
             }
             Instr::Iota { dest } => {
@@ -772,7 +772,7 @@ impl Machine<'_> {
                     .collect::<Result<_, _>>()?;
                 let row_shape_c =
                     eval_shape(&mk.row_shape, &self.regs).ok_or("unresolved row shape")?;
-                let row_elems: i64 = row_shape_c.iter().product();
+                let row_elems = elem_count(&row_shape_c)? as i64;
                 let scalar_rows = row_shape_c.is_empty();
                 let par_proven = mk.par == ParLevel::Safe;
                 // Checked mode re-proves a `Safe` verdict concretely before
@@ -809,10 +809,8 @@ impl Machine<'_> {
                 let temp_block = if direct {
                     None
                 } else {
-                    Some(
-                        self.store
-                            .alloc(mk.elem, (row_elems * workers as i64).max(0) as usize),
-                    )
+                    let rows = elem_count(&[row_elems, workers as i64])?;
+                    Some(self.store.try_alloc(mk.elem, rows)?)
                 };
                 let temp_raw = temp_block.map(|b| self.store.raw(b));
                 let t0 = Instant::now();
@@ -1196,8 +1194,7 @@ impl Machine<'_> {
             Ok(ArrayRef::with_class(block, d.elem, ixfn, class))
         } else {
             let shape = eval_shape(&d.shape, &self.regs).ok_or("unresolved shape")?;
-            let n: i64 = shape.iter().product();
-            let block = self.store.alloc(d.elem, n.max(0) as usize);
+            let block = self.store.try_alloc(d.elem, elem_count(&shape)?)?;
             Ok(ArrayRef::new(
                 block,
                 d.elem,
@@ -1241,6 +1238,16 @@ impl Machine<'_> {
             }
         })
     }
+}
+
+/// The number of elements of a shape: the checked product of its extents
+/// (a negative product counts as empty). Extents are program inputs, so
+/// an overflow is the request's error.
+fn elem_count(shape: &[i64]) -> Result<usize, String> {
+    let product = shape.iter().try_fold(1i64, |n, &d| n.checked_mul(d));
+    product
+        .map(|n| n.max(0) as usize)
+        .ok_or_else(|| format!("shape {shape:?} has more elements than the address space"))
 }
 
 fn coerce(v: Value, elem: Option<ElemType>) -> Value {

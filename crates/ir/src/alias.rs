@@ -5,7 +5,7 @@
 //! their destination. Fresh-array constructors (`iota`, `scratch`,
 //! `replicate`, `copy`, `concat`, `map`) alias nothing.
 
-use crate::exp::{Block, Exp, Program, Var};
+use crate::exp::{Exp, Program, Var};
 use std::collections::HashMap;
 
 /// Union-find over variables; `root(v)` identifies v's alias class.
@@ -42,29 +42,18 @@ impl AliasMap {
 /// Compute the alias classes of a program.
 pub fn aliases(prog: &Program) -> AliasMap {
     let mut am = AliasMap::default();
-    // Seed every parameter and pattern variable as its own class.
+    // Seed every parameter and bound variable as its own class.
     for (v, _) in &prog.params {
         am.parent.insert(*v, *v);
     }
-    walk_block(&prog.body, &mut am);
-    am
-}
-
-fn walk_block(block: &Block, am: &mut AliasMap) {
-    for stm in &block.stms {
-        for pe in &stm.pat {
+    prog.body.for_each_stm(&mut |stm| {
+        for pe in stm.bound() {
             am.parent.entry(pe.var).or_insert(pe.var);
         }
         match &stm.exp {
-            Exp::Transform { src, .. } => {
-                am.union(stm.pat[0].var, *src);
-            }
-            Exp::Update { dst, .. } => {
-                am.union(stm.pat[0].var, *dst);
-            }
+            Exp::Transform { src, .. } => am.union(stm.pat[0].var, *src),
+            Exp::Update { dst, .. } => am.union(stm.pat[0].var, *dst),
             Exp::If { then_b, else_b, .. } => {
-                walk_block(then_b, am);
-                walk_block(else_b, am);
                 for (pe, (t, e)) in stm.pat.iter().zip(then_b.result.iter().zip(&else_b.result)) {
                     if pe.ty.is_array() {
                         am.union(pe.var, *t);
@@ -78,30 +67,17 @@ fn walk_block(block: &Block, am: &mut AliasMap) {
                 body,
                 ..
             } => {
-                for (pp, init) in params.iter().zip(inits) {
-                    am.parent.entry(pp.var).or_insert(pp.var);
+                let flows = inits.iter().zip(&body.result).zip(&stm.pat);
+                for (pp, ((init, r), pe)) in params.iter().zip(flows) {
                     if pp.ty.is_array() {
                         am.union(pp.var, *init);
-                    }
-                }
-                walk_block(body, am);
-                for (pp, r) in params.iter().zip(&body.result) {
-                    if pp.ty.is_array() {
                         am.union(pp.var, *r);
-                    }
-                }
-                for (pe, pp) in stm.pat.iter().zip(params) {
-                    if pe.ty.is_array() {
                         am.union(pe.var, pp.var);
                     }
                 }
             }
-            Exp::Map(m) => {
-                if let crate::exp::MapBody::Lambda { body, .. } = &m.body {
-                    walk_block(body, am);
-                }
-            }
             _ => {}
         }
-    }
+    });
+    am
 }

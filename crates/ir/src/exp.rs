@@ -1,8 +1,14 @@
-//! Expressions, statements, blocks and programs.
+//! Expressions, statements, blocks and programs — and the one traversal
+//! interface over them. Which constructs nest a block ([`Exp::blocks`]),
+//! what a statement binds ([`Stm::bound`]) and what is known about a loop
+//! index inside its body ([`loop_env`]) are decided here and nowhere
+//! else: a pass reaches nested statements through
+//! [`Block::for_each_stm`] (or its scoped / mutable variants), so a new
+//! nesting construct is added in this file only.
 
 use crate::types::{Constant, ElemType, Type};
 use arraymem_lmad::{IndexFn, Lmad, Transform, TripletSlice};
-use arraymem_symbolic::{Poly, Sym};
+use arraymem_symbolic::{Env, Poly, Sym};
 
 /// Program variables are interned symbols, so scalar `i64` variables can
 /// appear directly inside symbolic size and index-function polynomials.
@@ -325,7 +331,66 @@ pub struct Program {
     pub pipeline_fingerprint: u64,
 }
 
+/// The environment inside the body of `loop ... for index < count`:
+/// `env` plus `0 ≤ index ≤ count − 1`.
+pub fn loop_env(env: &Env, index: Var, count: &Poly) -> Env {
+    let mut inner = env.clone();
+    inner.assume_ge(index, 0);
+    inner.assume_le(index, count.clone() - Poly::constant(1));
+    inner
+}
+
+impl Stm {
+    /// Everything the statement binds that can carry a memory annotation:
+    /// its pattern elements, then — for a `loop` — the merge parameters.
+    pub fn bound(&self) -> impl Iterator<Item = &PatElem> {
+        let params: &[PatElem] = match &self.exp {
+            Exp::Loop { params, .. } => params,
+            _ => &[],
+        };
+        self.pat.iter().chain(params)
+    }
+
+    /// [`Stm::bound`], mutably.
+    pub fn bound_mut(&mut self) -> impl Iterator<Item = &mut PatElem> {
+        let params: &mut [PatElem] = match &mut self.exp {
+            Exp::Loop { params, .. } => params,
+            _ => &mut [],
+        };
+        self.pat.iter_mut().chain(params)
+    }
+}
+
 impl Exp {
+    /// The blocks nested directly inside the expression: the branches of
+    /// an `if`, the body of a `loop`, the body of a lambda `map`.
+    pub fn blocks(&self) -> impl Iterator<Item = &Block> {
+        let (a, b) = match self {
+            Exp::If { then_b, else_b, .. } => (Some(then_b), Some(else_b)),
+            Exp::Loop { body, .. } => (Some(body), None),
+            Exp::Map(m) => match &m.body {
+                MapBody::Lambda { body, .. } => (Some(body), None),
+                MapBody::Kernel { .. } => (None, None),
+            },
+            _ => (None, None),
+        };
+        a.into_iter().chain(b)
+    }
+
+    /// [`Exp::blocks`], mutably.
+    pub fn blocks_mut(&mut self) -> impl Iterator<Item = &mut Block> {
+        let (a, b) = match self {
+            Exp::If { then_b, else_b, .. } => (Some(then_b), Some(else_b)),
+            Exp::Loop { body, .. } => (Some(body), None),
+            Exp::Map(m) => match &mut m.body {
+                MapBody::Lambda { body, .. } => (Some(body), None),
+                MapBody::Kernel { .. } => (None, None),
+            },
+            _ => (None, None),
+        };
+        a.into_iter().chain(b)
+    }
+
     /// Variables consumed/used by the expression, *including* free
     /// variables of nested blocks (but not their locally-bound ones).
     pub fn free_vars(&self) -> Vec<Var> {
@@ -413,6 +478,53 @@ impl Exp {
 }
 
 impl Block {
+    /// Visit every statement of the block at every nesting depth, in
+    /// pre-order (a statement before the statements nested inside it).
+    pub fn for_each_stm(&self, f: &mut impl FnMut(&Stm)) {
+        self.for_each_stm_in(&Env::default(), &mut |stm, _| f(stm));
+    }
+
+    /// [`Block::for_each_stm`], handing each statement the environment in
+    /// scope where it stands: `env` extended by [`loop_env`] for every
+    /// enclosing loop body.
+    pub fn for_each_stm_in(&self, env: &Env, f: &mut impl FnMut(&Stm, &Env)) {
+        for stm in &self.stms {
+            f(stm, env);
+            if let Exp::Loop {
+                index, count, body, ..
+            } = &stm.exp
+            {
+                body.for_each_stm_in(&loop_env(env, *index, count), f);
+            } else {
+                for b in stm.exp.blocks() {
+                    b.for_each_stm_in(env, f);
+                }
+            }
+        }
+    }
+
+    /// [`Block::for_each_stm`], mutably.
+    pub fn for_each_stm_mut(&mut self, f: &mut impl FnMut(&mut Stm)) {
+        self.for_each_stm_in_mut(&Env::default(), &mut |stm, _| f(stm));
+    }
+
+    /// [`Block::for_each_stm_in`], mutably.
+    pub fn for_each_stm_in_mut(&mut self, env: &Env, f: &mut impl FnMut(&mut Stm, &Env)) {
+        for stm in &mut self.stms {
+            f(stm, env);
+            if let Exp::Loop {
+                index, count, body, ..
+            } = &mut stm.exp
+            {
+                body.for_each_stm_in_mut(&loop_env(env, *index, count), f);
+            } else {
+                for b in stm.exp.blocks_mut() {
+                    b.for_each_stm_in_mut(env, f);
+                }
+            }
+        }
+    }
+
     /// Free variables of the whole block (used before defined, plus results
     /// not bound inside).
     pub fn free_vars(&self) -> Vec<Var> {

@@ -27,7 +27,7 @@ pub mod types;
 pub mod validate;
 
 pub use builder::Builder;
-pub use exp::{BinOp, UnOp};
+pub use exp::{loop_env, BinOp, UnOp};
 pub use exp::{
     Block, Exp, MapBody, MapExp, MemBinding, PatElem, Program, ScalarExp, SliceSpec, Stm,
     UpdateSrc, Var,

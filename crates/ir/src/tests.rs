@@ -2,7 +2,7 @@ use crate::alias::aliases;
 use crate::builder::Builder;
 use crate::exp::*;
 use crate::lastuse::{block_last_uses, used_after};
-use crate::types::ElemType;
+use crate::types::{ElemType, Type};
 use crate::validate::{lmad_slice_is_injective, validate};
 use arraymem_lmad::{ConcreteLmad, Dim, Lmad, Transform, TripletSlice};
 use arraymem_symbolic::Poly;
@@ -206,4 +206,89 @@ fn slice_spec_free_vars() {
     )])
     .free_vars(&mut out);
     assert!(out.contains(&v));
+}
+
+/// The one traversal: an `if` inside a `loop` inside a lambda `map` is
+/// visited in pre-order, merge parameters are among what the loop binds,
+/// and the loop index is bounded inside the body only.
+#[test]
+fn deep_walk_is_preorder_binds_merge_params_and_scopes_the_loop_index() {
+    use arraymem_symbolic::Env;
+    let mut b = Builder::new("walk");
+    let n = b.scalar_param("n", ElemType::I64);
+    let xs = b.array_param("xs", ElemType::I64, vec![p(n)]);
+    let mut body = b.block();
+    let mut acc_param = None;
+    let mut index = None;
+    let ys = body.map_lambda("ys", p(n), vec![xs], ElemType::I64, |lb, ps| {
+        let zero = lb.scalar("zero", ElemType::I64, ScalarExp::i64(0));
+        let acc = lb.loop_param("acc", zero);
+        let i = lb.loop_index("i");
+        (acc_param, index) = (Some(acc), Some(i));
+        let mut loop_b = b.block();
+        let mut then_b = b.block();
+        let t = then_b.scalar("t", ElemType::I64, ScalarExp::var(ps[0]));
+        let mut else_b = b.block();
+        let e = else_b.scalar("e", ElemType::I64, ScalarExp::var(acc));
+        let picked = loop_b.if_(
+            vec!["picked"],
+            vec![Type::Scalar(ElemType::I64)],
+            ScalarExp::bin(BinOp::Lt, ScalarExp::var(i), ScalarExp::var(ps[0])),
+            then_b.finish(vec![t]),
+            else_b.finish(vec![e]),
+        );
+        let after = loop_b.scalar("after", ElemType::I64, ScalarExp::var(picked[0]));
+        lb.loop_(
+            vec!["out"],
+            vec![(acc, Type::Scalar(ElemType::I64))],
+            vec![zero],
+            i,
+            p(n),
+            loop_b.finish(vec![after]),
+        )
+    });
+    let last = body.copy("last", ys);
+    let prog = b.finish(body.finish(vec![last]));
+    validate(&prog).unwrap();
+    let (acc, i) = (acc_param.unwrap(), index.unwrap());
+
+    let name = |v: Var| crate::pretty::scrub_uniques(&format!("{v}"));
+    let mut order = Vec::new();
+    prog.body
+        .for_each_stm(&mut |stm| order.push(name(stm.pat[0].var)));
+    assert_eq!(
+        order,
+        ["ys", "zero", "out", "picked", "t", "e", "after", "last"]
+    );
+
+    let top = Env::new();
+    let upper = p(n) - Poly::constant(1);
+    let mut bounded = Vec::new();
+    prog.body.for_each_stm_in(&top, &mut |stm, env| {
+        if env.prove_nonneg(&p(i)) && env.prove_le(&p(i), &upper) {
+            bounded.push(name(stm.pat[0].var));
+        }
+        let binds: Vec<Var> = stm.bound().map(|pe| pe.var).collect();
+        let is_loop = matches!(stm.exp, Exp::Loop { .. });
+        assert_eq!(binds.contains(&acc), is_loop, "{binds:?}");
+        let nested = match stm.exp {
+            Exp::If { .. } => 2,
+            Exp::Loop { .. } | Exp::Map(_) => 1,
+            _ => 0,
+        };
+        assert_eq!(stm.exp.blocks().count(), nested);
+    });
+    assert_eq!(bounded, ["picked", "t", "e", "after"]);
+    assert!(!top.prove_nonneg(&p(i)));
+
+    // The mutable walk reaches the same statements.
+    let mut prog = prog;
+    let mut seen = 0;
+    prog.body.for_each_stm_in_mut(&top, &mut |stm, _| {
+        seen += 1;
+        for pe in stm.bound_mut() {
+            pe.mem = None;
+        }
+    });
+    assert_eq!(seen, order.len());
 }

@@ -253,33 +253,14 @@ fn validate_mem_block(
                 check_binding(mb, pe.var, &pe.ty, k, scope, mems, elems)?;
             }
         }
+        // Nested blocks get a copy of the scope plus what their construct
+        // binds. (Cloning after the pattern entered is harmless: pattern
+        // vars are fresh, and a nested block referencing them would
+        // already fail plain `validate`'s scoping.)
+        let mut inner = scope.clone();
+        let mut inner_mems = mems.clone();
         match &stm.exp {
-            Exp::If { then_b, else_b, .. } => {
-                // Branch scopes must not see the If's own pattern; clone
-                // from a pre-pattern snapshot is overkill — the pattern
-                // vars are fresh, a branch referencing them would already
-                // fail plain `validate`'s scoping.
-                validate_mem_block(
-                    then_b,
-                    &mut scope.clone(),
-                    &mut mems.clone(),
-                    &mut elems.clone(),
-                )?;
-                validate_mem_block(
-                    else_b,
-                    &mut scope.clone(),
-                    &mut mems.clone(),
-                    &mut elems.clone(),
-                )?;
-            }
-            Exp::Loop {
-                params,
-                index,
-                body,
-                ..
-            } => {
-                let mut inner = scope.clone();
-                let mut inner_mems = mems.clone();
+            Exp::Loop { params, index, .. } => {
                 inner.insert(*index);
                 for pp in params {
                     inner.insert(pp.var);
@@ -292,18 +273,16 @@ fn validate_mem_block(
                         check_binding(mb, pp.var, &pp.ty, k, &inner, &inner_mems, elems)?;
                     }
                 }
-                validate_mem_block(body, &mut inner, &mut inner_mems, &mut elems.clone())?;
             }
-            Exp::Map(m) => {
-                if let MapBody::Lambda { params, body } = &m.body {
-                    let mut inner = scope.clone();
-                    for (p, _) in params {
-                        inner.insert(*p);
-                    }
-                    validate_mem_block(body, &mut inner, &mut mems.clone(), &mut elems.clone())?;
-                }
-            }
+            Exp::Map(MapExp {
+                body: MapBody::Lambda { params, .. },
+                ..
+            }) => inner.extend(params.iter().map(|(p, _)| *p)),
             _ => {}
+        }
+        for b in stm.exp.blocks() {
+            let (mut scope, mut mems) = (inner.clone(), inner_mems.clone());
+            validate_mem_block(b, &mut scope, &mut mems, &mut elems.clone())?;
         }
     }
     Ok(())
