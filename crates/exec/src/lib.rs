@@ -9,6 +9,9 @@
 //! - [`view`]: LMAD-addressed views over blocks — an index function whose
 //!   coefficients are integers (`arraymem_lmad::IndexFn<i64>`) plus a
 //!   block; the element type lives here, not in the block;
+//! - [`value`]: what a register holds — a `Copy` tag-and-word scalar or
+//!   block id — and the array handle the machine keeps beside its
+//!   registers (a block plus a shared index function);
 //! - [`kernel`]: the registry of native kernels a `map` may invoke (the
 //!   moral equivalent of generated device code);
 //! - [`pool`]: a persistent work-stealing worker pool (parked workers
@@ -16,11 +19,15 @@
 //!   atomic counter, degrading gracefully to inline execution on small
 //!   trip counts) with per-dispatch utilization accounting;
 //! - [`plan`]: lowering — nested IR to a flat instruction stream, names to
-//!   slots, and every LMAD coefficient `Poly → SlotPoly` (a polynomial
-//!   over register slots), which the machine takes `→ i64` per run: the
-//!   executor computes with the compiler's LMAD structure over integers
-//!   and never builds a polynomial;
-//! - [`vm`]: the machine executing compiled programs. It runs in three
+//!   slots, scalar expressions to flat accumulator code, and every LMAD
+//!   coefficient `Poly → SlotPoly` (a polynomial over register slots),
+//!   which the machine takes `→ i64` per run: the executor computes with
+//!   the compiler's LMAD structure over integers and never builds a
+//!   polynomial;
+//! - [`vm`]: the machine executing compiled programs — registers are
+//!   words, arrays live in a table beside them, and no per-element path
+//!   (scalar evaluation, point access, lambda-map elements,
+//!   gather/scatter lanes) touches the heap. It runs in three
 //!   modes: `Memory` (obeying the compiler's memory annotations — allocs,
 //!   rebased index functions, elided copies), `Pure` (direct value
 //!   semantics: every operation materializes a fresh dense array), and
@@ -51,7 +58,7 @@ pub use plan::{lower_plan_full, ExecPlan, Slot};
 pub use pool::{default_threads, DispatchInfo};
 pub use stats::{Diagnostic, Stats};
 pub use store::{ArenaStats, MemStore, SharedArena};
-pub use value::{ArrayRef, InputValue, OutputValue, Value};
+pub use value::{InputValue, OutputValue, Value};
 pub use view::{View, ViewMut};
 pub use vm::{execute_plan, run_program, Mode, PlanHandle, Session};
 

@@ -10,15 +10,21 @@
 //!   stream with jump instructions (lambda map bodies keep a nested
 //!   stream, executed per element);
 //! - every `Var` resolves to a dense `u32` **slot** — the executor's
-//!   environment is a `Vec<Value>`, not a `HashMap`;
+//!   environment is a register file of `Copy` words plus a slot-parallel
+//!   table of arrays, not a `HashMap`;
+//! - every scalar expression flattens, inside its instruction, into code
+//!   for an accumulator and a small stack ([`LExp`]) that one loop runs —
+//!   an operator names operands that are registers or constants
+//!   directly, and nothing is interpreted per tree node at run time
+//!   ([`ExecPlan::pretty`] decodes the code back to infix);
 //! - every coefficient of every index function, transform and footprint
 //!   goes `Poly → SlotPoly` (its symbols resolved to slots) here and
 //!   `SlotPoly → i64` in the executor, both through the LMAD family's one
 //!   `map`: what the plan holds is the compiler's `IndexFn`/`Transform`/
 //!   `Lmad` over another coefficient type, and what the executor computes
 //!   with is the same structure over integers. Fully-constant index
-//!   functions are evaluated **now** and their [`AccessClass`] recorded in
-//!   the plan;
+//!   functions are evaluated **now**, their [`AccessClass`] recorded in
+//!   the plan, and every execution shares the one copy;
 //! - kernel names resolve to dense registry indices once;
 //! - the compiler's [`ReleasePlan`] is fused into the stream as explicit
 //!   [`Instr::Release`] instructions — no per-run `ReleasePlan::compute`;
@@ -31,19 +37,20 @@
 //! side table parallel to the stream.
 
 use crate::kernel::KernelRegistry;
-use crate::value::Value;
+use crate::value::{Tag, Value};
 use arraymem_core::{CircuitCheck, MergeRecord, ParLevel, ParSafetyRecord, ReleasePlan, Sabotage};
 use arraymem_ir::{
-    Block, Constant, ElemType, Exp, MapBody, PatElem, Program, ScalarExp, SliceSpec, Stm, Type,
-    UpdateSrc, Var,
+    BinOp, Block, Constant, ElemType, Exp, MapBody, PatElem, Program, ScalarExp, SliceSpec, Stm,
+    Type, UnOp, UpdateSrc, Var,
 };
 use arraymem_lmad::concrete::AccessClass;
 use arraymem_lmad::{ConcreteIxFn, IndexFn, Lmad, Transform};
 use arraymem_symbolic::{Poly, Sym};
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// A dense value-slot index (the executor's register file is
-/// `Vec<Value>`, indexed by these).
+/// A dense value-slot index (the executor's register file and its array
+/// table are indexed by these).
 pub type Slot = u32;
 
 /// A polynomial with its variables pre-resolved to slots; constants fold
@@ -66,11 +73,8 @@ impl SlotPoly {
         // A handful of size symbols at most: a linear scan beats hashing.
         self.poly.eval(|s| {
             let (_, slot) = self.slots.iter().find(|(v, _)| *v == s)?;
-            match &regs[(*slot)? as usize] {
-                Value::I64(x) => Some(*x),
-                Value::Bool(b) => Some(*b as i64),
-                _ => None,
-            }
+            let v = regs[(*slot)? as usize];
+            matches!(v.tag(), Tag::I64 | Tag::Bool).then(|| v.as_i64())
         })
     }
 }
@@ -88,39 +92,82 @@ pub(crate) fn eval_shape(shape: &[SlotPoly], regs: &[Value]) -> Option<Vec<i64>>
 
 /// An index function lowered against the slot scope. `Ready` means every
 /// polynomial was constant: the integer index function *and its access
-/// class* are computed once per plan, never per run.
+/// class* are computed once per plan, never per run — every array a run
+/// binds to it shares the plan's copy.
 #[derive(Clone, Debug)]
 pub(crate) enum LoweredIxFn {
     Ready {
-        ixfn: ConcreteIxFn,
+        ixfn: Arc<ConcreteIxFn>,
         class: AccessClass,
     },
     Dynamic(IndexFn<SlotPoly>),
 }
 
 impl LoweredIxFn {
-    pub(crate) fn eval_access(&self, regs: &[Value]) -> Option<(ConcreteIxFn, AccessClass)> {
+    pub(crate) fn eval_access(&self, regs: &[Value]) -> Option<(Arc<ConcreteIxFn>, AccessClass)> {
         match self {
-            LoweredIxFn::Ready { ixfn, class } => Some((ixfn.clone(), *class)),
+            LoweredIxFn::Ready { ixfn, class } => Some((Arc::clone(ixfn), *class)),
             LoweredIxFn::Dynamic(ixfn) => {
                 let c = ixfn.map(|p| p.eval(regs))?;
                 let class = c.classify();
-                Some((c, class))
+                Some((Arc::new(c), class))
             }
         }
     }
 }
 
-/// A lowered scalar expression: operands are slots, never names.
-#[derive(Clone, Debug)]
-pub(crate) enum LExp {
-    Const(Value),
+/// Where a step of scalar code finds an operand.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub(crate) enum Arg {
+    /// A register.
     Slot(Slot),
-    Size(SlotPoly),
-    Bin(arraymem_ir::BinOp, Box<LExp>, Box<LExp>),
-    Un(arraymem_ir::UnOp, Box<LExp>),
-    Index { arr: Slot, idx: Vec<LExp> },
-    Select(Box<LExp>, Box<LExp>, Box<LExp>),
+    /// Constant `k` of the expression.
+    Const(u32),
+    /// The accumulator: what the step before this one computed.
+    Acc,
+    /// The value most recently parked on the stack, which it leaves.
+    Pop,
+}
+
+/// One step of a lowered scalar expression. `Load`, `Size`, `Bin`, `Un`
+/// and `Index` leave their result in the accumulator. An operator names
+/// operands that are registers or constants directly — most are — so the
+/// stack only ever holds the left operand of an operator whose two sides
+/// are both compound, and the leading coordinates of a point.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Op {
+    Load(Arg),
+    /// Park a value on the stack.
+    Push(Arg),
+    /// The value of size polynomial `k` of the expression.
+    Size(u32),
+    Bin(BinOp, Arg, Arg),
+    Un(UnOp, Arg),
+    /// The element of the array in slot `arr` at the `rank - 1`
+    /// coordinates parked on the stack (first one deepest) followed by
+    /// `last`; a rank-0 access has no coordinates and ignores `last`.
+    Index {
+        arr: Slot,
+        rank: u32,
+        last: Arg,
+    },
+    /// Continue at step `target` when the operand is false. A `select` is
+    /// `jump-if-false c E; t; jump X; E: f; X:` — only the arm it picks
+    /// is evaluated.
+    JumpIfFalse(Arg, u32),
+    Jump(u32),
+}
+
+/// Lowered scalar code: flat steps for an accumulator and a small stack,
+/// operands slots and never names. The code of an expression leaves its
+/// value in the accumulator and the stack as it found it; the code of a
+/// point ([`LSlice::Point`]) parks one coordinate per dimension.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct LExp {
+    pub ops: Vec<Op>,
+    pub consts: Vec<Value>,
+    /// The size polynomials `Op::Size` refers to.
+    pub sizes: Vec<SlotPoly>,
 }
 
 /// Destination of a fresh array creation: the result slot plus what each
@@ -187,8 +234,8 @@ pub(crate) struct MapLambdaInstr {
 pub(crate) enum LSlice {
     /// Triplet or LMAD slicing.
     Tr(Transform<SlotPoly>),
-    /// Point indexing: the coordinates are scalar expressions.
-    Point(Vec<LExp>),
+    /// Point indexing: code that parks one coordinate per dimension.
+    Point(LExp),
     /// Scatter: the slot holds the runtime index array; element `k` of
     /// the source lands at flat position `idx[k]` of the destination.
     Scatter(Slot),
@@ -638,7 +685,7 @@ impl Lowerer<'_> {
         match ix.map(Poly::as_const) {
             Some(ixfn) => LoweredIxFn::Ready {
                 class: ixfn.classify(),
-                ixfn,
+                ixfn: Arc::new(ixfn),
             },
             None => LoweredIxFn::Dynamic(IndexFn {
                 lmads: ix.lmads.iter().map(|l| self.lower_lmad(l)).collect(),
@@ -646,35 +693,80 @@ impl Lowerer<'_> {
         }
     }
 
-    fn lower_exp(&mut self, e: &ScalarExp) -> Result<LExp, String> {
-        Ok(match e {
-            ScalarExp::Const(c) => LExp::Const(match c {
-                Constant::F32(x) => Value::F32(*x),
-                Constant::F64(x) => Value::F64(*x),
-                Constant::I64(x) => Value::I64(*x),
-                Constant::Bool(x) => Value::Bool(*x),
-            }),
-            ScalarExp::Var(v) => LExp::Slot(self.resolve(*v)?),
-            ScalarExp::Size(p) => LExp::Size(self.slot_poly(p)),
-            ScalarExp::Bin(op, a, b) => LExp::Bin(
-                *op,
-                Box::new(self.lower_exp(a)?),
-                Box::new(self.lower_exp(b)?),
-            ),
-            ScalarExp::Un(op, a) => LExp::Un(*op, Box::new(self.lower_exp(a)?)),
-            ScalarExp::Index(v, idx) => LExp::Index {
-                arr: self.resolve(*v)?,
-                idx: idx
-                    .iter()
-                    .map(|i| self.lower_exp(i))
-                    .collect::<Result<_, _>>()?,
-            },
-            ScalarExp::Select(c, t, f) => LExp::Select(
-                Box::new(self.lower_exp(c)?),
-                Box::new(self.lower_exp(t)?),
-                Box::new(self.lower_exp(f)?),
-            ),
-        })
+    fn lower_exp(&self, e: &ScalarExp) -> Result<LExp, String> {
+        let mut code = LExp::default();
+        self.emit(e, &mut code)?;
+        Ok(code)
+    }
+
+    /// Append code that leaves the value of `e` in the accumulator.
+    fn emit(&self, e: &ScalarExp, code: &mut LExp) -> Result<(), String> {
+        match self.operand(e, code)? {
+            Arg::Acc => {}
+            leaf => code.ops.push(Op::Load(leaf)),
+        }
+        Ok(())
+    }
+
+    /// `e` as an operand: a constant or a variable is its own (reading one
+    /// cannot fail and has no effect, so whoever names it may read it
+    /// whenever it runs); anything else is the accumulator its code,
+    /// appended here, leaves it in. Compound operands are evaluated left
+    /// to right.
+    fn operand(&self, e: &ScalarExp, code: &mut LExp) -> Result<Arg, String> {
+        let op = match e {
+            ScalarExp::Const(c) => {
+                code.consts.push(match c {
+                    Constant::F32(x) => Value::f32(*x),
+                    Constant::F64(x) => Value::f64(*x),
+                    Constant::I64(x) => Value::i64(*x),
+                    Constant::Bool(x) => Value::bool(*x),
+                });
+                return Ok(Arg::Const(code.consts.len() as u32 - 1));
+            }
+            ScalarExp::Var(v) => return Ok(Arg::Slot(self.resolve(*v)?)),
+            ScalarExp::Size(p) => {
+                code.sizes.push(self.slot_poly(p));
+                Op::Size(code.sizes.len() as u32 - 1)
+            }
+            ScalarExp::Bin(op, a, b) => {
+                let mut x = self.operand(a, code)?;
+                let compound = !matches!(**b, ScalarExp::Const(_) | ScalarExp::Var(_));
+                if x == Arg::Acc && compound {
+                    // The left value waits while the right is computed.
+                    code.ops.push(Op::Push(Arg::Acc));
+                    x = Arg::Pop;
+                }
+                Op::Bin(*op, x, self.operand(b, code)?)
+            }
+            ScalarExp::Un(op, a) => Op::Un(*op, self.operand(a, code)?),
+            ScalarExp::Index(v, idx) => {
+                let arr = self.resolve(*v)?;
+                let mut last = Arg::Acc;
+                for (k, i) in idx.iter().enumerate() {
+                    last = self.operand(i, code)?;
+                    if k + 1 < idx.len() {
+                        code.ops.push(Op::Push(last));
+                    }
+                }
+                let rank = idx.len() as u32;
+                Op::Index { arr, rank, last }
+            }
+            ScalarExp::Select(c, t, f) => {
+                let cond = self.operand(c, code)?;
+                let to_else = code.ops.len();
+                code.ops.push(Op::JumpIfFalse(cond, 0));
+                self.emit(t, code)?;
+                let to_end = code.ops.len();
+                code.ops.push(Op::Jump(0));
+                code.ops[to_else] = Op::JumpIfFalse(cond, code.ops.len() as u32);
+                self.emit(f, code)?;
+                code.ops[to_end] = Op::Jump(code.ops.len() as u32);
+                return Ok(Arg::Acc);
+            }
+        };
+        code.ops.push(op);
+        Ok(Arg::Acc)
     }
 
     /// Lower a pattern element into a creation destination, binding its
@@ -901,14 +993,14 @@ impl Lowerer<'_> {
                         let tr = Transform::LmadSlice(l.clone());
                         (LSlice::Tr(self.lower_transform(&tr)), true)
                     }
-                    SliceSpec::Point(es) => (
-                        LSlice::Point(
-                            es.iter()
-                                .map(|e| self.lower_exp(e))
-                                .collect::<Result<_, _>>()?,
-                        ),
-                        false,
-                    ),
+                    SliceSpec::Point(es) => {
+                        let mut code = LExp::default();
+                        for e in es {
+                            let at = self.operand(e, &mut code)?;
+                            code.ops.push(Op::Push(at));
+                        }
+                        (LSlice::Point(code), false)
+                    }
                     SliceSpec::Scatter(idx) => (LSlice::Scatter(self.resolve(*idx)?), false),
                 };
                 let src_l = match src {
@@ -970,7 +1062,7 @@ impl Lowerer<'_> {
                 count,
                 body,
             } => {
-                let count = self.slot_poly(count);
+                let count = self.lower_exp(&ScalarExp::Size(count.clone()))?;
                 let init_slots = inits
                     .iter()
                     .map(|v| self.resolve(*v))
@@ -993,7 +1085,7 @@ impl Lowerer<'_> {
                     Instr::Scalar {
                         dst: count_slot,
                         elem: None,
-                        exp: LExp::Size(count),
+                        exp: count,
                     },
                     blame,
                 );
@@ -1001,7 +1093,7 @@ impl Lowerer<'_> {
                     Instr::Scalar {
                         dst: idx_slot,
                         elem: None,
-                        exp: LExp::Const(Value::I64(0)),
+                        exp: self.lower_exp(&ScalarExp::i64(0))?,
                     },
                     blame,
                 );
@@ -1061,11 +1153,11 @@ impl Lowerer<'_> {
                     Instr::Scalar {
                         dst: idx_slot,
                         elem: None,
-                        exp: LExp::Bin(
-                            arraymem_ir::BinOp::Add,
-                            Box::new(LExp::Slot(idx_slot)),
-                            Box::new(LExp::Const(Value::I64(1))),
-                        ),
+                        exp: self.lower_exp(&ScalarExp::bin(
+                            BinOp::Add,
+                            ScalarExp::var(*index),
+                            ScalarExp::i64(1),
+                        ))?,
                     },
                     blame,
                 );
@@ -1266,20 +1358,56 @@ fn fmt_dest(d: &Dest) -> String {
 }
 
 fn fmt_exp(e: &LExp) -> String {
-    match e {
-        LExp::Const(v) => format!("{v:?}"),
-        LExp::Slot(s) => format!("%{s}"),
-        LExp::Size(p) => format!("size({p:?})"),
-        LExp::Bin(op, a, b) => format!("({} {op:?} {})", fmt_exp(a), fmt_exp(b)),
-        LExp::Un(op, a) => format!("{op:?}({})", fmt_exp(a)),
-        LExp::Index { arr, idx } => format!(
-            "%{arr}[{}]",
-            idx.iter().map(fmt_exp).collect::<Vec<_>>().join(", ")
-        ),
-        LExp::Select(c, t, f) => {
-            format!("select({}, {}, {})", fmt_exp(c), fmt_exp(t), fmt_exp(f))
-        }
+    fmt_ops(e, 0, e.ops.len()).0
+}
+
+/// What steps `[lo, hi)` of `e` compute, back in infix — the evaluator's
+/// loop over strings: the accumulator and what is left parked.
+fn fmt_ops(e: &LExp, lo: usize, hi: usize) -> (String, Vec<String>) {
+    let (mut acc, mut stack) = (String::new(), Vec::new());
+    let mut pc = lo;
+    while pc < hi {
+        let mut arg = |a: Arg| match a {
+            Arg::Slot(s) => format!("%{s}"),
+            Arg::Const(k) => format!("{:?}", e.consts[k as usize]),
+            Arg::Acc => acc.clone(),
+            Arg::Pop => stack.pop().expect("a parked operand"),
+        };
+        acc = match e.ops[pc] {
+            Op::Load(a) => arg(a),
+            Op::Push(a) => {
+                let parked = arg(a);
+                stack.push(parked);
+                String::new()
+            }
+            Op::Size(k) => format!("size({:?})", e.sizes[k as usize]),
+            Op::Bin(op, a, b) => {
+                let (y, x) = (arg(b), arg(a));
+                format!("({x} {op:?} {y})")
+            }
+            Op::Un(op, a) => format!("{op:?}({})", arg(a)),
+            Op::Index { arr, rank, last } => {
+                let coord = |k| arg(if k == 0 { last } else { Arg::Pop });
+                let mut idx: Vec<String> = (0..rank).map(coord).collect();
+                idx.reverse();
+                format!("%{arr}[{}]", idx.join(", "))
+            }
+            Op::JumpIfFalse(cond, to_else) => {
+                let to_else = to_else as usize;
+                let Op::Jump(end) = e.ops[to_else - 1] else {
+                    unreachable!("a select's then-arm ends in its jump")
+                };
+                let c = arg(cond);
+                let t = fmt_ops(e, pc + 1, to_else - 1).0;
+                let f = fmt_ops(e, to_else, end as usize).0;
+                pc = end as usize - 1;
+                format!("select({c}, {t}, {f})")
+            }
+            Op::Jump(_) => unreachable!("a select's jump is consumed with its condition"),
+        };
+        pc += 1;
     }
+    (acc, stack)
 }
 
 fn fmt_slots(slots: &[Slot]) -> String {
@@ -1349,10 +1477,9 @@ fn fmt_instr(i: &Instr) -> String {
         Instr::Update(u) => {
             let slice = match &u.slice {
                 LSlice::Tr(tr) => format!("{tr:?}"),
-                LSlice::Point(es) => format!(
-                    "point[{}]",
-                    es.iter().map(fmt_exp).collect::<Vec<_>>().join(", ")
-                ),
+                LSlice::Point(at) => {
+                    format!("point[{}]", fmt_ops(at, 0, at.ops.len()).1.join(", "))
+                }
                 LSlice::Scatter(idx) => format!("scatter[%{idx}]"),
             };
             let src = match &u.src {

@@ -424,10 +424,6 @@ impl MemStore {
         });
     }
 
-    pub(crate) fn shadow_enabled(&self) -> bool {
-        self.shadow.is_some()
-    }
-
     /// Record that statement `writer` wrote element `off` of `block`.
     pub(crate) fn shadow_mark(&mut self, block: usize, off: usize, writer: Sym) {
         if let Some(sh) = &mut self.shadow {

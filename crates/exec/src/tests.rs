@@ -830,9 +830,9 @@ fn lowered_coefficients_evaluate_like_the_symbolic_ones() {
     let plan = lower_plan_full(&compiled.program, &kernels, &recorded, &[], &[]).expect("lower");
 
     let (nv, mv) = (5, 3);
-    let mut regs = vec![Value::I64(0); plan.num_slots() as usize];
-    regs[plan.params[0].slot as usize] = Value::I64(nv);
-    regs[plan.params[1].slot as usize] = Value::I64(mv);
+    let mut regs = vec![Value::i64(0); plan.num_slots() as usize];
+    regs[plan.params[0].slot as usize] = Value::i64(nv);
+    regs[plan.params[1].slot as usize] = Value::i64(mv);
     let bound = |s| [(n, nv), (m, mv)].iter().find(|b| b.0 == s).map(|b| b.1);
 
     let stms = compiled.program.body.stms.iter();
@@ -914,4 +914,220 @@ fn oversized_allocation_is_an_error_not_a_crash() {
     }
     let id = store.alloc(ElemType::F32, 4);
     assert_eq!((store.len(id), store.num_blocks()), (4, 1));
+}
+
+/// Regression: a coordinate is a program input. `xs[k]` with `k` outside
+/// the array used to reach the view's block assert (a panic — under the
+/// server, with the tenant's mutex held), and a 2-D `m[0, 4]` on a 2×3
+/// array silently *was* `m[1, 1]`: the index function maps the stray
+/// coordinate onto a neighbouring row, so a point update there overwrote
+/// another element with no diagnostic in any mode. Every coordinate is
+/// checked against the array's shape — reads and updates, every mode.
+#[test]
+fn out_of_range_index_is_an_error_not_a_panic() {
+    let kernels = KernelRegistry::new();
+    let in_modes = |prog: &Program, inputs: &[InputValue]| {
+        let compiled = compile(prog, &Options::default()).expect("compile");
+        [Mode::Pure, Mode::Memory, Mode::Checked].map(|mode| {
+            let prog = if mode == Mode::Pure {
+                prog
+            } else {
+                &compiled.program
+            };
+            run_program(prog, inputs, &kernels, mode, 1).map(|(out, stats)| {
+                assert!(
+                    stats.diagnostics.is_empty(),
+                    "{mode:?}: {:?}",
+                    stats.diagnostics
+                );
+                out
+            })
+        })
+    };
+    let refused = |got: [Result<Vec<OutputValue>, String>; 3], what: &str| {
+        for (mode, r) in ["pure", "memory", "checked"].iter().zip(got) {
+            let err = r.expect_err(what);
+            assert!(
+                err.contains("out of bounds for shape"),
+                "{what} ({mode}): {err}"
+            );
+        }
+    };
+
+    // One dimension: `q = xs[k]` and `ys = xs with [k] = -7`, 4 elements.
+    let xs_data = vec![10, 11, 12, 13];
+    let mut b = Builder::new("read_1d");
+    let k = b.scalar_param("rk", ElemType::I64);
+    let xs = b.array_param("rxs", ElemType::I64, vec![c(4)]);
+    let mut body = b.block();
+    let q = body.scalar(
+        "q",
+        ElemType::I64,
+        ScalarExp::Index(xs, vec![ScalarExp::var(k)]),
+    );
+    let read = b.finish(body.finish(vec![q]));
+    let mut b = Builder::new("update_1d");
+    let k = b.scalar_param("uk", ElemType::I64);
+    let xs = b.array_param("uxs", ElemType::I64, vec![c(4)]);
+    let mut body = b.block();
+    let ys = body.update_scalar("ys", xs, vec![ScalarExp::var(k)], ScalarExp::i64(-7));
+    let update = b.finish(body.finish(vec![ys]));
+    let inputs = |k| [InputValue::I64(k), InputValue::ArrayI64(xs_data.clone())];
+    for k in [4, -1, 5, i64::MIN] {
+        refused(in_modes(&read, &inputs(k)), &format!("xs[{k}]"));
+        refused(in_modes(&update, &inputs(k)), &format!("xs[{k}] = -7"));
+    }
+    for out in in_modes(&read, &inputs(3)) {
+        assert_eq!(out, Ok(vec![OutputValue::I64(13)]));
+    }
+    for out in in_modes(&update, &inputs(0)) {
+        assert_eq!(out, Ok(vec![OutputValue::ArrayI64(vec![-7, 11, 12, 13])]));
+    }
+
+    // Two dimensions: `[0, 4]` of a 2×3 array is inside the block — it is
+    // where `[1, 1]` lives — and outside the array.
+    let m_data: Vec<i64> = (0..6).collect();
+    let mut b = Builder::new("read_2d");
+    let (i, j) = (
+        b.scalar_param("ri", ElemType::I64),
+        b.scalar_param("rj", ElemType::I64),
+    );
+    let m = b.array_param("rm", ElemType::I64, vec![c(2), c(3)]);
+    let mut body = b.block();
+    let at = vec![ScalarExp::var(i), ScalarExp::var(j)];
+    let q = body.scalar("q", ElemType::I64, ScalarExp::Index(m, at));
+    let read = b.finish(body.finish(vec![q]));
+    let mut b = Builder::new("update_2d");
+    let (i, j) = (
+        b.scalar_param("ui", ElemType::I64),
+        b.scalar_param("uj", ElemType::I64),
+    );
+    let m = b.array_param("um", ElemType::I64, vec![c(2), c(3)]);
+    let mut body = b.block();
+    let at = vec![ScalarExp::var(i), ScalarExp::var(j)];
+    let m2 = body.update_scalar("m2", m, at, ScalarExp::i64(-7));
+    let update = b.finish(body.finish(vec![m2]));
+    let inputs = |i, j| {
+        [
+            InputValue::I64(i),
+            InputValue::I64(j),
+            InputValue::ArrayI64(m_data.clone()),
+        ]
+    };
+    for (i, j) in [(0, 4), (0, 3), (2, 0), (1, -1), (-1, 3)] {
+        refused(in_modes(&read, &inputs(i, j)), &format!("m[{i}, {j}]"));
+        refused(
+            in_modes(&update, &inputs(i, j)),
+            &format!("m[{i}, {j}] = -7"),
+        );
+    }
+    for out in in_modes(&read, &inputs(1, 1)) {
+        assert_eq!(out, Ok(vec![OutputValue::I64(4)]));
+    }
+    for out in in_modes(&update, &inputs(1, 2)) {
+        assert_eq!(
+            out,
+            Ok(vec![OutputValue::ArrayI64(vec![0, 1, 2, 3, 4, -7])])
+        );
+    }
+}
+
+/// A gather or scatter is accounted as one copy of the lanes it *wrote*:
+/// a lane checked mode skipped as out of bounds moved no bytes.
+#[test]
+fn gather_and_scatter_count_the_lanes_they_wrote() {
+    let kernels = KernelRegistry::new();
+    let src = InputValue::ArrayF32(vec![1.0, 2.0, 3.0, 4.0]);
+    let idx = |bad: bool| InputValue::ArrayI64(vec![3, if bad { 9 } else { 0 }, 1]);
+
+    let mut b = Builder::new("gather3");
+    let xs = b.array_param("gxs", ElemType::F32, vec![c(4)]);
+    let is = b.array_param("gis", ElemType::I64, vec![c(3)]);
+    let mut body = b.block();
+    let g = body.gather("g", xs, is);
+    let gather = b.finish(body.finish(vec![g]));
+
+    let mut b = Builder::new("scatter3");
+    let xs = b.array_param("sxs", ElemType::F32, vec![c(4)]);
+    let is = b.array_param("sis", ElemType::I64, vec![c(3)]);
+    let vs = b.array_param("svs", ElemType::F32, vec![c(3)]);
+    let mut body = b.block();
+    let s = body.scatter("s", xs, is, vs);
+    let scatter = b.finish(body.finish(vec![s]));
+    let vals = InputValue::ArrayF32(vec![7.0, 8.0, 9.0]);
+
+    for (prog, extra) in [(&gather, None), (&scatter, Some(vals))] {
+        let compiled = compile(prog, &Options::default()).expect("compile");
+        for bad in [false, true] {
+            let mut inputs = vec![src.clone(), idx(bad)];
+            inputs.extend(extra.clone());
+            let (_, stats) = run_program(&compiled.program, &inputs, &kernels, Mode::Checked, 1)
+                .expect("checked mode skips the lane");
+            let lanes = if bad { 2 } else { 3 };
+            assert_eq!(stats.bytes_copied, lanes * 4, "{} bad={bad}", prog.name);
+            assert_eq!(stats.num_copies, 1);
+            assert_eq!(stats.diagnostics.len(), bad as usize);
+            // Outside checked mode the bad lane fails the run.
+            let memory = run_program(&compiled.program, &inputs, &kernels, Mode::Memory, 1);
+            assert_eq!(memory.is_err(), bad, "{} bad={bad}", prog.name);
+        }
+    }
+}
+
+/// Scalar expressions are lowered to flat accumulator code and printed by
+/// decoding it: the plan must show the expression that was written —
+/// operand order, nesting, the coordinates of an index and of a point
+/// update, both arms of a `select` — whichever operands were leaves.
+#[test]
+fn flat_scalar_code_prints_as_the_expression_it_lowers() {
+    use arraymem_ir::{BinOp, UnOp};
+    let mut b = Builder::new("shapes");
+    let k = b.scalar_param("fk", ElemType::I64);
+    let m = b.array_param("fm", ElemType::F32, vec![c(2), c(3)]);
+    let mut body = b.block();
+    let (vk, one) = (ScalarExp::var(k), ScalarExp::i64(1));
+    let bin = ScalarExp::bin;
+    let at = |i: ScalarExp, j: ScalarExp| ScalarExp::Index(m, vec![i, j]);
+    // (compound op compound), leaf on either side, an index whose
+    // coordinates are a compound and a leaf, a nested select.
+    let sum = bin(
+        BinOp::Add,
+        bin(BinOp::Mul, vk.clone(), one.clone()),
+        bin(
+            BinOp::Sub,
+            one.clone(),
+            ScalarExp::un(UnOp::Neg, vk.clone()),
+        ),
+    );
+    let x = body.scalar("x", ElemType::I64, sum);
+    let elem = at(
+        bin(BinOp::Rem, ScalarExp::var(x), ScalarExp::i64(2)),
+        one.clone(),
+    );
+    let pick = ScalarExp::Select(
+        Box::new(bin(BinOp::Lt, vk.clone(), one.clone())),
+        Box::new(bin(BinOp::Mul, elem, ScalarExp::f32(2.0))),
+        Box::new(ScalarExp::Select(
+            Box::new(vk.clone()),
+            Box::new(ScalarExp::f32(0.5)),
+            Box::new(at(one.clone(), bin(BinOp::Add, vk.clone(), one.clone()))),
+        )),
+    );
+    let y = body.scalar("y", ElemType::F32, pick);
+    let point = vec![bin(BinOp::Min, vk.clone(), one.clone()), ScalarExp::i64(0)];
+    let m2 = body.update_scalar("m2", m, point, ScalarExp::var(y));
+    let prog = b.finish(body.finish(vec![m2]));
+    let compiled = compile(&prog, &Options::default()).expect("compile");
+    let plan =
+        crate::plan::lower_plan_full(&compiled.program, &KernelRegistry::new(), &[], &[], &[])
+            .expect("lower")
+            .pretty();
+    for expected in [
+        "<- ((%0 Mul I64(1)) Add (I64(1) Sub Neg(%0)))",
+        "<- select((%0 Lt I64(1)), (%1[(%3 Rem I64(2)), I64(1)] Mul F32(2.0)), \
+         select(%0, F32(0.5), %1[I64(1), (%0 Add I64(1))]))",
+        "point[(%0 Min I64(1)), I64(0)] src %4",
+    ] {
+        assert!(plan.contains(expected), "no `{expected}` in:\n{plan}");
+    }
 }

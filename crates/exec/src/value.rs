@@ -1,15 +1,23 @@
 //! Runtime values.
+//!
+//! A register holds a [`Value`]: a scalar or a block id, `Copy` and two
+//! words — a tag and its bits. Arrays are not values: an array is a block
+//! id plus an index function ([`ArrayRef`]), kept in a table beside the
+//! register file, one entry per array-typed slot, its index function
+//! handed out by reference count — never by deep copy.
 
 use arraymem_ir::ElemType;
 use arraymem_lmad::concrete::AccessClass;
 use arraymem_lmad::ConcreteIxFn;
+use std::sync::Arc;
 
-/// A runtime array: a block id plus a concrete index function.
+/// A runtime array: a block id plus a concrete index function, shared
+/// with every other slot that names the same array.
 #[derive(Clone, Debug)]
-pub struct ArrayRef {
+pub(crate) struct ArrayRef {
     pub block: usize,
     pub elem: ElemType,
-    pub ixfn: ConcreteIxFn,
+    pub ixfn: Arc<ConcreteIxFn>,
     /// Access tier of `ixfn`, classified once when the array value is
     /// created — or earlier, at plan-lower time, when the index function
     /// is statically known. Views over this array reuse it instead of
@@ -21,12 +29,7 @@ impl ArrayRef {
     /// An array reference, classifying its index function now.
     pub fn new(block: usize, elem: ElemType, ixfn: ConcreteIxFn) -> ArrayRef {
         let class = ixfn.classify();
-        ArrayRef {
-            block,
-            elem,
-            ixfn,
-            class,
-        }
+        ArrayRef::with_class(block, elem, Arc::new(ixfn), class)
     }
 
     /// An array reference with a pre-computed access class (the lowering
@@ -34,7 +37,7 @@ impl ArrayRef {
     pub fn with_class(
         block: usize,
         elem: ElemType,
-        ixfn: ConcreteIxFn,
+        ixfn: Arc<ConcreteIxFn>,
         class: AccessClass,
     ) -> ArrayRef {
         debug_assert_eq!(class, ixfn.classify());
@@ -47,60 +50,143 @@ impl ArrayRef {
     }
 }
 
-/// A runtime value.
-#[derive(Clone, Debug)]
-pub enum Value {
-    F32(f32),
-    F64(f64),
-    I64(i64),
-    Bool(bool),
-    Mem(usize),
-    Array(ArrayRef),
+/// What the word of a [`Value`] means.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Tag {
+    F32,
+    F64,
+    I64,
+    Bool,
+    /// The id of a memory block.
+    Mem,
 }
 
+/// What a register holds — a scalar, or the id of a memory block — as a
+/// tag and one word of bits (`f32` bits in the low half, booleans 0/1).
+///
+/// Two plain scalars rather than an enum over differently-sized payloads:
+/// every load of a value reads exactly what a store wrote, and a value
+/// travels in two machine registers. (An enum is written piecewise and
+/// moved as one 16-byte block, which stalls the load at every operand.)
+#[derive(Clone, Copy)]
+pub struct Value {
+    tag: Tag,
+    bits: u64,
+}
+
+// Registers are words: the scalar paths copy values freely and never drop.
+const _: () = assert!(size_of::<Value>() <= 16);
+const _: () = {
+    const fn is_copy<T: Copy>() {}
+    is_copy::<Value>()
+};
+
 impl Value {
+    const fn new(tag: Tag, bits: u64) -> Value {
+        Value { tag, bits }
+    }
+
+    #[inline]
+    pub fn f32(x: f32) -> Value {
+        Value::new(Tag::F32, x.to_bits() as u64)
+    }
+
+    #[inline]
+    pub fn f64(x: f64) -> Value {
+        Value::new(Tag::F64, x.to_bits())
+    }
+
+    #[inline]
+    pub fn i64(x: i64) -> Value {
+        Value::new(Tag::I64, x as u64)
+    }
+
+    #[inline]
+    pub fn bool(x: bool) -> Value {
+        Value::new(Tag::Bool, x as u64)
+    }
+
+    #[inline]
+    pub(crate) fn mem(block: usize) -> Value {
+        Value::new(Tag::Mem, block as u64)
+    }
+
+    /// A value of element type `elem` from the word a block stores for it.
+    #[inline]
+    pub(crate) fn of_word(elem: ElemType, w: u64) -> Value {
+        match elem {
+            ElemType::F32 => Value::f32(f32::from_bits(w as u32)),
+            ElemType::F64 => Value::f64(f64::from_bits(w)),
+            ElemType::I64 => Value::i64(w as i64),
+            ElemType::Bool => Value::bool(w != 0),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn tag(&self) -> Tag {
+        self.tag
+    }
+
+    #[inline]
     pub fn as_i64(&self) -> i64 {
-        match self {
-            Value::I64(x) => *x,
-            Value::Bool(b) => *b as i64,
-            Value::F32(x) => *x as i64,
-            Value::F64(x) => *x as i64,
-            _ => panic!("not a scalar: {self:?}"),
+        match self.tag {
+            Tag::I64 | Tag::Bool => self.bits as i64,
+            Tag::F32 => f32::from_bits(self.bits as u32) as i64,
+            Tag::F64 => f64::from_bits(self.bits) as i64,
+            Tag::Mem => not_a("scalar", self),
         }
     }
 
+    #[inline]
     pub fn as_f32(&self) -> f32 {
-        match self {
-            Value::F32(x) => *x,
-            Value::F64(x) => *x as f32,
-            Value::I64(x) => *x as f32,
-            Value::Bool(b) => *b as i64 as f32,
-            _ => panic!("not a scalar: {self:?}"),
+        match self.tag {
+            Tag::F32 => f32::from_bits(self.bits as u32),
+            Tag::F64 => f64::from_bits(self.bits) as f32,
+            Tag::I64 | Tag::Bool => self.bits as i64 as f32,
+            Tag::Mem => not_a("scalar", self),
         }
     }
 
+    #[inline]
     pub fn as_f64(&self) -> f64 {
-        match self {
-            Value::F64(x) => *x,
-            Value::F32(x) => *x as f64,
-            Value::I64(x) => *x as f64,
-            Value::Bool(b) => *b as i64 as f64,
-            _ => panic!("not a scalar: {self:?}"),
+        match self.tag {
+            Tag::F64 => f64::from_bits(self.bits),
+            Tag::F32 => f32::from_bits(self.bits as u32) as f64,
+            Tag::I64 | Tag::Bool => self.bits as i64 as f64,
+            Tag::Mem => not_a("scalar", self),
         }
     }
 
+    #[inline]
     pub fn as_bool(&self) -> bool {
-        match self {
-            Value::Bool(b) => *b,
-            Value::I64(x) => *x != 0,
-            _ => panic!("not a bool: {self:?}"),
+        match self.tag {
+            Tag::Bool | Tag::I64 => self.bits != 0,
+            _ => not_a("bool", self),
         }
     }
 
-    pub fn as_array(&self) -> &ArrayRef {
-        match self {
-            Value::Array(a) => a,
-            _ => panic!("not an array: {self:?}"),
+    /// The block id, if this is one.
+    #[inline]
+    pub(crate) fn as_mem(&self) -> Option<usize> {
+        (self.tag == Tag::Mem).then_some(self.bits as usize)
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn not_a(what: &str, v: &Value) -> ! {
+    panic!("not a {what}: {v:?}")
+}
+
+/// Prints as the enum it reads like: `I64(3)`, `F32(1.5)`, `Mem(2)`.
+impl std::fmt::Debug for Value {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.tag {
+            Tag::F32 => write!(f, "F32({:?})", self.as_f32()),
+            Tag::F64 => write!(f, "F64({:?})", self.as_f64()),
+            Tag::I64 => write!(f, "I64({:?})", self.as_i64()),
+            Tag::Bool => write!(f, "Bool({:?})", self.bits != 0),
+            Tag::Mem => write!(f, "Mem({:?})", self.bits),
         }
     }
 }

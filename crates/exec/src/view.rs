@@ -7,7 +7,8 @@
 //! them. Kernels use the typed accessors (`get_f32`, `write_i64_off`, …);
 //! the VM moves elements it does not interpret by *width* (4 or 8 bytes)
 //! and converts to and from [`Value`] with [`View::get`] /
-//! [`ViewMut::set`].
+//! [`ViewMut::set`] — or, for a single point, with [`RawBuf::get`] /
+//! [`RawBuf::set`] at an offset it computed itself, no view built.
 //!
 //! Views may alias (e.g. NW's kernel reads bars of the same block its
 //! output is rebased into); the compiler's non-overlap proof is what makes
@@ -35,6 +36,77 @@ impl Elem for f64 {
 
 impl Elem for i64 {
     const TYPE: ElemType = ElemType::I64;
+}
+
+/// One element of a block, by memory offset: what a view's accessors
+/// bottom out in, and what the VM's point accesses call directly.
+impl RawBuf {
+    /// Bounds-check a memory offset against the block.
+    #[inline]
+    fn in_block(&self, off: i64) -> usize {
+        // A negative offset wraps far past any block length.
+        assert!(
+            (off as usize) < self.len,
+            "view access out of bounds: offset {off} outside block of {}",
+            self.len
+        );
+        off as usize
+    }
+
+    /// The element at memory offset `off`, widened to a word.
+    #[inline]
+    fn load_word(&self, off: usize) -> u64 {
+        // SAFETY: callers pass an `off` that passed `in_block`, so it is
+        // inside the block's `len` elements of the element type's width.
+        unsafe {
+            match self.elem.size_bytes() {
+                4 => *(self.ptr as *const u32).add(off) as u64,
+                _ => *(self.ptr as *const u64).add(off),
+            }
+        }
+    }
+
+    #[inline]
+    fn store_word(&self, off: usize, w: u64) {
+        // SAFETY: as in `load_word`.
+        unsafe {
+            match self.elem.size_bytes() {
+                4 => *(self.ptr as *mut u32).add(off) = w as u32,
+                _ => *(self.ptr as *mut u64).add(off) = w,
+            }
+        }
+    }
+
+    #[inline]
+    fn value_at(&self, off: usize) -> Value {
+        Value::of_word(self.elem, self.load_word(off))
+    }
+
+    /// `v` as the word an element of this block's type stores (an `f32`
+    /// in the low half).
+    #[inline]
+    fn word_of(&self, v: Value) -> u64 {
+        match self.elem {
+            ElemType::F32 => v.as_f32().to_bits() as u64,
+            ElemType::F64 => v.as_f64().to_bits(),
+            ElemType::I64 => v.as_i64() as u64,
+            ElemType::Bool => (v.as_i64() != 0) as u64,
+        }
+    }
+
+    /// The element at memory offset `off`, as the [`Value`] of the
+    /// block's element type.
+    #[inline]
+    pub(crate) fn get(&self, off: i64) -> Value {
+        self.value_at(self.in_block(off))
+    }
+
+    /// Store `v`, converted to the block's element type, at memory offset
+    /// `off`.
+    #[inline]
+    pub(crate) fn set(&self, off: i64, v: Value) {
+        self.store_word(self.in_block(off), self.word_of(v))
+    }
 }
 
 /// A read-only view.
@@ -97,31 +169,19 @@ impl View {
         View::new(self.buf, fix_outer(&self.ixfn, i))
     }
 
-    /// Bounds-check a memory offset against the block.
-    #[inline]
-    fn in_block(&self, off: i64) -> usize {
-        // A negative offset wraps far past any block length.
-        assert!(
-            (off as usize) < self.buf.len,
-            "view access out of bounds: offset {off} outside block of {}",
-            self.buf.len
-        );
-        off as usize
-    }
-
     /// Memory offset of a logical index.
     #[inline]
     fn offset(&self, idx: &[i64]) -> usize {
-        self.in_block(match self.ixfn.as_single() {
+        self.buf.in_block(match self.ixfn.as_single() {
             Some(l) => l.apply(idx),
             None => self.ixfn.index(idx),
         })
     }
 
     /// Memory offset of a flat logical position.
-    #[inline]
+    #[inline(always)]
     fn offset_flat(&self, flat: i64) -> usize {
-        self.in_block(match self.plan {
+        self.buf.in_block(match self.plan {
             AccessClass::Contiguous { base } => base + flat,
             AccessClass::RowContiguous {
                 base,
@@ -160,54 +220,25 @@ impl View {
     /// — the incremental-addressing style of generated kernel code.
     #[inline]
     pub fn read_f32_off(&self, off: i64) -> f32 {
-        self.load(self.in_block(off))
+        self.load(self.buf.in_block(off))
     }
 
     /// See [`View::read_f32_off`].
     #[inline]
     pub fn read_i64_off(&self, off: i64) -> i64 {
-        self.load(self.in_block(off))
-    }
-
-    /// The element at memory offset `off`, widened to a word.
-    #[inline]
-    fn load_word(&self, off: usize) -> u64 {
-        // SAFETY: as in `load`; the width is the element type's.
-        unsafe {
-            match self.buf.elem.size_bytes() {
-                4 => *(self.buf.ptr as *const u32).add(off) as u64,
-                _ => *(self.buf.ptr as *const u64).add(off),
-            }
-        }
-    }
-
-    #[inline]
-    fn value_at(&self, off: usize) -> Value {
-        let w = self.load_word(off);
-        match self.buf.elem {
-            ElemType::F32 => Value::F32(f32::from_bits(w as u32)),
-            ElemType::F64 => Value::F64(f64::from_bits(w)),
-            ElemType::I64 => Value::I64(w as i64),
-            ElemType::Bool => Value::Bool(w != 0),
-        }
+        self.load(self.buf.in_block(off))
     }
 
     /// The element at flat logical position `flat`, as the [`Value`] of
     /// the view's element type.
     #[inline]
     pub(crate) fn get(&self, flat: i64) -> Value {
-        self.value_at(self.offset_flat(flat))
-    }
-
-    /// [`View::get`] by logical index.
-    #[inline]
-    pub(crate) fn get_at(&self, idx: &[i64]) -> Value {
-        self.value_at(self.offset(idx))
+        self.buf.value_at(self.offset_flat(flat))
     }
 
     /// Contiguous row-major fast path: the whole view as a plain slice of
     /// `T`, which must have the element type's width.
-    fn as_slice<T: Copy>(&self) -> Option<&[T]> {
+    pub(crate) fn as_slice<T: Copy>(&self) -> Option<&[T]> {
         let (base, n) = self.slice_bounds::<T>()?;
         // SAFETY: `slice_bounds` checked `base + n <= len` elements of
         // `size_of::<T>()` bytes each.
@@ -280,43 +311,21 @@ impl ViewMut {
     /// Write by precomputed memory offset.
     #[inline]
     pub fn write_f32_off(&self, off: i64, v: f32) {
-        self.store(self.in_block(off), v)
+        self.store(self.buf.in_block(off), v)
     }
 
     /// See [`ViewMut::write_f32_off`].
     #[inline]
     pub fn write_i64_off(&self, off: i64, v: i64) {
-        self.store(self.in_block(off), v)
-    }
-
-    /// `v` as the word an element of this view's type stores (an `f32`
-    /// in the low half).
-    #[inline]
-    fn word_of(&self, v: &Value) -> u64 {
-        match self.buf.elem {
-            ElemType::F32 => v.as_f32().to_bits() as u64,
-            ElemType::F64 => v.as_f64().to_bits(),
-            ElemType::I64 => v.as_i64() as u64,
-            ElemType::Bool => (v.as_i64() != 0) as u64,
-        }
-    }
-
-    #[inline]
-    fn store_word(&self, off: usize, w: u64) {
-        // SAFETY: as in `View::load_word`.
-        unsafe {
-            match self.buf.elem.size_bytes() {
-                4 => *(self.buf.ptr as *mut u32).add(off) = w as u32,
-                _ => *(self.buf.ptr as *mut u64).add(off) = w,
-            }
-        }
+        self.store(self.buf.in_block(off), v)
     }
 
     /// Store `v`, converted to the view's element type, at flat logical
     /// position `flat`.
     #[inline]
-    pub(crate) fn set(&self, flat: i64, v: &Value) {
-        self.store_word(self.offset_flat(flat), self.word_of(v))
+    pub(crate) fn set(&self, flat: i64, v: Value) {
+        self.buf
+            .store_word(self.offset_flat(flat), self.buf.word_of(v))
     }
 
     /// Copy the element at flat position `from` of `src` (a view of the
@@ -324,19 +333,20 @@ impl ViewMut {
     #[inline]
     pub(crate) fn copy_elem(&self, to: i64, src: &View, from: i64) {
         debug_assert_eq!(self.buf.elem.size_bytes(), src.buf.elem.size_bytes());
-        self.store_word(self.offset_flat(to), src.load_word(src.offset_flat(from)))
+        let w = src.buf.load_word(src.offset_flat(from));
+        self.buf.store_word(self.offset_flat(to), w)
     }
 
     /// Store `v` into every element of the view.
-    pub(crate) fn fill(&self, v: &Value) {
-        let w = self.word_of(v);
+    pub(crate) fn fill(&self, v: Value) {
+        let w = self.buf.word_of(v);
         let filled = match self.buf.elem.size_bytes() {
             4 => self.as_slice_mut::<u32>().map(|s| s.fill(w as u32)),
             _ => self.as_slice_mut::<u64>().map(|s| s.fill(w)),
         };
         if filled.is_none() {
             for f in 0..self.num_elems() {
-                self.store_word(self.offset_flat(f), w);
+                self.buf.store_word(self.offset_flat(f), w);
             }
         }
     }
@@ -432,7 +442,7 @@ fn copy_elems<T: Copy>(dst: &ViewMut, src: &View, n: i64) {
             unsafe { std::ptr::copy(sp.add(so as usize), dp.add(do_ as usize), inner as usize) }
         } else {
             for _ in 0..inner {
-                let (s, d) = (src.in_block(so), dst.in_block(do_));
+                let (s, d) = (src.buf.in_block(so), dst.buf.in_block(do_));
                 unsafe { *dp.add(d) = *sp.add(s) }
                 so += s_in;
                 do_ += d_in;

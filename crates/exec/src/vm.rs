@@ -4,9 +4,21 @@
 //! lowers a compiled program once into a flat [`ExecPlan`] (see
 //! [`crate::plan`]) and caches it by a structural fingerprint;
 //! [`Session::run_plan`] then replays the instruction stream against a
-//! dense `Vec<Value>` register file. The hot loop performs **no** hash
-//! map lookups — operands are pre-resolved slots — and no per-run
-//! release-plan analysis: release sites are instructions in the stream.
+//! dense register file. The hot loop performs **no** hash map lookups —
+//! operands are pre-resolved slots — and no per-run release-plan
+//! analysis: release sites are instructions in the stream.
+//!
+//! **Registers are words.** A slot of the register file is a `Copy`
+//! [`Value`] — a scalar or a block id; arrays live in a table beside it,
+//! one entry per array-typed slot, each a block id plus a *shared* index
+//! function. Nothing on a per-element path touches the heap: a scalar
+//! expression is flat code run by one loop ([`Machine::eval`]) over an
+//! accumulator and a reused stack; `a[i, j]` and `a[i, j] = x` check
+//! their coordinates against the array's shape and address one word
+//! through the index function, no view built; a lambda map resolves its
+//! element access once per map; gather and scatter pick their lane loop —
+//! index array as a slice or not, sanitizer on or off — once per
+//! instruction.
 //!
 //! Three modes share one plan:
 //!
@@ -46,12 +58,13 @@
 use crate::cache::PlanCache;
 use crate::kernel::{KernelCtx, KernelRegistry};
 use crate::plan::{
-    eval_shape, Dest, ExecPlan, Instr, LExp, LSlice, LUpdateSrc, ParamSpec, Slot, Stream,
+    eval_shape, Arg, Dest, ExecPlan, Instr, LExp, LSlice, LUpdateSrc, MapKernelInstr,
+    MapLambdaInstr, Op, ParamSpec, Slot, Stream, UpdateInstr,
 };
 use crate::pool::parallel_for_worker;
 use crate::stats::{Diagnostic, Stats};
 use crate::store::{CellState, MemStore, RawBuf};
-use crate::value::{ArrayRef, InputValue, OutputValue, Value};
+use crate::value::{ArrayRef, InputValue, OutputValue, Tag, Value};
 use crate::view::{copy_view, fix_outer, View, ViewMut};
 use arraymem_core::{CircuitCheck, MergeRecord, ParLevel, ParSafetyRecord};
 use arraymem_ir::validate::lmad_slice_is_injective;
@@ -95,7 +108,17 @@ pub use crate::cache::PlanStats;
 struct Machine<'a> {
     store: &'a mut MemStore,
     kernels: &'a KernelRegistry,
+    /// Scalars and block ids, by slot.
     regs: Vec<Value>,
+    /// Arrays, by slot: an array-typed slot's value is its entry here.
+    arrays: Vec<Option<ArrayRef>>,
+    /// The scalar evaluator's operand stack, the coordinates of the point
+    /// being accessed and `CopySlots`' read phase: scratch reused across
+    /// instructions, so none of them allocates once warm.
+    stack: Vec<Value>,
+    point: Vec<i64>,
+    moved: Vec<Value>,
+    moved_arrays: Vec<(Slot, ArrayRef)>,
     stats: Stats,
     threads: usize,
     mode: Mode,
@@ -246,7 +269,12 @@ pub fn execute_plan(
     let result = Machine {
         store,
         kernels,
-        regs: vec![Value::I64(0); plan.num_slots() as usize],
+        regs: vec![Value::i64(0); plan.num_slots() as usize],
+        arrays: vec![None; plan.num_slots() as usize],
+        stack: Vec::new(),
+        point: Vec::new(),
+        moved: Vec::new(),
+        moved_arrays: Vec::new(),
         stats: Stats::default(),
         threads: threads.max(1),
         mode,
@@ -317,43 +345,41 @@ impl Machine<'_> {
         let mut out = Vec::with_capacity(plan.results.len());
         for (slot, v) in &plan.results {
             self.cur_stm = Some(*v);
-            let value = self.regs[*slot as usize].clone();
-            out.push(self.extract(&value));
+            out.push(self.extract(*slot));
         }
         Ok((out, std::mem::take(&mut self.stats)))
     }
 
-    fn extract(&mut self, v: &Value) -> OutputValue {
-        match v {
-            Value::I64(x) => OutputValue::I64(*x),
-            Value::F32(x) => OutputValue::F32(*x),
-            Value::F64(x) => OutputValue::F64(*x),
-            Value::Bool(x) => OutputValue::Bool(*x),
-            Value::Mem(_) => OutputValue::I64(0),
-            Value::Array(a) => {
-                // Result extraction is a read like any other: never-written
-                // or already-released result cells are exactly what escapes
-                // to the caller.
-                self.check_read(a.block, &a.ixfn);
-                let view = self.view(a);
-                match a.elem {
-                    ElemType::F32 => OutputValue::ArrayF32(download(&view, a.elem)),
-                    ElemType::F64 => OutputValue::ArrayF64(download(&view, a.elem)),
-                    ElemType::I64 | ElemType::Bool => {
-                        OutputValue::ArrayI64(download(&view, a.elem))
-                    }
-                }
-            }
+    fn extract(&mut self, slot: Slot) -> OutputValue {
+        let Some(a) = self.arrays[slot as usize].clone() else {
+            let v = self.regs[slot as usize];
+            return match v.tag() {
+                Tag::I64 => OutputValue::I64(v.as_i64()),
+                Tag::F32 => OutputValue::F32(v.as_f32()),
+                Tag::F64 => OutputValue::F64(v.as_f64()),
+                Tag::Bool => OutputValue::Bool(v.as_bool()),
+                Tag::Mem => OutputValue::I64(0),
+            };
+        };
+        // Result extraction is a read like any other: never-written or
+        // already-released result cells are exactly what escapes to the
+        // caller.
+        self.check_read(a.block, &a.ixfn);
+        let view = self.view(&a);
+        match a.elem {
+            ElemType::F32 => OutputValue::ArrayF32(download(&view, a.elem)),
+            ElemType::F64 => OutputValue::ArrayF64(download(&view, a.elem)),
+            ElemType::I64 | ElemType::Bool => OutputValue::ArrayI64(download(&view, a.elem)),
         }
     }
 
     fn load_param(&mut self, spec: &ParamSpec, input: &InputValue) -> Result<(), String> {
         let v = spec.var;
         self.regs[spec.slot as usize] = match (&spec.ty, input) {
-            (Type::Scalar(ElemType::I64), InputValue::I64(x)) => Value::I64(*x),
-            (Type::Scalar(ElemType::F32), InputValue::F32(x)) => Value::F32(*x),
-            (Type::Scalar(ElemType::F64), InputValue::F64(x)) => Value::F64(*x),
-            (Type::Scalar(ElemType::Bool), InputValue::Bool(x)) => Value::Bool(*x),
+            (Type::Scalar(ElemType::I64), InputValue::I64(x)) => Value::i64(*x),
+            (Type::Scalar(ElemType::F32), InputValue::F32(x)) => Value::f32(*x),
+            (Type::Scalar(ElemType::F64), InputValue::F64(x)) => Value::f64(*x),
+            (Type::Scalar(ElemType::Bool), InputValue::Bool(x)) => Value::bool(*x),
             (Type::Array { elem, .. }, arr) => {
                 let shape_c =
                     eval_shape(&spec.shape, &self.regs).ok_or("unresolved param shape")?;
@@ -375,13 +401,14 @@ impl Machine<'_> {
                 let block = self.store.alloc_input(*elem, len, arr)?;
                 // The parameter's memory block variable.
                 if let Some(ms) = spec.mem_slot {
-                    self.regs[ms as usize] = Value::Mem(block);
+                    self.regs[ms as usize] = Value::mem(block);
                 }
-                Value::Array(ArrayRef::new(
+                self.arrays[spec.slot as usize] = Some(ArrayRef::new(
                     block,
                     *elem,
                     ConcreteIxFn::row_major(&shape_c),
-                ))
+                ));
+                return Ok(());
             }
             _ => return Err(format!("input mismatch for {v}")),
         };
@@ -408,7 +435,7 @@ impl Machine<'_> {
     /// Shadow-mark every cell of `ixfn`'s footprint as written by the
     /// executing statement. No-op outside checked mode.
     fn mark_write(&mut self, block: usize, ixfn: &ConcreteIxFn) {
-        if self.store.shadow_enabled() {
+        if self.checked() {
             for off in ixfn.all_offsets() {
                 self.mark_cell(block, off);
             }
@@ -456,7 +483,7 @@ impl Machine<'_> {
     /// (scatter marks only the lanes that passed the bounds check). No-op
     /// outside checked mode.
     fn mark_cell(&mut self, block: usize, off: i64) {
-        if !self.store.shadow_enabled() {
+        if !self.checked() {
             return;
         }
         let Some(writer) = self.cur_stm else { return };
@@ -470,7 +497,7 @@ impl Machine<'_> {
     /// (one diagnostic per read site keeps reports legible). No-op outside
     /// checked mode.
     fn check_read(&mut self, block: usize, ixfn: &ConcreteIxFn) {
-        if !self.store.shadow_enabled() {
+        if !self.checked() {
             return;
         }
         for off in ixfn.all_offsets() {
@@ -514,7 +541,7 @@ impl Machine<'_> {
     /// Dynamic race detector for one map statement: no two iterations may
     /// write one cell. No-op outside checked mode.
     fn race_check(&mut self, block: usize, ixfn: &ConcreteIxFn, width: i64) {
-        if !self.store.shadow_enabled() || ixfn.rank() == 0 {
+        if !self.checked() || ixfn.rank() == 0 {
             return;
         }
         self.rows_disjoint(ixfn, width, |stm, ixfn, offset, iter_a, iter_b| {
@@ -570,9 +597,21 @@ impl Machine<'_> {
         Ok(())
     }
 
+    /// The array a slot holds. (Handing out a copy of the handle shares
+    /// its index function; nothing is deep-copied.)
+    fn array(&self, slot: Slot) -> &ArrayRef {
+        self.arrays[slot as usize]
+            .as_ref()
+            .unwrap_or_else(|| panic!("slot %{slot} holds no array"))
+    }
+
+    fn bind(&mut self, slot: Slot, a: ArrayRef) {
+        self.arrays[slot as usize] = Some(a);
+    }
+
     /// An array operand about to be read in full.
     fn operand(&mut self, slot: Slot) -> ArrayRef {
-        let a = self.regs[slot as usize].as_array().clone();
+        let a = self.array(slot).clone();
         self.check_read(a.block, &a.ixfn);
         a
     }
@@ -592,7 +631,7 @@ impl Machine<'_> {
     /// full.
     fn bind_written(&mut self, slot: Slot, a: ArrayRef) {
         self.mark_write(a.block, &a.ixfn);
-        self.regs[slot as usize] = Value::Array(a);
+        self.bind(slot, a);
     }
 
     /// One accounted copy: time it, count it, and shadow-mark the
@@ -613,10 +652,15 @@ impl Machine<'_> {
 
     /// Execute a (linear, jump-threaded) instruction stream.
     fn exec_stream(&mut self, s: &Stream) -> Result<(), String> {
+        // Blame is the sanitizer's: provenance of shadow marks, the
+        // statement a diagnostic names.
+        let blame = self.checked();
         let mut pc = 0usize;
         while pc < s.instrs.len() {
-            if let Some(v) = s.blame[pc] {
-                self.cur_stm = Some(v);
+            if blame {
+                if let Some(v) = s.blame[pc] {
+                    self.cur_stm = Some(v);
+                }
             }
             match &s.instrs[pc] {
                 Instr::Jump { target } => {
@@ -624,9 +668,8 @@ impl Machine<'_> {
                     continue;
                 }
                 Instr::JumpIfFalse { cond, target } => {
-                    let t = *target;
-                    if !self.eval_lexp(cond)?.as_bool() {
-                        pc = t;
+                    if !self.eval(cond)?.as_bool() {
+                        pc = *target;
                         continue;
                     }
                 }
@@ -636,6 +679,11 @@ impl Machine<'_> {
                         continue;
                     }
                 }
+                // What a lambda body is made of stays in this loop.
+                Instr::Scalar { dst, elem, exp } => {
+                    let v = self.eval(exp)?;
+                    self.regs[*dst as usize] = coerce(v, *elem);
+                }
                 i => self.exec_instr(i)?,
             }
             pc += 1;
@@ -643,12 +691,9 @@ impl Machine<'_> {
         Ok(())
     }
 
+    #[inline(never)]
     fn exec_instr(&mut self, instr: &Instr) -> Result<(), String> {
         match instr {
-            Instr::Scalar { dst, elem, exp } => {
-                let v = self.eval_lexp(exp)?;
-                self.regs[*dst as usize] = coerce(v, *elem);
-            }
             Instr::Alloc {
                 dst,
                 elem,
@@ -661,25 +706,25 @@ impl Machine<'_> {
                     Some(c) => self.store.alloc_colored(*elem, n, *c),
                     None => self.store.try_alloc(*elem, n),
                 }?;
-                self.regs[*dst as usize] = Value::Mem(block);
+                self.regs[*dst as usize] = Value::mem(block);
             }
             Instr::Iota { dest } => {
                 let dst = self.fresh_dest(dest)?;
                 let view = self.view_mut(&dst);
                 let n = view.num_elems();
                 for i in 0..n {
-                    view.set(i, &Value::I64(i));
+                    view.set(i, Value::i64(i));
                 }
                 self.bind_written(dest.slot, dst);
             }
             Instr::Scratch { dest } => {
                 let dst = self.fresh_dest(dest)?;
-                self.regs[dest.slot as usize] = Value::Array(dst);
+                self.bind(dest.slot, dst);
             }
             Instr::Replicate { dest, value } => {
-                let v = self.eval_lexp(value)?;
+                let v = self.eval(value)?;
                 let dst = self.fresh_dest(dest)?;
-                self.view_mut(&dst).fill(&v);
+                self.view_mut(&dst).fill(v);
                 self.bind_written(dest.slot, dst);
             }
             Instr::Copy { dest, src } => {
@@ -687,7 +732,7 @@ impl Machine<'_> {
                 let dst = self.fresh_dest(dest)?;
                 let (sv, dv) = (self.view(&src_a), self.view_mut(&dst));
                 self.copy_into(dst.block, &dv, &sv);
-                self.regs[dest.slot as usize] = Value::Array(dst);
+                self.bind(dest.slot, dst);
             }
             Instr::Concat { dest, args } => {
                 let dst = self.fresh_dest(dest)?;
@@ -708,320 +753,48 @@ impl Machine<'_> {
                     }
                     row += rows;
                 }
-                self.regs[dest.slot as usize] = Value::Array(dst);
+                self.bind(dest.slot, dst);
             }
             Instr::Transform { dest, src, tr } => {
-                let src_a = self.regs[*src as usize].as_array().clone();
+                let src_a = self.array(*src);
+                let (block, elem) = (src_a.block, src_a.elem);
                 let ixfn = tr
                     .map(|p| p.eval(&self.regs))
                     .and_then(|tr| src_a.ixfn.transform(&tr))
                     .ok_or("unsupported concrete transform")?;
-                if self.mode == Mode::Pure {
+                let result = if self.mode == Mode::Pure {
                     // Materialize the transformed view into a fresh array.
                     let dst = self.fresh_dest(dest)?;
-                    let sv = View::new(self.store.raw(src_a.block), ixfn);
+                    let sv = View::new(self.store.raw(block), ixfn);
                     let dv = self.view_mut(&dst);
                     copy_view(&dv, &sv);
-                    self.regs[dest.slot as usize] = Value::Array(dst);
+                    dst
                 } else {
-                    self.regs[dest.slot as usize] =
-                        Value::Array(ArrayRef::new(src_a.block, src_a.elem, ixfn));
-                }
+                    ArrayRef::new(block, elem, ixfn)
+                };
+                self.bind(dest.slot, result);
             }
             Instr::Gather { dest, src, idx } => {
-                let src_a = self.regs[*src as usize].as_array().clone();
+                // Only the lanes' cells of the source are read (and
+                // checked, lane by lane); the index array is read in full.
+                let src_a = self.array(*src).clone();
                 let idx_a = self.operand(*idx);
                 if idx_a.elem != ElemType::I64 {
                     return Err("gather index array must be i64".into());
                 }
                 let dst = self.fresh_dest(dest)?;
-                let iv = self.view(&idx_a);
-                let sv = self.view(&src_a);
-                let dv = self.view_mut(&dst);
-                let n = iv.num_elems();
-                let extent = src_a.ixfn.num_elems();
-                let t = Instant::now();
-                for k in 0..n.max(0) {
-                    let j = iv.get(k).as_i64();
-                    if j < 0 || j >= extent {
-                        self.oob_lane("gather", k, j, extent)?;
-                        continue;
-                    }
-                    if self.store.shadow_enabled() {
-                        self.check_cell(src_a.block, src_a.ixfn.index_flat(j), &src_a.ixfn);
-                    }
-                    dv.copy_elem(k, &sv, j);
-                }
-                self.stats.copy_time += t.elapsed();
-                self.stats.bytes_copied += n.max(0) as u64 * dst.elem.size_bytes() as u64;
-                self.stats.num_copies += 1;
+                self.index_lanes(false, &idx_a, &dst, &src_a)?;
                 self.bind_written(dest.slot, dst);
             }
-            Instr::MapKernel(mk) => {
-                let width = mk.width.eval(&self.regs).ok_or("unresolved map width")?;
-                let dst = self.fresh_dest(&mk.dest)?;
-                let kernel = match mk.kernel {
-                    Some(k) => self.kernels.by_index(k).clone(),
-                    None => return Err(format!("unregistered kernel {}", mk.kernel_name)),
-                };
-                let inputs = self.input_views(&mk.inputs);
-                let argv: Vec<Value> = mk
-                    .args
-                    .iter()
-                    .map(|a| self.eval_lexp(a))
-                    .collect::<Result<_, _>>()?;
-                let row_shape_c =
-                    eval_shape(&mk.row_shape, &self.regs).ok_or("unresolved row shape")?;
-                let row_elems = elem_count(&row_shape_c)? as i64;
-                let scalar_rows = row_shape_c.is_empty();
-                let par_proven = mk.par == ParLevel::Safe;
-                // Checked mode re-proves a `Safe` verdict concretely before
-                // dispatching: enumerate every iteration's write footprint
-                // and confirm no cell is written twice. A failed re-proof
-                // reports [`Diagnostic::ParOverlap`] and the map falls back
-                // to serial execution.
-                let precheck_ran = par_proven && self.checked();
-                let prechecked = precheck_ran && self.par_precheck(dst.block, &dst.ixfn, width);
-                // Pure mode writes rows directly (fresh dense memory never
-                // aliases inputs); Memory mode honours the pass's verdicts:
-                // `Safe` writes result memory directly, `Serial` means
-                // direct writes with *unproven* disjointness.
-                let direct = scalar_rows || mk.in_place || self.mode == Mode::Pure || par_proven;
-                let out_view = self.view_mut(&dst);
-                // Private per-worker row buffers for the non-in-place case:
-                // the mapnest's implicit result copy (§V-A(e)). The copy-out
-                // targets a worker-private row, so buffered maps parallelize
-                // freely; `Serial` maps never dispatch in parallel.
-                let workers = match self.mode {
-                    Mode::Pure => self.threads,
-                    Mode::Memory if mk.par == ParLevel::Serial => 1,
-                    Mode::Memory => self.threads,
-                    // Under the sanitizer, only maps the pre-dispatch
-                    // re-proof cleared may run parallel.
-                    Mode::Checked => {
-                        if prechecked {
-                            self.threads
-                        } else {
-                            1
-                        }
-                    }
-                };
-                let temp_block = if direct {
-                    None
-                } else {
-                    let rows = elem_count(&[row_elems, workers as i64])?;
-                    Some(self.store.try_alloc(mk.elem, rows)?)
-                };
-                let temp_raw = temp_block.map(|b| self.store.raw(b));
-                let t0 = Instant::now();
-                let info = parallel_for_worker(workers, width, |i, w| {
-                    let row = out_view.row(i);
-                    if direct {
-                        let ctx = KernelCtx {
-                            i,
-                            inputs: &inputs,
-                            args: &argv,
-                            out: row,
-                        };
-                        kernel(&ctx);
-                    } else {
-                        // Build the private row, then copy it out.
-                        let mut priv_lmad = ConcreteLmad::row_major(&row_shape_c);
-                        priv_lmad.offset = w as i64 * row_elems;
-                        let priv_row =
-                            ViewMut::new(temp_raw.unwrap(), ConcreteIxFn::from_lmad(priv_lmad));
-                        let ctx = KernelCtx {
-                            i,
-                            inputs: &inputs,
-                            args: &argv,
-                            out: priv_row.clone(),
-                        };
-                        kernel(&ctx);
-                        copy_view(&row, &priv_row.as_view());
-                    }
-                });
-                self.stats.kernel_time += t0.elapsed();
-                self.stats.kernel_launches += width.max(0) as u64;
-                self.stats.pool_dispatches += info.dispatched as u64;
-                if info.dispatched {
-                    self.stats.par_chunks += info.chunks;
-                    self.stats.par_chunks_stolen += info.chunks_stolen;
-                    self.stats.par_workers_engaged += info.workers_engaged as u64;
-                    self.stats.par_workers_offered += info.workers_offered as u64;
-                    if par_proven && direct && self.mem_like() {
-                        self.stats.maps_parallel_in_place += 1;
-                    }
-                }
-                // The private-row scratch dies with the dispatch; recycle
-                // it so the next non-in-place map pays no fresh alloc.
-                if let Some(b) = temp_block {
-                    self.store.release(b);
-                }
-                let bytes = (width * row_elems).max(0) as u64 * mk.elem.size_bytes() as u64;
-                if !direct {
-                    self.stats.bytes_copied += bytes;
-                    self.stats.num_copies += width.max(0) as u64;
-                } else if mk.in_place && self.mem_like() && !scalar_rows {
-                    self.stats.bytes_elided += bytes;
-                    self.stats.num_elided += width.max(0) as u64;
-                }
-                // Dynamic race detector: no two iterations of the map may
-                // write one cell. The kernel writes each row through the
-                // result's index function with the outer dim fixed, so
-                // enumerating those footprints covers its stores. For
-                // `par_safety`-approved maps the pre-dispatch re-proof
-                // already enumerated exactly these footprints (and reported
-                // any overlap as `ParOverlap`), so skip the post-hoc pass.
-                if !precheck_ran {
-                    self.race_check(dst.block, &dst.ixfn, width);
-                }
-                self.bind_written(mk.dest.slot, dst);
-            }
-            Instr::MapLambda(ml) => {
-                // Interpreted elementwise map over rank-1 inputs.
-                let width = ml.width.eval(&self.regs).ok_or("unresolved map width")?;
-                let dsts: Vec<ArrayRef> = ml
-                    .dests
-                    .iter()
-                    .map(|d| self.fresh_dest(d))
-                    .collect::<Result<_, _>>()?;
-                let in_views = self.input_views(&ml.inputs);
-                let out_views: Vec<ViewMut> = dsts.iter().map(|a| self.view_mut(a)).collect();
-                let t0 = Instant::now();
-                // Parameter slots are overwritten per element; body-local
-                // slots are re-executed before any use, so the register
-                // file needs no per-element reset.
-                for i in 0..width {
-                    for (p, view) in ml.params.iter().zip(&in_views) {
-                        self.regs[*p as usize] = view.get(i);
-                    }
-                    self.exec_stream(&ml.body)?;
-                    for (r, out) in ml.results.iter().zip(&out_views) {
-                        out.set(i, &self.regs[*r as usize]);
-                    }
-                }
-                self.stats.kernel_time += t0.elapsed();
-                self.stats.kernel_launches += width.max(0) as u64;
-                // The body's instructions moved `cur_stm`; provenance of
-                // the map's results is the map statement itself.
-                self.cur_stm = ml.stm_var;
-                for (d, dst) in ml.dests.iter().zip(dsts) {
-                    self.race_check(dst.block, &dst.ixfn, width);
-                    self.bind_written(d.slot, dst);
-                }
-            }
-            Instr::Update(u) => {
-                let dst_a = self.regs[u.dst as usize].as_array().clone();
-                // Pure mode: the update result is a fresh copy of dst with
-                // the slice overwritten (true value semantics).
-                let result = if self.mode == Mode::Pure {
-                    let fresh = self.fresh_dest(&u.dest)?;
-                    let sv = self.view(&dst_a);
-                    let dv = self.view_mut(&fresh);
-                    copy_view(&dv, &sv);
-                    fresh
-                } else {
-                    dst_a.clone()
-                };
-                if let LSlice::Scatter(idx_slot) = &u.slice {
-                    // Runtime-indexed write: element `k` of the source
-                    // lands at flat position `idx[k]` of the destination.
-                    // Lanes run in ascending order serially, so duplicate
-                    // indices are legal and the last write wins — the
-                    // schedule `par_safety` pinned with
-                    // `ParReject::RuntimeIndexedWrite`.
-                    let LUpdateSrc::Array(s) = &u.src else {
-                        return Err("scatter requires an array source".into());
-                    };
-                    let (idx_a, src_a) = (self.operand(*idx_slot), self.operand(*s));
-                    if idx_a.elem != ElemType::I64 {
-                        return Err("scatter index array must be i64".into());
-                    }
-                    let iv = self.view(&idx_a);
-                    let sv = self.view(&src_a);
-                    let dview = self.view_mut(&result);
-                    let n = iv.num_elems();
-                    if sv.num_elems() != n {
-                        return Err(format!(
-                            "scatter source holds {} elements for {} indices",
-                            sv.num_elems(),
-                            n
-                        ));
-                    }
-                    let extent = result.ixfn.num_elems();
-                    let t = Instant::now();
-                    let mut lanes_written = 0u64;
-                    for k in 0..n.max(0) {
-                        let j = iv.get(k).as_i64();
-                        if j < 0 || j >= extent {
-                            self.oob_lane("scatter", k, j, extent)?;
-                            continue;
-                        }
-                        dview.copy_elem(j, &sv, k);
-                        lanes_written += 1;
-                        if self.store.shadow_enabled() {
-                            self.mark_cell(result.block, result.ixfn.index_flat(j));
-                        }
-                    }
-                    self.stats.copy_time += t.elapsed();
-                    self.stats.bytes_copied += lanes_written * result.elem.size_bytes() as u64;
-                    self.stats.num_copies += 1;
-                    self.regs[u.dest.slot as usize] = Value::Array(result);
-                    return Ok(());
-                }
-                let slice = match &u.slice {
-                    LSlice::Tr(tr) => tr.map(|p| p.eval(&self.regs)),
-                    LSlice::Point(es) => {
-                        let mut fixed = Vec::with_capacity(es.len());
-                        for e in es {
-                            fixed.push(TripletSlice::Fix(self.eval_lexp(e)?.as_i64()));
-                        }
-                        Some(Transform::Slice(fixed))
-                    }
-                    LSlice::Scatter(_) => unreachable!("scatter handled above"),
-                };
-                let slice_ixfn = slice
-                    .and_then(|tr| result.ixfn.transform(&tr))
-                    .ok_or("bad slice")?;
-                // The language's dynamic legality check for LMAD-slice
-                // updates (§III-B): the written positions must not
-                // self-overlap.
-                if u.lmad_slice {
-                    if let Some(l) = slice_ixfn.as_single() {
-                        if !lmad_slice_is_injective(l) {
-                            return Err("LMAD-slice update writes overlapping positions".into());
-                        }
-                    }
-                }
-                match &u.src {
-                    LUpdateSrc::Scalar(se) => {
-                        let v = self.eval_lexp(se)?;
-                        let dview = ViewMut::new(self.store.raw(result.block), slice_ixfn);
-                        dview.fill(&v);
-                        self.mark_write(result.block, dview.ixfn());
-                    }
-                    LUpdateSrc::Array(s) => {
-                        // Read check either way: an elided update's source
-                        // was constructed directly in the destination
-                        // slice, so its cells must already be written there.
-                        let src_a = self.operand(*s);
-                        if u.elided && self.mem_like() {
-                            self.count_elided(&src_a);
-                        } else {
-                            let sv = self.view(&src_a);
-                            let dview = ViewMut::new(self.store.raw(result.block), slice_ixfn);
-                            self.copy_into(result.block, &dview, &sv);
-                        }
-                    }
-                }
-                self.regs[u.dest.slot as usize] = Value::Array(result);
-            }
+            Instr::MapKernel(mk) => self.map_kernel(mk)?,
+            Instr::MapLambda(ml) => self.map_lambda(ml)?,
+            Instr::Update(u) => self.update(u)?,
             Instr::Release { slot, site } => {
                 // Return blocks that just saw their last use to the free
                 // list. The shadow layer records the release site: a later
                 // read of the block names the statement whose plan entry
                 // freed it.
-                if let Value::Mem(id) = self.regs[*slot as usize] {
+                if let Some(id) = self.regs[*slot as usize].as_mem() {
                     self.store.release_at(id, *site);
                 }
             }
@@ -1037,31 +810,40 @@ impl Machine<'_> {
                 // takes it back. Guarded concretely: when the body
                 // yielded the incoming block itself (or it backs another
                 // carried slot), it is still live and stays put.
-                let incoming_id = match self.regs[*incoming as usize] {
-                    Value::Mem(id) => id,
-                    _ => return Err("release-carried on a non-mem slot".into()),
-                };
-                let outgoing_id = match self.regs[*outgoing as usize] {
-                    Value::Mem(id) => id,
-                    _ => return Err("release-carried outgoing is not a mem slot".into()),
-                };
+                let incoming_id = self.regs[*incoming as usize]
+                    .as_mem()
+                    .ok_or("release-carried on a non-mem slot")?;
+                let outgoing_id = self.regs[*outgoing as usize]
+                    .as_mem()
+                    .ok_or("release-carried outgoing is not a mem slot")?;
                 let aliased = incoming_id == outgoing_id
-                    || guards.iter().any(
-                        |g| matches!(self.regs[*g as usize], Value::Mem(id) if id == incoming_id),
-                    );
+                    || guards
+                        .iter()
+                        .any(|g| self.regs[*g as usize].as_mem() == Some(incoming_id));
                 if !aliased {
                     self.store.release_colored(incoming_id, *color, *site);
                 }
             }
             Instr::CopySlots { pairs } => {
                 // Two-phase: loop merge parameters may permute, so all
-                // sources are read before any destination is written.
-                let vals: Vec<Value> = pairs
-                    .iter()
-                    .map(|(src, _)| self.regs[*src as usize].clone())
-                    .collect();
-                for ((_, dst), v) in pairs.iter().zip(vals) {
-                    self.regs[*dst as usize] = v;
+                // sources are read before any destination is written. A
+                // slot is scalar- or array-typed for good, and an array
+                // slot that already names its source's array — a loop
+                // carrying one array round and round — is left alone.
+                for &(src, dst) in pairs {
+                    self.moved.push(self.regs[src as usize]);
+                    match &self.arrays[src as usize] {
+                        Some(a) if !names(&self.arrays[dst as usize], a) => {
+                            self.moved_arrays.push((dst, a.clone()))
+                        }
+                        _ => {}
+                    }
+                }
+                for (&(_, dst), v) in pairs.iter().zip(self.moved.drain(..)) {
+                    self.regs[dst as usize] = v;
+                }
+                for (dst, a) in self.moved_arrays.drain(..) {
+                    self.arrays[dst as usize] = Some(a);
                 }
             }
             Instr::VerifyChecks { checks } => {
@@ -1069,8 +851,220 @@ impl Machine<'_> {
                     self.verify_checks(checks);
                 }
             }
-            Instr::Jump { .. } | Instr::JumpIfFalse { .. } | Instr::JumpIfGe { .. } => {
-                unreachable!("jumps are handled by exec_stream")
+            Instr::Scalar { .. }
+            | Instr::Jump { .. }
+            | Instr::JumpIfFalse { .. }
+            | Instr::JumpIfGe { .. } => {
+                unreachable!("scalars and jumps are handled by exec_stream")
+            }
+        }
+        Ok(())
+    }
+
+    /// A map over a native kernel, scheduled by the `par_safety` verdict.
+    fn map_kernel(&mut self, mk: &MapKernelInstr) -> Result<(), String> {
+        let width = mk.width.eval(&self.regs).ok_or("unresolved map width")?;
+        let dst = self.fresh_dest(&mk.dest)?;
+        let kernel = match mk.kernel {
+            Some(k) => self.kernels.by_index(k).clone(),
+            None => return Err(format!("unregistered kernel {}", mk.kernel_name)),
+        };
+        let inputs = self.input_views(&mk.inputs);
+        let argv: Vec<Value> = mk
+            .args
+            .iter()
+            .map(|a| self.eval(a))
+            .collect::<Result<_, _>>()?;
+        let row_shape_c = eval_shape(&mk.row_shape, &self.regs).ok_or("unresolved row shape")?;
+        let row_elems = elem_count(&row_shape_c)? as i64;
+        let scalar_rows = row_shape_c.is_empty();
+        let par_proven = mk.par == ParLevel::Safe;
+        // Checked mode re-proves a `Safe` verdict concretely before
+        // dispatching: enumerate every iteration's write footprint and confirm
+        // no cell is written twice. A failed re-proof reports
+        // [`Diagnostic::ParOverlap`] and the map falls back to serial
+        // execution.
+        let precheck_ran = par_proven && self.checked();
+        let prechecked = precheck_ran && self.par_precheck(dst.block, &dst.ixfn, width);
+        // Pure mode writes rows directly (fresh dense memory never aliases
+        // inputs); Memory mode honours the pass's verdicts: `Safe` writes
+        // result memory directly, `Serial` means direct writes with *unproven*
+        // disjointness.
+        let direct = scalar_rows || mk.in_place || self.mode == Mode::Pure || par_proven;
+        let out_view = self.view_mut(&dst);
+        // Private per-worker row buffers for the non-in-place case: the
+        // mapnest's implicit result copy (§V-A(e)). The copy-out targets a
+        // worker-private row, so buffered maps parallelize freely; `Serial`
+        // maps never dispatch in parallel.
+        let workers = match self.mode {
+            Mode::Pure => self.threads,
+            Mode::Memory if mk.par == ParLevel::Serial => 1,
+            Mode::Memory => self.threads,
+            // Under the sanitizer, only maps the pre-dispatch re-proof cleared
+            // may run parallel.
+            Mode::Checked => {
+                if prechecked {
+                    self.threads
+                } else {
+                    1
+                }
+            }
+        };
+        let temp_block = if direct {
+            None
+        } else {
+            let rows = elem_count(&[row_elems, workers as i64])?;
+            Some(self.store.try_alloc(mk.elem, rows)?)
+        };
+        let temp_raw = temp_block.map(|b| self.store.raw(b));
+        let t0 = Instant::now();
+        let info = parallel_for_worker(workers, width, |i, w| {
+            let row = out_view.row(i);
+            if direct {
+                let ctx = KernelCtx {
+                    i,
+                    inputs: &inputs,
+                    args: &argv,
+                    out: row,
+                };
+                kernel(&ctx);
+            } else {
+                // Build the private row, then copy it out.
+                let mut priv_lmad = ConcreteLmad::row_major(&row_shape_c);
+                priv_lmad.offset = w as i64 * row_elems;
+                let priv_row = ViewMut::new(temp_raw.unwrap(), ConcreteIxFn::from_lmad(priv_lmad));
+                let ctx = KernelCtx {
+                    i,
+                    inputs: &inputs,
+                    args: &argv,
+                    out: priv_row.clone(),
+                };
+                kernel(&ctx);
+                copy_view(&row, &priv_row.as_view());
+            }
+        });
+        self.stats.kernel_time += t0.elapsed();
+        self.stats.kernel_launches += width.max(0) as u64;
+        self.stats.pool_dispatches += info.dispatched as u64;
+        if info.dispatched {
+            self.stats.par_chunks += info.chunks;
+            self.stats.par_chunks_stolen += info.chunks_stolen;
+            self.stats.par_workers_engaged += info.workers_engaged as u64;
+            self.stats.par_workers_offered += info.workers_offered as u64;
+            if par_proven && direct && self.mem_like() {
+                self.stats.maps_parallel_in_place += 1;
+            }
+        }
+        // The private-row scratch dies with the dispatch; recycle it so the
+        // next non-in-place map pays no fresh alloc.
+        if let Some(b) = temp_block {
+            self.store.release(b);
+        }
+        let bytes = (width * row_elems).max(0) as u64 * mk.elem.size_bytes() as u64;
+        if !direct {
+            self.stats.bytes_copied += bytes;
+            self.stats.num_copies += width.max(0) as u64;
+        } else if mk.in_place && self.mem_like() && !scalar_rows {
+            self.stats.bytes_elided += bytes;
+            self.stats.num_elided += width.max(0) as u64;
+        }
+        // Dynamic race detector: no two iterations of the map may write one
+        // cell. The kernel writes each row through the result's index function
+        // with the outer dim fixed, so enumerating those footprints covers its
+        // stores. For `par_safety`-approved maps the pre-dispatch re-proof
+        // already enumerated exactly these footprints (and reported any
+        // overlap as `ParOverlap`), so skip the post-hoc pass.
+        if !precheck_ran {
+            self.race_check(dst.block, &dst.ixfn, width);
+        }
+        self.bind_written(mk.dest.slot, dst);
+        Ok(())
+    }
+
+    /// An interpreted elementwise map over rank-1 inputs.
+    fn map_lambda(&mut self, ml: &MapLambdaInstr) -> Result<(), String> {
+        let width = ml.width.eval(&self.regs).ok_or("unresolved map width")?;
+        let dsts: Vec<ArrayRef> = ml
+            .dests
+            .iter()
+            .map(|d| self.fresh_dest(d))
+            .collect::<Result<_, _>>()?;
+        let in_views = self.input_views(&ml.inputs);
+        let out_views: Vec<ViewMut> = dsts.iter().map(|a| self.view_mut(a)).collect();
+        let t0 = Instant::now();
+        // Parameter slots are overwritten per element; body-local slots are
+        // re-executed before any use, so the register file needs no
+        // per-element reset. The views classified their access when they were
+        // made: an element costs its offset, a load or store, and the body.
+        for i in 0..width {
+            for (p, view) in ml.params.iter().zip(&in_views) {
+                self.regs[*p as usize] = view.get(i);
+            }
+            self.exec_stream(&ml.body)?;
+            for (r, out) in ml.results.iter().zip(&out_views) {
+                out.set(i, self.regs[*r as usize]);
+            }
+        }
+        self.stats.kernel_time += t0.elapsed();
+        self.stats.kernel_launches += width.max(0) as u64;
+        // The body's instructions moved `cur_stm`; provenance of the map's
+        // results is the map statement itself.
+        self.cur_stm = ml.stm_var;
+        for (d, dst) in ml.dests.iter().zip(dsts) {
+            self.race_check(dst.block, &dst.ixfn, width);
+            self.bind_written(d.slot, dst);
+        }
+        Ok(())
+    }
+
+    fn update(&mut self, u: &UpdateInstr) -> Result<(), String> {
+        // The destination array: in `Pure` mode a fresh copy of `dst` (true
+        // value semantics), otherwise `dst` itself under its new name.
+        let slot = u.dest.slot;
+        if self.mode == Mode::Pure {
+            let dst_a = self.array(u.dst).clone();
+            let fresh = self.fresh_dest(&u.dest)?;
+            let (sv, dv) = (self.view(&dst_a), self.view_mut(&fresh));
+            copy_view(&dv, &sv);
+            self.bind(slot, fresh);
+        } else if !names(&self.arrays[slot as usize], self.array(u.dst)) {
+            let dst_a = self.array(u.dst).clone();
+            self.bind(slot, dst_a);
+        }
+        match (&u.slice, &u.src) {
+            // One word, addressed through the index function: no slice, no
+            // view. The coordinates wait on the stack while the source is
+            // evaluated — it may index an array itself.
+            (LSlice::Point(at), LUpdateSrc::Scalar(se)) => {
+                let parked = self.stack.len();
+                self.eval(at)?;
+                let v = self.eval(se)?;
+                self.unpark(parked);
+                let a = self.array(slot);
+                check_point(a, &self.point)?;
+                let (block, off) = (a.block, a.ixfn.index(&self.point));
+                self.store.raw(block).set(off, v);
+                self.mark_cell(block, off);
+            }
+            // Runtime-indexed write: element `k` of the source lands at flat
+            // position `idx[k]` of the destination. Lanes run in ascending
+            // order serially, so duplicate indices are legal and the last
+            // write wins — the schedule `par_safety` pinned with
+            // `ParReject::RuntimeIndexedWrite`.
+            (LSlice::Scatter(idx), LUpdateSrc::Array(s)) => {
+                let (idx_a, src_a) = (self.operand(*idx), self.operand(*s));
+                if idx_a.elem != ElemType::I64 {
+                    return Err("scatter index array must be i64".into());
+                }
+                let result = self.array(slot).clone();
+                self.index_lanes(true, &idx_a, &result, &src_a)?;
+            }
+            (LSlice::Scatter(_), LUpdateSrc::Scalar(_)) => {
+                return Err("scatter requires an array source".into());
+            }
+            _ => {
+                let result = self.array(slot).clone();
+                self.update_slice(u, &result)?;
             }
         }
         Ok(())
@@ -1162,12 +1156,16 @@ impl Machine<'_> {
         }
     }
 
+    /// A view of an array, for an instruction about to go over all of it.
+    /// Views own their index function (kernels build and drop row views
+    /// of their own), so this is the one place an array's is copied —
+    /// once per instruction, never per element.
     fn view(&mut self, a: &ArrayRef) -> View {
-        View::with_class(self.store.raw(a.block), a.ixfn.clone(), a.class)
+        View::with_class(self.store.raw(a.block), (*a.ixfn).clone(), a.class)
     }
 
     fn view_mut(&mut self, a: &ArrayRef) -> ViewMut {
-        ViewMut::with_class(self.store.raw(a.block), a.ixfn.clone(), a.class)
+        ViewMut::with_class(self.store.raw(a.block), (*a.ixfn).clone(), a.class)
     }
 
     /// Resolve the destination array for a fresh creation: in `Memory`
@@ -1183,10 +1181,9 @@ impl Machine<'_> {
             let block_slot = md
                 .block
                 .ok_or_else(|| format!("memory block {} unbound", md.block_var))?;
-            let block = match &self.regs[block_slot as usize] {
-                Value::Mem(b) => *b,
-                _ => return Err(format!("memory block {} unbound", md.block_var)),
-            };
+            let block = self.regs[block_slot as usize]
+                .as_mem()
+                .ok_or_else(|| format!("memory block {} unbound", md.block_var))?;
             let (ixfn, class) = md
                 .ixfn
                 .eval_access(&self.regs)
@@ -1203,40 +1200,254 @@ impl Machine<'_> {
         }
     }
 
-    fn eval_lexp(&mut self, e: &LExp) -> Result<Value, String> {
-        Ok(match e {
-            LExp::Const(v) => v.clone(),
-            LExp::Slot(s) => self.regs[*s as usize].clone(),
-            LExp::Size(p) => Value::I64(p.eval(&self.regs).ok_or("unresolved size expression")?),
-            LExp::Bin(op, a, b) => {
-                let x = self.eval_lexp(a)?;
-                let y = self.eval_lexp(b)?;
-                eval_bin(*op, &x, &y)?
+    /// An update through a triplet or LMAD slice, or of a point by an
+    /// array: the destination slice becomes a view and is filled or
+    /// copied into.
+    fn update_slice(&mut self, u: &UpdateInstr, result: &ArrayRef) -> Result<(), String> {
+        let slice = match &u.slice {
+            LSlice::Tr(tr) => tr.map(|p| p.eval(&self.regs)),
+            LSlice::Point(at) => {
+                let parked = self.stack.len();
+                self.eval(at)?;
+                self.unpark(parked);
+                check_point(result, &self.point)?;
+                let fixed = self.point.iter().map(|&i| TripletSlice::Fix(i));
+                Some(Transform::Slice(fixed.collect()))
             }
-            LExp::Un(op, a) => {
-                let x = self.eval_lexp(a)?;
-                eval_un(*op, &x)?
-            }
-            LExp::Index { arr, idx } => {
-                let a = self.regs[*arr as usize].as_array().clone();
-                let idx: Vec<i64> = idx
-                    .iter()
-                    .map(|i| Ok(self.eval_lexp(i)?.as_i64()))
-                    .collect::<Result<_, String>>()?;
-                if self.store.shadow_enabled() {
-                    let off = a.ixfn.index(&idx);
-                    self.check_cell(a.block, off, &a.ixfn);
+            LSlice::Scatter(_) => unreachable!("scatter is not a slice"),
+        };
+        let slice_ixfn = slice
+            .and_then(|tr| result.ixfn.transform(&tr))
+            .ok_or("bad slice")?;
+        // The language's dynamic legality check for LMAD-slice updates
+        // (§III-B): the written positions must not self-overlap.
+        if u.lmad_slice {
+            if let Some(l) = slice_ixfn.as_single() {
+                if !lmad_slice_is_injective(l) {
+                    return Err("LMAD-slice update writes overlapping positions".into());
                 }
-                self.view(&a).get_at(&idx)
             }
-            LExp::Select(c, t, f) => {
-                if self.eval_lexp(c)?.as_bool() {
-                    self.eval_lexp(t)?
+        }
+        match &u.src {
+            LUpdateSrc::Scalar(se) => {
+                let v = self.eval(se)?;
+                let dview = ViewMut::new(self.store.raw(result.block), slice_ixfn);
+                dview.fill(v);
+                self.mark_write(result.block, dview.ixfn());
+            }
+            LUpdateSrc::Array(s) => {
+                // Read check either way: an elided update's source was
+                // constructed directly in the destination slice, so its
+                // cells must already be written there.
+                let src_a = self.operand(*s);
+                if u.elided && self.mem_like() {
+                    self.count_elided(&src_a);
                 } else {
-                    self.eval_lexp(f)?
+                    let sv = self.view(&src_a);
+                    let dview = ViewMut::new(self.store.raw(result.block), slice_ixfn);
+                    self.copy_into(result.block, &dview, &sv);
                 }
             }
-        })
+        }
+        Ok(())
+    }
+
+    /// Gather (`dst[k] = src[idx[k]]`) or scatter (`dst[idx[k]] =
+    /// src[k]`) over the lanes of the index array, accounted as one copy
+    /// of the lanes written. How the lanes run — sanitizer on or off,
+    /// index array as a plain slice or through its view — is decided here,
+    /// once per instruction.
+    fn index_lanes(
+        &mut self,
+        scatter: bool,
+        idx_a: &ArrayRef,
+        dst: &ArrayRef,
+        src: &ArrayRef,
+    ) -> Result<(), String> {
+        let (iv, sv, dv) = (self.view(idx_a), self.view(src), self.view_mut(dst));
+        let n = iv.num_elems();
+        if scatter && sv.num_elems() != n {
+            return Err(format!(
+                "scatter source holds {} elements for {} indices",
+                sv.num_elems(),
+                n
+            ));
+        }
+        let indexed = if scatter { dst } else { src };
+        let lanes = Lanes {
+            scatter,
+            n,
+            dst: &dv,
+            src: &sv,
+            block: indexed.block,
+            ixfn: &indexed.ixfn,
+        };
+        let t = Instant::now();
+        // A slice of the index array must not watch its own block change
+        // under the lanes' writes.
+        let idx = iv.as_slice::<i64>().filter(|_| idx_a.block != dst.block);
+        let written = match (self.checked(), idx) {
+            (false, Some(idx)) => self.lanes::<false>(&lanes, |k| idx[k as usize]),
+            (false, None) => self.lanes::<false>(&lanes, |k| iv.get(k).as_i64()),
+            (true, _) => self.lanes::<true>(&lanes, |k| iv.get(k).as_i64()),
+        }?;
+        self.stats.copy_time += t.elapsed();
+        self.stats.bytes_copied += written * dst.elem.size_bytes() as u64;
+        self.stats.num_copies += 1;
+        Ok(())
+    }
+
+    /// The one lane loop. Every lane's index is checked against the
+    /// indexed array's element count; under the sanitizer (`CHECKED`) a
+    /// gathered cell is checked before it is read and a scattered cell
+    /// marked once written. Returns the lanes written.
+    fn lanes<const CHECKED: bool>(
+        &mut self,
+        l: &Lanes,
+        idx_at: impl Fn(i64) -> i64,
+    ) -> Result<u64, String> {
+        let what = if l.scatter { "scatter" } else { "gather" };
+        let extent = l.ixfn.num_elems();
+        let mut written = 0u64;
+        for k in 0..l.n.max(0) {
+            let j = idx_at(k);
+            if j < 0 || j >= extent {
+                self.oob_lane(what, k, j, extent)?;
+                continue;
+            }
+            if l.scatter {
+                l.dst.copy_elem(j, l.src, k);
+                if CHECKED {
+                    self.mark_cell(l.block, l.ixfn.index_flat(j));
+                }
+            } else {
+                if CHECKED {
+                    self.check_cell(l.block, l.ixfn.index_flat(j), l.ixfn);
+                }
+                l.dst.copy_elem(k, l.src, j);
+            }
+            written += 1;
+        }
+        Ok(written)
+    }
+
+    /// Move the coordinates parked above `base` into `self.point`.
+    fn unpark(&mut self, base: usize) {
+        self.point.clear();
+        self.point
+            .extend(self.stack[base..].iter().map(Value::as_i64));
+        self.stack.truncate(base);
+    }
+
+    /// The element of the array in slot `arr` at `self.point`.
+    fn load_point(&mut self, arr: Slot) -> Result<Value, String> {
+        let a = self.array(arr);
+        check_point(a, &self.point)?;
+        let (block, off) = (a.block, a.ixfn.index(&self.point));
+        if self.checked() {
+            let ixfn = Arc::clone(&a.ixfn);
+            self.check_cell(block, off, &ixfn);
+        }
+        Ok(self.store.raw(block).get(off))
+    }
+
+    /// An operand of a step of scalar code.
+    #[inline(always)]
+    fn arg(&mut self, e: &LExp, a: Arg, acc: Value) -> Value {
+        match a {
+            Arg::Slot(s) => self.regs[s as usize],
+            Arg::Const(k) => e.consts[k as usize],
+            Arg::Acc => acc,
+            Arg::Pop => self.stack.pop().expect("scalar code pops what it parked"),
+        }
+    }
+
+    /// Evaluate a scalar expression: one loop over its code, an
+    /// accumulator and the stack, which it leaves as it found it. The
+    /// arithmetic, its tags and promotions are [`eval_bin`], [`eval_un`]
+    /// and [`coerce`], whatever the mode.
+    fn eval(&mut self, e: &LExp) -> Result<Value, String> {
+        let mut acc = Value::i64(0);
+        let mut pc = 0usize;
+        while let Some(op) = e.ops.get(pc) {
+            pc += 1;
+            acc = match *op {
+                Op::Load(a) => self.arg(e, a, acc),
+                Op::Push(a) => {
+                    let parked = self.arg(e, a, acc);
+                    self.stack.push(parked);
+                    acc
+                }
+                Op::Size(k) => {
+                    let n = e.sizes[k as usize].eval(&self.regs);
+                    Value::i64(n.ok_or("unresolved size expression")?)
+                }
+                Op::Bin(op, a, b) => {
+                    let y = self.arg(e, b, acc);
+                    let x = self.arg(e, a, acc);
+                    eval_bin(op, x, y)?
+                }
+                Op::Un(op, a) => eval_un(op, self.arg(e, a, acc))?,
+                Op::Index { arr, rank, last } => {
+                    if rank > 0 {
+                        self.unpark(self.stack.len() + 1 - rank as usize);
+                        let last = self.arg(e, last, acc);
+                        self.point.push(last.as_i64());
+                    } else {
+                        self.point.clear();
+                    }
+                    self.load_point(arr)?
+                }
+                Op::JumpIfFalse(cond, target) => {
+                    if !self.arg(e, cond, acc).as_bool() {
+                        pc = target as usize;
+                    }
+                    acc
+                }
+                Op::Jump(target) => {
+                    pc = target as usize;
+                    acc
+                }
+            };
+        }
+        Ok(acc)
+    }
+}
+
+/// What a gather/scatter lane loop works on, resolved once per
+/// instruction.
+struct Lanes<'a> {
+    scatter: bool,
+    n: i64,
+    dst: &'a ViewMut,
+    src: &'a View,
+    /// The array the runtime indices address — a gather's source, a
+    /// scatter's destination.
+    block: usize,
+    ixfn: &'a ConcreteIxFn,
+}
+
+/// Does a slot holding `held` already name the array `a` — the same index
+/// function over the same block? Re-binding it would only move reference
+/// counts.
+fn names(held: &Option<ArrayRef>, a: &ArrayRef) -> bool {
+    matches!(held, Some(b)
+        if b.block == a.block && b.elem == a.elem && Arc::ptr_eq(&b.ixfn, &a.ixfn))
+}
+
+/// Is `point` a logical index of `a`: one coordinate per dimension, each
+/// inside its extent?
+fn check_point(a: &ArrayRef, point: &[i64]) -> Result<(), String> {
+    let dims = &a.ixfn.logical().dims;
+    let inside =
+        point.len() == dims.len() && point.iter().zip(dims).all(|(&i, d)| 0 <= i && i < d.card);
+    if inside {
+        Ok(())
+    } else {
+        Err(format!(
+            "index {point:?} out of bounds for shape {:?}",
+            a.ixfn.shape()
+        ))
     }
 }
 
@@ -1250,17 +1461,19 @@ fn elem_count(shape: &[i64]) -> Result<usize, String> {
         .ok_or_else(|| format!("shape {shape:?} has more elements than the address space"))
 }
 
+#[inline]
 fn coerce(v: Value, elem: Option<ElemType>) -> Value {
     match elem {
-        Some(ElemType::F32) => Value::F32(v.as_f32()),
-        Some(ElemType::F64) => Value::F64(v.as_f64()),
-        Some(ElemType::I64) => Value::I64(v.as_i64()),
-        Some(ElemType::Bool) => Value::Bool(v.as_bool()),
+        Some(ElemType::F32) => Value::f32(v.as_f32()),
+        Some(ElemType::F64) => Value::f64(v.as_f64()),
+        Some(ElemType::I64) => Value::i64(v.as_i64()),
+        Some(ElemType::Bool) => Value::bool(v.as_bool()),
         None => v,
     }
 }
 
-fn eval_bin(op: BinOp, x: &Value, y: &Value) -> Result<Value, String> {
+#[inline]
+fn eval_bin(op: BinOp, x: Value, y: Value) -> Result<Value, String> {
     use BinOp::*;
     // The float arm, once for both widths.
     macro_rules! float_bin {
@@ -1274,75 +1487,83 @@ fn eval_bin(op: BinOp, x: &Value, y: &Value) -> Result<Value, String> {
                 Rem => Value::$v(a % b),
                 Min => Value::$v(a.min(b)),
                 Max => Value::$v(a.max(b)),
-                Eq => Value::Bool(a == b),
-                Ne => Value::Bool(a != b),
-                Lt => Value::Bool(a < b),
-                Le => Value::Bool(a <= b),
+                Eq => Value::bool(a == b),
+                Ne => Value::bool(a != b),
+                Lt => Value::bool(a < b),
+                Le => Value::bool(a <= b),
                 And | Or => return Err("boolean op on floats".into()),
             }
         }};
     }
-    Ok(match (x, y) {
-        (Value::F32(_), _) | (_, Value::F32(_)) => float_bin!(F32, x.as_f32(), y.as_f32()),
-        (Value::F64(_), _) | (_, Value::F64(_)) => float_bin!(F64, x.as_f64(), y.as_f64()),
-        (Value::Bool(a), Value::Bool(b)) => match op {
-            And => Value::Bool(*a && *b),
-            Or => Value::Bool(*a || *b),
-            Eq => Value::Bool(a == b),
-            Ne => Value::Bool(a != b),
-            _ => return Err("arithmetic on booleans".into()),
-        },
+    Ok(match (x.tag(), y.tag()) {
+        (Tag::F32, _) | (_, Tag::F32) => float_bin!(f32, x.as_f32(), y.as_f32()),
+        (Tag::F64, _) | (_, Tag::F64) => float_bin!(f64, x.as_f64(), y.as_f64()),
+        (Tag::Bool, Tag::Bool) => {
+            let (a, b) = (x.as_bool(), y.as_bool());
+            match op {
+                And => Value::bool(a && b),
+                Or => Value::bool(a || b),
+                Eq => Value::bool(a == b),
+                Ne => Value::bool(a != b),
+                _ => return Err("arithmetic on booleans".into()),
+            }
+        }
         _ => {
             let (a, b) = (x.as_i64(), y.as_i64());
-            // Operands are program inputs: a zero divisor (or `MIN / -1`)
-            // is the request's error, never a panic.
-            let undefined = || format!("integer {op:?} of {a} by {b} is undefined");
             match op {
-                Add => Value::I64(a + b),
-                Sub => Value::I64(a - b),
-                Mul => Value::I64(a * b),
-                Div => Value::I64(a.checked_div_euclid(b).ok_or_else(undefined)?),
-                Rem => Value::I64(a.checked_rem_euclid(b).ok_or_else(undefined)?),
-                Min => Value::I64(a.min(b)),
-                Max => Value::I64(a.max(b)),
-                Eq => Value::Bool(a == b),
-                Ne => Value::Bool(a != b),
-                Lt => Value::Bool(a < b),
-                Le => Value::Bool(a <= b),
-                And => Value::Bool(a != 0 && b != 0),
-                Or => Value::Bool(a != 0 || b != 0),
+                Add => Value::i64(a + b),
+                Sub => Value::i64(a - b),
+                Mul => Value::i64(a * b),
+                Div => Value::i64(a.checked_div_euclid(b).ok_or_else(|| undefined(op, a, b))?),
+                Rem => Value::i64(a.checked_rem_euclid(b).ok_or_else(|| undefined(op, a, b))?),
+                Min => Value::i64(a.min(b)),
+                Max => Value::i64(a.max(b)),
+                Eq => Value::bool(a == b),
+                Ne => Value::bool(a != b),
+                Lt => Value::bool(a < b),
+                Le => Value::bool(a <= b),
+                And => Value::bool(a != 0 && b != 0),
+                Or => Value::bool(a != 0 || b != 0),
             }
         }
     })
 }
 
-fn eval_un(op: UnOp, x: &Value) -> Result<Value, String> {
+/// Operands are program inputs: a zero divisor (or `MIN / -1`) is the
+/// request's error, never a panic.
+#[cold]
+fn undefined(op: BinOp, a: i64, b: i64) -> String {
+    format!("integer {op:?} of {a} by {b} is undefined")
+}
+
+#[inline]
+fn eval_un(op: UnOp, x: Value) -> Result<Value, String> {
     use UnOp::*;
     // A float function at the operand's width (non-floats widen to f32).
-    let float = |f64_fn: fn(f64) -> f64, f32_fn: fn(f32) -> f32| match x {
-        Value::F64(v) => Value::F64(f64_fn(*v)),
-        v => Value::F32(f32_fn(v.as_f32())),
+    let float = |f64_fn: fn(f64) -> f64, f32_fn: fn(f32) -> f32| match x.tag() {
+        Tag::F64 => Value::f64(f64_fn(x.as_f64())),
+        _ => Value::f32(f32_fn(x.as_f32())),
     };
     Ok(match op {
-        Neg => match x {
-            Value::F32(v) => Value::F32(-v),
-            Value::F64(v) => Value::F64(-v),
-            Value::I64(v) => Value::I64(-v),
+        Neg => match x.tag() {
+            Tag::F32 => Value::f32(-x.as_f32()),
+            Tag::F64 => Value::f64(-x.as_f64()),
+            Tag::I64 => Value::i64(-x.as_i64()),
             _ => return Err("neg on non-number".into()),
         },
-        Not => Value::Bool(!x.as_bool()),
+        Not => Value::bool(!x.as_bool()),
         Sqrt => float(f64::sqrt, f32::sqrt),
         Exp => float(f64::exp, f32::exp),
         Log => float(f64::ln, f32::ln),
-        Abs => match x {
-            Value::F32(v) => Value::F32(v.abs()),
-            Value::F64(v) => Value::F64(v.abs()),
-            Value::I64(v) => Value::I64(v.abs()),
+        Abs => match x.tag() {
+            Tag::F32 => Value::f32(x.as_f32().abs()),
+            Tag::F64 => Value::f64(x.as_f64().abs()),
+            Tag::I64 => Value::i64(x.as_i64().abs()),
             _ => return Err("abs on non-number".into()),
         },
-        ToF32 => Value::F32(x.as_f32()),
-        ToF64 => Value::F64(x.as_f64()),
-        ToI64 => Value::I64(x.as_i64()),
+        ToF32 => Value::f32(x.as_f32()),
+        ToF64 => Value::f64(x.as_f64()),
+        ToI64 => Value::i64(x.as_i64()),
     })
 }
 

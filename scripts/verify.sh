@@ -87,6 +87,17 @@ tier "non-test source lines (lmad, ir, exec, core, bench, server)" src_lines
 tier "vm.rs names no Poly and no arraymem_symbolic" \
     sh -c '! grep -n "Poly\|arraymem_symbolic::" crates/exec/src/vm.rs'
 
+# Registers are words: a warm run's heap allocations do not grow with the
+# number of elements or loop iterations (counted exactly by a one-test
+# binary with a counting allocator), the VM never deep-copies an array
+# value to read an operand, and the sanitizer switch is not tested per
+# gather/scatter lane — the lane loop is picked once per instruction.
+element_paths() {
+    cargo test --release --offline -p arraymem-bench --test alloc_free -q
+    ! grep -n 'as_array().clone()\|shadow_enabled()' crates/exec/src/vm.rs
+}
+tier "element paths stay allocation-free and sanitizer-free unless checked" element_paths
+
 # Which constructs nest a block is `arraymem_ir`'s knowledge
 # (`Exp::blocks`, `Block::for_each_stm`): a pass names the lambda body
 # only where it means the lambda, never merely to recurse. 18 such

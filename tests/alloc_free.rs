@@ -1,0 +1,107 @@
+//! The element paths of the VM do not touch the heap: what a warm run
+//! allocates is a property of its *program* — a few vectors per
+//! instruction, the register file, the results — not of how many elements
+//! or loop iterations it processes. Counted, not timed, so the reading is
+//! exact on any machine.
+//!
+//! The histogram's loop used to allocate 25 times per iteration (a deep
+//! copy of an index function for every array it named, a `Vec` of
+//! coordinates, a slice transform, a fresh view); a gather or a lambda map
+//! cloned nothing per element but is held to the same bar. A kernel map
+//! still builds a row view per instance (ROADMAP 1d), which is what the
+//! per-row allowance for `spmv` is.
+//!
+//! One test in a binary of its own: the allocator counts the whole
+//! process.
+
+use arraymem_exec::{Mode, Session};
+use arraymem_workloads::harness::Case;
+use arraymem_workloads::irregular::{histogram_case, permutation_case, spmv_case};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded to the system allocator unchanged; the
+// counter is the only addition.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Heap allocations of one warm `Session::run_plan` of the optimized
+/// program (`Memory`, one thread).
+fn warm_run_allocations(case: &Case) -> u64 {
+    let compiled = case.compile(true);
+    let mut session = Session::new();
+    let h = session
+        .prepare_full(
+            &compiled.program,
+            &case.kernels,
+            &[],
+            &compiled.report.merges,
+            &compiled.report.par_safety,
+        )
+        .expect("prepare");
+    let mut run = || {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        session
+            .run_plan(h, &case.inputs, &case.kernels, Mode::Memory, 1)
+            .expect("run");
+        ALLOCATIONS.load(Ordering::Relaxed) - before
+    };
+    // Two runs warm the store's free lists and the machine's scratch.
+    run();
+    run();
+    run()
+}
+
+#[test]
+fn a_warm_run_allocates_per_instruction_not_per_element() {
+    const SMALL: usize = 2_000;
+    const LARGE: usize = 20_000;
+    /// Slack between two sizes: a free list or a scratch vector may grow
+    /// once more at the larger one.
+    const SLACK: u64 = 8;
+
+    let mut fixed = 0;
+    let mut same_at_both_sizes = |name: &str, case: fn(usize) -> Case| {
+        let (small, large) = (
+            warm_run_allocations(&case(SMALL)),
+            warm_run_allocations(&case(LARGE)),
+        );
+        assert!(
+            small.abs_diff(large) <= SLACK,
+            "{name}: {small} allocations at n = {SMALL}, {large} at n = {LARGE}"
+        );
+        fixed = fixed.max(small).max(large);
+    };
+    same_at_both_sizes("histogram", |n| histogram_case("n/64", n, 64, 1));
+    same_at_both_sizes("permutation", |n| permutation_case("n", n, 1));
+
+    // One kernel instance per row, one row view per instance.
+    for rows in [SMALL, LARGE] {
+        let allocations = warm_run_allocations(&spmv_case("n", rows, rows, 8, 1));
+        let allowed = 2 * rows as u64 + fixed + SLACK;
+        assert!(
+            allocations <= allowed,
+            "spmv: {allocations} allocations for {rows} rows (allowed {allowed})"
+        );
+    }
+}

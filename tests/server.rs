@@ -445,6 +445,66 @@ fn division_by_zero_is_a_typed_error_and_the_tenant_lives_on() {
     assert_eq!(server.global_stats().runs, 1);
 }
 
+/// A coordinate arriving as a request input that lies outside the array
+/// it indexes — `xs[5]` of 4 elements panicked in the view's block assert
+/// with the tenant's mutex held, `m[0, 4]` of a 2×3 array silently wrote
+/// `m[1, 1]` — is that request's typed error: the tenant serves its next
+/// request and the aggregate stats still answer.
+#[test]
+fn out_of_range_index_is_a_typed_error_and_the_tenant_lives_on() {
+    let mut bld = Builder::new("pick");
+    let k = bld.scalar_param("k", ElemType::I64);
+    let xs = bld.array_param("xs", ElemType::I64, vec![c(4)]);
+    let mut b = bld.block();
+    let q = b.scalar(
+        "q",
+        ElemType::I64,
+        ScalarExp::Index(xs, vec![ScalarExp::var(k)]),
+    );
+    let pick = compile(&bld.finish(b.finish(vec![q])), &Options::default()).expect("compile");
+
+    let mut bld = Builder::new("poke");
+    let j = bld.scalar_param("j", ElemType::I64);
+    let m = bld.array_param("m", ElemType::I64, vec![c(2), c(3)]);
+    let mut b = bld.block();
+    let at = vec![ScalarExp::i64(0), ScalarExp::var(j)];
+    let m2 = b.update_scalar("m2", m, at, ScalarExp::i64(-7));
+    let poke = compile(&bld.finish(b.finish(vec![m2])), &Options::default()).expect("compile");
+
+    let kernels = KernelRegistry::new();
+    let server = Server::new(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+    let run = |compiled, at: i64, data: Vec<i64>| {
+        let inputs = [InputValue::I64(at), InputValue::ArrayI64(data)];
+        let req = ExecRequest::from_compiled(compiled, &kernels, &[], &inputs, Mode::Memory);
+        server.execute("a", req).map(|(out, _)| out)
+    };
+    for (compiled, at, data) in [
+        (&pick, 5, vec![10, 11, 12, 13]),
+        (&pick, -1, vec![10, 11, 12, 13]),
+        (&poke, 4, (0..6).collect()),
+    ] {
+        let err = run(compiled, at, data).expect_err("no such element");
+        assert!(
+            matches!(&err, ServerError::Execution(msg) if msg.contains("out of bounds for shape")),
+            "{at}: {err}"
+        );
+        assert_eq!(server.arena_stats().live_bytes, 0, "{at}: nothing charged");
+    }
+    assert_eq!(
+        run(&pick, 2, vec![10, 11, 12, 13]).expect("the tenant's next request"),
+        [OutputValue::I64(12)]
+    );
+    assert_eq!(
+        run(&poke, 2, (0..6).collect()).expect("and the one after"),
+        [OutputValue::ArrayI64(vec![0, 1, -7, 3, 4, 5])]
+    );
+    assert_eq!(server.tenant_stats("a").expect("tenant a").runs, 2);
+    assert_eq!(server.global_stats().runs, 2);
+}
+
 /// A block size arriving as a request input that no block can have —
 /// `2^61` elements wrapped to a 0-byte block behind a 2^61-element view
 /// (SIGSEGV), `i64::MAX` panicked `capacity overflow` with the tenant's
