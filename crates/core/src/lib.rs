@@ -86,9 +86,8 @@ pub struct Options {
     /// memory (§V-A(e)). Disabling keeps the per-instance private-row
     /// copy even where it is provably unnecessary.
     pub mapnest_in_place: bool,
-    /// Run the memory block merging pass ([`merge`]): non-interfering
-    /// allocations (disjoint live ranges, or provably disjoint LMAD
-    /// footprints) share one block, cutting peak allocation.
+    /// Run the memory block merging pass ([`merge`]): allocations with
+    /// disjoint live ranges share one block, cutting peak allocation.
     pub merge: bool,
 }
 
@@ -138,10 +137,11 @@ pub fn compile(prog: &Program, opts: &Options) -> Result<Compiled, String> {
 }
 
 /// **Mutation-test hook**, kept out of [`Options`] and of the pipeline
-/// fingerprint: one deliberate fault for the checked VM's sanitizer to
-/// catch. The first three are consumed by [`compile_sabotaged`]; the last
-/// two by `arraymem_exec::lower_plan_sabotaged`. Each entry ignores the
-/// other's variants.
+/// fingerprint: one deliberate fault for the checked VM's sanitizer (or,
+/// for `Merge`, the pure oracle) to catch. The first three are consumed
+/// by [`compile_sabotaged`]; the last two by
+/// `arraymem_exec::lower_plan_sabotaged`. Each entry ignores the other's
+/// variants.
 #[doc(hidden)]
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Sabotage {
@@ -149,7 +149,9 @@ pub enum Sabotage {
     /// (caught as `Diagnostic::CircuitOverlap`).
     ShortCircuit,
     /// Push interference-rejected merge candidates into a host block
-    /// anyway (caught as `Diagnostic::MergeOverlap`).
+    /// anyway. No sanitizer check covers lifetime merges: the outputs
+    /// diverge from `Mode::Pure`, which is what the differential legs
+    /// and the fuzzer's minimizer demo catch.
     Merge,
     /// Mark every kernel mapnest parallel-safe regardless of proof
     /// (caught as `Diagnostic::ParOverlap`, the map then runs serially).

@@ -1,36 +1,31 @@
-//! Memory block merging: whole-program coloring of the allocation
-//! interference graph.
+//! Memory block merging: interval coloring of the top-level allocations.
 //!
 //! Short-circuiting removes copies by constructing an array *inside* its
 //! destination's memory; this pass removes whole allocations by letting
-//! arrays whose blocks never interfere share a block outright — the
-//! affine-reuse idea of FORAY-GEN and of redundant-array elimination,
+//! arrays whose blocks are never live together share a block outright —
+//! the reuse idea of FORAY-GEN and of redundant-array elimination,
 //! applied at the granularity of the IR's `alloc` statements.
 //!
-//! Two blocks **interfere** when their live ranges overlap *and* their
-//! LMAD footprints are not provably disjoint
-//! ([`arraymem_lmad::overlap::non_overlap`]). The pass builds the **full
-//! interference graph** over the top-level allocations (every candidate
-//! pair compared once, refined by the symbolic footprint test under
-//! `Env`), then linear-scans it in first-use order, assigning each block
-//! the first *color* none of whose members it interferes with. All
-//! members of a color share one allocation — the color's representative —
-//! so *k* allocations collapse to the number of colors the scan needs.
-//! The representative's allocation may also be **grown** to a later
-//! member's provably larger size (when that size is in scope at the
+//! Two blocks **interfere** when their live ranges — the closed interval
+//! of top-level statements touching the block, through any alias — share
+//! a statement. The pass visits the top-level allocations in `(first
+//! use, alloc index)` order and gives each the first *color* it does not
+//! interfere with. Every earlier member of a color was first used no
+//! later than the candidate, so "disjoint from every member" is one
+//! comparison: the color's `busy_until` (the latest last use among its
+//! members) lies strictly before the candidate's first use. All members
+//! of a color share one allocation — the color's representative — so
+//! *k* allocations collapse to the number of colors the scan needs. The
+//! representative's allocation may also be **grown** to a later member's
+//! provably larger size (when that size is in scope at the
 //! representative's `alloc`), so a smaller-first program order does not
 //! block sharing.
 //!
-//! Legality is two-tiered, and the tier is observable:
-//!
-//! - **Lifetime-justified** merges (disjoint live ranges at top-level
-//!   statement granularity) need no runtime support; their
-//!   [`MergeRecord::Share`] pairs list is empty.
-//! - **Footprint-justified** merges (overlapping live ranges, symbolically
-//!   disjoint footprints) record every footprint pair whose disjointness
-//!   the symbolic test approved; the checked-mode VM re-proves each pair
-//!   concretely at runtime, the way `CircuitCheck` footprints are
-//!   re-proved.
+//! There is one tier of legality and no run-time re-proof of it: a
+//! [`MergeRecord::Share`] says which block moved where, nothing more.
+//! What guards these merges is differential — the merge-on/off legs of
+//! the fuzzer and of `tests/merge_workloads.rs`, and the syntactic
+//! live-range re-proof there.
 //!
 //! **Loop-carried existential memory** gets its own treatment: a
 //! top-level loop that ping-pongs its carried block (each iteration
@@ -51,9 +46,7 @@
 
 use crate::memtable::MemTable;
 use crate::remark::MergeReject;
-use arraymem_ir::{Block, ElemType, Exp, MemBinding, PatElem, Program, SliceSpec, Stm, Type, Var};
-use arraymem_lmad::overlap::non_overlap;
-use arraymem_lmad::Lmad;
+use arraymem_ir::{Block, ElemType, Exp, PatElem, Program, SliceSpec, Stm, Type, Var};
 use arraymem_symbolic::{Env, Poly};
 use std::collections::{HashMap, HashSet};
 
@@ -143,9 +136,8 @@ impl MemAliases {
 /// Array variables read or written through **runtime indices** — a
 /// gather's source, a scatter's destination — at every nesting depth.
 /// The blocks backing these arrays have no affine footprint summary (see
-/// [`arraymem_lmad::OpaqueIxFn`]): a runtime index may land anywhere
-/// within the extent, so footprint-justified sharing is off the table for
-/// them and only disjoint lifetimes can let them share a block.
+/// [`arraymem_lmad::OpaqueIxFn`]); an interference reject of one is
+/// labelled [`MergeReject::RuntimeIndexed`].
 fn runtime_indexed_arrays(block: &Block) -> Vec<Var> {
     let mut out = Vec::new();
     block.for_each_stm(&mut |stm| match &stm.exp {
@@ -165,52 +157,38 @@ fn block_of(pe: &PatElem) -> Option<Var> {
     pe.mem.as_ref().map(|mb| mb.block)
 }
 
-/// Every memory block a statement may touch, each with whether the touch
-/// is *direct* — a pattern element bound into the block, or an operand
-/// bound into it, so the footprints are the tenant's own. A touch through
-/// a mem var named as an operand (a loop initializer) or through a
-/// binding at nesting depth ≥ 1 (a merge parameter, a nested tenant —
-/// what `Exp::free_vars` cannot surface) writes footprints this pass
-/// never sees.
-fn touched_blocks(stm: &Stm, table: &MemTable) -> Vec<(Var, bool)> {
-    let mut out: Vec<(Var, bool)> = Vec::new();
-    out.extend(stm.pat.iter().filter_map(block_of).map(|b| (b, true)));
+/// Every memory block a statement may touch: the block of each binding
+/// it makes at any depth (pattern elements, merge parameters, nested
+/// tenants — what `Exp::free_vars` cannot surface), the block of each
+/// array it uses, and each mem var it names as an operand (a loop
+/// initializer).
+fn touched_blocks(stm: &Stm, table: &MemTable) -> Vec<Var> {
+    let mut out: Vec<Var> = stm.bound().filter_map(block_of).collect();
     for u in stm.exp.free_vars() {
-        out.push(match table.get(u) {
-            Some(mb) => (mb.block, true),
-            None => (u, false),
-        });
+        out.push(table.get(u).map_or(u, |mb| mb.block));
     }
-    let merge_params = stm.bound().skip(stm.pat.len());
-    out.extend(merge_params.filter_map(block_of).map(|b| (b, false)));
     for nested in stm.exp.blocks() {
-        nested.for_each_stm(&mut |s| {
-            out.extend(s.bound().filter_map(block_of).map(|b| (b, false)));
-        });
+        nested.for_each_stm(&mut |s| out.extend(s.bound().filter_map(block_of)));
     }
     out
 }
 
 /// Does `stm` touch block `m` (see [`touched_blocks`])?
 fn touches(stm: &Stm, m: Var, table: &MemTable) -> bool {
-    touched_blocks(stm, table).iter().any(|(b, _)| *b == m)
+    touched_blocks(stm, table).contains(&m)
 }
 
 /// One coloring decision, in the transport form the executor consumes.
 #[derive(Clone, Debug)]
 pub enum MergeRecord {
     /// Compile-time sharing: `victim`'s bindings were rewritten onto
-    /// `host`, and its `alloc` went dead. Empty `pairs` means the merge is
-    /// lifetime-justified and needs no runtime re-proof.
+    /// `host`, and its `alloc` went dead. Their live ranges are disjoint,
+    /// so the executor owes the merge nothing.
     Share {
         /// The block that survives and absorbs the victim's tenants.
         host: Var,
         /// The block whose bindings were rewritten onto `host`.
         victim: Var,
-        /// (victim-tenant, resident-tenant) footprint pairs the symbolic
-        /// non-overlap test approved; checked mode enumerates each pair
-        /// concretely.
-        pairs: Vec<(Lmad, Lmad)>,
     },
     /// Runtime recycling of loop-carried ping-pong memory: inside the
     /// top-level loop carrying mem parameter `loop_mem`, the incoming
@@ -242,8 +220,6 @@ pub enum MergeRecord {
 pub struct MergeOutcome {
     pub host: Var,
     pub victim: Var,
-    /// Live ranges overlapped; disjoint footprints justified the merge.
-    pub by_footprint: bool,
     /// Pushed through a failing interference check by the
     /// `Sabotage::Merge` mutation hook.
     pub forced: bool,
@@ -261,7 +237,7 @@ pub struct HostGrowth {
 }
 
 /// Everything the merge pass decided, for the pipeline to turn into
-/// remarks and for the executor to verify.
+/// remarks and for the executor to act on.
 #[derive(Clone, Debug, Default)]
 pub struct MergeReport {
     pub merged: Vec<MergeOutcome>,
@@ -275,20 +251,6 @@ pub struct MergeReport {
     pub records: Vec<MergeRecord>,
 }
 
-/// One block's claim on (part of) a host block: the top-level statement
-/// interval over which its tenants are live, and — when every tenant's
-/// index function is a single LMAD — the footprints it touches.
-struct Occupancy {
-    first: usize,
-    /// `usize::MAX` when a tenant backs a program result.
-    last: usize,
-    /// `None` when the block is opaque (touched through an alias class —
-    /// a loop initializer, a nested tenant) or some tenant footprint is
-    /// not a single LMAD; such an occupancy can only coexist with others
-    /// by disjoint lifetimes.
-    lmads: Option<Vec<Lmad>>,
-}
-
 /// One candidate allocation, in linear-scan order.
 struct Cand {
     var: Var,
@@ -297,11 +259,15 @@ struct Cand {
     /// Top-level index of the `alloc` statement: a color's representative
     /// must be allocated before any merged member first writes it.
     alloc_idx: usize,
-    occ: Occupancy,
+    /// The block's live range: the first and last top-level statements
+    /// touching it (`last` is `usize::MAX` when it backs a program
+    /// result).
+    first: usize,
+    last: usize,
 }
 
-/// One color of the interference graph: the representative allocation
-/// that survives, and the scan indices of every member sharing it.
+/// One color of the scan: the representative allocation that survives,
+/// and until when its members keep it busy.
 struct Color {
     rep: Var,
     elem: ElemType,
@@ -309,30 +275,23 @@ struct Color {
     /// provably larger member joins.
     size: Poly,
     alloc_idx: usize,
-    members: Vec<usize>,
+    /// The latest last use among the members. Candidates arrive in
+    /// first-use order, so one starting after this is disjoint from all
+    /// of them.
+    busy_until: usize,
 }
 
-/// How one victim/resident occupancy comparison came out — one edge (or
-/// non-edge) of the interference graph.
-enum Fit {
-    /// Disjoint live ranges: compatible with no runtime obligation.
-    Lifetimes,
-    /// Overlapping live ranges, provably disjoint footprints: compatible,
-    /// carrying the pairs to re-prove at runtime.
-    Footprints(Vec<(Lmad, Lmad)>),
-    Interferes,
-}
-
-/// Run block merging over a memory-annotated program: whole-program
-/// coloring of the top-level allocations (with host growth), then
-/// carried-release coloring of loop ping-pong memory.
+/// Run block merging over a memory-annotated program: interval coloring
+/// of the top-level allocations (with host growth), then carried-release
+/// coloring of loop ping-pong memory.
 pub fn merge_blocks(prog: &mut Program, env: &Env) -> MergeReport {
     merge_blocks_with(prog, env, false)
 }
 
 /// [`merge_blocks`]; `force_unsafe` is the `Sabotage::Merge` mutation
-/// hook: interference-rejected candidates are pushed into a host anyway,
-/// so the checked VM's merge cross-check can be shown to fire.
+/// hook: an interference-rejected candidate is pushed into the first
+/// color it interferes with anyway — a real miscompile, for the
+/// differential oracle and the minimizer to find.
 pub(crate) fn merge_blocks_with(prog: &mut Program, env: &Env, force_unsafe: bool) -> MergeReport {
     let mut report = MergeReport::default();
     color_toplevel(prog, env, force_unsafe, &mut report);
@@ -340,7 +299,7 @@ pub(crate) fn merge_blocks_with(prog: &mut Program, env: &Env, force_unsafe: boo
     report
 }
 
-/// Phase 1: whole-program coloring of the top-level allocations.
+/// Phase 1: interval coloring of the top-level allocations.
 fn color_toplevel(prog: &mut Program, env: &Env, force_unsafe: bool, report: &mut MergeReport) {
     // Candidate allocations: top-level `alloc` statements, in order.
     let allocs: Vec<(usize, Var, ElemType, Poly)> = prog
@@ -382,42 +341,18 @@ fn color_toplevel(prog: &mut Program, env: &Env, force_unsafe: bool, report: &mu
         }
     };
 
-    // Direct top-level tenants, per block: the bindings whose footprints
-    // we can enumerate symbolically.
-    let mut tenants: HashMap<Var, Vec<(Var, MemBinding)>> = HashMap::new();
-    for stm in &prog.body.stms {
-        for pe in &stm.pat {
-            if let Some(mb) = &pe.mem {
-                tenants
-                    .entry(mb.block)
-                    .or_default()
-                    .push((pe.var, mb.clone()));
-            }
-        }
-    }
-
     // Live interval of each candidate block, at top-level statement
     // granularity: statement `i` touches block `M` when it binds an array
     // into `M`, uses a variable bound in `M`, or names (directly or
     // through an alias class — a loop initializer, a nested tenant) a mem
-    // var that may be `M` at runtime. Any touch *through* an alias is
-    // opaque: the footprints written through it are unknown, so the block
-    // can only share by disjoint lifetimes.
+    // var that may be `M` at runtime.
     let mut first: HashMap<Var, usize> = HashMap::new();
     let mut last: HashMap<Var, usize> = HashMap::new();
-    let mut opaque: HashSet<Var> = HashSet::new();
-    let touch =
-        |m: Var, i: usize, first: &mut HashMap<Var, usize>, last: &mut HashMap<Var, usize>| {
-            first.entry(m).and_modify(|f| *f = (*f).min(i)).or_insert(i);
-            last.entry(m).and_modify(|l| *l = (*l).max(i)).or_insert(i);
-        };
     for (i, stm) in prog.body.stms.iter().enumerate() {
-        for (b, direct) in touched_blocks(stm, &bindings) {
+        for b in touched_blocks(stm, &bindings) {
             for c in resolve(b) {
-                touch(c, i, &mut first, &mut last);
-                if !direct || c != b {
-                    opaque.insert(c);
-                }
+                first.entry(c).or_insert(i);
+                last.insert(c, i);
             }
         }
     }
@@ -425,23 +360,16 @@ fn color_toplevel(prog: &mut Program, env: &Env, force_unsafe: bool, report: &mu
         let backing = bindings.get(*r).map(|mb| mb.block).unwrap_or(*r);
         for c in resolve(backing) {
             last.insert(c, usize::MAX);
-            if c != backing {
-                opaque.insert(c);
-            }
         }
     }
 
-    // Blocks accessed through runtime indices join the opaque set: their
-    // footprints cannot be enumerated, so they can share only by disjoint
-    // lifetimes — and when overlapping lifetimes sink them, the reject is
-    // reported as `RuntimeIndexed` rather than a generic interference.
+    // Blocks accessed through runtime indices: when overlapping live
+    // ranges sink one, the reject is reported as `RuntimeIndexed` rather
+    // than a generic interference.
     let mut runtime_indexed: HashSet<Var> = HashSet::new();
     for a in runtime_indexed_arrays(&prog.body) {
         if let Some(mb) = bindings.get(a) {
-            for c in resolve(mb.block) {
-                runtime_indexed.insert(c);
-                opaque.insert(c);
-            }
+            runtime_indexed.extend(resolve(mb.block));
         }
     }
 
@@ -464,78 +392,42 @@ fn color_toplevel(prog: &mut Program, env: &Env, force_unsafe: bool, report: &mu
     // Linear-scan order: first use (allocation statements are hoisted, so
     // their textual order says nothing about liveness; first-use order
     // lets each block try the colors whose tenants came before it).
-    let mut ordered = allocs.clone();
+    // Escaping blocks take no part in the scan; neither do dead ones,
+    // which cleanup removes.
+    let mut ordered = allocs;
     ordered.sort_by_key(|(idx, m, _, _)| (first.get(m).copied().unwrap_or(usize::MAX), *idx));
-
-    // Scan-ordered candidates, with occupancies. Escaping or dead blocks
-    // take no part in the graph.
-    let mut cands: Vec<Option<Cand>> = Vec::with_capacity(ordered.len());
-    for (alloc_idx, m, elem, size) in &ordered {
-        if escaping.contains(m) {
-            report.rejected.push((*m, MergeReject::Escapes));
-            cands.push(None);
-            continue;
+    let mut cands: Vec<Cand> = Vec::with_capacity(ordered.len());
+    for (alloc_idx, m, elem, size) in ordered {
+        if escaping.contains(&m) {
+            report.rejected.push((m, MergeReject::Escapes));
+        } else if let Some(&first) = first.get(&m) {
+            cands.push(Cand {
+                var: m,
+                elem,
+                size,
+                alloc_idx,
+                first,
+                last: last[&m],
+            });
         }
-        if !first.contains_key(m) {
-            cands.push(None); // dead block; cleanup removes it
-            continue;
-        }
-        let ts = tenants.get(m).map(Vec::as_slice).unwrap_or(&[]);
-        let lmads = if opaque.contains(m) || ts.is_empty() {
-            None
-        } else {
-            ts.iter()
-                .map(|(_, mb)| mb.ixfn.as_single().cloned())
-                .collect()
-        };
-        cands.push(Some(Cand {
-            var: *m,
-            elem: *elem,
-            size: size.clone(),
-            alloc_idx: *alloc_idx,
-            occ: Occupancy {
-                first: first.get(m).copied().unwrap_or(usize::MAX),
-                last: last.get(m).copied().unwrap_or(0),
-                lmads,
-            },
-        }));
     }
 
-    // The full interference graph: every candidate pair compared once,
-    // `fits[i][j]` holding the edge between scan-later `i` (as victim)
-    // and scan-earlier `j` (as resident).
-    let fits: Vec<Vec<Fit>> = (0..cands.len())
-        .map(|i| {
-            (0..i)
-                .map(|j| match (&cands[i], &cands[j]) {
-                    (Some(v), Some(r)) => occupancy_fit(&v.occ, &r.occ, env),
-                    _ => Fit::Interferes,
-                })
-                .collect()
-        })
-        .collect();
-
     // Assign each candidate the first color it does not interfere with.
-    // A placement is (color index, footprint pairs owed to checked mode,
-    // provably-larger member size forcing host growth).
-    type Placement = (usize, Vec<(Lmad, Lmad)>, Option<Poly>);
     let mut colors: Vec<Color> = Vec::new();
     let mut rename: HashMap<Var, Var> = HashMap::new();
-    for i in 0..cands.len() {
-        let Some(cand) = &cands[i] else { continue };
+    for cand in cands {
         let mut saw_interference = false;
         let mut saw_size_fail = false;
-        let mut colors_tried = 0usize;
-        let mut chosen: Option<Placement> = None;
-        let mut forced_color: Option<usize> = None;
+        // (color index, provably larger member size forcing host growth,
+        // pushed past interference by the mutation hook)
+        let mut placed: Option<(usize, Option<Poly>, bool)> = None;
         for (ci, color) in colors.iter().enumerate() {
-            colors_tried += 1;
             if color.elem != cand.elem {
                 continue;
             }
             // The color's `alloc` must execute before the member's tenants
             // first write into it.
-            if color.alloc_idx > cand.occ.first {
+            if color.alloc_idx > cand.first {
                 saw_interference = true;
                 continue;
             }
@@ -551,98 +443,41 @@ fn color_toplevel(prog: &mut Program, env: &Env, force_unsafe: bool, report: &mu
                 saw_size_fail = true;
                 continue;
             };
-            let mut pairs: Vec<(Lmad, Lmad)> = Vec::new();
-            let mut compatible = true;
-            for &j in &color.members {
-                match &fits[i][j] {
-                    Fit::Lifetimes => {}
-                    Fit::Footprints(p) => pairs.extend(p.iter().cloned()),
-                    Fit::Interferes => {
-                        compatible = false;
-                        break;
-                    }
-                }
-            }
-            if compatible {
-                chosen = Some((ci, pairs, grow));
+            if color.busy_until < cand.first {
+                placed = Some((ci, grow, false));
                 break;
             }
             saw_interference = true;
-            if forced_color.is_none() && force_unsafe && grow.is_none() {
-                // Forcing injects an interference fault only: the member
-                // must fit the block as it is, and both sides need
-                // enumerable footprints, so the checked VM has pairs to
-                // refute.
-                let enumerable = cand.occ.lmads.is_some()
-                    && color
-                        .members
-                        .iter()
-                        .all(|&j| cands[j].as_ref().is_some_and(|c| c.occ.lmads.is_some()));
-                if enumerable {
-                    forced_color = Some(ci);
-                }
+            // Forcing injects an interference fault only: the member must
+            // fit the block as it is.
+            if force_unsafe && placed.is_none() && grow.is_none() {
+                placed = Some((ci, None, true));
             }
         }
-        if let Some((ci, pairs, grow)) = chosen {
-            let host = colors[ci].rep;
+        if let Some((ci, grow, forced)) = placed {
+            let color = &mut colors[ci];
             if let Some(to) = grow {
                 report.grown.push(HostGrowth {
-                    host,
+                    host: color.rep,
                     member: cand.var,
-                    from: colors[ci].size.clone(),
-                    to: to.clone(),
+                    from: std::mem::replace(&mut color.size, to.clone()),
+                    to,
                 });
-                colors[ci].size = to;
             }
             report.merged.push(MergeOutcome {
-                host,
+                host: color.rep,
                 victim: cand.var,
-                by_footprint: !pairs.is_empty(),
-                forced: false,
+                forced,
             });
             report.records.push(MergeRecord::Share {
-                host,
+                host: color.rep,
                 victim: cand.var,
-                pairs,
             });
-            rename.insert(cand.var, host);
-            colors[ci].members.push(i);
+            rename.insert(cand.var, color.rep);
+            color.busy_until = color.busy_until.max(cand.last);
             continue;
         }
-        if let Some(ci) = forced_color {
-            let host = colors[ci].rep;
-            let victim_lmads = cand
-                .occ
-                .lmads
-                .clone()
-                .expect("forced occupancy is enumerable");
-            let pairs: Vec<(Lmad, Lmad)> = colors[ci]
-                .members
-                .iter()
-                .flat_map(|&j| {
-                    cands[j]
-                        .as_ref()
-                        .and_then(|c| c.occ.lmads.as_ref())
-                        .expect("forced host is enumerable")
-                })
-                .flat_map(|rl| victim_lmads.iter().map(move |vl| (vl.clone(), rl.clone())))
-                .collect();
-            report.merged.push(MergeOutcome {
-                host,
-                victim: cand.var,
-                by_footprint: true,
-                forced: true,
-            });
-            report.records.push(MergeRecord::Share {
-                host,
-                victim: cand.var,
-                pairs,
-            });
-            rename.insert(cand.var, host);
-            colors[ci].members.push(i);
-            continue;
-        }
-        if colors_tried > 0 {
+        if !colors.is_empty() {
             let why = if saw_interference && runtime_indexed.contains(&cand.var) {
                 MergeReject::RuntimeIndexed
             } else if saw_interference {
@@ -657,19 +492,17 @@ fn color_toplevel(prog: &mut Program, env: &Env, force_unsafe: bool, report: &mu
         colors.push(Color {
             rep: cand.var,
             elem: cand.elem,
-            size: cand.size.clone(),
+            size: cand.size,
             alloc_idx: cand.alloc_idx,
-            members: vec![i],
+            busy_until: cand.last,
         });
     }
 
     // Apply host growths to the IR: the representative's `alloc` takes the
     // color's final (largest) size.
-    for color in &colors {
+    for color in colors {
         if let Exp::Alloc { size, .. } = &mut prog.body.stms[color.alloc_idx].exp {
-            if *size != color.size {
-                *size = color.size.clone();
-            }
+            *size = color.size;
         }
     }
 
@@ -780,26 +613,6 @@ fn schedule_carried_releases(prog: &Program, report: &mut MergeReport) {
     }
 }
 
-/// Compare a victim occupancy against one resident occupancy of a host.
-fn occupancy_fit(victim: &Occupancy, resident: &Occupancy, env: &Env) -> Fit {
-    if victim.last < resident.first || resident.last < victim.first {
-        return Fit::Lifetimes;
-    }
-    let (Some(va), Some(ra)) = (&victim.lmads, &resident.lmads) else {
-        return Fit::Interferes;
-    };
-    let mut pairs = Vec::with_capacity(va.len() * ra.len());
-    for v in va {
-        for r in ra {
-            if !non_overlap(v, r, env) {
-                return Fit::Interferes;
-            }
-            pairs.push((v.clone(), r.clone()));
-        }
-    }
-    Fit::Footprints(pairs)
-}
-
 /// Rewrite every memory binding whose block was merged away onto its
 /// host, at every nesting depth (patterns and loop merge parameters).
 fn rewrite_blocks(prog: &mut Program, rename: &HashMap<Var, Var>) {
@@ -829,8 +642,8 @@ mod tests {
     use super::*;
     use crate::remark::MergeReject;
     use crate::{compile, Options};
-    use arraymem_ir::{Builder, PatElem, ScalarExp, Stm};
-    use arraymem_lmad::{Dim, IndexFn};
+    use arraymem_ir::{Builder, MemBinding, PatElem, ScalarExp, Stm};
+    use arraymem_lmad::{Dim, IndexFn, Lmad};
     use arraymem_symbolic::sym;
 
     fn p(v: Var) -> Poly {
@@ -845,20 +658,16 @@ mod tests {
             .count()
     }
 
-    fn share(rec: &MergeRecord) -> (&Var, &Var, &Vec<(Lmad, Lmad)>) {
+    fn share(rec: &MergeRecord) -> (&Var, &Var) {
         match rec {
-            MergeRecord::Share {
-                host,
-                victim,
-                pairs,
-            } => (host, victim, pairs),
+            MergeRecord::Share { host, victim } => (host, victim),
             other => panic!("expected a Share record, got {other:?}"),
         }
     }
 
     /// A three-stage chain `a = iota n; b = copy a; c = copy b` gives the
     /// last allocation a live range disjoint from the first's: `c` merges
-    /// into `a`'s block with no footprint obligations (empty pairs).
+    /// into `a`'s block.
     #[test]
     fn lifetime_disjoint_chain_merges() {
         let mut bld = Builder::new("chain");
@@ -882,22 +691,19 @@ mod tests {
         let compiled = compile(&prog, &opts).expect("compile");
 
         assert_eq!(compiled.report.merges.len(), 1, "exactly one merge");
-        let (host, victim, pairs) = share(&compiled.report.merges[0]);
-        assert!(
-            pairs.is_empty(),
-            "lifetime-justified merge carries no footprint pairs"
-        );
+        let (host, victim) = share(&compiled.report.merges[0]);
         assert_ne!(host, victim);
         // Cleanup collected the vacated alloc: 2 blocks serve 3 arrays.
         assert_eq!(count_allocs(&compiled.program.body), 2);
     }
 
-    /// Hand-built memory-annotated program where the victim's tenant sits
-    /// at offset `n` of a `2n` host whose resident occupies `[0, n)`, with
-    /// overlapping live ranges: the merge must be footprint-justified and
-    /// record the (victim, resident) pair for checked mode.
+    /// Hand-built memory-annotated program where the second block's tenant
+    /// sits at offset `n` of its `2n` cells and the first's occupies
+    /// `[0, n)`: sharing would be sound, but the live ranges overlap and
+    /// liveness is all the pass looks at — no `introduce`d program lays
+    /// its blocks out like this.
     #[test]
-    fn footprint_disjoint_merge_records_pairs() {
+    fn overlapping_live_ranges_never_share() {
         let n = sym("fpm_n");
         let blk_a = sym("fpm_A");
         let blk_b = sym("fpm_B");
@@ -946,8 +752,7 @@ mod tests {
                     alloc(blk_a),
                     alloc(blk_b),
                     // x lives in A at [0, n); y in B at [n, 2n). Their
-                    // live ranges overlap (both read by the tail), so
-                    // only footprint disjointness can justify sharing.
+                    // live ranges overlap (both read by the tail).
                     scratch_in(x, blk_a, lmad_lo),
                     scratch_in(y, blk_b, lmad_hi),
                     read0(sx, x),
@@ -960,17 +765,11 @@ mod tests {
         env.assume_ge(n, 1);
 
         let report = merge_blocks(&mut prog, &env);
-        assert_eq!(report.merged.len(), 1);
-        assert!(report.merged[0].by_footprint);
-        assert!(!report.merged[0].forced);
-        assert_eq!(report.records.len(), 1);
-        let (host, victim, pairs) = share(&report.records[0]);
-        assert_eq!(*host, blk_a);
-        assert_eq!(*victim, blk_b);
-        assert_eq!(pairs.len(), 1, "one (victim, resident) pair");
-        // The rewrite moved y's binding onto the host block.
+        assert!(report.merged.is_empty() && report.records.is_empty());
+        assert_eq!(report.rejected, vec![(blk_b, MergeReject::Interference)]);
+        // y keeps its own block.
         let y_mb = prog.body.stms[3].pat[0].mem.as_ref().expect("y has mem");
-        assert_eq!(y_mb.block, blk_a);
+        assert_eq!(y_mb.block, blk_b);
     }
 
     /// A lone host of a different element type: the only reject reason

@@ -257,17 +257,17 @@ fn short_circuit_stage(prog: &mut Program, cx: &mut PassCx) -> Result<(), String
 
 /// Memory block merging (see [`crate::merge`]), as a stage. Runs after
 /// short-circuiting (so rebased webs are seen in their final blocks) and
-/// before cleanup (which collects the vacated `alloc`s). Its executor
-/// obligations — the footprint pairs checked mode must re-prove — travel
-/// in [`Report::merges`] next to the circuit checks.
+/// before cleanup (which collects the vacated `alloc`s). What the
+/// executor acts on — the carried releases, the merged-block count —
+/// travels in [`Report::merges`] next to the circuit checks.
 fn merge_stage(prog: &mut Program, cx: &mut PassCx) -> Result<(), String> {
     let rep =
         crate::merge::merge_blocks_with(prog, &cx.opts.env, cx.sabotage == Some(Sabotage::Merge));
     for m in &rep.merged {
-        let how = match (m.forced, m.by_footprint) {
-            (true, _) => "forced past interference",
-            (false, true) => "disjoint footprints",
-            (false, false) => "disjoint live ranges",
+        let how = if m.forced {
+            "forced past interference"
+        } else {
+            "disjoint live ranges"
         };
         cx.remark(
             "merge",

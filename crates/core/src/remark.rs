@@ -90,14 +90,13 @@ pub enum MergeReject {
     ElemMismatch,
     /// The block's size could not be proved to fit any candidate host.
     SizeNotProvable,
-    /// Live ranges overlap and footprints are not provably disjoint for
-    /// every candidate host.
+    /// The block's live range overlaps that of every candidate host (or
+    /// the host is allocated after the block's first use).
     Interference,
-    /// The block is accessed through runtime indices (a gather read or a
-    /// scatter write), so it has no affine footprint summary to prove
-    /// disjointness with: footprint-justified merging is off the table
-    /// for it, and only fully disjoint lifetimes could have let it share
-    /// a block (see `arraymem_lmad::OpaqueIxFn`).
+    /// An interference reject of a block accessed through runtime
+    /// indices (a gather read or a scatter write). Such a block has no
+    /// affine footprint summary (see `arraymem_lmad::OpaqueIxFn`); like
+    /// every block, only disjoint lifetimes could let it share.
     RuntimeIndexed,
 }
 

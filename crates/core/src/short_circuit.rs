@@ -113,9 +113,8 @@ pub struct CircuitCheck {
 #[derive(Clone, Debug, Default)]
 pub struct Report {
     pub candidates: Vec<CandidateOutcome>,
-    /// Blocks the merge pass folded together
-    /// ([`crate::merge::merge_blocks`]); footprint-justified records carry
-    /// the pairs checked mode re-proves at runtime.
+    /// Blocks the merge pass folded together, and the carried releases it
+    /// scheduled ([`crate::merge::merge_blocks`]).
     pub merges: Vec<crate::merge::MergeRecord>,
     /// Number of kernel maps whose rows are constructed in place.
     pub in_place_maps: usize,

@@ -30,7 +30,10 @@
 //!   [`Instr::Release`] instructions — no per-run `ReleasePlan::compute`;
 //! - checked-mode [`CircuitCheck`]s lower to [`Instr::VerifyChecks`] at
 //!   the end of the block containing the circuit statement, with their
-//!   footprint symbols pre-resolved to slots.
+//!   footprint symbols pre-resolved to slots;
+//! - of the [`MergeRecord`]s, a `CarriedRelease` lowers to an
+//!   [`Instr::ReleaseCarried`] after its anchor statement and a colored
+//!   `alloc`; a `Share` already happened in the IR and is only counted.
 //!
 //! Diagnostics still name source statements: every instruction carries a
 //! blame entry (instruction index → originating statement `Var`) in a
@@ -267,18 +270,6 @@ pub(crate) struct LoweredCheck {
     pub uses: Vec<Lmad<SlotPoly>>,
 }
 
-/// A checked-mode merge cross-check with its footprint symbols resolved:
-/// every (victim-tenant, resident) pair a footprint-justified merge
-/// recorded, re-proved disjoint by enumeration after the body runs. The
-/// symbols resolve in the top-level scope (merge candidates are top-level
-/// allocations), so the checks lower once per plan, not per block.
-#[derive(Clone, Debug)]
-pub(crate) struct LoweredMergeCheck {
-    pub host: String,
-    pub victim: String,
-    pub pairs: Vec<(Lmad<SlotPoly>, Lmad<SlotPoly>)>,
-}
-
 /// One lowered instruction.
 #[derive(Clone, Debug)]
 pub(crate) enum Instr {
@@ -427,8 +418,6 @@ pub struct ExecPlan {
     /// Carried-release colors the store must provision slabs for
     /// (`MemStore::begin_colors` per run).
     pub(crate) num_colors: u32,
-    /// Checked mode: footprint pairs of the footprint-justified merges.
-    pub(crate) merge_checks: Vec<LoweredMergeCheck>,
 }
 
 impl ExecPlan {
@@ -457,8 +446,8 @@ impl ExecPlan {
 /// produced — the compiler→executor contract. The [`ReleasePlan`] is
 /// computed here, once per plan, never per run. `checks` are the compile
 /// report's circuit checks (checked-mode runs re-prove them; pass `&[]`
-/// otherwise); `merges` carry the footprint pairs checked mode re-proves
-/// and the carried releases the plan executes; `par` picks each kernel
+/// otherwise); `merges` carry the carried releases the plan executes (and
+/// the merged-block count it reports); `par` picks each kernel
 /// map's dispatch schedule (parallel in place, buffered, or serial). A
 /// map without a record is scheduled conservatively, never trusted.
 pub fn lower_plan_full(
@@ -504,8 +493,6 @@ fn lower(
         par: par.iter().map(|r| (r.stm, r.level)).collect(),
         kernels,
         num_releases: 0,
-        depth: 0,
-        merge_checks: Vec::new(),
         pending_carried: Vec::new(),
         sabotage,
     };
@@ -558,7 +545,6 @@ fn lower(
         num_releases: lw.num_releases,
         blocks_merged,
         num_colors,
-        merge_checks: lw.merge_checks,
     })
 }
 
@@ -623,11 +609,6 @@ struct Lowerer<'a> {
     par: HashMap<Var, ParLevel>,
     kernels: &'a KernelRegistry,
     num_releases: usize,
-    /// Block nesting depth; merge checks resolve against the top-level
-    /// scope, so they lower when the depth-1 block finishes (before its
-    /// scope entries are undone).
-    depth: usize,
-    merge_checks: Vec<LoweredMergeCheck>,
     /// Carried releases of the loop body currently being lowered: the
     /// `Loop` arm stages them (resolving the incoming/guard parameter
     /// slots), and the statement loop emits each one after its anchor
@@ -795,7 +776,6 @@ impl Lowerer<'_> {
     /// result-variable slots; the scope is restored before returning.
     fn lower_block(&mut self, block: &Block, out: &mut Stream) -> Result<Vec<Slot>, String> {
         let mark = self.scope.mark();
-        self.depth += 1;
         for (k, stm) in block.stms.iter().enumerate() {
             self.lower_stm(stm, out)?;
             let site = stm.pat.first().map(|p| p.var);
@@ -866,38 +846,11 @@ impl Lowerer<'_> {
                 out.push(Instr::VerifyChecks { checks: lowered }, blame);
             }
         }
-        // Merge footprints reference top-level scalars only; resolve them
-        // while the top-level bindings are still in scope.
-        if self.depth == 1 {
-            for r in self.merges {
-                let MergeRecord::Share {
-                    host,
-                    victim,
-                    pairs,
-                } = r
-                else {
-                    continue; // carried releases re-prove via shadow cells
-                };
-                if pairs.is_empty() {
-                    continue; // lifetime-justified: nothing to re-prove
-                }
-                let pairs = pairs
-                    .iter()
-                    .map(|(a, b)| (self.lower_lmad(a), self.lower_lmad(b)))
-                    .collect();
-                self.merge_checks.push(LoweredMergeCheck {
-                    host: host.to_string(),
-                    victim: victim.to_string(),
-                    pairs,
-                });
-            }
-        }
         let slots = block
             .result
             .iter()
             .map(|v| self.resolve(*v))
             .collect::<Result<Vec<_>, _>>()?;
-        self.depth -= 1;
         self.scope.reset(mark);
         Ok(slots)
     }
@@ -1292,11 +1245,7 @@ impl ExecPlan {
             self.num_releases
         ));
         if self.blocks_merged > 0 {
-            s.push_str(&format!(
-                "merged blocks: {} ({} footprint-checked)\n",
-                self.blocks_merged,
-                self.merge_checks.len()
-            ));
+            s.push_str(&format!("merged blocks: {}\n", self.blocks_merged));
         }
         if self.num_colors > 0 {
             s.push_str(&format!("carried colors: {}\n", self.num_colors));

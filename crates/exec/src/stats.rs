@@ -1,5 +1,6 @@
 //! Execution instrumentation, including the checked-mode sanitizer's
-//! structured diagnostics.
+//! structured diagnostics (one per obligation the sanitizer re-proves;
+//! block merges are guarded differentially and have none).
 
 use crate::store::MemStore;
 use std::time::Duration;
@@ -57,21 +58,6 @@ pub enum Diagnostic {
         iter_b: i64,
         /// Index function of the map's result.
         ixfn: String,
-    },
-    /// Two arrays sharing one merged memory block have concretely
-    /// intersecting footprints — the merge pass's symbolic non-overlap
-    /// verdict was wrong (or forced).
-    MergeOverlap {
-        /// The surviving block of the merge.
-        host: String,
-        /// The block whose tenants were moved into `host`.
-        victim: String,
-        /// Smallest flat offset common to both footprints.
-        offset: i64,
-        /// Concrete LMAD of the victim-tenant footprint.
-        victim_ixfn: String,
-        /// Concrete LMAD of the resident footprint it intersects.
-        resident_ixfn: String,
     },
     /// A gather read or scatter write presented a runtime index outside
     /// the addressed array's extent. Checked mode records the finding and
@@ -152,17 +138,6 @@ impl std::fmt::Display for Diagnostic {
                 "parallel overlap: iterations {iter_a} and {iter_b} of {stm} would both write \
                  cell {offset} of block #{block} (result index function {ixfn}); the \
                  parallel-safety verdict was wrong and the map ran serially"
-            ),
-            Diagnostic::MergeOverlap {
-                host,
-                victim,
-                offset,
-                victim_ixfn,
-                resident_ixfn,
-            } => write!(
-                f,
-                "merge overlap: block {victim} merged into {host}, but tenant footprint \
-                 {victim_ixfn} intersects resident footprint {resident_ixfn} at offset {offset}"
             ),
             Diagnostic::IndexOutOfBounds {
                 stm,
@@ -338,18 +313,16 @@ stats_table! {
     /// recorded no later uses). Counted per execution of the circuit
     /// statement's block, so loop-scoped circuits count per iteration.
     circuits_verified: u64, sum, run;
-    /// Checked mode: footprint-justified merges whose recorded pairs all
-    /// evaluated concretely and came out disjoint.
-    merges_verified: u64, sum, run;
     /// Checked mode: sanitizer findings (empty on a clean run).
     diagnostics: Vec<Diagnostic>, append, run;
     /// Diagnostics dropped beyond the per-run cap.
     diagnostics_suppressed: u64, sum, run;
-    /// Whether this run's `prepare` was answered from the session's plan
-    /// cache (the harness asserts warm runs never re-lower).
+    /// Whether this run's plan came from the plan cache: false for the
+    /// one run that reports a lowering (the harness asserts warm runs
+    /// never re-lower).
     plan_cache_hit: bool, and, run;
-    /// Time the session spent lowering the plan for this run (zero on a
-    /// cache hit).
+    /// Time spent lowering the plan this run executed, reported by one
+    /// run per lowering (zero on a cache hit), so sums count it once.
     plan_build_time: Duration, sum, run;
 }
 

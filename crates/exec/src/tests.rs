@@ -785,6 +785,157 @@ fn integer_division_by_zero_is_an_error_not_a_panic() {
     }
 }
 
+/// Regression: integer `+ - *`, unary `-` and `abs` whose result does not
+/// fit an `i64` are errors of the request. A debug build panicked on them
+/// (under the server, with the tenant's mutex held) and a release build
+/// wrapped silently. So is a float where a boolean is required, which
+/// panicked in both. As a scalar statement, in a `map_lambda` body and as
+/// the source of a point update; every mode.
+#[test]
+fn integer_overflow_is_an_error_not_a_panic() {
+    use arraymem_ir::{BinOp, UnOp};
+    type Build = fn(ScalarExp, ScalarExp) -> ScalarExp;
+    let kernels = KernelRegistry::new();
+    // `e(x, y)` over the inputs `x`, `y: i64` in the three places (the
+    // lambda sees `x` as its element), run in the three modes.
+    let run = |e: Build, x: i64, y: i64| {
+        let mut got = Vec::new();
+        for place in 0..3 {
+            let mut b = Builder::new("overflow");
+            let xv = b.scalar_param("ox", ElemType::I64);
+            let yv = b.scalar_param("oy", ElemType::I64);
+            let xs = b.array_param("oxs", ElemType::I64, vec![c(2)]);
+            let (x_, y_) = (ScalarExp::var(xv), ScalarExp::var(yv));
+            let mut body = b.block();
+            let r = match place {
+                0 => body.scalar("r", ElemType::I64, e(x_, y_)),
+                1 => body.map_lambda("rs", c(2), vec![xs], ElemType::I64, |lb, ps| {
+                    vec![lb.scalar("r", ElemType::I64, e(ScalarExp::var(ps[0]), y_))]
+                }),
+                _ => {
+                    let ys = body.iota("ys", c(2));
+                    body.update_scalar("ys2", ys, vec![ScalarExp::i64(0)], e(x_, y_))
+                }
+            };
+            let prog = b.finish(body.finish(vec![r]));
+            let compiled = compile(&prog, &Options::default()).expect("compile");
+            let inputs = [
+                InputValue::I64(x),
+                InputValue::I64(y),
+                InputValue::ArrayI64(vec![x, x]),
+            ];
+            for mode in [Mode::Pure, Mode::Memory, Mode::Checked] {
+                let prog = if mode == Mode::Pure {
+                    &prog
+                } else {
+                    &compiled.program
+                };
+                let out = run_program(prog, &inputs, &kernels, mode, 1).map(|(out, _)| out);
+                got.push((place, mode, out));
+            }
+        }
+        got
+    };
+    let (min, max) = (i64::MIN, i64::MAX);
+    let half = || ScalarExp::f32(0.5);
+
+    // The last representable sum still comes out, at every place.
+    for (place, mode, out) in run(|x, y| ScalarExp::bin(BinOp::Add, x, y), max - 1, 1) {
+        let want = [
+            OutputValue::I64(max),
+            OutputValue::ArrayI64(vec![max, max]),
+            OutputValue::ArrayI64(vec![max, 1]),
+        ];
+        assert_eq!(out, Ok(vec![want[place].clone()]), "{place} {mode:?}");
+    }
+
+    let overflows = "overflows";
+    let not_a_bool = "where a boolean is required";
+    let refused: [(&str, Build, i64, i64, &str); 7] = [
+        (
+            "MAX + 1",
+            |x, y| ScalarExp::bin(BinOp::Add, x, y),
+            max,
+            1,
+            overflows,
+        ),
+        (
+            "MIN - 1",
+            |x, y| ScalarExp::bin(BinOp::Sub, x, y),
+            min,
+            1,
+            overflows,
+        ),
+        (
+            "MAX * 2",
+            |x, y| ScalarExp::bin(BinOp::Mul, x, y),
+            max,
+            2,
+            overflows,
+        ),
+        (
+            "-MIN",
+            |x, _| ScalarExp::un(UnOp::Neg, x),
+            min,
+            0,
+            overflows,
+        ),
+        (
+            "abs(MIN)",
+            |x, _| ScalarExp::un(UnOp::Abs, x),
+            min,
+            0,
+            overflows,
+        ),
+        (
+            "select on a float",
+            |x, y| ScalarExp::Select(Box::new(ScalarExp::f32(0.5)), Box::new(x), Box::new(y)),
+            1,
+            2,
+            not_a_bool,
+        ),
+        (
+            "! of a float",
+            |x, y| {
+                let not = ScalarExp::un(UnOp::Not, ScalarExp::f32(0.5));
+                ScalarExp::Select(Box::new(not), Box::new(x), Box::new(y))
+            },
+            1,
+            2,
+            not_a_bool,
+        ),
+    ];
+    for (what, e, x, y, why) in refused {
+        for (place, mode, out) in run(e, x, y) {
+            let err = out.expect_err(what);
+            assert!(err.contains(why), "{what} {place} {mode:?}: {err}");
+        }
+    }
+
+    // A float as the value of a `bool` binding and as an `if` condition.
+    for as_if in [false, true] {
+        let b = Builder::new("float_cond");
+        let mut body = b.block();
+        let r = if as_if {
+            let branch = |name, k| {
+                let mut bb = b.block();
+                let v = bb.scalar(name, ElemType::I64, ScalarExp::i64(k));
+                bb.finish(vec![v])
+            };
+            let ty = Type::Scalar(ElemType::I64);
+            body.if_(vec!["r"], vec![ty], half(), branch("t", 1), branch("f", 2))[0]
+        } else {
+            body.scalar("r", ElemType::Bool, half())
+        };
+        let prog = b.finish(body.finish(vec![r]));
+        let compiled = compile(&prog, &Options::default()).expect("compile");
+        for (mode, prog) in [(Mode::Pure, &prog), (Mode::Memory, &compiled.program)] {
+            let err = run_program(prog, &[], &kernels, mode, 1).expect_err("float condition");
+            assert!(err.contains(not_a_bool), "if={as_if} {mode:?}: {err}");
+        }
+    }
+}
+
 /// Lowering maps coefficients `Poly → SlotPoly` and the executor maps
 /// `SlotPoly → i64`; the composition must be evaluation of the symbolic
 /// original under the bindings the registers hold — for an index function

@@ -45,7 +45,11 @@
 //!   last-use plan's obligation), no two map iterations writing one cell
 //!   (the in-place mapnest's obligation), and — for the circuit checks
 //!   lowered into the plan — concrete disjointness of every footprint
-//!   pair a short-circuit's symbolic non-overlap test approved.
+//!   pair a short-circuit's symbolic non-overlap test approved. Block
+//!   merges are not on this list: a `Share` merge rests on disjoint live
+//!   ranges alone, and what guards it is the merge-on/off differential
+//!   against [`Mode::Pure`], not a re-proof here (carried releases are
+//!   covered — a released block's cells read as use-after-release).
 //!   Mapnests the `par_safety` stage proved safe are **not** serialized:
 //!   their chunk disjointness is re-proved concretely by enumeration
 //!   before each dispatch, and only a failed re-proof (reported as
@@ -141,13 +145,13 @@ struct Machine<'a> {
 pub struct Session {
     store: MemStore,
     cache: PlanCache,
-    /// Session-local handle table: `PlanHandle(i)` indexes here.
-    handles: Vec<Arc<ExecPlan>>,
+    /// Session-local handle table: `PlanHandle(i)` indexes here. Beside
+    /// each plan, what lowering it took, until a run has reported it: the
+    /// first run of a plan this session built carries the build time and
+    /// `plan_cache_hit = false` on its [`Stats`]; every other run is a hit
+    /// that cost nothing.
+    handles: Vec<(Arc<ExecPlan>, Option<Duration>)>,
     by_key: HashMap<u64, usize>,
-    /// Outcome of the most recent `prepare`: (was answered without
-    /// lowering, lowering time if not). Stamped onto the next run's
-    /// [`Stats`].
-    last_prepare: (bool, Duration),
 }
 
 impl Default for Session {
@@ -163,7 +167,6 @@ impl Session {
             cache: PlanCache::new(1),
             handles: Vec::new(),
             by_key: HashMap::new(),
-            last_prepare: (true, Duration::ZERO),
         }
     }
 
@@ -178,10 +181,9 @@ impl Session {
     /// executable plan, or return the cached handle if a structurally
     /// identical request (same IR fingerprint, kernel registry and record
     /// sets) was prepared before. The records are the compiler→executor
-    /// contract: merges carry the carried releases the plan executes and
-    /// the footprint pairs checked mode re-proves, par-safety verdicts
-    /// pick each kernel map's schedule, and the plan stamps
-    /// `Stats::blocks_merged`.
+    /// contract: merges carry the carried releases the plan executes,
+    /// par-safety verdicts pick each kernel map's schedule, and the plan
+    /// stamps `Stats::blocks_merged`.
     pub fn prepare_full(
         &mut self,
         prog: &Program,
@@ -193,15 +195,13 @@ impl Session {
         let (plan, outcome) = self
             .cache
             .prepare_full(prog, kernels, checks, merges, par)?;
-        self.last_prepare = (outcome.hit, outcome.build_time);
-        let i = match self.by_key.get(&outcome.key) {
-            Some(&i) => i,
-            None => {
-                self.handles.push(plan);
-                self.by_key.insert(outcome.key, self.handles.len() - 1);
-                self.handles.len() - 1
-            }
-        };
+        let i = *self.by_key.entry(outcome.key).or_insert_with(|| {
+            self.handles.push((plan, None));
+            self.handles.len() - 1
+        });
+        if !outcome.hit {
+            self.handles[i].1 = Some(outcome.build_time);
+        }
         Ok(PlanHandle(i))
     }
 
@@ -213,7 +213,7 @@ impl Session {
 
     /// The prepared plan behind a handle (pretty-printing, inspection).
     pub fn plan(&self, h: PlanHandle) -> &ExecPlan {
-        &self.handles[h.0]
+        &self.handles[h.0].0
     }
 
     /// Execute a prepared plan. `inputs` must match the parameter list.
@@ -227,14 +227,13 @@ impl Session {
         mode: Mode,
         threads: usize,
     ) -> Result<(Vec<OutputValue>, Stats), String> {
-        let (hit, build) = self.last_prepare;
-        let plan = Arc::clone(&self.handles[h.0]);
-        let r = execute_plan(&mut self.store, &plan, inputs, kernels, mode, threads);
-        r.map(|(out, mut stats)| {
-            stats.plan_cache_hit = hit;
-            stats.plan_build_time = build;
-            (out, stats)
-        })
+        let plan = Arc::clone(&self.handles[h.0].0);
+        let (out, mut stats) =
+            execute_plan(&mut self.store, &plan, inputs, kernels, mode, threads)?;
+        let built = self.handles[h.0].1.take();
+        stats.plan_cache_hit = built.is_none();
+        stats.plan_build_time = built.unwrap_or_default();
+        Ok((out, stats))
     }
 }
 
@@ -337,9 +336,6 @@ impl Machine<'_> {
         let t0 = Instant::now();
         self.exec_stream(&plan.body)?;
         self.stats.total_time = t0.elapsed();
-        if self.checked() {
-            self.verify_merges(&plan.merge_checks);
-        }
         self.stats.take_store_counters(self.store);
         self.stats.blocks_merged = plan.blocks_merged;
         let mut out = Vec::with_capacity(plan.results.len());
@@ -668,7 +664,7 @@ impl Machine<'_> {
                     continue;
                 }
                 Instr::JumpIfFalse { cond, target } => {
-                    if !self.eval(cond)?.as_bool() {
+                    if !truth(self.eval(cond)?)? {
                         pc = *target;
                         continue;
                     }
@@ -682,7 +678,7 @@ impl Machine<'_> {
                 // What a lambda body is made of stays in this loop.
                 Instr::Scalar { dst, elem, exp } => {
                     let v = self.eval(exp)?;
-                    self.regs[*dst as usize] = coerce(v, *elem);
+                    self.regs[*dst as usize] = coerce(v, *elem)?;
                 }
                 i => self.exec_instr(i)?,
             }
@@ -1070,36 +1066,12 @@ impl Machine<'_> {
         Ok(())
     }
 
-    /// The footprint-pair loop behind both cross-checks: prove each
-    /// (concrete) pair disjoint by enumeration, reporting every
-    /// intersecting pair with the diagnostic `overlap(offset, a, b)`
-    /// builds. Returns whether every pair enumerated cleanly — a pair too
-    /// large to enumerate confirms nothing.
-    fn pairs_disjoint<'p>(
-        &mut self,
-        pairs: impl Iterator<Item = (&'p ConcreteLmad, &'p ConcreteLmad)>,
-        overlap: impl Fn(i64, &ConcreteLmad, &ConcreteLmad) -> Diagnostic,
-    ) -> bool {
-        let mut confirmed = true;
-        for (a, b) in pairs {
-            match footprint_check(a, b, FOOTPRINT_CAP) {
-                FootprintCheck::Disjoint => {}
-                FootprintCheck::TooLarge => confirmed = false,
-                FootprintCheck::Overlap(off) => {
-                    confirmed = false;
-                    self.diag(overlap(off, a, b));
-                }
-            }
-        }
-        confirmed
-    }
-
     /// Cross-check lowered short-circuit footprints with the current
     /// block's symbols in scope: evaluate the recorded symbolic footprints
-    /// and prove each (write, later-use) pair disjoint. The instruction
-    /// sits at the end of the defining block, so circuits inside loop
-    /// bodies are re-verified per iteration against that iteration's
-    /// concrete offsets. Checked mode only.
+    /// and prove each (write, later-use) pair disjoint by enumeration. The
+    /// instruction sits at the end of the defining block, so circuits
+    /// inside loop bodies are re-verified per iteration against that
+    /// iteration's concrete offsets. Checked mode only.
     fn verify_checks(&mut self, checks: &[crate::plan::LoweredCheck]) {
         for c in checks {
             let [writes, uses] = [&c.writes, &c.uses].map(|ls| {
@@ -1107,51 +1079,28 @@ impl Machine<'_> {
                     .filter_map(|l| l.map(|p| p.eval(&self.regs)))
                     .collect::<Vec<ConcreteLmad>>()
             });
-            let pairs = writes.iter().flat_map(|w| uses.iter().map(move |u| (w, u)));
-            let disjoint = self.pairs_disjoint(pairs, |offset, w, u| Diagnostic::CircuitOverlap {
-                root: c.root.clone(),
-                stm: c.stm.clone(),
-                offset,
-                write_ixfn: format!("{w:?}"),
-                use_ixfn: format!("{u:?}"),
-            });
             // The check only counts as verified when every recorded
-            // footprint evaluated as well.
-            if disjoint && writes.len() == c.writes.len() && uses.len() == c.uses.len() {
-                self.stats.circuits_verified += 1;
-            }
-        }
-    }
-
-    /// Re-prove every footprint-justified merge: each recorded
-    /// (victim-tenant, resident) pair is evaluated to concrete LMADs
-    /// against the final register file (merge footprints reference
-    /// top-level scalars, which stay bound for the whole run) — the
-    /// merge-pass analogue of [`verify_checks`](Machine::verify_checks).
-    fn verify_merges(&mut self, checks: &[crate::plan::LoweredMergeCheck]) {
-        for c in checks {
-            let pairs: Vec<(ConcreteLmad, ConcreteLmad)> = c
-                .pairs
-                .iter()
-                .filter_map(|(a, b)| {
-                    Some((
-                        a.map(|p| p.eval(&self.regs))?,
-                        b.map(|p| p.eval(&self.regs))?,
-                    ))
-                })
-                .collect();
-            let disjoint =
-                self.pairs_disjoint(pairs.iter().map(|(v, r)| (v, r)), |offset, v, r| {
-                    Diagnostic::MergeOverlap {
-                        host: c.host.clone(),
-                        victim: c.victim.clone(),
-                        offset,
-                        victim_ixfn: format!("{v:?}"),
-                        resident_ixfn: format!("{r:?}"),
+            // footprint evaluated and every pair enumerated cleanly — a
+            // pair too large to enumerate confirms nothing.
+            let mut verified = writes.len() == c.writes.len() && uses.len() == c.uses.len();
+            for (w, u) in writes.iter().flat_map(|w| uses.iter().map(move |u| (w, u))) {
+                match footprint_check(w, u, FOOTPRINT_CAP) {
+                    FootprintCheck::Disjoint => {}
+                    FootprintCheck::TooLarge => verified = false,
+                    FootprintCheck::Overlap(offset) => {
+                        verified = false;
+                        self.diag(Diagnostic::CircuitOverlap {
+                            root: c.root.clone(),
+                            stm: c.stm.clone(),
+                            offset,
+                            write_ixfn: format!("{w:?}"),
+                            use_ixfn: format!("{u:?}"),
+                        });
                     }
-                });
-            if disjoint && pairs.len() == c.pairs.len() {
-                self.stats.merges_verified += 1;
+                }
+            }
+            if verified {
+                self.stats.circuits_verified += 1;
             }
         }
     }
@@ -1399,7 +1348,7 @@ impl Machine<'_> {
                     self.load_point(arr)?
                 }
                 Op::JumpIfFalse(cond, target) => {
-                    if !self.arg(e, cond, acc).as_bool() {
+                    if !truth(self.arg(e, cond, acc))? {
                         pc = target as usize;
                     }
                     acc
@@ -1462,13 +1411,27 @@ fn elem_count(shape: &[i64]) -> Result<usize, String> {
 }
 
 #[inline]
-fn coerce(v: Value, elem: Option<ElemType>) -> Value {
-    match elem {
+fn coerce(v: Value, elem: Option<ElemType>) -> Result<Value, String> {
+    Ok(match elem {
         Some(ElemType::F32) => Value::f32(v.as_f32()),
         Some(ElemType::F64) => Value::f64(v.as_f64()),
         Some(ElemType::I64) => Value::i64(v.as_i64()),
-        Some(ElemType::Bool) => Value::bool(v.as_bool()),
+        Some(ElemType::Bool) => Value::bool(truth(v)?),
         None => v,
+    })
+}
+
+/// A value where a boolean is required. The program is the request's: a
+/// float there is its error, never a panic.
+#[inline]
+fn truth(v: Value) -> Result<bool, String> {
+    #[cold]
+    fn not_a_bool(v: Value) -> String {
+        format!("{v:?} where a boolean is required")
+    }
+    match v.tag() {
+        Tag::Bool | Tag::I64 => Ok(v.as_bool()),
+        _ => Err(not_a_bool(v)),
     }
 }
 
@@ -1511,9 +1474,9 @@ fn eval_bin(op: BinOp, x: Value, y: Value) -> Result<Value, String> {
         _ => {
             let (a, b) = (x.as_i64(), y.as_i64());
             match op {
-                Add => Value::i64(a + b),
-                Sub => Value::i64(a - b),
-                Mul => Value::i64(a * b),
+                Add => Value::i64(a.checked_add(b).ok_or_else(|| overflows(op, a, b))?),
+                Sub => Value::i64(a.checked_sub(b).ok_or_else(|| overflows(op, a, b))?),
+                Mul => Value::i64(a.checked_mul(b).ok_or_else(|| overflows(op, a, b))?),
                 Div => Value::i64(a.checked_div_euclid(b).ok_or_else(|| undefined(op, a, b))?),
                 Rem => Value::i64(a.checked_rem_euclid(b).ok_or_else(|| undefined(op, a, b))?),
                 Min => Value::i64(a.min(b)),
@@ -1536,6 +1499,19 @@ fn undefined(op: BinOp, a: i64, b: i64) -> String {
     format!("integer {op:?} of {a} by {b} is undefined")
 }
 
+/// Likewise a result that does not fit an `i64`: a debug build would
+/// panic on it and a release build wrap silently.
+#[cold]
+fn overflows(op: BinOp, a: i64, b: i64) -> String {
+    format!("integer {op:?} of {a} by {b} overflows")
+}
+
+/// `-MIN` and `abs(MIN)` do not fit either.
+#[cold]
+fn overflows_un(op: UnOp, a: i64) -> String {
+    format!("integer {op:?} of {a} overflows")
+}
+
 #[inline]
 fn eval_un(op: UnOp, x: Value) -> Result<Value, String> {
     use UnOp::*;
@@ -1544,21 +1520,22 @@ fn eval_un(op: UnOp, x: Value) -> Result<Value, String> {
         Tag::F64 => Value::f64(f64_fn(x.as_f64())),
         _ => Value::f32(f32_fn(x.as_f32())),
     };
+    let overflows = || overflows_un(op, x.as_i64());
     Ok(match op {
         Neg => match x.tag() {
             Tag::F32 => Value::f32(-x.as_f32()),
             Tag::F64 => Value::f64(-x.as_f64()),
-            Tag::I64 => Value::i64(-x.as_i64()),
+            Tag::I64 => Value::i64(x.as_i64().checked_neg().ok_or_else(overflows)?),
             _ => return Err("neg on non-number".into()),
         },
-        Not => Value::bool(!x.as_bool()),
+        Not => Value::bool(!truth(x)?),
         Sqrt => float(f64::sqrt, f32::sqrt),
         Exp => float(f64::exp, f32::exp),
         Log => float(f64::ln, f32::ln),
         Abs => match x.tag() {
             Tag::F32 => Value::f32(x.as_f32().abs()),
             Tag::F64 => Value::f64(x.as_f64().abs()),
-            Tag::I64 => Value::i64(x.as_i64().abs()),
+            Tag::I64 => Value::i64(x.as_i64().checked_abs().ok_or_else(overflows)?),
             _ => return Err("abs on non-number".into()),
         },
         ToF32 => Value::f32(x.as_f32()),

@@ -98,7 +98,6 @@ impl Coverage {
         mark("pool_dispatches", stats.pool_dispatches > 0);
         mark("par_chunks_stolen", stats.par_chunks_stolen > 0);
         mark("circuits_verified", stats.circuits_verified > 0);
-        mark("merges_verified", stats.merges_verified > 0);
         mark("par_checks_verified", stats.par_checks_verified > 0);
         grew
     }

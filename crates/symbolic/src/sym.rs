@@ -44,13 +44,14 @@ pub fn sym_name(s: Sym) -> String {
 
 impl Sym {
     /// A fresh symbol guaranteed distinct from all previously interned ones,
-    /// with a `prefix` for readability in debug output.
+    /// with a `prefix` for readability in debug output. It is not findable
+    /// by name — nothing looks one up, and the interner never frees, so a
+    /// by-name entry (the name a second time, plus the map's growth) would
+    /// more than double what every compile leaks.
     pub fn fresh(prefix: &str) -> Sym {
         let mut it = interner().lock().unwrap();
         let id = it.names.len() as u32;
-        let name = format!("{prefix}#{id}");
-        it.names.push(name.clone());
-        it.by_name.insert(name, id);
+        it.names.push(format!("{prefix}#{id}"));
         Sym(id)
     }
 }
@@ -84,5 +85,6 @@ mod tests {
         let b = Sym::fresh("t");
         assert_ne!(a, b);
         assert!(sym_name(a).starts_with("t#"));
+        assert_ne!(sym(&sym_name(a)), a, "a fresh symbol has no by-name entry");
     }
 }

@@ -98,6 +98,17 @@ element_paths() {
 }
 tier "element paths stay allocation-free and sanitizer-free unless checked" element_paths
 
+# Merging is liveness: phase 1 of the merge pass colors live intervals
+# and proves nothing about footprints, and the executor re-proves nothing
+# about a merge (the differential legs guard it). The footprint tier, its
+# interference matrix and its run-time re-proof stay gone.
+merge_is_liveness() {
+    ! awk '/#\[cfg\(test\)\]/{exit}{print FILENAME":"FNR": "$0}' crates/core/src/merge.rs |
+        grep 'non_overlap\|Lmad\|fits\[' &&
+        ! grep -rn 'verify_merges\|LoweredMergeCheck\|merges_verified\|MergeOverlap' crates/
+}
+tier "merge is liveness (no footprint tier, no run-time merge re-proof)" merge_is_liveness
+
 # Which constructs nest a block is `arraymem_ir`'s knowledge
 # (`Exp::blocks`, `Block::for_each_stm`): a pass names the lambda body
 # only where it means the lambda, never merely to recurse. 18 such

@@ -16,8 +16,8 @@ use arraymem_core::{
     compile, compile_sabotaged, CircuitCheck, Compiled, Options, ParSafetyRecord, Sabotage,
 };
 use arraymem_exec::{
-    execute_plan, lower_plan_sabotaged, Diagnostic, InputValue, KernelRegistry, MemStore, Mode,
-    PlanHandle, Session, Stats,
+    execute_plan, lower_plan_sabotaged, run_program, Diagnostic, InputValue, KernelRegistry,
+    MemStore, Mode, OutputValue, PlanHandle, Session, Stats,
 };
 use arraymem_ir::{BinOp, Builder, ElemType, Exp, Program, ScalarExp, SliceSpec};
 use arraymem_lmad::{Dim, IndexFn, Lmad, Transform, TripletSlice};
@@ -325,9 +325,10 @@ fn overlapping_map_result_layout_is_a_map_race() {
 }
 
 /// Two same-size arrays read together by a `concat`: their live ranges
-/// and footprints both overlap, so the merge pass must reject the pair —
-/// and when `Sabotage::Merge` folds them into one block anyway, the checked VM's merge cross-check must refute the
-/// recorded footprint pairs concretely.
+/// overlap, so the merge pass must reject the pair — and when
+/// `Sabotage::Merge` folds them into one block anyway, no sanitizer check
+/// covers the merge (lifetime merges have no run-time re-proof): the
+/// outputs diverge from the pure oracle, which is what guards them.
 fn interfering_blocks_program() -> Program {
     let bld = Builder::new("forced_merge");
     let mut b = bld.block();
@@ -358,7 +359,7 @@ fn merge_pass_rejects_the_interfering_pair() {
 }
 
 #[test]
-fn forced_illegal_merge_is_caught_by_the_merge_cross_check() {
+fn forced_illegal_merge_diverges_from_the_pure_oracle() {
     let prog = interfering_blocks_program();
     let forced = compile_sabotaged(
         &prog,
@@ -370,38 +371,16 @@ fn forced_illegal_merge_is_caught_by_the_merge_cross_check() {
     )
     .expect("compile");
     assert_eq!(forced.report.merges.len(), 1, "the hook must force a merge");
-    assert!(
-        matches!(
-            &forced.report.merges[0],
-            arraymem_core::MergeRecord::Share { pairs, .. } if !pairs.is_empty()
-        ),
-        "a forced merge must carry footprint pairs for the VM to refute"
-    );
     let kernels = KernelRegistry::new();
-    let stats = run_checked(&forced, &[], &kernels);
-    let hit = stats.diagnostics.iter().find_map(|d| match d {
-        Diagnostic::MergeOverlap { host, victim, .. } => Some((host.clone(), victim.clone())),
-        _ => None,
-    });
-    let (host, victim) = hit.unwrap_or_else(|| {
-        panic!(
-            "expected a MergeOverlap diagnostic; got {:?}",
-            stats.diagnostics
-        )
-    });
-    assert_ne!(host, victim);
-    // The rendered finding names both blocks, the footprints and the
-    // first clashing offset.
-    let shown = stats
-        .diagnostics
-        .iter()
-        .map(|d| format!("{d}"))
-        .collect::<Vec<_>>()
-        .join("\n");
-    assert!(
-        shown.contains("merge overlap") && shown.contains("offset"),
-        "{shown}"
-    );
+    let (pure, _) = run_program(&prog, &[], &kernels, Mode::Pure, 1).expect("pure run");
+    let mut session = Session::new();
+    let h = prepare(&mut session, &forced, &[], &kernels);
+    let (out, _) = session
+        .run_plan(h, &[], &kernels, Mode::Memory, 1)
+        .expect("memory run");
+    assert_ne!(out, pure, "sharing a live block must corrupt the result");
+    // `ys` was written over `xs` before the concat read either.
+    assert_eq!(out, vec![OutputValue::ArrayI64(vec![7; 12])]);
 }
 
 /// A map whose result layout collapses every iteration onto one cell:

@@ -27,11 +27,9 @@ fn render(title: &str, c: &Compiled, out: &mut String) {
     }
     for m in &c.report.merges {
         match m {
-            MergeRecord::Share {
-                host,
-                victim,
-                pairs,
-            } => writeln!(s, "merge Share {victim} -> {host} pairs={}", pairs.len()).unwrap(),
+            MergeRecord::Share { host, victim } => {
+                writeln!(s, "merge Share {victim} -> {host}").unwrap()
+            }
             MergeRecord::CarriedRelease {
                 loop_mem,
                 yield_mem,

@@ -1,14 +1,20 @@
 //! The merge pass on every workload — bit-identical outputs, lower peak
-//! memory, no sanitizer findings.
+//! memory, no sanitizer findings — and an independent re-proof of every
+//! `Share` it records, over the workloads, the corpus and random traces.
 //!
 //! One persistent [`Session`] runs every workload with the pass off and
 //! on in both `Memory` and `Checked` mode, so merged plans prove themselves against block recycling from
 //! *other* programs' runs too.
 
-use arraymem_core::{compile, Options};
+use arraymem_bench::tables::{table_cases, KNOWN_BENCHMARKS};
+use arraymem_core::{compile, compile_observed, MergeRecord, Options};
 use arraymem_exec::{Mode, OutputValue, Session, Stats};
+use arraymem_fuzz::{build_program, corpus, random_ops};
+use arraymem_ir::{Exp, PatElem, Program, Stm, Var};
+use arraymem_symbolic::Rng64;
 use arraymem_workloads as w;
 use arraymem_workloads::Case;
+use std::collections::{HashMap, HashSet};
 
 fn smoke_cases() -> Vec<Case> {
     vec![
@@ -134,4 +140,119 @@ fn merge_reduces_peak_memory_with_identical_outputs() {
         "merge pass engaged on only {} of 7 workloads: {fired:?}",
         fired.len()
     );
+}
+
+/// Every variable a statement names: the free variables of its
+/// expression, and what it binds at any depth with the block each binding
+/// is annotated into.
+fn names(stm: &Stm) -> HashSet<Var> {
+    let mut out: HashSet<Var> = stm.exp.free_vars().into_iter().collect();
+    let mut bind = |pe: &PatElem| {
+        out.insert(pe.var);
+        out.extend(pe.mem.as_ref().map(|mb| mb.block));
+    };
+    stm.bound().for_each(&mut bind);
+    for nested in stm.exp.blocks() {
+        nested.for_each_stm(&mut |s| s.bound().for_each(&mut bind));
+    }
+    out
+}
+
+/// The first and last top-level statement (the result counts as one more)
+/// that names each memory block or an array annotated into it, by a plain
+/// syntactic scan. An `alloc` does not touch the block it creates.
+fn syntactic_ranges(prog: &Program) -> HashMap<Var, (usize, usize)> {
+    let mut block_of: HashMap<Var, Var> = HashMap::new();
+    prog.body.for_each_stm(&mut |s| {
+        for pe in s.bound() {
+            block_of.extend(pe.mem.as_ref().map(|mb| (pe.var, mb.block)));
+        }
+    });
+    let mut ranges: HashMap<Var, (usize, usize)> = HashMap::new();
+    let uses = prog.body.stms.iter().map(names);
+    let result = prog.body.result.iter().copied().collect();
+    for (i, named) in uses.chain([result]).enumerate() {
+        if matches!(prog.body.stms.get(i), Some(s) if matches!(s.exp, Exp::Alloc { .. })) {
+            continue;
+        }
+        for v in named {
+            let block = block_of.get(&v).copied().unwrap_or(v);
+            ranges.entry(block).or_insert((i, i)).1 = i;
+        }
+    }
+    ranges
+}
+
+/// Compile `prog` and re-prove each `Share` of the result against the
+/// program the merge pass was given; returns how many pairs of tenants
+/// were compared.
+fn check_shares(what: &str, prog: &Program, opts: &Options) -> usize {
+    let mut before_merge = None;
+    let mut merged = false;
+    let compiled = compile_observed(prog, opts, &mut |stage, p| {
+        merged |= stage == "merge";
+        if !merged {
+            before_merge = Some(p.clone());
+        }
+    })
+    .unwrap_or_else(|e| panic!("{what}: compile failed: {e}"));
+    let ranges = syntactic_ranges(&before_merge.expect("stages ran before merge"));
+    // The tenants of each surviving block: the host and all its victims.
+    let mut tenants: HashMap<Var, Vec<Var>> = HashMap::new();
+    let mut compared = 0;
+    for m in &compiled.report.merges {
+        if let MergeRecord::Share { host, victim } = m {
+            let group = tenants.entry(*host).or_insert_with(|| vec![*host]);
+            for resident in group.iter() {
+                if let (Some(r), Some(v)) = (ranges.get(resident), ranges.get(victim)) {
+                    assert!(
+                        r.1 < v.0 || v.1 < r.0,
+                        "{what}: {victim} (statements {v:?}) shares {host} with {resident} \
+                         (statements {r:?}) while both are live"
+                    );
+                    compared += 1;
+                }
+            }
+            group.push(*victim);
+        }
+    }
+    compared
+}
+
+/// The re-proof lifetime merges have: a merge is sound when no two
+/// tenants of a block are live together, and whether they are is checked
+/// here without the pass's own liveness — ranges recomputed from the
+/// pre-merge program by name alone. They are narrower than the pass's
+/// (no alias closure), so an overlap here is an overlap there: no false
+/// alarm, and a scan that let overlapping ranges share fails.
+#[test]
+fn every_share_is_between_disjoint_live_ranges() {
+    let merge_only = Options {
+        merge: true,
+        ..Options::default()
+    };
+    let mut compared = 0;
+    for benchmark in KNOWN_BENCHMARKS {
+        let case = &table_cases(benchmark, true).expect("known benchmark")[0];
+        for opts in [Options::optimized(), merge_only.clone()] {
+            compared += check_shares(benchmark, &case.program, &opts.with_env(case.env.clone()));
+        }
+    }
+    for dir in [corpus::seeds_dir(), corpus::regressions_dir()] {
+        for entry in corpus::load_dir(&dir).expect("load corpus") {
+            let prog = build_program(&entry.ops).expect("corpus entry builds");
+            for opts in [Options::optimized(), merge_only.clone()] {
+                compared += check_shares(&entry.name, &prog, &opts);
+            }
+        }
+    }
+    let mut meta = Rng64::new(0x11FE);
+    for k in 0..2000 {
+        let (seed, len) = (meta.next_u64(), if k % 2 == 0 { 16 } else { 64 });
+        if let Some(prog) = build_program(&random_ops(seed, len)) {
+            let what = format!("random_ops({seed:#x}, {len})");
+            compared += check_shares(&what, &prog, &Options::optimized());
+        }
+    }
+    assert!(compared > 10_000, "only {compared} pairs were compared");
 }

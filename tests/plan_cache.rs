@@ -103,6 +103,35 @@ fn distinct_programs_do_not_collide() {
     assert_eq!((stats.builds, stats.cache_hits), (2, 2));
 }
 
+/// A run reports the lowering of the plan it ran, not of whichever plan
+/// the session prepared last, and each lowering is reported by one run:
+/// summed over the runs (as `Stats::merge` sums them), the build times
+/// are the cache's own total.
+#[test]
+fn a_run_reports_its_own_plans_lowering_once() {
+    let a = w::nw::case("a", 4, 4, 1);
+    let b = w::hotspot::case("b", 16, 2, 1);
+    let ca = a.compile(true);
+    let cb = b.compile(true);
+    let mut session = Session::new();
+    let ha = prepare(&mut session, &ca, &a.kernels, &[]);
+    let hb = prepare(&mut session, &cb, &b.kernels, &[]);
+    // The last prepare is a hit on `a`; `b`'s lowering is still unreported.
+    assert_eq!(prepare(&mut session, &ca, &a.kernels, &[]), ha);
+    let mut run = |h, case: &w::Case| {
+        let (_, stats) = session
+            .run_plan(h, &case.inputs, &case.kernels, Mode::Memory, 1)
+            .expect("run");
+        (stats.plan_cache_hit, stats.plan_build_time)
+    };
+    let runs = [run(hb, &b), run(ha, &a), run(ha, &a), run(hb, &b)];
+    let hits = runs.map(|(hit, _)| hit);
+    assert_eq!(hits, [false, false, true, true]);
+    let reported: std::time::Duration = runs.iter().map(|(_, t)| *t).sum();
+    assert_eq!(reported, session.plan_stats().build_time);
+    assert!(runs[2].1.is_zero() && runs[3].1.is_zero());
+}
+
 /// The pipeline fingerprint is part of the plan-cache key: two compiles
 /// of the *same source program* under different pass configurations must
 /// not share a cached plan, even when the optimized IR happens to be

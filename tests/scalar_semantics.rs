@@ -9,9 +9,9 @@
 //! update — and in `Pure`, `Memory` and `Checked`. A line holds the
 //! result's type tag and bit pattern, or the error text. NaN prints as
 //! `nan`: which NaN an operation yields is the hardware's choice.
-//! Integer arithmetic that would overflow is not generated (it panics in
-//! debug builds and wraps in release builds), and neither is an operand
-//! the evaluator refuses by panicking (a float where a boolean is needed).
+//! Integer arithmetic that would overflow is not generated, and neither
+//! is a float where a boolean is needed: both are errors of the request,
+//! pinned by `exec::tests::integer_overflow_is_an_error_not_a_panic`.
 //!
 //! Regenerate with `ARRAYMEM_BLESS=1 cargo test -p arraymem-bench --test
 //! scalar_semantics` — only for a change that means to change a result.

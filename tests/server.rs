@@ -445,6 +445,41 @@ fn division_by_zero_is_a_typed_error_and_the_tenant_lives_on() {
     assert_eq!(server.global_stats().runs, 1);
 }
 
+/// A product of request inputs that does not fit an `i64` is that
+/// request's typed error — a debug build panicked on it with the tenant's
+/// store locked, a release build answered with the wrapped value: the
+/// tenant serves its next request and the aggregate stats still answer.
+#[test]
+fn integer_overflow_is_a_typed_error_and_the_tenant_lives_on() {
+    let mut bld = Builder::new("prod");
+    let x = bld.scalar_param("x", ElemType::I64);
+    let mut b = bld.block();
+    let product = ScalarExp::bin(BinOp::Mul, ScalarExp::var(x), ScalarExp::var(x));
+    let q = b.scalar("q", ElemType::I64, product);
+    let compiled = compile(&bld.finish(b.finish(vec![q])), &Options::default()).expect("compile");
+    let kernels = KernelRegistry::new();
+    let server = Server::new(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+    let run = |x| {
+        let inputs = [InputValue::I64(x)];
+        let req = ExecRequest::from_compiled(&compiled, &kernels, &[], &inputs, Mode::Memory);
+        server.execute("a", req).map(|(out, _)| out)
+    };
+    let err = run(1 << 32).expect_err("2^64 has no i64");
+    assert!(
+        matches!(&err, ServerError::Execution(msg) if msg.contains("overflows")),
+        "{err}"
+    );
+    assert_eq!(
+        run(-3).expect("the tenant's next request"),
+        [OutputValue::I64(9)]
+    );
+    assert_eq!(server.tenant_stats("a").expect("tenant a").runs, 1);
+    assert_eq!(server.global_stats().runs, 1);
+}
+
 /// A coordinate arriving as a request input that lies outside the array
 /// it indexes — `xs[5]` of 4 elements panicked in the view's block assert
 /// with the tenant's mutex held, `m[0, 4]` of a 2×3 array silently wrote
