@@ -24,6 +24,12 @@
 //!   which the machine takes `→ i64` per run: the executor computes with
 //!   the compiler's LMAD structure over integers and never builds a
 //!   polynomial;
+//! - `arith`: what every scalar operator computes, once — the promotion
+//!   and result tag as functions of the operands' tags, the arithmetic
+//!   as per-type functions — for the scalar evaluator and the strips;
+//! - `strip`: lambda maps in strips — a map's lane code typed once per
+//!   execution, then one monomorphic loop per operator per strip of the
+//!   width, with the element-wise evaluator as oracle and fall-back;
 //! - [`vm`]: the machine executing compiled programs — registers are
 //!   words, arrays live in a table beside them, and no per-element path
 //!   (scalar evaluation, point access, lambda-map elements,
@@ -40,12 +46,14 @@
 //!   and copy time, checked-mode diagnostics — from which the benchmark
 //!   tables are built.
 
+mod arith;
 pub mod cache;
 pub mod kernel;
 pub mod plan;
 pub mod pool;
 pub mod stats;
 pub mod store;
+mod strip;
 pub mod value;
 pub mod view;
 pub mod vm;

@@ -9,6 +9,13 @@
 //! - nested `Block`s, `if` and `loop` flatten into one linear instruction
 //!   stream with jump instructions (lambda map bodies keep a nested
 //!   stream, executed per element);
+//! - a lambda body that is a straight line of arithmetic — scalar
+//!   statements over its parameters, its own values, constants and
+//!   values fixed for the map; no `a[i]`, no `select` — is lowered a
+//!   second time, to flat **lane code** ([`StripCode`]) with accumulator,
+//!   stack and body slots resolved away, which `Memory` and `Checked`
+//!   run in strips ([`crate::strip`]); any other body records the
+//!   [`StripReject`] that keeps it element-wise;
 //! - every `Var` resolves to a dense `u32` **slot** — the executor's
 //!   environment is a register file of `Copy` words plus a slot-parallel
 //!   table of arrays, not a `HashMap`;
@@ -229,8 +236,138 @@ pub(crate) struct MapLambdaInstr {
     pub body: Stream,
     /// Body result slots, read back per element.
     pub results: Vec<Slot>,
+    /// The body once more as flat lane code, for the modes that run the
+    /// map in strips — or why it has none and runs element by element.
+    pub strip: Result<StripCode, StripReject>,
     /// Provenance of the map's results (restores blame after the body).
     pub stm_var: Option<Var>,
+}
+
+/// Why a lambda map has no lane code: what in its body is not a straight
+/// line of arithmetic over its parameters and values fixed for the map.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum StripReject {
+    /// An expression reads an array element (`a[i]`).
+    Index,
+    /// An expression picks an arm (`select`): only the arm picked may run.
+    Select,
+    /// A size expression over a value that differs per element.
+    VaryingSize,
+    /// The body branches or loops (`if`, `loop`).
+    ControlFlow,
+    /// The body makes or changes an array (a nested map, an update, …).
+    ArrayOp,
+}
+
+/// Where a lane op finds an operand.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum LaneArg {
+    /// Lane `l`: input `l` of the map, or past the inputs, the result of
+    /// the op that many places into the code.
+    Lane(u32),
+    /// A register the body does not write: one value for the whole map.
+    Outer(Slot),
+    Const(Value),
+    /// Size polynomial `k` of the code.
+    Size(u32),
+}
+
+/// One step of lane code: a new lane from earlier ones.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum LaneOp {
+    Bin(BinOp, LaneArg, LaneArg),
+    Un(UnOp, LaneArg),
+    /// A statement's value as its declared type.
+    Coerce(ElemType, LaneArg),
+}
+
+/// A lambda body as straight-line code over lanes — the accumulator, the
+/// stack and the body's own slots resolved away at lower time. Untyped:
+/// the executor resolves every lane's tag once per execution of the map.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct StripCode {
+    pub ops: Vec<LaneOp>,
+    pub sizes: Vec<SlotPoly>,
+    /// One per result of the map.
+    pub results: Vec<LaneArg>,
+}
+
+impl StripCode {
+    /// Append `op` to the code of a map of `inputs` inputs; its lane.
+    fn push(&mut self, inputs: usize, op: LaneOp) -> LaneArg {
+        self.ops.push(op);
+        LaneArg::Lane((inputs + self.ops.len()) as u32 - 1)
+    }
+}
+
+/// Lane code for a lambda body of scalar statements without `a[i]` or
+/// `select`: the evaluator's loop ([`crate::vm`]'s `eval`) over operands
+/// instead of values.
+fn lower_strip(params: &[Slot], body: &Stream, results: &[Slot]) -> Result<StripCode, StripReject> {
+    let mut code = StripCode::default();
+    // What each slot the body reads is, as a lane operand.
+    let mut bound = Vec::with_capacity(params.len() + body.instrs.len());
+    bound.extend((0..).map(LaneArg::Lane).zip(params).map(|(l, p)| (*p, l)));
+    let read = |bound: &[(Slot, LaneArg)], s: Slot| {
+        let hit = bound.iter().rev().find(|(b, _)| *b == s);
+        hit.map_or(LaneArg::Outer(s), |(_, l)| *l)
+    };
+    for instr in &body.instrs {
+        let Instr::Scalar { dst, elem, exp } = instr else {
+            return Err(match instr {
+                Instr::Jump { .. }
+                | Instr::JumpIfFalse { .. }
+                | Instr::JumpIfGe { .. }
+                | Instr::CopySlots { .. } => StripReject::ControlFlow,
+                _ => StripReject::ArrayOp,
+            });
+        };
+        let (mut acc, mut stack) = (LaneArg::Const(Value::i64(0)), Vec::new());
+        for op in &exp.ops {
+            let mut arg = |a: Arg| match a {
+                Arg::Slot(s) => read(&bound, s),
+                Arg::Const(k) => LaneArg::Const(exp.consts[k as usize]),
+                Arg::Acc => acc,
+                Arg::Pop => stack.pop().expect("scalar code pops what it parked"),
+            };
+            let lane_op = match *op {
+                Op::Load(a) => {
+                    acc = arg(a);
+                    continue;
+                }
+                Op::Push(a) => {
+                    let parked = arg(a);
+                    stack.push(parked);
+                    continue;
+                }
+                Op::Size(k) => {
+                    let size = &exp.sizes[k as usize];
+                    let varies =
+                        |s: &(Sym, Option<Slot>)| bound.iter().any(|(b, _)| Some(*b) == s.1);
+                    if size.slots.iter().any(varies) {
+                        return Err(StripReject::VaryingSize);
+                    }
+                    code.sizes.push(size.clone());
+                    acc = LaneArg::Size(code.sizes.len() as u32 - 1);
+                    continue;
+                }
+                Op::Bin(op, a, b) => {
+                    let y = arg(b);
+                    LaneOp::Bin(op, arg(a), y)
+                }
+                Op::Un(op, a) => LaneOp::Un(op, arg(a)),
+                Op::Index { .. } => return Err(StripReject::Index),
+                Op::JumpIfFalse(..) | Op::Jump(_) => return Err(StripReject::Select),
+            };
+            acc = code.push(params.len(), lane_op);
+        }
+        if let Some(elem) = elem {
+            acc = code.push(params.len(), LaneOp::Coerce(*elem, acc));
+        }
+        bound.push((*dst, acc));
+    }
+    code.results = results.iter().map(|r| read(&bound, *r)).collect();
+    Ok(code)
 }
 
 #[derive(Clone, Debug)]
@@ -1189,6 +1326,7 @@ impl Lowerer<'_> {
                 let mut body_stream = Stream::default();
                 let results = self.lower_block(body, &mut body_stream)?;
                 self.scope.reset(mark);
+                let strip = lower_strip(&param_slots, &body_stream, &results);
                 let dests = stm
                     .pat
                     .iter()
@@ -1202,6 +1340,7 @@ impl Lowerer<'_> {
                         params: param_slots,
                         body: body_stream,
                         results,
+                        strip,
                         stm_var: blame,
                     })),
                     blame,
@@ -1417,11 +1556,15 @@ fn fmt_instr(i: &Instr) -> String {
             }
         ),
         Instr::MapLambda(ml) => format!(
-            "[{}] <- map_lambda width {:?} inputs [{}] params [{}]",
+            "[{}] <- map_lambda width {:?} inputs [{}] params [{}] {}",
             ml.dests.iter().map(fmt_dest).collect::<Vec<_>>().join(", "),
             ml.width,
             fmt_slots(&ml.inputs),
             fmt_slots(&ml.params),
+            match &ml.strip {
+                Ok(_) => "strip".to_string(),
+                Err(why) => format!("elementwise({why:?})"),
+            }
         ),
         Instr::Update(u) => {
             let slice = match &u.slice {

@@ -1,6 +1,7 @@
 //! Execution instrumentation, including the checked-mode sanitizer's
 //! structured diagnostics (one per obligation the sanitizer re-proves;
-//! block merges are guarded differentially and have none).
+//! block merges are guarded differentially and have none) and the count
+//! of lambda-map elements that ran one at a time instead of in a strip.
 
 use crate::store::MemStore;
 use std::time::Duration;
@@ -299,6 +300,11 @@ stats_table! {
     num_elided: u64, sum, run;
     /// Kernel instances launched.
     kernel_launches: u64, sum, run;
+    /// Lambda-map elements a `Memory` / `Checked` run evaluated one at a
+    /// time instead of in a strip: maps without lane code, executions
+    /// whose operands had no lane type or whose result shares a block
+    /// with an input it is not, strips in which a lane had no value.
+    lambda_elems_elementwise: u64, sum, run;
     /// Time spent inside kernels / lambda bodies.
     kernel_time: Duration, sum, run;
     /// Time spent in copies the optimizer targets.

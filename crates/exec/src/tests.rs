@@ -1282,3 +1282,692 @@ fn flat_scalar_code_prints_as_the_expression_it_lowers() {
         assert!(plan.contains(expected), "no `{expected}` in:\n{plan}");
     }
 }
+
+/// Outputs bit for bit (NaN as `nan`: which NaN an operation yields is the
+/// hardware's choice), or the error, plus any sanitizer findings.
+fn rendered(r: &Result<(Vec<OutputValue>, crate::Stats), String>) -> String {
+    fn f32s(v: &[f32]) -> Vec<String> {
+        let bits = |x: &f32| match x.is_nan() {
+            true => "nan".to_string(),
+            false => format!("{:08x}", x.to_bits()),
+        };
+        v.iter().map(bits).collect()
+    }
+    fn f64s(v: &[f64]) -> Vec<String> {
+        let bits = |x: &f64| match x.is_nan() {
+            true => "nan".to_string(),
+            false => format!("{:016x}", x.to_bits()),
+        };
+        v.iter().map(bits).collect()
+    }
+    match r {
+        Err(e) => format!("! {e}"),
+        Ok((out, stats)) => {
+            let mut s = String::new();
+            for o in out {
+                s += &match o {
+                    OutputValue::ArrayF32(v) => format!("[f32 {}]", f32s(v).join(" ")),
+                    OutputValue::ArrayF64(v) => format!("[f64 {}]", f64s(v).join(" ")),
+                    OutputValue::ArrayI64(v) => format!("[i64 {v:?}]"),
+                    scalar => format!("{scalar:?}"),
+                };
+            }
+            if !stats.diagnostics.is_empty() {
+                s += &format!(" diagnostics={:?}", stats.diagnostics);
+            }
+            s
+        }
+    }
+}
+
+/// `prog` in `Pure`, and what `compile` makes of it in `Memory` and
+/// `Checked`.
+fn in_three_modes(
+    prog: &Program,
+    compiled: &arraymem_core::Compiled,
+    inputs: &[InputValue],
+) -> [Result<(Vec<OutputValue>, crate::Stats), String>; 3] {
+    let kernels = KernelRegistry::new();
+    let checks: Vec<_> = compiled.report.checks().cloned().collect();
+    let mut session = crate::Session::new();
+    let h = session
+        .prepare_full(
+            &compiled.program,
+            &kernels,
+            &checks,
+            &compiled.report.merges,
+            &compiled.report.par_safety,
+        )
+        .expect("prepare");
+    [
+        run_program(prog, inputs, &kernels, Mode::Pure, 1),
+        session.run_plan(h, inputs, &kernels, Mode::Memory, 1),
+        session.run_plan(h, inputs, &kernels, Mode::Checked, 1),
+    ]
+}
+
+/// Regression: a lambda map's width is the program's and its inputs'
+/// lengths are the request's, and nothing compared them. A map wider than
+/// an input ran off the end of the block (a panic in the view's assert —
+/// under the server, with the tenant's mutex held) or, over a slice of a
+/// larger block, read the cells behind the slice in `Memory` and `Checked`
+/// without a word from the sanitizer. One check per map execution, every
+/// mode; a map no wider than its inputs runs.
+#[test]
+fn map_wider_than_its_input_is_an_error_not_a_panic() {
+    use arraymem_ir::BinOp;
+    let square = |lb: &mut arraymem_ir::builder::BlockBuilder, ps: &[Var]| {
+        let x = ScalarExp::var(ps[0]);
+        vec![lb.scalar(
+            "sq",
+            ElemType::F32,
+            ScalarExp::bin(BinOp::Mul, x.clone(), x),
+        )]
+    };
+    // `ys = map (\x -> x * x) xs` over `m` elements of `xs: [n]`: all of
+    // it, its first three elements as a slice, and beside a second input.
+    let build = |shape: usize| {
+        let mut b = Builder::new("wide_map");
+        let n = b.scalar_param("wn", ElemType::I64);
+        let m = b.scalar_param("wm", ElemType::I64);
+        let xs = b.array_param("wxs", ElemType::F32, vec![p(n)]);
+        let zs = b.array_param("wzs", ElemType::F32, vec![c(3)]);
+        let mut body = b.block();
+        let inputs = match shape {
+            0 => vec![xs],
+            1 => {
+                let first = TripletSlice::range(c(0), c(3), c(1));
+                vec![body.slice("head", xs, Transform::Slice(vec![first]))]
+            }
+            _ => vec![xs, zs],
+        };
+        let ys = body.map_lambda("wys", p(m), inputs, ElemType::F32, square);
+        b.finish(body.finish(vec![ys]))
+    };
+    let inputs = |n: usize, m: i64| {
+        vec![
+            InputValue::I64(n as i64),
+            InputValue::I64(m),
+            InputValue::ArrayF32((1..=n).map(|i| i as f32).collect()),
+            InputValue::ArrayF32(vec![1.0, 2.0, 3.0]),
+        ]
+    };
+    for (shape, n) in [(0, 3), (1, 6), (2, 6)] {
+        let prog = build(shape);
+        let compiled = compile(&prog, &Options::default()).expect("compile");
+        for (mode, r) in ["pure", "memory", "checked"].iter().zip(in_three_modes(
+            &prog,
+            &compiled,
+            &inputs(n, 5),
+        )) {
+            let err = r.expect_err("five elements of three");
+            assert_eq!(
+                err, "map of width 5 over an input of 3 elements",
+                "shape {shape} ({mode})"
+            );
+        }
+        for m in [3, 2, 0] {
+            let want = OutputValue::ArrayF32((1..=m).map(|i| (i * i) as f32).collect());
+            for r in in_three_modes(&prog, &compiled, &inputs(n, m)) {
+                assert_eq!(
+                    r.expect("no wider than its inputs").0,
+                    std::slice::from_ref(&want)
+                );
+            }
+        }
+    }
+}
+
+/// What the strip test's bodies are made of: a leaf, or an operator over
+/// earlier trees.
+#[derive(Clone, Debug)]
+enum Tree {
+    /// Parameter `k` of the lambda (f32, f64, i64).
+    Param(usize),
+    /// Outer scalar `k` (f32, f64, i64, bool): one value for the map.
+    Outer(usize),
+    Const(arraymem_ir::Constant),
+    /// The value of statement `k` of the body.
+    Local(usize),
+    Bin(arraymem_ir::BinOp, Box<Tree>, Box<Tree>),
+    Un(arraymem_ir::UnOp, Box<Tree>),
+}
+
+/// One lambda body: statements `(declared type, expression)`; the last is
+/// the map's result.
+type Body = Vec<(ElemType, Tree)>;
+
+const ELEMS: [ElemType; 4] = [ElemType::F32, ElemType::F64, ElemType::I64, ElemType::Bool];
+
+/// The program every strip-test body runs in: four maps of the same body
+/// over `w` elements, each over three inputs (f32, f64, i64) in a rotation
+/// of four layouts — a contiguous prefix of a longer block, every other
+/// element, reversed, and a row of the transposed `[w][2]` view.
+fn strip_program(body: &Body) -> Program {
+    let mut b = Builder::new("strips");
+    let w = b.scalar_param("sw", ElemType::I64);
+    let outers: Vec<Var> = ELEMS
+        .iter()
+        .map(|e| b.scalar_param(&format!("s{e:?}"), *e))
+        .collect();
+    let arrays: Vec<Var> = ELEMS[..3]
+        .iter()
+        .map(|e| b.array_param(&format!("a{e:?}"), *e, vec![c(2) * p(w)]))
+        .collect();
+    let mut blk = b.block();
+    let mut layouts: Vec<Vec<Var>> = Vec::new();
+    for &a in &arrays {
+        let slice = |blk: &mut arraymem_ir::builder::BlockBuilder, name, start: Poly, step| {
+            let t = TripletSlice::range(start, p(w), c(step));
+            blk.slice(name, a, Transform::Slice(vec![t]))
+        };
+        let prefix = slice(&mut blk, "prefix", c(0), 1);
+        let strided = slice(&mut blk, "strided", c(0), 2);
+        let reversed = slice(&mut blk, "reversed", p(w) - c(1), -1);
+        let pairs = blk.transform("pairs", a, Transform::Reshape(vec![p(w), c(2)]));
+        let cols = blk.transform("cols", pairs, Transform::Permute(vec![1, 0]));
+        let odd = vec![TripletSlice::Fix(c(1)), TripletSlice::full(p(w))];
+        let row = blk.slice("row", cols, Transform::Slice(odd));
+        layouts.push(vec![prefix, strided, reversed, row]);
+    }
+    fn exp(t: &Tree, ps: &[Var], outers: &[Var], locals: &[Var]) -> ScalarExp {
+        match t {
+            Tree::Param(k) => ScalarExp::var(ps[*k]),
+            Tree::Outer(k) => ScalarExp::var(outers[*k]),
+            Tree::Const(k) => ScalarExp::Const(*k),
+            Tree::Local(k) => ScalarExp::var(locals[*k]),
+            Tree::Bin(op, a, b) => {
+                ScalarExp::bin(*op, exp(a, ps, outers, locals), exp(b, ps, outers, locals))
+            }
+            Tree::Un(op, a) => ScalarExp::un(*op, exp(a, ps, outers, locals)),
+        }
+    }
+    let out_elem = body.last().expect("a statement").0;
+    let results: Vec<Var> = (0..4)
+        .map(|m| {
+            let inputs = (0..3).map(|k| layouts[k][(m + k) % 4]).collect();
+            blk.map_lambda("r", p(w), inputs, out_elem, |lb, ps| {
+                let mut locals = Vec::new();
+                for (elem, t) in body {
+                    let v = lb.scalar("t", *elem, exp(t, ps, &outers, &locals));
+                    locals.push(v);
+                }
+                vec![*locals.last().unwrap()]
+            })
+        })
+        .collect();
+    b.finish(blk.finish(results))
+}
+
+/// Inputs of `strip_program` at width `w`: edge-case floats recurring
+/// through the arrays, small integers — with a zero and the extremes
+/// when `wild`.
+fn strip_inputs(w: usize, seed: u64, wild: bool) -> Vec<InputValue> {
+    let mut r = arraymem_symbolic::Rng64::new(seed);
+    let f32s = [1.5, -0.0, f32::NAN, 3.0e38, -2.25, f32::INFINITY, 0.0, 7.0];
+    let f64s = [
+        -2.25,
+        0.5,
+        f64::NAN,
+        1.0e300,
+        0.1,
+        -0.0,
+        f64::NEG_INFINITY,
+        3.0,
+    ];
+    let ints = [7, -1, 3, -3, 2, 9, -8, 1];
+    let wild_ints = [0, i64::MAX, i64::MIN, 5];
+    let int = |r: &mut arraymem_symbolic::Rng64| match wild && r.chance(0.002) {
+        true => wild_ints[r.usize_in(4)],
+        false => ints[r.usize_in(8)],
+    };
+    vec![
+        InputValue::I64(w as i64),
+        InputValue::F32(f32s[r.usize_in(8)]),
+        InputValue::F64(f64s[r.usize_in(8)]),
+        InputValue::I64(ints[r.usize_in(8)]),
+        InputValue::Bool(r.chance(0.5)),
+        InputValue::ArrayF32((0..2 * w).map(|_| f32s[r.usize_in(8)]).collect()),
+        InputValue::ArrayF64((0..2 * w).map(|_| f64s[r.usize_in(8)]).collect()),
+        InputValue::ArrayI64((0..2 * w).map(|_| int(&mut r)).collect()),
+    ]
+}
+
+/// Strips are an implementation of the element-wise evaluator, not a
+/// second semantics: over every binary operator × operand-type pair and
+/// every unary operator × type, and over 200 seeded straight-line bodies
+/// (parameters, broadcast outer scalars and constants of all four types,
+/// declared types forcing every coercion), at widths around the strip
+/// length and over contiguous, strided, reversed and transposed inputs,
+/// `Memory` and `Checked` return what `Pure` returns — bit for bit, or
+/// error for error.
+#[test]
+fn strips_agree_with_the_elementwise_evaluator() {
+    use arraymem_ir::{BinOp, Constant, UnOp};
+    use arraymem_symbolic::Rng64;
+    const S: usize = crate::strip::STRIP;
+    const BIN_OPS: [BinOp; 13] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Div,
+        BinOp::Rem,
+        BinOp::Min,
+        BinOp::Max,
+        BinOp::Eq,
+        BinOp::Ne,
+        BinOp::Lt,
+        BinOp::Le,
+        BinOp::And,
+        BinOp::Or,
+    ];
+    const UN_OPS: [UnOp; 9] = [
+        UnOp::Neg,
+        UnOp::Not,
+        UnOp::Sqrt,
+        UnOp::Exp,
+        UnOp::Log,
+        UnOp::Abs,
+        UnOp::ToF32,
+        UnOp::ToF64,
+        UnOp::ToI64,
+    ];
+    let constant = |ty: usize, r: &mut Rng64| {
+        Tree::Const(match ty {
+            0 => Constant::F32([0.5, -2.0, 3.0][r.usize_in(3)]),
+            1 => Constant::F64([0.25, -1.5, 2.0][r.usize_in(3)]),
+            2 => Constant::I64([2, -3, 5][r.usize_in(3)]),
+            _ => Constant::Bool(r.chance(0.5)),
+        })
+    };
+    // A leaf of type `ty` (f32, f64, i64, bool): a lane, a broadcast or a
+    // constant. Statement 0 of every body is a boolean lane.
+    let leaf = |ty: usize, r: &mut Rng64| match r.usize_in(4) {
+        0 => constant(ty, r),
+        1 => Tree::Outer(ty),
+        _ if ty == 3 => Tree::Local(0),
+        _ => Tree::Param(ty),
+    };
+    let flag = (
+        ElemType::Bool,
+        Tree::Bin(
+            BinOp::Lt,
+            Box::new(Tree::Param(2)),
+            Box::new(Tree::Const(Constant::I64(3))),
+        ),
+    );
+    let mut r = Rng64::new(0x0057_1295);
+    let mut bodies: Vec<(Body, &[usize])> = Vec::new();
+    // The tables: typing is per map, so two widths see all of it.
+    let table_widths: &[usize] = &[1, S + 1];
+    for (k, op) in BIN_OPS.iter().enumerate() {
+        for ta in 0..4 {
+            for tb in 0..4 {
+                let e = Tree::Bin(*op, Box::new(leaf(ta, &mut r)), Box::new(leaf(tb, &mut r)));
+                let declared = ELEMS[(k + ta + tb) % 4];
+                bodies.push((vec![flag.clone(), (declared, e)], table_widths));
+            }
+        }
+    }
+    for (k, op) in UN_OPS.iter().enumerate() {
+        for ty in 0..4 {
+            let e = Tree::Un(*op, Box::new(leaf(ty, &mut r)));
+            bodies.push((vec![flag.clone(), (ELEMS[(k + ty) % 4], e)], table_widths));
+        }
+    }
+    // Seeded bodies, steered towards well-typed (the type of a tree, as
+    // far as steering needs it: 0..4 as above).
+    fn type_of(t: &Tree, body: &Body) -> usize {
+        let of_elem = |e: ElemType| ELEMS.iter().position(|x| *x == e).unwrap();
+        match t {
+            Tree::Param(k) | Tree::Outer(k) => *k,
+            Tree::Const(Constant::F32(_)) => 0,
+            Tree::Const(Constant::F64(_)) => 1,
+            Tree::Const(Constant::I64(_)) => 2,
+            Tree::Const(Constant::Bool(_)) => 3,
+            Tree::Local(k) => of_elem(body[*k].0),
+            Tree::Bin(op, a, b) => {
+                let (ta, tb) = (type_of(a, body), type_of(b, body));
+                let arith = (*op as usize) < BinOp::Eq as usize;
+                match (ta.min(tb), arith) {
+                    (t @ (0 | 1), true) => t,
+                    (_, true) => 2,
+                    _ => 3,
+                }
+            }
+            Tree::Un(op, a) => match (op, type_of(a, body)) {
+                (UnOp::Not, _) => 3,
+                (UnOp::ToF32, _) => 0,
+                (UnOp::ToF64, _) => 1,
+                (UnOp::ToI64, _) => 2,
+                (UnOp::Sqrt | UnOp::Exp | UnOp::Log, t) => t.min(1).max((t == 1) as usize),
+                (_, t) => t,
+            },
+        }
+    }
+    fn tree(
+        r: &mut Rng64,
+        depth: usize,
+        body: &Body,
+        leaf: &dyn Fn(usize, &mut Rng64) -> Tree,
+    ) -> Tree {
+        if depth == 0 || r.chance(0.25) {
+            return match r.usize_in(5) {
+                0 if body.len() > 1 => Tree::Local(1 + r.usize_in(body.len() - 1)),
+                _ => leaf(r.usize_in(4), r),
+            };
+        }
+        if r.chance(0.3) {
+            let a = tree(r, depth - 1, body, leaf);
+            let ops: &[UnOp] = match type_of(&a, body) {
+                _ if r.chance(0.05) => &UN_OPS,
+                3 => &[UnOp::Not, UnOp::ToF32, UnOp::ToI64, UnOp::Sqrt],
+                2 => &[
+                    UnOp::Neg,
+                    UnOp::Not,
+                    UnOp::Abs,
+                    UnOp::ToF64,
+                    UnOp::ToF32,
+                    UnOp::Exp,
+                ],
+                _ => &[
+                    UnOp::Neg,
+                    UnOp::Abs,
+                    UnOp::Sqrt,
+                    UnOp::Log,
+                    UnOp::ToI64,
+                    UnOp::ToF64,
+                ],
+            };
+            return Tree::Un(ops[r.usize_in(ops.len())], Box::new(a));
+        }
+        let (a, b) = (
+            tree(r, depth - 1, body, leaf),
+            tree(r, depth - 1, body, leaf),
+        );
+        let ops: &[BinOp] = match (type_of(&a, body), type_of(&b, body)) {
+            _ if r.chance(0.05) => &BIN_OPS,
+            (3, 3) => &[BinOp::And, BinOp::Or, BinOp::Eq, BinOp::Ne],
+            (0 | 1, _) | (_, 0 | 1) => &BIN_OPS[..11],
+            // Integer products of products overflow soon enough.
+            _ => &BIN_OPS,
+        };
+        Tree::Bin(ops[r.usize_in(ops.len())], Box::new(a), Box::new(b))
+    }
+    let all_widths: &[usize] = &[0, 1, S - 1, S, S + 1, 3 * S + 7];
+    for _ in 0..200 {
+        let mut body: Body = vec![flag.clone()];
+        for _ in 0..r.usize_in(6) + 1 {
+            let t = tree(&mut r, 2, &body, &leaf);
+            // `bool` only takes what has a truth value.
+            let declared = match type_of(&t, &body) {
+                2 | 3 => ELEMS[r.usize_in(4)],
+                _ if r.chance(0.03) => ElemType::Bool,
+                _ => ELEMS[r.usize_in(3)],
+            };
+            body.push((declared, t));
+        }
+        bodies.push((body, all_widths));
+    }
+
+    let (mut runs, mut in_strips, mut refused) = (0, 0, 0);
+    for (id, (body, widths)) in bodies.iter().enumerate() {
+        let prog = strip_program(body);
+        let compiled = compile(&prog, &Options::default()).expect("compile");
+        for &w in *widths {
+            let inputs = strip_inputs(w, id as u64, id % 4 == 3);
+            let [pure, memory, checked] = in_three_modes(&prog, &compiled, &inputs);
+            let want = rendered(&pure);
+            assert_eq!(
+                rendered(&memory),
+                want,
+                "memory, body {id} {body:?}, width {w}"
+            );
+            assert_eq!(
+                rendered(&checked),
+                want,
+                "checked, body {id} {body:?}, width {w}"
+            );
+            runs += 1;
+            refused += pure.is_err() as usize;
+            if let (Ok((_, m)), Ok((_, ch))) = (&memory, &checked) {
+                assert_eq!(m.lambda_elems_elementwise, ch.lambda_elems_elementwise);
+                assert_eq!(m.kernel_launches, 4 * w as u64);
+                in_strips += (m.lambda_elems_elementwise == 0) as usize;
+            }
+            let pure_counts = pure.map_or(0, |(_, s)| s.lambda_elems_elementwise);
+            assert_eq!(
+                pure_counts, 0,
+                "the oracle runs no strip code and counts none"
+            );
+        }
+    }
+    // The bodies are straight lines: what does not run in strips is what
+    // the evaluator refuses (a type error, a lane without a value).
+    assert!(
+        in_strips * 10 >= runs * 7 && refused * 20 >= runs,
+        "{runs} runs: {in_strips} all in strips, {refused} refused"
+    );
+}
+
+/// Which error a map reports is decided by element order, not operator
+/// order: lane `S + 3` overflows in the body's second statement and lane
+/// `S + 5` divides by zero in its first. A strip evaluates the first
+/// statement for every lane before the second for any — and still reports
+/// the overflow, because a strip in which any lane has no value is re-run
+/// element by element from inputs it has not touched.
+#[test]
+fn strips_report_the_error_of_the_first_failing_element() {
+    use arraymem_ir::BinOp;
+    const S: usize = crate::strip::STRIP;
+    let n = 3 * S + 7;
+    let mut b = Builder::new("precedence");
+    let xs = b.array_param("pxs", ElemType::I64, vec![c(n as i64)]);
+    let ys = b.array_param("pys", ElemType::I64, vec![c(n as i64)]);
+    let mut body = b.block();
+    let r = body.map_lambda("pr", c(n as i64), vec![xs, ys], ElemType::I64, |lb, ps| {
+        let (x, y) = (ScalarExp::var(ps[0]), ScalarExp::var(ps[1]));
+        let q = lb.scalar(
+            "q",
+            ElemType::I64,
+            ScalarExp::bin(BinOp::Div, ScalarExp::i64(100), x),
+        );
+        let t = ScalarExp::bin(BinOp::Add, y, ScalarExp::i64(1));
+        let t = lb.scalar("t", ElemType::I64, t);
+        let sum = ScalarExp::bin(BinOp::Add, ScalarExp::var(q), ScalarExp::var(t));
+        vec![lb.scalar("s", ElemType::I64, sum)]
+    });
+    let prog = b.finish(body.finish(vec![r]));
+    let compiled = compile(&prog, &Options::default()).expect("compile");
+    let (mut xs, mut ys) = (vec![5i64; n], vec![1i64; n]);
+    xs[S + 5] = 0;
+    ys[S + 3] = i64::MAX;
+    let inputs = [InputValue::ArrayI64(xs.clone()), InputValue::ArrayI64(ys)];
+    for r in in_three_modes(&prog, &compiled, &inputs) {
+        let overflow = format!("integer Add of {} by 1 overflows", i64::MAX);
+        assert_eq!(r.expect_err("two lanes have no value"), overflow);
+    }
+    // Without the overflow it is the quotient's turn, and without either
+    // the strip's lanes are the evaluator's.
+    let inputs = [InputValue::ArrayI64(xs), InputValue::ArrayI64(vec![1; n])];
+    for r in in_three_modes(&prog, &compiled, &inputs) {
+        assert_eq!(
+            r.expect_err("100 / 0"),
+            "integer Div of 100 by 0 is undefined"
+        );
+    }
+    let inputs = [
+        InputValue::ArrayI64(vec![5; n]),
+        InputValue::ArrayI64(vec![1; n]),
+    ];
+    for r in in_three_modes(&prog, &compiled, &inputs) {
+        let (out, stats) = r.expect("every lane has a value");
+        assert_eq!(out, [OutputValue::ArrayI64(vec![22; n])]);
+        assert_eq!(stats.lambda_elems_elementwise, 0);
+    }
+}
+
+/// A result short-circuited onto its own input — `a[0;n;2] = map f
+/// a[0;n;2]`, built in place — still runs in strips: the input goes
+/// through lane scratch, element `i` lands on element `i`. A result that
+/// shares its block with an input it is *not* (Fig. 1: the diagonal
+/// written, the first row read) orders reads and writes by element, and
+/// runs element by element.
+#[test]
+fn strips_go_through_scratch_when_the_result_lands_on_its_input() {
+    use arraymem_ir::BinOp;
+    const S: usize = crate::strip::STRIP;
+    let n = 2 * S + 5;
+    let mut b = Builder::new("onto_itself");
+    let a = b.array_param("oa", ElemType::F32, vec![c(2 * n as i64)]);
+    let mut body = b.block();
+    let evens = || TripletSlice::range(c(0), c(n as i64), c(2));
+    let xs = body.slice("oxs", a, Transform::Slice(vec![evens()]));
+    let ys = body.map_lambda("oys", c(n as i64), vec![xs], ElemType::F32, |lb, ps| {
+        let x = ScalarExp::var(ps[0]);
+        let sq = ScalarExp::bin(BinOp::Mul, x.clone(), x);
+        let e = ScalarExp::bin(BinOp::Add, sq, ScalarExp::f32(1.0));
+        vec![lb.scalar("y", ElemType::F32, e)]
+    });
+    let a2 = body.update("oa2", a, SliceSpec::Triplet(vec![evens()]), ys);
+    let prog = b.finish(body.finish(vec![a2]));
+    let compiled = compile(&prog, &Options::optimized()).expect("compile");
+    let data: Vec<f32> = (0..2 * n).map(|i| i as f32 * 0.5).collect();
+    let inputs = [InputValue::ArrayF32(data.clone())];
+    let [pure, memory, checked] = in_three_modes(&prog, &compiled, &inputs);
+    let want: Vec<f32> = (0..2 * n)
+        .map(|i| match i % 2 {
+            0 => data[i] * data[i] + 1.0,
+            _ => data[i],
+        })
+        .collect();
+    assert_eq!(pure.expect("pure").0, [OutputValue::ArrayF32(want.clone())]);
+    for r in [memory, checked] {
+        let (out, stats) = r.expect("in place");
+        assert_eq!(out, [OutputValue::ArrayF32(want.clone())]);
+        assert!(stats.diagnostics.is_empty(), "{:?}", stats.diagnostics);
+        assert_eq!(stats.bytes_elided, 4 * n as u64, "built in its destination");
+        assert_eq!(stats.lambda_elems_elementwise, 0);
+    }
+
+    let (prog, env) = fig1_left();
+    let compiled = compile(&prog, &Options::optimized().with_env(env)).expect("compile");
+    let n = S + 9;
+    let data: Vec<f32> = (0..n * n).map(|i| (i % 97) as f32).collect();
+    let inputs = [InputValue::I64(n as i64), InputValue::ArrayF32(data)];
+    let [pure, memory, checked] = in_three_modes(&prog, &compiled, &inputs);
+    let want = pure.expect("pure").0;
+    for r in [memory, checked] {
+        let (out, stats) = r.expect("in place");
+        assert_eq!(out, want);
+        assert_eq!(stats.bytes_elided, 4 * n as u64, "built in its destination");
+        assert_eq!(stats.lambda_elems_elementwise, n as u64);
+    }
+}
+
+/// Gather and scatter lanes outside the sanitizer check a strip of
+/// indices, then move it. A stray index in the middle strip is still the
+/// first stray *lane*'s error, in the lane loop's words (and under the
+/// sanitizer, its finding); duplicate indices either side of a strip
+/// boundary still leave the last write; and an index array that is a view
+/// of the block being scattered into is still read lane by lane, as the
+/// writes change it.
+#[test]
+fn lane_strips_check_every_index_before_they_move() {
+    const S: usize = crate::strip::STRIP;
+    let n = 3 * S;
+    let mut b = Builder::new("gather_far");
+    let xs = b.array_param("gxs", ElemType::F32, vec![c(10)]);
+    let is = b.array_param("gis", ElemType::I64, vec![c(n as i64)]);
+    let mut body = b.block();
+    let g = body.gather("g", xs, is);
+    let gather = b.finish(body.finish(vec![g]));
+    let compiled = compile(&gather, &Options::default()).expect("compile");
+    let mut idx: Vec<i64> = (0..n as i64).map(|k| k % 10).collect();
+    let xs_data: Vec<f32> = (0..10).map(|i| i as f32).collect();
+    let inputs = |idx: &[i64]| {
+        [
+            InputValue::ArrayF32(xs_data.clone()),
+            InputValue::ArrayI64(idx.to_vec()),
+        ]
+    };
+    let want = OutputValue::ArrayF32(idx.iter().map(|&j| j as f32).collect());
+    for r in in_three_modes(&gather, &compiled, &inputs(&idx)) {
+        assert_eq!(
+            r.expect("every index inside").0,
+            std::slice::from_ref(&want)
+        );
+    }
+    (idx[S + 17], idx[2 * S + 1]) = (99, -4);
+    let [pure, memory, checked] = in_three_modes(&gather, &compiled, &inputs(&idx));
+    let stray = format!(
+        "gather index 99 out of bounds for 10 elements (lane {})",
+        S + 17
+    );
+    assert_eq!(pure.expect_err("lane S + 17"), stray);
+    assert_eq!(memory.expect_err("lane S + 17"), stray);
+    let findings = checked.expect("the sanitizer skips the lane").1.diagnostics;
+    let lanes: Vec<(i64, i64, i64)> = findings
+        .iter()
+        .map(|d| match d {
+            crate::Diagnostic::IndexOutOfBounds {
+                lane,
+                index,
+                extent,
+                ..
+            } => (*lane, *index, *extent),
+            other => panic!("{other}"),
+        })
+        .collect();
+    assert_eq!(lanes, [(S as i64 + 17, 99, 10), (2 * S as i64 + 1, -4, 10)]);
+
+    // Lanes `S - 1`, `S` and `2S - 1` all write element 1.
+    let mut b = Builder::new("scatter_dups");
+    let dst = b.array_param("sdst", ElemType::I64, vec![c(4)]);
+    let is = b.array_param("sis", ElemType::I64, vec![c(2 * S as i64)]);
+    let vs = b.array_param("svs", ElemType::I64, vec![c(2 * S as i64)]);
+    let mut body = b.block();
+    let s = body.scatter("s", dst, is, vs);
+    let scatter = b.finish(body.finish(vec![s]));
+    let compiled = compile(&scatter, &Options::default()).expect("compile");
+    let mut idx = vec![3i64; 2 * S];
+    (idx[S - 1], idx[S], idx[2 * S - 1]) = (1, 1, 1);
+    let inputs = [
+        InputValue::ArrayI64(vec![-1; 4]),
+        InputValue::ArrayI64(idx),
+        InputValue::ArrayI64((0..2 * S as i64).collect()),
+    ];
+    for r in in_three_modes(&scatter, &compiled, &inputs) {
+        let last = 2 * S as i64 - 1;
+        let want = OutputValue::ArrayI64(vec![-1, last, -1, last - 1]);
+        assert_eq!(r.expect("every index inside").0, [want]);
+    }
+
+    // `idx` is the first two elements of the destination: lane 0 writes
+    // 99 where lane 1 then finds its index.
+    let mut b = Builder::new("scatter_self");
+    let dst = b.array_param("tdst", ElemType::I64, vec![c(6)]);
+    let vs = b.array_param("tvs", ElemType::I64, vec![c(2)]);
+    let mut body = b.block();
+    let first_two = TripletSlice::range(c(0), c(2), c(1));
+    let is = body.slice("tis", dst, Transform::Slice(vec![first_two]));
+    let s = body.scatter("ts", dst, is, vs);
+    let scatter = b.finish(body.finish(vec![s]));
+    let compiled = compile(&scatter, &Options::default()).expect("compile");
+    let inputs = |v0| {
+        [
+            InputValue::ArrayI64(vec![1, 0, 5, 5, 5, 5]),
+            InputValue::ArrayI64(vec![v0, 9]),
+        ]
+    };
+    let kernels = KernelRegistry::new();
+    let run = |v0| run_program(&compiled.program, &inputs(v0), &kernels, Mode::Memory, 1);
+    assert_eq!(
+        run(3).expect("lane 1 goes where lane 0 said").0,
+        [OutputValue::ArrayI64(vec![1, 3, 5, 9, 5, 5])]
+    );
+    assert_eq!(
+        run(99).expect_err("lane 1 goes nowhere"),
+        "scatter index 99 out of bounds for 6 elements (lane 1)"
+    );
+}

@@ -61,6 +61,19 @@ pub(crate) enum Tag {
     Mem,
 }
 
+impl Tag {
+    /// The tag of an element of type `elem`.
+    #[inline]
+    pub(crate) fn of(elem: ElemType) -> Tag {
+        match elem {
+            ElemType::F32 => Tag::F32,
+            ElemType::F64 => Tag::F64,
+            ElemType::I64 => Tag::I64,
+            ElemType::Bool => Tag::Bool,
+        }
+    }
+}
+
 /// What a register holds — a scalar, or the id of a memory block — as a
 /// tag and one word of bits (`f32` bits in the low half, booleans 0/1).
 ///

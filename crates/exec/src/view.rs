@@ -21,8 +21,9 @@ use arraymem_ir::ElemType;
 use arraymem_lmad::concrete::AccessClass;
 use arraymem_lmad::{ConcreteIxFn, ConcreteLmad};
 
-/// A Rust type a typed accessor may read block words as.
-trait Elem: Copy {
+/// A Rust type a typed accessor may read block words as (booleans are
+/// stored as `i64` words).
+pub(crate) trait Elem: Copy {
     const TYPE: ElemType;
 }
 
@@ -250,6 +251,27 @@ impl View {
         }
     }
 
+    pub(crate) fn elem(&self) -> ElemType {
+        self.buf.elem
+    }
+
+    /// Elements `[lo, lo + len)` in flat order as a slice of the block: a
+    /// contiguous view's strips need no copy.
+    pub(crate) fn strip<T: Elem>(&self, lo: usize, len: usize) -> Option<&[T]> {
+        self.as_slice::<T>()?.get(lo..lo + len)
+    }
+
+    /// The same elements copied into `out` — through the index function
+    /// where there is no slice to copy from.
+    pub(crate) fn load_strip<T: Elem>(&self, lo: usize, out: &mut [T]) {
+        if let Some(s) = self.strip(lo, out.len()) {
+            return out.copy_from_slice(s);
+        }
+        for (k, o) in out.iter_mut().enumerate() {
+            *o = self.load(self.offset_flat((lo + k) as i64));
+        }
+    }
+
     fn slice_bounds<T>(&self) -> Option<(usize, usize)> {
         assert_eq!(size_of::<T>(), self.buf.elem.size_bytes());
         let base = self.ixfn.contiguous_base()?;
@@ -337,6 +359,17 @@ impl ViewMut {
         self.buf.store_word(self.offset_flat(to), w)
     }
 
+    /// Store `src` as elements `[lo, lo + src.len())`, in flat order.
+    pub(crate) fn store_strip<T: Elem>(&self, lo: usize, src: &[T]) {
+        let slice = self.as_slice_mut::<T>();
+        if let Some(d) = slice.and_then(|d| d.get_mut(lo..lo + src.len())) {
+            return d.copy_from_slice(src);
+        }
+        for (k, &v) in src.iter().enumerate() {
+            self.store(self.offset_flat((lo + k) as i64), v);
+        }
+    }
+
     /// Store `v` into every element of the view.
     pub(crate) fn fill(&self, v: Value) {
         let w = self.buf.word_of(v);
@@ -362,6 +395,56 @@ impl ViewMut {
                 (self.buf.ptr as *mut T).add(base),
                 n,
             ))
+        }
+    }
+}
+
+/// One strip of gather (`dst[at + k] = src[idx[k]]`) or scatter
+/// (`dst[idx[k]] = src[at + k]`) lanes, in ascending order, with nothing
+/// but the move in the loop: the caller proved every index inside the
+/// indexed view. `apart` says the two views are of different blocks, and
+/// then two contiguous ones move as slices of the element width.
+pub(crate) fn move_lanes(
+    dst: &ViewMut,
+    src: &View,
+    idx: &[i64],
+    at: usize,
+    scatter: bool,
+    apart: bool,
+) {
+    fn as_slices<W: Copy>(
+        dst: &ViewMut,
+        src: &View,
+        idx: &[i64],
+        at: usize,
+        scatter: bool,
+    ) -> bool {
+        let (Some(d), Some(s)) = (dst.as_slice_mut::<W>(), src.as_slice::<W>()) else {
+            return false;
+        };
+        if scatter {
+            for (&j, &v) in idx.iter().zip(&s[at..]) {
+                d[j as usize] = v;
+            }
+        } else {
+            for (o, &j) in d[at..].iter_mut().zip(idx) {
+                *o = s[j as usize];
+            }
+        }
+        true
+    }
+    let moved = apart
+        && match src.buf.elem.size_bytes() {
+            4 => as_slices::<u32>(dst, src, idx, at, scatter),
+            _ => as_slices::<u64>(dst, src, idx, at, scatter),
+        };
+    if !moved {
+        for (k, &j) in (at as i64..).zip(idx) {
+            if scatter {
+                dst.copy_elem(j, src, k);
+            } else {
+                dst.copy_elem(k, src, j);
+            }
         }
     }
 }

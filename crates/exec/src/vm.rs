@@ -20,6 +20,19 @@
 //! index array as a slice or not, sanitizer on or off — once per
 //! instruction.
 //!
+//! **Element loops run in strips.** In `Memory` and `Checked` a lambda
+//! map whose body is a straight line of arithmetic runs its lane code
+//! ([`crate::strip`]): every operand's tag resolved once per execution,
+//! then, per strip of the width, one monomorphic loop per operator and
+//! the result strips stored last. The element-wise loop — all `Pure`, the
+//! oracle, ever runs — is what it falls back to: for a whole execution
+//! when an operand has no lane type or a result shares a block with an
+//! input it is not, for one strip when a lane's integer arithmetic has no
+//! value. Every error is therefore the evaluator's own, raised by the
+//! element that would have raised it. Gather and scatter lanes outside
+//! the sanitizer prove a strip of indices in range, then only move; a
+//! strip with a stray index goes through the lane loop, which reports it.
+//!
 //! Three modes share one plan:
 //!
 //! - [`Mode::Memory`]: obeys the compiler's memory annotations — `alloc`
@@ -59,6 +72,7 @@
 //!   run reports all. Diagnostics name source statements via the plan's
 //!   blame side table.
 
+use crate::arith::{coerce, eval_bin, eval_un, truth};
 use crate::cache::PlanCache;
 use crate::kernel::{KernelCtx, KernelRegistry};
 use crate::plan::{
@@ -68,11 +82,12 @@ use crate::plan::{
 use crate::pool::parallel_for_worker;
 use crate::stats::{Diagnostic, Stats};
 use crate::store::{CellState, MemStore, RawBuf};
+use crate::strip::{Strips, STRIP};
 use crate::value::{ArrayRef, InputValue, OutputValue, Tag, Value};
-use crate::view::{copy_view, fix_outer, View, ViewMut};
+use crate::view::{copy_view, fix_outer, move_lanes, View, ViewMut};
 use arraymem_core::{CircuitCheck, MergeRecord, ParLevel, ParSafetyRecord};
 use arraymem_ir::validate::lmad_slice_is_injective;
-use arraymem_ir::{BinOp, ElemType, Program, Type, UnOp};
+use arraymem_ir::{ElemType, Program, Type};
 use arraymem_lmad::{
     footprint_check, ConcreteIxFn, ConcreteLmad, FootprintCheck, Transform, TripletSlice,
 };
@@ -123,6 +138,8 @@ struct Machine<'a> {
     point: Vec<i64>,
     moved: Vec<Value>,
     moved_arrays: Vec<(Slot, ArrayRef)>,
+    /// Lane scratch and the resolved ops of the lambda map in flight.
+    strips: Strips,
     stats: Stats,
     threads: usize,
     mode: Mode,
@@ -274,6 +291,7 @@ pub fn execute_plan(
         point: Vec::new(),
         moved: Vec::new(),
         moved_arrays: Vec::new(),
+        strips: Strips::default(),
         stats: Stats::default(),
         threads: threads.max(1),
         mode,
@@ -977,7 +995,10 @@ impl Machine<'_> {
         Ok(())
     }
 
-    /// An interpreted elementwise map over rank-1 inputs.
+    /// A lambda map over rank-1 inputs. `Pure`, the oracle, evaluates the
+    /// body once per element; `Memory` and `Checked` run its lane code in
+    /// strips wherever that is the same thing, and count the elements for
+    /// which it is not.
     fn map_lambda(&mut self, ml: &MapLambdaInstr) -> Result<(), String> {
         let width = ml.width.eval(&self.regs).ok_or("unresolved map width")?;
         let dsts: Vec<ArrayRef> = ml
@@ -986,29 +1007,93 @@ impl Machine<'_> {
             .map(|d| self.fresh_dest(d))
             .collect::<Result<_, _>>()?;
         let in_views = self.input_views(&ml.inputs);
+        // The width is the program's, the inputs are the request's.
+        if let Some(short) = in_views.iter().find(|v| v.num_elems() < width) {
+            let n = short.num_elems();
+            return Err(format!(
+                "map of width {width} over an input of {n} elements"
+            ));
+        }
         let out_views: Vec<ViewMut> = dsts.iter().map(|a| self.view_mut(a)).collect();
+        let n = width.max(0) as usize;
         let t0 = Instant::now();
-        // Parameter slots are overwritten per element; body-local slots are
-        // re-executed before any use, so the register file needs no
-        // per-element reset. The views classified their access when they were
-        // made: an element costs its offset, a load or store, and the body.
-        for i in 0..width {
-            for (p, view) in ml.params.iter().zip(&in_views) {
-                self.regs[*p as usize] = view.get(i);
+        if self.mem_like() && self.resolve_strips(ml, &dsts, &in_views, &out_views, n) {
+            for lo in (0..n).step_by(STRIP) {
+                let len = STRIP.min(n - lo);
+                if !self.strips.run(&in_views, &out_views, lo, len) {
+                    // Some lane has no value and nothing of the strip is
+                    // stored: the evaluator says which element's.
+                    self.stats.lambda_elems_elementwise += len as u64;
+                    self.lambda_elems(ml, &in_views, &out_views, lo..lo + len)?;
+                }
             }
-            self.exec_stream(&ml.body)?;
-            for (r, out) in ml.results.iter().zip(&out_views) {
-                out.set(i, self.regs[*r as usize]);
+        } else {
+            if self.mem_like() {
+                self.stats.lambda_elems_elementwise += n as u64;
             }
+            self.lambda_elems(ml, &in_views, &out_views, 0..n)?;
         }
         self.stats.kernel_time += t0.elapsed();
-        self.stats.kernel_launches += width.max(0) as u64;
+        self.stats.kernel_launches += n as u64;
         // The body's instructions moved `cur_stm`; provenance of the map's
         // results is the map statement itself.
         self.cur_stm = ml.stm_var;
         for (d, dst) in ml.dests.iter().zip(dsts) {
             self.race_check(dst.block, &dst.ixfn, width);
             self.bind_written(d.slot, dst);
+        }
+        Ok(())
+    }
+
+    /// Can this execution of `ml` run in strips? It has lane code, every
+    /// operand has a type right now, and no result lands in a block an
+    /// operand is read from — except on that operand itself, element `i`
+    /// on element `i`, which is then read into scratch and never borrowed.
+    /// Any other sharing orders reads and writes element by element.
+    fn resolve_strips(
+        &mut self,
+        ml: &MapLambdaInstr,
+        dsts: &[ArrayRef],
+        in_views: &[View],
+        out_views: &[ViewMut],
+        width: usize,
+    ) -> bool {
+        let Ok(code) = &ml.strip else { return false };
+        let shares = |d: &ArrayRef, a: &ArrayRef| d.block == a.block;
+        let same = |d: &ArrayRef, a: &ArrayRef| d.elem == a.elem && d.ixfn == a.ixfn;
+        let (strips, regs, arrays) = (&mut self.strips, &self.regs, &self.arrays);
+        let input = |k: usize| arrays[ml.inputs[k] as usize].as_ref().expect("an array");
+        let apart = dsts.iter().enumerate().all(|(i, d)| {
+            (0..in_views.len()).all(|k| !shares(d, input(k)) || same(d, input(k)))
+                && dsts[..i].iter().all(|e| !shares(d, e))
+        });
+        let borrow = |k: usize| !dsts.iter().any(|d| shares(d, input(k)));
+        apart
+            && strips
+                .resolve(code, regs, in_views, borrow, out_views, width)
+                .is_some()
+    }
+
+    /// The body once per element of `elems`. Parameter slots are
+    /// overwritten per element; body-local slots are re-executed before
+    /// any use, so the register file needs no per-element reset. The views
+    /// classified their access when they were made: an element costs its
+    /// offset, a load or store, and the body.
+    fn lambda_elems(
+        &mut self,
+        ml: &MapLambdaInstr,
+        in_views: &[View],
+        out_views: &[ViewMut],
+        elems: std::ops::Range<usize>,
+    ) -> Result<(), String> {
+        for i in elems.start as i64..elems.end as i64 {
+            for (p, view) in ml.params.iter().zip(in_views) {
+                self.regs[*p as usize] = view.get(i);
+            }
+            self.exec_stream(&ml.body)?;
+            for (r, out) in ml.results.iter().zip(out_views) {
+                out.set(i, self.regs[*r as usize]);
+            }
         }
         Ok(())
     }
@@ -1236,7 +1321,7 @@ impl Machine<'_> {
         // under the lanes' writes.
         let idx = iv.as_slice::<i64>().filter(|_| idx_a.block != dst.block);
         let written = match (self.checked(), idx) {
-            (false, Some(idx)) => self.lanes::<false>(&lanes, |k| idx[k as usize]),
+            (false, Some(idx)) => self.lane_strips(&lanes, idx, src.block != dst.block),
             (false, None) => self.lanes::<false>(&lanes, |k| iv.get(k).as_i64()),
             (true, _) => self.lanes::<true>(&lanes, |k| iv.get(k).as_i64()),
         }?;
@@ -1244,6 +1329,25 @@ impl Machine<'_> {
         self.stats.bytes_copied += written * dst.elem.size_bytes() as u64;
         self.stats.num_copies += 1;
         Ok(())
+    }
+
+    /// The lanes of an index slice outside the sanitizer, in strips: one
+    /// pass proves every index of the strip inside the indexed array, then
+    /// [`move_lanes`] only moves. A strip with a stray index goes to the
+    /// lane loop, which words the error for the first one.
+    fn lane_strips(&mut self, l: &Lanes, idx: &[i64], apart: bool) -> Result<u64, String> {
+        let extent = l.ixfn.num_elems();
+        for (s, strip) in idx.chunks(STRIP).enumerate() {
+            // `&`, not `&&`: the pass has no branch to mispredict.
+            if !strip
+                .iter()
+                .fold(true, |ok, &j| ok & (0 <= j) & (j < extent))
+            {
+                return self.lanes::<false>(l, |k| idx[k as usize]);
+            }
+            move_lanes(l.dst, l.src, strip, s * STRIP, l.scatter, apart);
+        }
+        Ok(idx.len() as u64)
     }
 
     /// The one lane loop. Every lane's index is checked against the
@@ -1408,140 +1512,6 @@ fn elem_count(shape: &[i64]) -> Result<usize, String> {
     product
         .map(|n| n.max(0) as usize)
         .ok_or_else(|| format!("shape {shape:?} has more elements than the address space"))
-}
-
-#[inline]
-fn coerce(v: Value, elem: Option<ElemType>) -> Result<Value, String> {
-    Ok(match elem {
-        Some(ElemType::F32) => Value::f32(v.as_f32()),
-        Some(ElemType::F64) => Value::f64(v.as_f64()),
-        Some(ElemType::I64) => Value::i64(v.as_i64()),
-        Some(ElemType::Bool) => Value::bool(truth(v)?),
-        None => v,
-    })
-}
-
-/// A value where a boolean is required. The program is the request's: a
-/// float there is its error, never a panic.
-#[inline]
-fn truth(v: Value) -> Result<bool, String> {
-    #[cold]
-    fn not_a_bool(v: Value) -> String {
-        format!("{v:?} where a boolean is required")
-    }
-    match v.tag() {
-        Tag::Bool | Tag::I64 => Ok(v.as_bool()),
-        _ => Err(not_a_bool(v)),
-    }
-}
-
-#[inline]
-fn eval_bin(op: BinOp, x: Value, y: Value) -> Result<Value, String> {
-    use BinOp::*;
-    // The float arm, once for both widths.
-    macro_rules! float_bin {
-        ($v:ident, $a:expr, $b:expr) => {{
-            let (a, b) = ($a, $b);
-            match op {
-                Add => Value::$v(a + b),
-                Sub => Value::$v(a - b),
-                Mul => Value::$v(a * b),
-                Div => Value::$v(a / b),
-                Rem => Value::$v(a % b),
-                Min => Value::$v(a.min(b)),
-                Max => Value::$v(a.max(b)),
-                Eq => Value::bool(a == b),
-                Ne => Value::bool(a != b),
-                Lt => Value::bool(a < b),
-                Le => Value::bool(a <= b),
-                And | Or => return Err("boolean op on floats".into()),
-            }
-        }};
-    }
-    Ok(match (x.tag(), y.tag()) {
-        (Tag::F32, _) | (_, Tag::F32) => float_bin!(f32, x.as_f32(), y.as_f32()),
-        (Tag::F64, _) | (_, Tag::F64) => float_bin!(f64, x.as_f64(), y.as_f64()),
-        (Tag::Bool, Tag::Bool) => {
-            let (a, b) = (x.as_bool(), y.as_bool());
-            match op {
-                And => Value::bool(a && b),
-                Or => Value::bool(a || b),
-                Eq => Value::bool(a == b),
-                Ne => Value::bool(a != b),
-                _ => return Err("arithmetic on booleans".into()),
-            }
-        }
-        _ => {
-            let (a, b) = (x.as_i64(), y.as_i64());
-            match op {
-                Add => Value::i64(a.checked_add(b).ok_or_else(|| overflows(op, a, b))?),
-                Sub => Value::i64(a.checked_sub(b).ok_or_else(|| overflows(op, a, b))?),
-                Mul => Value::i64(a.checked_mul(b).ok_or_else(|| overflows(op, a, b))?),
-                Div => Value::i64(a.checked_div_euclid(b).ok_or_else(|| undefined(op, a, b))?),
-                Rem => Value::i64(a.checked_rem_euclid(b).ok_or_else(|| undefined(op, a, b))?),
-                Min => Value::i64(a.min(b)),
-                Max => Value::i64(a.max(b)),
-                Eq => Value::bool(a == b),
-                Ne => Value::bool(a != b),
-                Lt => Value::bool(a < b),
-                Le => Value::bool(a <= b),
-                And => Value::bool(a != 0 && b != 0),
-                Or => Value::bool(a != 0 || b != 0),
-            }
-        }
-    })
-}
-
-/// Operands are program inputs: a zero divisor (or `MIN / -1`) is the
-/// request's error, never a panic.
-#[cold]
-fn undefined(op: BinOp, a: i64, b: i64) -> String {
-    format!("integer {op:?} of {a} by {b} is undefined")
-}
-
-/// Likewise a result that does not fit an `i64`: a debug build would
-/// panic on it and a release build wrap silently.
-#[cold]
-fn overflows(op: BinOp, a: i64, b: i64) -> String {
-    format!("integer {op:?} of {a} by {b} overflows")
-}
-
-/// `-MIN` and `abs(MIN)` do not fit either.
-#[cold]
-fn overflows_un(op: UnOp, a: i64) -> String {
-    format!("integer {op:?} of {a} overflows")
-}
-
-#[inline]
-fn eval_un(op: UnOp, x: Value) -> Result<Value, String> {
-    use UnOp::*;
-    // A float function at the operand's width (non-floats widen to f32).
-    let float = |f64_fn: fn(f64) -> f64, f32_fn: fn(f32) -> f32| match x.tag() {
-        Tag::F64 => Value::f64(f64_fn(x.as_f64())),
-        _ => Value::f32(f32_fn(x.as_f32())),
-    };
-    let overflows = || overflows_un(op, x.as_i64());
-    Ok(match op {
-        Neg => match x.tag() {
-            Tag::F32 => Value::f32(-x.as_f32()),
-            Tag::F64 => Value::f64(-x.as_f64()),
-            Tag::I64 => Value::i64(x.as_i64().checked_neg().ok_or_else(overflows)?),
-            _ => return Err("neg on non-number".into()),
-        },
-        Not => Value::bool(!truth(x)?),
-        Sqrt => float(f64::sqrt, f32::sqrt),
-        Exp => float(f64::exp, f32::exp),
-        Log => float(f64::ln, f32::ln),
-        Abs => match x.tag() {
-            Tag::F32 => Value::f32(x.as_f32().abs()),
-            Tag::F64 => Value::f64(x.as_f64().abs()),
-            Tag::I64 => Value::i64(x.as_i64().checked_abs().ok_or_else(overflows)?),
-            _ => return Err("abs on non-number".into()),
-        },
-        ToF32 => Value::f32(x.as_f32()),
-        ToF64 => Value::f64(x.as_f64()),
-        ToI64 => Value::i64(x.as_i64()),
-    })
 }
 
 /// Sub-view of rows `[row, row+rows)` along the outer dimension.

@@ -98,6 +98,28 @@ element_paths() {
 }
 tier "element paths stay allocation-free and sanitizer-free unless checked" element_paths
 
+# Element loops run in strips, and a strip is the evaluator, not a second
+# semantics: the differential tests (every operator x type pair, seeded
+# bodies, layouts, widths around the strip length, error precedence, the
+# lanes' validate-then-move split) and the width check; a warm run still
+# allocates per instruction (200 strips per map at the third size); and
+# the arithmetic exists once — scalar and strip code call the same
+# per-type functions, so checked integer arithmetic occurs on no more
+# lines of non-test crates/exec/src than before there were strips.
+strips() {
+    cargo test --release --offline -p arraymem-exec -q -- strip map_wider
+    cargo test --release --offline -p arraymem-bench --test alloc_free -q
+    n=0
+    for f in crates/exec/src/*.rs; do
+        [ "$f" = "crates/exec/src/tests.rs" ] && continue
+        n=$((n + $(awk '/#\[cfg\(test\)\]/{exit}{print}' "$f" |
+            grep -c 'checked_add\|checked_mul\|checked_div_euclid\|checked_neg' || true)))
+    done
+    echo "lines of checked integer arithmetic in crates/exec/src: $n (limit 7)"
+    [ "$n" -le 7 ]
+}
+tier "strips agree with the evaluator, allocate nothing, add no arithmetic" strips
+
 # Merging is liveness: phase 1 of the merge pass colors live intervals
 # and proves nothing about footprints, and the executor re-proves nothing
 # about a merge (the differential legs guard it). The footprint tier, its

@@ -7,8 +7,10 @@
 //! The histogram's loop used to allocate 25 times per iteration (a deep
 //! copy of an index function for every array it named, a `Vec` of
 //! coordinates, a slice transform, a fresh view); a gather or a lambda map
-//! cloned nothing per element but is held to the same bar. A kernel map
-//! still builds a row view per instance (ROADMAP 1d), which is what the
+//! cloned nothing per element but is held to the same bar — a lambda map's
+//! lane scratch and resolved ops live on the machine, so it is held to it
+//! per *strip* too, which is what the third size is for. A kernel map
+//! still builds a row view per instance (ROADMAP 1b), which is what the
 //! per-row allowance for `spmv` is.
 //!
 //! One test in a binary of its own: the allocator counts the whole
@@ -76,24 +78,24 @@ fn warm_run_allocations(case: &Case) -> u64 {
 fn a_warm_run_allocates_per_instruction_not_per_element() {
     const SMALL: usize = 2_000;
     const LARGE: usize = 20_000;
+    /// Some 200 strips per lambda map.
+    const HUGE: usize = 200_000;
     /// Slack between two sizes: a free list or a scratch vector may grow
     /// once more at the larger one.
     const SLACK: u64 = 8;
 
     let mut fixed = 0;
-    let mut same_at_both_sizes = |name: &str, case: fn(usize) -> Case| {
-        let (small, large) = (
-            warm_run_allocations(&case(SMALL)),
-            warm_run_allocations(&case(LARGE)),
-        );
+    let mut same_at_every_size = |name: &str, case: fn(usize) -> Case| {
+        let [small, large, huge] = [SMALL, LARGE, HUGE].map(|n| warm_run_allocations(&case(n)));
         assert!(
-            small.abs_diff(large) <= SLACK,
-            "{name}: {small} allocations at n = {SMALL}, {large} at n = {LARGE}"
+            small.abs_diff(large) <= SLACK && small.abs_diff(huge) <= SLACK,
+            "{name}: {small} allocations at n = {SMALL}, {large} at n = {LARGE}, \
+             {huge} at n = {HUGE}"
         );
         fixed = fixed.max(small).max(large);
     };
-    same_at_both_sizes("histogram", |n| histogram_case("n/64", n, 64, 1));
-    same_at_both_sizes("permutation", |n| permutation_case("n", n, 1));
+    same_at_every_size("histogram", |n| histogram_case("n/64", n, 64, 1));
+    same_at_every_size("permutation", |n| permutation_case("n", n, 1));
 
     // One kernel instance per row, one row view per instance.
     for rows in [SMALL, LARGE] {

@@ -244,3 +244,68 @@ fn ablation_no_mapnest_restores_row_copies() {
     let (_, expect) = (case.reference)(&case.inputs);
     assert!(expect[0].approx_eq(&out[0], case.tol));
 }
+
+/// Every lambda map of the irregular workloads is a straight line of
+/// arithmetic: `Memory` runs all of their elements in strips and says so
+/// in the plan. A body with a `select` evaluates only the arm it picks,
+/// which only the element-wise evaluator does — every element counts.
+#[test]
+fn irregular_lambda_maps_run_in_strips() {
+    use arraymem_exec::{InputValue, KernelRegistry, Mode, Session};
+    use arraymem_ir::{BinOp, Builder, ElemType, ScalarExp};
+    let run = |program: &arraymem_ir::Program, kernels: &KernelRegistry, inputs: &[InputValue]| {
+        let mut session = Session::new();
+        let h = session
+            .prepare_full(program, kernels, &[], &[], &[])
+            .expect("prepare");
+        let plan = session.plan(h).pretty();
+        let (_, stats) = session
+            .run_plan(h, inputs, kernels, Mode::Memory, 1)
+            .expect("run");
+        (plan, stats)
+    };
+    for case in [
+        w::irregular::histogram_case("r", 5000, 64, 1),
+        w::irregular::spmv_case("r", 700, 700, 8, 1),
+        w::irregular::permutation_case("r", 5000, 1),
+    ] {
+        let compiled = case.compile(true);
+        let (plan, stats) = run(&compiled.program, &case.kernels, &case.inputs);
+        let maps = plan.matches("<- map_lambda").count();
+        assert!(maps >= 1, "{}", case.name);
+        assert_eq!(
+            plan.matches("] strip\n").count(),
+            maps,
+            "{}:\n{plan}",
+            case.name
+        );
+        assert!(stats.kernel_launches >= 5000, "{}", case.name);
+        assert_eq!(stats.lambda_elems_elementwise, 0, "{}", case.name);
+    }
+
+    let width = 3000;
+    let mut b = Builder::new("clamped");
+    let xs = b.array_param("cxs", ElemType::F32, vec![width.into()]);
+    let mut body = b.block();
+    let ys = body.map_lambda("cys", width, vec![xs], ElemType::F32, |lb, ps| {
+        let x = ScalarExp::var(ps[0]);
+        let negative = ScalarExp::bin(BinOp::Lt, x.clone(), ScalarExp::f32(0.0));
+        let clamped = ScalarExp::Select(
+            Box::new(negative),
+            Box::new(ScalarExp::f32(0.0)),
+            Box::new(x),
+        );
+        vec![lb.scalar("y", ElemType::F32, clamped)]
+    });
+    let prog = b.finish(body.finish(vec![ys]));
+    let compiled =
+        arraymem_core::compile(&prog, &arraymem_core::Options::optimized()).expect("compile");
+    let data = (0..width).map(|i| (i % 7 - 3) as f32).collect();
+    let (plan, stats) = run(
+        &compiled.program,
+        &KernelRegistry::new(),
+        &[InputValue::ArrayF32(data)],
+    );
+    assert!(plan.contains("] elementwise(Select)\n"), "{plan}");
+    assert_eq!(stats.lambda_elems_elementwise, width as u64);
+}

@@ -540,6 +540,53 @@ fn out_of_range_index_is_a_typed_error_and_the_tenant_lives_on() {
     assert_eq!(server.global_stats().runs, 2);
 }
 
+/// A map width arriving as a request input that one of the map's inputs
+/// does not have — five elements of a three-element array ran off the end
+/// of the block and panicked in the view's assert with the tenant's mutex
+/// held — is that request's typed error: the tenant serves its next
+/// request and the aggregate stats still answer.
+#[test]
+fn map_wider_than_its_input_is_a_typed_error_and_the_tenant_lives_on() {
+    let mut bld = Builder::new("squares");
+    let n = bld.scalar_param("n", ElemType::I64);
+    let m = bld.scalar_param("m", ElemType::I64);
+    let xs = bld.array_param("xs", ElemType::F32, vec![Poly::var(n)]);
+    let mut b = bld.block();
+    let ys = b.map_lambda("ys", Poly::var(m), vec![xs], ElemType::F32, |lb, ps| {
+        let x = ScalarExp::var(ps[0]);
+        let square = ScalarExp::bin(BinOp::Mul, x.clone(), x);
+        vec![lb.scalar("y", ElemType::F32, square)]
+    });
+    let compiled = compile(&bld.finish(b.finish(vec![ys])), &Options::default()).expect("compile");
+    let kernels = KernelRegistry::new();
+    let server = Server::new(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+    let run = |m| {
+        let inputs = [
+            InputValue::I64(3),
+            InputValue::I64(m),
+            InputValue::ArrayF32(vec![1.0, 2.0, 3.0]),
+        ];
+        let req = ExecRequest::from_compiled(&compiled, &kernels, &[], &inputs, Mode::Memory);
+        server.execute("a", req).map(|(out, _)| out)
+    };
+    let err = run(5).expect_err("xs has three elements");
+    assert!(
+        matches!(&err, ServerError::Execution(msg)
+            if msg == "map of width 5 over an input of 3 elements"),
+        "{err}"
+    );
+    assert_eq!(server.arena_stats().live_bytes, 0, "nothing charged");
+    assert_eq!(
+        run(3).expect("the tenant's next request"),
+        [OutputValue::ArrayF32(vec![1.0, 4.0, 9.0])]
+    );
+    assert_eq!(server.tenant_stats("a").expect("tenant a").runs, 1);
+    assert_eq!(server.global_stats().runs, 1);
+}
+
 /// A block size arriving as a request input that no block can have —
 /// `2^61` elements wrapped to a 0-byte block behind a 2^61-element view
 /// (SIGSEGV), `i64::MAX` panicked `capacity overflow` with the tenant's
