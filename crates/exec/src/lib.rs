@@ -19,17 +19,19 @@
 //!   atomic counter, degrading gracefully to inline execution on small
 //!   trip counts) with per-dispatch utilization accounting;
 //! - [`plan`]: lowering — nested IR to a flat instruction stream, names to
-//!   slots, scalar expressions to flat accumulator code, and every LMAD
-//!   coefficient `Poly → SlotPoly` (a polynomial over register slots),
-//!   which the machine takes `→ i64` per run: the executor computes with
-//!   the compiler's LMAD structure over integers and never builds a
-//!   polynomial;
+//!   slots, each scalar expression once to straight-line code over
+//!   numbered values, and every LMAD coefficient `Poly → SlotPoly` (a
+//!   polynomial over register slots), which the machine takes `→ i64`
+//!   per run, an overflow being the request's error: the executor
+//!   computes with the compiler's LMAD structure over integers and never
+//!   builds a polynomial;
 //! - `arith`: what every scalar operator computes, once — the promotion
 //!   and result tag as functions of the operands' tags, the arithmetic
 //!   as per-type functions — for the scalar evaluator and the strips;
-//! - `strip`: lambda maps in strips — a map's lane code typed once per
-//!   execution, then one monomorphic loop per operator per strip of the
-//!   width, with the element-wise evaluator as oracle and fall-back;
+//! - `strip`: lambda maps in strips — the body's own scalar code typed
+//!   once per execution, then one monomorphic loop per operator per strip
+//!   of the width, with the element-wise evaluator as oracle and
+//!   fall-back;
 //! - [`vm`]: the machine executing compiled programs — registers are
 //!   words, arrays live in a table beside them, and no per-element path
 //!   (scalar evaluation, point access, lambda-map elements,

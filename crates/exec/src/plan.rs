@@ -9,21 +9,17 @@
 //! - nested `Block`s, `if` and `loop` flatten into one linear instruction
 //!   stream with jump instructions (lambda map bodies keep a nested
 //!   stream, executed per element);
-//! - a lambda body that is a straight line of arithmetic — scalar
-//!   statements over its parameters, its own values, constants and
-//!   values fixed for the map; no `a[i]`, no `select` — is lowered a
-//!   second time, to flat **lane code** ([`StripCode`]) with accumulator,
-//!   stack and body slots resolved away, which `Memory` and `Checked`
-//!   run in strips ([`crate::strip`]); any other body records the
-//!   [`StripReject`] that keeps it element-wise;
 //! - every `Var` resolves to a dense `u32` **slot** — the executor's
 //!   environment is a register file of `Copy` words plus a slot-parallel
 //!   table of arrays, not a `HashMap`;
-//! - every scalar expression flattens, inside its instruction, into code
-//!   for an accumulator and a small stack ([`LExp`]) that one loop runs —
-//!   an operator names operands that are registers or constants
-//!   directly, and nothing is interpreted per tree node at run time
-//!   ([`ExecPlan::pretty`] decodes the code back to infix);
+//! - every scalar expression is emitted once, inside its instruction, as
+//!   straight-line code over numbered values ([`LExp`]; operands are
+//!   slots, constants or earlier values, and forward jumps are `select`).
+//!   Three readers share that one form: the evaluator runs it, the strips
+//!   ([`crate::strip`]) type a lambda body's code once per map execution,
+//!   and [`ExecPlan::pretty`] decodes it back to infix. Whether a body
+//!   may run in strips is a scan of the same code, recorded as `Ok` or
+//!   the [`StripReject`] that keeps it element-wise;
 //! - every coefficient of every index function, transform and footprint
 //!   goes `Poly → SlotPoly` (its symbols resolved to slots) here and
 //!   `SlotPoly → i64` in the executor, both through the LMAD family's one
@@ -56,6 +52,7 @@ use arraymem_ir::{
 use arraymem_lmad::concrete::AccessClass;
 use arraymem_lmad::{ConcreteIxFn, IndexFn, Lmad, Transform};
 use arraymem_symbolic::{Poly, Sym};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -75,18 +72,60 @@ pub(crate) struct SlotPoly {
     konst: Option<i64>,
 }
 
+/// Why a size polynomial has no value under the register file.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Unsized {
+    /// A symbol is bound to no integer register.
+    Unresolved,
+    /// A step of the evaluation leaves `i64`: sizes are computed from the
+    /// request's inputs, so the request's error, never a wrapped size.
+    Overflows,
+}
+
+impl Unsized {
+    /// The request's error about `what`.
+    pub(crate) fn of(self, what: &str) -> String {
+        match self {
+            Unsized::Unresolved => format!("unresolved {what}"),
+            Unsized::Overflows => format!("{what} overflows"),
+        }
+    }
+}
+
 impl SlotPoly {
-    pub(crate) fn eval(&self, regs: &[Value]) -> Option<i64> {
+    pub(crate) fn eval(&self, regs: &[Value]) -> Result<i64, Unsized> {
         if let Some(k) = self.konst {
-            return Some(k);
+            return Ok(k);
         }
         // A handful of size symbols at most: a linear scan beats hashing.
-        self.poly.eval(|s| {
+        let lookup = |s| {
             let (_, slot) = self.slots.iter().find(|(v, _)| *v == s)?;
             let v = regs[(*slot)? as usize];
             matches!(v.tag(), Tag::I64 | Tag::Bool).then(|| v.as_i64())
+        };
+        // The evaluation stops at the first lookup or step without a value.
+        let unbound = Cell::new(false);
+        let value = self.poly.eval(|s| {
+            let v = lookup(s);
+            unbound.set(v.is_none());
+            v
+        });
+        value.ok_or_else(|| match unbound.get() {
+            true => Unsized::Unresolved,
+            false => Unsized::Overflows,
         })
     }
+}
+
+/// The coefficients `map` meets, evaluated: the first without a value
+/// says why.
+pub(crate) fn eval_all<T>(
+    regs: &[Value],
+    map: impl FnOnce(&mut dyn FnMut(&SlotPoly) -> Option<i64>) -> Option<T>,
+) -> Result<T, Unsized> {
+    let mut why = Unsized::Unresolved;
+    let value = map(&mut |p| p.eval(regs).map_err(|e| why = e).ok());
+    value.ok_or(why)
 }
 
 impl std::fmt::Debug for SlotPoly {
@@ -96,7 +135,7 @@ impl std::fmt::Debug for SlotPoly {
 }
 
 /// Evaluate a lowered shape against the register file.
-pub(crate) fn eval_shape(shape: &[SlotPoly], regs: &[Value]) -> Option<Vec<i64>> {
+pub(crate) fn eval_shape(shape: &[SlotPoly], regs: &[Value]) -> Result<Vec<i64>, Unsized> {
     shape.iter().map(|p| p.eval(regs)).collect()
 }
 
@@ -114,70 +153,70 @@ pub(crate) enum LoweredIxFn {
 }
 
 impl LoweredIxFn {
-    pub(crate) fn eval_access(&self, regs: &[Value]) -> Option<(Arc<ConcreteIxFn>, AccessClass)> {
+    pub(crate) fn eval_access(
+        &self,
+        regs: &[Value],
+    ) -> Result<(Arc<ConcreteIxFn>, AccessClass), Unsized> {
         match self {
-            LoweredIxFn::Ready { ixfn, class } => Some((Arc::clone(ixfn), *class)),
+            LoweredIxFn::Ready { ixfn, class } => Ok((Arc::clone(ixfn), *class)),
             LoweredIxFn::Dynamic(ixfn) => {
-                let c = ixfn.map(|p| p.eval(regs))?;
+                let c = eval_all(regs, |f| ixfn.map(f))?;
                 let class = c.classify();
-                Some((Arc::new(c), class))
+                Ok((Arc::new(c), class))
             }
         }
     }
 }
 
 /// Where a step of scalar code finds an operand.
-#[derive(Clone, Copy, PartialEq, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) enum Arg {
     /// A register.
     Slot(Slot),
-    /// Constant `k` of the expression.
+    /// Constant `k` of the code.
     Const(u32),
-    /// The accumulator: what the step before this one computed.
-    Acc,
-    /// The value most recently parked on the stack, which it leaves.
-    Pop,
+    /// The value step `k` of the code computed.
+    Val(u32),
 }
 
-/// One step of a lowered scalar expression. `Load`, `Size`, `Bin`, `Un`
-/// and `Index` leave their result in the accumulator. An operator names
-/// operands that are registers or constants directly — most are — so the
-/// stack only ever holds the left operand of an operator whose two sides
-/// are both compound, and the leading coordinates of a point.
+/// One step of lowered scalar code; step `k` computes value `k`. Steps
+/// run in order, so operands are evaluated left to right, and a `select`
+/// is `jump-if-false c E; t…; jump t X; E: f…; X: move f` — only the arm
+/// it picks runs, and either arm leaves its value as value `X`.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Op {
-    Load(Arg),
-    /// Park a value on the stack.
-    Push(Arg),
-    /// The value of size polynomial `k` of the expression.
+    /// The value of size polynomial `k` of the code.
     Size(u32),
     Bin(BinOp, Arg, Arg),
     Un(UnOp, Arg),
-    /// The element of the array in slot `arr` at the `rank - 1`
-    /// coordinates parked on the stack (first one deepest) followed by
-    /// `last`; a rank-0 access has no coordinates and ignores `last`.
+    /// The element of the array in slot `arr` at the `rank` coordinates
+    /// `coords[at..]` of the code.
     Index {
         arr: Slot,
+        at: u32,
         rank: u32,
-        last: Arg,
     },
-    /// Continue at step `target` when the operand is false. A `select` is
-    /// `jump-if-false c E; t; jump X; E: f; X:` — only the arm it picks
-    /// is evaluated.
+    /// Continue at step `target` when the operand is false.
     JumpIfFalse(Arg, u32),
-    Jump(u32),
+    /// Make the operand value `join`, and continue after that step.
+    Jump(Arg, u32),
+    /// The operand, as this step's value.
+    Move(Arg),
 }
 
-/// Lowered scalar code: flat steps for an accumulator and a small stack,
-/// operands slots and never names. The code of an expression leaves its
-/// value in the accumulator and the stack as it found it; the code of a
-/// point ([`LSlice::Point`]) parks one coordinate per dimension.
+/// Lowered scalar code: straight-line steps over numbered values,
+/// operands slots, constants or earlier values and never names. An
+/// expression has one result; a point ([`LSlice::Point`]) has one per
+/// coordinate.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct LExp {
     pub ops: Vec<Op>,
     pub consts: Vec<Value>,
     /// The size polynomials `Op::Size` refers to.
     pub sizes: Vec<SlotPoly>,
+    /// The coordinates of every `Op::Index`.
+    pub coords: Vec<Arg>,
+    pub results: Vec<Arg>,
 }
 
 /// Destination of a fresh array creation: the result slot plus what each
@@ -236,15 +275,16 @@ pub(crate) struct MapLambdaInstr {
     pub body: Stream,
     /// Body result slots, read back per element.
     pub results: Vec<Slot>,
-    /// The body once more as flat lane code, for the modes that run the
-    /// map in strips — or why it has none and runs element by element.
-    pub strip: Result<StripCode, StripReject>,
+    /// Whether `Memory` and `Checked` may run the body in strips, or why
+    /// it runs element by element.
+    pub strip: Result<(), StripReject>,
     /// Provenance of the map's results (restores blame after the body).
     pub stm_var: Option<Var>,
 }
 
-/// Why a lambda map has no lane code: what in its body is not a straight
-/// line of arithmetic over its parameters and values fixed for the map.
+/// Why a lambda map cannot run in strips: what in its body is not a
+/// straight line of arithmetic over its parameters and values fixed for
+/// the map.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum StripReject {
     /// An expression reads an array element (`a[i]`).
@@ -259,61 +299,13 @@ pub(crate) enum StripReject {
     ArrayOp,
 }
 
-/// Where a lane op finds an operand.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum LaneArg {
-    /// Lane `l`: input `l` of the map, or past the inputs, the result of
-    /// the op that many places into the code.
-    Lane(u32),
-    /// A register the body does not write: one value for the whole map.
-    Outer(Slot),
-    Const(Value),
-    /// Size polynomial `k` of the code.
-    Size(u32),
-}
-
-/// One step of lane code: a new lane from earlier ones.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum LaneOp {
-    Bin(BinOp, LaneArg, LaneArg),
-    Un(UnOp, LaneArg),
-    /// A statement's value as its declared type.
-    Coerce(ElemType, LaneArg),
-}
-
-/// A lambda body as straight-line code over lanes — the accumulator, the
-/// stack and the body's own slots resolved away at lower time. Untyped:
-/// the executor resolves every lane's tag once per execution of the map.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct StripCode {
-    pub ops: Vec<LaneOp>,
-    pub sizes: Vec<SlotPoly>,
-    /// One per result of the map.
-    pub results: Vec<LaneArg>,
-}
-
-impl StripCode {
-    /// Append `op` to the code of a map of `inputs` inputs; its lane.
-    fn push(&mut self, inputs: usize, op: LaneOp) -> LaneArg {
-        self.ops.push(op);
-        LaneArg::Lane((inputs + self.ops.len()) as u32 - 1)
-    }
-}
-
-/// Lane code for a lambda body of scalar statements without `a[i]` or
-/// `select`: the evaluator's loop ([`crate::vm`]'s `eval`) over operands
-/// instead of values.
-fn lower_strip(params: &[Slot], body: &Stream, results: &[Slot]) -> Result<StripCode, StripReject> {
-    let mut code = StripCode::default();
-    // What each slot the body reads is, as a lane operand.
-    let mut bound = Vec::with_capacity(params.len() + body.instrs.len());
-    bound.extend((0..).map(LaneArg::Lane).zip(params).map(|(l, p)| (*p, l)));
-    let read = |bound: &[(Slot, LaneArg)], s: Slot| {
-        let hit = bound.iter().rev().find(|(b, _)| *b == s);
-        hit.map_or(LaneArg::Outer(s), |(_, l)| *l)
-    };
+/// Can a lambda body run in strips? Only if it is scalar statements whose
+/// code has no `a[i]`, no `select` and no size over a slot from
+/// `body_slots` on (the parameters and the body's own values): a scan of
+/// the code the evaluator runs.
+fn strip_reject(body: &Stream, body_slots: Slot) -> Result<(), StripReject> {
     for instr in &body.instrs {
-        let Instr::Scalar { dst, elem, exp } = instr else {
+        let Instr::Scalar { exp, .. } = instr else {
             return Err(match instr {
                 Instr::Jump { .. }
                 | Instr::JumpIfFalse { .. }
@@ -322,52 +314,26 @@ fn lower_strip(params: &[Slot], body: &Stream, results: &[Slot]) -> Result<Strip
                 _ => StripReject::ArrayOp,
             });
         };
-        let (mut acc, mut stack) = (LaneArg::Const(Value::i64(0)), Vec::new());
         for op in &exp.ops {
-            let mut arg = |a: Arg| match a {
-                Arg::Slot(s) => read(&bound, s),
-                Arg::Const(k) => LaneArg::Const(exp.consts[k as usize]),
-                Arg::Acc => acc,
-                Arg::Pop => stack.pop().expect("scalar code pops what it parked"),
-            };
-            let lane_op = match *op {
-                Op::Load(a) => {
-                    acc = arg(a);
-                    continue;
-                }
-                Op::Push(a) => {
-                    let parked = arg(a);
-                    stack.push(parked);
-                    continue;
-                }
+            match *op {
+                Op::Bin(..) | Op::Un(..) => {}
                 Op::Size(k) => {
-                    let size = &exp.sizes[k as usize];
-                    let varies =
-                        |s: &(Sym, Option<Slot>)| bound.iter().any(|(b, _)| Some(*b) == s.1);
-                    if size.slots.iter().any(varies) {
+                    let slots = &exp.sizes[k as usize].slots;
+                    if slots
+                        .iter()
+                        .any(|(_, s)| s.is_some_and(|s| s >= body_slots))
+                    {
                         return Err(StripReject::VaryingSize);
                     }
-                    code.sizes.push(size.clone());
-                    acc = LaneArg::Size(code.sizes.len() as u32 - 1);
-                    continue;
                 }
-                Op::Bin(op, a, b) => {
-                    let y = arg(b);
-                    LaneOp::Bin(op, arg(a), y)
-                }
-                Op::Un(op, a) => LaneOp::Un(op, arg(a)),
                 Op::Index { .. } => return Err(StripReject::Index),
-                Op::JumpIfFalse(..) | Op::Jump(_) => return Err(StripReject::Select),
-            };
-            acc = code.push(params.len(), lane_op);
+                Op::JumpIfFalse(..) | Op::Jump(..) | Op::Move(_) => {
+                    return Err(StripReject::Select)
+                }
+            }
         }
-        if let Some(elem) = elem {
-            acc = code.push(params.len(), LaneOp::Coerce(*elem, acc));
-        }
-        bound.push((*dst, acc));
     }
-    code.results = results.iter().map(|r| read(&bound, *r)).collect();
-    Ok(code)
+    Ok(())
 }
 
 #[derive(Clone, Debug)]
@@ -813,25 +779,16 @@ impl Lowerer<'_> {
 
     fn lower_exp(&self, e: &ScalarExp) -> Result<LExp, String> {
         let mut code = LExp::default();
-        self.emit(e, &mut code)?;
+        let value = self.emit(e, &mut code)?;
+        code.results.push(value);
         Ok(code)
     }
 
-    /// Append code that leaves the value of `e` in the accumulator.
-    fn emit(&self, e: &ScalarExp, code: &mut LExp) -> Result<(), String> {
-        match self.operand(e, code)? {
-            Arg::Acc => {}
-            leaf => code.ops.push(Op::Load(leaf)),
-        }
-        Ok(())
-    }
-
-    /// `e` as an operand: a constant or a variable is its own (reading one
-    /// cannot fail and has no effect, so whoever names it may read it
-    /// whenever it runs); anything else is the accumulator its code,
-    /// appended here, leaves it in. Compound operands are evaluated left
-    /// to right.
-    fn operand(&self, e: &ScalarExp, code: &mut LExp) -> Result<Arg, String> {
+    /// Append the code of `e`; the operand its value is. A constant or a
+    /// variable is its own (reading one cannot fail and has no effect);
+    /// anything else is the value of the last step appended. Operands are
+    /// emitted, and so evaluated, left to right.
+    fn emit(&self, e: &ScalarExp, code: &mut LExp) -> Result<Arg, String> {
         let op = match e {
             ScalarExp::Const(c) => {
                 code.consts.push(match c {
@@ -848,43 +805,36 @@ impl Lowerer<'_> {
                 Op::Size(code.sizes.len() as u32 - 1)
             }
             ScalarExp::Bin(op, a, b) => {
-                let mut x = self.operand(a, code)?;
-                let compound = !matches!(**b, ScalarExp::Const(_) | ScalarExp::Var(_));
-                if x == Arg::Acc && compound {
-                    // The left value waits while the right is computed.
-                    code.ops.push(Op::Push(Arg::Acc));
-                    x = Arg::Pop;
-                }
-                Op::Bin(*op, x, self.operand(b, code)?)
+                let x = self.emit(a, code)?;
+                Op::Bin(*op, x, self.emit(b, code)?)
             }
-            ScalarExp::Un(op, a) => Op::Un(*op, self.operand(a, code)?),
+            ScalarExp::Un(op, a) => Op::Un(*op, self.emit(a, code)?),
             ScalarExp::Index(v, idx) => {
                 let arr = self.resolve(*v)?;
-                let mut last = Arg::Acc;
+                // A coordinate's own indexes append theirs after these.
+                let (at, rank) = (code.coords.len(), idx.len());
+                code.coords.resize(at + rank, Arg::Const(0));
                 for (k, i) in idx.iter().enumerate() {
-                    last = self.operand(i, code)?;
-                    if k + 1 < idx.len() {
-                        code.ops.push(Op::Push(last));
-                    }
+                    code.coords[at + k] = self.emit(i, code)?;
                 }
-                let rank = idx.len() as u32;
-                Op::Index { arr, rank, last }
+                let (at, rank) = (at as u32, rank as u32);
+                Op::Index { arr, at, rank }
             }
             ScalarExp::Select(c, t, f) => {
-                let cond = self.operand(c, code)?;
+                let cond = self.emit(c, code)?;
                 let to_else = code.ops.len();
                 code.ops.push(Op::JumpIfFalse(cond, 0));
-                self.emit(t, code)?;
-                let to_end = code.ops.len();
-                code.ops.push(Op::Jump(0));
+                let t = self.emit(t, code)?;
+                let to_join = code.ops.len();
+                code.ops.push(Op::Jump(t, 0));
                 code.ops[to_else] = Op::JumpIfFalse(cond, code.ops.len() as u32);
-                self.emit(f, code)?;
-                code.ops[to_end] = Op::Jump(code.ops.len() as u32);
-                return Ok(Arg::Acc);
+                let f = self.emit(f, code)?;
+                code.ops[to_join] = Op::Jump(t, code.ops.len() as u32);
+                Op::Move(f)
             }
         };
         code.ops.push(op);
-        Ok(Arg::Acc)
+        Ok(Arg::Val(code.ops.len() as u32 - 1))
     }
 
     /// Lower a pattern element into a creation destination, binding its
@@ -1086,8 +1036,8 @@ impl Lowerer<'_> {
                     SliceSpec::Point(es) => {
                         let mut code = LExp::default();
                         for e in es {
-                            let at = self.operand(e, &mut code)?;
-                            code.ops.push(Op::Push(at));
+                            let at = self.emit(e, &mut code)?;
+                            code.results.push(at);
                         }
                         (LSlice::Point(code), false)
                     }
@@ -1120,28 +1070,12 @@ impl Lowerer<'_> {
                     stm.pat.iter().map(|pe| self.scope.bind(pe.var)).collect();
                 let jif = out.push(Instr::JumpIfFalse { cond, target: 0 }, blame);
                 let then_res = self.lower_block(then_b, out)?;
-                out.push(
-                    Instr::CopySlots {
-                        pairs: then_res
-                            .into_iter()
-                            .zip(pat_slots.iter().copied())
-                            .collect(),
-                    },
-                    blame,
-                );
+                out.push(copy_slots(then_res, &pat_slots), blame);
                 let jend = out.push(Instr::Jump { target: 0 }, blame);
                 let else_start = out.instrs.len();
                 patch_target(&mut out.instrs[jif], else_start);
                 let else_res = self.lower_block(else_b, out)?;
-                out.push(
-                    Instr::CopySlots {
-                        pairs: else_res
-                            .into_iter()
-                            .zip(pat_slots.iter().copied())
-                            .collect(),
-                    },
-                    blame,
-                );
+                out.push(copy_slots(else_res, &pat_slots), blame);
                 let end = out.instrs.len();
                 patch_target(&mut out.instrs[jend], end);
             }
@@ -1162,31 +1096,10 @@ impl Lowerer<'_> {
                     params.iter().map(|pp| self.scope.bind(pp.var)).collect();
                 let idx_slot = self.scope.bind(*index);
                 let count_slot = self.scope.fresh();
-                out.push(
-                    Instr::CopySlots {
-                        pairs: init_slots
-                            .into_iter()
-                            .zip(param_slots.iter().copied())
-                            .collect(),
-                    },
-                    blame,
-                );
-                out.push(
-                    Instr::Scalar {
-                        dst: count_slot,
-                        elem: None,
-                        exp: count,
-                    },
-                    blame,
-                );
-                out.push(
-                    Instr::Scalar {
-                        dst: idx_slot,
-                        elem: None,
-                        exp: self.lower_exp(&ScalarExp::i64(0))?,
-                    },
-                    blame,
-                );
+                out.push(copy_slots(init_slots, &param_slots), blame);
+                out.push(counter(count_slot, count), blame);
+                let zero = self.lower_exp(&ScalarExp::i64(0))?;
+                out.push(counter(idx_slot, zero), blame);
                 let head = out.instrs.len();
                 let jge = out.push(
                     Instr::JumpIfGe {
@@ -1230,41 +1143,17 @@ impl Lowerer<'_> {
                 let saved = std::mem::replace(&mut self.pending_carried, pending);
                 let body_res = self.lower_block(body, out)?;
                 self.pending_carried = saved;
-                out.push(
-                    Instr::CopySlots {
-                        pairs: body_res
-                            .into_iter()
-                            .zip(param_slots.iter().copied())
-                            .collect(),
-                    },
-                    blame,
-                );
-                out.push(
-                    Instr::Scalar {
-                        dst: idx_slot,
-                        elem: None,
-                        exp: self.lower_exp(&ScalarExp::bin(
-                            BinOp::Add,
-                            ScalarExp::var(*index),
-                            ScalarExp::i64(1),
-                        ))?,
-                    },
-                    blame,
-                );
+                out.push(copy_slots(body_res, &param_slots), blame);
+                let next = ScalarExp::bin(BinOp::Add, ScalarExp::var(*index), ScalarExp::i64(1));
+                out.push(counter(idx_slot, self.lower_exp(&next)?), blame);
                 out.push(Instr::Jump { target: head }, blame);
                 let end = out.instrs.len();
                 patch_target(&mut out.instrs[jge], end);
                 // The merge parameters' final values become the pattern's.
-                let final_params = param_slots.clone();
                 self.scope.reset(mark);
                 let pat_slots: Vec<Slot> =
                     stm.pat.iter().map(|pe| self.scope.bind(pe.var)).collect();
-                out.push(
-                    Instr::CopySlots {
-                        pairs: final_params.into_iter().zip(pat_slots).collect(),
-                    },
-                    blame,
-                );
+                out.push(copy_slots(param_slots, &pat_slots), blame);
             }
         }
         Ok(())
@@ -1320,13 +1209,13 @@ impl Lowerer<'_> {
                 );
             }
             MapBody::Lambda { params, body } => {
-                let mark = self.scope.mark();
+                let (mark, body_slots) = (self.scope.mark(), self.scope.next);
                 let param_slots: Vec<Slot> =
                     params.iter().map(|(p, _)| self.scope.bind(*p)).collect();
                 let mut body_stream = Stream::default();
                 let results = self.lower_block(body, &mut body_stream)?;
                 self.scope.reset(mark);
-                let strip = lower_strip(&param_slots, &body_stream, &results);
+                let strip = strip_reject(&body_stream, body_slots);
                 let dests = stm
                     .pat
                     .iter()
@@ -1348,6 +1237,21 @@ impl Lowerer<'_> {
             }
         }
         Ok(())
+    }
+}
+
+/// `to[k] <- from[k]` for every `k`, all read before any is written.
+fn copy_slots(from: Vec<Slot>, to: &[Slot]) -> Instr {
+    let pairs = from.into_iter().zip(to.iter().copied()).collect();
+    Instr::CopySlots { pairs }
+}
+
+/// `dst <- exp` for a loop's own counters, which declare no type.
+fn counter(dst: Slot, exp: LExp) -> Instr {
+    Instr::Scalar {
+        dst,
+        elem: None,
+        exp,
     }
 }
 
@@ -1445,57 +1349,44 @@ fn fmt_dest(d: &Dest) -> String {
     format!("%{} ({}: {:?}){}", d.slot, d.var, d.elem, mem)
 }
 
+/// The results of `e` back in infix: every step's value as a string, in
+/// step order. A `select` is whole at its join, where the condition its
+/// jump-if-false left and the then-arm its jump left meet the else-arm.
 fn fmt_exp(e: &LExp) -> String {
-    fmt_ops(e, 0, e.ops.len()).0
-}
-
-/// What steps `[lo, hi)` of `e` compute, back in infix — the evaluator's
-/// loop over strings: the accumulator and what is left parked.
-fn fmt_ops(e: &LExp, lo: usize, hi: usize) -> (String, Vec<String>) {
-    let (mut acc, mut stack) = (String::new(), Vec::new());
-    let mut pc = lo;
-    while pc < hi {
-        let mut arg = |a: Arg| match a {
+    fn arg(e: &LExp, vals: &[String], a: Arg) -> String {
+        match a {
             Arg::Slot(s) => format!("%{s}"),
             Arg::Const(k) => format!("{:?}", e.consts[k as usize]),
-            Arg::Acc => acc.clone(),
-            Arg::Pop => stack.pop().expect("a parked operand"),
-        };
-        acc = match e.ops[pc] {
-            Op::Load(a) => arg(a),
-            Op::Push(a) => {
-                let parked = arg(a);
-                stack.push(parked);
-                String::new()
-            }
-            Op::Size(k) => format!("size({:?})", e.sizes[k as usize]),
-            Op::Bin(op, a, b) => {
-                let (y, x) = (arg(b), arg(a));
-                format!("({x} {op:?} {y})")
-            }
-            Op::Un(op, a) => format!("{op:?}({})", arg(a)),
-            Op::Index { arr, rank, last } => {
-                let coord = |k| arg(if k == 0 { last } else { Arg::Pop });
-                let mut idx: Vec<String> = (0..rank).map(coord).collect();
-                idx.reverse();
+            Arg::Val(k) => vals[k as usize].clone(),
+        }
+    }
+    let (mut vals, mut conds) = (vec![String::new(); e.ops.len()], Vec::new());
+    for (k, op) in e.ops.iter().enumerate() {
+        vals[k] = match *op {
+            Op::Size(s) => format!("size({:?})", e.sizes[s as usize]),
+            Op::Bin(op, a, b) => format!("({} {op:?} {})", arg(e, &vals, a), arg(e, &vals, b)),
+            Op::Un(op, a) => format!("{op:?}({})", arg(e, &vals, a)),
+            Op::Index { arr, at, rank } => {
+                let coords = &e.coords[at as usize..][..rank as usize];
+                let idx: Vec<String> = coords.iter().map(|c| arg(e, &vals, *c)).collect();
                 format!("%{arr}[{}]", idx.join(", "))
             }
-            Op::JumpIfFalse(cond, to_else) => {
-                let to_else = to_else as usize;
-                let Op::Jump(end) = e.ops[to_else - 1] else {
-                    unreachable!("a select's then-arm ends in its jump")
-                };
-                let c = arg(cond);
-                let t = fmt_ops(e, pc + 1, to_else - 1).0;
-                let f = fmt_ops(e, to_else, end as usize).0;
-                pc = end as usize - 1;
-                format!("select({c}, {t}, {f})")
+            Op::JumpIfFalse(c, _) => {
+                conds.push(arg(e, &vals, c));
+                continue;
             }
-            Op::Jump(_) => unreachable!("a select's jump is consumed with its condition"),
+            Op::Jump(t, join) => {
+                vals[join as usize] = arg(e, &vals, t);
+                continue;
+            }
+            Op::Move(f) => {
+                let c = conds.pop().expect("a select's condition");
+                format!("select({c}, {}, {})", vals[k], arg(e, &vals, f))
+            }
         };
-        pc += 1;
     }
-    (acc, stack)
+    let results: Vec<String> = e.results.iter().map(|r| arg(e, &vals, *r)).collect();
+    results.join(", ")
 }
 
 fn fmt_slots(slots: &[Slot]) -> String {
@@ -1569,9 +1460,7 @@ fn fmt_instr(i: &Instr) -> String {
         Instr::Update(u) => {
             let slice = match &u.slice {
                 LSlice::Tr(tr) => format!("{tr:?}"),
-                LSlice::Point(at) => {
-                    format!("point[{}]", fmt_ops(at, 0, at.ops.len()).1.join(", "))
-                }
+                LSlice::Point(at) => format!("point[{}]", fmt_exp(at)),
                 LSlice::Scatter(idx) => format!("scatter[%{idx}]"),
             };
             let src = match &u.src {

@@ -301,7 +301,7 @@ stats_table! {
     /// Kernel instances launched.
     kernel_launches: u64, sum, run;
     /// Lambda-map elements a `Memory` / `Checked` run evaluated one at a
-    /// time instead of in a strip: maps without lane code, executions
+    /// time instead of in a strip: maps with an ineligible body, executions
     /// whose operands had no lane type or whose result shares a block
     /// with an input it is not, strips in which a lane had no value.
     lambda_elems_elementwise: u64, sum, run;

@@ -2,9 +2,10 @@
 //!
 //! The paper compiles a `map` to a kernel whose body is straight typed
 //! code (§VII); the element-wise evaluator pays a tag dispatch per
-//! operator per element instead. A strip is the middle: [`Strips::resolve`]
-//! types a map's lane code ([`StripCode`]) **once per execution** — the
-//! inputs' element types, the constants, the tags the outer registers
+//! operator per element instead. A strip is the middle, reading the code
+//! the evaluator runs: [`Strips::resolve`] walks an eligible body's
+//! `Instr::Scalar`s **once per execution** — tags are dynamic, so the
+//! inputs' element types, the constants and the tags the outer registers
 //! hold right now — into lane registers, each a typed strip of [`STRIP`]
 //! elements and how it is made; [`Strips::run`] makes every register for
 //! one strip of the width with one monomorphic loop each, and stores the
@@ -21,7 +22,7 @@
 //! element words the error.
 
 use crate::arith::{bin_tag, compare, int_arith, int_test, int_un, promote, un_tag, Float};
-use crate::plan::{LaneArg, LaneOp, StripCode};
+use crate::plan::{Arg, Instr, LExp, MapLambdaInstr, Op, Slot};
 use crate::value::{Tag, Value};
 use crate::view::{Elem, View, ViewMut};
 use arraymem_ir::{BinOp, UnOp};
@@ -61,8 +62,12 @@ pub(crate) struct Strips {
     /// `len` elements of its type there. Booleans are `i64` 0 and 1.
     words: Vec<u64>,
     regs: Vec<LaneReg>,
-    /// The register of each lane of the code, then of each result.
-    lanes: Vec<u32>,
+    /// The register of each parameter and body value of the map, by slot.
+    slots: Vec<(Slot, u32)>,
+    /// The register of each value of the statement being typed.
+    vals: Vec<u32>,
+    /// The register of each result of the map.
+    results: Vec<u32>,
 }
 
 /// `$run` with `T` the Rust type of lanes tagged `$tag`.
@@ -146,14 +151,15 @@ impl<'a> Made<'a> {
 }
 
 impl Strips {
-    /// Type `code` for one execution of its map: `file` is the register
-    /// file, `borrow(k)` says input `k` may be read in place (no result
-    /// lands in its block). `None` when an operand has no type a lane can
-    /// hold or an operator none over its operands' — the map then runs
-    /// element by element.
+    /// Type the body of `ml` — strip-eligible, so its `Instr::Scalar`s in
+    /// order — for one execution of the map: `file` is the register file,
+    /// `borrow(k)` says input `k` may be read in place (no result lands in
+    /// its block). `None` when an operand has no type a lane can hold or
+    /// an operator none over its operands' — the map then runs element by
+    /// element.
     pub(crate) fn resolve(
         &mut self,
-        code: &StripCode,
+        ml: &MapLambdaInstr,
         file: &[Value],
         inputs: &[View],
         borrow: impl Fn(usize) -> bool,
@@ -161,7 +167,8 @@ impl Strips {
         width: usize,
     ) -> Option<()> {
         self.regs.clear();
-        self.lanes.clear();
+        self.slots.clear();
+        self.results.clear();
         for (k, view) in inputs.iter().enumerate() {
             let tag = Tag::of(view.elem());
             // A boolean word is any non-zero word until it is loaded.
@@ -172,37 +179,49 @@ impl Strips {
                 How::Load(k as u32)
             };
             let r = self.push(tag, how);
-            self.lanes.push(r);
+            self.slots.push((ml.params[k], r));
         }
-        for op in &code.ops {
-            let r = match *op {
-                LaneOp::Bin(op, a, b) => {
-                    let (a, b) = (self.arg(code, file, a)?, self.arg(code, file, b)?);
-                    let ty = promote(self.regs[a as usize].tag, self.regs[b as usize].tag);
-                    let out = bin_tag(op, ty)?;
-                    let (a, b) = (self.cast(a, ty)?, self.cast(b, ty)?);
-                    self.push(out, How::Bin(op, a, b))
-                }
-                LaneOp::Un(op, a) => {
-                    let a = self.arg(code, file, a)?;
-                    let (ty, out) = un_tag(op, self.regs[a as usize].tag)?;
-                    let a = self.cast(a, ty)?;
-                    match op {
-                        UnOp::ToF32 | UnOp::ToF64 | UnOp::ToI64 => a,
-                        _ => self.push(out, How::Un(op, a)),
-                    }
-                }
-                LaneOp::Coerce(elem, a) => {
-                    let a = self.arg(code, file, a)?;
-                    self.cast(a, Tag::of(elem))?
-                }
+        for instr in &ml.body.instrs {
+            let Instr::Scalar { dst, elem, exp } = instr else {
+                unreachable!("a strip-eligible body is scalar statements")
             };
-            self.lanes.push(r);
+            self.vals.clear();
+            for op in &exp.ops {
+                let r = match *op {
+                    Op::Bin(op, a, b) => {
+                        let (a, b) = (self.arg(exp, file, a)?, self.arg(exp, file, b)?);
+                        let ty = promote(self.regs[a as usize].tag, self.regs[b as usize].tag);
+                        let out = bin_tag(op, ty)?;
+                        let (a, b) = (self.cast(a, ty)?, self.cast(b, ty)?);
+                        self.push(out, How::Bin(op, a, b))
+                    }
+                    Op::Un(op, a) => {
+                        let a = self.arg(exp, file, a)?;
+                        let (ty, out) = un_tag(op, self.regs[a as usize].tag)?;
+                        let a = self.cast(a, ty)?;
+                        match op {
+                            UnOp::ToF32 | UnOp::ToF64 | UnOp::ToI64 => a,
+                            _ => self.push(out, How::Un(op, a)),
+                        }
+                    }
+                    Op::Size(k) => {
+                        let n = exp.sizes[k as usize].eval(file).ok()?;
+                        self.push(Tag::I64, How::All(Value::i64(n)))
+                    }
+                    _ => unreachable!("a strip-eligible body has no index and no select"),
+                };
+                self.vals.push(r);
+            }
+            let mut r = self.arg(exp, file, exp.results[0])?;
+            if let Some(elem) = elem {
+                r = self.cast(r, Tag::of(*elem))?;
+            }
+            self.slots.push((*dst, r));
         }
-        for (result, out) in code.results.iter().zip(outputs) {
-            let r = self.arg(code, file, *result)?;
+        for (result, out) in ml.results.iter().zip(outputs) {
+            let r = self.slot(file, *result)?;
             let r = self.cast(r, Tag::of(out.elem()))?;
-            self.lanes.push(r);
+            self.results.push(r);
         }
         if self.words.len() < self.regs.len() * STRIP {
             self.words.resize(self.regs.len() * STRIP, 0);
@@ -225,14 +244,23 @@ impl Strips {
         self.regs.len() as u32 - 1
     }
 
-    /// The register an operand of the code is in.
-    fn arg(&mut self, code: &StripCode, file: &[Value], a: LaneArg) -> Option<u32> {
+    /// The register an operand of a statement's code is in.
+    fn arg(&mut self, e: &LExp, file: &[Value], a: Arg) -> Option<u32> {
         let v = match a {
-            LaneArg::Lane(l) => return Some(self.lanes[l as usize]),
-            LaneArg::Outer(s) => Some(file[s as usize]).filter(|v| v.tag() != Tag::Mem)?,
-            LaneArg::Const(v) => v,
-            LaneArg::Size(k) => Value::i64(code.sizes[k as usize].eval(file)?),
+            Arg::Slot(s) => return self.slot(file, s),
+            Arg::Const(k) => e.consts[k as usize],
+            Arg::Val(k) => return Some(self.vals[k as usize]),
         };
+        Some(self.push(v.tag(), How::All(v)))
+    }
+
+    /// The register of a parameter or body value; any other slot is one
+    /// the body does not write, one value for the whole map.
+    fn slot(&mut self, file: &[Value], s: Slot) -> Option<u32> {
+        if let Some(&(_, r)) = self.slots.iter().rev().find(|(b, _)| *b == s) {
+            return Some(r);
+        }
+        let v = Some(file[s as usize]).filter(|v| v.tag() != Tag::Mem)?;
         Some(self.push(v.tag(), How::All(v)))
     }
 
@@ -292,8 +320,7 @@ impl Strips {
         }
         let regs = &self.regs[..];
         let made = Made(regs, &self.words, inputs, lo, len);
-        let results = &self.lanes[self.lanes.len() - outputs.len()..];
-        for (&r, out) in results.iter().zip(outputs).filter(|_| ok) {
+        for (&r, out) in self.results.iter().zip(outputs).filter(|_| ok) {
             with_lane_type!(
                 regs[r as usize].tag,
                 out.store_strip::<T>(lo, made.strip(r))

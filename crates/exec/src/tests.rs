@@ -936,6 +936,116 @@ fn integer_overflow_is_an_error_not_a_panic() {
     }
 }
 
+/// Scalar code evaluates operands left to right, and the first step that
+/// fails in that order raises: with `x = 0` and `y = MAX`, `(100 / x) +
+/// (y + 1)` is the quotient's error and the swapped sum the overflow's. A
+/// `select` runs only the arm it picks. As a scalar statement, in a
+/// `map_lambda` body and as the source of a point update, in every mode;
+/// and in a strip-eligible body of two statements, where a strip computes
+/// each operator for every lane before the next and still reports the
+/// failing element's first error.
+#[test]
+fn operand_order_picks_the_error_and_an_unpicked_arm_never_runs() {
+    use arraymem_ir::BinOp;
+    type Build = fn(ScalarExp, ScalarExp) -> ScalarExp;
+    const S: usize = crate::strip::STRIP;
+    let quotient_first: Build = |x, y| {
+        let q = ScalarExp::bin(BinOp::Div, ScalarExp::i64(100), x);
+        let overflow = ScalarExp::bin(BinOp::Add, y, ScalarExp::i64(1));
+        ScalarExp::bin(BinOp::Add, q, overflow)
+    };
+    let overflow_first: Build = |x, y| {
+        let q = ScalarExp::bin(BinOp::Div, ScalarExp::i64(100), x);
+        let overflow = ScalarExp::bin(BinOp::Add, y, ScalarExp::i64(1));
+        ScalarExp::bin(BinOp::Add, overflow, q)
+    };
+    let undefined = "integer Div of 100 by 0 is undefined";
+    let overflows = format!("integer Add of {} by 1 overflows", i64::MAX);
+    let overflows = overflows.as_str();
+
+    // `e(x, y)` over the inputs `x`, `y: i64` in the three places (the
+    // lambda sees `x` as its element), in the three modes.
+    let in_places = |e: Build, x: i64, y: i64| {
+        (0..3).flat_map(move |place| {
+            let mut b = Builder::new("order");
+            let xv = b.scalar_param("qx", ElemType::I64);
+            let yv = b.scalar_param("qy", ElemType::I64);
+            let xs = b.array_param("qxs", ElemType::I64, vec![c(2)]);
+            let (x_, y_) = (ScalarExp::var(xv), ScalarExp::var(yv));
+            let mut body = b.block();
+            let r = match place {
+                0 => body.scalar("r", ElemType::I64, e(x_, y_)),
+                1 => body.map_lambda("rs", c(2), vec![xs], ElemType::I64, |lb, ps| {
+                    vec![lb.scalar("r", ElemType::I64, e(ScalarExp::var(ps[0]), y_))]
+                }),
+                _ => {
+                    let ys = body.iota("ys", c(2));
+                    body.update_scalar("ys2", ys, vec![ScalarExp::i64(0)], e(x_, y_))
+                }
+            };
+            let prog = b.finish(body.finish(vec![r]));
+            let compiled = compile(&prog, &Options::default()).expect("compile");
+            let inputs = [
+                InputValue::I64(x),
+                InputValue::I64(y),
+                InputValue::ArrayI64(vec![x, x]),
+            ];
+            let runs = in_three_modes(&prog, &compiled, &inputs);
+            runs.map(|r| (place, r.map(|(out, _)| out)))
+        })
+    };
+    for (e, want) in [(quotient_first, undefined), (overflow_first, overflows)] {
+        for (place, r) in in_places(e, 0, i64::MAX) {
+            assert_eq!(r.expect_err("two steps fail"), want, "place {place}");
+        }
+    }
+    let unpicked: Build = |x, _| {
+        let never = ScalarExp::bin(BinOp::Div, ScalarExp::i64(1), ScalarExp::i64(0));
+        let pick = ScalarExp::Const(arraymem_ir::Constant::Bool(false));
+        ScalarExp::Select(Box::new(pick), Box::new(never), Box::new(x))
+    };
+    for (place, r) in in_places(unpicked, 2, 0) {
+        let want = [
+            OutputValue::I64(2),
+            OutputValue::ArrayI64(vec![2, 2]),
+            OutputValue::ArrayI64(vec![2, 1]),
+        ];
+        assert_eq!(r, Ok(vec![want[place].clone()]), "place {place}");
+    }
+
+    // `t = y; s = e(x, t)` over `3·STRIP + 7` elements, lane `S + 9` the
+    // only one with `x = 0` and `y = MAX`.
+    let n = 3 * S + 7;
+    for (e, want) in [(quotient_first, undefined), (overflow_first, overflows)] {
+        let mut b = Builder::new("order_strips");
+        let xs = b.array_param("oxs", ElemType::I64, vec![c(n as i64)]);
+        let ys = b.array_param("oys", ElemType::I64, vec![c(n as i64)]);
+        let mut body = b.block();
+        let r = body.map_lambda("os", c(n as i64), vec![xs, ys], ElemType::I64, |lb, ps| {
+            let t = lb.scalar("t", ElemType::I64, ScalarExp::var(ps[1]));
+            let s = e(ScalarExp::var(ps[0]), ScalarExp::var(t));
+            vec![lb.scalar("s", ElemType::I64, s)]
+        });
+        let prog = b.finish(body.finish(vec![r]));
+        let compiled = compile(&prog, &Options::default()).expect("compile");
+        let (mut xs, mut ys) = (vec![5i64; n], vec![1i64; n]);
+        (xs[S + 9], ys[S + 9]) = (0, i64::MAX);
+        let inputs = [InputValue::ArrayI64(xs), InputValue::ArrayI64(ys)];
+        for r in in_three_modes(&prog, &compiled, &inputs) {
+            assert_eq!(r.expect_err("lane S + 9 fails twice"), want);
+        }
+        let inputs = [
+            InputValue::ArrayI64(vec![5; n]),
+            InputValue::ArrayI64(vec![1; n]),
+        ];
+        for r in in_three_modes(&prog, &compiled, &inputs) {
+            let (out, stats) = r.expect("every lane has a value");
+            assert_eq!(out, [OutputValue::ArrayI64(vec![22; n])]);
+            assert_eq!(stats.lambda_elems_elementwise, 0);
+        }
+    }
+}
+
 /// Lowering maps coefficients `Poly → SlotPoly` and the executor maps
 /// `SlotPoly → i64`; the composition must be evaluation of the symbolic
 /// original under the bindings the registers hold — for an index function
@@ -996,13 +1106,16 @@ fn lowered_coefficients_evaluate_like_the_symbolic_ones() {
                 let Exp::Transform { tr: sym_tr, .. } = &stm.exp else {
                     unreachable!()
                 };
-                let got = tr.map(|p| p.eval(&regs)).expect("closed transform");
+                let got = tr.map(|p| p.eval(&regs).ok()).expect("closed transform");
                 assert_eq!(Some(got), sym_tr.map(|p| p.eval(bound)), "{sym_tr:?}");
                 let sym_ix = &stm.pat[0].mem.as_ref().expect("introduced").ixfn;
                 let LoweredIxFn::Dynamic(ix) = &dest.mem.as_ref().expect("lowered").ixfn else {
                     panic!("{sym_ix:?} depends on the size parameters")
                 };
-                assert_eq!(ix.map(|p| p.eval(&regs)), sym_ix.map(|p| p.eval(bound)));
+                assert_eq!(
+                    ix.map(|p| p.eval(&regs).ok()),
+                    sym_ix.map(|p| p.eval(bound))
+                );
                 assert_eq!(format!("{ix:?}"), format!("{sym_ix:?}"));
                 transforms += 1;
             }
@@ -1010,13 +1123,13 @@ fn lowered_coefficients_evaluate_like_the_symbolic_ones() {
                 let [lowered] = &checks[..] else {
                     panic!("one check was recorded")
                 };
-                assert_eq!(lowered.writes[0].map(|p| p.eval(&regs)), None);
+                assert_eq!(lowered.writes[0].map(|p| p.eval(&regs).ok()), None);
                 assert_eq!(ghost.map(|p| p.eval(bound)), None);
                 assert_eq!(
-                    lowered.uses[0].map(|p| p.eval(&regs)),
+                    lowered.uses[0].map(|p| p.eval(&regs).ok()),
                     recorded[0].uses[0].map(|p| p.eval(bound))
                 );
-                assert!(lowered.uses[0].map(|p| p.eval(&regs)).is_some());
+                assert!(lowered.uses[0].map(|p| p.eval(&regs).ok()).is_some());
                 checks_seen += 1;
             }
             _ => {}
@@ -1065,6 +1178,63 @@ fn oversized_allocation_is_an_error_not_a_crash() {
     }
     let id = store.alloc(ElemType::F32, 4);
     assert_eq!((store.len(id), store.num_blocks()), (4, 1));
+}
+
+/// Regression: a size is a polynomial over the request's inputs, and its
+/// evaluation wrapped. `iota (n*n)` with `n = 2^32` (`n*n` wraps to 0) or
+/// `n = 3 037 000 500` (just past `i64::MAX`) answered with an empty
+/// array in every mode. An overflow at any step is the request's error —
+/// for an `iota`, a `replicate` and a map's width alike, every mode.
+#[test]
+fn overflowing_size_is_an_error_not_an_empty_array() {
+    let build = |what: usize| {
+        let mut b = Builder::new("square_size");
+        let n = b.scalar_param("zn", ElemType::I64);
+        let xs = b.array_param("zxs", ElemType::F32, vec![c(4)]);
+        let mut body = b.block();
+        let nn = p(n) * p(n);
+        let r = match what {
+            0 => body.iota("zr", nn),
+            1 => body.replicate("zr", vec![nn], ScalarExp::f32(1.5)),
+            _ => body.map_lambda("zr", nn, vec![xs], ElemType::F32, |lb, ps| {
+                let x = ScalarExp::var(ps[0]);
+                let sq = ScalarExp::bin(arraymem_ir::BinOp::Mul, x.clone(), x);
+                vec![lb.scalar("zsq", ElemType::F32, sq)]
+            }),
+        };
+        b.finish(body.finish(vec![r]))
+    };
+    let inputs = |n| {
+        [
+            InputValue::I64(n),
+            InputValue::ArrayF32(vec![1.0, 2.0, 3.0, 4.0]),
+        ]
+    };
+    for what in 0..3 {
+        let prog = build(what);
+        let compiled = compile(&prog, &Options::default()).expect("compile");
+        for n in [1i64 << 32, 3_037_000_500] {
+            for (mode, r) in ["pure", "memory", "checked"].iter().zip(in_three_modes(
+                &prog,
+                &compiled,
+                &inputs(n),
+            )) {
+                let err = r.expect_err("n*n has no i64");
+                assert!(
+                    err.contains("overflows") && !err.contains("unresolved"),
+                    "{what} {n} ({mode}): {err}"
+                );
+            }
+        }
+        let want = [
+            OutputValue::ArrayI64(vec![0, 1, 2, 3]),
+            OutputValue::ArrayF32(vec![1.5; 4]),
+            OutputValue::ArrayF32(vec![1.0, 4.0, 9.0, 16.0]),
+        ];
+        for r in in_three_modes(&prog, &compiled, &inputs(2)) {
+            assert_eq!(r.expect("2*2 fits").0, std::slice::from_ref(&want[what]));
+        }
+    }
 }
 
 /// Regression: a coordinate is a program input. `xs[k]` with `k` outside
@@ -1225,10 +1395,11 @@ fn gather_and_scatter_count_the_lanes_they_wrote() {
     }
 }
 
-/// Scalar expressions are lowered to flat accumulator code and printed by
-/// decoding it: the plan must show the expression that was written —
-/// operand order, nesting, the coordinates of an index and of a point
-/// update, both arms of a `select` — whichever operands were leaves.
+/// Scalar expressions are lowered to straight-line code over numbered
+/// values and printed by decoding it: the plan must show the expression
+/// that was written — operand order, nesting, the coordinates of an index
+/// and of a point update, both arms of a `select` joined into one value —
+/// whichever operands were leaves.
 #[test]
 fn flat_scalar_code_prints_as_the_expression_it_lowers() {
     use arraymem_ir::{BinOp, UnOp};

@@ -11,27 +11,27 @@
 //! **Registers are words.** A slot of the register file is a `Copy`
 //! [`Value`] — a scalar or a block id; arrays live in a table beside it,
 //! one entry per array-typed slot, each a block id plus a *shared* index
-//! function. Nothing on a per-element path touches the heap: a scalar
-//! expression is flat code run by one loop ([`Machine::eval`]) over an
-//! accumulator and a reused stack; `a[i, j]` and `a[i, j] = x` check
-//! their coordinates against the array's shape and address one word
-//! through the index function, no view built; a lambda map resolves its
-//! element access once per map; gather and scatter pick their lane loop —
-//! index array as a slice or not, sanitizer on or off — once per
-//! instruction.
+//! function. Nothing on a per-element path touches the heap: scalar code
+//! runs at width 1 in one loop ([`Machine::eval`]) over a value scratch
+//! reused on the machine; `a[i, j]` and `a[i, j] = x` check their
+//! coordinates against the array's shape and address one word through
+//! the index function, no view built; a lambda map resolves its element
+//! access once per map; gather and scatter pick their lane loop — index
+//! array as a slice or not, sanitizer on or off — once per instruction.
 //!
 //! **Element loops run in strips.** In `Memory` and `Checked` a lambda
-//! map whose body is a straight line of arithmetic runs its lane code
-//! ([`crate::strip`]): every operand's tag resolved once per execution,
-//! then, per strip of the width, one monomorphic loop per operator and
-//! the result strips stored last. The element-wise loop — all `Pure`, the
-//! oracle, ever runs — is what it falls back to: for a whole execution
-//! when an operand has no lane type or a result shares a block with an
-//! input it is not, for one strip when a lane's integer arithmetic has no
-//! value. Every error is therefore the evaluator's own, raised by the
-//! element that would have raised it. Gather and scatter lanes outside
-//! the sanitizer prove a strip of indices in range, then only move; a
-//! strip with a stray index goes through the lane loop, which reports it.
+//! map whose body is a straight line of arithmetic runs that same code in
+//! strips ([`crate::strip`]): every operand's tag resolved once per
+//! execution, then, per strip of the width, one monomorphic loop per
+//! operator and the result strips stored last. The element-wise loop —
+//! all `Pure`, the oracle, ever runs — is what it falls back to: for a
+//! whole execution when an operand has no lane type or a result shares a
+//! block with an input it is not, for one strip when a lane's integer
+//! arithmetic has no value. Every error is therefore the evaluator's own,
+//! raised by the element that would have raised it. Gather and scatter
+//! lanes outside the sanitizer prove a strip of indices in range, then
+//! only move; a strip with a stray index goes through the lane loop,
+//! which reports it.
 //!
 //! Three modes share one plan:
 //!
@@ -76,7 +76,7 @@ use crate::arith::{coerce, eval_bin, eval_un, truth};
 use crate::cache::PlanCache;
 use crate::kernel::{KernelCtx, KernelRegistry};
 use crate::plan::{
-    eval_shape, Arg, Dest, ExecPlan, Instr, LExp, LSlice, LUpdateSrc, MapKernelInstr,
+    eval_all, eval_shape, Arg, Dest, ExecPlan, Instr, LExp, LSlice, LUpdateSrc, MapKernelInstr,
     MapLambdaInstr, Op, ParamSpec, Slot, Stream, UpdateInstr,
 };
 use crate::pool::parallel_for_worker;
@@ -131,11 +131,13 @@ struct Machine<'a> {
     regs: Vec<Value>,
     /// Arrays, by slot: an array-typed slot's value is its entry here.
     arrays: Vec<Option<ArrayRef>>,
-    /// The scalar evaluator's operand stack, the coordinates of the point
-    /// being accessed and `CopySlots`' read phase: scratch reused across
-    /// instructions, so none of them allocates once warm.
-    stack: Vec<Value>,
+    /// The values of the scalar code in flight, the coordinates of the
+    /// element it reads and of the point an update writes, and `CopySlots`'
+    /// read phase: scratch reused across instructions, so none of them
+    /// allocates once warm.
+    vals: Vec<Value>,
     point: Vec<i64>,
+    at: Vec<i64>,
     moved: Vec<Value>,
     moved_arrays: Vec<(Slot, ArrayRef)>,
     /// Lane scratch and the resolved ops of the lambda map in flight.
@@ -287,8 +289,9 @@ pub fn execute_plan(
         kernels,
         regs: vec![Value::i64(0); plan.num_slots() as usize],
         arrays: vec![None; plan.num_slots() as usize],
-        stack: Vec::new(),
+        vals: Vec::new(),
         point: Vec::new(),
+        at: Vec::new(),
         moved: Vec::new(),
         moved_arrays: Vec::new(),
         strips: Strips::default(),
@@ -396,7 +399,7 @@ impl Machine<'_> {
             (Type::Scalar(ElemType::Bool), InputValue::Bool(x)) => Value::bool(*x),
             (Type::Array { elem, .. }, arr) => {
                 let shape_c =
-                    eval_shape(&spec.shape, &self.regs).ok_or("unresolved param shape")?;
+                    eval_shape(&spec.shape, &self.regs).map_err(|e| e.of("param shape"))?;
                 let n = shape_c
                     .iter()
                     .try_fold(1i64, |n, &d| n.checked_mul(d).filter(|_| d >= 0))
@@ -714,7 +717,7 @@ impl Machine<'_> {
                 size,
                 color,
             } => {
-                let n = size.eval(&self.regs).ok_or("unresolved alloc size")?;
+                let n = size.eval(&self.regs).map_err(|e| e.of("alloc size"))?;
                 let n = n.max(0) as usize;
                 let block = match color {
                     Some(c) => self.store.alloc_colored(*elem, n, *c),
@@ -772,9 +775,10 @@ impl Machine<'_> {
             Instr::Transform { dest, src, tr } => {
                 let src_a = self.array(*src);
                 let (block, elem) = (src_a.block, src_a.elem);
-                let ixfn = tr
-                    .map(|p| p.eval(&self.regs))
-                    .and_then(|tr| src_a.ixfn.transform(&tr))
+                let tr = eval_all(&self.regs, |f| tr.map(f)).map_err(|e| e.of("transform"))?;
+                let ixfn = src_a
+                    .ixfn
+                    .transform(&tr)
                     .ok_or("unsupported concrete transform")?;
                 let result = if self.mode == Mode::Pure {
                     // Materialize the transformed view into a fresh array.
@@ -877,7 +881,7 @@ impl Machine<'_> {
 
     /// A map over a native kernel, scheduled by the `par_safety` verdict.
     fn map_kernel(&mut self, mk: &MapKernelInstr) -> Result<(), String> {
-        let width = mk.width.eval(&self.regs).ok_or("unresolved map width")?;
+        let width = mk.width.eval(&self.regs).map_err(|e| e.of("map width"))?;
         let dst = self.fresh_dest(&mk.dest)?;
         let kernel = match mk.kernel {
             Some(k) => self.kernels.by_index(k).clone(),
@@ -889,7 +893,7 @@ impl Machine<'_> {
             .iter()
             .map(|a| self.eval(a))
             .collect::<Result<_, _>>()?;
-        let row_shape_c = eval_shape(&mk.row_shape, &self.regs).ok_or("unresolved row shape")?;
+        let row_shape_c = eval_shape(&mk.row_shape, &self.regs).map_err(|e| e.of("row shape"))?;
         let row_elems = elem_count(&row_shape_c)? as i64;
         let scalar_rows = row_shape_c.is_empty();
         let par_proven = mk.par == ParLevel::Safe;
@@ -996,11 +1000,11 @@ impl Machine<'_> {
     }
 
     /// A lambda map over rank-1 inputs. `Pure`, the oracle, evaluates the
-    /// body once per element; `Memory` and `Checked` run its lane code in
+    /// body once per element; `Memory` and `Checked` run the same code in
     /// strips wherever that is the same thing, and count the elements for
     /// which it is not.
     fn map_lambda(&mut self, ml: &MapLambdaInstr) -> Result<(), String> {
-        let width = ml.width.eval(&self.regs).ok_or("unresolved map width")?;
+        let width = ml.width.eval(&self.regs).map_err(|e| e.of("map width"))?;
         let dsts: Vec<ArrayRef> = ml
             .dests
             .iter()
@@ -1045,7 +1049,7 @@ impl Machine<'_> {
         Ok(())
     }
 
-    /// Can this execution of `ml` run in strips? It has lane code, every
+    /// Can this execution of `ml` run in strips? Its body is eligible, every
     /// operand has a type right now, and no result lands in a block an
     /// operand is read from — except on that operand itself, element `i`
     /// on element `i`, which is then read into scratch and never borrowed.
@@ -1058,7 +1062,6 @@ impl Machine<'_> {
         out_views: &[ViewMut],
         width: usize,
     ) -> bool {
-        let Ok(code) = &ml.strip else { return false };
         let shares = |d: &ArrayRef, a: &ArrayRef| d.block == a.block;
         let same = |d: &ArrayRef, a: &ArrayRef| d.elem == a.elem && d.ixfn == a.ixfn;
         let (strips, regs, arrays) = (&mut self.strips, &self.regs, &self.arrays);
@@ -1068,9 +1071,10 @@ impl Machine<'_> {
                 && dsts[..i].iter().all(|e| !shares(d, e))
         });
         let borrow = |k: usize| !dsts.iter().any(|d| shares(d, input(k)));
-        apart
+        ml.strip.is_ok()
+            && apart
             && strips
-                .resolve(code, regs, in_views, borrow, out_views, width)
+                .resolve(ml, regs, in_views, borrow, out_views, width)
                 .is_some()
     }
 
@@ -1114,16 +1118,14 @@ impl Machine<'_> {
         }
         match (&u.slice, &u.src) {
             // One word, addressed through the index function: no slice, no
-            // view. The coordinates wait on the stack while the source is
-            // evaluated — it may index an array itself.
+            // view. The coordinates, evaluated first, wait in `at` while
+            // the source is evaluated — it may index an array itself.
             (LSlice::Point(at), LUpdateSrc::Scalar(se)) => {
-                let parked = self.stack.len();
-                self.eval(at)?;
+                self.eval_point(at)?;
                 let v = self.eval(se)?;
-                self.unpark(parked);
                 let a = self.array(slot);
-                check_point(a, &self.point)?;
-                let (block, off) = (a.block, a.ixfn.index(&self.point));
+                check_point(a, &self.at)?;
+                let (block, off) = (a.block, a.ixfn.index(&self.at));
                 self.store.raw(block).set(off, v);
                 self.mark_cell(block, off);
             }
@@ -1161,7 +1163,7 @@ impl Machine<'_> {
         for c in checks {
             let [writes, uses] = [&c.writes, &c.uses].map(|ls| {
                 ls.iter()
-                    .filter_map(|l| l.map(|p| p.eval(&self.regs)))
+                    .filter_map(|l| l.map(|p| p.eval(&self.regs).ok()))
                     .collect::<Vec<ConcreteLmad>>()
             });
             // The check only counts as verified when every recorded
@@ -1218,13 +1220,12 @@ impl Machine<'_> {
             let block = self.regs[block_slot as usize]
                 .as_mem()
                 .ok_or_else(|| format!("memory block {} unbound", md.block_var))?;
-            let (ixfn, class) = md
-                .ixfn
-                .eval_access(&self.regs)
-                .ok_or_else(|| format!("cannot evaluate index function of {}", d.var))?;
+            let access = md.ixfn.eval_access(&self.regs);
+            let (ixfn, class) =
+                access.map_err(|e| e.of(&format!("index function of {}", d.var)))?;
             Ok(ArrayRef::with_class(block, d.elem, ixfn, class))
         } else {
-            let shape = eval_shape(&d.shape, &self.regs).ok_or("unresolved shape")?;
+            let shape = eval_shape(&d.shape, &self.regs).map_err(|e| e.of("shape"))?;
             let block = self.store.try_alloc(d.elem, elem_count(&shape)?)?;
             Ok(ArrayRef::new(
                 block,
@@ -1239,20 +1240,16 @@ impl Machine<'_> {
     /// copied into.
     fn update_slice(&mut self, u: &UpdateInstr, result: &ArrayRef) -> Result<(), String> {
         let slice = match &u.slice {
-            LSlice::Tr(tr) => tr.map(|p| p.eval(&self.regs)),
+            LSlice::Tr(tr) => eval_all(&self.regs, |f| tr.map(f)).map_err(|e| e.of("slice"))?,
             LSlice::Point(at) => {
-                let parked = self.stack.len();
-                self.eval(at)?;
-                self.unpark(parked);
-                check_point(result, &self.point)?;
-                let fixed = self.point.iter().map(|&i| TripletSlice::Fix(i));
-                Some(Transform::Slice(fixed.collect()))
+                self.eval_point(at)?;
+                check_point(result, &self.at)?;
+                let fixed = self.at.iter().map(|&i| TripletSlice::Fix(i));
+                Transform::Slice(fixed.collect())
             }
             LSlice::Scatter(_) => unreachable!("scatter is not a slice"),
         };
-        let slice_ixfn = slice
-            .and_then(|tr| result.ixfn.transform(&tr))
-            .ok_or("bad slice")?;
+        let slice_ixfn = result.ixfn.transform(&slice).ok_or("bad slice")?;
         // The language's dynamic legality check for LMAD-slice updates
         // (§III-B): the written positions must not self-overlap.
         if u.lmad_slice {
@@ -1384,14 +1381,6 @@ impl Machine<'_> {
         Ok(written)
     }
 
-    /// Move the coordinates parked above `base` into `self.point`.
-    fn unpark(&mut self, base: usize) {
-        self.point.clear();
-        self.point
-            .extend(self.stack[base..].iter().map(Value::as_i64));
-        self.stack.truncate(base);
-    }
-
     /// The element of the array in slot `arr` at `self.point`.
     fn load_point(&mut self, arr: Slot) -> Result<Value, String> {
         let a = self.array(arr);
@@ -1406,64 +1395,75 @@ impl Machine<'_> {
 
     /// An operand of a step of scalar code.
     #[inline(always)]
-    fn arg(&mut self, e: &LExp, a: Arg, acc: Value) -> Value {
+    fn arg(&self, e: &LExp, a: Arg) -> Value {
         match a {
             Arg::Slot(s) => self.regs[s as usize],
             Arg::Const(k) => e.consts[k as usize],
-            Arg::Acc => acc,
-            Arg::Pop => self.stack.pop().expect("scalar code pops what it parked"),
+            Arg::Val(k) => self.vals[k as usize],
         }
     }
 
-    /// Evaluate a scalar expression: one loop over its code, an
-    /// accumulator and the stack, which it leaves as it found it. The
-    /// arithmetic, its tags and promotions are [`eval_bin`], [`eval_un`]
-    /// and [`coerce`], whatever the mode.
+    /// Point code's coordinates, into `self.at`.
+    fn eval_point(&mut self, at: &LExp) -> Result<(), String> {
+        if !at.ops.is_empty() {
+            self.eval(at)?;
+        }
+        self.at.clear();
+        for r in &at.results {
+            let i = self.arg(at, *r).as_i64();
+            self.at.push(i);
+        }
+        Ok(())
+    }
+
+    /// Evaluate scalar code at width 1, one loop over its steps: step `k`
+    /// leaves its value in `self.vals[k]`, and the first step that fails
+    /// raises. An expression's value is its last step's, or its leaf when
+    /// it has no code. The arithmetic, its tags and promotions are
+    /// [`eval_bin`], [`eval_un`] and [`coerce`], whatever the mode.
     fn eval(&mut self, e: &LExp) -> Result<Value, String> {
-        let mut acc = Value::i64(0);
-        let mut pc = 0usize;
+        if e.ops.is_empty() {
+            return Ok(self.arg(e, e.results[0]));
+        }
+        if self.vals.len() < e.ops.len() {
+            self.vals.resize(e.ops.len(), Value::i64(0));
+        }
+        let (mut pc, mut last) = (0usize, Value::i64(0));
         while let Some(op) = e.ops.get(pc) {
-            pc += 1;
-            acc = match *op {
-                Op::Load(a) => self.arg(e, a, acc),
-                Op::Push(a) => {
-                    let parked = self.arg(e, a, acc);
-                    self.stack.push(parked);
-                    acc
-                }
+            last = match *op {
                 Op::Size(k) => {
                     let n = e.sizes[k as usize].eval(&self.regs);
-                    Value::i64(n.ok_or("unresolved size expression")?)
+                    Value::i64(n.map_err(|e| e.of("size expression"))?)
                 }
-                Op::Bin(op, a, b) => {
-                    let y = self.arg(e, b, acc);
-                    let x = self.arg(e, a, acc);
-                    eval_bin(op, x, y)?
-                }
-                Op::Un(op, a) => eval_un(op, self.arg(e, a, acc))?,
-                Op::Index { arr, rank, last } => {
-                    if rank > 0 {
-                        self.unpark(self.stack.len() + 1 - rank as usize);
-                        let last = self.arg(e, last, acc);
-                        self.point.push(last.as_i64());
-                    } else {
-                        self.point.clear();
+                Op::Bin(op, a, b) => eval_bin(op, self.arg(e, a), self.arg(e, b))?,
+                Op::Un(op, a) => eval_un(op, self.arg(e, a))?,
+                Op::Index { arr, at, rank } => {
+                    self.point.clear();
+                    for c in &e.coords[at as usize..][..rank as usize] {
+                        let i = self.arg(e, *c).as_i64();
+                        self.point.push(i);
                     }
                     self.load_point(arr)?
                 }
                 Op::JumpIfFalse(cond, target) => {
-                    if !truth(self.arg(e, cond, acc))? {
-                        pc = target as usize;
-                    }
-                    acc
+                    pc = match truth(self.arg(e, cond))? {
+                        true => pc + 1,
+                        false => target as usize,
+                    };
+                    continue;
                 }
-                Op::Jump(target) => {
-                    pc = target as usize;
-                    acc
+                Op::Jump(a, join) => {
+                    last = self.arg(e, a);
+                    self.vals[join as usize] = last;
+                    pc = join as usize + 1;
+                    continue;
                 }
+                Op::Move(a) => self.arg(e, a),
             };
+            self.vals[pc] = last;
+            pc += 1;
         }
-        Ok(acc)
+        Ok(last)
     }
 }
 

@@ -223,7 +223,8 @@ impl Poly {
     }
 
     /// Evaluate with a total assignment. Returns `None` if a variable is
-    /// unbound.
+    /// unbound or a step of the evaluation does not fit an `i64` (a
+    /// wrapped value would be a wrong size, not an error).
     pub fn eval<F: Fn(Sym) -> Option<i64>>(&self, lookup: F) -> Option<i64> {
         let mut total: i64 = 0;
         for (m, c) in self.terms() {
@@ -231,10 +232,10 @@ impl Poly {
             for &(s, p) in m.factors() {
                 let x = lookup(s)?;
                 for _ in 0..p {
-                    v = v.wrapping_mul(x);
+                    v = v.checked_mul(x)?;
                 }
             }
-            total = total.wrapping_add(v);
+            total = total.checked_add(v)?;
         }
         Some(total)
     }

@@ -74,6 +74,17 @@ fn poly_eval() {
     });
     assert_eq!(r, Some(22));
     assert_eq!(p.eval(|_| None), None);
+    // A step that leaves `i64` has no value, rather than a wrapped one:
+    // 2^32 · 2^32 wraps to 0, and 3 037 000 500² is just past `i64::MAX`.
+    let square = v("n") * v("n");
+    for n in [1i64 << 32, 3_037_000_500] {
+        assert_eq!(square.eval(|_| Some(n)), None, "{n}");
+    }
+    assert_eq!(
+        square.eval(|_| Some(3_037_000_499)),
+        Some(3_037_000_499 * 3_037_000_499)
+    );
+    assert_eq!((square + c(i64::MAX)).eval(|_| Some(1)), None);
 }
 
 #[test]

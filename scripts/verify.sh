@@ -70,14 +70,17 @@ tier "benchmark (its own unit tests)" \
 
 # ROADMAP item 3's line target, as a number in every PR: lines of each
 # crate's src/*.rs up to its first #[cfg(test)], tests.rs excluded.
+crate_lines() {
+    n=0
+    for f in crates/$1/src/*.rs; do
+        [ "$f" = "crates/$1/src/tests.rs" ] && continue
+        n=$((n + $(awk '/#\[cfg\(test\)\]/{exit}{n++}END{print n+0}' "$f")))
+    done
+    echo "$n"
+}
 src_lines() {
     for crate in lmad ir exec core bench server; do
-        n=0
-        for f in crates/$crate/src/*.rs; do
-            [ "$f" = "crates/$crate/src/tests.rs" ] && continue
-            n=$((n + $(awk '/#\[cfg\(test\)\]/{exit}{n++}END{print n+0}' "$f")))
-        done
-        echo "crates/$crate/src: $n"
+        echo "crates/$crate/src: $(crate_lines "$crate")"
     done
 }
 tier "non-test source lines (lmad, ir, exec, core, bench, server)" src_lines
@@ -119,6 +122,21 @@ strips() {
     [ "$n" -le 7 ]
 }
 tier "strips agree with the evaluator, allocate nothing, add no arithmetic" strips
+
+# Scalar code has one form: lowering emits every expression once, as
+# straight-line code over numbered values, and the evaluator, the strips
+# and the plan printer all read that code. The accumulator/stack code and
+# the lane code replayed from it stay gone, and exec stays within the
+# lines their deletion bought.
+one_form() {
+    ! awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t { print FILENAME ":" FNR ": " $0 }' \
+        $(ls crates/exec/src/*.rs | grep -v '/tests\.rs$') |
+        grep 'lower_strip\|StripCode\|LaneOp\|LaneArg\|Arg::Pop\|Op::Push'
+    n=$(crate_lines exec)
+    echo "non-test lines in crates/exec/src: $n (limit 6430)"
+    [ "$n" -le 6430 ]
+}
+tier "scalar code has one form (no second lowering, exec within its lines)" one_form
 
 # Merging is liveness: phase 1 of the merge pass colors live intervals
 # and proves nothing about footprints, and the executor re-proves nothing

@@ -248,11 +248,17 @@ fn ablation_no_mapnest_restores_row_copies() {
 /// Every lambda map of the irregular workloads is a straight line of
 /// arithmetic: `Memory` runs all of their elements in strips and says so
 /// in the plan. A body with a `select` evaluates only the arm it picks,
-/// which only the element-wise evaluator does — every element counts.
+/// which only the element-wise evaluator does — every element counts;
+/// so does every element of a body that reads `a[i]`, takes a size over
+/// its parameter, branches or makes an array. A body that reads values
+/// fixed for the map — an outer scalar, a size over one — runs in strips.
 #[test]
 fn irregular_lambda_maps_run_in_strips() {
     use arraymem_exec::{InputValue, KernelRegistry, Mode, Session};
-    use arraymem_ir::{BinOp, Builder, ElemType, ScalarExp};
+    use arraymem_ir::builder::BlockBuilder;
+    use arraymem_ir::{BinOp, Builder, ElemType, ScalarExp, Type, UnOp, Var};
+    use arraymem_lmad::Transform;
+    use arraymem_symbolic::Poly;
     let run = |program: &arraymem_ir::Program, kernels: &KernelRegistry, inputs: &[InputValue]| {
         let mut session = Session::new();
         let h = session
@@ -283,29 +289,82 @@ fn irregular_lambda_maps_run_in_strips() {
         assert_eq!(stats.lambda_elems_elementwise, 0, "{}", case.name);
     }
 
+    // `y = body(x, k)` over `xs: [w]f32` and `ks: [w]i64`, beside the
+    // outer `n: i64`, `s: f32` and `ts: [4]f32`.
+    type Body = fn(&Builder, &mut BlockBuilder, &[Var], &[Var]) -> Var;
+    fn f32_of(e: ScalarExp) -> ScalarExp {
+        ScalarExp::un(UnOp::ToF32, e)
+    }
+    fn times(x: Var, e: ScalarExp) -> ScalarExp {
+        ScalarExp::bin(BinOp::Mul, ScalarExp::var(x), e)
+    }
+    fn negative(x: Var) -> ScalarExp {
+        ScalarExp::bin(BinOp::Lt, ScalarExp::var(x), ScalarExp::f32(0.0))
+    }
+    let bodies: [(&str, Body); 6] = [
+        ("elementwise(Select)", |_, lb, ps, _| {
+            let clamped = ScalarExp::Select(
+                Box::new(negative(ps[0])),
+                Box::new(ScalarExp::f32(0.0)),
+                Box::new(ScalarExp::var(ps[0])),
+            );
+            lb.scalar("y", ElemType::F32, clamped)
+        }),
+        ("elementwise(Index)", |_, lb, ps, outer| {
+            let t1 = ScalarExp::Index(outer[2], vec![ScalarExp::i64(1)]);
+            lb.scalar("y", ElemType::F32, times(ps[0], t1))
+        }),
+        ("elementwise(VaryingSize)", |_, lb, ps, _| {
+            let size = ScalarExp::Size(Poly::var(ps[1]) + Poly::constant(1));
+            lb.scalar("y", ElemType::F32, times(ps[0], f32_of(size)))
+        }),
+        ("elementwise(ControlFlow)", |bld, lb, ps, _| {
+            let branch = |e| {
+                let mut bb = bld.block();
+                let v = bb.scalar("b", ElemType::F32, e);
+                bb.finish(vec![v])
+            };
+            let (zero, x) = (branch(ScalarExp::f32(0.0)), branch(ScalarExp::var(ps[0])));
+            let ty = vec![Type::Scalar(ElemType::F32)];
+            lb.if_(vec!["y"], ty, negative(ps[0]), zero, x)[0]
+        }),
+        ("elementwise(ArrayOp)", |_, lb, ps, outer| {
+            let rev = lb.transform("rev", outer[2], Transform::Reverse(0));
+            let r1 = ScalarExp::Index(rev, vec![ScalarExp::i64(1)]);
+            lb.scalar("y", ElemType::F32, times(ps[0], r1))
+        }),
+        ("strip", |_, lb, ps, outer| {
+            let size = ScalarExp::Size(Poly::var(outer[0]) * Poly::constant(2));
+            let scaled = times(ps[0], ScalarExp::var(outer[1]));
+            let y = ScalarExp::bin(BinOp::Add, scaled, f32_of(size));
+            lb.scalar("y", ElemType::F32, y)
+        }),
+    ];
     let width = 3000;
-    let mut b = Builder::new("clamped");
-    let xs = b.array_param("cxs", ElemType::F32, vec![width.into()]);
-    let mut body = b.block();
-    let ys = body.map_lambda("cys", width, vec![xs], ElemType::F32, |lb, ps| {
-        let x = ScalarExp::var(ps[0]);
-        let negative = ScalarExp::bin(BinOp::Lt, x.clone(), ScalarExp::f32(0.0));
-        let clamped = ScalarExp::Select(
-            Box::new(negative),
-            Box::new(ScalarExp::f32(0.0)),
-            Box::new(x),
-        );
-        vec![lb.scalar("y", ElemType::F32, clamped)]
-    });
-    let prog = b.finish(body.finish(vec![ys]));
-    let compiled =
-        arraymem_core::compile(&prog, &arraymem_core::Options::optimized()).expect("compile");
-    let data = (0..width).map(|i| (i % 7 - 3) as f32).collect();
-    let (plan, stats) = run(
-        &compiled.program,
-        &KernelRegistry::new(),
-        &[InputValue::ArrayF32(data)],
-    );
-    assert!(plan.contains("] elementwise(Select)\n"), "{plan}");
-    assert_eq!(stats.lambda_elems_elementwise, width as u64);
+    for (want, body_of) in bodies {
+        let mut b = Builder::new("one_map");
+        let n = b.scalar_param("cn", ElemType::I64);
+        let s = b.scalar_param("cs", ElemType::F32);
+        let ts = b.array_param("cts", ElemType::F32, vec![4.into()]);
+        let xs = b.array_param("cxs", ElemType::F32, vec![width.into()]);
+        let ks = b.array_param("cks", ElemType::I64, vec![width.into()]);
+        let mut body = b.block();
+        let ys = body.map_lambda("cys", width, vec![xs, ks], ElemType::F32, |lb, ps| {
+            vec![body_of(&b, lb, ps, &[n, s, ts])]
+        });
+        let prog = b.finish(body.finish(vec![ys]));
+        let compiled =
+            arraymem_core::compile(&prog, &arraymem_core::Options::optimized()).expect("compile");
+        let inputs = [
+            InputValue::I64(7),
+            InputValue::F32(0.5),
+            InputValue::ArrayF32(vec![1.0, 2.0, 3.0, 4.0]),
+            InputValue::ArrayF32((0..width).map(|i| (i % 7 - 3) as f32).collect()),
+            InputValue::ArrayI64((0..width).map(|i| i % 5).collect()),
+        ];
+        let (plan, stats) = run(&compiled.program, &KernelRegistry::new(), &inputs);
+        assert!(plan.contains(&format!("] {want}\n")), "{want}:\n{plan}");
+        let elementwise = if want == "strip" { 0 } else { width as u64 };
+        assert_eq!(stats.lambda_elems_elementwise, elementwise, "{want}");
+    }
 }

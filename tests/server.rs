@@ -625,6 +625,43 @@ fn oversized_allocation_is_a_typed_error_and_the_tenant_lives_on() {
     assert_eq!(server.global_stats().runs, 1);
 }
 
+/// A size computed from a request input that overflows `i64` — `iota
+/// (n*n)` at `n = 2^32` wrapped to an empty array and answered `Ok` — is
+/// that request's typed error, worded as an overflow: the tenant serves
+/// its next request and the aggregate stats still answer.
+#[test]
+fn overflowing_size_is_a_typed_error_and_the_tenant_lives_on() {
+    let mut bld = Builder::new("iota_nn");
+    let n = bld.scalar_param("n", ElemType::I64);
+    let mut b = bld.block();
+    let xs = b.iota("xs", Poly::var(n) * Poly::var(n));
+    let compiled = compile(&bld.finish(b.finish(vec![xs])), &Options::default()).expect("compile");
+    let kernels = KernelRegistry::new();
+    let server = Server::new(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+    let run = |n| {
+        let inputs = [InputValue::I64(n)];
+        let req = ExecRequest::from_compiled(&compiled, &kernels, &[], &inputs, Mode::Memory);
+        server.execute("a", req).map(|(out, _)| out)
+    };
+    for n in [1i64 << 32, 3_037_000_500] {
+        let err = run(n).expect_err("n*n has no i64");
+        assert!(
+            matches!(&err, ServerError::Execution(msg) if msg.contains("overflows")),
+            "{n}: {err}"
+        );
+        assert_eq!(server.arena_stats().live_bytes, 0, "{n}: nothing charged");
+    }
+    assert_eq!(
+        run(3).expect("the tenant's next request"),
+        [OutputValue::ArrayI64((0..9).collect())]
+    );
+    assert_eq!(server.tenant_stats("a").expect("tenant a").runs, 1);
+    assert_eq!(server.global_stats().runs, 1);
+}
+
 /// Input upload draws from recycled blocks like every other allocation,
 /// so a long-lived server's arena stops growing: after the first rounds,
 /// 200 requests alternating over two tenants park no more buffers than
