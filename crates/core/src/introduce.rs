@@ -528,6 +528,16 @@ fn introduce_loop(
     let mut pre_stms: Vec<Stm> = Vec::new();
     let mut pat_extra: Vec<PatElem> = Vec::new();
     let body_bindings = MemTable::of_block(&body);
+    // Bind every array merge parameter first (later passes and the VM read
+    // it): a body may yield another one — a swap — looked up below.
+    for (plan, &i) in plans.iter().zip(&array_positions) {
+        let pmb = MemBinding {
+            block: plan.mem_var,
+            ixfn: plan.ixfn_param.clone(),
+        };
+        tbl.insert(params[i].var, pmb.clone());
+        params[i].mem = Some(pmb);
+    }
     for (k, &i) in array_positions.iter().enumerate() {
         let plan = &plans[k];
         new_params.push(PatElem::new(plan.mem_var, Type::Mem));
@@ -536,11 +546,12 @@ fn introduce_loop(
             .cloned()
             .ok_or_else(|| format!("loop initializer {} has no memory binding", inits[i]))?;
         new_inits.push(init_mb.block);
-        let res_block = body_bindings
+        // The block the yielded array lives in: a body binding, a merge
+        // parameter (bound above) or an array bound outside the loop.
+        let res = body_bindings
             .get(body.result[i])
-            .map(|mb| mb.block)
-            .unwrap_or(plan.mem_var);
-        body_extra.push(res_block);
+            .or_else(|| tbl.get(body.result[i]));
+        body_extra.push(res.ok_or("loop body result has no memory binding")?.block);
         let out_mem = Sym::fresh("loopmem_out");
         pat_extra.push(PatElem::new(out_mem, Type::Mem));
 
@@ -569,14 +580,6 @@ fn introduce_loop(
         };
         tbl.insert(stm.pat[i].var, mb.clone());
         stm.pat[i].mem = Some(mb);
-        // Record the merge parameter binding on the parameter itself and
-        // in the table, so later passes (and the VM) can see it.
-        let pmb = MemBinding {
-            block: plan.mem_var,
-            ixfn: plan.ixfn_param.clone(),
-        };
-        tbl.insert(params[i].var, pmb.clone());
-        params[i].mem = Some(pmb);
     }
 
     let mut all_params = new_params;

@@ -34,7 +34,9 @@
 //! nested blocks are reached through `arraymem_ir`'s traversal
 //! (`Exp::blocks`, `Block::for_each_stm`, `Stm::bound`), a loop body's
 //! environment is `arraymem_ir::loop_env`, and "where does this array
-//! live" is answered by the one binding table, [`MemTable`]. No stage
+//! live" is answered by the one binding table, [`MemTable`], and "when is
+//! this block touched" by the one block liveness (the private `liveness`
+//! module), which `merge`, `cleanup` and `release` all read. No stage
 //! matches on `if` / `loop` / lambda-`map` merely to recurse.
 //!
 //! [`compile`] runs the standard pipeline and returns the optimized
@@ -49,6 +51,7 @@ pub mod cleanup;
 pub mod fingerprint;
 pub mod hoist;
 pub mod introduce;
+mod liveness;
 pub mod memtable;
 pub mod merge;
 pub mod par_safety;

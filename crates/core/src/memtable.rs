@@ -53,6 +53,7 @@ impl MemTable {
         self.bindings.insert(v, mb);
     }
 
+    #[cfg(test)]
     pub(crate) fn iter(&self) -> impl Iterator<Item = (Var, &MemBinding)> {
         self.bindings.iter().map(|(v, mb)| (*v, mb))
     }

@@ -8,9 +8,12 @@
 //!
 //! Two blocks **interfere** when their live ranges — the closed interval
 //! of top-level statements touching the block, through any alias — share
-//! a statement. The pass visits the top-level allocations in `(first
-//! use, alloc index)` order and gives each the first *color* it does not
-//! interfere with. Every earlier member of a color was first used no
+//! a statement. The ranges are the middle-end's one block liveness
+//! (`liveness`), the same the release plan frees by and
+//! `cleanup` prunes by, read off the memory annotations — which
+//! `validate_memory` keeps truthful where a loop yields memory. The pass
+//! visits the top-level allocations in `(first use, alloc index)` order
+//! and gives each the first *color* it does not interfere with. Every earlier member of a color was first used no
 //! later than the candidate, so "disjoint from every member" is one
 //! comparison: the color's `busy_until` (the latest last use among its
 //! members) lies strictly before the candidate's first use. All members
@@ -44,94 +47,11 @@
 //! final blocks), before `cleanup` (which deletes the vacated `alloc`s)
 //! and `release` (whose plan sees the merged liveness).
 
-use crate::memtable::MemTable;
+use crate::liveness::{block_of, Liveness, ESCAPES};
 use crate::remark::MergeReject;
-use arraymem_ir::{Block, ElemType, Exp, PatElem, Program, SliceSpec, Stm, Type, Var};
+use arraymem_ir::{Block, ElemType, Exp, Program, SliceSpec, Stm, Type, Var};
 use arraymem_symbolic::{Env, Poly};
 use std::collections::{HashMap, HashSet};
-
-/// Union-find over memory variables: two mem vars land in one class when
-/// a loop or branch can make them name the same runtime block (a loop's
-/// merge parameter aliases its initializer, its per-iteration result and
-/// the loop's output; a branch output aliases both branch results). A
-/// candidate block's liveness must then count every touch of its class.
-struct MemAliases {
-    parent: HashMap<Var, Var>,
-}
-
-impl MemAliases {
-    fn find(&mut self, v: Var) -> Var {
-        let p = match self.parent.get(&v) {
-            Some(p) => *p,
-            None => return v,
-        };
-        if p == v {
-            return v;
-        }
-        let root = self.find(p);
-        self.parent.insert(v, root);
-        root
-    }
-
-    fn union(&mut self, a: Var, b: Var) {
-        let ra = self.find(a);
-        let rb = self.find(b);
-        self.parent.entry(ra).or_insert(ra);
-        self.parent.entry(rb).or_insert(rb);
-        if ra != rb {
-            self.parent.insert(ra, rb);
-        }
-    }
-
-    /// Build the alias classes of a whole program body.
-    fn build(block: &Block) -> MemAliases {
-        let mut uf = MemAliases {
-            parent: HashMap::new(),
-        };
-        uf.scan(block);
-        uf
-    }
-
-    fn scan(&mut self, block: &Block) {
-        block.for_each_stm(&mut |stm| match &stm.exp {
-            Exp::If { then_b, else_b, .. } => {
-                for (k, pe) in stm.pat.iter().enumerate() {
-                    if matches!(pe.ty, Type::Mem) {
-                        if let Some(r) = then_b.result.get(k) {
-                            self.union(pe.var, *r);
-                        }
-                        if let Some(r) = else_b.result.get(k) {
-                            self.union(pe.var, *r);
-                        }
-                    }
-                }
-            }
-            Exp::Loop {
-                params,
-                inits,
-                body,
-                ..
-            } => {
-                for (k, pp) in params.iter().enumerate() {
-                    if matches!(pp.ty, Type::Mem) {
-                        if let Some(init) = inits.get(k) {
-                            self.union(pp.var, *init);
-                        }
-                        // Iteration n+1's parameter is iteration n's
-                        // result; the loop output is the last one.
-                        if let Some(r) = body.result.get(k) {
-                            self.union(pp.var, *r);
-                        }
-                        if let Some(pe) = stm.pat.get(k) {
-                            self.union(pp.var, pe.var);
-                        }
-                    }
-                }
-            }
-            _ => {}
-        });
-    }
-}
 
 /// Array variables read or written through **runtime indices** — a
 /// gather's source, a scatter's destination — at every nesting depth.
@@ -150,32 +70,6 @@ fn runtime_indexed_arrays(block: &Block) -> Vec<Var> {
         _ => {}
     });
     out
-}
-
-/// The block a binding is annotated into, if any.
-fn block_of(pe: &PatElem) -> Option<Var> {
-    pe.mem.as_ref().map(|mb| mb.block)
-}
-
-/// Every memory block a statement may touch: the block of each binding
-/// it makes at any depth (pattern elements, merge parameters, nested
-/// tenants — what `Exp::free_vars` cannot surface), the block of each
-/// array it uses, and each mem var it names as an operand (a loop
-/// initializer).
-fn touched_blocks(stm: &Stm, table: &MemTable) -> Vec<Var> {
-    let mut out: Vec<Var> = stm.bound().filter_map(block_of).collect();
-    for u in stm.exp.free_vars() {
-        out.push(table.get(u).map_or(u, |mb| mb.block));
-    }
-    for nested in stm.exp.blocks() {
-        nested.for_each_stm(&mut |s| out.extend(s.bound().filter_map(block_of)));
-    }
-    out
-}
-
-/// Does `stm` touch block `m` (see [`touched_blocks`])?
-fn touches(stm: &Stm, m: Var, table: &MemTable) -> bool {
-    touched_blocks(stm, table).contains(&m)
 }
 
 /// One coloring decision, in the transport form the executor consumes.
@@ -260,7 +154,7 @@ struct Cand {
     /// must be allocated before any merged member first writes it.
     alloc_idx: usize,
     /// The block's live range: the first and last top-level statements
-    /// touching it (`last` is `usize::MAX` when it backs a program
+    /// touching it (`last` is [`ESCAPES`] when it backs a program
     /// result).
     first: usize,
     last: usize,
@@ -322,56 +216,18 @@ fn color_toplevel(prog: &mut Program, env: &Env, force_unsafe: bool, report: &mu
     // the alias classes below instead of escaping wholesale.
     let escaping: HashSet<Var> = prog.body.result.iter().copied().collect();
 
-    // Bindings at every depth (for resolving uses to blocks), and alias
-    // classes (for resolving loop-carried memory back to the candidate
-    // allocations it may name at runtime). Class member lists are built
-    // from the ordered candidate list — never from a hash set — so the
-    // liveness scan, the coloring, the remark stream and the golden
-    // snapshots are identical across runs.
-    let bindings = MemTable::of_block(&prog.body);
-    let mut aliases = MemAliases::build(&prog.body);
-    let mut class: HashMap<Var, Vec<Var>> = HashMap::new();
-    for (_, m, _, _) in &allocs {
-        class.entry(aliases.find(*m)).or_default().push(*m);
-    }
-    let mut resolve = |b: Var| -> Vec<Var> {
-        match class.get(&aliases.find(b)) {
-            Some(cs) => cs.clone(),
-            None => Vec::new(),
-        }
-    };
-
     // Live interval of each candidate block, at top-level statement
-    // granularity: statement `i` touches block `M` when it binds an array
-    // into `M`, uses a variable bound in `M`, or names (directly or
-    // through an alias class — a loop initializer, a nested tenant) a mem
-    // var that may be `M` at runtime.
-    let mut first: HashMap<Var, usize> = HashMap::new();
-    let mut last: HashMap<Var, usize> = HashMap::new();
-    for (i, stm) in prog.body.stms.iter().enumerate() {
-        for b in touched_blocks(stm, &bindings) {
-            for c in resolve(b) {
-                first.entry(c).or_insert(i);
-                last.insert(c, i);
-            }
-        }
-    }
-    for r in &prog.body.result {
-        let backing = bindings.get(*r).map(|mb| mb.block).unwrap_or(*r);
-        for c in resolve(backing) {
-            last.insert(c, usize::MAX);
-        }
-    }
+    // granularity (see `liveness`).
+    let lv = Liveness::of(&prog.body);
+    let ranges = lv.live_ranges(&prog.body);
 
     // Blocks accessed through runtime indices: when overlapping live
     // ranges sink one, the reject is reported as `RuntimeIndexed` rather
     // than a generic interference.
-    let mut runtime_indexed: HashSet<Var> = HashSet::new();
-    for a in runtime_indexed_arrays(&prog.body) {
-        if let Some(mb) = bindings.get(a) {
-            runtime_indexed.extend(resolve(mb.block));
-        }
-    }
+    let runtime_indexed: HashSet<Var> = runtime_indexed_arrays(&prog.body)
+        .into_iter()
+        .map(|a| lv.class(lv.home(a)))
+        .collect();
 
     // Where each top-level scalar is bound, for the growth legality check:
     // a host may only grow to a size whose every variable is in scope at
@@ -395,19 +251,20 @@ fn color_toplevel(prog: &mut Program, env: &Env, force_unsafe: bool, report: &mu
     // Escaping blocks take no part in the scan; neither do dead ones,
     // which cleanup removes.
     let mut ordered = allocs;
-    ordered.sort_by_key(|(idx, m, _, _)| (first.get(m).copied().unwrap_or(usize::MAX), *idx));
+    let first = |m: &Var| ranges.get(m).map_or(ESCAPES, |r| r.0);
+    ordered.sort_by_key(|(idx, m, _, _)| (first(m), *idx));
     let mut cands: Vec<Cand> = Vec::with_capacity(ordered.len());
     for (alloc_idx, m, elem, size) in ordered {
         if escaping.contains(&m) {
             report.rejected.push((m, MergeReject::Escapes));
-        } else if let Some(&first) = first.get(&m) {
+        } else if let Some(&(first, last)) = ranges.get(&m).filter(|r| r.0 != ESCAPES) {
             cands.push(Cand {
                 var: m,
                 elem,
                 size,
                 alloc_idx,
                 first,
-                last: last[&m],
+                last,
             });
         }
     }
@@ -478,7 +335,7 @@ fn color_toplevel(prog: &mut Program, env: &Env, force_unsafe: bool, report: &mu
             continue;
         }
         if !colors.is_empty() {
-            let why = if saw_interference && runtime_indexed.contains(&cand.var) {
+            let why = if saw_interference && runtime_indexed.contains(&lv.class(cand.var)) {
                 MergeReject::RuntimeIndexed
             } else if saw_interference {
                 MergeReject::Interference
@@ -518,7 +375,8 @@ fn color_toplevel(prog: &mut Program, env: &Env, force_unsafe: bool, report: &mu
 /// blocks the parameter cycles through. Each qualifying parameter gets a
 /// [`MergeRecord::CarriedRelease`] with its own runtime color.
 fn schedule_carried_releases(prog: &Program, report: &mut MergeReport) {
-    let bindings = MemTable::of_block(&prog.body);
+    let lv = Liveness::of(&prog.body);
+    let touches = |s: &Stm, m: Var| lv.touched_blocks(s).contains(&m);
     let mut next_color: u32 = 0;
     for (loop_idx, stm) in prog.body.stms.iter().enumerate() {
         let Exp::Loop {
@@ -530,7 +388,6 @@ fn schedule_carried_releases(prog: &Program, report: &mut MergeReport) {
         else {
             continue;
         };
-        let body_bindings = MemTable::of_block(body);
         for (k, pp) in params.iter().enumerate() {
             if !matches!(pp.ty, Type::Mem) {
                 continue;
@@ -571,25 +428,18 @@ fn schedule_carried_releases(prog: &Program, report: &mut MergeReport) {
                 continue;
             }
             // Iteration 0 frees the *initial* block, so nothing bound in
-            // it may outlive the loop's first iteration: no in-body or
-            // parameter binding may name it directly…
-            if body_bindings.iter().any(|(_, mb)| mb.block == init_m)
-                || params.iter().any(|pp| block_of(pp) == Some(init_m))
+            // it may outlive the loop's first iteration: no parameter may
+            // be annotated into it, and no body statement may touch it (a
+            // binding into it, or a read of an outer array living there)…
+            if params.iter().any(|pp| block_of(pp) == Some(init_m))
+                || body.stms.iter().any(|s| touches(s, init_m))
             {
                 continue;
             }
-            // …no outer array living in it may be read inside the body
-            // (with no binding into it inside the loop, every array the
-            // table places there is an outer one)…
-            if body.stms.iter().any(|s| touches(s, init_m, &bindings)) {
-                continue;
-            }
             // …and nothing after the loop may reach it.
-            let lives_in_init =
-                |r: &Var| *r == init_m || bindings.get(*r).is_some_and(|mb| mb.block == init_m);
             let later = &prog.body.stms[loop_idx + 1..];
-            if later.iter().any(|s| touches(s, init_m, &bindings))
-                || prog.body.result.iter().any(lives_in_init)
+            if later.iter().any(|s| touches(s, init_m))
+                || prog.body.result.iter().any(|r| lv.home(*r) == init_m)
             {
                 continue;
             }
@@ -597,7 +447,7 @@ fn schedule_carried_releases(prog: &Program, report: &mut MergeReport) {
             // Release point: after the last body statement touching the
             // carried block or its arrays — and no earlier than the yield
             // `alloc`, whose block the executor's identity guard reads.
-            let last_touch = body.stms.iter().rposition(|s| touches(s, m, &bindings));
+            let last_touch = body.stms.iter().rposition(|s| touches(s, m));
             let release_after = last_touch.map_or(a_idx, |i| i.max(a_idx));
             let Some(anchor) = body.stms[release_after].pat.first().map(|pe| pe.var) else {
                 continue;

@@ -2,29 +2,28 @@
 //! free list.
 //!
 //! The short-circuiting passes decide where arrays *live*; this analysis
-//! decides when their blocks *die*. It threads the IR's alias analysis
-//! ([`arraymem_ir::alias`]) and the last-use discipline of
-//! [`arraymem_ir::lastuse`] down to the runtime: for every statement of
-//! every block, which locally-allocated memory blocks have provably seen
-//! their final use once the statement completes. The VM releases exactly
-//! those, and the store recycles them for later allocations.
+//! decides when their blocks *die*. For every statement of every block it
+//! lists the allocations of that block whose live range
+//! (`liveness`) ends there — the same ranges the merge pass
+//! colors, so a block is never recycled while a merge still counts it
+//! live. The VM releases exactly those, and the store recycles them for
+//! later allocations.
 //!
-//! The plan is conservative in the same ways the last-use analysis is:
+//! The plan is conservative in the same ways the ranges are:
 //!
-//! - a use of *any* member of an alias class keeps every memory block
-//!   associated with the class alive (rebased webs associate one class
-//!   with several block variables — all stay live together);
-//! - uses inside nested blocks (`if`/`loop`/lambda bodies) count at the
-//!   enclosing statement;
+//! - a touch of any mem variable that may name the block at run time (a
+//!   loop's carried memory, a branch's existential result) keeps it live;
+//! - touches inside nested blocks (`if`/`loop`/lambda bodies) count at
+//!   the enclosing statement;
 //! - only blocks bound by an `alloc` statement of the *same* block are
-//!   ever released there; parameter memory and memory flowing in from
-//!   enclosing scopes is left to the end-of-run sweep
-//!   (`MemStore::release_all_live` in the executor).
+//!   ever released there, and never one the block's result reaches;
+//!   parameter memory and memory flowing in from enclosing scopes is left
+//!   to the end-of-run sweep (`MemStore::release_all_live` in the
+//!   executor).
 
-use crate::memtable::MemTable;
-use arraymem_ir::alias::{aliases, AliasMap};
-use arraymem_ir::{Block, Exp, Program, Stm, Var};
-use std::collections::{HashMap, HashSet};
+use crate::liveness::{Liveness, ESCAPES};
+use arraymem_ir::{Block, Exp, Program, Var};
+use std::collections::HashMap;
 
 /// For each block of a program (keyed by address — the program must not
 /// be mutated while the plan is in use), the memory variables whose block
@@ -42,19 +41,8 @@ impl ReleasePlan {
     /// Compute the release plan of a program (with or without memory
     /// annotations; a memory-free program yields an empty plan).
     pub fn compute(prog: &Program) -> ReleasePlan {
-        let am = aliases(prog);
-        // Associate every array variable with the memory variables its
-        // pattern annotations name, then lift to alias-class roots: a use
-        // of any class member is a use of all the class's blocks.
-        let mut class_mems: HashMap<Var, Vec<Var>> = HashMap::new();
-        for (v, mb) in MemTable::of_block(&prog.body).iter() {
-            let e = class_mems.entry(am.root(v)).or_default();
-            if !e.contains(&mb.block) {
-                e.push(mb.block);
-            }
-        }
         let mut plan = ReleasePlan::default();
-        plan.visit_block(&prog.body, &am, &class_mems);
+        plan.visit_block(&prog.body, &Liveness::of(&prog.body));
         plan
     }
 
@@ -72,66 +60,30 @@ impl ReleasePlan {
         self.per_block.values().flatten().map(|v| v.len()).sum()
     }
 
-    fn visit_block(&mut self, block: &Block, am: &AliasMap, class_mems: &HashMap<Var, Vec<Var>>) {
-        // Blocks releasable here: those allocated here.
-        let locals: HashSet<Var> = block
-            .stms
-            .iter()
-            .filter(|s| matches!(s.exp, Exp::Alloc { .. }))
-            .map(|s| s.pat[0].var)
-            .collect();
-        // Everything the block returns (or that shares a class with a
-        // result) stays live past the block's end.
-        let mut needed: HashSet<Var> = HashSet::new();
-        for r in &block.result {
-            needed.insert(*r);
-            if let Some(ms) = class_mems.get(&am.root(*r)) {
-                needed.extend(ms.iter().copied());
-            }
-        }
+    fn visit_block(&mut self, block: &Block, lv: &Liveness) {
+        let ranges = lv.live_ranges(block);
         let mut releases: Vec<Vec<Var>> = vec![Vec::new(); block.stms.len()];
-        for (k, stm) in block.stms.iter().enumerate().rev() {
-            let mut uses: HashSet<Var> = HashSet::new();
-            mem_uses(stm, am, class_mems, &mut uses);
-            // Iterate in symbol (= creation) order: the release schedule —
-            // and hence the lowered instruction stream and the store's
-            // free-list traffic — must not depend on hash iteration order.
-            let mut uses: Vec<Var> = uses.into_iter().collect();
-            uses.sort_unstable();
-            for m in uses {
-                if locals.contains(&m) && needed.insert(m) {
-                    releases[k].push(m);
-                }
+        for (i, stm) in block.stms.iter().enumerate() {
+            if !matches!(stm.exp, Exp::Alloc { .. }) {
+                continue;
+            }
+            // A block dies at its last touch, and never before its own
+            // `alloc` (an untouched one dies right there).
+            let m = stm.pat[0].var;
+            let last = ranges.get(&m).map_or(i, |r| r.1.max(i));
+            if last != ESCAPES {
+                releases[last].push(m);
             }
         }
+        // Symbol (= creation) order: the release schedule — and hence the
+        // lowered instruction stream and the store's free-list traffic —
+        // must not depend on hash iteration order.
+        releases.iter_mut().for_each(|r| r.sort_unstable());
         self.per_block.insert(block_key(block), releases);
         for stm in &block.stms {
             for b in stm.exp.blocks() {
-                self.visit_block(b, am, class_mems);
+                self.visit_block(b, lv);
             }
-        }
-    }
-}
-
-/// Memory variables `stm` keeps alive: blocks named by its pattern (and
-/// loop-parameter) annotations, its own binding if it is an `alloc`, and
-/// every block associated with the alias class of any free variable —
-/// nested blocks included, via `Exp::free_vars`.
-fn mem_uses(stm: &Stm, am: &AliasMap, class_mems: &HashMap<Var, Vec<Var>>, out: &mut HashSet<Var>) {
-    out.extend(
-        stm.bound()
-            .filter_map(|pe| pe.mem.as_ref().map(|mb| mb.block)),
-    );
-    if matches!(stm.exp, Exp::Alloc { .. }) {
-        out.insert(stm.pat[0].var);
-    }
-    for v in stm.exp.free_vars() {
-        // `v` itself may be a memory variable (annotations of nested
-        // blocks surface through free_vars); non-memory variables are
-        // harmless — they never match an alloc-bound local.
-        out.insert(v);
-        if let Some(ms) = class_mems.get(&am.root(v)) {
-            out.extend(ms.iter().copied());
         }
     }
 }

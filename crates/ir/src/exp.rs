@@ -484,6 +484,15 @@ impl Block {
         self.for_each_stm_in(&Env::default(), &mut |stm, _| f(stm));
     }
 
+    /// The block each annotated array bound in this block lives in, at
+    /// every depth: pattern elements and loop merge parameters.
+    pub fn homes(&self) -> std::collections::HashMap<Var, Var> {
+        let mut out = std::collections::HashMap::new();
+        let home = |pe: &PatElem| Some((pe.var, pe.mem.as_ref()?.block));
+        self.for_each_stm(&mut |stm| out.extend(stm.bound().filter_map(home)));
+        out
+    }
+
     /// [`Block::for_each_stm`], handing each statement the environment in
     /// scope where it stands: `env` extended by [`loop_env`] for every
     /// enclosing loop body.

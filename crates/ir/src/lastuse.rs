@@ -1,47 +1,16 @@
-//! Last-use analysis (paper §V, footnote 18): for each statement of a
-//! block, which alias classes can no longer be used on any path after it.
+//! Last use of an array *value* (paper §V, footnote 18): whether an
+//! alias class can still be used on some path after a statement — what
+//! short-circuiting asks of a candidate's source.
 //!
 //! The analysis is conservative: a use of *any* member of an alias class
 //! counts as a use of the class, and nested blocks (loop/if/map bodies)
-//! count as uses at their enclosing statement.
+//! count as uses at their enclosing statement. When a memory *block* is
+//! last touched is a different question, answered from the memory
+//! annotations by the middle-end's one liveness (`arraymem-core`).
 
 use crate::alias::AliasMap;
 use crate::exp::{Block, Var};
 use std::collections::HashSet;
-
-/// For each statement index in `block`, the set of alias-class roots whose
-/// *last* use is that statement. `live_after` holds class roots used after
-/// the block (e.g. by an enclosing expression or the caller); those are
-/// never reported as lastly-used inside.
-pub fn block_last_uses(
-    block: &Block,
-    live_after: &HashSet<Var>,
-    am: &AliasMap,
-) -> Vec<HashSet<Var>> {
-    let mut live: HashSet<Var> = live_after.clone();
-    for v in &block.result {
-        live.insert(am.root(*v));
-    }
-    let mut out: Vec<HashSet<Var>> = vec![HashSet::new(); block.stms.len()];
-    for (k, stm) in block.stms.iter().enumerate().rev() {
-        let mut used_here: HashSet<Var> = HashSet::new();
-        for v in stm.exp.free_vars() {
-            used_here.insert(am.root(v));
-        }
-        for root in used_here {
-            if !live.contains(&root) {
-                out[k].insert(root);
-                live.insert(root);
-            }
-        }
-        // Bindings kill liveness of the classes they *create* fresh, but a
-        // class flows through transforms/updates, so only remove a root if
-        // this statement's pattern defines it and nothing before can refer
-        // to it. Removing is an optimization only; keeping liveness is
-        // conservative and sound, so we keep it simple and do not remove.
-    }
-    out
-}
 
 /// True if alias class of `v` is used by any statement at index > `at`, or
 /// escapes via the block result / `live_after`.

@@ -1,7 +1,7 @@
 use crate::alias::aliases;
 use crate::builder::Builder;
 use crate::exp::*;
-use crate::lastuse::{block_last_uses, used_after};
+use crate::lastuse::used_after;
 use crate::types::{ElemType, Type};
 use crate::validate::{lmad_slice_is_injective, validate};
 use arraymem_lmad::{ConcreteLmad, Dim, Lmad, Transform, TripletSlice};
@@ -114,14 +114,12 @@ fn last_use_of_map_result_is_the_update() {
     let prog = fig1_left_program();
     let am = aliases(&prog);
     let x = prog.body.stms[2].pat[0].var;
-    let lu = block_last_uses(&prog.body, &HashSet::new(), &am);
     // X's class is lastly used at stm 3 (the update).
-    assert!(lu[3].contains(&am.root(x)));
+    assert!(used_after(&prog.body, 2, x, &HashSet::new(), &am));
     assert!(!used_after(&prog.body, 3, x, &HashSet::new(), &am));
-    // A's class escapes via the block result (A2): never lastly-used inside.
+    // A's class escapes via the block result (A2): used after every stm.
     let a = prog.params[1].0;
-    assert!(used_after(&prog.body, 2, a, &HashSet::new(), &am));
-    assert!(lu.iter().all(|s| !s.contains(&am.root(a))));
+    assert!((0..prog.body.stms.len()).all(|k| used_after(&prog.body, k, a, &HashSet::new(), &am)));
 }
 
 #[test]
@@ -291,4 +289,77 @@ fn deep_walk_is_preorder_binds_merge_params_and_scopes_the_loop_index() {
         }
     });
     assert_eq!(seen, order.len());
+}
+
+/// A loop whose body yields, for an array merge parameter, a mem variable
+/// other than the block the yielded array lives in: `validate_memory`
+/// rejects it and names both blocks; yielding the array's own block is
+/// accepted.
+#[test]
+fn loop_must_yield_the_block_its_array_lives_in() {
+    use crate::validate::validate_memory;
+    use arraymem_lmad::IndexFn;
+    use arraymem_symbolic::sym;
+    let (n, blk_a, blk_b, m, out_m) = (
+        sym("lm_n"),
+        sym("lm_A"),
+        sym("lm_B"),
+        sym("lm_m"),
+        sym("lm_om"),
+    );
+    let (x, y, p_arr, out, i) = (
+        sym("lm_x"),
+        sym("lm_y"),
+        sym("lm_p"),
+        sym("lm_out"),
+        sym("lm_i"),
+    );
+    let arr = |v: Var, block: Var| PatElem {
+        var: v,
+        ty: Type::array(ElemType::F32, vec![p(n)]),
+        mem: Some(MemBinding {
+            block,
+            ixfn: IndexFn::row_major(&[p(n)]),
+        }),
+    };
+    let stm = |pat: Vec<PatElem>, exp: Exp| Stm { pat, exp };
+    let alloc = || Exp::Alloc {
+        elem: ElemType::F32,
+        size: p(n),
+    };
+    let scratch = || Exp::Scratch {
+        elem: ElemType::F32,
+        shape: vec![p(n)],
+    };
+    let program = |yielded_block: Var| Program {
+        name: "loop_mem".into(),
+        params: vec![(n, Type::Scalar(ElemType::I64))],
+        pipeline_fingerprint: 0,
+        body: Block {
+            stms: vec![
+                stm(vec![PatElem::new(blk_a, Type::Mem)], alloc()),
+                stm(vec![PatElem::new(blk_b, Type::Mem)], alloc()),
+                stm(vec![arr(x, blk_a)], scratch()),
+                stm(vec![arr(y, blk_b)], scratch()),
+                stm(
+                    vec![PatElem::new(out_m, Type::Mem), arr(out, out_m)],
+                    Exp::Loop {
+                        params: vec![PatElem::new(m, Type::Mem), arr(p_arr, m)],
+                        inits: vec![blk_a, x],
+                        index: i,
+                        count: p(n),
+                        // The body yields `y`, which lives in B.
+                        body: Block {
+                            stms: vec![],
+                            result: vec![yielded_block, y],
+                        },
+                    },
+                ),
+            ],
+            result: vec![out],
+        },
+    };
+    let err = validate_memory(&program(m)).expect_err("names the wrong block");
+    assert!(err.contains("lm_B") && err.contains("lm_m"), "{err}");
+    validate_memory(&program(blk_b)).expect("yields the array's own block");
 }

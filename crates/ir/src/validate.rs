@@ -161,6 +161,9 @@ fn validate_exp(
 /// array parameter), and every variable its index function mentions must
 /// be in scope. Bindings may reference variables bound by the *same*
 /// pattern (existential memory and its scalars are pattern siblings).
+/// And where a loop's array merge parameter names one of its mem
+/// parameters, the body must yield there the block the array it yields for
+/// the parameter lives in: block lifetimes are read off these names.
 ///
 /// The pass pipeline interleaves this between stages in debug/checked
 /// builds, so a pass that breaks the memory discipline is caught — and
@@ -184,7 +187,39 @@ pub fn validate_memory(prog: &Program) -> Result<(), String> {
     // annotated programs legitimately name them (e.g. as the memory
     // initializer of a loop's existential-memory merge parameter).
     validate_block(&prog.body, &mut scope.clone())?;
-    validate_mem_block(&prog.body, &mut scope, &mut mems, &mut elems)
+    validate_mem_block(&prog.body, &mut scope, &mut mems, &mut elems)?;
+    validate_loop_memory(prog)
+}
+
+/// The loop-memory rule of [`validate_memory`].
+fn validate_loop_memory(prog: &Program) -> Result<(), String> {
+    let mut homes = prog.body.homes();
+    for (v, _) in &prog.params {
+        homes.insert(*v, crate::param_block_sym(*v));
+    }
+    let mut err = None;
+    prog.body.for_each_stm(&mut |stm| {
+        let Exp::Loop { params, body, .. } = &stm.exp else {
+            return;
+        };
+        for (pp, &r) in params.iter().zip(&body.result) {
+            let Some(mb) = &pp.mem else { continue };
+            let Some(j) = params.iter().position(|q| q.var == mb.block) else {
+                continue;
+            };
+            let named = body.result[j];
+            if let Some(home) = homes.get(&r).filter(|&&home| home != named) {
+                err.get_or_insert_with(|| {
+                    format!(
+                        "loop binding {}: body yields {r}, which lives in block {home}, \
+                         as block {named} of merge parameter {}",
+                        stm.pat[0].var, pp.var
+                    )
+                });
+            }
+        }
+    });
+    err.map_or(Ok(()), Err)
 }
 
 fn check_binding(

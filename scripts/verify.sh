@@ -149,6 +149,35 @@ merge_is_liveness() {
 }
 tier "merge is liveness (no footprint tier, no run-time merge re-proof)" merge_is_liveness
 
+# Block lifetimes are one analysis: which blocks a statement touches and
+# which mem variables can name one runtime block are defined once, in
+# crates/core/src/liveness.rs, and the release plan, the merge pass and
+# cleanup all read it — no second liveness over array alias classes. That
+# liveness trusts the annotations, so the suites that replay the corpus
+# and the merge workloads run with the validator (and its loop-memory
+# rule) after every stage even in this release build.
+one_liveness() {
+    nontest() {
+        awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t { print FILENAME ":" FNR ": " $0 }' \
+            $(ls "$@" | grep -v '/tests\.rs$')
+    }
+    for def in 'struct MemAliases' 'fn touched_blocks'; do
+        n=$(nontest crates/core/src/*.rs | grep -c "$def\b" || true)
+        echo "definitions of '$def' in crates/core/src: $n (limit 1)"
+        [ "$n" -le 1 ] || return 1
+    done
+    if grep -n 'arraymem_ir::alias' crates/core/src/release.rs crates/core/src/cleanup.rs ||
+        nontest crates/ir/src/*.rs | grep 'block_last_uses'; then
+        return 1
+    fi
+    env ARRAYMEM_VERIFY_IR=1 cargo test --release --offline -p arraymem-bench -q \
+        --test differential_fuzz --test merge_workloads || return 1
+    n=$(($(crate_lines core) + $(crate_lines ir)))
+    echo "non-test lines in crates/core/src + crates/ir/src: $n (limit 6139)"
+    [ "$n" -le 6139 ]
+}
+tier "block lifetimes are one analysis (one liveness, truthful loop memory)" one_liveness
+
 # Which constructs nest a block is `arraymem_ir`'s knowledge
 # (`Exp::blocks`, `Block::for_each_stm`): a pass names the lambda body
 # only where it means the lambda, never merely to recurse. 18 such

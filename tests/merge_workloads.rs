@@ -8,7 +8,7 @@
 
 use arraymem_bench::tables::{table_cases, KNOWN_BENCHMARKS};
 use arraymem_core::{compile, compile_observed, MergeRecord, Options};
-use arraymem_exec::{Mode, OutputValue, Session, Stats};
+use arraymem_exec::{run_program, InputValue, KernelRegistry, Mode, OutputValue, Session, Stats};
 use arraymem_fuzz::{build_program, corpus, random_ops};
 use arraymem_ir::{Exp, PatElem, Program, Stm, Var};
 use arraymem_symbolic::Rng64;
@@ -142,6 +142,105 @@ fn merge_reduces_peak_memory_with_identical_outputs() {
     );
 }
 
+/// Compiles `src` merge off and on and runs it in `Memory` and `Checked`:
+/// each run must compute what `Pure` does (every element `expect`) with
+/// no diagnostic. `check` sees each optimized program, with its `merge`.
+fn agrees_with_pure(src: &str, expect: f32, check: impl Fn(bool, &Program)) {
+    let elab = arraymem_lang::parse_program(src).expect("parse");
+    let inputs = [InputValue::I64(4)];
+    let kernels = KernelRegistry::new();
+    let (pure, _) = run_program(&elab.program, &inputs, &kernels, Mode::Pure, 1).expect("pure");
+    assert_eq!(pure[0].as_f32s(), &[expect; 4]);
+    let mut session = Session::new();
+    for merge in [false, true] {
+        let opts = Options {
+            merge,
+            ..Options::optimized()
+        }
+        .with_env(elab.env.clone());
+        let compiled = compile(&elab.program, &opts).expect("compile");
+        check(merge, &compiled.program);
+        let h = session
+            .prepare_full(
+                &compiled.program,
+                &kernels,
+                &[],
+                &compiled.report.merges,
+                &[],
+            )
+            .expect("prepare");
+        for mode in [Mode::Memory, Mode::Checked] {
+            let (out, stats) = session
+                .run_plan(h, &inputs, &kernels, mode, 1)
+                .expect("run");
+            assert!(
+                out[0].approx_eq(&pure[0], 0.0),
+                "merge={merge}/{mode:?}: {:?}, Pure computes {:?}",
+                out[0],
+                pure[0]
+            );
+            assert!(stats.diagnostics.is_empty(), "{:?}", stats.diagnostics);
+        }
+    }
+}
+
+/// A loop whose body yields an array bound *outside* the body: the loop
+/// result lives in that outer array's block, so the block stays live
+/// while the result is read. Merging `t`'s block into it while `f` is
+/// still to be read overwrote `f` (`Memory` and `Checked` computed 10.0,
+/// `Pure` 8.0, and the sanitizer saw nothing wrong). A body yielding
+/// another merge parameter — a swap, a rotation — yields that
+/// parameter's block: each result is read after the loop.
+#[test]
+fn loop_yielding_an_outer_array_keeps_its_block_live() {
+    const YIELD_OUTER: &str = "
+        fn yield_outer(n: i64) =
+          let outer = replicate [4] 3.0 in
+          let init = replicate [4] 0.0 in
+          let f = loop (p = init) for i < 2 do { outer } in
+          let t = replicate [4] 5.0 in
+          let s = map (\\a b -> a + b) t f in
+          s
+    ";
+    agrees_with_pure(YIELD_OUTER, 8.0, |merge, prog| {
+        // The block the array named `name` (`name#N` once interned) lives in.
+        let home = |name: &str| {
+            let mut pats = prog.body.stms.iter().flat_map(|s| &s.pat);
+            let pe = pats.find(|pe| pe.mem.is_some() && pe.var.to_string().starts_with(name));
+            pe.and_then(|pe| pe.mem.as_ref()).map(|mb| mb.block)
+        };
+        assert_ne!(
+            home("t#"),
+            home("outer#"),
+            "merge={merge}: t shares outer's block"
+        );
+    });
+    const SWAP: &str = "
+        fn swap(n: i64) =
+          let x = replicate [4] 1.0 in
+          let y = replicate [4] 2.0 in
+          let (a, b) = loop (a = x, b = y) for i < 3 do { (b, a) } in
+          let t = replicate [4] 5.0 in
+          let s = map (\\p q -> p + q) t a in
+          let u = map (\\p q -> p * q) s b in
+          u
+    ";
+    agrees_with_pure(SWAP, 7.0, |_, _| {});
+    const ROTATE: &str = "
+        fn rotate(n: i64) =
+          let x = replicate [4] 1.0 in
+          let y = replicate [4] 2.0 in
+          let z = replicate [4] 4.0 in
+          let (a, b, c) = loop (a = x, b = y, c = z) for i < 2 do { (b, c, a) } in
+          let t = replicate [4] 8.0 in
+          let s = map (\\p q -> p + q) t a in
+          let u = map (\\p q -> p * q) s b in
+          let v = map (\\p q -> p - q) u c in
+          v
+    ";
+    agrees_with_pure(ROTATE, 10.0, |_, _| {});
+}
+
 /// Every variable a statement names: the free variables of its
 /// expression, and what it binds at any depth with the block each binding
 /// is annotated into.
@@ -224,7 +323,13 @@ fn check_shares(what: &str, prog: &Program, opts: &Options) -> usize {
 /// here without the pass's own liveness — ranges recomputed from the
 /// pre-merge program by name alone. They are narrower than the pass's
 /// (no alias closure), so an overlap here is an overlap there: no false
-/// alarm, and a scan that let overlapping ranges share fails.
+/// alarm, and a scan that let overlapping ranges share fails. They read
+/// the same annotations as the pass, though, so they are independent of
+/// it only as far as the annotations are truthful — which is what
+/// `validate_memory`'s loop-memory rule checks after every stage of a
+/// debug build (a loop yielding an outer array under its own mem
+/// parameter's name fooled both: see
+/// `loop_yielding_an_outer_array_keeps_its_block_live`).
 #[test]
 fn every_share_is_between_disjoint_live_ranges() {
     let merge_only = Options {
