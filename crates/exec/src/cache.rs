@@ -23,6 +23,7 @@
 
 use crate::kernel::KernelRegistry;
 use crate::plan::{lower_plan_full, ExecPlan};
+use crate::vm::catch_panic;
 use arraymem_core::{CircuitCheck, MergeRecord, ParSafetyRecord};
 use arraymem_ir::Program;
 use std::collections::{HashMap, HashSet};
@@ -220,7 +221,11 @@ impl PlanCache {
                 hook();
             }
             let t0 = Instant::now();
-            let result = lower_plan_full(prog, kernels, checks, merges, par);
+            // A panic while lowering is this build's failure: the key
+            // must leave `building` below, or its waiters park forever.
+            let result = catch_panic("lowering", || {
+                lower_plan_full(prog, kernels, checks, merges, par)
+            });
             let dt = t0.elapsed();
             let published = result.map(|plan| {
                 let plan = Arc::new(plan);

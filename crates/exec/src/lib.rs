@@ -14,10 +14,11 @@
 //!   registers (a block plus a shared index function);
 //! - [`kernel`]: the registry of native kernels a `map` may invoke (the
 //!   moral equivalent of generated device code);
-//! - [`pool`]: a persistent work-stealing worker pool (parked workers
-//!   reused across every map of every run, chunks claimed off a shared
-//!   atomic counter, degrading gracefully to inline execution on small
-//!   trip counts) with per-dispatch utilization accounting;
+//! - [`pool`]: a work-stealing parallel-for on scoped threads (workers
+//!   spawned per dispatch and joined before it returns, chunks claimed
+//!   off a shared atomic counter, degrading gracefully to inline
+//!   execution on small trip counts) with per-dispatch utilization
+//!   accounting;
 //! - [`plan`]: lowering — nested IR to a flat instruction stream, names to
 //!   slots, each scalar expression once to straight-line code over
 //!   numbered values, and every LMAD coefficient `Poly → SlotPoly` (a

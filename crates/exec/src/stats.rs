@@ -273,8 +273,8 @@ stats_table! {
     /// `blocks_reused`): the previous iteration's carried release coming
     /// straight back.
     color_slab_hits: u64, sum, store;
-    /// Map statements that went through the persistent worker pool
-    /// (small trip counts run inline and are not counted).
+    /// Map statements that fanned out onto pool worker threads (small
+    /// trip counts run inline and are not counted).
     pool_dispatches: u64, sum, run;
     /// Kernel mapnests that executed **parallel and in place**: dispatched
     /// to the pool writing their result memory directly, under a

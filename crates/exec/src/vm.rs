@@ -272,7 +272,8 @@ pub fn run_program(
 }
 
 /// Run one plan against a store: load inputs, execute the stream, extract
-/// results, release everything still live back to the free lists. This is
+/// results, release everything still live back to the free lists — after
+/// a failed or panicking run too, a panic being the request's error. This is
 /// the layer below [`Session`]: the server executes shared
 /// `Arc<ExecPlan>`s against per-tenant stores through this entry point.
 pub fn execute_plan(
@@ -284,7 +285,7 @@ pub fn execute_plan(
     threads: usize,
 ) -> Result<(Vec<OutputValue>, Stats), String> {
     store.set_shadow(mode == Mode::Checked);
-    let result = Machine {
+    let mut machine = Machine {
         store,
         kernels,
         regs: vec![Value::i64(0); plan.num_slots() as usize],
@@ -299,8 +300,8 @@ pub fn execute_plan(
         threads: threads.max(1),
         mode,
         cur_stm: None,
-    }
-    .run(plan, inputs);
+    };
+    let result = catch_panic("execution", || machine.run(plan, inputs));
     // Results were deep-copied out, so everything the run allocated —
     // blocks still parked in color slabs included — can feed the next
     // run's allocations. A failed run releases too: a rejected request
@@ -308,6 +309,20 @@ pub fn execute_plan(
     store.drain_colors();
     store.release_all_live();
     result
+}
+
+/// Run `f`, turning a panic inside it into `Err("<what> panicked: …")`:
+/// the request's error, not an unwind through its caller's locks.
+pub(crate) fn catch_panic<T>(
+    what: &str,
+    f: impl FnOnce() -> Result<T, String>,
+) -> Result<T, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        let text = (payload.downcast_ref::<&str>().copied())
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("(no message)");
+        Err(format!("{what} panicked: {text}"))
+    })
 }
 
 /// A result array copied out into a dense vector, through the runtime's

@@ -18,8 +18,10 @@
 //!   ([`Server::global_stats`]).
 //!
 //! Requests from one tenant serialize on that tenant's store; requests
-//! from different tenants execute concurrently (each execution may
-//! itself fan out onto the exec crate's work-stealing pool).
+//! from different tenants execute concurrently, and so do their parallel
+//! maps (each dispatch runs on its own scoped workers). A panic while
+//! lowering or executing is that request's typed error: it never unwinds
+//! through the tenant's lock or leaves a plan-cache build in flight.
 //!
 //! ```
 //! use arraymem_core::{compile, Options};
@@ -70,9 +72,9 @@ pub struct ServerConfig {
     pub max_in_flight: usize,
     /// Requests allowed to wait for a permit before rejection sets in.
     pub queue_depth: usize,
-    /// Worker threads offered to each execution's parallel maps (the
-    /// exec crate's global work-stealing pool is shared; dispatches
-    /// serialize there).
+    /// Worker threads offered to each execution's parallel maps (each
+    /// dispatch spawns its own scoped workers, so tenants' maps run
+    /// concurrently).
     pub threads: usize,
 }
 

@@ -178,6 +178,30 @@ one_liveness() {
 }
 tier "block lifetimes are one analysis (one liveness, truthful loop memory)" one_liveness
 
+# Parallel maps run on scoped threads: a dispatch spawns its workers
+# inside `std::thread::scope` and joins them before it returns, so the
+# pool parks no threads, erases no closure's lifetime and shares no lock
+# between dispatches. A panic — in a map, a kernel or a plan-cache build —
+# is its request's error: it wedges no tenant lock and no cache key. The
+# pool tests cover coverage, stealing, payloads and overlapping
+# dispatches; the server tests a panicking kernel (inline and dispatched)
+# and a panicking lowering.
+scoped_pool() {
+    if awk '/#\[cfg\(test\)\]/{exit}{print FILENAME":"FNR": "$0}' crates/exec/src/pool.rs |
+        grep 'unsafe\|transmute\|Condvar\|Box::leak\|WorkerPool'; then
+        return 1
+    fi
+    n=$(awk '/#\[cfg\(test\)\]/{exit}{n++}END{print n+0}' crates/exec/src/pool.rs)
+    echo "non-test lines in crates/exec/src/pool.rs: $n (limit 194)"
+    [ "$n" -le 194 ] || return 1
+    n=$(crate_lines exec)
+    echo "non-test lines in crates/exec/src: $n (limit 6296)"
+    [ "$n" -le 6296 ] || return 1
+    cargo test --release --offline -p arraymem-exec -q -- pool:: || return 1
+    cargo test --release --offline -p arraymem-bench --test server -q -- kernel_panic lowering_panic
+}
+tier "parallel maps run on scoped threads; a panic wedges nothing" scoped_pool
+
 # Which constructs nest a block is `arraymem_ir`'s knowledge
 # (`Exp::blocks`, `Block::for_each_stm`): a pass names the lambda body
 # only where it means the lambda, never merely to recurse. 18 such

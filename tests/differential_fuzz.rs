@@ -366,7 +366,8 @@ fn injected_merge_diverges(ops: &[GenOp]) -> bool {
         return false;
     };
     let kernels = KernelRegistry::new();
-    if run_program(&prog, &[], &kernels, Mode::Pure, 1).is_err() {
+    if let Err(e) = run_program(&prog, &[], &kernels, Mode::Pure, 1) {
+        assert!(!e.contains(" panicked: "), "the oracle crashed: {e}");
         return false;
     }
     let Ok(compiled) = compile_sabotaged(&prog, &Options::optimized(), Sabotage::Merge) else {

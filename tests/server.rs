@@ -18,11 +18,12 @@
 use arraymem_bench::tables::table_cases;
 use arraymem_core::{compile, Options};
 use arraymem_exec::{Diagnostic, InputValue, KernelRegistry, Mode, OutputValue, PlanCache, Stats};
-use arraymem_ir::{BinOp, Builder, ElemType, Program, ScalarExp};
+use arraymem_ir::{BinOp, Block, Builder, ElemType, Exp, Program, ScalarExp, Stm};
 use arraymem_server::{ExecRequest, Server, ServerConfig, ServerError};
 use arraymem_symbolic::Poly;
+use arraymem_workloads::irregular::{spmv_case, spmv_reference};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Barrier, Condvar, Mutex};
 use std::time::Duration;
 
 fn c(x: i64) -> Poly {
@@ -660,6 +661,109 @@ fn overflowing_size_is_a_typed_error_and_the_tenant_lives_on() {
     );
     assert_eq!(server.tenant_stats("a").expect("tenant a").runs, 1);
     assert_eq!(server.global_stats().runs, 1);
+}
+
+/// A `row_ptr` arriving as a request input whose segments run past the
+/// products array panicked inside the `spmv_row_sum` kernel with the
+/// tenant's mutex held, and every later request of the tenant failed on
+/// the poisoned mutex. The panic — on whichever participant runs row 0,
+/// when the row map dispatches — is that request's typed error, and the
+/// tenant serves its next request.
+fn kernel_panic_is_a_typed_error_and_the_tenant_lives_on(rows: usize, threads: usize) {
+    let case = spmv_case("t", rows, rows, 2, 1);
+    let compiled = case.compile(true);
+    let server = Server::new(ServerConfig {
+        threads,
+        ..ServerConfig::default()
+    });
+    let mut hostile = case.inputs.clone();
+    hostile[5] = InputValue::ArrayI64(
+        std::iter::once(0)
+            .chain(std::iter::repeat_n(1_000_000, rows))
+            .collect(),
+    );
+    let req = ExecRequest::from_compiled(&compiled, &case.kernels, &[], &hostile, Mode::Memory);
+    let err = server
+        .execute("t", req)
+        .expect_err("row 0 reads past the products");
+    assert!(
+        matches!(&err, ServerError::Execution(msg) if msg.contains("out of bounds")),
+        "{err}"
+    );
+
+    let req = ExecRequest::from_compiled(&compiled, &case.kernels, &[], &case.inputs, Mode::Memory);
+    let (out, stats) = server.execute("t", req).expect("the tenant's next request");
+    let [InputValue::ArrayF32(vals), InputValue::ArrayI64(col_idx), InputValue::ArrayI64(row_ptr), InputValue::ArrayF32(x)] =
+        &case.inputs[3..]
+    else {
+        panic!("spmv takes vals, col_idx, row_ptr, x");
+    };
+    let expect = spmv_reference(rows, vals, col_idx, row_ptr, x);
+    assert_eq!(out, vec![OutputValue::ArrayF32(expect)]);
+    assert_eq!(stats.pool_dispatches > 0, threads > 1, "{stats:?}");
+    assert_eq!(server.tenant_stats("t").expect("tenant t").runs, 1);
+}
+
+#[test]
+fn kernel_panic_is_a_typed_error_and_the_tenant_lives_on_inline() {
+    kernel_panic_is_a_typed_error_and_the_tenant_lives_on(4, 1);
+}
+
+#[test]
+fn kernel_panic_is_a_typed_error_and_the_tenant_lives_on_dispatched() {
+    kernel_panic_is_a_typed_error_and_the_tenant_lives_on(256, 2);
+}
+
+/// A request for a scalar statement with no pattern to bind — lowering
+/// panicked on it after the plan cache had marked its key as building,
+/// so every identical request from any tenant then waited for that build
+/// forever, holding an admission permit. The panic is the build's
+/// failure: each request gets a typed error and no permit stays held.
+#[test]
+fn lowering_panic_is_a_typed_error_and_wedges_no_cache_slot() {
+    fn unbound_scalar(server: &Server, tenant: &str) -> Result<(), ServerError> {
+        let program = Program {
+            name: "unbound".into(),
+            params: vec![],
+            body: Block {
+                stms: vec![Stm {
+                    pat: vec![],
+                    exp: Exp::Scalar(ScalarExp::i64(1)),
+                }],
+                result: vec![],
+            },
+            pipeline_fingerprint: 0,
+        };
+        let kernels = KernelRegistry::new();
+        let req = ExecRequest {
+            program: &program,
+            kernels: &kernels,
+            checks: &[],
+            merges: &[],
+            par: &[],
+            inputs: &[],
+            mode: Mode::Memory,
+        };
+        server.execute(tenant, req).map(|_| ())
+    }
+    let server = Arc::new(Server::default());
+    let first = unbound_scalar(&server, "a");
+    assert!(
+        matches!(&first, Err(ServerError::Prepare(msg)) if msg.contains("lowering panicked")),
+        "{first:?}"
+    );
+    let (tx, rx) = mpsc::channel();
+    let other = Arc::clone(&server);
+    // Not joined: a wedged build must fail this test, not hang it.
+    std::thread::spawn(move || tx.send(unbound_scalar(&other, "b")));
+    let second = rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("an identical request must not wait for the failed build");
+    assert!(
+        matches!(&second, Err(ServerError::Prepare(_))),
+        "{second:?}"
+    );
+    assert_eq!(server.load(), (0, 0), "no permit stays held");
 }
 
 /// Input upload draws from recycled blocks like every other allocation,
