@@ -32,11 +32,12 @@
 //! - `strip`: lambda maps in strips — the body's own scalar code typed
 //!   once per execution, then one monomorphic loop per operator per strip
 //!   of the width, with the element-wise evaluator as oracle and
-//!   fall-back;
+//!   fall-back (its scan of a body also says which loops run typed);
 //! - [`vm`]: the machine executing compiled programs — registers are
-//!   words, arrays live in a table beside them, and no per-element path
-//!   (scalar evaluation, point access, lambda-map elements,
-//!   gather/scatter lanes) touches the heap. It runs in three
+//!   words, arrays live in a table beside them, no per-element path
+//!   (scalar evaluation, point access, lambda-map elements, gather/scatter
+//!   lanes) touches the heap, and in `Memory` a loop of scalar code and
+//!   point accesses runs as one typed superinstruction. It runs in three
 //!   modes: `Memory` (obeying the compiler's memory annotations — allocs,
 //!   rebased index functions, elided copies), `Pure` (direct value
 //!   semantics: every operation materializes a fresh dense array), and

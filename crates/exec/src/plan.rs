@@ -282,53 +282,59 @@ pub(crate) struct MapLambdaInstr {
     pub stm_var: Option<Var>,
 }
 
-/// Why a lambda map cannot run in strips: what in its body is not a
-/// straight line of arithmetic over its parameters and values fixed for
-/// the map.
+/// Why a body does not run typed — a lambda map in strips, a loop as one
+/// superinstruction: what in it is not a straight line of arithmetic (in a
+/// loop, and point accesses) over values fixed for the map or iteration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum StripReject {
-    /// An expression reads an array element (`a[i]`).
+    /// An expression of a lambda body reads an array element (`a[i]`).
     Index,
     /// An expression picks an arm (`select`): only the arm picked may run.
     Select,
-    /// A size expression over a value that differs per element.
+    /// A size expression over a value that differs per element or iteration.
     VaryingSize,
     /// The body branches or loops (`if`, `loop`).
     ControlFlow,
-    /// The body makes or changes an array (a nested map, an update, …).
+    /// The body makes or changes an array (a nested map, an update other
+    /// than a loop's update of a point by a scalar, …).
     ArrayOp,
 }
 
-/// Can a lambda body run in strips? Only if it is scalar statements whose
-/// code has no `a[i]`, no `select` and no size over a slot from
-/// `body_slots` on (the parameters and the body's own values): a scan of
-/// the code the evaluator runs.
-fn strip_reject(body: &Stream, body_slots: Slot) -> Result<(), StripReject> {
-    for instr in &body.instrs {
-        let Instr::Scalar { exp, .. } = instr else {
-            return Err(match instr {
-                Instr::Jump { .. }
-                | Instr::JumpIfFalse { .. }
-                | Instr::JumpIfGe { .. }
-                | Instr::CopySlots { .. } => StripReject::ControlFlow,
-                _ => StripReject::ArrayOp,
-            });
+/// Can a body run typed — a lambda body in strips, a loop body (`in_loop`)
+/// as one superinstruction? Only if it is scalar statements (in a loop also
+/// point updates by a scalar, and circuit checks, no business of `Memory`)
+/// whose code has no `select`, no size over a slot from `varying` on (the
+/// body's own) and, in a strip, no `a[i]`: a scan of the code it runs.
+fn strip_reject(body: &[Instr], varying: Slot, in_loop: bool) -> Result<(), StripReject> {
+    for instr in body {
+        let code = match instr {
+            Instr::Scalar { exp, .. } => [Some(exp), None],
+            Instr::Update(u) if in_loop => match (&u.slice, &u.src) {
+                (LSlice::Point(at), LUpdateSrc::Scalar(src)) => [Some(at), Some(src)],
+                _ => return Err(StripReject::ArrayOp),
+            },
+            Instr::VerifyChecks { .. } if in_loop => continue,
+            Instr::Jump { .. }
+            | Instr::JumpIfFalse { .. }
+            | Instr::JumpIfGe { .. }
+            | Instr::CopySlots { .. } => return Err(StripReject::ControlFlow),
+            _ => return Err(StripReject::ArrayOp),
         };
-        for op in &exp.ops {
-            match *op {
-                Op::Bin(..) | Op::Un(..) => {}
-                Op::Size(k) => {
-                    let slots = &exp.sizes[k as usize].slots;
-                    if slots
-                        .iter()
-                        .any(|(_, s)| s.is_some_and(|s| s >= body_slots))
-                    {
-                        return Err(StripReject::VaryingSize);
+        for exp in code.into_iter().flatten() {
+            for op in &exp.ops {
+                match *op {
+                    Op::Bin(..) | Op::Un(..) => {}
+                    Op::Size(k) => {
+                        let slots = &exp.sizes[k as usize].slots;
+                        if slots.iter().any(|(_, s)| s.is_some_and(|s| s >= varying)) {
+                            return Err(StripReject::VaryingSize);
+                        }
                     }
-                }
-                Op::Index { .. } => return Err(StripReject::Index),
-                Op::JumpIfFalse(..) | Op::Jump(..) | Op::Move(_) => {
-                    return Err(StripReject::Select)
+                    Op::Index { .. } if in_loop => {}
+                    Op::Index { .. } => return Err(StripReject::Index),
+                    Op::JumpIfFalse(..) | Op::Jump(..) | Op::Move(_) => {
+                        return Err(StripReject::Select)
+                    }
                 }
             }
         }
@@ -462,11 +468,13 @@ pub(crate) enum Instr {
         cond: LExp,
         target: usize,
     },
-    /// Loop back-edge guard: jump when `regs[a] >= regs[b]`.
+    /// Loop back-edge guard: jump when `regs[a] >= regs[b]`. `typed` says
+    /// whether `Memory` may run the loop as one superinstruction, or why not.
     JumpIfGe {
         a: Slot,
         b: Slot,
         target: usize,
+        typed: Result<(), StripReject>,
     },
     /// Checked mode: cross-check the short-circuit footprints recorded
     /// for the block that just finished executing.
@@ -1091,7 +1099,7 @@ impl Lowerer<'_> {
                     .iter()
                     .map(|v| self.resolve(*v))
                     .collect::<Result<Vec<_>, _>>()?;
-                let mark = self.scope.mark();
+                let (mark, loop_slots) = (self.scope.mark(), self.scope.next);
                 let param_slots: Vec<Slot> =
                     params.iter().map(|pp| self.scope.bind(pp.var)).collect();
                 let idx_slot = self.scope.bind(*index);
@@ -1106,6 +1114,7 @@ impl Lowerer<'_> {
                         a: idx_slot,
                         b: count_slot,
                         target: 0,
+                        typed: Ok(()),
                     },
                     blame,
                 );
@@ -1148,7 +1157,12 @@ impl Lowerer<'_> {
                 out.push(counter(idx_slot, self.lower_exp(&next)?), blame);
                 out.push(Instr::Jump { target: head }, blame);
                 let end = out.instrs.len();
+                // The body runs up to the back edge, the counter and the jump.
+                let verdict = strip_reject(&out.instrs[jge + 1..end - 3], loop_slots, true);
                 patch_target(&mut out.instrs[jge], end);
+                if let Instr::JumpIfGe { typed, .. } = &mut out.instrs[jge] {
+                    *typed = verdict;
+                }
                 // The merge parameters' final values become the pattern's.
                 self.scope.reset(mark);
                 let pat_slots: Vec<Slot> =
@@ -1215,7 +1229,7 @@ impl Lowerer<'_> {
                 let mut body_stream = Stream::default();
                 let results = self.lower_block(body, &mut body_stream)?;
                 self.scope.reset(mark);
-                let strip = strip_reject(&body_stream, body_slots);
+                let strip = strip_reject(&body_stream.instrs, body_slots, false);
                 let dests = stm
                     .pat
                     .iter()
@@ -1505,7 +1519,7 @@ fn fmt_instr(i: &Instr) -> String {
         Instr::JumpIfFalse { cond, target } => {
             format!("jump-if-false {} -> {target}", fmt_exp(cond))
         }
-        Instr::JumpIfGe { a, b, target } => format!("jump-if %{a} >= %{b} -> {target}"),
+        Instr::JumpIfGe { a, b, target, .. } => format!("jump-if %{a} >= %{b} -> {target}"),
         Instr::VerifyChecks { checks } => format!(
             "verify-circuits [{}]",
             checks

@@ -1,7 +1,8 @@
 //! Execution instrumentation, including the checked-mode sanitizer's
 //! structured diagnostics (one per obligation the sanitizer re-proves;
-//! block merges are guarded differentially and have none) and the count
-//! of lambda-map elements that ran one at a time instead of in a strip.
+//! block merges are guarded differentially and have none), the count of
+//! lambda-map elements that ran one at a time instead of in a strip, and
+//! the count of loop iterations that ran one instruction at a time.
 
 use crate::store::MemStore;
 use std::time::Duration;
@@ -305,6 +306,10 @@ stats_table! {
     /// whose operands had no lane type or whose result shares a block
     /// with an input it is not, strips in which a lane had no value.
     lambda_elems_elementwise: u64, sum, run;
+    /// Loop iterations a `Memory` run stepped instead of running typed:
+    /// loops whose body is not scalar code and point accesses, entries whose
+    /// operands had no type or whose arrays move or are not one LMAD.
+    loop_iters_stepped: u64, sum, run;
     /// Time spent inside kernels / lambda bodies.
     kernel_time: Duration, sum, run;
     /// Time spent in copies the optimizer targets.
@@ -330,72 +335,4 @@ stats_table! {
     /// Time spent lowering the plan this run executed, reported by one
     /// run per lowering (zero on a cache hit), so sums count it once.
     plan_build_time: Duration, sum, run;
-}
-
-impl std::fmt::Display for Stats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "alloc: {} B in {} blocks | copied: {} B in {} copies | elided: {} B in {} copies",
-            self.bytes_allocated,
-            self.num_allocs,
-            self.bytes_copied,
-            self.num_copies,
-            self.bytes_elided,
-            self.num_elided
-        )?;
-        writeln!(
-            f,
-            "reused: {} blocks | zeroing elided: {} B | pool dispatches: {}",
-            self.blocks_reused, self.bytes_zeroing_elided, self.pool_dispatches
-        )?;
-        if self.arena_blocks_adopted > 0 {
-            writeln!(
-                f,
-                "arena adopted: {} blocks | cross-tenant scrubbed: {} B",
-                self.arena_blocks_adopted, self.bytes_cross_tenant_scrubbed
-            )?;
-        }
-        writeln!(
-            f,
-            "peak live: {} B | merged blocks: {}",
-            self.peak_bytes_live, self.blocks_merged
-        )?;
-        if self.carried_releases > 0 {
-            writeln!(
-                f,
-                "carried releases: {} | color slab hits: {}",
-                self.carried_releases, self.color_slab_hits
-            )?;
-        }
-        writeln!(
-            f,
-            "parallel in-place maps: {} | chunks: {} ({} stolen) | workers engaged/offered: {}/{}",
-            self.maps_parallel_in_place,
-            self.par_chunks,
-            self.par_chunks_stolen,
-            self.par_workers_engaged,
-            self.par_workers_offered
-        )?;
-        write!(
-            f,
-            "kernel: {:?} ({} launches) | copy: {:?} | total: {:?}",
-            self.kernel_time, self.kernel_launches, self.copy_time, self.total_time
-        )?;
-        if self.cells_checked > 0 || !self.diagnostics.is_empty() {
-            write!(
-                f,
-                "\nchecked: {} cells | {} circuit checks verified | {} parallel maps verified \
-                 | {} diagnostics",
-                self.cells_checked,
-                self.circuits_verified,
-                self.par_checks_verified,
-                self.diagnostics.len() as u64 + self.diagnostics_suppressed
-            )?;
-            for d in &self.diagnostics {
-                write!(f, "\n  {d}")?;
-            }
-        }
-        Ok(())
-    }
 }

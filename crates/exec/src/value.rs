@@ -95,8 +95,16 @@ const _: () = {
 };
 
 impl Value {
-    const fn new(tag: Tag, bits: u64) -> Value {
+    /// The value a word means under `tag`.
+    #[inline]
+    pub(crate) const fn new(tag: Tag, bits: u64) -> Value {
         Value { tag, bits }
+    }
+
+    /// The word: what [`Value::new`] takes back.
+    #[inline]
+    pub(crate) fn bits(&self) -> u64 {
+        self.bits
     }
 
     #[inline]

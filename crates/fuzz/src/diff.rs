@@ -118,7 +118,7 @@ pub fn run_all_modes(
         return Err("checked mode changed the output".into());
     }
     if !c_stats.diagnostics.is_empty() || c_stats.diagnostics_suppressed > 0 {
-        return Err(format!("sanitizer fired:\n{c_stats}"));
+        return Err(format!("sanitizer fired:\n{c_stats:?}"));
     }
     // Thread sweep through the second shared session.
     for threads in [1usize, 8] {
@@ -156,7 +156,7 @@ pub fn run_all_modes(
         }
         if !t_stats.diagnostics.is_empty() || t_stats.diagnostics_suppressed > 0 {
             return Err(format!(
-                "multi-tenant leg: sanitizer fired for tenant {tenant}:\n{t_stats}"
+                "multi-tenant leg: sanitizer fired for tenant {tenant}:\n{t_stats:?}"
             ));
         }
     }

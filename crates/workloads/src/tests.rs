@@ -8,7 +8,7 @@ fn nw_small_validates_and_circuits() {
     assert!(unopt.bytes_copied > 0, "unopt NW must copy blocks");
     assert_eq!(
         opt.bytes_copied, 0,
-        "opt NW must elide all block copies: {opt}"
+        "opt NW must elide all block copies: {opt:?}"
     );
     assert!(opt.bytes_elided > 0);
 }
@@ -34,7 +34,7 @@ fn hotspot_small_validates_and_elides_concat() {
     let case = crate::hotspot::case("tiny", 32, 4, 2);
     let (unopt, opt) = case.validate();
     assert!(unopt.bytes_copied > 0);
-    assert_eq!(opt.bytes_copied, 0, "all hotspot copies elided: {opt}");
+    assert_eq!(opt.bytes_copied, 0, "all hotspot copies elided: {opt:?}");
 }
 
 #[test]
@@ -42,7 +42,7 @@ fn nn_small_validates_and_elides_reduce_copy() {
     let case = crate::nn::case("tiny", 4096, 8, 2);
     let (unopt, opt) = case.validate();
     assert!(unopt.bytes_copied > 0);
-    assert_eq!(opt.bytes_copied, 0, "{opt}");
+    assert_eq!(opt.bytes_copied, 0, "{opt:?}");
 }
 
 #[test]
@@ -51,7 +51,7 @@ fn lbm_small_validates_and_builds_rows_in_place() {
     let (unopt, opt) = case.validate();
     // Unopt pays the mapnest private-row copy every step.
     assert_eq!(unopt.bytes_copied, (3 * 8 * 8 * 4 * 19 * 4) as u64);
-    assert_eq!(opt.bytes_copied, 0, "{opt}");
+    assert_eq!(opt.bytes_copied, 0, "{opt:?}");
 }
 
 #[test]
@@ -59,7 +59,7 @@ fn optionpricing_small_validates() {
     let case = crate::optionpricing::case("tiny", 512, 16, 2);
     let (unopt, opt) = case.validate();
     assert!(unopt.bytes_copied > 0);
-    assert_eq!(opt.bytes_copied, 0, "{opt}");
+    assert_eq!(opt.bytes_copied, 0, "{opt:?}");
 }
 
 #[test]
@@ -67,7 +67,7 @@ fn locvolcalib_small_validates() {
     let case = crate::locvolcalib::case("tiny", 8, 32, 8, 2);
     let (unopt, opt) = case.validate();
     assert!(unopt.bytes_copied > 0);
-    assert_eq!(opt.bytes_copied, 0, "{opt}");
+    assert_eq!(opt.bytes_copied, 0, "{opt:?}");
 }
 
 /// The three irregular cases at test scale.
@@ -114,7 +114,7 @@ fn irregular_three_way_equivalence_across_threads() {
             );
             assert!(
                 chk_stats.diagnostics.is_empty(),
-                "{}@{threads}: sanitizer fired:\n{chk_stats}",
+                "{}@{threads}: sanitizer fired:\n{chk_stats:?}",
                 case.name
             );
             // And all three agree with the hand-written reference.
@@ -242,7 +242,7 @@ fn irregular_checked_mode_flags_out_of_bounds_indices() {
         .iter()
         .filter(|d| matches!(d, Diagnostic::IndexOutOfBounds { .. }))
         .collect();
-    assert_eq!(oob.len(), 2, "two poisoned lanes, two findings: {stats}");
+    assert_eq!(oob.len(), 2, "two poisoned lanes, two findings: {stats:?}");
     // In-range lanes still executed.
     let got = match &out[0] {
         arraymem_exec::OutputValue::ArrayF32(v) => v.clone(),
@@ -275,7 +275,7 @@ fn all_workloads_run_clean_under_checked_mode() {
         let stats = case.validate_checked();
         assert!(
             stats.diagnostics.is_empty() && stats.diagnostics_suppressed == 0,
-            "{}/{}: sanitizer fired:\n{stats}",
+            "{}/{}: sanitizer fired:\n{stats:?}",
             case.name,
             case.dataset
         );

@@ -113,8 +113,10 @@ fn main() {
     assert_eq!(session.plan_stats().cache_hits, 1);
 
     println!("=== Execution statistics ===");
-    println!("unoptimized: {stats_u}");
-    println!("optimized:   {stats_o}");
+    for (label, stats) in [("unoptimized", &stats_u), ("optimized", &stats_o)] {
+        let counters: Vec<String> = stats.counters().map(|(k, v)| format!("{k} {v}")).collect();
+        println!("{label:<12} {}", counters.join(" | "));
+    }
     println!(
         "\nThe update's {} copied bytes became {} — the map wrote the \
          diagonal of A directly.",

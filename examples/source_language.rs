@@ -72,5 +72,8 @@ fn main() {
     )
     .expect("run");
     println!("--- result ---\n{:?}", out[0]);
-    println!("--- stats ---\n{stats}");
+    println!("--- stats ---");
+    for (name, value) in stats.counters() {
+        println!("  {name:<28} {value}");
+    }
 }

@@ -133,8 +133,8 @@ one_form() {
         $(ls crates/exec/src/*.rs | grep -v '/tests\.rs$') |
         grep 'lower_strip\|StripCode\|LaneOp\|LaneArg\|Arg::Pop\|Op::Push'
     n=$(crate_lines exec)
-    echo "non-test lines in crates/exec/src: $n (limit 6430)"
-    [ "$n" -le 6430 ]
+    echo "non-test lines in crates/exec/src: $n (limit 6497)"
+    [ "$n" -le 6497 ]
 }
 tier "scalar code has one form (no second lowering, exec within its lines)" one_form
 
@@ -195,8 +195,8 @@ scoped_pool() {
     echo "non-test lines in crates/exec/src/pool.rs: $n (limit 194)"
     [ "$n" -le 194 ] || return 1
     n=$(crate_lines exec)
-    echo "non-test lines in crates/exec/src: $n (limit 6296)"
-    [ "$n" -le 6296 ] || return 1
+    echo "non-test lines in crates/exec/src: $n (limit 6497)"
+    [ "$n" -le 6497 ] || return 1
     cargo test --release --offline -p arraymem-exec -q -- pool:: || return 1
     cargo test --release --offline -p arraymem-bench --test server -q -- kernel_panic lowering_panic
 }
@@ -216,5 +216,23 @@ nest_matches() {
     [ "$n" -le 5 ]
 }
 tier "core recurses through the IR walk, not through its own nest matches" nest_matches
+
+# Scalar loops run typed: in `Memory` a loop whose body is scalar code,
+# point reads and point updates by a scalar runs as one typed
+# superinstruction, and the instruction loop (`Pure`, `Checked`) stays its
+# oracle. The small-scope differential runs every loop shape in all three
+# modes (bit-identical outputs, byte-identical errors, typed or stepped as
+# expected); the workloads' stepped-iteration counts, the source
+# language's loops, the scalar semantics' one-trip loop and the
+# allocation-free element paths follow.
+scalar_loops() {
+    cargo test --release --offline -p arraymem-bench -q \
+        --test scalar_loops --test scalar_semantics --test alloc_free || return 1
+    cargo test --release --offline -p arraymem-bench -q --test optimization_reports \
+        -- scalar_loops_run_typed || return 1
+    cargo test --release --offline -p arraymem-lang -q -- loops_and_scalar_updates || return 1
+    echo "non-test lines in crates/exec/src: $(crate_lines exec)"
+}
+tier "scalar loops run typed; the instruction loop stays their oracle" scalar_loops
 
 echo "== verify: OK ($(($(date +%s) - gate_start)) s) =="

@@ -10,7 +10,7 @@
 //! cloned nothing per element but is held to the same bar — a lambda map's
 //! lane scratch and resolved ops live on the machine, so it is held to it
 //! per *strip* too, which is what the third size is for. A kernel map
-//! still builds a row view per instance (ROADMAP 1b), which is what the
+//! still builds a row view per instance (ROADMAP item 5c), which is what the
 //! per-row allowance for `spmv` is.
 //!
 //! One test in a binary of its own: the allocator counts the whole

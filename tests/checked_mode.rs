@@ -214,7 +214,7 @@ fn reading_a_recycled_never_written_block_is_an_uninit_read() {
     let first = run_checked_in(&mut session, &compiled, &[], &kernels, 1);
     assert!(
         first.diagnostics.is_empty(),
-        "fresh blocks are zero-filled; nothing to report: {first}"
+        "fresh blocks are zero-filled; nothing to report: {first:?}"
     );
     let second = run_checked_in(&mut session, &compiled, &[], &kernels, 1);
     let stm = second
@@ -250,7 +250,7 @@ fn skewed_release_plan_triggers_use_after_release() {
     let kernels = KernelRegistry::new();
     // The honest plan is clean…
     let honest = run_checked(&compiled, &[], &kernels);
-    assert!(honest.diagnostics.is_empty(), "{honest}");
+    assert!(honest.diagnostics.is_empty(), "{honest:?}");
     // …the skewed plan is not.
     let skewed = run_checked_sabotaged(&compiled, &[], &[], &kernels, Sabotage::EarlyRelease);
     let (stm, released_after) = skewed
@@ -577,7 +577,7 @@ fn skewed_carried_release_triggers_use_after_release() {
     let checks: Vec<_> = compiled.report.checks().cloned().collect();
     // The honest lowering is clean under the sanitizer…
     let (_, honest_stats) = case.run_checked_in_at(&mut Session::new(), &compiled, 1);
-    assert!(honest_stats.diagnostics.is_empty(), "{honest_stats}");
+    assert!(honest_stats.diagnostics.is_empty(), "{honest_stats:?}");
     assert!(
         honest_stats.carried_releases > 0,
         "the honest run must actually exercise the carried release"

@@ -368,3 +368,38 @@ fn irregular_lambda_maps_run_in_strips() {
         assert_eq!(stats.lambda_elems_elementwise, elementwise, "{want}");
     }
 }
+
+/// In `Memory` a loop whose body is scalar code and point accesses runs as
+/// one typed superinstruction: histogram's loop steps no iteration. A loop
+/// whose body makes arrays — NW's anti-diagonals, LUD's steps and their
+/// interior panels, LBM's time steps — steps every one, and is counted.
+#[test]
+fn scalar_loops_run_typed() {
+    use arraymem_exec::{Mode, Session};
+    let stepped = |case: w::Case| {
+        let compiled = case.compile(true);
+        let mut session = Session::new();
+        let h = session
+            .prepare_full(
+                &compiled.program,
+                &case.kernels,
+                &[],
+                &compiled.report.merges,
+                &compiled.report.par_safety,
+            )
+            .expect("prepare");
+        let (_, stats) = session
+            .run_plan(h, &case.inputs, &case.kernels, Mode::Memory, 1)
+            .expect("run");
+        stats.loop_iters_stepped
+    };
+    assert_eq!(stepped(w::irregular::histogram_case("r", 5000, 64, 1)), 0);
+    let (q, steps) = (6u64, 3u64);
+    assert_eq!(stepped(w::nw::case("r", q as usize, 4, 1)), 2 * q - 1);
+    let lud = q + q * (q - 1) / 2;
+    assert_eq!(stepped(w::lud::case("r", q as usize, 8, 1)), lud);
+    assert_eq!(
+        stepped(w::lbm::case("r", (4, 4, 2), steps as usize, 1)),
+        steps
+    );
+}

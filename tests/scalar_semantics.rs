@@ -8,7 +8,9 @@
 //! statement, the body of a width-3 `map_lambda`, the source of a point
 //! update — and in `Pure`, `Memory` and `Checked`. A line holds the
 //! result's type tag and bit pattern, or the error text. NaN prints as
-//! `nan`: which NaN an operation yields is the hardware's choice.
+//! `nan`: which NaN an operation yields is the hardware's choice. The
+//! update also runs inside a one-trip loop, which `Memory` runs typed; that
+//! line is not in the golden file but held equal to the update's.
 //! Integer arithmetic that would overflow is not generated, and neither
 //! is a float where a boolean is needed: both are errors of the request,
 //! pinned by `exec::tests::integer_overflow_is_an_error_not_a_panic`.
@@ -276,6 +278,9 @@ enum Context {
     Top,
     Lambda,
     Update,
+    /// The update's statement inside a one-trip loop, which `Memory` runs
+    /// typed: not in the golden file, held equal to the update's line.
+    Loop,
 }
 
 fn zero(elem: ElemType) -> ScalarExp {
@@ -341,11 +346,20 @@ fn build(case: &Case, id: usize, cx: Context) -> (Program, Vec<InputValue>) {
             frame.vars[..6].copy_from_slice(ps);
             vec![lb.scalar("r", elem, instantiate(&case.exp, &frame))]
         }),
-        Context::Update => {
+        Context::Update | Context::Loop => {
             let ys = b.replicate_typed("ys", elem, vec![c(4)], zero(elem));
             // The coordinate is an expression too: `id mod 4`.
             let at = ScalarExp::bin(BinOp::Rem, ScalarExp::i64(id as i64), ScalarExp::i64(4));
-            b.update_scalar("ys2", ys, vec![at], instantiate(&case.exp, &frame))
+            let exp = instantiate(&case.exp, &frame);
+            if let Context::Update = cx {
+                b.update_scalar("ys2", ys, vec![at], exp)
+            } else {
+                let (p, k) = (b.loop_param("ys_p", ys), b.loop_index("k"));
+                let mut lb = bld.block();
+                let ys2 = lb.update_scalar("ys2", p, vec![at], exp);
+                let body = lb.finish(vec![ys2]);
+                b.loop_(vec!["ys3"], vec![(p, bld.ty(ys))], vec![ys], k, c(1), body)[0]
+            }
         }
     };
     (bld.finish(b.finish(vec![result])), inputs)
@@ -742,7 +756,12 @@ fn scalar_results_match_the_golden_file() {
         .unwrap();
         for cx in [Context::Top, Context::Lambda, Context::Update] {
             let tag = format!("{cx:?}").to_lowercase();
-            writeln!(got, "  {tag:<6} {}", evaluate(case, id, cx)).unwrap();
+            let line = evaluate(case, id, cx);
+            if let Context::Update = cx {
+                let in_loop = evaluate(case, id, Context::Loop);
+                assert_eq!(in_loop, line, "{id:04}: the update in a one-trip loop");
+            }
+            writeln!(got, "  {tag:<6} {line}").unwrap();
         }
     }
 

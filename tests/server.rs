@@ -276,7 +276,7 @@ fn cross_tenant_recycling_scrubs_but_same_tenant_elides() {
     assert_eq!(stats.bytes_cross_tenant_scrubbed, 0);
     assert!(
         stats.bytes_zeroing_elided >= 64,
-        "2 × 4 × i64 elided: {stats}"
+        "2 × 4 × i64 elided: {stats:?}"
     );
 
     // Tenant B runs the same scratch-reader: it adopts A's donated bytes,
@@ -289,17 +289,17 @@ fn cross_tenant_recycling_scrubs_but_same_tenant_elides() {
         vec![OutputValue::ArrayI64(vec![0, 0, 0, 0])],
         "tenant B must never observe tenant A's bytes"
     );
-    assert!(stats.arena_blocks_adopted >= 1, "{stats}");
+    assert!(stats.arena_blocks_adopted >= 1, "{stats:?}");
     assert!(
         stats.bytes_cross_tenant_scrubbed >= 32,
-        "the adopted block must be scrubbed: {stats}"
+        "the adopted block must be scrubbed: {stats:?}"
     );
     assert!(
         stats
             .diagnostics
             .iter()
             .any(|d| matches!(d, Diagnostic::UninitRead { .. })),
-        "shadow provenance must keep firing across the tenant boundary: {stats}"
+        "shadow provenance must keep firing across the tenant boundary: {stats:?}"
     );
 
     let arena = server.arena_stats();
@@ -350,17 +350,17 @@ fn oversized_cross_tenant_donation_never_leaks() {
         vec![OutputValue::ArrayI64(vec![0, 0, 0, 0])],
         "tenant B must never observe tenant A's bytes"
     );
-    assert!(stats.arena_blocks_adopted >= 1, "{stats}");
+    assert!(stats.arena_blocks_adopted >= 1, "{stats:?}");
     assert!(
         stats.bytes_cross_tenant_scrubbed >= 32,
-        "the kept prefix must be scrubbed: {stats}"
+        "the kept prefix must be scrubbed: {stats:?}"
     );
     assert!(
         stats
             .diagnostics
             .iter()
             .any(|d| matches!(d, Diagnostic::UninitRead { .. })),
-        "a scrubbed-but-unwritten read must still be flagged: {stats}"
+        "a scrubbed-but-unwritten read must still be flagged: {stats:?}"
     );
     let arena = server.arena_stats();
     assert!(arena.adopted_cross_tenant >= 1, "{arena:?}");
