@@ -83,7 +83,9 @@ fn main() {
     }
     if check {
         if total_findings > 0 {
-            eprintln!("checked mode: {total_findings} sanitizer findings");
+            eprintln!(
+                "checked mode: {total_findings} sanitizer findings or skipped circuit checks"
+            );
             std::process::exit(1);
         }
         println!("checked mode: all cases clean");

@@ -29,23 +29,13 @@
 //! - `arith`: what every scalar operator computes, once — the promotion
 //!   and result tag as functions of the operands' tags, the arithmetic
 //!   as per-type functions — for the scalar evaluator and the strips;
-//! - `strip`: lambda maps in strips — the body's own scalar code typed
-//!   once per execution, then one monomorphic loop per operator per strip
-//!   of the width, with the element-wise evaluator as oracle and
-//!   fall-back (its scan of a body also says which loops run typed);
+//! - `strip`: the one typer of scalar code — a body's code typed once
+//!   per entry, then one monomorphic loop per operator: lambda maps in
+//!   strips of the width, loops at width 1, the evaluator their oracle;
 //! - [`vm`]: the machine executing compiled programs — registers are
 //!   words, arrays live in a table beside them, no per-element path
-//!   (scalar evaluation, point access, lambda-map elements, gather/scatter
-//!   lanes) touches the heap, and in `Memory` a loop of scalar code and
-//!   point accesses runs as one typed superinstruction. It runs in three
-//!   modes: `Memory` (obeying the compiler's memory annotations — allocs,
-//!   rebased index functions, elided copies), `Pure` (direct value
-//!   semantics: every operation materializes a fresh dense array), and
-//!   `Checked` (`Memory` under a shadow-memory sanitizer that dynamically
-//!   validates the optimizer's promises — see [`vm::Mode::Checked`]).
-//!   `Pure` is the semantic ground truth — the paper's guarantee that
-//!   deleting memory annotations leaves the meaning unchanged is checked
-//!   by comparing the modes' outputs;
+//!   touches the heap — in three modes (see [`vm::Mode`]), `Pure` the
+//!   semantic ground truth;
 //! - [`stats`]: instrumentation — bytes allocated/copied/elided, kernel
 //!   and copy time, checked-mode diagnostics — from which the benchmark
 //!   tables are built.

@@ -16,10 +16,10 @@
 //!   straight-line code over numbered values ([`LExp`]; operands are
 //!   slots, constants or earlier values, and forward jumps are `select`).
 //!   Three readers share that one form: the evaluator runs it, the strips
-//!   ([`crate::strip`]) type a lambda body's code once per map execution,
-//!   and [`ExecPlan::pretty`] decodes it back to infix. Whether a body
-//!   may run in strips is a scan of the same code, recorded as `Ok` or
-//!   the [`StripReject`] that keeps it element-wise;
+//!   ([`crate::strip`]) type a lambda body's or a loop's code once per
+//!   entry, and [`ExecPlan::pretty`] decodes it back to infix. Whether a
+//!   body may run typed is a scan of the same code, recorded as `Ok` or
+//!   the [`StripReject`] that keeps it element-wise or stepped;
 //! - every coefficient of every index function, transform and footprint
 //!   goes `Poly → SlotPoly` (its symbols resolved to slots) here and
 //!   `SlotPoly → i64` in the executor, both through the LMAD family's one

@@ -306,9 +306,9 @@ stats_table! {
     /// whose operands had no lane type or whose result shares a block
     /// with an input it is not, strips in which a lane had no value.
     lambda_elems_elementwise: u64, sum, run;
-    /// Loop iterations a `Memory` run stepped instead of running typed:
-    /// loops whose body is not scalar code and point accesses, entries whose
-    /// operands had no type or whose arrays move or are not one LMAD.
+    /// Loop iterations a `Memory` run stepped instead of running at width 1
+    /// in the strips: bodies not scalar code and point accesses, entries
+    /// whose operands had no type or whose arrays move or are not one LMAD.
     loop_iters_stepped: u64, sum, run;
     /// Time spent inside kernels / lambda bodies.
     kernel_time: Duration, sum, run;
@@ -324,6 +324,8 @@ stats_table! {
     /// recorded no later uses). Counted per execution of the circuit
     /// statement's block, so loop-scoped circuits count per iteration.
     circuits_verified: u64, sum, run;
+    /// Checked mode: checks skipped, a footprint unevaluated or too large.
+    circuits_skipped: u64, sum, run;
     /// Checked mode: sanitizer findings (empty on a clean run).
     diagnostics: Vec<Diagnostic>, append, run;
     /// Diagnostics dropped beyond the per-run cap.

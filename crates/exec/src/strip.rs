@@ -1,31 +1,33 @@
-//! Lambda maps in strips.
+//! Scalar code, typed once.
 //!
 //! The paper compiles a `map` to a kernel whose body is straight typed
-//! code (§VII); the element-wise evaluator pays a tag dispatch per
-//! operator per element instead. A strip is the middle, reading the code
-//! the evaluator runs: [`Strips::resolve`] walks an eligible body's
-//! `Instr::Scalar`s **once per execution** — tags are dynamic, so the
-//! inputs' element types, the constants and the tags the outer registers
-//! hold right now — into lane registers, each a typed strip of [`STRIP`]
-//! elements and how it is made; [`Strips::run`] makes every register for
-//! one strip of the width with one monomorphic loop each, and stores the
-//! results last. The loops call the per-type functions of
-//! [`crate::arith`] — the scalar evaluator's — with the operator a
-//! constant.
+//! code (§VII); the evaluator pays a tag dispatch per operator per
+//! element instead. [`Strips`] is the one typer of scalar code: once per
+//! entry — tags are dynamic — it walks the code the evaluator runs into
+//! lane registers, each a typed strip and how it is made (a value not of
+//! its statement's type cast as `coerce` casts it), then makes each with
+//! one monomorphic loop over [`crate::arith`]'s per-type functions. A
+//! lambda map runs in strips of [`STRIP`] elements, results stored last;
+//! a loop runs at width 1, once per iteration in program order, its point
+//! reads and stores registers too, its counter and carried scalars
+//! registers the back edge writes.
 //!
-//! What the evaluator refuses it still refuses, in its own words:
-//! `resolve` returns `None` on anything it cannot type (the whole map then
-//! runs element by element, so a type error fires only if an element
-//! runs), and `run` returns `false`, nothing stored, when a lane
-//! overflowed or divided by zero: the caller re-runs that strip element
-//! by element from inputs it has not touched, and the first failing
-//! element words the error.
+//! What the evaluator refuses it still refuses, in its own words: what
+//! does not type runs element by element or steps; a strip in which a
+//! lane overflowed or divided by zero stores nothing and re-runs element
+//! by element; a loop's failing op raises what `eval_bin`, `eval_un` or
+//! `check_point` say of its operands.
 
-use crate::arith::{bin_tag, compare, int_arith, int_test, int_un, promote, un_tag, Float};
-use crate::plan::{Arg, Instr, LExp, MapLambdaInstr, Op, Slot};
-use crate::value::{Tag, Value};
+use crate::arith::{
+    bin_tag, compare, eval_bin, eval_un, int_arith, int_test, int_un, promote, un_tag, Float,
+};
+use crate::plan::{Arg, Instr, LExp, LSlice, LUpdateSrc, MapLambdaInstr, Op, Slot};
+use crate::store::{MemStore, RawBuf};
+use crate::value::{ArrayRef, Tag, Value};
 use crate::view::{Elem, View, ViewMut};
+use crate::vm::{check_point, names};
 use arraymem_ir::{BinOp, UnOp};
+use arraymem_lmad::Dim;
 
 /// Elements per strip: a few typed strips fit the first-level cache, and
 /// the per-strip work (a dispatch per register) is spread over enough
@@ -35,17 +37,17 @@ pub(crate) const STRIP: usize = 1024;
 /// How a lane register's strip is made.
 #[derive(Clone, Copy)]
 enum How {
-    /// Input `k`, contiguous: the strip is a slice of its block.
-    Borrow(u32),
-    /// Input `k`, copied in through its index function.
-    Load(u32),
-    /// One value in every lane — a constant, an outer register, a size
-    /// — written when the map was resolved.
+    /// Input `k`, read in place (`true`) or through its index function.
+    Load(u32, bool),
+    /// One value in every lane, written at entry; a loop's back edge too.
     All(Value),
     Bin(BinOp, u32, u32),
     Un(UnOp, u32),
     /// Another register's lanes as this one's type.
     Cast(u32),
+    /// A loop's read of point `p`, and its store of register `r` there.
+    Index(u32),
+    Store(u32, u32),
 }
 
 #[derive(Clone, Copy)]
@@ -54,20 +56,32 @@ struct LaneReg {
     how: How,
 }
 
-/// The strip state of a machine: scratch reused by every map of a run,
-/// so a warm map allocates nothing.
+/// What code is typed against: the registers, the arrays, the store.
+pub(crate) type Env<'a> = (&'a [Value], &'a mut [Option<ArrayRef>], &'a mut MemStore);
+
+/// A loop's array access `(array, block, offset, at)`: one LMAD from
+/// `offset`, `coords[at]` its dimensions beside the coordinates' registers.
+type Point = (ArrayRef, RawBuf, i64, std::ops::Range<usize>);
+
+/// The typed code of a machine: scratch reused by every map and loop of a
+/// run, so a warm entry allocates nothing.
 #[derive(Default)]
 pub(crate) struct Strips {
-    /// `STRIP` words per register; a register's strip is the first
-    /// `len` elements of its type there. Booleans are `i64` 0 and 1.
+    /// `lanes` words per register (the width, at most `STRIP`); booleans
+    /// are `i64` 0 and 1.
     words: Vec<u64>,
+    lanes: usize,
     regs: Vec<LaneReg>,
-    /// The register of each parameter and body value of the map, by slot.
+    /// The register of each slot the code reads or writes, latest last.
     slots: Vec<(Slot, u32)>,
     /// The register of each value of the statement being typed.
     vals: Vec<u32>,
     /// The register of each result of the map.
     results: Vec<u32>,
+    points: Vec<Point>,
+    coords: Vec<(u32, Dim<i64>)>,
+    /// A loop's state `(reg, next, slot)`, the counter's first: see `carry`.
+    back: Vec<(u32, u32, Slot)>,
 }
 
 /// `$run` with `T` the Rust type of lanes tagged `$tag`.
@@ -100,7 +114,7 @@ macro_rules! per_op {
                 const $k: $e = $e::$v;
                 $run
             })*
-            _ => unreachable!("typed when the map was resolved"),
+            _ => unreachable!("typed at entry"),
         }
     };
 }
@@ -133,102 +147,84 @@ fn each<T: Copy, U>(out: &mut [U], a: &[T], mut f: impl FnMut(T) -> U) {
     }
 }
 
-/// The registers made so far for elements `[lo, lo + len)` — their
-/// words, or for a borrowed input the view — as a strip's operands.
-struct Made<'a>(&'a [LaneReg], &'a [u64], &'a [View], usize, usize);
+/// The registers made so far for `[lo, lo + len)`, or an input's view.
+struct Made<'a>(&'a [LaneReg], &'a [u64], &'a [View], usize, usize, usize);
 
 impl<'a> Made<'a> {
+    #[inline(always)]
     fn strip<T: Elem>(&self, r: u32) -> &'a [T] {
-        let Made(regs, words, inputs, lo, len) = *self;
+        let Made(regs, words, inputs, lo, len, lanes) = *self;
         match regs[r as usize].how {
-            How::Borrow(k) => {
+            How::Load(k, true) if !inputs.is_empty() => {
                 let strip = inputs[k as usize].strip(lo, len);
                 strip.expect("contiguous and `width` long when the map was resolved")
             }
-            _ => typed(&words[r as usize * STRIP..][..len]),
+            _ => typed(&words[r as usize * lanes..][..len]),
         }
     }
 }
 
 impl Strips {
-    /// Type the body of `ml` — strip-eligible, so its `Instr::Scalar`s in
-    /// order — for one execution of the map: `file` is the register file,
-    /// `borrow(k)` says input `k` may be read in place (no result lands in
-    /// its block). `None` when an operand has no type a lane can hold or
-    /// an operator none over its operands' — the map then runs element by
-    /// element.
+    /// Type the strip-eligible body of `ml` for one execution of the map,
+    /// input `k` read in place if `borrow(k)` (no result lands in its block):
+    /// `None` when an operand or operator has no lane type, and the map runs
+    /// element by element.
     pub(crate) fn resolve(
         &mut self,
         ml: &MapLambdaInstr,
-        file: &[Value],
+        m: &mut Env,
         inputs: &[View],
         borrow: impl Fn(usize) -> bool,
         outputs: &[ViewMut],
         width: usize,
     ) -> Option<()> {
-        self.regs.clear();
-        self.slots.clear();
-        self.results.clear();
+        self.clear();
         for (k, view) in inputs.iter().enumerate() {
             let tag = Tag::of(view.elem());
             // A boolean word is any non-zero word until it is loaded.
-            let in_place = borrow(k) && tag != Tag::Bool;
-            let how = if in_place && with_lane_type!(tag, view.strip::<T>(0, width).is_some()) {
-                How::Borrow(k as u32)
-            } else {
-                How::Load(k as u32)
-            };
-            let r = self.push(tag, how);
+            let slice = with_lane_type!(tag, view.strip::<T>(0, width).is_some());
+            let in_place = slice && borrow(k) && tag != Tag::Bool;
+            let r = self.push(tag, How::Load(k as u32, in_place));
             self.slots.push((ml.params[k], r));
         }
-        for instr in &ml.body.instrs {
-            let Instr::Scalar { dst, elem, exp } = instr else {
-                unreachable!("a strip-eligible body is scalar statements")
-            };
-            self.vals.clear();
-            for op in &exp.ops {
-                let r = match *op {
-                    Op::Bin(op, a, b) => {
-                        let (a, b) = (self.arg(exp, file, a)?, self.arg(exp, file, b)?);
-                        let ty = promote(self.regs[a as usize].tag, self.regs[b as usize].tag);
-                        let out = bin_tag(op, ty)?;
-                        let (a, b) = (self.cast(a, ty)?, self.cast(b, ty)?);
-                        self.push(out, How::Bin(op, a, b))
-                    }
-                    Op::Un(op, a) => {
-                        let a = self.arg(exp, file, a)?;
-                        let (ty, out) = un_tag(op, self.regs[a as usize].tag)?;
-                        let a = self.cast(a, ty)?;
-                        match op {
-                            UnOp::ToF32 | UnOp::ToF64 | UnOp::ToI64 => a,
-                            _ => self.push(out, How::Un(op, a)),
-                        }
-                    }
-                    Op::Size(k) => {
-                        let n = exp.sizes[k as usize].eval(file).ok()?;
-                        self.push(Tag::I64, How::All(Value::i64(n)))
-                    }
-                    _ => unreachable!("a strip-eligible body has no index and no select"),
-                };
-                self.vals.push(r);
-            }
-            let mut r = self.arg(exp, file, exp.results[0])?;
-            if let Some(elem) = elem {
-                r = self.cast(r, Tag::of(*elem))?;
-            }
-            self.slots.push((*dst, r));
-        }
+        self.body(&ml.body.instrs, m)?;
         for (result, out) in ml.results.iter().zip(outputs) {
-            let r = self.slot(file, *result)?;
+            let r = self.slot(m.0, *result)?;
             let r = self.cast(r, Tag::of(out.elem()))?;
             self.results.push(r);
         }
-        if self.words.len() < self.regs.len() * STRIP {
-            self.words.resize(self.regs.len() * STRIP, 0);
-        }
-        for (reg, words) in self.regs.iter().zip(self.words.chunks_mut(STRIP)) {
+        self.fill(width);
+        Some(())
+    }
+
+    /// Type a loop's body and back edge, `idx` its counter, for one entry at
+    /// width 1. `None`, and the loop steps, when an operand has no type, an
+    /// access is not one LMAD of its rank, or a carried value would move.
+    pub(crate) fn resolve_loop(&mut self, code: &[Instr], idx: Slot, m: &mut Env) -> Option<()> {
+        self.clear();
+        let counter = self.slot(m.0, idx)?;
+        self.back.push((counter, counter, idx));
+        self.body(code, m)?;
+        self.fill(1);
+        Some(())
+    }
+
+    fn clear(&mut self) {
+        self.regs.clear();
+        self.slots.clear();
+        self.results.clear();
+        self.points.clear();
+        self.coords.clear();
+        self.back.clear();
+    }
+
+    /// Write every `All` register's lanes for a width.
+    fn fill(&mut self, width: usize) {
+        self.lanes = width.clamp(1, STRIP);
+        let n = self.regs.len() * self.lanes;
+        self.words.resize(self.words.len().max(n), 0);
+        for (reg, lanes) in self.regs.iter().zip(self.words.chunks_mut(self.lanes)) {
             if let How::All(v) = reg.how {
-                let lanes = &mut words[..width.min(STRIP)];
                 match reg.tag {
                     Tag::F32 => typed_mut(lanes).fill(v.as_f32()),
                     Tag::F64 => typed_mut(lanes).fill(v.as_f64()),
@@ -236,6 +232,98 @@ impl Strips {
                 }
             }
         }
+    }
+
+    /// Type statements: scalar code, a point update by a scalar, a back edge.
+    fn body(&mut self, code: &[Instr], m: &mut Env) -> Option<()> {
+        for instr in code {
+            match instr {
+                Instr::Scalar { dst, elem, exp } => {
+                    self.code(exp, m)?;
+                    let r = self.arg(exp, m.0, exp.results[0])?;
+                    let r = self.cast(r, elem.map_or(self.regs[r as usize].tag, Tag::of))?;
+                    self.slots.push((*dst, r));
+                }
+                Instr::Update(u) => {
+                    let (LSlice::Point(at), LUpdateSrc::Scalar(src)) = (&u.slice, &u.src) else {
+                        unreachable!("a typed loop updates points by scalars")
+                    };
+                    // The result names the array it updates, as in `update`.
+                    m.1[u.dest.slot as usize] = Some(m.1[u.dst as usize].clone()?);
+                    self.code(at, m)?;
+                    let p = self.point(at, &at.results, u.dest.slot, m)?;
+                    self.code(src, m)?;
+                    let r = self.arg(src, m.0, src.results[0])?;
+                    // Stored as the block's type, as `RawBuf::set` converts.
+                    let r = self.cast(r, Tag::of(self.points[p as usize].0.elem))?;
+                    self.push(Tag::Mem, How::Store(p, r));
+                }
+                Instr::CopySlots { pairs } => {
+                    for &(src, dst) in pairs {
+                        match &m.1[src as usize] {
+                            // A carried array stays put: the body updates it in place.
+                            Some(a) => names(&m.1[dst as usize], a).then_some(())?,
+                            None => self.carry(m.0, src, dst)?,
+                        }
+                    }
+                }
+                Instr::VerifyChecks { .. } => {}
+                _ => unreachable!("typed code is scalar statements, point updates and a back edge"),
+            }
+        }
+        Some(())
+    }
+
+    /// Type `e`'s steps, a register each, into `vals`.
+    fn code(&mut self, e: &LExp, m: &mut Env) -> Option<()> {
+        self.vals.clear();
+        for op in &e.ops {
+            let r = match *op {
+                Op::Bin(op, a, b) => {
+                    let (a, b) = (self.arg(e, m.0, a)?, self.arg(e, m.0, b)?);
+                    let ty = promote(self.regs[a as usize].tag, self.regs[b as usize].tag);
+                    let out = bin_tag(op, ty)?;
+                    let (a, b) = (self.cast(a, ty)?, self.cast(b, ty)?);
+                    self.push(out, How::Bin(op, a, b))
+                }
+                Op::Un(op, a) => {
+                    let a = self.arg(e, m.0, a)?;
+                    let (ty, out) = un_tag(op, self.regs[a as usize].tag)?;
+                    let a = self.cast(a, ty)?;
+                    match op {
+                        UnOp::ToF32 | UnOp::ToF64 | UnOp::ToI64 => a,
+                        _ => self.push(out, How::Un(op, a)),
+                    }
+                }
+                Op::Size(k) => {
+                    let n = e.sizes[k as usize].eval(m.0).ok()?;
+                    self.push(Tag::I64, How::All(Value::i64(n)))
+                }
+                Op::Index { arr, at, rank } => {
+                    let p = self.point(e, &e.coords[at as usize..][..rank as usize], arr, m)?;
+                    self.push(Tag::of(self.points[p as usize].0.elem), How::Index(p))
+                }
+                _ => unreachable!("typed code has no select"),
+            };
+            self.vals.push(r);
+        }
+        Some(())
+    }
+
+    /// The back edge writes `src`'s register, after each iteration, into the
+    /// one `dst` held at entry, of its type. An entry register is copied in
+    /// the iteration first, so a swap reads both before writing either; a
+    /// block id stays put with its array.
+    fn carry(&mut self, file: &[Value], src: Slot, dst: Slot) -> Option<()> {
+        let Some(mut next) = self.slot(file, src) else {
+            return (file[src as usize].as_mem() == file[dst as usize].as_mem()).then_some(());
+        };
+        let (reg, tag) = (self.slot(file, dst)?, self.regs[next as usize].tag);
+        (self.regs[reg as usize].tag == tag).then_some(())?;
+        if let How::All(_) = self.regs[next as usize].how {
+            next = self.push(tag, How::Cast(next));
+        }
+        self.back.push((reg, next, dst));
         Some(())
     }
 
@@ -254,14 +342,33 @@ impl Strips {
         Some(self.push(v.tag(), How::All(v)))
     }
 
-    /// The register of a parameter or body value; any other slot is one
-    /// the body does not write, one value for the whole map.
+    /// The register of a slot: the latest the code bound it to, or else
+    /// one holding its value at entry.
     fn slot(&mut self, file: &[Value], s: Slot) -> Option<u32> {
         if let Some(&(_, r)) = self.slots.iter().rev().find(|(b, _)| *b == s) {
             return Some(r);
         }
         let v = Some(file[s as usize]).filter(|v| v.tag() != Tag::Mem)?;
-        Some(self.push(v.tag(), How::All(v)))
+        let r = self.push(v.tag(), How::All(v));
+        self.slots.push((s, r));
+        Some(r)
+    }
+
+    /// Pin the array in slot `s` for a point at `at`, integer coordinates
+    /// of `e`: `None` unless the array is one LMAD of their rank.
+    fn point(&mut self, e: &LExp, at: &[Arg], s: Slot, m: &mut Env) -> Option<u32> {
+        let array = m.1.get(s as usize)?.clone()?;
+        let lmad = array.ixfn.as_single()?;
+        (lmad.dims.len() == at.len()).then_some(())?;
+        let (first, offset) = (self.coords.len(), lmad.offset);
+        for (c, d) in at.iter().zip(&lmad.dims) {
+            let c = self.arg(e, m.0, *c)?;
+            matches!(self.regs[c as usize].tag, Tag::I64 | Tag::Bool).then_some(())?;
+            self.coords.push((c, *d));
+        }
+        let (raw, at) = (m.2.raw(array.block), first..self.coords.len());
+        self.points.push((array, raw, offset, at));
+        Some(self.points.len() as u32 - 1)
     }
 
     /// A register holding `r`'s lanes as type `to`. A float has no truth
@@ -274,59 +381,114 @@ impl Strips {
         }
     }
 
-    /// Make every register for elements `[lo, lo + len)` and store the
-    /// results. `false`, and nothing stored, when a lane's integer
-    /// arithmetic has no value.
-    pub(crate) fn run(
-        &mut self,
-        inputs: &[View],
-        outputs: &[ViewMut],
-        lo: usize,
-        len: usize,
-    ) -> bool {
-        let mut ok = true;
-        for r in 0..self.regs.len() {
-            // Registers are in the order they were made: a register's
-            // operands lie before it.
-            let (words, out) = self.words.split_at_mut(r * STRIP);
-            let (out, regs) = (&mut out[..len], &self.regs[..]);
-            let made = Made(regs, words, inputs, lo, len);
-            let tag = regs[r].tag;
-            match regs[r].how {
-                How::Borrow(_) | How::All(_) => {}
-                How::Load(k) => {
-                    with_lane_type!(tag, inputs[k as usize].load_strip::<T>(lo, typed_mut(out)));
-                    if tag == Tag::Bool {
-                        out.iter_mut().for_each(|w| *w = (*w != 0) as u64);
-                    }
-                }
-                How::Bin(op, a, b) => {
-                    let test = tag == Tag::Bool;
-                    ok &= match regs[a as usize].tag {
-                        Tag::F32 => bin_float::<f32>(op, test, made.strip(a), made.strip(b), out),
-                        Tag::F64 => bin_float::<f64>(op, test, made.strip(a), made.strip(b), out),
-                        _ => bin_int(op, test, made.strip(a), made.strip(b), typed_mut(out)),
-                    }
-                }
-                How::Un(op, a) => {
-                    ok &= match tag {
-                        Tag::F32 => un_float::<f32>(op, made.strip(a), typed_mut(out)),
-                        Tag::F64 => un_float::<f64>(op, made.strip(a), typed_mut(out)),
-                        _ => un_int(op, made.strip(a), typed_mut(out)),
-                    }
-                }
-                How::Cast(a) => cast_lanes(regs[a as usize].tag, tag, &made, a, out),
-            }
-        }
+    /// Make every register for elements `[lo, lo + len)` of a map and store
+    /// the results: `false`, nothing stored, when a lane has no value.
+    pub(crate) fn run(&mut self, inputs: &[View], outs: &[ViewMut], lo: usize, len: usize) -> bool {
+        let ok = (0..self.regs.len()).fold(true, |ok, r| self.make(r, inputs, lo, len) & ok);
         let regs = &self.regs[..];
-        let made = Made(regs, &self.words, inputs, lo, len);
-        for (&r, out) in self.results.iter().zip(outputs).filter(|_| ok) {
+        let made = Made(regs, &self.words, inputs, lo, len, self.lanes);
+        for (&r, out) in self.results.iter().zip(outs).filter(|_| ok) {
             with_lane_type!(
                 regs[r as usize].tag,
                 out.store_strip::<T>(lo, made.strip(r))
             );
         }
         ok
+    }
+
+    /// Run a typed loop's `n` iterations — registers in order, then the back
+    /// edge — and leave its state in `file`.
+    pub(crate) fn run_loop(&mut self, n: i64, file: &mut [Value]) -> Result<(), String> {
+        let counter = self.back[0].0 as usize;
+        for i in 0..n {
+            self.words[counter] = i as u64;
+            for r in 0..self.regs.len() {
+                if !self.make(r, &[], 0, 1) {
+                    return Err(self.error(r));
+                }
+            }
+            for &(reg, next, _) in &self.back {
+                self.words[reg as usize] = self.words[next as usize];
+            }
+        }
+        self.words[counter] = n as u64;
+        for &(reg, _, s) in &self.back {
+            file[s as usize] = Value::new(self.regs[reg as usize].tag, self.words[reg as usize]);
+        }
+        Ok(())
+    }
+
+    /// Make register `r` for elements `[lo, lo + len)`: `false` when a lane
+    /// has no value (integer overflow, division by zero, a stray point).
+    #[inline(always)]
+    fn make(&mut self, r: usize, inputs: &[View], lo: usize, len: usize) -> bool {
+        // Registers are in the order they were made: a register's
+        // operands lie before it.
+        let (words, out) = self.words.split_at_mut(r * self.lanes);
+        let (out, regs) = (&mut out[..len], &self.regs[..]);
+        let made = Made(regs, words, inputs, lo, len, self.lanes);
+        let tag = regs[r].tag;
+        match regs[r].how {
+            How::All(_) | How::Load(_, true) => true,
+            How::Load(k, false) => {
+                with_lane_type!(tag, inputs[k as usize].load_strip::<T>(lo, typed_mut(out)));
+                if tag == Tag::Bool {
+                    out.iter_mut().for_each(|w| *w = (*w != 0) as u64);
+                }
+                true
+            }
+            How::Bin(op, a, b) => {
+                let test = tag == Tag::Bool;
+                match regs[a as usize].tag {
+                    Tag::F32 => bin_float::<f32>(op, test, made.strip(a), made.strip(b), out),
+                    Tag::F64 => bin_float::<f64>(op, test, made.strip(a), made.strip(b), out),
+                    _ => bin_int(op, test, made.strip(a), made.strip(b), typed_mut(out)),
+                }
+            }
+            How::Un(op, a) => match tag {
+                Tag::F32 => un_float::<f32>(op, made.strip(a), typed_mut(out)),
+                Tag::F64 => un_float::<f64>(op, made.strip(a), typed_mut(out)),
+                _ => un_int(op, made.strip(a), typed_mut(out)),
+            },
+            How::Cast(a) => {
+                cast_lanes(regs[a as usize].tag, tag, &made, a, out);
+                true
+            }
+            // A loop's points, at width 1: a lane is a word.
+            How::Index(p) | How::Store(p, _) => {
+                let (_, raw, mut off, at) = &self.points[p as usize];
+                for &(c, d) in &self.coords[at.clone()] {
+                    let i = words[c as usize] as i64;
+                    if !(0 <= i && i < d.card) {
+                        return false;
+                    }
+                    off += i * d.stride;
+                }
+                match regs[r].how {
+                    How::Store(_, a) => raw.set_lane(off, words[a as usize]),
+                    _ => out[0] = raw.lane(off),
+                }
+                true
+            }
+        }
+    }
+
+    /// The evaluator's error for register `r`, whose lane at width 1 has no value.
+    #[cold]
+    fn error(&self, r: usize) -> String {
+        let v = |a: u32| Value::new(self.regs[a as usize].tag, self.words[a as usize]);
+        let err = match self.regs[r].how {
+            How::Bin(op, a, b) => eval_bin(op, v(a), v(b)).err(),
+            How::Un(op, a) => eval_un(op, v(a)).err(),
+            How::Index(p) | How::Store(p, _) => {
+                let (array, _, _, at) = &self.points[p as usize];
+                let at = &self.coords[at.clone()];
+                let point: Vec<_> = at.iter().map(|c| self.words[c.0 as usize] as i64).collect();
+                check_point(array, &point).err()
+            }
+            _ => None,
+        };
+        err.expect("a lane without a value is an error of the evaluator's")
     }
 }
 
@@ -337,6 +499,7 @@ fn valued(v: Option<i64>, ok: &mut bool) -> i64 {
     v.unwrap_or(0)
 }
 
+#[inline(always)]
 fn bin_float<T: Float + Elem>(op: BinOp, test: bool, a: &[T], b: &[T], out: &mut [u64]) -> bool {
     if test {
         let out = typed_mut::<i64>(out);
@@ -348,6 +511,7 @@ fn bin_float<T: Float + Elem>(op: BinOp, test: bool, a: &[T], b: &[T], out: &mut
     true
 }
 
+#[inline(always)]
 fn bin_int(op: BinOp, test: bool, a: &[i64], b: &[i64], out: &mut [i64]) -> bool {
     let mut ok = true;
     if test {
@@ -358,11 +522,13 @@ fn bin_int(op: BinOp, test: bool, a: &[i64], b: &[i64], out: &mut [i64]) -> bool
     ok
 }
 
+#[inline(always)]
 fn un_float<T: Float + Elem>(op: UnOp, a: &[T], out: &mut [T]) -> bool {
     per_op!(UnOp, op, [Neg Abs Sqrt Exp Log], K => each(out, a, |x| T::un(K, x)));
     true
 }
 
+#[inline(always)]
 fn un_int(op: UnOp, a: &[i64], out: &mut [i64]) -> bool {
     let mut ok = true;
     if op == UnOp::Not {
@@ -373,23 +539,18 @@ fn un_int(op: UnOp, a: &[i64], out: &mut [i64]) -> bool {
     ok
 }
 
-/// `Value::as_f32`, `as_f64`, `as_i64` and the truth of an integer, over
-/// lanes.
+/// `Value::as_f32`, `as_f64`, `as_i64` — `as` between the lane types —
+/// and the truth of an integer, over lanes.
+#[inline(always)]
 fn cast_lanes(from: Tag, to: Tag, made: &Made, a: u32, out: &mut [u64]) {
-    macro_rules! cast {
-        ($a:ty => $b:ty) => {
-            each(typed_mut::<$b>(out), made.strip::<$a>(a), |x| x as $b)
-        };
+    if to == Tag::Bool {
+        return each(typed_mut(out), made.strip::<i64>(a), |x| (x != 0) as i64);
     }
-    match (from, to) {
-        (Tag::F32, Tag::F64) => cast!(f32 => f64),
-        (Tag::F32, Tag::I64) => cast!(f32 => i64),
-        (Tag::F64, Tag::F32) => cast!(f64 => f32),
-        (Tag::F64, Tag::I64) => cast!(f64 => i64),
-        (Tag::I64 | Tag::Bool, Tag::F32) => cast!(i64 => f32),
-        (Tag::I64 | Tag::Bool, Tag::F64) => cast!(i64 => f64),
-        (Tag::Bool, Tag::I64) => cast!(i64 => i64),
-        (Tag::I64, Tag::Bool) => each(typed_mut(out), made.strip::<i64>(a), |x| (x != 0) as i64),
-        _ => unreachable!("no lanes go from {from:?} to {to:?}"),
-    }
+    with_lane_type!(from, {
+        type A = T;
+        with_lane_type!(
+            to,
+            each(typed_mut::<T>(out), made.strip::<A>(a), |x| x as T)
+        )
+    })
 }

@@ -1148,6 +1148,45 @@ fn lowered_coefficients_evaluate_like_the_symbolic_ones() {
     assert_eq!((transforms, checks_seen), (3, 1));
 }
 
+/// A circuit check that confirms nothing is counted, not dropped: a
+/// footprint pair past `FOOTPRINT_CAP` points is skipped, so is a footprint
+/// over a symbol no statement binds, and neither counts as verified.
+#[test]
+fn circuit_checks_that_confirm_nothing_are_counted_skipped() {
+    use crate::vm::{Session, FOOTPRINT_CAP};
+    use arraymem_core::CircuitCheck;
+    use arraymem_symbolic::sym;
+
+    let mut b = Builder::new("skipped_checks");
+    let n = b.scalar_param("sn", ElemType::I64);
+    let mut body = b.block();
+    let x = body.scalar("sx", ElemType::I64, ScalarExp::var(n));
+    let prog = b.finish(body.finish(vec![x]));
+    let compiled = compile(&prog, &Options::default()).expect("compile");
+    let check = |writes: Lmad<Poly>| CircuitCheck {
+        root: "sx".into(),
+        stm: x.to_string(),
+        dst_block: x,
+        writes: vec![writes],
+        uses: vec![Lmad::new(p(n), vec![Dim::new(p(n), 1)])],
+    };
+    let wide = check(Lmad::new(c(0), vec![Dim::new(p(n), 1)]));
+    let ghost = check(Lmad::new(Poly::var(sym("ghost")), vec![Dim::new(c(1), 1)]));
+    let kernels = KernelRegistry::new();
+    for (checks, skipped) in [(vec![wide.clone()], 1), (vec![wide, ghost], 2)] {
+        let mut session = Session::new();
+        let h = session.prepare_full(&compiled.program, &kernels, &checks, &[], &[]);
+        let inputs = [InputValue::I64(FOOTPRINT_CAP + 1)];
+        let run = session.run_plan(h.expect("prepare"), &inputs, &kernels, Mode::Checked, 1);
+        let (_, stats) = run.expect("run");
+        assert_eq!(
+            (stats.circuits_skipped, stats.circuits_verified),
+            (skipped, 0)
+        );
+        assert!(stats.diagnostics.is_empty(), "{:?}", stats.diagnostics);
+    }
+}
+
 /// Regression: a block size is a program input. `iota n` with `n = 2^61`
 /// used to wrap `len * 8` to a 0-word block behind a `RawBuf` of 2^61
 /// elements (every bounds check passed; SIGSEGV), and `n = i64::MAX`

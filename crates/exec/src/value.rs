@@ -95,16 +95,10 @@ const _: () = {
 };
 
 impl Value {
-    /// The value a word means under `tag`.
+    /// The value a word means under `tag` (an `f32` in its low half).
     #[inline]
     pub(crate) const fn new(tag: Tag, bits: u64) -> Value {
         Value { tag, bits }
-    }
-
-    /// The word: what [`Value::new`] takes back.
-    #[inline]
-    pub(crate) fn bits(&self) -> u64 {
-        self.bits
     }
 
     #[inline]

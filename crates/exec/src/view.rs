@@ -102,6 +102,22 @@ impl RawBuf {
         self.value_at(self.in_block(off))
     }
 
+    /// The element at memory offset `off` as a lane of its type holds it
+    /// (booleans 0 and 1), and the store of one.
+    #[inline]
+    pub(crate) fn lane(&self, off: i64) -> u64 {
+        let w = self.load_word(self.in_block(off));
+        match self.elem {
+            ElemType::Bool => w.min(1),
+            _ => w,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn set_lane(&self, off: i64, w: u64) {
+        self.store_word(self.in_block(off), w)
+    }
+
     /// Store `v`, converted to the block's element type, at memory offset
     /// `off`.
     #[inline]
@@ -172,7 +188,7 @@ impl View {
 
     /// Memory offset of a logical index.
     #[inline]
-    fn offset(&self, idx: &[i64]) -> usize {
+    fn addr(&self, idx: &[i64]) -> usize {
         self.buf.in_block(match self.ixfn.as_single() {
             Some(l) => l.apply(idx),
             None => self.ixfn.index(idx),
@@ -181,7 +197,7 @@ impl View {
 
     /// Memory offset of a flat logical position.
     #[inline(always)]
-    fn offset_flat(&self, flat: i64) -> usize {
+    fn addr_flat(&self, flat: i64) -> usize {
         self.buf.in_block(match self.plan {
             AccessClass::Contiguous { base } => base + flat,
             AccessClass::RowContiguous {
@@ -208,13 +224,13 @@ impl View {
     /// Read one element by logical index.
     #[inline]
     pub fn get_f32(&self, idx: &[i64]) -> f32 {
-        self.load(self.offset(idx))
+        self.load(self.addr(idx))
     }
 
     /// See [`View::get_f32`].
     #[inline]
     pub fn get_i64(&self, idx: &[i64]) -> i64 {
-        self.load(self.offset(idx))
+        self.load(self.addr(idx))
     }
 
     /// Read by precomputed memory offset (as produced by the view's LMAD)
@@ -234,7 +250,7 @@ impl View {
     /// the view's element type.
     #[inline]
     pub(crate) fn get(&self, flat: i64) -> Value {
-        self.buf.value_at(self.offset_flat(flat))
+        self.buf.value_at(self.addr_flat(flat))
     }
 
     /// Contiguous row-major fast path: the whole view as a plain slice of
@@ -268,7 +284,7 @@ impl View {
             return out.copy_from_slice(s);
         }
         for (k, o) in out.iter_mut().enumerate() {
-            *o = self.load(self.offset_flat((lo + k) as i64));
+            *o = self.load(self.addr_flat((lo + k) as i64));
         }
     }
 
@@ -321,13 +337,13 @@ impl ViewMut {
     /// Write one element by logical index.
     #[inline]
     pub fn set_f32(&self, idx: &[i64], v: f32) {
-        self.store(self.offset(idx), v)
+        self.store(self.addr(idx), v)
     }
 
     /// See [`ViewMut::set_f32`].
     #[inline]
     pub fn set_i64(&self, idx: &[i64], v: i64) {
-        self.store(self.offset(idx), v)
+        self.store(self.addr(idx), v)
     }
 
     /// Write by precomputed memory offset.
@@ -347,7 +363,7 @@ impl ViewMut {
     #[inline]
     pub(crate) fn set(&self, flat: i64, v: Value) {
         self.buf
-            .store_word(self.offset_flat(flat), self.buf.word_of(v))
+            .store_word(self.addr_flat(flat), self.buf.word_of(v))
     }
 
     /// Copy the element at flat position `from` of `src` (a view of the
@@ -355,8 +371,8 @@ impl ViewMut {
     #[inline]
     pub(crate) fn copy_elem(&self, to: i64, src: &View, from: i64) {
         debug_assert_eq!(self.buf.elem.size_bytes(), src.buf.elem.size_bytes());
-        let w = src.buf.load_word(src.offset_flat(from));
-        self.buf.store_word(self.offset_flat(to), w)
+        let w = src.buf.load_word(src.addr_flat(from));
+        self.buf.store_word(self.addr_flat(to), w)
     }
 
     /// Store `src` as elements `[lo, lo + src.len())`, in flat order.
@@ -366,7 +382,7 @@ impl ViewMut {
             return d.copy_from_slice(src);
         }
         for (k, &v) in src.iter().enumerate() {
-            self.store(self.offset_flat((lo + k) as i64), v);
+            self.store(self.addr_flat((lo + k) as i64), v);
         }
     }
 
@@ -379,7 +395,7 @@ impl ViewMut {
         };
         if filled.is_none() {
             for f in 0..self.num_elems() {
-                self.buf.store_word(self.offset_flat(f), w);
+                self.buf.store_word(self.addr_flat(f), w);
             }
         }
     }
@@ -487,14 +503,14 @@ fn copy_elems<T: Copy>(dst: &ViewMut, src: &View, n: i64) {
     }
     // SAFETY (every raw move below): `T` has the element width (asserted by
     // `as_slice` above), and each offset passed `in_block` — directly, via
-    // `offset_flat`, or as a whole row in the assert before the `memmove`.
+    // `addr_flat`, or as a whole row in the assert before the `memmove`.
     let (sp, dp) = (src.buf.ptr as *const T, dst.buf.ptr as *mut T);
     // Strided copy through both index functions. Specialize the
     // innermost dimension when both sides are single LMADs.
     let lmads = dst.lmad().zip(src.lmad());
     let Some((dl, sl)) = lmads.filter(|(_, sl)| !sl.dims.is_empty()) else {
         for f in 0..n {
-            let (so, do_) = (src.offset_flat(f), dst.offset_flat(f));
+            let (so, do_) = (src.addr_flat(f), dst.addr_flat(f));
             unsafe { *dp.add(do_) = *sp.add(so) }
         }
         return;

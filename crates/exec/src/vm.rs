@@ -19,27 +19,16 @@
 //! access once per map; gather and scatter pick their lane loop — index
 //! array as a slice or not, sanitizer on or off — once per instruction.
 //!
-//! **Element loops run in strips.** In `Memory` and `Checked` a lambda
-//! map whose body is a straight line of arithmetic runs that same code in
-//! strips ([`crate::strip`]): every operand's tag resolved once per
-//! execution, then, per strip of the width, one monomorphic loop per
-//! operator and the result strips stored last. The element-wise loop —
-//! all `Pure`, the oracle, ever runs — is what it falls back to: for a
-//! whole execution when an operand has no lane type or a result shares a
-//! block with an input it is not, for one strip when a lane's integer
-//! arithmetic has no value. Every error is therefore the evaluator's own,
-//! raised by the element that would have raised it. Gather and scatter
-//! lanes outside the sanitizer prove a strip of indices in range, then
-//! only move; a strip with a stray index goes through the lane loop,
-//! which reports it.
-//!
-//! **Scalar loops run typed.** In `Memory` a loop whose body is scalar
-//! code, point reads and point updates by a scalar (the plan records why
-//! another is not) runs as one superinstruction: at its first iteration
-//! its arrays are pinned, each to a block and one LMAD, and its code typed
-//! from the registers' tags into steps over untagged words, which every
-//! iteration runs, each coordinate checked and each error the evaluator's.
-//! `Pure` and `Checked` step it.
+//! **Scalar code runs typed.** A lambda map whose body is a straight line
+//! of arithmetic (in `Memory` and `Checked`) and a loop of scalar code and
+//! point accesses (in `Memory`; the plan records why another is not) run
+//! that code typed once per entry ([`crate::strip`]): a map in strips of
+//! its width, a loop once per iteration at width 1. What does not type
+//! falls back to the element-wise or the instruction loop — all `Pure`,
+//! the oracle, ever runs — and every error is the evaluator's own. Gather
+//! and scatter lanes outside the sanitizer prove a strip of indices in
+//! range, then only move; a strip with a stray index goes through the
+//! lane loop, which reports it.
 //!
 //! Three modes share one plan:
 //!
@@ -80,7 +69,7 @@
 //!   run reports all. Diagnostics name source statements via the plan's
 //!   blame side table.
 
-use crate::arith::{bin_tag, coerce, eval_bin, eval_un, promote, truth, un_tag};
+use crate::arith::{coerce, eval_bin, eval_un, truth};
 use crate::cache::PlanCache;
 use crate::kernel::{KernelCtx, KernelRegistry};
 use crate::plan::{
@@ -95,9 +84,9 @@ use crate::value::{ArrayRef, InputValue, OutputValue, Tag, Value};
 use crate::view::{copy_view, fix_outer, move_lanes, View, ViewMut};
 use arraymem_core::{CircuitCheck, MergeRecord, ParLevel, ParSafetyRecord};
 use arraymem_ir::validate::lmad_slice_is_injective;
-use arraymem_ir::{BinOp, ElemType, Program, Type, UnOp};
+use arraymem_ir::{ElemType, Program, Type};
 use arraymem_lmad::{
-    footprint_check, ConcreteIxFn, ConcreteLmad, Dim, FootprintCheck, Transform, TripletSlice,
+    footprint_check, ConcreteIxFn, ConcreteLmad, FootprintCheck, Transform, TripletSlice,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -122,8 +111,9 @@ pub enum Mode {
 const MAX_DIAGNOSTICS: usize = 64;
 
 /// Short-circuit footprints larger than this many points are skipped by
-/// the runtime disjointness cross-check (enumeration would dominate).
-const FOOTPRINT_CAP: i64 = 1 << 20;
+/// the runtime disjointness cross-check (enumeration would dominate), and
+/// counted in [`Stats::circuits_skipped`].
+pub(crate) const FOOTPRINT_CAP: i64 = 1 << 20;
 
 /// A prepared plan in a [`Session`]'s cache. Cheap to copy; only valid
 /// for the session that produced it.
@@ -148,10 +138,8 @@ struct Machine<'a> {
     at: Vec<i64>,
     moved: Vec<Value>,
     moved_arrays: Vec<(Slot, ArrayRef)>,
-    /// Lane scratch and the resolved ops of the lambda map in flight.
+    /// The typed code of the lambda map or loop in flight.
     strips: Strips,
-    /// The typed steps, words and pinned arrays of the loop in flight.
-    loops: LoopCode,
     stats: Stats,
     threads: usize,
     mode: Mode,
@@ -306,7 +294,6 @@ pub fn execute_plan(
         moved: Vec::new(),
         moved_arrays: Vec::new(),
         strips: Strips::default(),
-        loops: LoopCode::default(),
         stats: Stats::default(),
         threads: threads.max(1),
         mode,
@@ -1079,9 +1066,8 @@ impl Machine<'_> {
 
     /// Can this execution of `ml` run in strips? Its body is eligible, every
     /// operand has a type right now, and no result lands in a block an
-    /// operand is read from — except on that operand itself, element `i`
-    /// on element `i`, which is then read into scratch and never borrowed.
-    /// Any other sharing orders reads and writes element by element.
+    /// operand is read from but that operand itself, element `i` on element
+    /// `i` (then read into scratch); other sharing runs element by element.
     fn resolve_strips(
         &mut self,
         ml: &MapLambdaInstr,
@@ -1092,18 +1078,16 @@ impl Machine<'_> {
     ) -> bool {
         let shares = |d: &ArrayRef, a: &ArrayRef| d.block == a.block;
         let same = |d: &ArrayRef, a: &ArrayRef| d.elem == a.elem && d.ixfn == a.ixfn;
-        let (strips, regs, arrays) = (&mut self.strips, &self.regs, &self.arrays);
+        let arrays = &self.arrays;
         let input = |k: usize| arrays[ml.inputs[k] as usize].as_ref().expect("an array");
         let apart = dsts.iter().enumerate().all(|(i, d)| {
             (0..in_views.len()).all(|k| !shares(d, input(k)) || same(d, input(k)))
                 && dsts[..i].iter().all(|e| !shares(d, e))
         });
         let borrow = |k: usize| !dsts.iter().any(|d| shares(d, input(k)));
-        ml.strip.is_ok()
-            && apart
-            && strips
-                .resolve(ml, regs, in_views, borrow, out_views, width)
-                .is_some()
+        let m = &mut (&self.regs[..], &mut [][..], &mut *self.store);
+        let mut typed = |s: &mut Strips| s.resolve(ml, m, in_views, borrow, out_views, width);
+        ml.strip.is_ok() && apart && typed(&mut self.strips).is_some()
     }
 
     /// The body once per element of `elems`. Parameter slots are
@@ -1194,14 +1178,14 @@ impl Machine<'_> {
                     .filter_map(|l| l.map(|p| p.eval(&self.regs).ok()))
                     .collect::<Vec<ConcreteLmad>>()
             });
-            // The check only counts as verified when every recorded
-            // footprint evaluated and every pair enumerated cleanly — a
-            // pair too large to enumerate confirms nothing.
-            let mut verified = writes.len() == c.writes.len() && uses.len() == c.uses.len();
+            // Verified: every footprint evaluated, every pair disjoint. An
+            // unevaluated footprint or a pair too large to enumerate skips.
+            let mut skipped = writes.len() < c.writes.len() || uses.len() < c.uses.len();
+            let mut verified = !skipped;
             for (w, u) in writes.iter().flat_map(|w| uses.iter().map(move |u| (w, u))) {
                 match footprint_check(w, u, FOOTPRINT_CAP) {
                     FootprintCheck::Disjoint => {}
-                    FootprintCheck::TooLarge => verified = false,
+                    FootprintCheck::TooLarge => (skipped, verified) = (true, false),
                     FootprintCheck::Overlap(offset) => {
                         verified = false;
                         self.diag(Diagnostic::CircuitOverlap {
@@ -1214,9 +1198,8 @@ impl Machine<'_> {
                     }
                 }
             }
-            if verified {
-                self.stats.circuits_verified += 1;
-            }
+            self.stats.circuits_verified += verified as u64;
+            self.stats.circuits_skipped += skipped as u64;
         }
     }
 
@@ -1411,19 +1394,17 @@ impl Machine<'_> {
 
     /// Run a loop at its first iteration — `code`, its guard to its jump
     /// back — as one superinstruction of its `n` iterations, if `Memory`
-    /// may and its body types: `Ok(false)`, nothing run, if not.
+    /// may and its code types: `Ok(false)`, nothing run, if not.
     fn typed_loop(&mut self, code: &[Instr], n: i64) -> Result<bool, String> {
-        let [Instr::JumpIfGe { a, typed, .. }, body @ .., Instr::CopySlots { pairs }, _, _] = code
-        else {
+        let [Instr::JumpIfGe { a, typed, .. }, code @ .., _, _] = code else {
             unreachable!("a loop is its guard, body, back edge, counter and jump")
         };
-        let mut loops = std::mem::take(&mut self.loops);
-        let typed = typed.is_ok()
-            && self.mode == Mode::Memory
-            && loops.resolve(body, pairs, self).is_some();
-        let ran = typed.then(|| loops.run(&mut self.regs, *a, n));
-        self.loops = loops;
-        ran.unwrap_or(Ok(())).map(|()| typed)
+        let typed = typed.is_ok() && self.mode == Mode::Memory;
+        let m = &mut (&self.regs[..], &mut self.arrays[..], &mut *self.store);
+        if !(typed && self.strips.resolve_loop(code, *a, m).is_some()) {
+            return Ok(false);
+        }
+        self.strips.run_loop(n, &mut self.regs).map(|()| true)
     }
 
     /// The element of the array in slot `arr` at `self.point`.
@@ -1512,217 +1493,6 @@ impl Machine<'_> {
     }
 }
 
-/// A step of a typed loop body, over words of the loop's file and the
-/// tags they hold for the entry; the arithmetic is the evaluator's.
-#[derive(Clone, Copy)]
-enum Step {
-    Bin(BinOp, (u32, Tag), (u32, Tag), u32),
-    Un(UnOp, (u32, Tag), u32),
-    Move(u32, u32),
-    /// `Load(access, out)` reads the element an array access addresses,
-    /// `Store(access, src)` writes it.
-    Load(u32, u32),
-    Store(u32, (u32, Tag)),
-}
-
-/// A loop typed for one entry: scratch reused by every loop of a run, so
-/// a warm entry allocates nothing.
-#[derive(Default)]
-struct LoopCode {
-    steps: Vec<Step>,
-    /// A word per register, then one per constant and per value computed.
-    words: Vec<u64>,
-    /// The tag of each register: its tag at entry until the body writes it.
-    tags: Vec<Tag>,
-    /// The word and tag of each value of the code being typed.
-    vals: Vec<(u32, Tag)>,
-    /// Each array access: the array pinned to its block and one LMAD, its
-    /// offset, and the coordinates' words in `coords`, beside their dims.
-    arrays: Vec<(ArrayRef, RawBuf, i64, std::ops::Range<usize>)>,
-    coords: Vec<(u32, Dim<i64>)>,
-}
-
-/// The offset in `a`, one LMAD starting at `off`, of the point at the
-/// words of `at`, each checked against its dimension first: outside,
-/// `check_point` words the error.
-fn offset(a: &ArrayRef, mut off: i64, w: &[u64], at: &[(u32, Dim<i64>)]) -> Result<i64, String> {
-    for &(c, d) in at {
-        let i = w[c as usize] as i64;
-        if !(0 <= i && i < d.card) {
-            let point = at.iter().map(|&(c, _)| w[c as usize] as i64);
-            return Err(check_point(a, &point.collect::<Vec<_>>()).expect_err("a point outside"));
-        }
-        off += i * d.stride;
-    }
-    Ok(off)
-}
-
-impl LoopCode {
-    /// Type a loop body (scalar code and point updates by a scalar, or the
-    /// plan declined it) and its back edge from the registers at entry:
-    /// `None`, and the loop is stepped, when an operator has no result over
-    /// its operands' tags, a value is not of its statement's type, an array
-    /// is not one LMAD, or a carried value would change its array or tag.
-    fn resolve(&mut self, body: &[Instr], back: &[(Slot, Slot)], m: &mut Machine) -> Option<()> {
-        self.steps.clear();
-        self.coords.clear();
-        self.arrays.clear();
-        self.words.splice(.., m.regs.iter().map(Value::bits));
-        self.tags.splice(.., m.regs.iter().map(Value::tag));
-        for instr in body {
-            match instr {
-                Instr::Scalar { dst, elem, exp } => {
-                    self.code(exp, Some(*dst), m)?;
-                    let v = self.arg(exp, exp.results[0]);
-                    elem.is_none_or(|e| Tag::of(e) == v.1).then_some(())?;
-                    if v.0 != *dst {
-                        self.steps.push(Step::Move(v.0, *dst));
-                    }
-                    self.tags[*dst as usize] = v.1;
-                }
-                Instr::Update(u) => {
-                    let (LSlice::Point(at), LUpdateSrc::Scalar(src)) = (&u.slice, &u.src) else {
-                        unreachable!("a typed loop updates points by scalars")
-                    };
-                    // The result names the array it updates, as in `update`.
-                    let dst = m.arrays[u.dst as usize].clone()?;
-                    if !names(&m.arrays[u.dest.slot as usize], &dst) {
-                        m.bind(u.dest.slot, dst);
-                    }
-                    self.code(at, None, m)?;
-                    let access = self.access(at, &at.results, u.dest.slot, m)?;
-                    self.code(src, None, m)?;
-                    let src = self.arg(src, src.results[0]);
-                    self.steps.push(Step::Store(access, src));
-                }
-                Instr::VerifyChecks { .. } => {}
-                _ => unreachable!("a typed loop body is scalar code and point updates"),
-            }
-        }
-        // The back edge: carried arrays stay put, carried scalars keep their
-        // tags, and all are read (into temporaries) before any is written.
-        let moved = |&&(src, dst): &&(Slot, Slot)| m.arrays[src as usize].is_none() && src != dst;
-        for &(src, dst) in back {
-            match &m.arrays[src as usize] {
-                Some(a) => names(&m.arrays[dst as usize], a).then_some(())?,
-                None => (self.tags[src as usize] == self.tags[dst as usize]).then_some(())?,
-            }
-        }
-        let first = self.words.len() as u32;
-        for &(src, _) in back.iter().filter(moved) {
-            let t = self.word(0);
-            self.steps.push(Step::Move(src, t));
-        }
-        for (t, &(_, dst)) in (first..).zip(back.iter().filter(moved)) {
-            self.steps.push(Step::Move(t, dst));
-        }
-        Some(())
-    }
-
-    fn word(&mut self, init: u64) -> u32 {
-        self.words.push(init);
-        self.words.len() as u32 - 1
-    }
-
-    /// The word and tag of an operand of `e`, typed up to it.
-    fn arg(&mut self, e: &LExp, a: Arg) -> (u32, Tag) {
-        match a {
-            Arg::Slot(s) => (s, self.tags[s as usize]),
-            Arg::Const(k) => {
-                let v = e.consts[k as usize];
-                (self.word(v.bits()), v.tag())
-            }
-            Arg::Val(k) => self.vals[k as usize],
-        }
-    }
-
-    /// Pin the array in slot `s` for an access at `at`, integer coordinates
-    /// of `e`: `None` unless the array is one LMAD of their rank.
-    fn access(&mut self, e: &LExp, at: &[Arg], s: Slot, m: &mut Machine) -> Option<u32> {
-        let a = m.arrays[s as usize].clone()?;
-        let lmad = a.ixfn.as_single()?;
-        (lmad.dims.len() == at.len()).then_some(())?;
-        let first = self.coords.len();
-        for (c, d) in at.iter().zip(&lmad.dims) {
-            let (c, tag) = self.arg(e, *c);
-            matches!(tag, Tag::I64 | Tag::Bool).then(|| self.coords.push((c, *d)))?;
-        }
-        let (raw, off, at) = (m.store.raw(a.block), lmad.offset, first..self.coords.len());
-        self.arrays.push((a, raw, off, at));
-        Some(self.arrays.len() as u32 - 1)
-    }
-
-    /// Type `e`, a step per operation in order, a statement's value landing
-    /// in its slot `dst`. Sizes are fixed for the loop, or the plan declined it.
-    fn code(&mut self, e: &LExp, dst: Option<Slot>, m: &mut Machine) -> Option<()> {
-        self.vals.clear();
-        for (k, op) in e.ops.iter().enumerate() {
-            let out = match (dst, &e.results[..]) {
-                (Some(dst), [Arg::Val(r)]) if *r as usize == k => dst,
-                _ => self.word(0),
-            };
-            let (step, tag) = match *op {
-                Op::Size(s) => {
-                    let size = e.sizes[s as usize].eval(&m.regs).ok()?;
-                    (Step::Move(self.word(size as u64), out), Tag::I64)
-                }
-                Op::Bin(op, a, b) => {
-                    let (a, b) = (self.arg(e, a), self.arg(e, b));
-                    (Step::Bin(op, a, b, out), bin_tag(op, promote(a.1, b.1))?)
-                }
-                Op::Un(op, a) => {
-                    let a = self.arg(e, a);
-                    (Step::Un(op, a, out), un_tag(op, a.1)?.1)
-                }
-                Op::Index { arr, at, rank } => {
-                    let at = &e.coords[at as usize..][..rank as usize];
-                    let access = self.access(e, at, arr, m)?;
-                    let tag = Tag::of(self.arrays[access as usize].0.elem);
-                    (Step::Load(access, out), tag)
-                }
-                _ => unreachable!("a typed loop picks no arm"),
-            };
-            self.steps.push(step);
-            self.vals.push((out, tag));
-        }
-        Some(())
-    }
-
-    /// Iterations `0..n` of the typed loop, its counter in slot `idx`, then
-    /// the registers back into `regs`. A failing step is the evaluator's.
-    fn run(&mut self, regs: &mut [Value], idx: Slot, n: i64) -> Result<(), String> {
-        let w = &mut self.words[..];
-        let val = |w: &[u64], (a, tag): (u32, Tag)| Value::new(tag, w[a as usize]);
-        for i in 0..n {
-            w[idx as usize] = i as u64;
-            for step in &self.steps {
-                match *step {
-                    Step::Bin(op, a, b, out) => {
-                        w[out as usize] = eval_bin(op, val(w, a), val(w, b))?.bits()
-                    }
-                    Step::Un(op, a, out) => w[out as usize] = eval_un(op, val(w, a))?.bits(),
-                    Step::Move(a, out) => w[out as usize] = w[a as usize],
-                    Step::Load(access, out) => {
-                        let (a, raw, off, at) = &self.arrays[access as usize];
-                        let off = offset(a, *off, w, &self.coords[at.clone()])?;
-                        w[out as usize] = raw.get(off).bits();
-                    }
-                    Step::Store(access, src) => {
-                        let (a, raw, off, at) = &self.arrays[access as usize];
-                        let off = offset(a, *off, w, &self.coords[at.clone()])?;
-                        raw.set(off, val(w, src));
-                    }
-                }
-            }
-        }
-        w[idx as usize] = n as u64;
-        for (s, r) in regs.iter_mut().enumerate() {
-            *r = Value::new(self.tags[s], w[s]);
-        }
-        Ok(())
-    }
-}
-
 /// What a gather/scatter lane loop works on, resolved once per
 /// instruction.
 struct Lanes<'a> {
@@ -1739,14 +1509,14 @@ struct Lanes<'a> {
 /// Does a slot holding `held` already name the array `a` — the same index
 /// function over the same block? Re-binding it would only move reference
 /// counts.
-fn names(held: &Option<ArrayRef>, a: &ArrayRef) -> bool {
+pub(crate) fn names(held: &Option<ArrayRef>, a: &ArrayRef) -> bool {
     matches!(held, Some(b)
         if b.block == a.block && b.elem == a.elem && Arc::ptr_eq(&b.ixfn, &a.ixfn))
 }
 
 /// Is `point` a logical index of `a`: one coordinate per dimension, each
 /// inside its extent?
-fn check_point(a: &ArrayRef, point: &[i64]) -> Result<(), String> {
+pub(crate) fn check_point(a: &ArrayRef, point: &[i64]) -> Result<(), String> {
     let dims = &a.ixfn.logical().dims;
     let inside =
         point.len() == dims.len() && point.iter().zip(dims).all(|(&i, d)| 0 <= i && i < d.card);

@@ -120,6 +120,9 @@ pub fn run_all_modes(
     if !c_stats.diagnostics.is_empty() || c_stats.diagnostics_suppressed > 0 {
         return Err(format!("sanitizer fired:\n{c_stats:?}"));
     }
+    if c_stats.circuits_skipped > 0 {
+        return Err(format!("circuit check skipped:\n{c_stats:?}"));
+    }
     // Thread sweep through the second shared session.
     for threads in [1usize, 8] {
         let (p_out, _) = run_compiled(par_session, &opt, &[], &kernels, Mode::Memory, threads)
@@ -157,6 +160,11 @@ pub fn run_all_modes(
         if !t_stats.diagnostics.is_empty() || t_stats.diagnostics_suppressed > 0 {
             return Err(format!(
                 "multi-tenant leg: sanitizer fired for tenant {tenant}:\n{t_stats:?}"
+            ));
+        }
+        if t_stats.circuits_skipped > 0 {
+            return Err(format!(
+                "multi-tenant leg: circuit check skipped for tenant {tenant}:\n{t_stats:?}"
             ));
         }
     }

@@ -194,7 +194,6 @@ pub struct Server {
     arena: SharedArena,
     admission: Admission,
     tenants: Mutex<HashMap<String, Arc<Tenant>>>,
-    next_tenant_tag: Mutex<u64>,
 }
 
 impl Default for Server {
@@ -211,7 +210,6 @@ impl Server {
             arena: SharedArena::new(),
             admission: Admission::new(config.max_in_flight, config.queue_depth),
             tenants: Mutex::new(HashMap::new()),
-            next_tenant_tag: Mutex::new(1),
         }
     }
 
@@ -220,12 +218,8 @@ impl Server {
         if let Some(t) = tenants.get(name) {
             return Arc::clone(t);
         }
-        let tag = {
-            let mut next = self.next_tenant_tag.lock().unwrap();
-            let tag = *next;
-            *next += 1;
-            tag
-        };
+        // Tenants are never removed, so the count names a new one.
+        let tag = tenants.len() as u64 + 1;
         let mut store = MemStore::new();
         store.attach_arena(self.arena.clone(), tag);
         let mut agg = TenantStats::default();

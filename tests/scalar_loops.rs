@@ -1,14 +1,16 @@
 //! Scalar loops run typed, and the instruction loop is their oracle.
 //!
 //! In `Memory` a loop whose body is scalar code, point reads and point
-//! updates by a scalar runs as one typed superinstruction; `Pure` and
+//! updates by a scalar runs typed, in the strips at width 1; `Pure` and
 //! `Checked` step it one instruction at a time. Small histogram-shaped
 //! loops are enumerated over the carried array's element type and rank,
 //! the number of bins, index arrays in range, negative, past the extent or
 //! repeated, trip counts 0, 1 and 5, an integer overflow and a division by
 //! zero at a chosen iteration, a coordinate that is a size of the counter,
 //! a read of an element stored in the same iteration, carried scalars that
-//! swap, carried arrays that swap or rotate, and a map in the body. Each
+//! swap, carried arrays that swap or rotate, a map in the body, a value
+//! cast to its statement's type, and an index that fails on a value
+//! stored in the same iteration — its error must name that value. Each
 //! runs in all three modes: the outputs must agree bit for bit and the
 //! error texts byte for byte, and `Stats::loop_iters_stepped` says whether
 //! `Memory` ran the loop typed.
@@ -40,6 +42,12 @@ enum Shape {
     RotateArrays,
     /// The body also maps over the weights.
     Map,
+    /// Beside the histogram, `y: f64 = b + 1` — an `i64` value bound as
+    /// `f64` — folded into a carried `f64` as `y / 2`, a float quotient.
+    Coerce,
+    /// `h[b]` is stored, read back, and indexes `h`: past the extent, the
+    /// error names the value stored in the same iteration.
+    StoreThenFail,
 }
 
 impl Shape {
@@ -52,7 +60,7 @@ impl Shape {
     }
 }
 
-const SHAPES: [Shape; 9] = [
+const SHAPES: [Shape; 11] = [
     Shape::Hist,
     Shape::Hist2,
     Shape::Div,
@@ -62,6 +70,8 @@ const SHAPES: [Shape; 9] = [
     Shape::SwapArrays,
     Shape::RotateArrays,
     Shape::Map,
+    Shape::Coerce,
+    Shape::StoreThenFail,
 ];
 
 /// The weights' element type: booleans are made from `i64` weights.
@@ -111,7 +121,10 @@ fn program(shape: Shape, elem: ElemType) -> Program {
     let h0 = body.replicate_typed("h0", elem, shape_of(rank2), zero(elem));
     let mut inits = vec![h0];
     match shape {
-        Shape::ReadAfterStore => inits.push(body.scalar("acc0", elem, zero(elem))),
+        Shape::ReadAfterStore | Shape::StoreThenFail => {
+            inits.push(body.scalar("acc0", elem, zero(elem)))
+        }
+        Shape::Coerce => inits.push(body.scalar("acc0", ElemType::F64, zero(ElemType::F64))),
         Shape::SwapScalars => {
             inits.push(body.scalar("s0", ElemType::I64, ScalarExp::i64(1)));
             inits.push(body.scalar("t0", ElemType::I64, ScalarExp::i64(2)));
@@ -152,6 +165,18 @@ fn program(shape: Shape, elem: ElemType) -> Program {
         Shape::ReadAfterStore => {
             let back = lb.scalar("back", elem, ScalarExp::Index(h1, at));
             yields.push(lb.scalar("acc", elem, combine(elem, v(params[1]), v(back))));
+        }
+        Shape::StoreThenFail => {
+            let back = lb.scalar("back", elem, ScalarExp::Index(h1, at));
+            let z = lb.scalar("z", elem, ScalarExp::Index(h1, vec![v(back)]));
+            yields.push(lb.scalar("acc", elem, combine(elem, v(params[1]), v(z))));
+        }
+        Shape::Coerce => {
+            let one = ScalarExp::i64(1);
+            let y = lb.scalar("y", ElemType::F64, ScalarExp::bin(BinOp::Add, v(b), one));
+            let half = ScalarExp::bin(BinOp::Div, v(y), ScalarExp::i64(2));
+            let acc = ScalarExp::bin(BinOp::Add, v(params[1]), half);
+            yields.push(lb.scalar("acc", ElemType::F64, acc));
         }
         Shape::SwapScalars => yields = vec![h1, params[2], params[1]],
         Shape::SwapArrays => yields = vec![params[1], h1],
@@ -252,10 +277,12 @@ fn typed_loops_agree_with_the_instruction_loop() {
     let kernels = KernelRegistry::new();
     let mut runs = 0;
     let mut typed_iters = 0;
+    let mut failed_after_store = 0;
     for shape in SHAPES {
         let elems: &[ElemType] = match shape {
             Shape::Hist => &[ElemType::F32, ElemType::F64, ElemType::I64, ElemType::Bool],
             Shape::Div => &[ElemType::I64, ElemType::F64],
+            Shape::StoreThenFail => &[ElemType::I64],
             _ => &[ElemType::F32, ElemType::I64],
         };
         for &elem in elems {
@@ -294,6 +321,9 @@ fn typed_loops_agree_with_the_instruction_loop() {
                                 render(session.run_plan(h, &inputs, &kernels, Mode::Checked, 1));
                             assert_eq!(pure, memory, "{case}: Pure and Memory");
                             assert_eq!(pure, checked, "{case}: Pure and Checked");
+                            failed_after_store += (shape == Shape::StoreThenFail
+                                && pure.contains("out of bounds"))
+                                as usize;
                             if let Some(stepped) = stepped {
                                 let want = if shape.typed() { 0 } else { n as u64 };
                                 assert_eq!(stepped, want, "{case}: iterations stepped");
@@ -308,4 +338,5 @@ fn typed_loops_agree_with_the_instruction_loop() {
     }
     assert!(runs >= 700, "{runs} runs");
     assert!(typed_iters > 0);
+    assert!(failed_after_store > 0);
 }
