@@ -59,7 +59,7 @@ pub use plan::lower_plan_sabotaged;
 pub use plan::{lower_plan_full, ExecPlan, Slot};
 pub use pool::{default_threads, DispatchInfo};
 pub use stats::{Diagnostic, Stats};
-pub use store::{ArenaStats, MemStore, SharedArena};
+pub use store::{ArenaStats, FleetMeter, MemStore};
 pub use value::{InputValue, OutputValue, Value};
 pub use view::{View, ViewMut};
 pub use vm::{execute_plan, run_program, Mode, PlanHandle, Session};

@@ -391,17 +391,18 @@ mod tests {
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"from worker"));
     }
 
-    /// Dispatches from different threads run side by side: each job's
-    /// caller, in its first iteration, announces itself and waits (up to
-    /// 2 s) for the other job's announcement.
+    /// Dispatches from different threads run side by side: whichever of a
+    /// job's participants (caller or worker) runs its first iteration
+    /// announces the job and waits (up to 2 s) for the other job's
+    /// announcement.
     #[test]
     fn concurrent_dispatches_overlap() {
         let seen = (Mutex::new([false; 2]), Condvar::new());
         let both = |job: usize| {
             let announced = AtomicBool::new(false);
             let saw_other = AtomicBool::new(false);
-            parallel_for_worker(2, 4 * MIN_SEQ, |_, w| {
-                if w != 0 || announced.swap(true, Ordering::Relaxed) {
+            parallel_for_worker(2, 4 * MIN_SEQ, |_, _| {
+                if announced.swap(true, Ordering::Relaxed) {
                     return;
                 }
                 let mut flags = seen.0.lock().unwrap();

@@ -251,13 +251,8 @@ stats_table! {
     blocks_reused: u64, sum, store;
     /// Bytes of zero-fill skipped because the block was recycled.
     bytes_zeroing_elided: u64, sum, store;
-    /// Allocations served by adopting a block from the shared
-    /// cross-tenant arena (a subset of `blocks_reused`).
-    arena_blocks_adopted: u64, sum, store;
-    /// Bytes zeroed on cross-tenant adoption: recycled contents never
-    /// cross a tenant boundary, so the zero-fill elision is forfeited
-    /// there and the scrub cost counted here instead.
-    bytes_cross_tenant_scrubbed: u64, sum, store;
+    /// Always 0: no block leaves its store. Kept because `benchmark/` reads it.
+    bytes_cross_tenant_scrubbed: u64, sum, run;
     /// High-water mark of bytes simultaneously live in the store during
     /// the program body (inputs included) — the quantity block merging
     /// reduces.

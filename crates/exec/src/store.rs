@@ -15,12 +15,17 @@
 //! discipline as the paper's memory blocks: an allocation is fully
 //! written before it is read, which the differential tests check against
 //! the pure-mode ground truth.
+//!
+//! A block never leaves the store that allocated it: each store has its
+//! own free list and color slabs, so stale bytes are only ever seen by
+//! the tenant that wrote them. Stores may share a [`FleetMeter`], which
+//! counts their live bytes together and moves nothing.
 
 use crate::value::InputValue;
 use arraymem_ir::ElemType;
 use arraymem_symbolic::Sym;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Per-cell shadow state, tracked only while the store's shadow layer is
 /// enabled (checked mode). One entry per *element* of each block.
@@ -86,18 +91,13 @@ fn try_resize<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) -> Result<(), Strin
 
 impl Block {
     fn new(elem: ElemType, len: usize) -> Result<Block, String> {
-        let mut b = Block::vacated();
+        let mut b = Block {
+            words: Vec::new(),
+            elem,
+            len: 0,
+        };
         b.recycle(elem, len)?;
         Ok(b)
-    }
-
-    /// What a block id holds while its storage is parked in the arena.
-    fn vacated() -> Block {
-        Block {
-            words: Vec::new(),
-            elem: ElemType::I64,
-            len: 0,
-        }
     }
 
     fn size_bytes(&self) -> usize {
@@ -154,57 +154,32 @@ fn size_bucket(bytes: usize) -> usize {
     (usize::BITS - bytes.max(1).leading_zeros() - 1) as usize
 }
 
-/// The free list of `capacity`'s size class, in a table of lists indexed
-/// by [`size_bucket`] that grows on a bucket's first use.
-fn bucket_mut<T>(lists: &mut Vec<Vec<T>>, capacity: usize) -> &mut Vec<T> {
-    let bucket = size_bucket(capacity);
-    if lists.len() <= bucket {
-        lists.resize_with(bucket + 1, Vec::new);
-    }
-    &mut lists[bucket]
-}
-
-/// A block parked in the shared arena, tagged with the tenant that
-/// donated it — adoption policy and scrubbing depend on the tag.
-struct Parked {
-    buf: Block,
-    owner: u64,
-}
-
-/// Counters for one [`SharedArena`].
+/// What [`FleetMeter::stats`] reports.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArenaStats {
-    /// Buffers currently parked across all free lists.
-    pub parked: usize,
-    /// Buffers ever donated by a store.
-    pub donated: u64,
-    /// Adoptions where the requester was the donor (contents survive;
-    /// zero-fill elision applies as with a local free list).
-    pub adopted_same_tenant: u64,
-    /// Adoptions across a tenant boundary (contents scrubbed).
-    pub adopted_cross_tenant: u64,
-    /// Bytes currently charged to live blocks across *every* attached
-    /// store.
+    /// Bytes currently charged to live blocks across every metered store.
     pub live_bytes: u64,
-    /// High-water of [`live_bytes`](ArenaStats::live_bytes) over the
-    /// arena's lifetime. Tenants overlap in time, so this is the
-    /// arena-level peak — it can exceed any single tenant's
-    /// `peak_bytes_live`, and the per-tenant *max* understates it
-    /// whenever two tenants peak together.
+    /// High-water of `live_bytes` over the meter's lifetime: tenants
+    /// overlap in time, so it can exceed every tenant's own peak.
     pub peak_bytes_live: u64,
+    /// Always 0: no block leaves its store. Kept because `benchmark/` reads it.
+    pub adopted_same_tenant: u64,
+    /// Always 0: no block leaves its store. Kept because `benchmark/` reads it.
+    pub adopted_cross_tenant: u64,
 }
 
-/// Shared live/peak byte meter for one arena: every attached store
-/// charges and uncharges it alongside its own `bytes_live`, so the
-/// arena-level high-water reflects tenants that peak *concurrently*
-/// (which a max over per-tenant peaks cannot).
+/// A live/peak byte meter shared by several stores (a server's tenants):
+/// each store built [`metered`](MemStore::metered) charges and uncharges
+/// it alongside its own `bytes_live`, so the high-water reflects tenants
+/// that peak *concurrently* (which a max over per-tenant peaks cannot).
+/// It counts bytes only; every block stays in the store that allocated it.
 #[derive(Clone, Default)]
-struct ArenaMeter {
+pub struct FleetMeter {
     live: Arc<AtomicU64>,
     peak: Arc<AtomicU64>,
 }
 
-impl ArenaMeter {
+impl FleetMeter {
     fn charge(&self, bytes: u64) {
         let live = self.live.fetch_add(bytes, Ordering::Relaxed) + bytes;
         self.peak.fetch_max(live, Ordering::Relaxed);
@@ -213,100 +188,19 @@ impl ArenaMeter {
     fn uncharge(&self, bytes: u64) {
         self.live.fetch_sub(bytes, Ordering::Relaxed);
     }
-}
-
-#[derive(Default)]
-struct ArenaInner {
-    /// `free[size bucket]` → parked blocks.
-    free: Vec<Vec<Parked>>,
-    parked: usize,
-    donated: u64,
-    adopted_same: u64,
-    adopted_cross: u64,
-}
-
-/// A cross-tenant free-list arena: stores attached to one arena donate
-/// their recycled buffers and adopt each other's, so block recycling and
-/// zero-fill elision work across tenants without sharing a store.
-///
-/// Isolation contract: a buffer adopted by the tenant that donated it
-/// keeps its contents (same gamble as a local free list — the compiler
-/// promises a full write before any read). A buffer crossing a tenant
-/// boundary has its surviving prefix **zeroed** ("scrubbed") before the
-/// adopter can build a view over it, so one tenant can never observe
-/// another's recycled bytes. The adopting store still marks the prefix
-/// [`CellState::Stale`] in shadow memory: checked mode's provenance
-/// diagnostics fire identically whether a recycled block came from the
-/// local free list, a same-tenant donation, or a scrubbed cross-tenant
-/// one — reading a recycled cell before writing it is the bug, zeroed
-/// or not.
-#[derive(Clone, Default)]
-pub struct SharedArena {
-    inner: Arc<Mutex<ArenaInner>>,
-    meter: ArenaMeter,
-}
-
-impl SharedArena {
-    pub fn new() -> SharedArena {
-        SharedArena::default()
-    }
 
     pub fn stats(&self) -> ArenaStats {
-        let g = self.inner.lock().unwrap();
         ArenaStats {
-            parked: g.parked,
-            donated: g.donated,
-            adopted_same_tenant: g.adopted_same,
-            adopted_cross_tenant: g.adopted_cross,
-            live_bytes: self.meter.live.load(Ordering::Relaxed),
-            peak_bytes_live: self.meter.peak.load(Ordering::Relaxed),
+            live_bytes: self.live.load(Ordering::Relaxed),
+            peak_bytes_live: self.peak.load(Ordering::Relaxed),
+            ..ArenaStats::default()
         }
-    }
-
-    fn donate(&self, buf: Block, owner: u64) {
-        if buf.capacity_bytes() == 0 {
-            return;
-        }
-        let mut g = self.inner.lock().unwrap();
-        bucket_mut(&mut g.free, buf.capacity_bytes()).push(Parked { buf, owner });
-        g.parked += 1;
-        g.donated += 1;
-    }
-
-    /// Take a parked block with capacity `>= bytes`, preferring one the
-    /// requester donated itself. Returns the block and whether it crossed
-    /// a tenant boundary (the caller must scrub if so).
-    fn adopt(&self, bytes: usize, owner: u64) -> Option<(Block, bool)> {
-        let start = size_bucket(bytes);
-        let mut g = self.inner.lock().unwrap();
-        // First pass: a same-owner fit anywhere (keeps elision alive);
-        // second pass: any fit, paying the scrub.
-        for same_only in [true, false] {
-            for bucket in start..g.free.len() {
-                let list = &mut g.free[bucket];
-                let pos = list.iter().position(|p| {
-                    p.buf.capacity_bytes() >= bytes && (!same_only || p.owner == owner)
-                });
-                if let Some(pos) = pos {
-                    let p = list.swap_remove(pos);
-                    let cross = p.owner != owner;
-                    g.parked -= 1;
-                    if cross {
-                        g.adopted_cross += 1;
-                    } else {
-                        g.adopted_same += 1;
-                    }
-                    return Some((p.buf, cross));
-                }
-            }
-        }
-        None
     }
 }
 
 /// The store of memory blocks. Released blocks park in the free list and
-/// are recycled by later allocations; everything else is arena-style —
-/// block ids stay valid until the store drops.
+/// are recycled by later allocations; a block id stays valid, and its
+/// storage stays in this store, until the store drops.
 #[derive(Default)]
 pub struct MemStore {
     blocks: Vec<Block>,
@@ -334,22 +228,8 @@ pub struct MemStore {
     /// Checked-mode shadow layer: one [`ShadowBlock`] per block while
     /// enabled, `None` otherwise (the fast modes pay nothing for it).
     shadow: Option<Vec<ShadowBlock>>,
-    /// Cross-tenant recycling arena, with this store's tenant tag.
-    arena: Option<(SharedArena, u64)>,
-    /// The attached arena's shared live/peak meter (cloned Arcs), updated
-    /// on every charge/uncharge so the arena-level high-water sees
-    /// concurrent tenants.
-    arena_meter: Option<ArenaMeter>,
-    /// Block ids whose buffers were donated to the arena; reused by the
-    /// next adoption or fresh allocation so ids don't grow without bound
-    /// over a server's lifetime.
-    vacant: Vec<usize>,
-    /// Allocations served by adopting an arena buffer (subset of
-    /// [`blocks_reused`](Self::blocks_reused)).
-    pub arena_blocks_adopted: u64,
-    /// Bytes zeroed because an adopted buffer crossed a tenant boundary
-    /// (elision forfeited for isolation).
-    pub bytes_cross_tenant_scrubbed: u64,
+    /// The fleet meter this store charges beside `bytes_live`, if any.
+    meter: Option<FleetMeter>,
     /// Per-color slabs backing the merge pass's coloring
     /// (`arraymem_core::merge`): `color_slots[c]` parks the block a
     /// carried release returned to color `c`, and the next allocation
@@ -370,36 +250,12 @@ impl MemStore {
         MemStore::default()
     }
 
-    /// Join a cross-tenant recycling arena under tenant tag `tenant`.
-    /// From here on, allocations that miss the local free list try the
-    /// arena before the heap, and [`donate_free_blocks`]
-    /// (MemStore::donate_free_blocks) hands parked blocks back.
-    pub fn attach_arena(&mut self, arena: SharedArena, tenant: u64) {
-        self.arena_meter = Some(arena.meter.clone());
-        self.arena = Some((arena, tenant));
-    }
-
-    /// Drain every block parked in the local free list into the shared
-    /// arena (no-op without an attached arena); returns the number
-    /// donated. Servers call this after each execution so one tenant's
-    /// end-of-run blocks can feed another tenant's next allocation.
-    pub fn donate_free_blocks(&mut self) -> usize {
-        let Some((arena, tenant)) = self.arena.clone() else {
-            return 0;
-        };
-        let mut donated = 0;
-        for bucket in 0..self.free.len() {
-            while let Some(id) = self.free[bucket].pop() {
-                let buf = std::mem::replace(&mut self.blocks[id], Block::vacated());
-                if let Some(sh) = &mut self.shadow {
-                    sh[id] = ShadowBlock::default();
-                }
-                self.vacant.push(id);
-                arena.donate(buf, tenant);
-                donated += 1;
-            }
+    /// A store that also charges `meter`, which other stores may share.
+    pub fn metered(meter: FleetMeter) -> MemStore {
+        MemStore {
+            meter: Some(meter),
+            ..MemStore::default()
         }
-        donated
     }
 
     /// Restart the peak-liveness high-water mark from the current live
@@ -442,22 +298,6 @@ impl MemStore {
         self.shadow.as_ref().and_then(|sh| sh[block].released_by)
     }
 
-    /// Put a (not yet live) buffer under a block id, reusing a vacated one
-    /// — whose buffer was donated to the arena — when available.
-    fn install(&mut self, b: Block) -> usize {
-        if let Some(id) = self.vacant.pop() {
-            self.blocks[id] = b;
-            return id;
-        }
-        self.blocks.push(b);
-        self.live.push(false);
-        self.charged.push(0);
-        if let Some(sh) = &mut self.shadow {
-            sh.push(ShadowBlock::default());
-        }
-        self.blocks.len() - 1
-    }
-
     /// The one way a block becomes live: charge the bytes it was sized
     /// for and start its shadow cells over — the first `stale` bytes are
     /// a recycled region (`Stale`), the rest was zero-filled.
@@ -479,34 +319,18 @@ impl MemStore {
         self.charged[id] = bytes;
         self.bytes_live += bytes;
         self.peak_bytes_live = self.peak_bytes_live.max(self.bytes_live);
-        if let Some(m) = &self.arena_meter {
+        if let Some(m) = &self.meter {
             m.charge(bytes);
         }
         Ok(id)
     }
 
-    /// The one way a recycled buffer comes back, whichever list held it:
-    /// resize keeping the stale prefix (zeroing elided — or, for a buffer
-    /// that crossed a tenant boundary, `scrub`bed so recycled bytes never
-    /// do), zero the grown tail, count the reuse. The prefix is `Stale`
-    /// in shadow memory even when scrubbed: a recycled region must be
-    /// fully written before it is read, so checked mode fires identically
-    /// on either side of a tenant boundary.
-    fn revive(
-        &mut self,
-        id: usize,
-        elem: ElemType,
-        len: usize,
-        scrub: bool,
-    ) -> Result<usize, String> {
-        let b = &mut self.blocks[id];
-        let kept = b.recycle(elem, len)?;
-        if scrub {
-            b.bytes_mut()[..kept].fill(0);
-            self.bytes_cross_tenant_scrubbed += kept as u64;
-        } else {
-            self.bytes_zeroing_elided += kept as u64;
-        }
+    /// The one way a recycled block comes back, whichever list held it:
+    /// resize keeping the stale prefix (zeroing elided, and `Stale` in
+    /// shadow memory), zero the grown tail, count the reuse.
+    fn revive(&mut self, id: usize, elem: ElemType, len: usize) -> Result<usize, String> {
+        let kept = self.blocks[id].recycle(elem, len)?;
+        self.bytes_zeroing_elided += kept as u64;
         self.blocks_reused += 1;
         self.go_live(id, kept)
     }
@@ -523,7 +347,7 @@ impl MemStore {
         self.live[block] = false;
         let bytes = std::mem::take(&mut self.charged[block]);
         self.bytes_live -= bytes;
-        if let Some(m) = &self.arena_meter {
+        if let Some(m) = &self.meter {
             m.uncharge(bytes);
         }
         if let Some(sh) = &mut self.shadow {
@@ -534,8 +358,14 @@ impl MemStore {
         true
     }
 
+    /// Put a dead block on the free list of its size class (the table
+    /// grows on a bucket's first use).
     fn park(&mut self, block: usize) {
-        bucket_mut(&mut self.free, self.blocks[block].capacity_bytes()).push(block);
+        let bucket = size_bucket(self.blocks[block].capacity_bytes());
+        if self.free.len() <= bucket {
+            self.free.resize_with(bucket + 1, Vec::new);
+        }
+        self.free[bucket].push(block);
     }
 
     /// Pop a released block with capacity `>= bytes`, if any. Buckets
@@ -569,20 +399,17 @@ impl MemStore {
     pub(crate) fn try_alloc(&mut self, elem: ElemType, len: usize) -> Result<usize, String> {
         let bytes = block_bytes(elem, len)?;
         if let Some(id) = self.take_reusable(bytes) {
-            return self.revive(id, elem, len, false);
+            return self.revive(id, elem, len);
         }
-        if let Some((arena, tenant)) = self.arena.clone() {
-            if let Some((buf, cross)) = arena.adopt(bytes, tenant) {
-                self.arena_blocks_adopted += 1;
-                let id = self.install(buf);
-                return self.revive(id, elem, len, cross);
-            }
+        self.blocks.push(Block::new(elem, len)?);
+        self.live.push(false);
+        self.charged.push(0);
+        if let Some(sh) = &mut self.shadow {
+            sh.push(ShadowBlock::default());
         }
-        let fresh = Block::new(elem, len)?;
         self.bytes_allocated += bytes as u64;
         self.num_allocs += 1;
-        let id = self.install(fresh);
-        self.go_live(id, 0)
+        self.go_live(self.blocks.len() - 1, 0)
     }
 
     /// Allocate a `len`-element block holding the program-input array
@@ -664,15 +491,13 @@ impl MemStore {
         };
         let id = slot.swap_remove(pos);
         self.color_slab_hits += 1;
-        self.revive(id, elem, len, false)
+        self.revive(id, elem, len)
     }
 
     /// Move every block still parked in a color slab to the ordinary free
     /// list and drop the slabs. Called at the end of a run, before
     /// [`release_all_live`](MemStore::release_all_live), so slab
-    /// residents recycle across runs and feed
-    /// [`donate_free_blocks`](MemStore::donate_free_blocks) exactly like
-    /// plan-released blocks.
+    /// residents recycle across runs exactly like plan-released blocks.
     pub(crate) fn drain_colors(&mut self) {
         for id in std::mem::take(&mut self.color_slots).into_iter().flatten() {
             self.park(id);
@@ -833,89 +658,6 @@ mod tests {
     }
 
     #[test]
-    fn arena_same_tenant_adoption_keeps_contents() {
-        let arena = SharedArena::new();
-        let mut s = MemStore::new();
-        s.attach_arena(arena.clone(), 1);
-        let a = s.alloc(ElemType::I64, 64);
-        fill_i64(&mut s, a, 7);
-        s.release(a);
-        assert_eq!(s.donate_free_blocks(), 1);
-        assert_eq!(arena.stats().parked, 1);
-        // The same tenant gets its own bytes back: elision preserved.
-        let b = s.alloc(ElemType::I64, 64);
-        assert_eq!(read_i64(&mut s, b), vec![7; 64]);
-        assert_eq!(s.arena_blocks_adopted, 1);
-        assert_eq!(s.bytes_cross_tenant_scrubbed, 0);
-        assert_eq!(s.bytes_zeroing_elided, 64 * 8);
-        assert_eq!(s.num_allocs, 1, "adoption must not count as an alloc");
-        assert_eq!(arena.stats().adopted_same_tenant, 1);
-    }
-
-    #[test]
-    fn arena_cross_tenant_adoption_scrubs_but_stays_stale() {
-        let arena = SharedArena::new();
-        let mut a_store = MemStore::new();
-        a_store.attach_arena(arena.clone(), 1);
-        let mut b_store = MemStore::new();
-        b_store.attach_arena(arena.clone(), 2);
-        b_store.set_shadow(true);
-        let a = a_store.alloc(ElemType::I64, 64);
-        fill_i64(&mut a_store, a, 7);
-        a_store.release(a);
-        a_store.donate_free_blocks();
-        // Tenant 2 adopts tenant 1's block: bytes scrubbed to zero, but
-        // the shadow prefix stays Stale — provenance still fires on a
-        // read-before-write, zeroed or not.
-        let b = b_store.alloc(ElemType::I64, 64);
-        assert_eq!(read_i64(&mut b_store, b), vec![0; 64]);
-        assert_eq!(b_store.bytes_cross_tenant_scrubbed, 64 * 8);
-        assert_eq!(b_store.bytes_zeroing_elided, 0);
-        assert_eq!(b_store.arena_blocks_adopted, 1);
-        assert!((0..64).all(|i| b_store.shadow_cell(b, i) == Some(CellState::Stale)));
-        assert_eq!(arena.stats().adopted_cross_tenant, 1);
-    }
-
-    #[test]
-    fn arena_prefers_the_requesters_own_donation() {
-        let arena = SharedArena::new();
-        let mut a_store = MemStore::new();
-        a_store.attach_arena(arena.clone(), 1);
-        let mut b_store = MemStore::new();
-        b_store.attach_arena(arena.clone(), 2);
-        // Both tenants donate a fitting block (allocated while the arena
-        // is still empty); tenant 2's own donation must win even though
-        // tenant 1's was parked first.
-        let a = a_store.alloc(ElemType::I64, 64);
-        fill_i64(&mut a_store, a, 1);
-        let b = b_store.alloc(ElemType::I64, 64);
-        fill_i64(&mut b_store, b, 2);
-        a_store.release(a);
-        a_store.donate_free_blocks();
-        b_store.release(b);
-        b_store.donate_free_blocks();
-        let c = b_store.alloc(ElemType::I64, 64);
-        assert_eq!(read_i64(&mut b_store, c), vec![2; 64]);
-        assert_eq!(arena.stats().adopted_same_tenant, 1);
-        assert_eq!(arena.stats().adopted_cross_tenant, 0);
-    }
-
-    #[test]
-    fn donated_ids_are_vacated_and_reused() {
-        let arena = SharedArena::new();
-        let mut s = MemStore::new();
-        s.attach_arena(arena.clone(), 1);
-        let a = s.alloc(ElemType::I64, 32);
-        s.release(a);
-        s.donate_free_blocks();
-        let n = s.num_blocks();
-        // Adoption reinstalls into the vacated id: no growth.
-        let b = s.alloc(ElemType::I64, 32);
-        assert_eq!(b, a);
-        assert_eq!(s.num_blocks(), n);
-    }
-
-    #[test]
     fn colored_release_parks_in_slab_and_colored_alloc_pops_it() {
         let mut s = MemStore::new();
         s.begin_colors(2);
@@ -981,71 +723,24 @@ mod tests {
 
     #[test]
     fn arena_meter_sees_concurrent_tenant_peaks() {
-        let arena = SharedArena::new();
-        let mut a_store = MemStore::new();
-        a_store.attach_arena(arena.clone(), 1);
-        let mut b_store = MemStore::new();
-        b_store.attach_arena(arena.clone(), 2);
-        // Both tenants live at once: the arena peak is their *sum*,
+        let meter = FleetMeter::default();
+        let mut a_store = MemStore::metered(meter.clone());
+        let mut b_store = MemStore::metered(meter.clone());
+        // Both tenants live at once: the fleet peak is their *sum*,
         // which the max over per-tenant peaks (512) understates.
         let a = a_store.alloc(ElemType::I64, 64);
         let b = b_store.alloc(ElemType::I64, 64);
-        assert_eq!(arena.stats().live_bytes, 1024);
-        assert_eq!(arena.stats().peak_bytes_live, 1024);
+        assert_eq!(meter.stats().live_bytes, 1024);
+        assert_eq!(meter.stats().peak_bytes_live, 1024);
         assert_eq!(a_store.peak_bytes_live.max(b_store.peak_bytes_live), 512);
         a_store.release(a);
         b_store.release(b);
-        assert_eq!(arena.stats().live_bytes, 0);
-        assert_eq!(arena.stats().peak_bytes_live, 1024);
-    }
-
-    /// Adversarial oversized donation: the donor parks a block strictly
-    /// larger than the cross-tenant request. The adopter must see exactly
-    /// the requested length, every visible *byte* scrubbed to zero, the
-    /// shadow prefix still `Stale` — and the donor's bytes past the kept
-    /// prefix must never resurface, even when the adopter later grows the
-    /// block back to the donor's full size within the retained capacity.
-    #[test]
-    fn oversized_cross_tenant_adoption_leaks_no_donor_byte() {
-        let arena = SharedArena::new();
-        let mut donor = MemStore::new();
-        donor.attach_arena(arena.clone(), 1);
-        let mut adopter = MemStore::new();
-        adopter.attach_arena(arena.clone(), 2);
-        adopter.set_shadow(true);
-        // 96 sentinel elements donated; 40 requested across the boundary.
-        let a = donor.alloc(ElemType::I64, 96);
-        fill_i64(&mut donor, a, 0x5A5A_5A5A_5A5A_5A5A_u64 as i64);
-        donor.release(a);
-        donor.donate_free_blocks();
-        let b = adopter.alloc(ElemType::I64, 40);
-        assert_eq!(arena.stats().adopted_cross_tenant, 1);
-        assert_eq!(
-            adopter.len(b),
-            40,
-            "adoption must not over-expose the donor"
-        );
-        // Byte-level inspection: no sentinel byte anywhere in the view.
-        let r = adopter.raw(b);
-        let bytes = unsafe { std::slice::from_raw_parts(r.ptr as *const u8, r.len * 8) };
-        assert!(
-            bytes.iter().all(|&x| x == 0),
-            "a donor byte survived the cross-tenant scrub"
-        );
-        assert_eq!(adopter.bytes_cross_tenant_scrubbed, 40 * 8);
-        // Scrubbed is not initialized: provenance still says Stale.
-        assert!((0..40).all(|i| adopter.shadow_cell(b, i) == Some(CellState::Stale)));
-        // Grow back to the donor's size inside the retained capacity: the
-        // regrown tail must be zeros, not the donor's parked bytes.
-        adopter.release(b);
-        let c = adopter.alloc(ElemType::I64, 96);
-        assert_eq!(c, b, "regrowth within capacity must recycle in place");
-        let r = adopter.raw(c);
-        let bytes = unsafe { std::slice::from_raw_parts(r.ptr as *const u8, r.len * 8) };
-        assert!(
-            bytes[40 * 8..].iter().all(|&x| x == 0),
-            "donor bytes past the kept prefix resurfaced on regrowth"
-        );
+        assert_eq!(meter.stats().live_bytes, 0);
+        assert_eq!(meter.stats().peak_bytes_live, 1024);
+        // A recycle is charged again; the blocks stay in their stores.
+        assert_eq!(b_store.alloc(ElemType::I64, 64), b);
+        assert_eq!(meter.stats().live_bytes, 512);
+        assert_eq!((a_store.num_blocks(), b_store.num_blocks()), (1, 1));
     }
 
     #[test]

@@ -481,12 +481,12 @@ fn session_reuse_is_equivalence_preserving() {
     assert!(warm_stats.bytes_zeroing_elided > 0);
     // Input upload recycles too: once the block population has settled
     // (run 2), 50 more warm runs add no block to the store.
-    let settled = session.store_mut().num_blocks();
+    let settled = session.store.num_blocks();
     for _ in 0..50 {
         run(&mut session);
     }
     assert_eq!(
-        session.store_mut().num_blocks(),
+        session.store.num_blocks(),
         settled,
         "warm runs must upload inputs into recycled blocks"
     );
@@ -586,18 +586,18 @@ fn bool_arrays_are_word_backed() {
 }
 
 /// Seeded property test of the store's single recycle routine: random
-/// `alloc` / `alloc_colored` / `release` / `release_colored` /
-/// `donate_free_blocks` sequences over all four element types and two
-/// tenants on one arena. Every live block is filled with its tenant's
-/// pattern byte, so what a revive hands back is self-describing. After
-/// every step: `bytes_live == Σ charged`; a same-tenant revive (free
-/// list, color slab or own donation) keeps the stale prefix bytes and
-/// marks it `Stale`; a cross-tenant revive reads all-zero and still marks
-/// `Stale`; a revive at a different element width keeps `min(old, new)`
-/// bytes; the grown tail is zero (and `Zeroed`).
+/// `alloc` / `alloc_colored` / `release` / `release_colored` sequences
+/// over all four element types and two tenants' stores on one fleet
+/// meter. Every live block is filled with its tenant's pattern byte, so
+/// what a revive hands back is self-describing. After every step:
+/// `bytes_live == Σ charged` and the meter holds both stores' sum; a
+/// revive (free list or color slab) hands back a block of its own store,
+/// keeps the stale prefix bytes — the tenant's own, never the other's —
+/// and marks it `Stale`; a revive at a different element width keeps
+/// `min(old, new)` bytes; the grown tail is zero (and `Zeroed`).
 #[test]
 fn recycling_keeps_its_contract_across_types_colors_and_tenants() {
-    use crate::store::{CellState, MemStore, SharedArena};
+    use crate::store::{CellState, FleetMeter, MemStore};
     use arraymem_symbolic::Rng64;
     use std::collections::HashMap;
 
@@ -611,24 +611,24 @@ fn recycling_keeps_its_contract_across_types_colors_and_tenants() {
         /// Dead block id still owned by the store (free list or slab) →
         /// (element type, bytes) it was last sized for.
         dead: HashMap<usize, (ElemType, usize)>,
-        /// The subset of `dead` parked in the free list (donatable).
-        free_list: Vec<usize>,
     }
     fn bytes_of(s: &mut MemStore, id: usize) -> &mut [u8] {
         let r = s.raw(id);
         unsafe { std::slice::from_raw_parts_mut(r.ptr, r.len * r.elem.size_bytes()) }
     }
 
-    let arena = SharedArena::new();
-    let mut stores = [MemStore::new(), MemStore::new()];
+    let meter = FleetMeter::default();
+    let mut stores = [
+        MemStore::metered(meter.clone()),
+        MemStore::metered(meter.clone()),
+    ];
     let mut models = [Model::default(), Model::default()];
-    for (t, s) in stores.iter_mut().enumerate() {
-        s.attach_arena(arena.clone(), t as u64 + 1);
+    for s in &mut stores {
         s.set_shadow(true);
         s.begin_colors(2);
     }
     let mut r = Rng64::new(0x5EED_B10C);
-    let (mut cross_width, mut cross_tenant, mut slab_hits, mut grown) = (0, 0, 0, 0);
+    let (mut cross_width, mut slab_hits, mut grown) = (0, 0, 0);
     for step in 0..4000 {
         let t = r.usize_in(2);
         let (s, m) = (&mut stores[t], &mut models[t]);
@@ -641,8 +641,6 @@ fn recycling_keeps_its_contract_across_types_colors_and_tenants() {
                     s.num_allocs,
                     s.blocks_reused,
                     s.bytes_zeroing_elided,
-                    s.bytes_cross_tenant_scrubbed,
-                    s.arena_blocks_adopted,
                     s.color_slab_hits,
                 );
                 let id = if r.chance(0.4) {
@@ -657,32 +655,23 @@ fn recycling_keeps_its_contract_across_types_colors_and_tenants() {
                 assert_eq!((s.elem(id), s.len(id)), (elem, len), "step {step}");
                 let fresh = s.num_allocs - before.0;
                 assert_eq!(fresh + (s.blocks_reused - before.1), 1, "step {step}");
-                let elided = (s.bytes_zeroing_elided - before.2) as usize;
-                let scrubbed = (s.bytes_cross_tenant_scrubbed - before.3) as usize;
-                let adopted = s.arena_blocks_adopted > before.4;
-                assert!(elided == 0 || scrubbed == 0, "step {step}");
-                let kept = elided + scrubbed;
+                let kept = (s.bytes_zeroing_elided - before.2) as usize;
                 assert!(kept <= new && (fresh == 0 || kept == 0), "step {step}");
                 match m.dead.remove(&id) {
                     // A block this store still held: free list or slab.
-                    Some((old_elem, old)) if !adopted => {
-                        m.free_list.retain(|&f| f != id);
+                    Some((old_elem, old)) => {
                         assert_eq!(kept, old.min(new), "step {step}: {old_elem:?} -> {elem:?}");
-                        assert_eq!(scrubbed, 0, "step {step}: local revive scrubbed");
                         cross_width += (old_elem.size_bytes() != size && kept > 0) as usize;
-                        slab_hits += (s.color_slab_hits > before.5) as usize;
+                        slab_hits += (s.color_slab_hits > before.3) as usize;
                         grown += (new > old) as usize;
                     }
-                    stale => assert!(stale.is_none() && (fresh == 1 || adopted), "step {step}"),
+                    None => assert_eq!(fresh, 1, "step {step}: revived a block it never held"),
                 }
-                cross_tenant += (scrubbed > 0) as usize;
                 // Contents: the kept prefix is this tenant's own stale
-                // bytes (zero once it crossed a tenant boundary), the rest
-                // zero — never the other tenant's pattern.
-                let stale_byte = if scrubbed > 0 { 0 } else { PATTERN[t] };
+                // bytes, the rest zero — never the other tenant's pattern.
                 let bytes = bytes_of(s, id);
                 assert!(
-                    bytes[..kept].iter().all(|&b| b == stale_byte),
+                    bytes[..kept].iter().all(|&b| b == PATTERN[t]),
                     "step {step}: prefix"
                 );
                 assert!(
@@ -690,8 +679,8 @@ fn recycling_keeps_its_contract_across_types_colors_and_tenants() {
                     "step {step}: tail not zero"
                 );
                 bytes.fill(PATTERN[t]);
-                // Provenance: recycled prefix `Stale` (scrubbed or not),
-                // everything past it `Zeroed`.
+                // Provenance: recycled prefix `Stale`, everything past it
+                // `Zeroed`.
                 for i in 0..len {
                     let want = if i * size < kept {
                         CellState::Stale
@@ -711,16 +700,9 @@ fn recycling_keeps_its_contract_across_types_colors_and_tenants() {
                 } else {
                     s.release(id);
                     s.release(id); // a second release is a no-op
-                    m.free_list.push(id);
                 }
                 let n = s.len(id);
                 assert!((0..n).all(|i| s.shadow_cell(id, i) == Some(CellState::Released)));
-            }
-            8 => {
-                assert_eq!(s.donate_free_blocks(), m.free_list.len(), "step {step}");
-                for id in m.free_list.drain(..) {
-                    m.dead.remove(&id);
-                }
             }
             _ => {}
         }
@@ -730,16 +712,12 @@ fn recycling_keeps_its_contract_across_types_colors_and_tenants() {
         s.reset_peak();
         assert_eq!(s.peak_bytes_live, charged as u64, "step {step}: bytes_live");
         let all: usize = models.iter().flat_map(|m| m.live.values()).sum();
-        assert_eq!(
-            arena.stats().live_bytes,
-            all as u64,
-            "step {step}: arena meter"
-        );
+        assert_eq!(meter.stats().live_bytes, all as u64, "step {step}: meter");
     }
     assert!(
-        cross_width > 50 && cross_tenant > 50 && slab_hits > 50 && grown > 50,
+        cross_width > 50 && slab_hits > 50 && grown > 50,
         "generator must reach every revive flavour: {cross_width} cross-width, \
-         {cross_tenant} cross-tenant, {slab_hits} slab hits, {grown} grown"
+         {slab_hits} slab hits, {grown} grown"
     );
 }
 

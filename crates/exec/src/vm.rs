@@ -160,7 +160,8 @@ struct Machine<'a> {
 /// it owns a private single-shard [`PlanCache`] where the server shares
 /// one across tenants.
 pub struct Session {
-    store: MemStore,
+    /// Crate-visible so unit tests can count its blocks.
+    pub(crate) store: MemStore,
     cache: PlanCache,
     /// Session-local handle table: `PlanHandle(i)` indexes here. Beside
     /// each plan, what lowering it took, until a run has reported it: the
@@ -185,11 +186,6 @@ impl Session {
             handles: Vec::new(),
             by_key: HashMap::new(),
         }
-    }
-
-    /// The session's memory store (tests attach arenas through this).
-    pub fn store_mut(&mut self) -> &mut MemStore {
-        &mut self.store
     }
 
     /// Lower a compiled program and the records its compile produced —

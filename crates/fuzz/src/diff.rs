@@ -17,7 +17,7 @@
 //! 6. a multi-tenant leg: two tenants run the optimized program
 //!    *concurrently* through one process-shared [`Server`] (one in
 //!    `Memory` mode, one in `Checked`), so corpus replay exercises the
-//!    sharded plan cache, stampede coalescing, and cross-tenant arena
+//!    sharded plan cache, stampede coalescing, and each tenant store's
 //!    recycling across every seed — both tenants must reproduce the
 //!    single-tenant oracle bit-for-bit, with the sanitizer silent.
 
@@ -47,8 +47,8 @@ fn differ(a: &[OutputValue], b: &[OutputValue]) -> bool {
 
 /// The process-wide server every fuzz run's multi-tenant leg goes
 /// through: sharing it across seeds means tenant stores keep recycling
-/// blocks from *earlier programs* through the arena — exactly the
-/// cross-program contamination surface the leg exists to test.
+/// blocks from *earlier programs* — exactly the cross-program
+/// contamination surface the leg exists to test.
 fn shared_server() -> &'static Server {
     static SERVER: OnceLock<Server> = OnceLock::new();
     SERVER.get_or_init(|| {
@@ -132,9 +132,9 @@ pub fn run_all_modes(
         }
     }
     // Multi-tenant leg: two tenants, one server, concurrently. Tenant A
-    // replays in memory mode, tenant B under the sanitizer — cross-tenant
-    // arena adoptions must neither leak bytes (outputs would change) nor
-    // trip provenance (the program fully writes before reading).
+    // replays in memory mode, tenant B under the sanitizer — blocks
+    // recycled from earlier programs must neither leak bytes (outputs
+    // would change) nor trip provenance (the program fully writes before reading).
     let server = shared_server();
     let tenant_results = std::thread::scope(|scope| {
         let legs = [("mt-a", Mode::Memory), ("mt-b", Mode::Checked)];

@@ -6,10 +6,9 @@
 //!
 //! - one **shared [`PlanCache`]** (sharded, single-flight) — a program
 //!   any tenant has prepared executes everywhere without re-lowering;
-//! - one **[`SharedArena`]** under per-tenant [`MemStore`]s — block
-//!   recycling and zero-fill elision work across tenants, with
-//!   cross-tenant buffers scrubbed so no tenant observes another's
-//!   bytes (and shadow provenance still firing in checked mode);
+//! - one [`MemStore`] per tenant — each recycles only its own blocks, so
+//!   no tenant can observe another's bytes — all charging one
+//!   [`FleetMeter`] for the fleet's live and peak bytes;
 //! - an **admission controller** in front: `max_in_flight` execution
 //!   permits, a bounded FIFO overflow queue with depth/wait metrics,
 //!   and typed rejection ([`ServerError::Overloaded`]) when full;
@@ -55,8 +54,8 @@ pub use admission::AdmissionMetrics;
 use admission::Admission;
 use arraymem_core::{CircuitCheck, Compiled, MergeRecord, ParSafetyRecord};
 use arraymem_exec::{
-    execute_plan, ArenaStats, InputValue, KernelRegistry, MemStore, Mode, OutputValue, PlanCache,
-    PlanStats, SharedArena, Stats,
+    execute_plan, ArenaStats, FleetMeter, InputValue, KernelRegistry, MemStore, Mode, OutputValue,
+    PlanCache, PlanStats, Stats,
 };
 use arraymem_ir::Program;
 use std::collections::HashMap;
@@ -167,13 +166,6 @@ pub struct TenantStats {
     /// Their merged [`Stats`] (see [`Stats::merge`] for the semantics of
     /// each field under aggregation).
     pub stats: Stats,
-    /// The shared arena's byte high-water across **every** tenant
-    /// ([`ArenaStats::peak_bytes_live`]). Populated by
-    /// [`Server::global_stats`] only (per-tenant views report 0).
-    /// Tenants execute concurrently against one arena, so this can
-    /// exceed `stats.peak_bytes_live` — which is a *max over tenants*
-    /// and blind to tenants peaking together.
-    pub arena_peak_bytes_live: u64,
 }
 
 struct Tenant {
@@ -191,7 +183,7 @@ struct TenantState {
 pub struct Server {
     config: ServerConfig,
     cache: PlanCache,
-    arena: SharedArena,
+    meter: FleetMeter,
     admission: Admission,
     tenants: Mutex<HashMap<String, Arc<Tenant>>>,
 }
@@ -207,7 +199,7 @@ impl Server {
         Server {
             config,
             cache: PlanCache::new(config.cache_shards),
-            arena: SharedArena::new(),
+            meter: FleetMeter::default(),
             admission: Admission::new(config.max_in_flight, config.queue_depth),
             tenants: Mutex::new(HashMap::new()),
         }
@@ -218,10 +210,7 @@ impl Server {
         if let Some(t) = tenants.get(name) {
             return Arc::clone(t);
         }
-        // Tenants are never removed, so the count names a new one.
-        let tag = tenants.len() as u64 + 1;
-        let mut store = MemStore::new();
-        store.attach_arena(self.arena.clone(), tag);
+        let store = MemStore::metered(self.meter.clone());
         let mut agg = TenantStats::default();
         // `plan_cache_hit` aggregates by AND; the empty accumulator must
         // start true for that to mean "every run hit".
@@ -267,9 +256,6 @@ impl Server {
         stats.plan_build_time = outcome.build_time;
         st.agg.runs += 1;
         st.agg.stats.merge(&stats);
-        // End-of-run blocks feed the arena so any tenant's next
-        // allocation can recycle them.
-        st.store.donate_free_blocks();
         Ok((out, stats))
     }
 
@@ -296,7 +282,6 @@ impl Server {
                 plan_cache_hit: true,
                 ..Stats::default()
             },
-            arena_peak_bytes_live: self.arena.stats().peak_bytes_live,
         };
         for t in tenants.values() {
             let st = t.state.lock().unwrap();
@@ -315,9 +300,11 @@ impl Server {
         self.cache.stats()
     }
 
-    /// The cross-tenant arena's accounting.
+    /// The fleet meter: bytes live across every tenant's store, and their
+    /// high-water — which can exceed `global_stats().stats.peak_bytes_live`,
+    /// a max over tenants blind to tenants peaking together.
     pub fn arena_stats(&self) -> ArenaStats {
-        self.arena.stats()
+        self.meter.stats()
     }
 
     /// Admission-control counters (admitted/rejected/queued, queue depth

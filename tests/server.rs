@@ -6,9 +6,9 @@
 //! - the sharded plan cache's **single-flight** guarantee (a stampede of
 //!   identical requests lowers once; an options-toggle race never
 //!   collides keys);
-//! - **tenant isolation** over the shared arena (recycling keeps its
-//!   zero-fill elision inside a tenant, scrubs across tenants, and the
-//!   checked-mode shadow keeps firing on either side of the boundary);
+//! - **tenant isolation** (each tenant's store recycles only its own
+//!   blocks, keeping the zero-fill elision and the checked-mode shadow,
+//!   and a warm tenant's store stops growing);
 //! - **admission control** (bounded in-flight, FIFO overflow queue,
 //!   typed rejection, and truthful metrics).
 //!
@@ -17,7 +17,10 @@
 
 use arraymem_bench::tables::table_cases;
 use arraymem_core::{compile, Options};
-use arraymem_exec::{Diagnostic, InputValue, KernelRegistry, Mode, OutputValue, PlanCache, Stats};
+use arraymem_exec::{
+    execute_plan, Diagnostic, InputValue, KernelRegistry, MemStore, Mode, OutputValue, PlanCache,
+    Stats,
+};
 use arraymem_ir::{BinOp, Block, Builder, ElemType, Exp, Program, ScalarExp, Stm};
 use arraymem_server::{ExecRequest, Server, ServerConfig, ServerError};
 use arraymem_symbolic::Poly;
@@ -30,10 +33,10 @@ fn c(x: i64) -> Poly {
     Poly::constant(x)
 }
 
-/// Two `replicate [4] 7` blocks — nonzero i64 cells, so a cross-tenant
-/// byte leak is distinguishable from a correct scrub-to-zero. Two blocks
-/// because the reader below allocates twice (scratch + copy target) and
-/// both allocations must find a stale donation to adopt.
+/// Two `replicate [4] 7` blocks — nonzero i64 cells, so stale bytes are
+/// distinguishable from a fresh block's zeros. Two blocks because the
+/// reader below allocates twice (scratch + copy target) and both
+/// allocations must find a released block to recycle.
 fn writer_program() -> Program {
     let bld = Builder::new("writer");
     let mut b = bld.block();
@@ -237,13 +240,13 @@ fn options_toggle_race_never_collides_keys() {
     }
 }
 
-/// The shared arena's tenant boundary, end to end through the server:
-/// recycling inside a tenant keeps the zero-fill elision (stale bytes
-/// stay visible), recycling across tenants scrubs (the other tenant's
-/// bytes never appear) — and the checked-mode shadow calls the read
-/// uninitialized in *both* cases.
+/// Tenants never share a block, end to end through the server: a
+/// tenant's next request recycles its own released blocks (zero-fill
+/// elided, so its stale bytes stay visible, and the checked-mode shadow
+/// calls the read uninitialized), while another tenant's first request
+/// gets fresh, zero-filled blocks of its own store.
 #[test]
-fn cross_tenant_recycling_scrubs_but_same_tenant_elides() {
+fn tenants_never_share_a_block() {
     let writer = compile(&writer_program(), &Options::default()).expect("compile writer");
     let reader = compile(&scratch_reader_program(), &Options::default()).expect("compile reader");
     let kernels = KernelRegistry::new();
@@ -252,7 +255,7 @@ fn cross_tenant_recycling_scrubs_but_same_tenant_elides() {
         ..ServerConfig::default()
     });
 
-    // Tenant A fills a block with 7s; the server donates it to the arena.
+    // Tenant A fills two blocks with 7s; they go back to A's free list.
     let write_req = ExecRequest::from_compiled(&writer, &kernels, &[], &[], Mode::Memory);
     let (out, _) = server.execute("a", write_req).expect("writer run");
     assert_eq!(
@@ -263,8 +266,8 @@ fn cross_tenant_recycling_scrubs_but_same_tenant_elides() {
         ]
     );
 
-    // Same tenant reads scratch: its own donation comes back *unscrubbed*
-    // — zero-fill elision across runs, the optimization being protected.
+    // Same tenant reads scratch: its own blocks come back unzeroed — the
+    // zero-fill elision across runs, the optimization being protected.
     let read_req = ExecRequest::from_compiled(&reader, &kernels, &[], &[], Mode::Memory);
     let (out, stats) = server.execute("a", read_req).expect("same-tenant read");
     assert_eq!(
@@ -272,98 +275,46 @@ fn cross_tenant_recycling_scrubs_but_same_tenant_elides() {
         vec![OutputValue::ArrayI64(vec![7, 7, 7, 7])],
         "same-tenant recycling must keep the stale bytes (elided zero-fill)"
     );
-    assert_eq!(stats.arena_blocks_adopted, 2);
-    assert_eq!(stats.bytes_cross_tenant_scrubbed, 0);
+    assert_eq!((stats.blocks_reused, stats.num_allocs), (2, 0), "{stats:?}");
     assert!(
         stats.bytes_zeroing_elided >= 64,
         "2 × 4 × i64 elided: {stats:?}"
     );
 
-    // Tenant B runs the same scratch-reader: it adopts A's donated bytes,
-    // which must arrive scrubbed — and under the sanitizer the read must
-    // still be flagged uninitialized (adoption never launders provenance).
+    // Under the sanitizer the same read is flagged: recycled cells are
+    // stale until written.
     let checked_req = ExecRequest::from_compiled(&reader, &kernels, &[], &[], Mode::Checked);
-    let (out, stats) = server.execute("b", checked_req).expect("cross-tenant read");
-    assert_eq!(
-        out,
-        vec![OutputValue::ArrayI64(vec![0, 0, 0, 0])],
-        "tenant B must never observe tenant A's bytes"
-    );
-    assert!(stats.arena_blocks_adopted >= 1, "{stats:?}");
-    assert!(
-        stats.bytes_cross_tenant_scrubbed >= 32,
-        "the adopted block must be scrubbed: {stats:?}"
-    );
+    let (_, stats) = server
+        .execute("a", checked_req)
+        .expect("same-tenant checked read");
     assert!(
         stats
             .diagnostics
             .iter()
             .any(|d| matches!(d, Diagnostic::UninitRead { .. })),
-        "shadow provenance must keep firing across the tenant boundary: {stats:?}"
+        "a recycled, unwritten cell must be flagged: {stats:?}"
     );
 
+    // Tenant B's scratch comes from its own store, which has nothing to
+    // recycle: fresh zeros, never A's 7s, and nothing stale to flag.
+    let (out, stats) = server.execute("b", checked_req).expect("other-tenant read");
+    assert_eq!(
+        out,
+        vec![OutputValue::ArrayI64(vec![0, 0, 0, 0])],
+        "tenant B must never observe tenant A's bytes"
+    );
+    assert_eq!((stats.blocks_reused, stats.num_allocs), (0, 2), "{stats:?}");
+    assert!(stats.diagnostics.is_empty(), "{stats:?}");
+
     let arena = server.arena_stats();
-    assert!(arena.adopted_same_tenant >= 1, "{arena:?}");
-    assert!(arena.adopted_cross_tenant >= 1, "{arena:?}");
-    assert_eq!(server.tenant_stats("a").expect("tenant a").runs, 2);
+    assert_eq!(
+        (arena.adopted_same_tenant, arena.adopted_cross_tenant),
+        (0, 0)
+    );
+    assert_eq!(server.global_stats().stats.bytes_cross_tenant_scrubbed, 0);
+    assert_eq!(server.tenant_stats("a").expect("tenant a").runs, 3);
     assert_eq!(server.tenant_stats("b").expect("tenant b").runs, 1);
-    assert_eq!(server.global_stats().runs, 3);
-}
-
-/// Adversarial oversized donation through the server: tenant A donates a
-/// block strictly larger than tenant B's request, so the adoption keeps a
-/// capacity tail beyond the kept prefix. Tenant B's scratch read must
-/// come back all zeros (never A's bytes), and the sanitizer must still
-/// flag the read — scrubbing is isolation, not initialization.
-#[test]
-fn oversized_cross_tenant_donation_never_leaks() {
-    let bld = Builder::new("big_writer");
-    let mut b = bld.block();
-    let xs = b.replicate_typed("xs", ElemType::I64, vec![c(16)], ScalarExp::i64(7));
-    let ys = b.replicate_typed("ys", ElemType::I64, vec![c(16)], ScalarExp::i64(7));
-    let big_writer = bld.finish(b.finish(vec![xs, ys]));
-    let writer = compile(&big_writer, &Options::default()).expect("compile writer");
-    let reader = compile(&scratch_reader_program(), &Options::default()).expect("compile reader");
-    let kernels = KernelRegistry::new();
-    let server = Server::new(ServerConfig {
-        threads: 1,
-        ..ServerConfig::default()
-    });
-
-    // Tenant A parks two 16-element blocks of 7s in the arena.
-    let write_req = ExecRequest::from_compiled(&writer, &kernels, &[], &[], Mode::Memory);
-    let (out, _) = server.execute("a", write_req).expect("writer run");
-    assert_eq!(
-        out,
-        vec![
-            OutputValue::ArrayI64(vec![7; 16]),
-            OutputValue::ArrayI64(vec![7; 16]),
-        ]
-    );
-
-    // Tenant B asks for 4 elements: the only parked blocks are A's 16s,
-    // strictly larger cross-tenant fits.
-    let checked_req = ExecRequest::from_compiled(&reader, &kernels, &[], &[], Mode::Checked);
-    let (out, stats) = server.execute("b", checked_req).expect("cross-tenant read");
-    assert_eq!(
-        out,
-        vec![OutputValue::ArrayI64(vec![0, 0, 0, 0])],
-        "tenant B must never observe tenant A's bytes"
-    );
-    assert!(stats.arena_blocks_adopted >= 1, "{stats:?}");
-    assert!(
-        stats.bytes_cross_tenant_scrubbed >= 32,
-        "the kept prefix must be scrubbed: {stats:?}"
-    );
-    assert!(
-        stats
-            .diagnostics
-            .iter()
-            .any(|d| matches!(d, Diagnostic::UninitRead { .. })),
-        "a scrubbed-but-unwritten read must still be flagged: {stats:?}"
-    );
-    let arena = server.arena_stats();
-    assert!(arena.adopted_cross_tenant >= 1, "{arena:?}");
+    assert_eq!(server.global_stats().runs, 4);
 }
 
 /// A malformed request is that request's error, not its tenant's end. A
@@ -766,33 +717,54 @@ fn lowering_panic_is_a_typed_error_and_wedges_no_cache_slot() {
     assert_eq!(server.load(), (0, 0), "no permit stays held");
 }
 
-/// Input upload draws from recycled blocks like every other allocation,
-/// so a long-lived server's arena stops growing: after the first rounds,
-/// 200 requests alternating over two tenants park no more buffers than
-/// the tenants' working sets.
+/// A server tenant is one store under the shared plan cache, and it runs
+/// many programs interleaved. Input upload and every other allocation
+/// draw from that store's released blocks, so once the first round of
+/// programs has sized it, 100 more warm runs add no block.
 #[test]
-fn warm_requests_leave_the_arena_bounded() {
-    let case = &table_cases("nw", true).expect("known benchmark")[0];
-    let compiled = case.compile(true);
-    let server = Server::new(ServerConfig {
-        threads: 1,
-        ..ServerConfig::default()
-    });
+fn warm_requests_leave_a_tenant_store_bounded() {
+    let cases: Vec<_> = ["nw", "lud", "hotspot", "histogram", "spmv"]
+        .iter()
+        .map(|b| {
+            let case = table_cases(b, true).expect("known benchmark").remove(0);
+            let compiled = case.compile(true);
+            (case, compiled)
+        })
+        .collect();
+    let cache = PlanCache::new(1);
+    let mut store = MemStore::new();
+    let mut first = Vec::new();
     let mut settled = 0;
-    for k in 0..200 {
-        let req =
-            ExecRequest::from_compiled(&compiled, &case.kernels, &[], &case.inputs, Mode::Memory);
-        server
-            .execute(["a", "b"][k % 2], req)
-            .expect("warm request");
-        if k == 7 {
-            settled = server.arena_stats().parked;
+    for round in 0..21 {
+        for (k, (case, c)) in cases.iter().enumerate() {
+            let r = &c.report;
+            let (plan, _) = cache
+                .prepare_full(&c.program, &case.kernels, &[], &r.merges, &r.par_safety)
+                .expect("lower");
+            let (out, _) = execute_plan(
+                &mut store,
+                &plan,
+                &case.inputs,
+                &case.kernels,
+                Mode::Memory,
+                1,
+            )
+            .unwrap_or_else(|e| panic!("{} round {round}: {e}", case.name));
+            if round == 0 {
+                first.push(out);
+            } else {
+                assert_eq!(out, first[k], "{} round {round}", case.name);
+            }
+        }
+        if round == 0 {
+            settled = store.num_blocks();
         }
     }
-    let parked = server.arena_stats().parked;
-    assert!(
-        parked <= settled,
-        "arena grew from {settled} to {parked} parked buffers over 192 warm requests"
+    assert_eq!(
+        store.num_blocks(),
+        settled,
+        "the store grew over 100 warm runs of {} interleaved programs",
+        cases.len()
     );
 }
 
@@ -931,25 +903,17 @@ fn four_tenants_run_distinct_workloads_concurrently() {
         .map(|n| server.tenant_stats(n).expect("ran").runs)
         .sum();
     assert_eq!(per_tenant, global.runs, "tenant aggregates sum to global");
-    // The arena-level high-water sees every tenant's live bytes at once;
+    // The fleet meter's high-water sees every tenant's live bytes at once;
     // the per-tenant max (what `Stats::merge` reports) is only a lower
     // bound on it.
-    let arena = server.arena_stats();
-    assert_eq!(global.arena_peak_bytes_live, arena.peak_bytes_live);
+    let fleet = server.arena_stats();
     assert!(
-        arena.peak_bytes_live >= global.stats.peak_bytes_live,
-        "arena high-water {} below the per-tenant max {}",
-        arena.peak_bytes_live,
+        fleet.peak_bytes_live >= global.stats.peak_bytes_live,
+        "fleet high-water {} below the per-tenant max {}",
+        fleet.peak_bytes_live,
         global.stats.peak_bytes_live
     );
-    assert!(arena.peak_bytes_live > 0);
-    for n in &names {
-        assert_eq!(
-            server.tenant_stats(n).expect("ran").arena_peak_bytes_live,
-            0,
-            "per-tenant views must not claim the arena-wide figure"
-        );
-    }
+    assert!(fleet.peak_bytes_live > 0);
     assert_eq!(
         global.stats.kernel_launches,
         names
