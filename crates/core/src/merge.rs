@@ -34,11 +34,11 @@
 //! top-level loop that ping-pongs its carried block (each iteration
 //! allocates a fresh yield block, making the incoming block dead at the
 //! yield) is assigned a
-//! *color* whose blocks the executor recycles per iteration — a
-//! [`MergeRecord::CarriedRelease`] instructs the plan to release the
-//! incoming block into the color's slab once its last in-body use has
-//! passed, and the yield `alloc` draws from the same slab. Peak usage
-//! drops from one block per iteration to the ping-pong pair. Checked mode
+//! *color* of its own — a [`MergeRecord::CarriedRelease`] instructs the
+//! plan to release the incoming block to the store's free list once its
+//! last in-body use has passed, where the next iteration's yield `alloc`
+//! finds it. Peak usage drops from one block per iteration to the
+//! ping-pong pair. Checked mode
 //! re-proves the assignment concretely: the released block's shadow cells
 //! flip to `Released`, so any read the static last-use analysis missed
 //! surfaces as a `UseAfterRelease` diagnostic.
@@ -89,8 +89,8 @@ pub enum MergeRecord {
     /// block is dead once the statement binding `after_stm` has executed
     /// (its last in-body use, and the yield block `yield_mem` is already
     /// allocated so the executor's identity guard has both ends). The
-    /// plan releases it into color `color`'s slab there, and `yield_mem`'s
-    /// `alloc` draws from the same slab — a two-block ping-pong instead of
+    /// plan releases it to the free list there, and the next iteration's
+    /// `yield_mem` `alloc` takes it back — a two-block ping-pong instead of
     /// one live block per iteration. Checked mode re-proves the
     /// assignment: the released block's shadow flips to `Released`, so a
     /// read past the analyzed last use raises `UseAfterRelease`.
@@ -104,7 +104,7 @@ pub enum MergeRecord {
         /// First pattern variable of the body statement after which the
         /// incoming block may be released.
         after_stm: Var,
-        /// The runtime slab this loop's blocks cycle through.
+        /// One per record; the decisions log prints it, exec never reads it.
         color: u32,
     },
 }
@@ -373,7 +373,7 @@ fn color_toplevel(prog: &mut Program, env: &Env, force_unsafe: bool, report: &mu
 /// allocation, the incoming block is dead once its last in-body use has
 /// passed — provided nothing outside the iteration can still reach the
 /// blocks the parameter cycles through. Each qualifying parameter gets a
-/// [`MergeRecord::CarriedRelease`] with its own runtime color.
+/// [`MergeRecord::CarriedRelease`] with its own color.
 fn schedule_carried_releases(prog: &Program, report: &mut MergeReport) {
     let lv = Liveness::of(&prog.body);
     let touches = |s: &Stm, m: Var| lv.touched_blocks(s).contains(&m);

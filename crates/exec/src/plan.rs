@@ -35,8 +35,10 @@
 //!   the end of the block containing the circuit statement, with their
 //!   footprint symbols pre-resolved to slots;
 //! - of the [`MergeRecord`]s, a `CarriedRelease` lowers to an
-//!   [`Instr::ReleaseCarried`] after its anchor statement and a colored
-//!   `alloc`; a `Share` already happened in the IR and is only counted.
+//!   [`Instr::ReleaseCarried`] after its anchor statement (its color is a
+//!   compile-time fact the executor does not read: the released block
+//!   goes to the free list like any other); a `Share` already happened in
+//!   the IR and is only counted.
 //!
 //! Diagnostics still name source statements: every instruction carries a
 //! blame entry (instruction index → originating statement `Var`) in a
@@ -392,11 +394,6 @@ pub(crate) enum Instr {
         dst: Slot,
         elem: ElemType,
         size: SlotPoly,
-        /// When the allocation belongs to a carried-release color, the
-        /// store serves it from that color's slab (the ping-pong block
-        /// parked by the matching `ReleaseCarried`) before falling back
-        /// to the free lists.
-        color: Option<u32>,
     },
     Iota {
         dest: Dest,
@@ -433,13 +430,14 @@ pub(crate) enum Instr {
     MapLambda(Box<MapLambdaInstr>),
     Update(Box<UpdateInstr>),
     /// Return the memory block in `slot` to the store's free list (a
-    /// fused `ReleasePlan` site). `site` names the statement after which
-    /// the plan freed it — checked-mode blame for use-after-release.
+    /// fused `ReleasePlan` site), unless the slot's handle is stale.
+    /// `site` names the statement after which the plan freed it —
+    /// checked-mode blame for use-after-release.
     Release {
         slot: Slot,
         site: Option<Var>,
     },
-    /// Release a loop's incoming carried block into its color's slab (a
+    /// Release a loop's incoming carried block to the free list (a
     /// lowered [`MergeRecord::CarriedRelease`]): executed each iteration
     /// after the incoming block's last use, once the yield block exists.
     /// The identity guard skips the release when the incoming block *is*
@@ -453,7 +451,6 @@ pub(crate) enum Instr {
         outgoing: Slot,
         /// Slots of the loop's other mem merge parameters.
         guards: Vec<Slot>,
-        color: u32,
         site: Option<Var>,
     },
     /// Read all sources, then write all destinations (loop merge
@@ -526,9 +523,6 @@ pub struct ExecPlan {
     /// Share-type merge records lowered into this plan (count stamped
     /// onto [`crate::Stats::blocks_merged`] per run).
     pub(crate) blocks_merged: u64,
-    /// Carried-release colors the store must provision slabs for
-    /// (`MemStore::begin_colors` per run).
-    pub(crate) num_colors: u32,
 }
 
 impl ExecPlan {
@@ -639,14 +633,6 @@ fn lower(
         .iter()
         .filter(|r| matches!(r, MergeRecord::Share { .. }))
         .count() as u64;
-    let num_colors = merges
-        .iter()
-        .filter_map(|r| match r {
-            MergeRecord::CarriedRelease { color, .. } => Some(color + 1),
-            _ => None,
-        })
-        .max()
-        .unwrap_or(0);
     Ok(ExecPlan {
         name: prog.name.clone(),
         params,
@@ -655,7 +641,6 @@ fn lower(
         num_slots: lw.scope.next,
         num_releases: lw.num_releases,
         blocks_merged,
-        num_colors,
     })
 }
 
@@ -743,7 +728,6 @@ struct PendingCarried {
     yield_mem: Var,
     /// Slots of the loop's other mem merge parameters.
     guards: Vec<Slot>,
-    color: u32,
 }
 
 impl Lowerer<'_> {
@@ -910,7 +894,6 @@ impl Lowerer<'_> {
                             incoming: pc.incoming,
                             outgoing,
                             guards: pc.guards.clone(),
-                            color: pc.color,
                             site,
                         },
                         site,
@@ -964,21 +947,9 @@ impl Lowerer<'_> {
             }
             Exp::Alloc { elem, size } => {
                 let size = self.slot_poly(size);
-                let color = self
-                    .pending_carried
-                    .iter()
-                    .find(|pc| pc.yield_mem == stm.pat[0].var)
-                    .map(|pc| pc.color);
                 let dst = self.scope.bind(stm.pat[0].var);
-                out.push(
-                    Instr::Alloc {
-                        dst,
-                        elem: *elem,
-                        size,
-                        color,
-                    },
-                    blame,
-                );
+                let elem = *elem;
+                out.push(Instr::Alloc { dst, elem, size }, blame);
             }
             Exp::Iota(_) => {
                 let dest = self.lower_dest(&stm.pat[0])?;
@@ -1127,7 +1098,7 @@ impl Lowerer<'_> {
                         loop_mem,
                         yield_mem,
                         after_stm,
-                        color,
+                        ..
                     } = r
                     else {
                         continue;
@@ -1146,7 +1117,6 @@ impl Lowerer<'_> {
                         incoming: param_slots[k],
                         yield_mem: *yield_mem,
                         guards,
-                        color: *color,
                     });
                 }
                 let saved = std::mem::replace(&mut self.pending_carried, pending);
@@ -1304,9 +1274,6 @@ impl ExecPlan {
         if self.blocks_merged > 0 {
             s.push_str(&format!("merged blocks: {}\n", self.blocks_merged));
         }
-        if self.num_colors > 0 {
-            s.push_str(&format!("carried colors: {}\n", self.num_colors));
-        }
         s.push_str("params:\n");
         for p in &self.params {
             let mem = match p.mem_slot {
@@ -1414,15 +1381,7 @@ fn fmt_slots(slots: &[Slot]) -> String {
 fn fmt_instr(i: &Instr) -> String {
     match i {
         Instr::Scalar { dst, exp, .. } => format!("%{dst} <- {}", fmt_exp(exp)),
-        Instr::Alloc {
-            dst,
-            elem,
-            size,
-            color,
-        } => {
-            let c = color.map(|c| format!(" color {c}")).unwrap_or_default();
-            format!("%{dst} <- alloc {elem:?} x {size:?}{c}")
-        }
+        Instr::Alloc { dst, elem, size } => format!("%{dst} <- alloc {elem:?} x {size:?}"),
         Instr::Iota { dest } => format!("{} <- iota", fmt_dest(dest)),
         Instr::Scratch { dest } => format!("{} <- scratch", fmt_dest(dest)),
         Instr::Replicate { dest, value } => {
@@ -1496,10 +1455,9 @@ fn fmt_instr(i: &Instr) -> String {
             incoming,
             outgoing,
             guards,
-            color,
             site,
         } => format!(
-            "release-carried %{incoming} (color {color}, unless %{outgoing}{}{})",
+            "release-carried %{incoming} (unless %{outgoing}{}{})",
             if guards.is_empty() {
                 String::new()
             } else {

@@ -261,14 +261,12 @@ stats_table! {
     /// compile-time property of the executed plan).
     blocks_merged: u64, sum, run;
     /// Carried releases that fired: a loop's dead ping-pong block was
-    /// returned to its color's slab inside the body instead of living to
+    /// returned to the free list inside the body instead of living to
     /// the end-of-run sweep (the merge pass's `CarriedRelease` records,
     /// guarded concretely per iteration).
-    carried_releases: u64, sum, store;
-    /// Colored allocations served from their color's slab (a subset of
-    /// `blocks_reused`): the previous iteration's carried release coming
-    /// straight back.
-    color_slab_hits: u64, sum, store;
+    carried_releases: u64, sum, run;
+    /// Always 0: there are no color slabs. Kept because `benchmark/` reads it.
+    color_slab_hits: u64, sum, run;
     /// Map statements that fanned out onto pool worker threads (small
     /// trip counts run inline and are not counted).
     pool_dispatches: u64, sum, run;

@@ -7,19 +7,23 @@
 //!
 //! The store recycles blocks through one free list bucketed by capacity,
 //! driven by the compiler's last-use analysis: when the VM learns a block
-//! is dead it calls [`MemStore::release`], and a later `alloc` of a
-//! fitting size — of *any* element type — takes the block back instead of
-//! growing the heap. A reused block is **not** re-zeroed (the whole point
+//! is dead it releases it, and a later `alloc` of a fitting size — of
+//! *any* element type — takes the block back instead of growing the heap. A reused block is **not** re-zeroed (the whole point
 //! — zero-filling is a full write of the block); the elided zeroing is
 //! counted in [`MemStore::bytes_zeroing_elided`]. This relies on the same
 //! discipline as the paper's memory blocks: an allocation is fully
 //! written before it is read, which the differential tests check against
 //! the pure-mode ground truth.
 //!
+//! The free list is the one recycle path, a loop's carried releases
+//! included. A block has one owner: the VM holds it through a handle that
+//! carries the block's generation, and a release through a handle of an
+//! earlier life frees nothing ([`MemStore::release_handle`]).
+//!
 //! A block never leaves the store that allocated it: each store has its
-//! own free list and color slabs, so stale bytes are only ever seen by
-//! the tenant that wrote them. Stores may share a [`FleetMeter`], which
-//! counts their live bytes together and moves nothing.
+//! own free list, so stale bytes are only ever seen by the tenant that
+//! wrote them. Stores may share a [`FleetMeter`], which counts their live
+//! bytes together and moves nothing.
 
 use crate::value::InputValue;
 use arraymem_ir::ElemType;
@@ -206,6 +210,9 @@ pub struct MemStore {
     blocks: Vec<Block>,
     /// `live[id]` is false while `id` sits in a free list.
     live: Vec<bool>,
+    /// `generation[id]` counts the times `id` went live: a handle names
+    /// the block only in the life it was made in.
+    generation: Vec<u32>,
     /// `free[size bucket]` → block ids.
     free: Vec<Vec<usize>>,
     /// Total elements × size *freshly* allocated, in bytes (reuse is
@@ -230,19 +237,6 @@ pub struct MemStore {
     shadow: Option<Vec<ShadowBlock>>,
     /// The fleet meter this store charges beside `bytes_live`, if any.
     meter: Option<FleetMeter>,
-    /// Per-color slabs backing the merge pass's coloring
-    /// (`arraymem_core::merge`): `color_slots[c]` parks the block a
-    /// carried release returned to color `c`, and the next allocation
-    /// colored `c` pops it back — one slab-resident block per color in
-    /// steady state instead of one per loop iteration.
-    color_slots: Vec<Vec<usize>>,
-    /// `ReleaseCarried` instructions that actually fired (the incoming
-    /// block was proven distinct from the outgoing block and every
-    /// guard).
-    pub carried_releases: u64,
-    /// Colored allocations served from their color's slab (subset of
-    /// [`blocks_reused`](Self::blocks_reused)).
-    pub color_slab_hits: u64,
 }
 
 impl MemStore {
@@ -316,6 +310,7 @@ impl MemStore {
             s.cells[..stale.div_ceil(elem_size)].fill(CellState::Stale);
         }
         self.live[id] = true;
+        self.generation[id] = self.generation[id].wrapping_add(1);
         self.charged[id] = bytes;
         self.bytes_live += bytes;
         self.peak_bytes_live = self.peak_bytes_live.max(self.bytes_live);
@@ -325,9 +320,9 @@ impl MemStore {
         Ok(id)
     }
 
-    /// The one way a recycled block comes back, whichever list held it:
-    /// resize keeping the stale prefix (zeroing elided, and `Stale` in
-    /// shadow memory), zero the grown tail, count the reuse.
+    /// The one way a recycled block comes back: resize keeping the stale
+    /// prefix (zeroing elided, and `Stale` in shadow memory), zero the
+    /// grown tail, count the reuse.
     fn revive(&mut self, id: usize, elem: ElemType, len: usize) -> Result<usize, String> {
         let kept = self.blocks[id].recycle(elem, len)?;
         self.bytes_zeroing_elided += kept as u64;
@@ -335,11 +330,11 @@ impl MemStore {
         self.go_live(id, kept)
     }
 
-    /// The one way a live block dies: uncharge it and poison its shadow
+    /// The one way a live block dies: uncharge it, poison its shadow
     /// cells, recording the statement after which the release plan fired
-    /// (later reads report it in their use-after-release diagnostic).
-    /// Returns `false` — and does nothing — for a block already dead: two
-    /// memory variables can name one block after an in-place update.
+    /// (later reads report it in their use-after-release diagnostic), and
+    /// park it on the free list. Returns `false` — and does nothing — for
+    /// a block already dead: two memory variables can name one block.
     fn retire(&mut self, block: usize, site: Option<Sym>) -> bool {
         if !self.live[block] {
             return false;
@@ -355,6 +350,7 @@ impl MemStore {
             s.released_by = site;
             s.cells.fill(CellState::Released);
         }
+        self.park(block);
         true
     }
 
@@ -403,6 +399,7 @@ impl MemStore {
         }
         self.blocks.push(Block::new(elem, len)?);
         self.live.push(false);
+        self.generation.push(0);
         self.charged.push(0);
         if let Some(sh) = &mut self.shadow {
             sh.push(ShadowBlock::default());
@@ -436,72 +433,23 @@ impl MemStore {
         Ok(id)
     }
 
-    /// Return a dead block to the free list. Safe to call twice for the
-    /// same id; the second call is a no-op.
+    /// Return a dead block to the free list (a free block stays as it is).
+    /// An id names whoever owns the block now, so only its owner may call
+    /// this; the VM releases through [`release_handle`](Self::release_handle).
     pub fn release(&mut self, block: usize) {
-        self.release_at(block, None);
+        self.retire(block, None);
     }
 
-    /// [`release`](MemStore::release), recording the release site for the
-    /// shadow layer.
-    pub(crate) fn release_at(&mut self, block: usize, site: Option<Sym>) {
-        if self.retire(block, site) {
-            self.park(block);
-        }
+    /// The handle of a live block: its id and current generation.
+    pub(crate) fn handle(&self, block: usize) -> (usize, u32) {
+        (block, self.generation[block])
     }
 
-    /// Prepare per-color slabs for a plan lowered with `n` colors:
-    /// [`release_colored`](MemStore::release_colored) parks into them and
-    /// [`alloc_colored`](MemStore::alloc_colored) pops from them
-    /// ([`drain_colors`](MemStore::drain_colors) emptied the previous
-    /// run's).
-    pub(crate) fn begin_colors(&mut self, n: u32) {
-        self.color_slots.clear();
-        self.color_slots.resize(n as usize, Vec::new());
-    }
-
-    /// Park a dead block in color `c`'s slab instead of the free list:
-    /// the next allocation colored `c` (the loop's next-iteration
-    /// ping-pong block) takes it back. Same shadow poisoning as a plan
-    /// release, so checked mode catches a premature carried release
-    /// exactly like a premature plan release.
-    pub(crate) fn release_colored(&mut self, block: usize, color: u32, site: Option<Sym>) {
-        if self.retire(block, site) {
-            self.color_slots[color as usize].push(block);
-            self.carried_releases += 1;
-        }
-    }
-
-    /// Allocate a block colored `c`: pop a fitting block from the color's
-    /// slab if one is parked there (the previous iteration's carried
-    /// release), falling back to [`alloc`](MemStore::alloc) otherwise.
-    pub(crate) fn alloc_colored(
-        &mut self,
-        elem: ElemType,
-        len: usize,
-        color: u32,
-    ) -> Result<usize, String> {
-        let bytes = block_bytes(elem, len)?;
-        let slot = &mut self.color_slots[color as usize];
-        let pos = slot
-            .iter()
-            .position(|&id| self.blocks[id].capacity_bytes() >= bytes);
-        let Some(pos) = pos else {
-            return self.try_alloc(elem, len);
-        };
-        let id = slot.swap_remove(pos);
-        self.color_slab_hits += 1;
-        self.revive(id, elem, len)
-    }
-
-    /// Move every block still parked in a color slab to the ordinary free
-    /// list and drop the slabs. Called at the end of a run, before
-    /// [`release_all_live`](MemStore::release_all_live), so slab
-    /// residents recycle across runs exactly like plan-released blocks.
-    pub(crate) fn drain_colors(&mut self) {
-        for id in std::mem::take(&mut self.color_slots).into_iter().flatten() {
-            self.park(id);
-        }
+    /// Release a [`handle`](Self::handle)'s block, recording the site for
+    /// the shadow layer, only while the handle's generation is current: a
+    /// stale handle frees nothing. Returns whether the block died.
+    pub(crate) fn release_handle(&mut self, (block, g): (usize, u32), site: Option<Sym>) -> bool {
+        self.generation[block] == g && self.retire(block, site)
     }
 
     /// Release every live block — end-of-run recycling, so a store reused
@@ -618,7 +566,7 @@ mod tests {
         assert_eq!(s.shadow_cell(a, 2), Some(CellState::Written(w)));
         // Release records the site and poisons every cell.
         let site = sym("last_use");
-        s.release_at(a, Some(site));
+        assert!(s.release_handle(s.handle(a), Some(site)));
         assert_eq!(s.shadow_cell(a, 0), Some(CellState::Released));
         assert_eq!(s.shadow_released_by(a), Some(site));
         // Recycling: surviving prefix is stale, grown tail (none here,
@@ -646,79 +594,30 @@ mod tests {
         assert_eq!(s.shadow_cell(d, 0), Some(CellState::Stale));
     }
 
-    fn fill_i64(s: &mut MemStore, block: usize, x: i64) {
-        let r = s.raw(block);
-        let sl = unsafe { std::slice::from_raw_parts_mut(r.ptr as *mut i64, r.len) };
-        sl.fill(x);
-    }
-
-    fn read_i64(s: &mut MemStore, block: usize) -> Vec<i64> {
-        let r = s.raw(block);
-        unsafe { std::slice::from_raw_parts(r.ptr as *const i64, r.len) }.to_vec()
-    }
-
     #[test]
-    fn colored_release_parks_in_slab_and_colored_alloc_pops_it() {
+    fn a_stale_handle_never_frees_the_next_owner() {
         let mut s = MemStore::new();
-        s.begin_colors(2);
-        let a = s.alloc_colored(ElemType::I64, 64, 0).unwrap();
-        fill_i64(&mut s, a, 7);
-        s.release_colored(a, 0, None);
-        assert_eq!(s.carried_releases, 1);
-        // An uncolored allocation must not raid the slab.
-        let other = s.alloc(ElemType::I64, 64);
-        assert_ne!(other, a);
-        // Nor an allocation of a different color.
-        let c1 = s.alloc_colored(ElemType::I64, 64, 1).unwrap();
-        assert_ne!(c1, a);
-        // The matching color pops the parked block, elision intact.
-        let b = s.alloc_colored(ElemType::I64, 64, 0).unwrap();
-        assert_eq!(b, a);
-        assert_eq!(read_i64(&mut s, b), vec![7; 64]);
-        assert_eq!(s.color_slab_hits, 1);
-        assert_eq!(s.num_allocs, 3, "a slab hit must not count as an alloc");
-    }
-
-    #[test]
-    fn colored_release_uncharges_liveness() {
-        let mut s = MemStore::new();
-        s.begin_colors(1);
-        let a = s.alloc_colored(ElemType::I64, 64, 0).unwrap();
-        assert_eq!(s.peak_bytes_live, 512);
-        s.release_colored(a, 0, None);
-        let b = s.alloc_colored(ElemType::I64, 64, 0).unwrap();
-        assert_eq!(b, a);
-        // Ping-pong through the slab: peak stays one block, not two.
-        assert_eq!(s.peak_bytes_live, 512);
-    }
-
-    #[test]
-    fn drain_colors_moves_slab_residents_to_free_lists() {
-        let mut s = MemStore::new();
-        s.begin_colors(1);
-        let a = s.alloc_colored(ElemType::I64, 64, 0).unwrap();
-        s.release_colored(a, 0, None);
-        s.drain_colors();
+        let a = s.alloc(ElemType::I64, 64);
+        let old = s.handle(a);
+        assert!(s.release_handle(old, None));
+        assert!(!s.release_handle(old, None), "a dead block dies once");
+        // Another allocation revives the block: it has a new owner, which
+        // a release through the old handle must leave live and charged.
         let b = s.alloc(ElemType::I64, 64);
-        assert_eq!(b, a, "drained slab blocks must recycle normally");
-        assert_eq!(s.blocks_reused, 1);
-    }
-
-    #[test]
-    fn colored_release_poisons_shadow_cells() {
-        use arraymem_symbolic::sym;
-        let mut s = MemStore::new();
-        s.set_shadow(true);
-        s.begin_colors(1);
-        let a = s.alloc_colored(ElemType::I64, 4, 0).unwrap();
-        let site = sym("carried_site");
-        s.release_colored(a, 0, Some(site));
-        assert_eq!(s.shadow_cell(a, 0), Some(CellState::Released));
-        assert_eq!(s.shadow_released_by(a), Some(site));
-        let b = s.alloc_colored(ElemType::I64, 4, 0).unwrap();
         assert_eq!(b, a);
-        assert_eq!(s.shadow_released_by(b), None);
-        assert_eq!(s.shadow_cell(b, 0), Some(CellState::Stale));
+        assert!(
+            !s.release_handle(old, None),
+            "a stale handle freed the new owner"
+        );
+        s.reset_peak();
+        assert_eq!(s.peak_bytes_live, 512, "the new owner must stay charged");
+        assert_ne!(
+            s.alloc(ElemType::I64, 64),
+            b,
+            "the new owner must stay off the free list"
+        );
+        // The owner's own handle still releases it.
+        assert!(s.release_handle(s.handle(b), None));
     }
 
     #[test]

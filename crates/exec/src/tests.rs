@@ -586,17 +586,19 @@ fn bool_arrays_are_word_backed() {
 }
 
 /// Seeded property test of the store's single recycle routine: random
-/// `alloc` / `alloc_colored` / `release` / `release_colored` sequences
-/// over all four element types and two tenants' stores on one fleet
-/// meter. Every live block is filled with its tenant's pattern byte, so
-/// what a revive hands back is self-describing. After every step:
+/// `alloc` / `release` sequences over all four element types and two
+/// tenants' stores on one fleet meter, releasing by id or through the
+/// allocation's handle, and releasing again through handles whose block
+/// died since. Every live block is filled with its tenant's pattern byte,
+/// so what a revive hands back is self-describing. After every step:
 /// `bytes_live == Σ charged` and the meter holds both stores' sum; a
-/// revive (free list or color slab) hands back a block of its own store,
-/// keeps the stale prefix bytes — the tenant's own, never the other's —
-/// and marks it `Stale`; a revive at a different element width keeps
-/// `min(old, new)` bytes; the grown tail is zero (and `Zeroed`).
+/// revive hands back a block of its own store, keeps the stale prefix
+/// bytes — the tenant's own, never the other's — and marks it `Stale`; a
+/// revive at a different element width keeps `min(old, new)` bytes; the
+/// grown tail is zero (and `Zeroed`); a stale handle frees nothing, even
+/// when its block lives again under another owner.
 #[test]
-fn recycling_keeps_its_contract_across_types_colors_and_tenants() {
+fn recycling_keeps_its_contract_across_types_handles_and_tenants() {
     use crate::store::{CellState, FleetMeter, MemStore};
     use arraymem_symbolic::Rng64;
     use std::collections::HashMap;
@@ -606,11 +608,13 @@ fn recycling_keeps_its_contract_across_types_colors_and_tenants() {
     /// What the test knows about one tenant's store.
     #[derive(Default)]
     struct Model {
-        /// Live block id → bytes charged.
-        live: HashMap<usize, usize>,
-        /// Dead block id still owned by the store (free list or slab) →
+        /// Live block id → (bytes charged, the allocation's handle).
+        live: HashMap<usize, (usize, (usize, u32))>,
+        /// Dead block id still owned by the store's free list →
         /// (element type, bytes) it was last sized for.
         dead: HashMap<usize, (ElemType, usize)>,
+        /// Handles of allocations that have been released.
+        stale: Vec<(usize, u32)>,
     }
     fn bytes_of(s: &mut MemStore, id: usize) -> &mut [u8] {
         let r = s.raw(id);
@@ -625,10 +629,9 @@ fn recycling_keeps_its_contract_across_types_colors_and_tenants() {
     let mut models = [Model::default(), Model::default()];
     for s in &mut stores {
         s.set_shadow(true);
-        s.begin_colors(2);
     }
     let mut r = Rng64::new(0x5EED_B10C);
-    let (mut cross_width, mut slab_hits, mut grown) = (0, 0, 0);
+    let (mut cross_width, mut stale_on_live, mut grown) = (0, 0, 0);
     for step in 0..4000 {
         let t = r.usize_in(2);
         let (s, m) = (&mut stores[t], &mut models[t]);
@@ -637,17 +640,8 @@ fn recycling_keeps_its_contract_across_types_colors_and_tenants() {
             0..=4 => {
                 let (elem, len) = (ELEMS[r.usize_in(4)], r.usize_in(40));
                 let (size, new) = (elem.size_bytes(), len * elem.size_bytes());
-                let before = (
-                    s.num_allocs,
-                    s.blocks_reused,
-                    s.bytes_zeroing_elided,
-                    s.color_slab_hits,
-                );
-                let id = if r.chance(0.4) {
-                    s.alloc_colored(elem, len, r.usize_in(2) as u32).unwrap()
-                } else {
-                    s.alloc(elem, len)
-                };
+                let before = (s.num_allocs, s.blocks_reused, s.bytes_zeroing_elided);
+                let id = s.alloc(elem, len);
                 assert!(
                     !m.live.contains_key(&id),
                     "step {step}: live block handed out twice"
@@ -658,11 +652,10 @@ fn recycling_keeps_its_contract_across_types_colors_and_tenants() {
                 let kept = (s.bytes_zeroing_elided - before.2) as usize;
                 assert!(kept <= new && (fresh == 0 || kept == 0), "step {step}");
                 match m.dead.remove(&id) {
-                    // A block this store still held: free list or slab.
+                    // A block this store still held on its free list.
                     Some((old_elem, old)) => {
                         assert_eq!(kept, old.min(new), "step {step}: {old_elem:?} -> {elem:?}");
                         cross_width += (old_elem.size_bytes() != size && kept > 0) as usize;
-                        slab_hits += (s.color_slab_hits > before.3) as usize;
                         grown += (new > old) as usize;
                     }
                     None => assert_eq!(fresh, 1, "step {step}: revived a block it never held"),
@@ -689,35 +682,48 @@ fn recycling_keeps_its_contract_across_types_colors_and_tenants() {
                     };
                     assert_eq!(s.shadow_cell(id, i), Some(want), "step {step}: cell {i}");
                 }
-                m.live.insert(id, new);
+                m.live.insert(id, (new, s.handle(id)));
             }
             5..=7 if !live_ids.is_empty() => {
                 let id = live_ids[r.usize_in(live_ids.len())];
-                let bytes = m.live.remove(&id).unwrap();
+                let (bytes, handle) = m.live.remove(&id).unwrap();
                 m.dead.insert(id, (s.elem(id), bytes));
-                if r.chance(0.4) {
-                    s.release_colored(id, r.usize_in(2) as u32, None);
+                if r.chance(0.5) {
+                    assert!(s.release_handle(handle, None), "step {step}");
+                    assert!(!s.release_handle(handle, None), "step {step}: died twice");
                 } else {
                     s.release(id);
                     s.release(id); // a second release is a no-op
                 }
+                m.stale.push(handle);
                 let n = s.len(id);
                 assert!((0..n).all(|i| s.shadow_cell(id, i) == Some(CellState::Released)));
+            }
+            8 if !m.stale.is_empty() => {
+                // A release through the handle of a dead allocation frees
+                // nothing: not its free block, not the block's next owner.
+                let handle = m.stale[r.usize_in(m.stale.len())];
+                stale_on_live += m.live.contains_key(&handle.0) as usize;
+                assert!(!s.release_handle(handle, None), "step {step}: stale handle");
             }
             _ => {}
         }
         // `reset_peak` restarts the high-water from the live set, which
         // makes `bytes_live` observable.
-        let charged: usize = m.live.values().sum();
+        let charged: usize = m.live.values().map(|(bytes, _)| bytes).sum();
         s.reset_peak();
         assert_eq!(s.peak_bytes_live, charged as u64, "step {step}: bytes_live");
-        let all: usize = models.iter().flat_map(|m| m.live.values()).sum();
+        let all: usize = models
+            .iter()
+            .flat_map(|m| m.live.values())
+            .map(|(bytes, _)| bytes)
+            .sum();
         assert_eq!(meter.stats().live_bytes, all as u64, "step {step}: meter");
     }
     assert!(
-        cross_width > 50 && slab_hits > 50 && grown > 50,
+        cross_width > 50 && stale_on_live > 50 && grown > 50,
         "generator must reach every revive flavour: {cross_width} cross-width, \
-         {slab_hits} slab hits, {grown} grown"
+         {stale_on_live} stale handles on revived blocks, {grown} grown"
     );
 }
 
@@ -1198,10 +1204,9 @@ fn oversized_allocation_is_an_error_not_a_crash() {
     }
 
     let mut store = crate::store::MemStore::new();
-    store.begin_colors(1);
     for len in [1usize << 61, usize::MAX, isize::MAX as usize / 4 + 1] {
         assert!(store.try_alloc(ElemType::F32, len).is_err(), "{len}");
-        assert!(store.alloc_colored(ElemType::I64, len, 0).is_err(), "{len}");
+        assert!(store.try_alloc(ElemType::I64, len).is_err(), "{len}");
     }
     let id = store.alloc(ElemType::F32, 4);
     assert_eq!((store.len(id), store.num_blocks()), (4, 1));

@@ -1,6 +1,6 @@
 //! Runtime values.
 //!
-//! A register holds a [`Value`]: a scalar or a block id, `Copy` and two
+//! A register holds a [`Value`]: a scalar or a block handle, `Copy` and two
 //! words — a tag and its bits. Arrays are not values: an array is a block
 //! id plus an index function ([`ArrayRef`]), kept in a table beside the
 //! register file, one entry per array-typed slot, its index function
@@ -57,7 +57,7 @@ pub(crate) enum Tag {
     F64,
     I64,
     Bool,
-    /// The id of a memory block.
+    /// A handle to a memory block.
     Mem,
 }
 
@@ -74,7 +74,7 @@ impl Tag {
     }
 }
 
-/// What a register holds — a scalar, or the id of a memory block — as a
+/// What a register holds — a scalar, or a memory block handle — as a
 /// tag and one word of bits (`f32` bits in the low half, booleans 0/1).
 ///
 /// Two plain scalars rather than an enum over differently-sized payloads:
@@ -121,9 +121,15 @@ impl Value {
         Value::new(Tag::Bool, x as u64)
     }
 
+    /// A block handle ([`MemStore::handle`](crate::store::MemStore::handle)):
+    /// the block id in the low 32 bits, its generation in the high 32.
     #[inline]
-    pub(crate) fn mem(block: usize) -> Value {
-        Value::new(Tag::Mem, block as u64)
+    pub(crate) fn mem((block, generation): (usize, u32)) -> Value {
+        debug_assert!(
+            block <= u32::MAX as usize,
+            "block id {block} outgrows a handle"
+        );
+        Value::new(Tag::Mem, block as u64 | (generation as u64) << 32)
     }
 
     /// A value of element type `elem` from the word a block stores for it.
@@ -180,10 +186,16 @@ impl Value {
         }
     }
 
-    /// The block id, if this is one.
+    /// The block id, if this is a block handle.
     #[inline]
     pub(crate) fn as_mem(&self) -> Option<usize> {
-        (self.tag == Tag::Mem).then_some(self.bits as usize)
+        (self.tag == Tag::Mem).then_some(self.bits as u32 as usize)
+    }
+
+    /// The block id and generation, if this is a block handle.
+    #[inline]
+    pub(crate) fn as_handle(&self) -> Option<(usize, u32)> {
+        (self.tag == Tag::Mem).then_some((self.bits as u32 as usize, (self.bits >> 32) as u32))
     }
 }
 
@@ -201,7 +213,7 @@ impl std::fmt::Debug for Value {
             Tag::F64 => write!(f, "F64({:?})", self.as_f64()),
             Tag::I64 => write!(f, "I64({:?})", self.as_i64()),
             Tag::Bool => write!(f, "Bool({:?})", self.bits != 0),
-            Tag::Mem => write!(f, "Mem({:?})", self.bits),
+            Tag::Mem => write!(f, "Mem({:?})", self.bits as u32),
         }
     }
 }

@@ -296,11 +296,9 @@ pub fn execute_plan(
         cur_stm: None,
     };
     let result = catch_panic("execution", || machine.run(plan, inputs));
-    // Results were deep-copied out, so everything the run allocated —
-    // blocks still parked in color slabs included — can feed the next
-    // run's allocations. A failed run releases too: a rejected request
-    // must not pin its tenant's memory.
-    store.drain_colors();
+    // Results were deep-copied out, so everything the run allocated can
+    // feed the next run's allocations. A failed run releases too: a
+    // rejected request must not pin its tenant's memory.
     store.release_all_live();
     result
 }
@@ -362,7 +360,6 @@ impl Machine<'_> {
             self.load_param(spec, input)?;
         }
         Stats::begin_body(self.store);
-        self.store.begin_colors(plan.num_colors);
         let t0 = Instant::now();
         self.exec_stream(&plan.body)?;
         self.stats.total_time = t0.elapsed();
@@ -427,7 +424,7 @@ impl Machine<'_> {
                 let block = self.store.alloc_input(*elem, len, arr)?;
                 // The parameter's memory block variable.
                 if let Some(ms) = spec.mem_slot {
-                    self.regs[ms as usize] = Value::mem(block);
+                    self.regs[ms as usize] = Value::mem(self.store.handle(block));
                 }
                 self.arrays[spec.slot as usize] = Some(ArrayRef::new(
                     block,
@@ -722,19 +719,10 @@ impl Machine<'_> {
     #[inline(never)]
     fn exec_instr(&mut self, instr: &Instr) -> Result<(), String> {
         match instr {
-            Instr::Alloc {
-                dst,
-                elem,
-                size,
-                color,
-            } => {
+            Instr::Alloc { dst, elem, size } => {
                 let n = size.eval(&self.regs).map_err(|e| e.of("alloc size"))?;
-                let n = n.max(0) as usize;
-                let block = match color {
-                    Some(c) => self.store.alloc_colored(*elem, n, *c),
-                    None => self.store.try_alloc(*elem, n),
-                }?;
-                self.regs[*dst as usize] = Value::mem(block);
+                let block = self.store.try_alloc(*elem, n.max(0) as usize)?;
+                self.regs[*dst as usize] = Value::mem(self.store.handle(block));
             }
             Instr::Iota { dest } => {
                 let dst = self.fresh_dest(dest)?;
@@ -822,35 +810,35 @@ impl Machine<'_> {
                 // Return blocks that just saw their last use to the free
                 // list. The shadow layer records the release site: a later
                 // read of the block names the statement whose plan entry
-                // freed it.
-                if let Some(id) = self.regs[*slot as usize].as_mem() {
-                    self.store.release_at(id, *site);
+                // freed it. A handle whose block has since been revived
+                // for another owner releases nothing.
+                if let Some(handle) = self.regs[*slot as usize].as_handle() {
+                    self.store.release_handle(handle, *site);
                 }
             }
             Instr::ReleaseCarried {
                 incoming,
                 outgoing,
                 guards,
-                color,
                 site,
             } => {
-                // Release a loop's dead carried ping-pong block into its
-                // color's slab, so the next iteration's colored `alloc`
-                // takes it back. Guarded concretely: when the body
-                // yielded the incoming block itself (or it backs another
-                // carried slot), it is still live and stays put.
-                let incoming_id = self.regs[*incoming as usize]
-                    .as_mem()
+                // Release a loop's dead carried ping-pong block to the
+                // free list, where the next iteration's `alloc` finds it.
+                // Guarded concretely: when the body yielded the incoming
+                // block itself (or it backs another carried slot), it is
+                // still live and stays put.
+                let handle = self.regs[*incoming as usize]
+                    .as_handle()
                     .ok_or("release-carried on a non-mem slot")?;
                 let outgoing_id = self.regs[*outgoing as usize]
                     .as_mem()
                     .ok_or("release-carried outgoing is not a mem slot")?;
-                let aliased = incoming_id == outgoing_id
+                let aliased = handle.0 == outgoing_id
                     || guards
                         .iter()
-                        .any(|g| self.regs[*g as usize].as_mem() == Some(incoming_id));
-                if !aliased {
-                    self.store.release_colored(incoming_id, *color, *site);
+                        .any(|g| self.regs[*g as usize].as_mem() == Some(handle.0));
+                if !aliased && self.store.release_handle(handle, *site) {
+                    self.stats.carried_releases += 1;
                 }
             }
             Instr::CopySlots { pairs } => {

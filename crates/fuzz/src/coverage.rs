@@ -91,7 +91,6 @@ impl Coverage {
         mark("bytes_elided", stats.bytes_elided > 0);
         mark("blocks_merged", stats.blocks_merged > 0);
         mark("carried_releases", stats.carried_releases > 0);
-        mark("color_slab_hits", stats.color_slab_hits > 0);
         mark("blocks_reused", stats.blocks_reused > 0);
         mark("bytes_zeroing_elided", stats.bytes_zeroing_elided > 0);
         mark("maps_parallel_in_place", stats.maps_parallel_in_place > 0);

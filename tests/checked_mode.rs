@@ -582,8 +582,8 @@ fn skewed_carried_release_triggers_use_after_release() {
         honest_stats.carried_releases > 0,
         "the honest run must actually exercise the carried release"
     );
-    // …the skewed one is not: the carried block is parked in its color
-    // slab while the stencil still reads it.
+    // …the skewed one is not: the carried block is released to the free
+    // list while the stencil still reads it.
     let skewed = run_checked_sabotaged(
         &compiled,
         &checks,
@@ -599,6 +599,48 @@ fn skewed_carried_release_triggers_use_after_release() {
         "expected a UseAfterRelease from the premature carried release; got {:?}",
         skewed.diagnostics
     );
+}
+
+/// A block has one owner: a release through a handle whose block has since
+/// been revived for another allocation frees nothing. In this fuzzer trace,
+/// `g_rep#0_mem` is both a top-level allocation, which the release plan
+/// frees after `g_map`, and the first carried loop's initializer, which
+/// that loop's carried release frees in iteration 0; the second carried
+/// loop's `alloc` then revives the block for its result. The plan's later
+/// release holds the first life's handle and must leave that result live
+/// for `g_copy` to read.
+#[test]
+fn a_stale_release_never_frees_the_blocks_next_owner() {
+    const TRACE: &str = "\
+op 14 -7875334753003768096 -2106394884903025830 8244531820913844979
+op 11 -211876913880235209 -2598913374877259895 438689119226945770
+op 1 3464292599735863159 6284072229351697941 3457747673309375591
+op 14 5513965029212442620 -3191121059633110713 364066784356957384
+op 0 5425657540916481777 -598072535178455437 14768884741102829135
+op 7 4291917805409035944 -8729189452733852216 16565645982578447923
+op 2 2502484785523913541 2867484376063842380 5468673850295507120
+op 9 -8304561217582590211 5846463188972861044 7887883128739691571
+op 4 7875928945398421628 341231403635466416 6236925666455830158
+";
+    let ops = arraymem_fuzz::corpus::parse_entry("stale-release", TRACE)
+        .expect("trace")
+        .ops;
+    let prog = arraymem_fuzz::build_program(&ops).expect("the trace builds a program");
+    let kernels = KernelRegistry::new();
+    let (pure, _) = run_program(&prog, &[], &kernels, Mode::Pure, 1).expect("pure run");
+    let compiled = compile(&prog, &Options::optimized()).expect("compile");
+    let checks: Vec<_> = compiled.report.checks().cloned().collect();
+    let mut session = Session::new();
+    let h = prepare(&mut session, &compiled, &checks, &kernels);
+    let (out, stats) = session
+        .run_plan(h, &[], &kernels, Mode::Checked, 1)
+        .expect("checked run");
+    assert!(stats.diagnostics.is_empty(), "{:?}", stats.diagnostics);
+    assert!(
+        stats.carried_releases > 0,
+        "the trace must exercise carried releases"
+    );
+    assert_eq!(out, pure, "checked mode must compute what pure mode does");
 }
 
 /// A sabotaged compile can never be served the honest compile's plan (or
