@@ -3,12 +3,13 @@
 //! A kernel is the runtime counterpart of the code the paper's compiler
 //! generates for a GPU kernel: a function invoked once per map instance,
 //! reading its input views (with inlined index-function addressing) and
-//! writing its output row.
+//! writing its output row, a view built once per pool chunk and slid from
+//! instance to instance (`base + i·stride`).
 //!
 //! **Contract** (relied on by the index analysis, §V-B): instance `i` may
-//! write only through `ctx.out` (its own row), and may read only row `i`
-//! of each input *not* declared in the map's `whole_inputs` list; declared
-//! whole inputs may be read arbitrarily.
+//! write only through `ctx.out` (its own row, borrowed for the one call),
+//! and may read only row `i` of each input *not* declared in the map's
+//! `whole_inputs` list; declared whole inputs may be read arbitrarily.
 //!
 //! Kernels are stored densely: registration assigns each name a stable
 //! `u32` index, [`resolve`](KernelRegistry::resolve)d once at plan-lower
@@ -24,12 +25,13 @@ use std::sync::Arc;
 pub struct KernelCtx<'a> {
     /// The map instance index.
     pub i: i64,
-    /// Whole input views (use `.row(ctx.i)` for the row-wise contract).
+    /// Whole input views: row `i` starts at `offset + i·dims[0].stride`.
     pub inputs: &'a [View],
     /// Scalar arguments.
     pub args: &'a [Value],
-    /// The instance's output row (scalar maps: a rank-0 view).
-    pub out: ViewMut,
+    /// The instance's output row (scalar maps: a rank-0 view), borrowed
+    /// for this instance only: the next instance sees it moved.
+    pub out: &'a ViewMut,
 }
 
 impl KernelCtx<'_> {

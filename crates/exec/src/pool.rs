@@ -16,13 +16,15 @@
 //! Dispatch is **work-stealing over an atomic chunk counter**: the index
 //! space `0..n` is cut into chunks of `max(MIN_SEQ, n / (workers · 4))`
 //! iterations, and every participant — the caller runs as slot 0 —
-//! repeatedly claims the next chunk with a `fetch_add` until the range is
-//! exhausted. Skewed iterations therefore never leave workers idle the
-//! way a static per-worker split does: whoever finishes early steals the
-//! remaining chunks. Trip counts below `2 · MIN_SEQ` run inline on the
-//! caller; the memory traffic is identical either way. Each dispatch
-//! reports a [`DispatchInfo`] — chunks issued, chunks stolen by non-caller
-//! slots, workers engaged vs offered — surfaced as `Stats` counters.
+//! repeatedly claims the next chunk with a `fetch_add` and hands the whole
+//! range to `f` (a map sets up its row view once per chunk) until the
+//! index space is exhausted. Skewed iterations therefore never leave
+//! workers idle the way a static per-worker split does: whoever finishes
+//! early steals the remaining chunks. Trip counts below `2 · MIN_SEQ` run
+//! inline on the caller; the memory traffic is identical either way. Each
+//! dispatch reports a [`DispatchInfo`] — chunks issued, chunks stolen by
+//! non-caller slots, workers engaged vs offered — surfaced as `Stats`
+//! counters.
 //!
 //! The requested thread count is honored even beyond the hardware
 //! parallelism (oversubscription), so thread-scaling sweeps behave
@@ -33,6 +35,7 @@
 //! drain the remaining chunks, every worker is joined, and the first
 //! payload — the caller's, else a worker's — is re-raised on the caller.
 
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -115,7 +118,7 @@ struct JobCtl {
 }
 
 /// Claim chunks off the shared cursor until the range is exhausted.
-fn steal_loop<F: Fn(i64, usize)>(f: &F, ctl: &JobCtl, n: i64, chunk: i64, slot: usize) {
+fn steal_loop<F: Fn(Range<i64>, usize)>(f: &F, ctl: &JobCtl, n: i64, chunk: i64, slot: usize) {
     let mut engaged = false;
     loop {
         let start = ctl.next.fetch_add(chunk, Ordering::Relaxed);
@@ -130,10 +133,7 @@ fn steal_loop<F: Fn(i64, usize)>(f: &F, ctl: &JobCtl, n: i64, chunk: i64, slot: 
         if slot != 0 {
             ctl.stolen.fetch_add(1, Ordering::Relaxed);
         }
-        let end = (start + chunk).min(n);
-        for i in start..end {
-            f(i, slot);
-        }
+        f(start..(start + chunk).min(n), slot);
     }
 }
 
@@ -142,15 +142,15 @@ pub fn parallel_for<F>(threads: usize, n: i64, f: F) -> DispatchInfo
 where
     F: Fn(i64) + Sync,
 {
-    parallel_for_worker(threads, n, |i, _| f(i))
+    parallel_for_chunks(threads, n, |r, _| r.for_each(&f))
 }
 
-/// As [`parallel_for`], additionally passing the worker id (for private
-/// per-worker scratch, like GPU private memory). The worker id is always
-/// `< threads`.
-pub fn parallel_for_worker<F>(threads: usize, n: i64, f: F) -> DispatchInfo
+/// Run `f` over disjoint chunks covering `0..n` (inline: one call with
+/// `0..n`), using up to `threads` workers, with the worker id `< threads`
+/// for private per-worker scratch, like GPU private memory.
+pub fn parallel_for_chunks<F>(threads: usize, n: i64, f: F) -> DispatchInfo
 where
-    F: Fn(i64, usize) + Sync,
+    F: Fn(Range<i64>, usize) + Sync,
 {
     if n <= 0 {
         return DispatchInfo {
@@ -162,9 +162,7 @@ where
     let by_trip = (n / MIN_SEQ).max(1) as usize;
     let usable = threads.clamp(1, MAX_THREADS).min(by_trip);
     if usable <= 1 {
-        for i in 0..n {
-            f(i, 0);
-        }
+        f(0..n, 0);
         return DispatchInfo::inline();
     }
     let chunk = (n / (usable as i64 * CHUNKS_PER_WORKER)).max(MIN_SEQ);
@@ -267,9 +265,9 @@ mod tests {
         for threads in 1..=8usize {
             let max_seen = AtomicUsize::new(0);
             let count = AtomicI64::new(0);
-            parallel_for_worker(threads, 4096, |_, w| {
+            parallel_for_chunks(threads, 4096, |r, w| {
                 max_seen.fetch_max(w, Ordering::Relaxed);
-                count.fetch_add(1, Ordering::Relaxed);
+                count.fetch_add(r.end - r.start, Ordering::Relaxed);
             });
             assert!(max_seen.load(Ordering::Relaxed) < threads);
             assert_eq!(count.load(Ordering::Relaxed), 4096);
@@ -305,13 +303,13 @@ mod tests {
     fn skewed_iterations_are_stolen() {
         let n = 16 * MIN_SEQ;
         let done = AtomicI64::new(0);
-        let info = parallel_for_worker(4, n, |i, _| {
-            if i == 0 {
+        let info = parallel_for_chunks(4, n, |r, _| {
+            if r.start == 0 {
                 // Park the caller inside its first chunk long enough for
                 // the workers to wake and drain the cursor.
                 std::thread::sleep(Duration::from_millis(150));
             }
-            done.fetch_add(1, Ordering::Relaxed);
+            done.fetch_add(r.end - r.start, Ordering::Relaxed);
         });
         assert_eq!(done.load(Ordering::Relaxed), n);
         assert!(info.dispatched);
@@ -378,8 +376,8 @@ mod tests {
     #[test]
     fn worker_panic_reaches_the_dispatcher_with_its_payload() {
         let payload = std::panic::catch_unwind(|| {
-            parallel_for_worker(4, 16 * MIN_SEQ, |i, w| {
-                if i == 0 {
+            parallel_for_chunks(4, 16 * MIN_SEQ, |r, w| {
+                if r.start == 0 {
                     std::thread::sleep(Duration::from_millis(150));
                 }
                 if w != 0 {
@@ -401,7 +399,7 @@ mod tests {
         let both = |job: usize| {
             let announced = AtomicBool::new(false);
             let saw_other = AtomicBool::new(false);
-            parallel_for_worker(2, 4 * MIN_SEQ, |_, _| {
+            parallel_for_chunks(2, 4 * MIN_SEQ, |_, _| {
                 if announced.swap(true, Ordering::Relaxed) {
                     return;
                 }
@@ -425,19 +423,27 @@ mod tests {
     }
 
     /// Concurrent dispatches from several threads each cover their whole
-    /// range.
+    /// range: at every width, and at trip counts around the inline
+    /// threshold, the chunks are non-empty, disjoint and cover `0..n`
+    /// exactly once.
     #[test]
     fn concurrent_dispatches_cover_their_ranges() {
         let flag = AtomicBool::new(false);
         std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..20 {
-                        let sum = AtomicI64::new(0);
-                        parallel_for(4, 4096, |i| {
-                            sum.fetch_add(i, Ordering::Relaxed);
+            for threads in [1usize, 2, 8] {
+                let flag = &flag;
+                s.spawn(move || {
+                    for n in [0i64, 1, 127, 128, 1000, 4096].repeat(5) {
+                        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                        parallel_for_chunks(threads, n, |r, _| {
+                            if r.is_empty() || r.start < 0 || r.end > n {
+                                flag.store(true, Ordering::Relaxed);
+                            }
+                            for i in r {
+                                hits[i as usize].fetch_add(1, Ordering::Relaxed);
+                            }
                         });
-                        if sum.load(Ordering::Relaxed) != 4096 * 4095 / 2 {
+                        if hits.iter().any(|h| h.load(Ordering::Relaxed) != 1) {
                             flag.store(true, Ordering::Relaxed);
                         }
                     }
@@ -446,7 +452,7 @@ mod tests {
         });
         assert!(
             !flag.load(Ordering::Relaxed),
-            "a concurrent job lost indices"
+            "a concurrent job lost, repeated or overran indices"
         );
     }
 }

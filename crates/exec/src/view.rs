@@ -311,9 +311,16 @@ impl ViewMut {
         ViewMut(self.0.row(i))
     }
 
-    /// Read-only alias of this view.
-    pub fn as_view(&self) -> View {
-        self.0.clone()
+    /// Slide the view `delta` elements through its block: what `row(i)`
+    /// becomes as `row(i + k)` with `delta = k · stride`, without
+    /// rebuilding the index function.
+    pub(crate) fn shift(&mut self, delta: i64) {
+        let View { ixfn, plan, .. } = &mut self.0;
+        ixfn.lmads.last_mut().unwrap().offset += delta;
+        if let AccessClass::Contiguous { base } | AccessClass::RowContiguous { base, .. } = plan {
+            *base += delta;
+        }
+        debug_assert_eq!(*plan, ixfn.classify());
     }
 
     /// The underlying raw buffer (for constructing derived views).
@@ -580,7 +587,7 @@ mod tests {
         let v = ViewMut::new(s.raw(b), ConcreteIxFn::row_major(&[3, 4]));
         v.set_f32(&[2, 3], 7.5);
         assert_eq!(v.get_f32(&[2, 3]), 7.5);
-        assert_eq!(v.as_view().get(11).as_f32(), 7.5);
+        assert_eq!(v.get(11).as_f32(), 7.5);
     }
 
     #[test]
@@ -591,6 +598,47 @@ mod tests {
         assert_eq!(r.shape(), vec![4]);
         assert_eq!(r.get_f32(&[0]), 4.0);
         assert_eq!(r.get_f32(&[3]), 7.0);
+    }
+
+    /// Sliding `row(0)` by the outer stride `k` times is `row(k)`: the
+    /// same index function, access class and element addresses, for one
+    /// LMAD of each access class and for an LMAD chain.
+    #[test]
+    fn shifted_rows_are_fixed_rows() {
+        let mut s = MemStore::new();
+        let block = s.alloc(ElemType::F32, 512);
+        let raw = s.raw(block);
+        let lmad = |offset, dims: &[(i64, i64)]| ConcreteLmad {
+            offset,
+            dims: dims
+                .iter()
+                .map(|&(card, stride)| Dim { card, stride })
+                .collect(),
+        };
+        let views = [
+            ConcreteIxFn::row_major(&[4, 3, 2]),
+            ConcreteIxFn::from_lmad(lmad(1, &[(4, 40), (3, 8), (4, 1)])),
+            ConcreteIxFn::from_lmad(lmad(2, &[(4, 30), (3, 2), (2, 5)])),
+            ConcreteIxFn {
+                lmads: vec![lmad(0, &[(3, 1), (4, 3)]), lmad(0, &[(4, 3), (3, 1)])],
+            },
+        ];
+        let classes = ["Contiguous", "RowContiguous", "Strided", "General"];
+        for (ixfn, class) in views.into_iter().zip(classes) {
+            let v = ViewMut::new(raw, ixfn);
+            let stride = v.ixfn().lmads.last().unwrap().dims[0].stride;
+            let mut slid = v.row(0);
+            assert!(format!("{:?}", slid.plan).starts_with(class));
+            for k in 0..4 {
+                let fixed = v.row(k);
+                assert!(slid.ixfn() == fixed.ixfn(), "{class} row {k}");
+                assert_eq!(slid.plan, fixed.plan, "{class} row {k}");
+                for f in 0..fixed.num_elems() {
+                    assert_eq!(slid.addr_flat(f), fixed.addr_flat(f), "{class} row {k}");
+                }
+                slid.shift(stride);
+            }
+        }
     }
 
     #[test]

@@ -76,7 +76,7 @@ use crate::plan::{
     eval_all, eval_shape, Arg, Dest, ExecPlan, Instr, LExp, LSlice, LUpdateSrc, MapKernelInstr,
     MapLambdaInstr, Op, ParamSpec, Slot, Stream, UpdateInstr,
 };
-use crate::pool::parallel_for_worker;
+use crate::pool::parallel_for_chunks;
 use crate::stats::{Diagnostic, Stats};
 use crate::store::{CellState, MemStore, RawBuf};
 use crate::strip::{Strips, STRIP};
@@ -912,21 +912,14 @@ impl Machine<'_> {
         // Private per-worker row buffers for the non-in-place case: the
         // mapnest's implicit result copy (§V-A(e)). The copy-out targets a
         // worker-private row, so buffered maps parallelize freely; `Serial`
-        // maps never dispatch in parallel.
-        let workers = match self.mode {
-            Mode::Pure => self.threads,
-            Mode::Memory if mk.par == ParLevel::Serial => 1,
-            Mode::Memory => self.threads,
-            // Under the sanitizer, only maps the pre-dispatch re-proof cleared
-            // may run parallel.
-            Mode::Checked => {
-                if prechecked {
-                    self.threads
-                } else {
-                    1
-                }
-            }
+        // maps never dispatch in parallel, and under the sanitizer only the
+        // maps the pre-dispatch re-proof cleared do.
+        let parallel = match self.mode {
+            Mode::Pure => true,
+            Mode::Memory => mk.par != ParLevel::Serial,
+            Mode::Checked => prechecked,
         };
+        let workers = if parallel { self.threads } else { 1 };
         let temp_block = if direct {
             None
         } else {
@@ -935,29 +928,29 @@ impl Machine<'_> {
         };
         let temp_raw = temp_block.map(|b| self.store.raw(b));
         let t0 = Instant::now();
-        let info = parallel_for_worker(workers, width, |i, w| {
-            let row = out_view.row(i);
-            if direct {
-                let ctx = KernelCtx {
+        // One row view per chunk, slid from instance to instance by the
+        // outer stride (`base + i·stride`, as a GPU thread addresses its
+        // row), and for a buffered map one private row per chunk.
+        let info = parallel_for_chunks(workers, width, |range, w| {
+            let stride = out_view.ixfn().lmads.last().unwrap().dims[0].stride;
+            let mut row = out_view.row(range.start);
+            let private = temp_raw.map(|raw| {
+                let mut lmad = ConcreteLmad::row_major(&row_shape_c);
+                lmad.offset = w as i64 * row_elems;
+                ViewMut::new(raw, ConcreteIxFn::from_lmad(lmad))
+            });
+            for i in range {
+                let out = private.as_ref().unwrap_or(&row);
+                kernel(&KernelCtx {
                     i,
                     inputs: &inputs,
                     args: &argv,
-                    out: row,
-                };
-                kernel(&ctx);
-            } else {
-                // Build the private row, then copy it out.
-                let mut priv_lmad = ConcreteLmad::row_major(&row_shape_c);
-                priv_lmad.offset = w as i64 * row_elems;
-                let priv_row = ViewMut::new(temp_raw.unwrap(), ConcreteIxFn::from_lmad(priv_lmad));
-                let ctx = KernelCtx {
-                    i,
-                    inputs: &inputs,
-                    args: &argv,
-                    out: priv_row.clone(),
-                };
-                kernel(&ctx);
-                copy_view(&row, &priv_row.as_view());
+                    out,
+                });
+                if let Some(p) = &private {
+                    copy_view(&row, p);
+                }
+                row.shift(stride);
             }
         });
         self.stats.kernel_time += t0.elapsed();

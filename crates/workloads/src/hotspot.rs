@@ -76,7 +76,7 @@ fn row_kernel(temp: &View, power: &View, n: i64, r: i64, out: &arraymem_exec::Vi
     let down = if r == n - 1 { 0 } else { n };
     let pl = power.lmad().expect("power is one LMAD");
     let pbase = pl.offset + r * n;
-    let ol = out.lmad().expect("row is one LMAD").clone();
+    let ol = out.lmad().expect("row is one LMAD");
     let sc = ol.dims[0].stride;
     let mut woff = ol.offset;
     for cc in 0..n {
@@ -108,17 +108,17 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
     // Top boundary row (instance 0 computes row 0, corners included).
     reg.register("hotspot_top", |ctx| {
         let n = ctx.arg_i64(0);
-        row_kernel(&ctx.inputs[0], &ctx.inputs[1], n, 0, &ctx.out);
+        row_kernel(&ctx.inputs[0], &ctx.inputs[1], n, 0, ctx.out);
     });
     // Interior rows: instance i computes row i+1.
     reg.register("hotspot_mid", |ctx| {
         let n = ctx.arg_i64(0);
-        row_kernel(&ctx.inputs[0], &ctx.inputs[1], n, ctx.i + 1, &ctx.out);
+        row_kernel(&ctx.inputs[0], &ctx.inputs[1], n, ctx.i + 1, ctx.out);
     });
     // Bottom boundary row.
     reg.register("hotspot_bot", |ctx| {
         let n = ctx.arg_i64(0);
-        row_kernel(&ctx.inputs[0], &ctx.inputs[1], n, n - 1, &ctx.out);
+        row_kernel(&ctx.inputs[0], &ctx.inputs[1], n, n - 1, ctx.out);
     });
 }
 

@@ -166,7 +166,7 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
             |c, q| f.read_f32_off(base + c * sc + q as i64 * sq),
             &mut out,
         );
-        let ol = ctx.out.lmad().expect("row is one LMAD").clone();
+        let ol = ctx.out.lmad().expect("row is one LMAD");
         let mut woff = ol.offset;
         for v in out {
             ctx.out.write_f32_off(woff, v);

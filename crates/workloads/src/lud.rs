@@ -107,13 +107,14 @@ fn mm_sub_block(a: &mut [f32], n: usize, io: usize, jo: usize, ko: usize, b: usi
     }
 }
 
-/// Read a b×b block from a (possibly strided) rank-2 view into a dense
-/// local buffer (the kernels' "shared memory staging", as Rodinia does).
-fn load_block(v: &View, b: usize, buf: &mut [f32]) {
-    let l = v.lmad().expect("block is one LMAD");
-    let (sr, sc) = (l.dims[0].stride, l.dims[1].stride);
+/// Read b×b block `k` of a (possibly strided) rank-3 view into a dense
+/// local buffer (the kernels' "shared memory staging", as Rodinia does),
+/// addressing it through the whole view's LMAD.
+fn load_block(v: &View, k: i64, b: usize, buf: &mut [f32]) {
+    let l = v.lmad().expect("blocks are one LMAD");
+    let (sr, sc) = (l.dims[1].stride, l.dims[2].stride);
     for r in 0..b {
-        let mut off = l.offset + r as i64 * sr;
+        let mut off = l.offset + k * l.dims[0].stride + r as i64 * sr;
         for cc in 0..b {
             buf[r * b + cc] = v.read_f32_off(off);
             off += sc;
@@ -122,7 +123,7 @@ fn load_block(v: &View, b: usize, buf: &mut [f32]) {
 }
 
 fn store_block(out: &arraymem_exec::ViewMut, b: usize, buf: &[f32]) {
-    let l = out.lmad().expect("block is one LMAD").clone();
+    let l = out.lmad().expect("block is one LMAD");
     let (sr, sc) = (l.dims[0].stride, l.dims[1].stride);
     for r in 0..b {
         let mut off = l.offset + r as i64 * sr;
@@ -138,7 +139,7 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
     reg.register("lud_diagonal", |ctx| {
         let b = ctx.arg_i64(0) as usize;
         let mut blk = vec![0f32; b * b];
-        load_block(&ctx.inputs[0].row(0), b, &mut blk);
+        load_block(&ctx.inputs[0], 0, b, &mut blk);
         for kk in 0..b {
             let pivot = blk[kk * b + kk];
             for i in kk + 1..b {
@@ -149,16 +150,16 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
                 }
             }
         }
-        store_block(&ctx.out, b, &blk);
+        store_block(ctx.out, b, &blk);
     });
     // Perimeter row: instance j computes U(k, k+1+j). Inputs: factored
     // diagonal (whole), own row block (row-wise).
     reg.register("lud_perimeter_row", |ctx| {
         let b = ctx.arg_i64(0) as usize;
         let mut diag = vec![0f32; b * b];
-        load_block(&ctx.inputs[0].row(0), b, &mut diag);
+        load_block(&ctx.inputs[0], 0, b, &mut diag);
         let mut blk = vec![0f32; b * b];
-        load_block(&ctx.inputs[1].row(ctx.i), b, &mut blk);
+        load_block(&ctx.inputs[1], ctx.i, b, &mut blk);
         for r in 1..b {
             for t in 0..r {
                 let l = diag[r * b + t];
@@ -167,15 +168,15 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
                 }
             }
         }
-        store_block(&ctx.out, b, &blk);
+        store_block(ctx.out, b, &blk);
     });
     // Perimeter column: instance i computes L(k+1+i, k).
     reg.register("lud_perimeter_col", |ctx| {
         let b = ctx.arg_i64(0) as usize;
         let mut diag = vec![0f32; b * b];
-        load_block(&ctx.inputs[0].row(0), b, &mut diag);
+        load_block(&ctx.inputs[0], 0, b, &mut diag);
         let mut blk = vec![0f32; b * b];
-        load_block(&ctx.inputs[1].row(ctx.i), b, &mut blk);
+        load_block(&ctx.inputs[1], ctx.i, b, &mut blk);
         for cc in 0..b {
             for r in 0..b {
                 let mut v = blk[r * b + cc];
@@ -185,7 +186,7 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
                 blk[r * b + cc] = v / diag[cc * b + cc];
             }
         }
-        store_block(&ctx.out, b, &blk);
+        store_block(ctx.out, b, &blk);
     });
     // Interior: instance j computes A(i, k+1+j) -= L(i,k)·U(k, k+1+j).
     // Inputs: L block (whole), U row blocks (row-wise), own blocks
@@ -193,11 +194,11 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
     reg.register("lud_interior", |ctx| {
         let b = ctx.arg_i64(0) as usize;
         let mut lblk = vec![0f32; b * b];
-        load_block(&ctx.inputs[0].row(0), b, &mut lblk);
+        load_block(&ctx.inputs[0], 0, b, &mut lblk);
         let mut ublk = vec![0f32; b * b];
-        load_block(&ctx.inputs[1].row(ctx.i), b, &mut ublk);
+        load_block(&ctx.inputs[1], ctx.i, b, &mut ublk);
         let mut own = vec![0f32; b * b];
-        load_block(&ctx.inputs[2].row(ctx.i), b, &mut own);
+        load_block(&ctx.inputs[2], ctx.i, b, &mut own);
         for r in 0..b {
             for t in 0..b {
                 let l = lblk[r * b + t];
@@ -206,7 +207,7 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
                 }
             }
         }
-        store_block(&ctx.out, b, &own);
+        store_block(ctx.out, b, &own);
     });
 }
 

@@ -71,27 +71,26 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
         let origin = base + ctx.i * (n * (b as i64) - b as i64);
         let r0 = origin / n;
         let c0 = origin % n;
-        // Load the perimeter bars into registers/locals, incremental
-        // addressing through the inlined LMADs.
-        let vlm = ctx.inputs[0].row(ctx.i);
-        let hlm = ctx.inputs[1].row(ctx.i);
-        let vl = vlm.lmad().expect("bar is one LMAD");
-        let hl = hlm.lmad().expect("bar is one LMAD");
+        // Load bar `i` of each perimeter input into locals, incremental
+        // addressing through the whole input's inlined LMAD.
+        let (vbars, hbars) = (&ctx.inputs[0], &ctx.inputs[1]);
+        let vl = vbars.lmad().expect("bars are one LMAD");
+        let hl = hbars.lmad().expect("bars are one LMAD");
         let mut vert = vec![0i64; b + 1];
-        let mut off = vl.offset;
+        let mut off = vl.offset + ctx.i * vl.dims[0].stride;
         for v in vert.iter_mut() {
-            *v = vlm.read_i64_off(off);
-            off += vl.dims[0].stride;
+            *v = vbars.read_i64_off(off);
+            off += vl.dims[1].stride;
         }
         // row_above starts as the horizontal bar; diag_left as the corner.
         let mut above = vec![0i64; b];
-        let mut off = hl.offset;
+        let mut off = hl.offset + ctx.i * hl.dims[0].stride;
         for a in above.iter_mut() {
-            *a = hlm.read_i64_off(off);
-            off += hl.dims[0].stride;
+            *a = hbars.read_i64_off(off);
+            off += hl.dims[1].stride;
         }
         let mut cur = vec![0i64; b];
-        let ol = ctx.out.lmad().expect("block is one LMAD").clone();
+        let ol = ctx.out.lmad().expect("block is one LMAD");
         let (sr, sc) = (ol.dims[0].stride, ol.dims[1].stride);
         let mut corner = vert[0];
         for r in 0..b {

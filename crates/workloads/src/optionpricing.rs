@@ -81,26 +81,25 @@ pub fn reference(npaths: usize, steps: usize) -> f32 {
 pub fn register_kernels(reg: &mut KernelRegistry) {
     reg.register("op_bridge", |ctx| {
         let steps = ctx.arg_i64(0) as usize;
-        let l = ctx.out.lmad().expect("path row is one LMAD").clone();
+        let l = ctx.out.lmad().expect("path row is one LMAD");
         let s0 = l.offset;
         let st = l.dims[0].stride;
-        let out = &ctx.out;
         gen_path(ctx.i, steps, &mut |t, v| {
-            out.write_f32_off(s0 + t as i64 * st, v)
+            ctx.out.write_f32_off(s0 + t as i64 * st, v)
         });
     });
     reg.register("op_payoff", |ctx| {
         let steps = ctx.arg_i64(0) as usize;
-        let row = ctx.inputs[0].row(ctx.i);
-        let l = row.lmad().expect("path row is one LMAD").clone();
-        let v = payoff(
-            &mut |t| row.read_f32_off(l.offset + t as i64 * l.dims[0].stride),
-            steps,
-        );
+        // Path `i`'s row, addressed through the whole input's LMAD.
+        let paths = &ctx.inputs[0];
+        let l = paths.lmad().expect("paths are one LMAD");
+        let base = l.offset + ctx.i * l.dims[0].stride;
+        let st = l.dims[1].stride;
+        let v = payoff(&mut |t| paths.read_f32_off(base + t as i64 * st), steps);
         ctx.out.set_f32(&[], v);
     });
     reg.register("op_mean", |ctx| {
-        let l = ctx.inputs[0].lmad().expect("payoffs one LMAD").clone();
+        let l = ctx.inputs[0].lmad().expect("payoffs one LMAD");
         let n = l.dims[0].card;
         let mut total = 0f32;
         let mut off = l.offset;

@@ -9,9 +9,12 @@
 //! coordinates, a slice transform, a fresh view); a gather or a lambda map
 //! cloned nothing per element but is held to the same bar — a lambda map's
 //! lane scratch and resolved ops live on the machine, so it is held to it
-//! per *strip* too, which is what the third size is for. A kernel map
-//! still builds a row view per instance (ROADMAP item 5c), which is what the
-//! per-row allowance for `spmv` is.
+//! per *strip* too, which is what the third size is for. A kernel map is
+//! held to it per *instance*: the machine builds one row view per pool
+//! chunk and slides it by the outer stride (ROADMAP item 5c), and the
+//! kernels address their inputs through the whole input's LMAD, so SpMV's
+//! row sums, LBM's cells, NN's points and OptionPricing's paths cost the
+//! same allocations at every size.
 //!
 //! One test in a binary of its own: the allocator counts the whole
 //! process.
@@ -19,6 +22,7 @@
 use arraymem_exec::{Mode, Session};
 use arraymem_workloads::harness::Case;
 use arraymem_workloads::irregular::{histogram_case, permutation_case, spmv_case};
+use arraymem_workloads::{lbm, nn, optionpricing};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -84,26 +88,31 @@ fn a_warm_run_allocates_per_instruction_not_per_element() {
     /// once more at the larger one.
     const SLACK: u64 = 8;
 
-    let mut fixed = 0;
-    let mut same_at_every_size = |name: &str, case: fn(usize) -> Case| {
-        let [small, large, huge] = [SMALL, LARGE, HUGE].map(|n| warm_run_allocations(&case(n)));
+    let same_at_every_size = |name: &str, sizes: &[usize], case: fn(usize) -> Case| {
+        let counts: Vec<u64> = sizes
+            .iter()
+            .map(|&n| warm_run_allocations(&case(n)))
+            .collect();
         assert!(
-            small.abs_diff(large) <= SLACK && small.abs_diff(huge) <= SLACK,
-            "{name}: {small} allocations at n = {SMALL}, {large} at n = {LARGE}, \
-             {huge} at n = {HUGE}"
+            counts.iter().all(|c| c.abs_diff(counts[0]) <= SLACK),
+            "{name}: {counts:?} allocations at n = {sizes:?}"
         );
-        fixed = fixed.max(small).max(large);
     };
-    same_at_every_size("histogram", |n| histogram_case("n/64", n, 64, 1));
-    same_at_every_size("permutation", |n| permutation_case("n", n, 1));
-
-    // One kernel instance per row, one row view per instance.
-    for rows in [SMALL, LARGE] {
-        let allocations = warm_run_allocations(&spmv_case("n", rows, rows, 8, 1));
-        let allowed = 2 * rows as u64 + fixed + SLACK;
-        assert!(
-            allocations <= allowed,
-            "spmv: {allocations} allocations for {rows} rows (allowed {allowed})"
-        );
-    }
+    same_at_every_size("histogram", &[SMALL, LARGE, HUGE], |n| {
+        histogram_case("n/64", n, 64, 1)
+    });
+    same_at_every_size("permutation", &[SMALL, LARGE, HUGE], |n| {
+        permutation_case("n", n, 1)
+    });
+    // One kernel instance per row, cell, point or path.
+    same_at_every_size("spmv", &[SMALL, LARGE, HUGE], |n| {
+        spmv_case("n", n, n, 8, 1)
+    });
+    same_at_every_size("lbm", &[SMALL, LARGE], |n| {
+        lbm::case("n/100", (n / 100, 10, 10), 2, 1)
+    });
+    same_at_every_size("nn", &[SMALL, LARGE], |n| nn::case("n", n, 4, 1));
+    same_at_every_size("optionpricing", &[SMALL, LARGE], |n| {
+        optionpricing::case("n", n, 16, 1)
+    });
 }
