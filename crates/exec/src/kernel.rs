@@ -1,15 +1,14 @@
 //! The kernel registry: native map bodies.
 //!
 //! A kernel is the runtime counterpart of the code the paper's compiler
-//! generates for a GPU kernel: a function invoked once per map instance,
-//! reading its input views (with inlined index-function addressing) and
-//! writing its output row, a view built once per pool chunk and slid from
-//! instance to instance (`base + i·stride`).
+//! generates for a map body: one call runs a range of map instances (a
+//! pool chunk) as one loop, with its inlined index-function addressing,
+//! arguments and scratch hoisted out of the loop.
 //!
-//! **Contract** (relied on by the index analysis, §V-B): instance `i` may
-//! write only through `ctx.out` (its own row, borrowed for the one call),
-//! and may read only row `i` of each input *not* declared in the map's
-//! `whole_inputs` list; declared whole inputs may be read arbitrarily.
+//! **Contract** (relied on by the index analysis, §V-B): for each `i` in
+//! `ctx.rows`, the kernel may write only `out[i, ..]`, and may read only
+//! row `i` of each input *not* declared in the map's `whole_inputs` list;
+//! declared whole inputs may be read arbitrarily.
 //!
 //! Kernels are stored densely: registration assigns each name a stable
 //! `u32` index, [`resolve`](KernelRegistry::resolve)d once at plan-lower
@@ -19,18 +18,19 @@
 use crate::value::Value;
 use crate::view::{View, ViewMut};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
-/// Per-instance kernel context.
+/// Per-call kernel context: the instances to run and what they address.
 pub struct KernelCtx<'a> {
-    /// The map instance index.
-    pub i: i64,
+    /// The map instances this call runs.
+    pub rows: Range<i64>,
     /// Whole input views: row `i` starts at `offset + i·dims[0].stride`.
     pub inputs: &'a [View],
     /// Scalar arguments.
     pub args: &'a [Value],
-    /// The instance's output row (scalar maps: a rank-0 view), borrowed
-    /// for this instance only: the next instance sees it moved.
+    /// The whole result view (rank 1 + row rank), addressed like the
+    /// inputs: row `i` starts at `offset + i·dims[0].stride`.
     pub out: &'a ViewMut,
 }
 

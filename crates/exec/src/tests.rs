@@ -10,6 +10,8 @@ use arraymem_core::{compile, Options};
 use arraymem_ir::{Builder, ElemType, Program, ScalarExp, SliceSpec, Type, Var};
 use arraymem_lmad::{Dim, Lmad, Transform, TripletSlice};
 use arraymem_symbolic::{Env, Poly};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 fn p(v: Var) -> Poly {
     Poly::var(v)
@@ -137,9 +139,11 @@ fn kernel_map_rows_inplace_vs_private() {
     let mut kernels = KernelRegistry::new();
     kernels.register("rev_row", |ctx| {
         let w = ctx.arg_i64(0);
-        let inp = ctx.inputs[0].row(ctx.i);
-        for j in 0..w {
-            ctx.out.set_f32(&[j], inp.get_f32(&[w - 1 - j]));
+        for i in ctx.rows.clone() {
+            for j in 0..w {
+                ctx.out
+                    .set_f32(&[i, j], ctx.inputs[0].get_f32(&[i, w - 1 - j]));
+            }
         }
     });
     let mut b = Builder::new("rows");
@@ -176,6 +180,121 @@ fn kernel_map_rows_inplace_vs_private() {
     // Unopt pays the mapnest's implicit per-row copy; opt does not.
     assert_eq!(unopt.bytes_copied, (rows * 16 * 4) as u64);
     assert_eq!(opt.bytes_copied, 0);
+}
+
+/// `map dbl` over `n` rows of width `w` (rank-0 rows when `w` is 0): row
+/// `i` of the result is row `i` of the input reversed and doubled. The
+/// kernel counts its calls in `calls`.
+fn dbl_map(w: i64, calls: &Arc<AtomicU64>) -> (Program, Env, KernelRegistry) {
+    let mut kernels = KernelRegistry::new();
+    let counter = Arc::clone(calls);
+    kernels.register("dbl", move |ctx| {
+        counter.fetch_add(1, Ordering::Relaxed);
+        let (src, w) = (&ctx.inputs[0], ctx.arg_i64(0));
+        for i in ctx.rows.clone() {
+            if w == 0 {
+                ctx.out.set_f32(&[i], 2.0 * src.get_f32(&[i]));
+            }
+            for j in 0..w {
+                ctx.out.set_f32(&[i, j], 2.0 * src.get_f32(&[i, w - 1 - j]));
+            }
+        }
+    });
+    let mut b = Builder::new("dbl");
+    let n = b.scalar_param("dn", ElemType::I64);
+    let row: Vec<Poly> = if w == 0 { vec![] } else { vec![c(w)] };
+    let shape = std::iter::once(p(n)).chain(row.clone()).collect();
+    let src = b.array_param("dsrc", ElemType::F32, shape);
+    let mut body = b.block();
+    let ys = body.map_kernel(
+        "dys",
+        "dbl",
+        p(n),
+        row,
+        ElemType::F32,
+        vec![src],
+        vec![ScalarExp::i64(w)],
+    );
+    let blk = body.finish(vec![ys]);
+    let mut env = Env::new();
+    env.assume_ge(n, 1);
+    (b.finish(blk), env, kernels)
+}
+
+/// The three ways a kernel map runs — `Pure`; the optimized compile in
+/// `Memory` with its `Safe` verdict, in place; the unoptimized compile in
+/// `Memory` without verdicts, through private rows — at `threads`, each as
+/// (outputs, stats, kernel calls).
+fn dbl_three_ways(w: i64, n: usize, threads: usize) -> [(Vec<OutputValue>, crate::Stats, u64); 3] {
+    let calls = Arc::new(AtomicU64::new(0));
+    let (prog, env, kernels) = dbl_map(w, &calls);
+    let data: Vec<f32> = (0..n * w.max(1) as usize).map(|x| x as f32).collect();
+    let inputs = vec![InputValue::I64(n as i64), InputValue::ArrayF32(data)];
+    let counted = |r: Result<(Vec<OutputValue>, crate::Stats), String>| {
+        let (out, stats) = r.expect("run");
+        (out, stats, calls.swap(0, Ordering::Relaxed))
+    };
+    let memory = |opts: Options, verdicts: bool| {
+        let compiled = compile(&prog, &opts.with_env(env.clone())).unwrap();
+        let par = if verdicts {
+            &compiled.report.par_safety[..]
+        } else {
+            &[]
+        };
+        let mut session = crate::Session::new();
+        let h = session
+            .prepare_full(&compiled.program, &kernels, &[], &[], par)
+            .expect("prepare");
+        counted(session.run_plan(h, &inputs, &kernels, Mode::Memory, threads))
+    };
+    [
+        counted(run_program(&prog, &inputs, &kernels, Mode::Pure, threads)),
+        memory(Options::optimized(), true),
+        memory(Options::default(), false),
+    ]
+}
+
+/// A direct map is one kernel call per pool chunk (one call when it runs
+/// inline); a buffered map is one call per instance, each into the
+/// worker's private row.
+#[test]
+fn kernel_calls_run_whole_chunks() {
+    let n = 1_000;
+    for threads in [1, 2, 8] {
+        let [pure, direct, buffered] = dbl_three_ways(1, n, threads);
+        for (out, stats, calls) in [&pure, &direct] {
+            assert_eq!(stats.bytes_copied, 0, "{threads} threads: {stats:?}");
+            let chunks = match threads {
+                1 => 1,
+                _ => stats.par_chunks,
+            };
+            assert_eq!(stats.pool_dispatches, (threads > 1) as u64);
+            assert_eq!(*calls, chunks, "{threads} threads: {stats:?}");
+            assert_eq!(out, &buffered.0);
+        }
+        let (_, stats, calls) = buffered;
+        assert!(stats.bytes_copied > 0, "{threads} threads: {stats:?}");
+        assert_eq!(calls, n as u64, "{threads} threads");
+        assert_eq!(stats.kernel_launches, n as u64);
+    }
+}
+
+/// Direct, buffered and `Pure` runs agree for rank-0 and rank-1 rows at
+/// every pool width.
+#[test]
+fn kernel_calls_agree_direct_buffered_and_pure() {
+    let n = 700;
+    for w in [0, 5] {
+        let wd = w.max(1) as usize;
+        let expect: Vec<f32> = (0..n * wd)
+            .map(|x| 2.0 * (x / wd * wd + wd - 1 - x % wd) as f32)
+            .collect();
+        for threads in [1, 2, 8] {
+            for (out, _, _) in dbl_three_ways(w, n, threads) {
+                assert_eq!(out[0].as_f32s(), &expect[..], "w {w}, {threads} threads");
+            }
+        }
+    }
 }
 
 #[test]
@@ -424,9 +543,11 @@ fn session_reuse_is_equivalence_preserving() {
     let mut kernels = KernelRegistry::new();
     kernels.register("rev_row", |ctx| {
         let w = ctx.arg_i64(0);
-        let inp = ctx.inputs[0].row(ctx.i);
-        for j in 0..w {
-            ctx.out.set_f32(&[j], inp.get_f32(&[w - 1 - j]));
+        for i in ctx.rows.clone() {
+            for j in 0..w {
+                ctx.out
+                    .set_f32(&[i, j], ctx.inputs[0].get_f32(&[i, w - 1 - j]));
+            }
         }
     });
     let mut b = Builder::new("session_rows");

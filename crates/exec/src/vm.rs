@@ -928,28 +928,28 @@ impl Machine<'_> {
         };
         let temp_raw = temp_block.map(|b| self.store.raw(b));
         let t0 = Instant::now();
-        // One row view per chunk, slid from instance to instance by the
-        // outer stride (`base + i·stride`, as a GPU thread addresses its
-        // row), and for a buffered map one private row per chunk.
+        // Direct: one kernel call per chunk, in place. Buffered: one call per
+        // instance into the worker's private row (outer stride 0), copied to
+        // row `i` through a row view slid by the outer stride.
         let info = parallel_for_chunks(workers, width, |range, w| {
+            let ctx = |rows, out| KernelCtx {
+                rows,
+                inputs: &inputs,
+                args: &argv,
+                out,
+            };
+            let Some(raw) = temp_raw else {
+                return kernel(&ctx(range, &out_view));
+            };
+            let mut lmad = ConcreteLmad::row_major(&[&[width][..], &row_shape_c].concat());
+            (lmad.offset, lmad.dims[0].stride) = (w as i64 * row_elems, 0);
+            let private = ViewMut::new(raw, ConcreteIxFn::from_lmad(lmad));
+            let src = private.row(0);
             let stride = out_view.ixfn().lmads.last().unwrap().dims[0].stride;
             let mut row = out_view.row(range.start);
-            let private = temp_raw.map(|raw| {
-                let mut lmad = ConcreteLmad::row_major(&row_shape_c);
-                lmad.offset = w as i64 * row_elems;
-                ViewMut::new(raw, ConcreteIxFn::from_lmad(lmad))
-            });
             for i in range {
-                let out = private.as_ref().unwrap_or(&row);
-                kernel(&KernelCtx {
-                    i,
-                    inputs: &inputs,
-                    args: &argv,
-                    out,
-                });
-                if let Some(p) = &private {
-                    copy_view(&row, p);
-                }
+                kernel(&ctx(i..i + 1, &private));
+                copy_view(&row, &src);
                 row.shift(stride);
             }
         });

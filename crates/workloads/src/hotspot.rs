@@ -15,7 +15,7 @@
 //! boundary row — a three-way concat along the outer dimension.
 
 use crate::harness::Case;
-use arraymem_exec::{InputValue, KernelRegistry, OutputValue, View};
+use arraymem_exec::{InputValue, KernelRegistry, OutputValue, View, ViewMut};
 use arraymem_ir::{Builder, ElemType, Program, ScalarExp, Var};
 use arraymem_symbolic::{Env, Poly};
 
@@ -68,17 +68,17 @@ pub fn reference(n: usize, steps: usize, temp: &mut Vec<f32>, power: &[f32]) {
     }
 }
 
-fn row_kernel(temp: &View, power: &View, n: i64, r: i64, out: &arraymem_exec::ViewMut) {
-    // Incremental flat addressing through the (row-major) input LMADs.
+/// Grid row `r` into the result row at memory offset `woff` (column
+/// stride `sc`): incremental flat addressing through the (row-major)
+/// input LMADs.
+fn row_kernel(temp: &View, power: &View, n: i64, r: i64, out: &ViewMut, woff: i64, sc: i64) {
     let tl = temp.lmad().expect("temp is one LMAD");
     let base = tl.offset + r * n;
     let up = if r == 0 { 0 } else { n };
     let down = if r == n - 1 { 0 } else { n };
     let pl = power.lmad().expect("power is one LMAD");
     let pbase = pl.offset + r * n;
-    let ol = out.lmad().expect("row is one LMAD");
-    let sc = ol.dims[0].stride;
-    let mut woff = ol.offset;
+    let mut woff = woff;
     for cc in 0..n {
         let t = temp.read_f32_off(base + cc);
         let e = if cc == n - 1 {
@@ -104,22 +104,26 @@ fn row_kernel(temp: &View, power: &View, n: i64, r: i64, out: &arraymem_exec::Vi
     }
 }
 
+/// Register one row kernel: instance `i` computes grid row `grid_row(n, i)`.
+fn register_rows(reg: &mut KernelRegistry, name: &str, grid_row: fn(i64, i64) -> i64) {
+    reg.register(name, move |ctx| {
+        let n = ctx.arg_i64(0);
+        let (temp, power, out) = (&ctx.inputs[0], &ctx.inputs[1], ctx.out);
+        let ol = out.lmad().expect("rows are one LMAD");
+        for i in ctx.rows.clone() {
+            let woff = ol.offset + i * ol.dims[0].stride;
+            row_kernel(temp, power, n, grid_row(n, i), out, woff, ol.dims[1].stride);
+        }
+    });
+}
+
 pub fn register_kernels(reg: &mut KernelRegistry) {
     // Top boundary row (instance 0 computes row 0, corners included).
-    reg.register("hotspot_top", |ctx| {
-        let n = ctx.arg_i64(0);
-        row_kernel(&ctx.inputs[0], &ctx.inputs[1], n, 0, ctx.out);
-    });
+    register_rows(reg, "hotspot_top", |_, _| 0);
     // Interior rows: instance i computes row i+1.
-    reg.register("hotspot_mid", |ctx| {
-        let n = ctx.arg_i64(0);
-        row_kernel(&ctx.inputs[0], &ctx.inputs[1], n, ctx.i + 1, ctx.out);
-    });
+    register_rows(reg, "hotspot_mid", |_, i| i + 1);
     // Bottom boundary row.
-    reg.register("hotspot_bot", |ctx| {
-        let n = ctx.arg_i64(0);
-        row_kernel(&ctx.inputs[0], &ctx.inputs[1], n, n - 1, ctx.out);
-    });
+    register_rows(reg, "hotspot_bot", |n, _| n - 1);
 }
 
 /// The Futhark-style program: a step loop whose body computes the three

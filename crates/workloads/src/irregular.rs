@@ -83,15 +83,19 @@ pub fn spmv_register_kernels(reg: &mut KernelRegistry) {
     // are declared whole — the segment boundaries are runtime data, so
     // the row-wise read contract cannot describe them.
     reg.register("spmv_row_sum", |ctx| {
-        let products = &ctx.inputs[0];
-        let row_ptr = &ctx.inputs[1];
-        let start = row_ptr.get_i64(&[ctx.i]);
-        let end = row_ptr.get_i64(&[ctx.i + 1]);
-        let mut acc = 0f32;
-        for j in start..end {
-            acc += products.get_f32(&[j]);
+        let (products, row_ptr, out) = (&ctx.inputs[0], &ctx.inputs[1], ctx.out);
+        let pl = products.lmad().expect("products are one LMAD");
+        let rl = row_ptr.lmad().expect("row pointers are one LMAD");
+        let ol = out.lmad().expect("sums are one LMAD");
+        for i in ctx.rows.clone() {
+            let start = row_ptr.read_i64_off(rl.offset + i * rl.dims[0].stride);
+            let end = row_ptr.read_i64_off(rl.offset + (i + 1) * rl.dims[0].stride);
+            let mut acc = 0f32;
+            for j in start..end {
+                acc += products.read_f32_off(pl.offset + j * pl.dims[0].stride);
+            }
+            out.write_f32_off(ol.offset + i * ol.dims[0].stride, acc);
         }
-        ctx.out.set_f32(&[], acc);
     });
 }
 

@@ -151,26 +151,27 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
         let nx = ctx.arg_i64(0);
         let ny = ctx.arg_i64(1);
         let nz = ctx.arg_i64(2);
-        let f = &ctx.inputs[0];
+        let (f, out) = (&ctx.inputs[0], ctx.out);
         let l = f.lmad().expect("lattice is one LMAD");
         let (sc, sq) = (l.dims[0].stride, l.dims[1].stride);
         let base = l.offset;
-        let cell = ctx.i;
-        let x = cell % nx;
-        let y = (cell / nx) % ny;
-        let z = cell / (nx * ny);
-        let mut out = [0f32; 19];
-        cell_step(
-            (x, y, z),
-            (nx, ny, nz),
-            |c, q| f.read_f32_off(base + c * sc + q as i64 * sq),
-            &mut out,
-        );
-        let ol = ctx.out.lmad().expect("row is one LMAD");
-        let mut woff = ol.offset;
-        for v in out {
-            ctx.out.write_f32_off(woff, v);
-            woff += ol.dims[0].stride;
+        let ol = out.lmad().expect("lattice is one LMAD");
+        let mut cells = [0f32; 19];
+        for cell in ctx.rows.clone() {
+            let x = cell % nx;
+            let y = (cell / nx) % ny;
+            let z = cell / (nx * ny);
+            cell_step(
+                (x, y, z),
+                (nx, ny, nz),
+                |c, q| f.read_f32_off(base + c * sc + q as i64 * sq),
+                &mut cells,
+            );
+            let mut woff = ol.offset + cell * ol.dims[0].stride;
+            for v in cells {
+                out.write_f32_off(woff, v);
+                woff += ol.dims[1].stride;
+            }
         }
     });
 }

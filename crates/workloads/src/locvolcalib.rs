@@ -19,25 +19,31 @@ fn p(v: Var) -> Poly {
     Poly::var(v)
 }
 
-/// Initial condition for one option: call payoff on the price grid.
-pub fn payoff_row(opt: i64, num_x: usize) -> Vec<f32> {
+/// Initial condition for one option: call payoff on the price grid `v`.
+pub fn payoff_row(opt: i64, v: &mut [f32]) {
     let strike = 50.0 + opt as f32; // per-option strike (the "calibration" axis)
-    let dx = 4.0 * strike / num_x as f32;
-    (0..num_x)
-        .map(|i| (i as f32 * dx - strike).max(0.0))
-        .collect()
+    let dx = 4.0 * strike / v.len() as f32;
+    for (i, x) in v.iter_mut().enumerate() {
+        *x = (i as f32 * dx - strike).max(0.0);
+    }
 }
 
-/// Evolve one option's grid through implicit time steps `t0..t1` of a
-/// `num_t`-step schedule. Shared by the kernels and the reference so all
+/// Evolve one option's grid `v` through implicit time steps `t0..t1` of a
+/// `num_t`-step schedule, with the caller's Thomas scratch `cp` and `dp`
+/// (each as long as `v`). Shared by the kernels and the reference so all
 /// versions perform identical arithmetic.
-pub fn evolve_row(opt: i64, num_x: usize, num_t: usize, t0: usize, t1: usize, v: &mut [f32]) {
+pub fn evolve_row(
+    opt: i64,
+    num_t: usize,
+    (t0, t1): (usize, usize),
+    v: &mut [f32],
+    cp: &mut [f32],
+    dp: &mut [f32],
+) {
+    let num_x = v.len();
     let strike = 50.0 + opt as f32;
     let dx = 4.0 * strike / num_x as f32;
     let dt = 1.0 / num_t as f32;
-    // Thomas scratch.
-    let mut cp = vec![0f32; num_x];
-    let mut dp = vec![0f32; num_x];
     for t in t0..t1 {
         // Local-volatility coefficient (varies over the grid and time).
         let tfrac = t as f32 * dt;
@@ -63,14 +69,14 @@ pub fn evolve_row(opt: i64, num_x: usize, num_t: usize, t0: usize, t1: usize, v:
     }
 }
 
-/// Hand-written imperative reference: one buffer per option, evolved in
-/// place through the full schedule.
+/// Hand-written imperative reference: one buffer evolved in place through
+/// the full schedule, option after option.
 pub fn reference(num_o: usize, num_x: usize, num_t: usize) -> Vec<f32> {
     let mut out = vec![0f32; num_o * num_x];
-    for o in 0..num_o {
-        let mut v = payoff_row(o as i64, num_x);
-        evolve_row(o as i64, num_x, num_t, 0, num_t, &mut v);
-        out[o * num_x..(o + 1) * num_x].copy_from_slice(&v);
+    let (mut cp, mut dp) = (vec![0f32; num_x], vec![0f32; num_x]);
+    for (o, v) in out.chunks_exact_mut(num_x).enumerate() {
+        payoff_row(o as i64, v);
+        evolve_row(o as i64, num_t, (0, num_t), v, &mut cp, &mut dp);
     }
     out
 }
@@ -78,8 +84,15 @@ pub fn reference(num_o: usize, num_x: usize, num_t: usize) -> Vec<f32> {
 pub fn register_kernels(reg: &mut KernelRegistry) {
     reg.register("lvc_payoff", |ctx| {
         let num_x = ctx.arg_i64(0) as usize;
-        for (i, v) in payoff_row(ctx.i, num_x).into_iter().enumerate() {
-            ctx.out.set_f32(&[i as i64], v);
+        let ol = ctx.out.lmad().expect("grid is one LMAD");
+        let mut v = vec![0f32; num_x];
+        for o in ctx.rows.clone() {
+            payoff_row(o, &mut v);
+            let mut woff = ol.offset + o * ol.dims[0].stride;
+            for &x in &v {
+                ctx.out.write_f32_off(woff, x);
+                woff += ol.dims[1].stride;
+            }
         }
     });
     // Half the time schedule per launch: `phase` 0 runs steps
@@ -90,13 +103,24 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
         let num_t = ctx.arg_i64(1) as usize;
         let phase = ctx.arg_i64(2);
         let half = num_t / 2;
-        let (t0, t1) = if phase == 0 { (0, half) } else { (half, num_t) };
-        let mut v: Vec<f32> = (0..num_x)
-            .map(|i| ctx.inputs[0].get_f32(&[ctx.i, i as i64]))
-            .collect();
-        evolve_row(ctx.i, num_x, num_t, t0, t1, &mut v);
-        for (i, val) in v.into_iter().enumerate() {
-            ctx.out.set_f32(&[i as i64], val);
+        let steps = if phase == 0 { (0, half) } else { (half, num_t) };
+        let (grid, out) = (&ctx.inputs[0], ctx.out);
+        let gl = grid.lmad().expect("grid is one LMAD");
+        let ol = out.lmad().expect("grid is one LMAD");
+        let mut v = vec![0f32; num_x];
+        let (mut cp, mut dp) = (vec![0f32; num_x], vec![0f32; num_x]);
+        for o in ctx.rows.clone() {
+            let mut off = gl.offset + o * gl.dims[0].stride;
+            for x in v.iter_mut() {
+                *x = grid.read_f32_off(off);
+                off += gl.dims[1].stride;
+            }
+            evolve_row(o, num_t, steps, &mut v, &mut cp, &mut dp);
+            let mut woff = ol.offset + o * ol.dims[0].stride;
+            for &x in &v {
+                out.write_f32_off(woff, x);
+                woff += ol.dims[1].stride;
+            }
         }
     });
 }

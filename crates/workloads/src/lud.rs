@@ -12,7 +12,7 @@
 //! safe and elided.
 
 use crate::harness::Case;
-use arraymem_exec::{InputValue, KernelRegistry, OutputValue, View};
+use arraymem_exec::{InputValue, KernelRegistry, OutputValue, View, ViewMut};
 use arraymem_ir::{Builder, ElemType, Program, ScalarExp, SliceSpec, Var};
 use arraymem_lmad::{Dim, Lmad, Transform};
 use arraymem_symbolic::{Env, Poly};
@@ -122,11 +122,12 @@ fn load_block(v: &View, k: i64, b: usize, buf: &mut [f32]) {
     }
 }
 
-fn store_block(out: &arraymem_exec::ViewMut, b: usize, buf: &[f32]) {
-    let l = out.lmad().expect("block is one LMAD");
-    let (sr, sc) = (l.dims[0].stride, l.dims[1].stride);
+/// Write `buf` as b×b block `k` of the rank-3 result view.
+fn store_block(out: &ViewMut, k: i64, b: usize, buf: &[f32]) {
+    let l = out.lmad().expect("blocks are one LMAD");
+    let (sr, sc) = (l.dims[1].stride, l.dims[2].stride);
     for r in 0..b {
-        let mut off = l.offset + r as i64 * sr;
+        let mut off = l.offset + k * l.dims[0].stride + r as i64 * sr;
         for cc in 0..b {
             out.write_f32_off(off, buf[r * b + cc]);
             off += sc;
@@ -134,12 +135,27 @@ fn store_block(out: &arraymem_exec::ViewMut, b: usize, buf: &[f32]) {
     }
 }
 
+/// Register a block kernel: `f(inputs, i, b, scratch)` leaves instance
+/// `i`'s block in the first `b×b` of `scratch`, which holds `buffers` such
+/// blocks and is allocated once per call, for all its instances.
+fn register_blocks<F>(reg: &mut KernelRegistry, name: &str, buffers: usize, f: F)
+where
+    F: Fn(&[View], i64, usize, &mut [f32]) + Send + Sync + 'static,
+{
+    reg.register(name, move |ctx| {
+        let b = ctx.arg_i64(0) as usize;
+        let mut scratch = vec![0f32; buffers * b * b];
+        for i in ctx.rows.clone() {
+            f(ctx.inputs, i, b, &mut scratch);
+            store_block(ctx.out, i, b, &scratch[..b * b]);
+        }
+    });
+}
+
 pub fn register_kernels(reg: &mut KernelRegistry) {
     // Diagonal block LU. Width 1; input: the diagonal block (whole).
-    reg.register("lud_diagonal", |ctx| {
-        let b = ctx.arg_i64(0) as usize;
-        let mut blk = vec![0f32; b * b];
-        load_block(&ctx.inputs[0], 0, b, &mut blk);
+    register_blocks(reg, "lud_diagonal", 1, |inputs, _, b, blk| {
+        load_block(&inputs[0], 0, b, blk);
         for kk in 0..b {
             let pivot = blk[kk * b + kk];
             for i in kk + 1..b {
@@ -150,16 +166,13 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
                 }
             }
         }
-        store_block(ctx.out, b, &blk);
     });
     // Perimeter row: instance j computes U(k, k+1+j). Inputs: factored
     // diagonal (whole), own row block (row-wise).
-    reg.register("lud_perimeter_row", |ctx| {
-        let b = ctx.arg_i64(0) as usize;
-        let mut diag = vec![0f32; b * b];
-        load_block(&ctx.inputs[0], 0, b, &mut diag);
-        let mut blk = vec![0f32; b * b];
-        load_block(&ctx.inputs[1], ctx.i, b, &mut blk);
+    register_blocks(reg, "lud_perimeter_row", 2, |inputs, j, b, s| {
+        let (blk, diag) = s.split_at_mut(b * b);
+        load_block(&inputs[0], 0, b, diag);
+        load_block(&inputs[1], j, b, blk);
         for r in 1..b {
             for t in 0..r {
                 let l = diag[r * b + t];
@@ -168,15 +181,12 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
                 }
             }
         }
-        store_block(ctx.out, b, &blk);
     });
     // Perimeter column: instance i computes L(k+1+i, k).
-    reg.register("lud_perimeter_col", |ctx| {
-        let b = ctx.arg_i64(0) as usize;
-        let mut diag = vec![0f32; b * b];
-        load_block(&ctx.inputs[0], 0, b, &mut diag);
-        let mut blk = vec![0f32; b * b];
-        load_block(&ctx.inputs[1], ctx.i, b, &mut blk);
+    register_blocks(reg, "lud_perimeter_col", 2, |inputs, i, b, s| {
+        let (blk, diag) = s.split_at_mut(b * b);
+        load_block(&inputs[0], 0, b, diag);
+        load_block(&inputs[1], i, b, blk);
         for cc in 0..b {
             for r in 0..b {
                 let mut v = blk[r * b + cc];
@@ -186,19 +196,16 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
                 blk[r * b + cc] = v / diag[cc * b + cc];
             }
         }
-        store_block(ctx.out, b, &blk);
     });
     // Interior: instance j computes A(i, k+1+j) -= L(i,k)·U(k, k+1+j).
     // Inputs: L block (whole), U row blocks (row-wise), own blocks
     // (row-wise).
-    reg.register("lud_interior", |ctx| {
-        let b = ctx.arg_i64(0) as usize;
-        let mut lblk = vec![0f32; b * b];
-        load_block(&ctx.inputs[0], 0, b, &mut lblk);
-        let mut ublk = vec![0f32; b * b];
-        load_block(&ctx.inputs[1], ctx.i, b, &mut ublk);
-        let mut own = vec![0f32; b * b];
-        load_block(&ctx.inputs[2], ctx.i, b, &mut own);
+    register_blocks(reg, "lud_interior", 3, |inputs, j, b, s| {
+        let (own, rest) = s.split_at_mut(b * b);
+        let (lblk, ublk) = rest.split_at_mut(b * b);
+        load_block(&inputs[0], 0, b, lblk);
+        load_block(&inputs[1], j, b, ublk);
+        load_block(&inputs[2], j, b, own);
         for r in 0..b {
             for t in 0..b {
                 let l = lblk[r * b + t];
@@ -207,7 +214,6 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
                 }
             }
         }
-        store_block(ctx.out, b, &own);
     });
 }
 

@@ -62,38 +62,55 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
     reg.register("nn_delta_sq", |ctx| {
         let lat0 = ctx.arg_f32(0);
         let lng0 = ctx.arg_f32(1);
-        let lat = ctx.inputs[0].get_f32(&[ctx.i]);
-        let lng = ctx.inputs[1].get_f32(&[ctx.i]);
-        ctx.out.set_f32(&[0], (lat - lat0) * (lat - lat0));
-        ctx.out.set_f32(&[1], (lng - lng0) * (lng - lng0));
+        let (lats, lngs, out) = (&ctx.inputs[0], &ctx.inputs[1], ctx.out);
+        let al = lats.lmad().expect("lats is one LMAD");
+        let gl = lngs.lmad().expect("lngs is one LMAD");
+        let ol = out.lmad().expect("deltas are one LMAD");
+        for i in ctx.rows.clone() {
+            let lat = lats.read_f32_off(al.offset + i * al.dims[0].stride);
+            let lng = lngs.read_f32_off(gl.offset + i * gl.dims[0].stride);
+            let o = ol.offset + i * ol.dims[0].stride;
+            out.write_f32_off(o, (lat - lat0) * (lat - lat0));
+            out.write_f32_off(o + ol.dims[1].stride, (lng - lng0) * (lng - lng0));
+        }
     });
     // Stage 2: Euclidean norm of each pair. Identical arithmetic to
     // `dist` above, split across the two launches.
     reg.register("nn_norm", |ctx| {
-        let a = ctx.inputs[0].get_f32(&[ctx.i, 0]);
-        let b = ctx.inputs[0].get_f32(&[ctx.i, 1]);
-        ctx.out.set_f32(&[], (a + b).sqrt());
+        let (d2, out) = (&ctx.inputs[0], ctx.out);
+        let dl = d2.lmad().expect("deltas are one LMAD");
+        let ol = out.lmad().expect("norms are one LMAD");
+        for i in ctx.rows.clone() {
+            let o = dl.offset + i * dl.dims[0].stride;
+            let a = d2.read_f32_off(o);
+            let b = d2.read_f32_off(o + dl.dims[1].stride);
+            out.write_f32_off(ol.offset + i * ol.dims[0].stride, (a + b).sqrt());
+        }
     });
     // The "reduction": a single instance scanning for the minimum
     // (value, index) pair.
     reg.register("nn_argmin", |ctx| {
-        let dists = &ctx.inputs[0];
+        let (dists, out) = (&ctx.inputs[0], ctx.out);
         let l = dists.lmad().expect("dists is one LMAD");
+        let ol = out.lmad().expect("result is one LMAD");
         let n = l.dims[0].card;
         let s = l.dims[0].stride;
-        let mut best = f32::INFINITY;
-        let mut best_i = 0i64;
-        let mut off = l.offset;
-        for i in 0..n {
-            let d = dists.read_f32_off(off);
-            if d < best {
-                best = d;
-                best_i = i;
+        for row in ctx.rows.clone() {
+            let mut best = f32::INFINITY;
+            let mut best_i = 0i64;
+            let mut off = l.offset;
+            for i in 0..n {
+                let d = dists.read_f32_off(off);
+                if d < best {
+                    best = d;
+                    best_i = i;
+                }
+                off += s;
             }
-            off += s;
+            let o = ol.offset + row * ol.dims[0].stride;
+            out.write_f32_off(o, best);
+            out.write_f32_off(o + ol.dims[1].stride, best_i as f32);
         }
-        ctx.out.set_f32(&[0], best);
-        ctx.out.set_f32(&[1], best_i as f32);
     });
 }
 

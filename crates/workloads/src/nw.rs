@@ -68,46 +68,49 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
         let n = ctx.arg_i64(0);
         let b = ctx.arg_i64(1) as usize;
         let base = ctx.arg_i64(2);
-        let origin = base + ctx.i * (n * (b as i64) - b as i64);
-        let r0 = origin / n;
-        let c0 = origin % n;
-        // Load bar `i` of each perimeter input into locals, incremental
-        // addressing through the whole input's inlined LMAD.
-        let (vbars, hbars) = (&ctx.inputs[0], &ctx.inputs[1]);
+        // Bar `i` of each perimeter input is read through the whole
+        // input's inlined LMAD; the block is written through the result's.
+        let (vbars, hbars, out) = (&ctx.inputs[0], &ctx.inputs[1], ctx.out);
         let vl = vbars.lmad().expect("bars are one LMAD");
         let hl = hbars.lmad().expect("bars are one LMAD");
+        let ol = out.lmad().expect("blocks are one LMAD");
+        let (sr, sc) = (ol.dims[1].stride, ol.dims[2].stride);
+        // Staging for the bars and the row being computed, once per call.
         let mut vert = vec![0i64; b + 1];
-        let mut off = vl.offset + ctx.i * vl.dims[0].stride;
-        for v in vert.iter_mut() {
-            *v = vbars.read_i64_off(off);
-            off += vl.dims[1].stride;
-        }
-        // row_above starts as the horizontal bar; diag_left as the corner.
         let mut above = vec![0i64; b];
-        let mut off = hl.offset + ctx.i * hl.dims[0].stride;
-        for a in above.iter_mut() {
-            *a = hbars.read_i64_off(off);
-            off += hl.dims[1].stride;
-        }
         let mut cur = vec![0i64; b];
-        let ol = ctx.out.lmad().expect("block is one LMAD");
-        let (sr, sc) = (ol.dims[0].stride, ol.dims[1].stride);
-        let mut corner = vert[0];
-        for r in 0..b {
-            let mut left = vert[r + 1];
-            let mut woff = ol.offset + r as i64 * sr;
-            let grow = r0 + r as i64;
-            for (cc, above_cc) in above.iter().enumerate() {
-                let diag = if cc == 0 { corner } else { above[cc - 1] };
-                let v = (diag + nw_similarity(grow, c0 + cc as i64))
-                    .max((*above_cc).max(left) - PENALTY);
-                ctx.out.write_i64_off(woff, v);
-                cur[cc] = v;
-                left = v;
-                woff += sc;
+        for i in ctx.rows.clone() {
+            let origin = base + i * (n * (b as i64) - b as i64);
+            let r0 = origin / n;
+            let c0 = origin % n;
+            let mut off = vl.offset + i * vl.dims[0].stride;
+            for v in vert.iter_mut() {
+                *v = vbars.read_i64_off(off);
+                off += vl.dims[1].stride;
             }
-            corner = vert[r + 1];
-            std::mem::swap(&mut above, &mut cur);
+            // row_above starts as the horizontal bar; diag_left as the corner.
+            let mut off = hl.offset + i * hl.dims[0].stride;
+            for a in above.iter_mut() {
+                *a = hbars.read_i64_off(off);
+                off += hl.dims[1].stride;
+            }
+            let mut corner = vert[0];
+            for r in 0..b {
+                let mut left = vert[r + 1];
+                let mut woff = ol.offset + i * ol.dims[0].stride + r as i64 * sr;
+                let grow = r0 + r as i64;
+                for (cc, above_cc) in above.iter().enumerate() {
+                    let diag = if cc == 0 { corner } else { above[cc - 1] };
+                    let v = (diag + nw_similarity(grow, c0 + cc as i64))
+                        .max((*above_cc).max(left) - PENALTY);
+                    out.write_i64_off(woff, v);
+                    cur[cc] = v;
+                    left = v;
+                    woff += sc;
+                }
+                corner = vert[r + 1];
+                std::mem::swap(&mut above, &mut cur);
+            }
         }
     });
 }

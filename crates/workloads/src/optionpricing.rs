@@ -81,33 +81,42 @@ pub fn reference(npaths: usize, steps: usize) -> f32 {
 pub fn register_kernels(reg: &mut KernelRegistry) {
     reg.register("op_bridge", |ctx| {
         let steps = ctx.arg_i64(0) as usize;
-        let l = ctx.out.lmad().expect("path row is one LMAD");
-        let s0 = l.offset;
-        let st = l.dims[0].stride;
-        gen_path(ctx.i, steps, &mut |t, v| {
-            ctx.out.write_f32_off(s0 + t as i64 * st, v)
-        });
+        let l = ctx.out.lmad().expect("paths are one LMAD");
+        let st = l.dims[1].stride;
+        for i in ctx.rows.clone() {
+            let s0 = l.offset + i * l.dims[0].stride;
+            gen_path(i, steps, &mut |t, v| {
+                ctx.out.write_f32_off(s0 + t as i64 * st, v)
+            });
+        }
     });
     reg.register("op_payoff", |ctx| {
         let steps = ctx.arg_i64(0) as usize;
         // Path `i`'s row, addressed through the whole input's LMAD.
-        let paths = &ctx.inputs[0];
+        let (paths, out) = (&ctx.inputs[0], ctx.out);
         let l = paths.lmad().expect("paths are one LMAD");
-        let base = l.offset + ctx.i * l.dims[0].stride;
+        let ol = out.lmad().expect("payoffs are one LMAD");
         let st = l.dims[1].stride;
-        let v = payoff(&mut |t| paths.read_f32_off(base + t as i64 * st), steps);
-        ctx.out.set_f32(&[], v);
+        for i in ctx.rows.clone() {
+            let base = l.offset + i * l.dims[0].stride;
+            let v = payoff(&mut |t| paths.read_f32_off(base + t as i64 * st), steps);
+            out.write_f32_off(ol.offset + i * ol.dims[0].stride, v);
+        }
     });
     reg.register("op_mean", |ctx| {
-        let l = ctx.inputs[0].lmad().expect("payoffs one LMAD");
+        let (payoffs, out) = (&ctx.inputs[0], ctx.out);
+        let l = payoffs.lmad().expect("payoffs one LMAD");
+        let ol = out.lmad().expect("mean is one LMAD");
         let n = l.dims[0].card;
-        let mut total = 0f32;
-        let mut off = l.offset;
-        for _ in 0..n {
-            total += ctx.inputs[0].read_f32_off(off);
-            off += l.dims[0].stride;
+        for i in ctx.rows.clone() {
+            let mut total = 0f32;
+            let mut off = l.offset;
+            for _ in 0..n {
+                total += payoffs.read_f32_off(off);
+                off += l.dims[0].stride;
+            }
+            out.write_f32_off(ol.offset + i * ol.dims[0].stride, total / n as f32);
         }
-        ctx.out.set_f32(&[0], total / n as f32);
     });
 }
 

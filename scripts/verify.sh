@@ -188,15 +188,19 @@ tier "block lifetimes are one analysis (one liveness, truthful loop memory)" one
 # is its request's error: it wedges no tenant lock and no cache key. The
 # pool tests cover coverage, stealing, payloads and overlapping
 # dispatches; the server tests a panicking kernel (inline and dispatched)
-# and a panicking lowering. A participant gets a whole chunk, so a map sets
-# up its row view per chunk: the per-index entry point stays gone.
+# and a panicking lowering. A participant gets a whole chunk, and a direct
+# kernel map is one kernel call per chunk (the kernel-call tests count
+# them): the per-index entry point stays gone, and no kernel builds a view
+# per instance (`inputs[k].row(i)`) — it addresses row `i` through the
+# whole input's LMAD.
 scoped_pool() {
     if awk '/#\[cfg\(test\)\]/{exit}{print FILENAME":"FNR": "$0}' crates/exec/src/pool.rs |
         grep 'unsafe\|transmute\|Condvar\|Box::leak\|WorkerPool'; then
         return 1
     fi
     if awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t { print FILENAME ":" FNR ": " $0 }' \
-        $(find crates -name '*.rs' ! -name tests.rs | sort) | grep 'parallel_for_worker'; then
+        $(find crates -name '*.rs' ! -name tests.rs | sort) |
+        grep 'parallel_for_worker\|inputs\[[0-9][0-9]*\]\.row('; then
         return 1
     fi
     n=$(awk '/#\[cfg\(test\)\]/{exit}{n++}END{print n+0}' crates/exec/src/pool.rs)
@@ -205,7 +209,7 @@ scoped_pool() {
     n=$(crate_lines exec)
     echo "non-test lines in crates/exec/src: $n (limit $EXEC_LINES)"
     [ "$n" -le "$EXEC_LINES" ] || return 1
-    cargo test --release --offline -p arraymem-exec -q -- pool:: || return 1
+    cargo test --release --offline -p arraymem-exec -q -- pool:: kernel_call || return 1
     cargo test --release --offline -p arraymem-bench --test server -q -- kernel_panic lowering_panic
 }
 tier "parallel maps run on scoped threads; a panic wedges nothing" scoped_pool

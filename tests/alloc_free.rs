@@ -10,11 +10,12 @@
 //! cloned nothing per element but is held to the same bar — a lambda map's
 //! lane scratch and resolved ops live on the machine, so it is held to it
 //! per *strip* too, which is what the third size is for. A kernel map is
-//! held to it per *instance*: the machine builds one row view per pool
-//! chunk and slides it by the outer stride (ROADMAP item 5c), and the
-//! kernels address their inputs through the whole input's LMAD, so SpMV's
-//! row sums, LBM's cells, NN's points and OptionPricing's paths cost the
-//! same allocations at every size.
+//! held to it per *instance*: one kernel call runs a whole pool chunk, its
+//! addressing and staging scratch hoisted out of its loop (ROADMAP item
+//! 5c), so SpMV's row sums, LBM's cells, NN's points, OptionPricing's paths
+//! and LocVolCalib's options cost the same allocations at every size. NW
+//! and LUD launch a map per loop iteration over their blocked matrix, so
+//! their allocations grow with the launches, never with the blocks.
 //!
 //! One test in a binary of its own: the allocator counts the whole
 //! process.
@@ -22,7 +23,7 @@
 use arraymem_exec::{Mode, Session};
 use arraymem_workloads::harness::Case;
 use arraymem_workloads::irregular::{histogram_case, permutation_case, spmv_case};
-use arraymem_workloads::{lbm, nn, optionpricing};
+use arraymem_workloads::{lbm, locvolcalib, lud, nn, nw, optionpricing};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -115,4 +116,28 @@ fn a_warm_run_allocates_per_instruction_not_per_element() {
     same_at_every_size("optionpricing", &[SMALL, LARGE], |n| {
         optionpricing::case("n", n, 16, 1)
     });
+    same_at_every_size("locvolcalib", &[16, 64, 256], |n| {
+        locvolcalib::case("n", n, 32, 4, 1)
+    });
+
+    // Over a q×q blocked matrix NW launches 2q − 1 maps and LUD 3q +
+    // q(q − 1)/2, against q² and some q³/3 instances. Allocations that grow
+    // with the launches are a polynomial in q of the launches' degree, so
+    // at equally spaced q their next finite difference vanishes.
+    let grows_with_launches = |name: &str, qs: &[usize], case: fn(usize) -> Case| {
+        let counts: Vec<i64> = qs
+            .iter()
+            .map(|&q| warm_run_allocations(&case(q)) as i64)
+            .collect();
+        let mut diff = counts.clone();
+        for _ in 1..qs.len() {
+            diff = diff.windows(2).map(|w| w[1] - w[0]).collect();
+        }
+        assert!(
+            diff[0].unsigned_abs() <= SLACK,
+            "{name}: {counts:?} allocations at q = {qs:?}"
+        );
+    };
+    grows_with_launches("nw", &[8, 20, 32], |q| nw::case("q", q, 16, 1));
+    grows_with_launches("lud", &[8, 16, 24, 32], |q| lud::case("q", q, 16, 1));
 }

@@ -452,8 +452,10 @@ fn forced_parallel_verdict_is_refuted_as_par_overlap() {
         .collect();
     let mut kernels = KernelRegistry::new();
     kernels.register("bump", |ctx| {
-        let v = ctx.inputs[0].get_i64(&[ctx.i]);
-        ctx.out.set_i64(&[], v + 1);
+        for i in ctx.rows.clone() {
+            let v = ctx.inputs[0].get_i64(&[i]);
+            ctx.out.set_i64(&[i], v + 1);
+        }
     });
     let stats = run_checked_in(&mut Session::new(), &compiled, &[], &kernels, 4);
     let hit = stats.diagnostics.iter().find_map(|d| match d {

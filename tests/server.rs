@@ -782,7 +782,9 @@ fn admission_queues_then_rejects_under_load() {
         while !*released {
             released = cv.wait(released).unwrap();
         }
-        ctx.out.set_f32(&[], 1.0);
+        for i in ctx.rows.clone() {
+            ctx.out.set_f32(&[i], 1.0);
+        }
     });
     let bld = Builder::new("blocker");
     let mut b = bld.block();
