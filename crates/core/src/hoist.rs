@@ -4,51 +4,43 @@
 //! is already in scope when a short-circuit candidate's fresh array is
 //! defined.
 
-use arraymem_ir::{Block, Exp, Program, Var};
-use std::collections::HashSet;
+use arraymem_ir::{Block, Exp, Program, Stm};
 
 /// Hoist allocations in every block of the program. Returns the number of
-/// upward swaps performed (0 = the program was already hoisted), which the
-/// pass pipeline reports as a remark.
+/// statements the hoisted ones moved above (0 = the program was already
+/// hoisted), which the pass pipeline reports as a remark.
 pub fn hoist_allocations(prog: &mut Program) -> usize {
     hoist_block(&mut prog.body)
 }
 
 fn hoist_block(block: &mut Block) -> usize {
-    let mut swaps = 0;
+    let mut moved = 0;
     for stm in &mut block.stms {
         for b in stm.exp.blocks_mut() {
-            swaps += hoist_block(b);
+            moved += hoist_block(b);
         }
     }
-    // Stable partition by repeatedly bubbling hoistable statements above
-    // non-dependent predecessors. A statement is hoistable if it is an
-    // `alloc` or a pure scalar definition (sizes). O(n²) worst case on
-    // block length, which is small.
-    let n = block.stms.len();
-    for _ in 0..n {
-        let mut moved = false;
-        for k in 1..block.stms.len() {
-            if !hoistable(&block.stms[k].exp) {
-                continue;
+    // One stable placement, in statement order. A hoistable statement (an
+    // `alloc` or a pure scalar definition: sizes) goes directly after the
+    // last earlier statement that defines something it uses, behind the
+    // hoistables already placed there; the rest keep their order. Placing
+    // the result again moves nothing.
+    let mut placed = Vec::with_capacity(block.stms.len());
+    for stm in std::mem::take(&mut block.stms) {
+        let mut at = placed.len();
+        if hoistable(&stm.exp) {
+            let uses = stm.exp.free_vars();
+            let defines = |s: &Stm| s.pat.iter().any(|p| uses.contains(&p.var));
+            at = placed.iter().rposition(defines).map_or(0, |k| k + 1);
+            while at < placed.len() && hoistable(&placed[at].exp) {
+                at += 1;
             }
-            let defs_prev: HashSet<Var> = block.stms[k - 1].pat.iter().map(|p| p.var).collect();
-            let uses: Vec<Var> = block.stms[k].exp.free_vars();
-            if uses.iter().any(|v| defs_prev.contains(v)) {
-                continue;
-            }
-            // Also do not move above another hoistable that is already as
-            // high as possible — swapping equals is fine but can loop;
-            // the `moved` flag with a bounded outer loop prevents that.
-            block.stms.swap(k - 1, k);
-            moved = true;
-            swaps += 1;
         }
-        if !moved {
-            break;
-        }
+        moved += placed.len() - at;
+        placed.insert(at, stm);
     }
-    swaps
+    block.stms = placed;
+    moved
 }
 
 fn hoistable(e: &Exp) -> bool {

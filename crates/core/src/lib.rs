@@ -86,8 +86,8 @@ pub struct Options {
     /// whose destination memory is allocated after the fresh definition.
     pub hoist: bool,
     /// Let safe kernel mapnests construct rows directly in their result
-    /// memory (§V-A(e)). Disabling keeps the per-instance private-row
-    /// copy even where it is provably unnecessary.
+    /// memory (§V-A(e)). Disabling keeps the private-tile copy-out even
+    /// where it is provably unnecessary.
     pub mapnest_in_place: bool,
     /// Run the memory block merging pass ([`merge`]): allocations with
     /// disjoint live ranges share one block, cutting peak allocation.

@@ -15,14 +15,14 @@
 //!
 //! The verdict is a three-level [`ParLevel`]:
 //!
-//! - [`Safe`](ParLevel::Safe) — direct writes (no private-row buffer) and
+//! - [`Safe`](ParLevel::Safe) — direct writes (no private tile) and
 //!   parallel dispatch are both proven race-free. The checked VM re-proves
 //!   the disjointness **concretely by enumeration** before each dispatch
 //!   and downgrades to serial (with a `ParOverlap` diagnostic) if the
 //!   symbolic verdict was wrong.
 //! - [`NeedsBuffer`](ParLevel::NeedsBuffer) — parallel dispatch is fine,
-//!   but iterations must keep writing through private row buffers with a
-//!   sequential copy-out (the implicit copy of §V-A(e)).
+//!   but iterations must keep writing into per-worker private tiles, each
+//!   copied out to the result (the implicit copy of §V-A(e)).
 //! - [`Serial`](ParLevel::Serial) — the map writes its result directly
 //!   (it is marked in-place or has scalar rows) yet cross-iteration
 //!   disjointness is *not* provable: the only sound schedule is serial.
@@ -50,7 +50,7 @@ use arraymem_symbolic::{Env, Poly};
 pub enum ParLevel {
     /// Iterations write disjoint regions: run parallel, in place.
     Safe,
-    /// Run parallel, but through private row buffers with copy-out.
+    /// Run parallel, but into private tiles with copy-out.
     NeedsBuffer,
     /// Direct writes with unproven disjointness: run serially.
     Serial,

@@ -204,13 +204,13 @@ fn antiunify_stage(prog: &mut Program, cx: &mut PassCx) -> Result<(), String> {
 
 /// Allocation hoisting (§V property 2), as a stage.
 fn hoist_stage(prog: &mut Program, cx: &mut PassCx) -> Result<(), String> {
-    let swaps = hoist::hoist_allocations(prog);
-    if swaps > 0 {
+    let moves = hoist::hoist_allocations(prog);
+    if moves > 0 {
         cx.remark(
             "hoist",
             None,
             RemarkKind::Hoisted,
-            format!("{swaps} upward moves of allocations and their size scalars"),
+            format!("{moves} upward moves of allocations and their size scalars"),
         );
     }
     Ok(())
@@ -360,7 +360,7 @@ fn par_safety_stage(prog: &mut Program, cx: &mut PassCx) -> Result<(), String> {
                     .expect("non-safe verdict must carry a structured reject");
                 let how = match level {
                     crate::par_safety::ParLevel::NeedsBuffer => {
-                        "runs parallel through private row buffers"
+                        "runs parallel through private tiles"
                     }
                     _ => "is serialized",
                 };

@@ -133,7 +133,7 @@ pub enum ParReject {
     /// disjointness nor row-wise disjointness is provable.
     InputInterference,
     /// Every proof succeeded, but the pass did not mark the map in-place:
-    /// it keeps the private-row buffers and runs parallel through them.
+    /// it keeps the private tiles and runs parallel through them.
     PrivateBuffer,
     /// The statement writes through a **runtime-indexed** (scatter)
     /// footprint: per-iteration write disjointness is not just unproven

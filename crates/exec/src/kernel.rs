@@ -2,13 +2,15 @@
 //!
 //! A kernel is the runtime counterpart of the code the paper's compiler
 //! generates for a map body: one call runs a range of map instances (a
-//! pool chunk) as one loop, with its inlined index-function addressing,
-//! arguments and scratch hoisted out of the loop.
+//! pool chunk, or a tile of one) as one loop, with its inlined
+//! index-function addressing, arguments and scratch hoisted out of it.
 //!
 //! **Contract** (relied on by the index analysis, §V-B): for each `i` in
 //! `ctx.rows`, the kernel may write only `out[i, ..]`, and may read only
 //! row `i` of each input *not* declared in the map's `whole_inputs` list;
-//! declared whole inputs may be read arbitrarily.
+//! declared whole inputs may be read arbitrarily. `out` is the result or,
+//! for a map that is not in place, a worker-private tile addressed like
+//! it, which the executor copies to the result after the call.
 //!
 //! Kernels are stored densely: registration assigns each name a stable
 //! `u32` index, [`resolve`](KernelRegistry::resolve)d once at plan-lower
@@ -29,8 +31,8 @@ pub struct KernelCtx<'a> {
     pub inputs: &'a [View],
     /// Scalar arguments.
     pub args: &'a [Value],
-    /// The whole result view (rank 1 + row rank), addressed like the
-    /// inputs: row `i` starts at `offset + i·dims[0].stride`.
+    /// The result view (rank 1 + row rank) or a private tile shaped like
+    /// it: row `i` starts at `offset + i·dims[0].stride`.
     pub out: &'a ViewMut,
 }
 

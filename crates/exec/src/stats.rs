@@ -272,7 +272,7 @@ stats_table! {
     pool_dispatches: u64, sum, run;
     /// Kernel mapnests that executed **parallel and in place**: dispatched
     /// to the pool writing their result memory directly, under a
-    /// `par_safety` proof, with no private-row buffer.
+    /// `par_safety` proof, with no private tile.
     maps_parallel_in_place: u64, sum, run;
     /// Work-stealing chunks claimed across all pool dispatches.
     par_chunks: u64, sum, run;

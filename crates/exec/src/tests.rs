@@ -223,7 +223,7 @@ fn dbl_map(w: i64, calls: &Arc<AtomicU64>) -> (Program, Env, KernelRegistry) {
 
 /// The three ways a kernel map runs — `Pure`; the optimized compile in
 /// `Memory` with its `Safe` verdict, in place; the unoptimized compile in
-/// `Memory` without verdicts, through private rows — at `threads`, each as
+/// `Memory` without verdicts, through private tiles — at `threads`, each as
 /// (outputs, stats, kernel calls).
 fn dbl_three_ways(w: i64, n: usize, threads: usize) -> [(Vec<OutputValue>, crate::Stats, u64); 3] {
     let calls = Arc::new(AtomicU64::new(0));
@@ -254,44 +254,53 @@ fn dbl_three_ways(w: i64, n: usize, threads: usize) -> [(Vec<OutputValue>, crate
     ]
 }
 
-/// A direct map is one kernel call per pool chunk (one call when it runs
-/// inline); a buffered map is one call per instance, each into the
-/// worker's private row.
+/// A kernel map is one call per tile. A direct map's tile is its pool
+/// chunk (one call when it runs inline); a buffered map's 4-byte rows fit
+/// a whole chunk in one tile, so it too makes one call per chunk, into the
+/// worker's private tile.
 #[test]
 fn kernel_calls_run_whole_chunks() {
     let n = 1_000;
     for threads in [1, 2, 8] {
         let [pure, direct, buffered] = dbl_three_ways(1, n, threads);
-        for (out, stats, calls) in [&pure, &direct] {
-            assert_eq!(stats.bytes_copied, 0, "{threads} threads: {stats:?}");
+        for (out, stats, calls) in [&pure, &direct, &buffered] {
             let chunks = match threads {
                 1 => 1,
                 _ => stats.par_chunks,
             };
             assert_eq!(stats.pool_dispatches, (threads > 1) as u64);
             assert_eq!(*calls, chunks, "{threads} threads: {stats:?}");
-            assert_eq!(out, &buffered.0);
+            assert_eq!(stats.kernel_launches, n as u64);
+            assert_eq!(out, &pure.0);
         }
-        let (_, stats, calls) = buffered;
-        assert!(stats.bytes_copied > 0, "{threads} threads: {stats:?}");
-        assert_eq!(calls, n as u64, "{threads} threads");
-        assert_eq!(stats.kernel_launches, n as u64);
+        assert_eq!(pure.1.bytes_copied + direct.1.bytes_copied, 0);
+        assert_eq!(buffered.1.bytes_copied, (n * 4) as u64, "{threads} threads");
     }
 }
 
-/// Direct, buffered and `Pure` runs agree for rank-0 and rank-1 rows at
-/// every pool width.
+/// Direct, buffered and `Pure` runs agree at every pool width: for rank-0
+/// and rank-1 rows, and for buffered rows too wide for a 64 KiB tile to
+/// hold two (one row per tile) or four (three per tile, and chunks that
+/// end in a short tile). Inline, a buffered map makes one call per tile.
 #[test]
 fn kernel_calls_agree_direct_buffered_and_pure() {
-    let n = 700;
-    for w in [0, 5] {
+    for (w, n, tiles) in [
+        (0, 700, 1),
+        (5, 700, 1),
+        (16_400, 260, 260),
+        (5_000, 260, 87),
+    ] {
         let wd = w.max(1) as usize;
         let expect: Vec<f32> = (0..n * wd)
             .map(|x| 2.0 * (x / wd * wd + wd - 1 - x % wd) as f32)
             .collect();
         for threads in [1, 2, 8] {
-            for (out, _, _) in dbl_three_ways(w, n, threads) {
+            let runs = dbl_three_ways(w, n, threads);
+            for (out, _, _) in &runs {
                 assert_eq!(out[0].as_f32s(), &expect[..], "w {w}, {threads} threads");
+            }
+            if threads == 1 {
+                assert_eq!(runs[2].2, tiles, "w {w}");
             }
         }
     }
@@ -567,7 +576,7 @@ fn session_reuse_is_equivalence_preserving() {
     let prog = b.finish(blk);
     let mut env = Env::new();
     env.assume_ge(n, 1);
-    // Unopt: the mapnest pays private row buffers — extra allocations the
+    // Unopt: the mapnest pays private tiles — extra allocations the
     // reused session must recycle.
     let compiled = compile(&prog, &Options::default().with_env(env)).unwrap();
     let rows = 12usize;

@@ -181,11 +181,6 @@ impl View {
         self.ixfn.as_single()
     }
 
-    /// A sub-view with the outer dimension fixed at `i`.
-    pub fn row(&self, i: i64) -> View {
-        View::new(self.buf, fix_outer(&self.ixfn, i))
-    }
-
     /// Memory offset of a logical index.
     #[inline]
     fn addr(&self, idx: &[i64]) -> usize {
@@ -307,13 +302,10 @@ impl ViewMut {
         ViewMut(View::with_class(buf, ixfn, plan))
     }
 
-    pub fn row(&self, i: i64) -> ViewMut {
-        ViewMut(self.0.row(i))
-    }
-
-    /// Slide the view `delta` elements through its block: what `row(i)`
-    /// becomes as `row(i + k)` with `delta = k · stride`, without
-    /// rebuilding the index function.
+    /// Slide the view `delta` elements through its block: what the rows
+    /// from `i` (a [`fix_outer`] row, a tile of rows) become as the rows
+    /// from `i + k` with `delta = k · stride`, without rebuilding the index
+    /// function.
     pub(crate) fn shift(&mut self, delta: i64) {
         let View { ixfn, plan, .. } = &mut self.0;
         ixfn.lmads.last_mut().unwrap().offset += delta;
@@ -590,19 +582,9 @@ mod tests {
         assert_eq!(v.get(11).as_f32(), 7.5);
     }
 
-    #[test]
-    fn row_views_fix_the_outer_dim() {
-        let (mut s, b) = store_with((0..12).map(|i| i as f32).collect());
-        let v = View::new(s.raw(b), ConcreteIxFn::row_major(&[3, 4]));
-        let r = v.row(1);
-        assert_eq!(r.shape(), vec![4]);
-        assert_eq!(r.get_f32(&[0]), 4.0);
-        assert_eq!(r.get_f32(&[3]), 7.0);
-    }
-
-    /// Sliding `row(0)` by the outer stride `k` times is `row(k)`: the
-    /// same index function, access class and element addresses, for one
-    /// LMAD of each access class and for an LMAD chain.
+    /// Sliding row 0 by the outer stride `k` times is row `k`, fixed by
+    /// [`fix_outer`]: the same index function, access class and element
+    /// addresses, for one LMAD of each access class and for an LMAD chain.
     #[test]
     fn shifted_rows_are_fixed_rows() {
         let mut s = MemStore::new();
@@ -625,12 +607,12 @@ mod tests {
         ];
         let classes = ["Contiguous", "RowContiguous", "Strided", "General"];
         for (ixfn, class) in views.into_iter().zip(classes) {
-            let v = ViewMut::new(raw, ixfn);
-            let stride = v.ixfn().lmads.last().unwrap().dims[0].stride;
-            let mut slid = v.row(0);
+            let row = |k| ViewMut::new(raw, fix_outer(&ixfn, k));
+            let stride = ixfn.lmads.last().unwrap().dims[0].stride;
+            let mut slid = row(0);
             assert!(format!("{:?}", slid.plan).starts_with(class));
             for k in 0..4 {
-                let fixed = v.row(k);
+                let fixed = row(k);
                 assert!(slid.ixfn() == fixed.ixfn(), "{class} row {k}");
                 assert_eq!(slid.plan, fixed.plan, "{class} row {k}");
                 for f in 0..fixed.num_elems() {

@@ -35,14 +35,14 @@
 //! - [`Mode::Memory`]: obeys the compiler's memory annotations — `alloc`
 //!   statements create blocks, fresh arrays are constructed through their
 //!   (possibly rebased) index functions, elided updates/concats are
-//!   no-ops, and non-in-place mapnests pay the per-instance private-row
-//!   copy (the implicit copy of §V-A(e)). Kernel mapnests dispatch onto
-//!   the work-stealing pool ([`crate::pool`]) under the `par_safety`
-//!   stage's verdict: `Safe` maps run parallel writing their result
-//!   memory directly, `NeedsBuffer` maps run parallel through private
-//!   row buffers, and `Serial` maps (direct writes with unproven
-//!   disjointness) are serialized. A map lowered without its record is
-//!   held to the conservative verdict, never trusted.
+//!   no-ops, and non-in-place mapnests pay the implicit copy of §V-A(e).
+//!   Kernel mapnests dispatch onto the work-stealing pool
+//!   ([`crate::pool`]) under the `par_safety` stage's verdict: `Safe`
+//!   maps run parallel writing their result memory directly,
+//!   `NeedsBuffer` maps run parallel into per-worker private tiles, each
+//!   copied out once it is computed, and `Serial` maps (direct writes with
+//!   unproven disjointness) are serialized. A map lowered without its
+//!   record is held to the conservative verdict, never trusted.
 //! - [`Mode::Pure`]: direct functional value semantics — every operation
 //!   materializes a fresh dense array and annotations are ignored. This is
 //!   the semantic ground truth: the paper's invariant that deleting memory
@@ -114,6 +114,9 @@ const MAX_DIAGNOSTICS: usize = 64;
 /// the runtime disjointness cross-check (enumeration would dominate), and
 /// counted in [`Stats::circuits_skipped`].
 pub(crate) const FOOTPRINT_CAP: i64 = 1 << 20;
+
+/// The bytes of result a buffered kernel map computes per call.
+const TILE_BYTES: i64 = 64 * 1024;
 
 /// A prepared plan in a [`Session`]'s cache. Cheap to copy; only valid
 /// for the session that produced it.
@@ -896,61 +899,66 @@ impl Machine<'_> {
         let row_elems = elem_count(&row_shape_c)? as i64;
         let scalar_rows = row_shape_c.is_empty();
         let par_proven = mk.par == ParLevel::Safe;
-        // Checked mode re-proves a `Safe` verdict concretely before
-        // dispatching: enumerate every iteration's write footprint and confirm
-        // no cell is written twice. A failed re-proof reports
-        // [`Diagnostic::ParOverlap`] and the map falls back to serial
-        // execution.
+        // Checked mode re-proves a `Safe` verdict before dispatching: no cell
+        // is in two iterations' write footprints, or the map reports
+        // [`Diagnostic::ParOverlap`] and runs serially.
         let precheck_ran = par_proven && self.checked();
         let prechecked = precheck_ran && self.par_precheck(dst.block, &dst.ixfn, width);
         // Pure mode writes rows directly (fresh dense memory never aliases
         // inputs); Memory mode honours the pass's verdicts: `Safe` writes
-        // result memory directly, `Serial` means direct writes with *unproven*
-        // disjointness.
+        // result memory directly, `Serial` with *unproven* disjointness.
         let direct = scalar_rows || mk.in_place || self.mode == Mode::Pure || par_proven;
         let out_view = self.view_mut(&dst);
-        // Private per-worker row buffers for the non-in-place case: the
-        // mapnest's implicit result copy (§V-A(e)). The copy-out targets a
-        // worker-private row, so buffered maps parallelize freely; `Serial`
-        // maps never dispatch in parallel, and under the sanitizer only the
-        // maps the pre-dispatch re-proof cleared do.
+        // Buffered maps copy out of worker-private memory and parallelize
+        // freely; `Serial` maps never dispatch in parallel, and under the
+        // sanitizer only the maps the pre-dispatch re-proof cleared do.
         let parallel = match self.mode {
             Mode::Pure => true,
             Mode::Memory => mk.par != ParLevel::Serial,
             Mode::Checked => prechecked,
         };
         let workers = if parallel { self.threads } else { 1 };
-        let temp_block = if direct {
-            None
-        } else {
-            let rows = elem_count(&[row_elems, workers as i64])?;
-            Some(self.store.try_alloc(mk.elem, rows)?)
-        };
-        let temp_raw = temp_block.map(|b| self.store.raw(b));
+        // A direct map's tile is its chunk. A buffered map's is `TILE_BYTES`
+        // of rows (one at least) in a block of a tile per worker, seen shaped
+        // like the result: the kernel addresses `out[i, ..]` as it does there.
+        let row_bytes = row_elems.saturating_mul(mk.elem.size_bytes() as i64);
+        let tile = (TILE_BYTES / row_bytes.max(1)).clamp(1, width.max(1));
+        let tile = if direct { width.max(1) } else { tile };
+        let temp_elems = elem_count(&[row_elems, tile, workers as i64]);
+        let temp_block = (!direct).then(|| self.store.try_alloc(mk.elem, temp_elems?));
+        let temp_block = temp_block.transpose()?;
+        let result_shaped = |b| (self.store.raw(b), [&[width][..], &row_shape_c].concat());
+        let temp = temp_block.map(result_shaped);
+        let stride = out_view.ixfn().lmads.last().unwrap().dims[0].stride;
         let t0 = Instant::now();
-        // Direct: one kernel call per chunk, in place. Buffered: one call per
-        // instance into the worker's private row (outer stride 0), copied to
-        // row `i` through a row view slid by the outer stride.
+        // One kernel call per tile. A chunk builds its views once (the rows
+        // it copies once more, for a short last tile) and slides them from
+        // tile to tile, worker `w`'s private view so that the tile stays in
+        // its `w`th slot.
         let info = parallel_for_chunks(workers, width, |range, w| {
-            let ctx = |rows, out| KernelCtx {
-                rows,
-                inputs: &inputs,
-                args: &argv,
-                out,
-            };
-            let Some(raw) = temp_raw else {
-                return kernel(&ctx(range, &out_view));
-            };
-            let mut lmad = ConcreteLmad::row_major(&[&[width][..], &row_shape_c].concat());
-            (lmad.offset, lmad.dims[0].stride) = (w as i64 * row_elems, 0);
-            let private = ViewMut::new(raw, ConcreteIxFn::from_lmad(lmad));
-            let src = private.row(0);
-            let stride = out_view.ixfn().lmads.last().unwrap().dims[0].stride;
-            let mut row = out_view.row(range.start);
-            for i in range {
-                kernel(&ctx(i..i + 1, &private));
-                copy_view(&row, &src);
-                row.shift(stride);
+            let mut private = temp.as_ref().map(|(raw, shape)| {
+                let mut lmad = ConcreteLmad::row_major(shape);
+                lmad.offset = (w as i64 * tile - range.start) * row_elems;
+                ViewMut::new(*raw, ConcreteIxFn::from_lmad(lmad))
+            });
+            let (mut rows, mut copy) = (0, None);
+            for lo in range.clone().step_by(tile as usize) {
+                let hi = (lo + tile).min(range.end);
+                if let Some(p) = private.as_ref().filter(|_| hi - lo != rows) {
+                    rows = hi - lo;
+                    copy = Some((slice_rows(p, lo, rows), slice_rows(&out_view, lo, rows)));
+                }
+                kernel(&KernelCtx {
+                    rows: lo..hi,
+                    inputs: &inputs,
+                    args: &argv,
+                    out: private.as_ref().unwrap_or(&out_view),
+                });
+                if let (Some(p), Some((src, dst))) = (&mut private, &mut copy) {
+                    copy_view(dst, src);
+                    p.shift(-tile * row_elems);
+                    dst.shift(tile * stride);
+                }
             }
         });
         self.stats.kernel_time += t0.elapsed();
@@ -965,8 +973,8 @@ impl Machine<'_> {
                 self.stats.maps_parallel_in_place += 1;
             }
         }
-        // The private-row scratch dies with the dispatch; recycle it so the
-        // next non-in-place map pays no fresh alloc.
+        // The private tiles die with the dispatch; recycle their block so
+        // the next non-in-place map pays no fresh alloc.
         if let Some(b) = temp_block {
             self.store.release(b);
         }
@@ -978,12 +986,10 @@ impl Machine<'_> {
             self.stats.bytes_elided += bytes;
             self.stats.num_elided += width.max(0) as u64;
         }
-        // Dynamic race detector: no two iterations of the map may write one
-        // cell. The kernel writes each row through the result's index function
-        // with the outer dim fixed, so enumerating those footprints covers its
-        // stores. For `par_safety`-approved maps the pre-dispatch re-proof
-        // already enumerated exactly these footprints (and reported any
-        // overlap as `ParOverlap`), so skip the post-hoc pass.
+        // Dynamic race detector: no two iterations may write one cell of the
+        // result, where each writes its row (the result's index function
+        // with the outer dim fixed). A `par_safety`-approved map's
+        // pre-dispatch re-proof already enumerated exactly these footprints.
         if !precheck_ran {
             self.race_check(dst.block, &dst.ixfn, width);
         }

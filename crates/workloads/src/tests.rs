@@ -49,7 +49,7 @@ fn nn_small_validates_and_elides_reduce_copy() {
 fn lbm_small_validates_and_builds_rows_in_place() {
     let case = crate::lbm::case("tiny", (8, 8, 4), 3, 2);
     let (unopt, opt) = case.validate();
-    // Unopt pays the mapnest private-row copy every step.
+    // Unopt pays the mapnest's private-tile copy every step.
     assert_eq!(unopt.bytes_copied, (3 * 8 * 8 * 4 * 19 * 4) as u64);
     assert_eq!(opt.bytes_copied, 0, "{opt:?}");
 }

@@ -188,11 +188,11 @@ tier "block lifetimes are one analysis (one liveness, truthful loop memory)" one
 # is its request's error: it wedges no tenant lock and no cache key. The
 # pool tests cover coverage, stealing, payloads and overlapping
 # dispatches; the server tests a panicking kernel (inline and dispatched)
-# and a panicking lowering. A participant gets a whole chunk, and a direct
-# kernel map is one kernel call per chunk (the kernel-call tests count
-# them): the per-index entry point stays gone, and no kernel builds a view
-# per instance (`inputs[k].row(i)`) — it addresses row `i` through the
-# whole input's LMAD.
+# and a panicking lowering. A participant gets a whole chunk, and a kernel
+# map is one kernel call per tile — a direct map's tile is its chunk, a
+# buffered map's a bounded run of rows (the kernel-call tests count them):
+# the per-index entry point stays gone, exec defines no per-row view
+# (`fn row(`) and `map_kernel` calls no kernel on one instance (`i..i + 1`).
 scoped_pool() {
     if awk '/#\[cfg\(test\)\]/{exit}{print FILENAME":"FNR": "$0}' crates/exec/src/pool.rs |
         grep 'unsafe\|transmute\|Condvar\|Box::leak\|WorkerPool'; then
@@ -200,7 +200,15 @@ scoped_pool() {
     fi
     if awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t { print FILENAME ":" FNR ": " $0 }' \
         $(find crates -name '*.rs' ! -name tests.rs | sort) |
-        grep 'parallel_for_worker\|inputs\[[0-9][0-9]*\]\.row('; then
+        grep 'parallel_for_worker'; then
+        return 1
+    fi
+    if awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t { print FILENAME ":" FNR ": " $0 }' \
+        $(ls crates/exec/src/*.rs | grep -v '/tests\.rs$') | grep 'fn row('; then
+        return 1
+    fi
+    if awk '/fn map_kernel\(/ { m = 1 } m { print FILENAME ":" FNR ": " $0 } m && /^    }$/ { m = 0 }' \
+        crates/exec/src/vm.rs | grep '\([a-z_][a-z_0-9]*\) *\.\. *\1 *+ *1\b'; then
         return 1
     fi
     n=$(awk '/#\[cfg\(test\)\]/{exit}{n++}END{print n+0}' crates/exec/src/pool.rs)

@@ -52,10 +52,10 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Heap allocations of one warm `Session::run_plan` of the optimized
-/// program (`Memory`, one thread).
-fn warm_run_allocations(case: &Case) -> u64 {
-    let compiled = case.compile(true);
+/// Heap allocations of one warm `Session::run_plan` of the optimized or
+/// the unoptimized program (`Memory`, one thread).
+fn warm_run_allocations(case: &Case, optimized: bool) -> u64 {
+    let compiled = case.compile(optimized);
     let mut session = Session::new();
     let h = session
         .prepare_full(
@@ -90,14 +90,16 @@ fn a_warm_run_allocates_per_instruction_not_per_element() {
     const SLACK: u64 = 8;
 
     let same_at_every_size = |name: &str, sizes: &[usize], case: fn(usize) -> Case| {
-        let counts: Vec<u64> = sizes
-            .iter()
-            .map(|&n| warm_run_allocations(&case(n)))
-            .collect();
-        assert!(
-            counts.iter().all(|c| c.abs_diff(counts[0]) <= SLACK),
-            "{name}: {counts:?} allocations at n = {sizes:?}"
-        );
+        for optimized in [true, false] {
+            let counts: Vec<u64> = sizes
+                .iter()
+                .map(|&n| warm_run_allocations(&case(n), optimized))
+                .collect();
+            assert!(
+                counts.iter().all(|c| c.abs_diff(counts[0]) <= SLACK),
+                "{name} (optimized: {optimized}): {counts:?} allocations at n = {sizes:?}"
+            );
+        }
     };
     same_at_every_size("histogram", &[SMALL, LARGE, HUGE], |n| {
         histogram_case("n/64", n, 64, 1)
@@ -125,18 +127,20 @@ fn a_warm_run_allocates_per_instruction_not_per_element() {
     // with the launches are a polynomial in q of the launches' degree, so
     // at equally spaced q their next finite difference vanishes.
     let grows_with_launches = |name: &str, qs: &[usize], case: fn(usize) -> Case| {
-        let counts: Vec<i64> = qs
-            .iter()
-            .map(|&q| warm_run_allocations(&case(q)) as i64)
-            .collect();
-        let mut diff = counts.clone();
-        for _ in 1..qs.len() {
-            diff = diff.windows(2).map(|w| w[1] - w[0]).collect();
+        for optimized in [true, false] {
+            let counts: Vec<i64> = qs
+                .iter()
+                .map(|&q| warm_run_allocations(&case(q), optimized) as i64)
+                .collect();
+            let mut diff = counts.clone();
+            for _ in 1..qs.len() {
+                diff = diff.windows(2).map(|w| w[1] - w[0]).collect();
+            }
+            assert!(
+                diff[0].unsigned_abs() <= SLACK,
+                "{name} (optimized: {optimized}): {counts:?} allocations at q = {qs:?}"
+            );
         }
-        assert!(
-            diff[0].unsigned_abs() <= SLACK,
-            "{name}: {counts:?} allocations at q = {qs:?}"
-        );
     };
     grows_with_launches("nw", &[8, 20, 32], |q| nw::case("q", q, 16, 1));
     grows_with_launches("lud", &[8, 16, 24, 32], |q| lud::case("q", q, 16, 1));

@@ -19,8 +19,10 @@
 //! Set `ARRAYMEM_SLOW=1` to raise the iteration counts ~3-5x.
 
 use arraymem_bench::tables::{table_cases, KNOWN_BENCHMARKS};
+use arraymem_core::hoist::hoist_allocations;
 use arraymem_core::{
-    compile, compile_sabotaged, MergeReject, Options, ParReject, RejectReason, RemarkKind, Sabotage,
+    compile, compile_observed, compile_sabotaged, MergeReject, Options, ParReject, RejectReason,
+    RemarkKind, Sabotage,
 };
 use arraymem_exec::{run_program, KernelRegistry, Mode, Session};
 use arraymem_fuzz::corpus::{self, CorpusEntry};
@@ -146,6 +148,40 @@ fn seeded_sweep_exercises_the_optimizer() {
         runtime_indexed > n / 20,
         "only {runtime_indexed}/{n} programs exercised runtime-indexed rejection paths"
     );
+}
+
+/// The hoist stage reaches its fixed point in one run: hoisting its own
+/// output again moves nothing, for every workload under both option sets
+/// and for seeded fuzz programs.
+#[test]
+fn hoisting_the_hoisted_program_moves_nothing() {
+    let hoisted_again = |title: &str, prog: &arraymem_ir::Program, opts: &Options| {
+        let mut moved = None;
+        compile_observed(prog, opts, &mut |stage, p| {
+            if stage == "hoist" {
+                moved = Some(hoist_allocations(&mut p.clone()));
+            }
+        })
+        .expect("compile");
+        assert_eq!(moved, Some(0), "{title}: a second hoist moved statements");
+    };
+    for benchmark in KNOWN_BENCHMARKS {
+        for case in table_cases(benchmark, true).expect("known benchmark") {
+            for opts in [Options::default(), Options::optimized()] {
+                let title = format!("{benchmark}/{}", case.dataset);
+                hoisted_again(&title, &case.program, &opts.with_env(case.env.clone()));
+            }
+        }
+    }
+    for k in 0..scale(60, 300) as u64 {
+        let seed = k.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(0x4015);
+        let Some(prog) = build_program(&random_ops(seed, 12)) else {
+            continue;
+        };
+        for opts in [Options::default(), Options::optimized()] {
+            hoisted_again(&format!("random_ops({seed:#x}, 12)"), &prog, &opts);
+        }
+    }
 }
 
 /// Toggling the merge pass must never change outputs; `run_all_modes`

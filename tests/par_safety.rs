@@ -1,5 +1,5 @@
 //! End-to-end acceptance of the `par_safety` stage: LMAD-proven maps run
-//! **parallel and in place** (no private-row copy) across the benchmark
+//! **parallel and in place** (no private-tile copy) across the benchmark
 //! suite, with bit-identical results in Memory and Checked mode at every
 //! thread count.
 
