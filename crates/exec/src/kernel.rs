@@ -12,13 +12,21 @@
 //! for a map that is not in place, a worker-private tile addressed like
 //! it, which the executor copies to the result after the call.
 //!
+//! **Slices.** [`KernelCtx::f32_slices`] hands a call all its memory at
+//! once — inputs whole, rows `ctx.rows` of `out` as one `&mut [f32]` — if
+//! every view is one f32 LMAD, every input is contiguous row-major, `out`'s
+//! rows are dense row-major inside the block, and no input's span meets
+//! the whole `out`'s (other calls write its other rows meanwhile). Checked
+//! once per call; a kernel that takes slices addresses memory through them.
+//!
 //! Kernels are stored densely: registration assigns each name a stable
 //! `u32` index, [`resolve`](KernelRegistry::resolve)d once at plan-lower
 //! time so the executor dispatches by array index instead of a string
 //! hash lookup per map statement.
 
 use crate::value::Value;
-use crate::view::{View, ViewMut};
+use crate::view::{row_slices, View, ViewMut};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -34,6 +42,8 @@ pub struct KernelCtx<'a> {
     /// The result view (rank 1 + row rank) or a private tile shaped like
     /// it: row `i` starts at `offset + i·dims[0].stride`.
     pub out: &'a ViewMut,
+    /// Whether this call has handed out its slices.
+    pub(crate) sliced: Cell<bool>,
 }
 
 impl KernelCtx<'_> {
@@ -43,6 +53,15 @@ impl KernelCtx<'_> {
 
     pub fn arg_f32(&self, k: usize) -> f32 {
         self.args[k].as_f32()
+    }
+
+    /// The inputs whole and rows `rows` of `out` (row `i` at `(i −
+    /// rows.start) · row length`), once per call, or `None` if the call
+    /// does not qualify (see the module doc) or took them already.
+    #[allow(clippy::mut_from_ref)]
+    pub fn f32_slices<const N: usize>(&self) -> Option<([&[f32]; N], &mut [f32])> {
+        let first = !self.sliced.replace(true);
+        first.then(|| row_slices(self.inputs, self.out, self.rows.clone()))?
     }
 }
 
@@ -68,23 +87,15 @@ impl KernelRegistry {
     where
         F: Fn(&KernelCtx) + Send + Sync + 'static,
     {
-        self.register_arc(name, Arc::new(f));
-    }
-
-    fn register_arc(&mut self, name: &str, f: KernelFn) {
         match self.by_name.get(name) {
-            Some(&idx) => self.kernels[idx as usize] = f,
+            Some(&idx) => self.kernels[idx as usize] = Arc::new(f),
             None => {
-                let idx = self.kernels.len() as u32;
-                self.kernels.push(f);
+                self.by_name
+                    .insert(name.to_string(), self.kernels.len() as u32);
+                self.kernels.push(Arc::new(f));
                 self.names.push(name.to_string());
-                self.by_name.insert(name.to_string(), idx);
             }
         }
-    }
-
-    pub fn get(&self, name: &str) -> Option<&KernelFn> {
-        self.by_name.get(name).map(|&i| &self.kernels[i as usize])
     }
 
     /// The dense index of `name`, if registered. Plans store this index;
@@ -97,13 +108,6 @@ impl KernelRegistry {
     /// The kernel at a dense index (panics on an unknown index).
     pub fn by_index(&self, idx: u32) -> &KernelFn {
         &self.kernels[idx as usize]
-    }
-
-    /// Merge another registry into this one.
-    pub fn extend(&mut self, other: &KernelRegistry) {
-        for (name, f) in other.names.iter().zip(&other.kernels) {
-            self.register_arc(name, Arc::clone(f));
-        }
     }
 
     /// A hash of the name→index mapping. Two registries with equal
@@ -145,15 +149,20 @@ mod tests {
         assert_ne!(r.fingerprint(), fp);
     }
 
+    /// One call hands out its slices once, so no two `&mut` of it alias.
     #[test]
-    fn extend_preserves_resolution() {
-        let mut a = KernelRegistry::new();
-        a.register("x", |_| {});
-        let mut b = KernelRegistry::new();
-        b.register("y", |_| {});
-        a.extend(&b);
-        assert!(a.get("x").is_some());
-        assert!(a.get("y").is_some());
-        assert_eq!(a.resolve("y"), Some(1));
+    fn a_call_hands_out_its_slices_once() {
+        let mut s = crate::MemStore::new();
+        let b = s.alloc(arraymem_ir::ElemType::F32, 4);
+        let row_major = arraymem_lmad::ConcreteIxFn::row_major(&[4]);
+        let ctx = KernelCtx {
+            rows: 0..4,
+            inputs: &[],
+            args: &[],
+            out: &ViewMut::new(s.raw(b), row_major),
+            sliced: Default::default(),
+        };
+        assert_eq!(ctx.f32_slices::<0>().map(|(_, rows)| rows.len()), Some(4));
+        assert!(ctx.f32_slices::<0>().is_none());
     }
 }

@@ -133,19 +133,25 @@ fn fig4a_concat_becomes_noop() {
     assert!(opt.bytes_allocated < unopt.bytes_allocated);
 }
 
+/// `rev_row`: row `i` of the result is row `i` of the input reversed,
+/// read and written through the offset accessors.
+fn rev_rows(ctx: &crate::KernelCtx) {
+    let w = ctx.arg_i64(0);
+    let (src, out) = (&ctx.inputs[0], ctx.out);
+    let (sl, ol) = (src.lmad().unwrap(), out.lmad().unwrap());
+    for i in ctx.rows.clone() {
+        for j in 0..w {
+            let v = src.read_off::<f32>(sl.apply(&[i, w - 1 - j]));
+            out.write_off::<f32>(ol.apply(&[i, j]), v);
+        }
+    }
+}
+
 #[test]
 fn kernel_map_rows_inplace_vs_private() {
     // A kernel that reverses each row of its input.
     let mut kernels = KernelRegistry::new();
-    kernels.register("rev_row", |ctx| {
-        let w = ctx.arg_i64(0);
-        for i in ctx.rows.clone() {
-            for j in 0..w {
-                ctx.out
-                    .set_f32(&[i, j], ctx.inputs[0].get_f32(&[i, w - 1 - j]));
-            }
-        }
-    });
+    kernels.register("rev_row", rev_rows);
     let mut b = Builder::new("rows");
     let n = b.scalar_param("rn", ElemType::I64);
     let src = b.array_param("rsrc", ElemType::F32, vec![p(n), c(16)]);
@@ -184,19 +190,19 @@ fn kernel_map_rows_inplace_vs_private() {
 
 /// `map dbl` over `n` rows of width `w` (rank-0 rows when `w` is 0): row
 /// `i` of the result is row `i` of the input reversed and doubled. The
-/// kernel counts its calls in `calls`.
+/// kernel takes its memory as slices (it panics if a call does not
+/// qualify) and counts its calls in `calls`.
 fn dbl_map(w: i64, calls: &Arc<AtomicU64>) -> (Program, Env, KernelRegistry) {
     let mut kernels = KernelRegistry::new();
     let counter = Arc::clone(calls);
     kernels.register("dbl", move |ctx| {
         counter.fetch_add(1, Ordering::Relaxed);
-        let (src, w) = (&ctx.inputs[0], ctx.arg_i64(0));
-        for i in ctx.rows.clone() {
-            if w == 0 {
-                ctx.out.set_f32(&[i], 2.0 * src.get_f32(&[i]));
-            }
-            for j in 0..w {
-                ctx.out.set_f32(&[i, j], 2.0 * src.get_f32(&[i, w - 1 - j]));
+        let w = ctx.arg_i64(0).max(1) as usize;
+        let ([src], out) = ctx.f32_slices().expect("dbl: rows are dense f32");
+        for (i, row) in ctx.rows.clone().zip(out.chunks_exact_mut(w)) {
+            let from = src[i as usize * w..][..w].iter().rev();
+            for (o, x) in row.iter_mut().zip(from) {
+                *o = 2.0 * x;
             }
         }
     });
@@ -282,6 +288,8 @@ fn kernel_calls_run_whole_chunks() {
 /// and rank-1 rows, and for buffered rows too wide for a 64 KiB tile to
 /// hold two (one row per tile) or four (three per tile, and chunks that
 /// end in a short tile). Inline, a buffered map makes one call per tile.
+/// Every call qualifies for slices: the result's rows, a private tile's
+/// (whose LMAD offset is negative past its first slot) and `Pure`'s.
 #[test]
 fn kernel_calls_agree_direct_buffered_and_pure() {
     for (w, n, tiles) in [
@@ -550,15 +558,7 @@ fn release_plan_recycles_chained_intermediates() {
 #[test]
 fn session_reuse_is_equivalence_preserving() {
     let mut kernels = KernelRegistry::new();
-    kernels.register("rev_row", |ctx| {
-        let w = ctx.arg_i64(0);
-        for i in ctx.rows.clone() {
-            for j in 0..w {
-                ctx.out
-                    .set_f32(&[i, j], ctx.inputs[0].get_f32(&[i, w - 1 - j]));
-            }
-        }
-    });
+    kernels.register("rev_row", rev_rows);
     let mut b = Builder::new("session_rows");
     let n = b.scalar_param("wn", ElemType::I64);
     let src = b.array_param("wsrc", ElemType::F32, vec![p(n), c(16)]);

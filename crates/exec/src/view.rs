@@ -4,26 +4,31 @@
 //! function; element access computes `base + ixfn(i, j, ...)` — exactly
 //! the code the paper's compiler inlines per access. A block is untyped
 //! words ([`crate::store`]); the view's element type says how to read
-//! them. Kernels use the typed accessors (`get_f32`, `write_i64_off`, …);
-//! the VM moves elements it does not interpret by *width* (4 or 8 bytes)
-//! and converts to and from [`Value`] with [`View::get`] /
-//! [`ViewMut::set`] — or, for a single point, with [`RawBuf::get`] /
-//! [`RawBuf::set`] at an offset it computed itself, no view built.
+//! them. A kernel takes its memory as slices once per call
+//! ([`crate::KernelCtx::f32_slices`]) or, where its views are strided,
+//! through the offset accessors ([`View::read_off`],
+//! [`ViewMut::write_off`]). The VM moves elements it does not interpret by
+//! *width* (4 or 8 bytes) and converts to and from [`Value`] with
+//! [`View::get`] / [`ViewMut::set`] — or, for a single point, with
+//! [`RawBuf::get`] / [`RawBuf::set`] at an offset it computed itself, no
+//! view built.
 //!
 //! Views may alias (e.g. NW's kernel reads bars of the same block its
 //! output is rebased into); the compiler's non-overlap proof is what makes
 //! concurrent use sound, so all access goes through raw pointers with
-//! explicit bounds checks.
+//! explicit bounds checks — per element, or once per kernel call for
+//! slices.
 
 use crate::store::RawBuf;
 use crate::value::Value;
 use arraymem_ir::ElemType;
 use arraymem_lmad::concrete::AccessClass;
 use arraymem_lmad::{ConcreteIxFn, ConcreteLmad};
+use std::ops::Range;
 
 /// A Rust type a typed accessor may read block words as (booleans are
 /// stored as `i64` words).
-pub(crate) trait Elem: Copy {
+pub trait Elem: Copy {
     const TYPE: ElemType;
 }
 
@@ -181,15 +186,6 @@ impl View {
         self.ixfn.as_single()
     }
 
-    /// Memory offset of a logical index.
-    #[inline]
-    fn addr(&self, idx: &[i64]) -> usize {
-        self.buf.in_block(match self.ixfn.as_single() {
-            Some(l) => l.apply(idx),
-            None => self.ixfn.index(idx),
-        })
-    }
-
     /// Memory offset of a flat logical position.
     #[inline(always)]
     fn addr_flat(&self, flat: i64) -> usize {
@@ -216,28 +212,10 @@ impl View {
         unsafe { *(self.buf.ptr as *const T).add(off) }
     }
 
-    /// Read one element by logical index.
-    #[inline]
-    pub fn get_f32(&self, idx: &[i64]) -> f32 {
-        self.load(self.addr(idx))
-    }
-
-    /// See [`View::get_f32`].
-    #[inline]
-    pub fn get_i64(&self, idx: &[i64]) -> i64 {
-        self.load(self.addr(idx))
-    }
-
     /// Read by precomputed memory offset (as produced by the view's LMAD)
     /// — the incremental-addressing style of generated kernel code.
     #[inline]
-    pub fn read_f32_off(&self, off: i64) -> f32 {
-        self.load(self.buf.in_block(off))
-    }
-
-    /// See [`View::read_f32_off`].
-    #[inline]
-    pub fn read_i64_off(&self, off: i64) -> i64 {
+    pub fn read_off<T: Elem>(&self, off: i64) -> T {
         self.load(self.buf.in_block(off))
     }
 
@@ -254,12 +232,7 @@ impl View {
         let (base, n) = self.slice_bounds::<T>()?;
         // SAFETY: `slice_bounds` checked `base + n <= len` elements of
         // `size_of::<T>()` bytes each.
-        unsafe {
-            Some(std::slice::from_raw_parts(
-                (self.buf.ptr as *const T).add(base),
-                n,
-            ))
-        }
+        Some(unsafe { std::slice::from_raw_parts((self.buf.ptr as *const T).add(base), n) })
     }
 
     pub(crate) fn elem(&self) -> ElemType {
@@ -333,27 +306,9 @@ impl ViewMut {
         unsafe { *(self.buf.ptr as *mut T).add(off) = v }
     }
 
-    /// Write one element by logical index.
+    /// Write by precomputed memory offset; see [`View::read_off`].
     #[inline]
-    pub fn set_f32(&self, idx: &[i64], v: f32) {
-        self.store(self.addr(idx), v)
-    }
-
-    /// See [`ViewMut::set_f32`].
-    #[inline]
-    pub fn set_i64(&self, idx: &[i64], v: i64) {
-        self.store(self.addr(idx), v)
-    }
-
-    /// Write by precomputed memory offset.
-    #[inline]
-    pub fn write_f32_off(&self, off: i64, v: f32) {
-        self.store(self.buf.in_block(off), v)
-    }
-
-    /// See [`ViewMut::write_f32_off`].
-    #[inline]
-    pub fn write_i64_off(&self, off: i64, v: i64) {
+    pub fn write_off<T: Elem>(&self, off: i64, v: T) {
         self.store(self.buf.in_block(off), v)
     }
 
@@ -405,13 +360,50 @@ impl ViewMut {
         let (base, n) = self.slice_bounds::<T>()?;
         // SAFETY: as in `View::as_slice`; exclusivity is the compiler's
         // non-overlap proof (see above).
-        unsafe {
-            Some(std::slice::from_raw_parts_mut(
-                (self.buf.ptr as *mut T).add(base),
-                n,
-            ))
-        }
+        Some(unsafe { std::slice::from_raw_parts_mut((self.buf.ptr as *mut T).add(base), n) })
     }
+}
+
+/// [`KernelCtx::f32_slices`](crate::KernelCtx::f32_slices) for any `T`:
+/// `None` unless the call qualifies. Checks `out`'s rows, not its whole
+/// view (a private tile's offset is negative); O(inputs + rank).
+#[allow(clippy::mut_from_ref)]
+pub(crate) fn row_slices<'v, T: Elem, const N: usize>(
+    inputs: &'v [View],
+    out: &'v ViewMut,
+    rows: Range<i64>,
+) -> Option<([&'v [T]; N], &'v mut [T])> {
+    let lmad = |v: &'v View| v.lmad().filter(|_| v.buf.elem == T::TYPE);
+    let ol = lmad(out).filter(|_| inputs.len() == N)?;
+    let (outer, row) = ol.dims.split_first()?;
+    let row_len = row.iter().rev().try_fold(1, |len, d| {
+        (d.card >= 0 && (d.card == 1 || d.stride == len)).then_some(len * d.card)
+    })?;
+    let (n, start) = (rows.end - rows.start, ol.offset + rows.start * outer.stride);
+    let (len, dense) = (n * row_len, n <= 1 || outer.stride == row_len);
+    let inside = 0 <= rows.start && n >= 0 && rows.end <= outer.card && start >= 0;
+    (dense && inside && (start + len) as usize <= out.buf.len).then_some(())?;
+    // Spans clamped to the block (a tile's leaves it), as byte addresses.
+    let span = |v: &View, l: &ConcreteLmad| {
+        let (lo, hi) = l.span()?;
+        let (lo, hi) = (lo.max(0), hi.min(v.buf.len as i64 - 1));
+        let (at, w) = (v.buf.ptr as i64, size_of::<T>() as i64);
+        (lo <= hi).then_some((at + lo * w, at + hi * w))
+    };
+    let out_span = span(out, ol);
+    let mut slices = [&[][..]; N];
+    for (s, v) in slices.iter_mut().zip(inputs) {
+        let meets = span(v, lmad(v)?).zip(out_span);
+        let meets = meets.is_some_and(|(a, b)| a.0 <= b.1 && b.0 <= a.1);
+        *s = v.as_slice().filter(|_| !meets)?;
+    }
+    // SAFETY: rows `rows` are `n · row_len` elements from `start`, checked
+    // inside the block above; no input slice meets them (or any other row
+    // of `out`), and the caller hands them out once per kernel call.
+    let rows = unsafe {
+        std::slice::from_raw_parts_mut((out.buf.ptr as *mut T).add(start as usize), len as usize)
+    };
+    Some((slices, rows))
 }
 
 /// One strip of gather (`dst[at + k] = src[idx[k]]`) or scatter
@@ -577,8 +569,8 @@ mod tests {
     fn typed_access_round_trips() {
         let (mut s, b) = store_with(vec![0.0; 12]);
         let v = ViewMut::new(s.raw(b), ConcreteIxFn::row_major(&[3, 4]));
-        v.set_f32(&[2, 3], 7.5);
-        assert_eq!(v.get_f32(&[2, 3]), 7.5);
+        v.write_off(11, 7.5f32); // [2, 3]
+        assert_eq!(v.read_off::<f32>(11), 7.5);
         assert_eq!(v.get(11).as_f32(), 7.5);
     }
 
@@ -623,6 +615,69 @@ mod tests {
         }
     }
 
+    /// An f32 view of `block` with LMAD `offset + {dims}`.
+    fn lmad_view(s: &mut MemStore, block: usize, offset: i64, dims: &[(i64, i64)]) -> ViewMut {
+        let dims = dims.iter().map(|&(card, stride)| Dim { card, stride });
+        let lmad = ConcreteLmad {
+            offset,
+            dims: dims.collect(),
+        };
+        ViewMut::new(s.raw(block), ConcreteIxFn::from_lmad(lmad))
+    }
+
+    /// A kernel call's slices: a direct map's rows of its result, and a
+    /// buffered map's rows in a private tile whose LMAD offset is negative
+    /// (worker 1's two-row tile holds rows 6..8, so the offset is
+    /// `(1·2 − 6)·3`); rows outside the tile's block are refused.
+    #[test]
+    fn row_slices_take_a_calls_rows() {
+        let mut s = MemStore::new();
+        let (a, b, t) = (
+            s.alloc(ElemType::F32, 12),
+            s.alloc(ElemType::F32, 12),
+            s.alloc(ElemType::F32, 12),
+        );
+        let input = [(*lmad_view(&mut s, a, 0, &[(4, 3), (3, 1)])).clone()];
+        let out = lmad_view(&mut s, b, 0, &[(4, 3), (3, 1)]);
+        let ([whole], rows) = row_slices::<f32, 1>(&input, &out, 1..3).unwrap();
+        assert_eq!((whole.len(), rows.len()), (12, 6));
+        rows[0] = 5.0;
+        assert_eq!(out.get(3).as_f32(), 5.0, "row 1 starts at element 3");
+        let tile = lmad_view(&mut s, t, -12, &[(8, 3), (3, 1)]);
+        let (_, rows) = row_slices::<f32, 1>(&input, &tile, 6..8).unwrap();
+        rows.fill(1.0);
+        let block = View::new(s.raw(t), ConcreteIxFn::row_major(&[12]));
+        let got: Vec<f32> = (0..12).map(|f| block.get(f).as_f32()).collect();
+        assert_eq!(got[6..], [1.0; 6], "rows 6..8 are the tile's second slot");
+        assert!(row_slices::<f32, 1>(&input, &tile, 2..4).is_none());
+    }
+
+    /// What a kernel call must not get as slices: an input whose span
+    /// meets rows of `out` that another call writes, a strided NW-shaped
+    /// `out` (a 2×2 block of a 4-wide matrix), and a non-f32 input.
+    #[test]
+    fn row_slices_refuse_what_does_not_qualify() {
+        let mut s = MemStore::new();
+        let (b, c, ints) = (
+            s.alloc(ElemType::F32, 12),
+            s.alloc(ElemType::F32, 12),
+            s.alloc(ElemType::I64, 4),
+        );
+        let out = lmad_view(&mut s, b, 0, &[(4, 3), (3, 1)]);
+        let row_3 = [(*lmad_view(&mut s, b, 9, &[(1, 3), (3, 1)])).clone()];
+        assert!(row_slices::<f32, 1>(&row_3, &out, 0..2).is_none());
+        let elsewhere = [(*lmad_view(&mut s, c, 9, &[(1, 3), (3, 1)])).clone()];
+        assert!(row_slices::<f32, 1>(&elsewhere, &out, 0..2).is_some());
+        let block = lmad_view(&mut s, b, 5, &[(2, 4), (2, 1)]);
+        assert!(row_slices::<f32, 0>(&[], &block, 0..2).is_none());
+        assert!(
+            row_slices::<f32, 0>(&[], &block, 1..2).is_some(),
+            "one row is dense"
+        );
+        let ints = [View::new(s.raw(ints), ConcreteIxFn::row_major(&[4]))];
+        assert!(row_slices::<f32, 1>(&ints, &out, 0..2).is_none());
+    }
+
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn out_of_block_access_panics() {
@@ -634,7 +689,7 @@ mod tests {
                 dims: vec![Dim { card: 4, stride: 1 }],
             }),
         );
-        let _ = v.get_f32(&[3]); // offset 6 > len 4
+        let _ = v.get(3); // offset 6 > len 4
     }
 
     /// One input array per element width: the copy tiers move elements

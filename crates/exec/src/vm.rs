@@ -953,6 +953,7 @@ impl Machine<'_> {
                     inputs: &inputs,
                     args: &argv,
                     out: private.as_ref().unwrap_or(&out_view),
+                    sliced: Default::default(),
                 });
                 if let (Some(p), Some((src, dst))) = (&mut private, &mut copy) {
                     copy_view(dst, src);

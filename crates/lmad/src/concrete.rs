@@ -42,6 +42,16 @@ impl Lmad<i64> {
         }
     }
 
+    /// The least and the greatest offset the LMAD touches, in `O(rank)`;
+    /// `None` when it touches none.
+    pub fn span(&self) -> Option<(i64, i64)> {
+        let ends = self.dims.iter().map(|d| (d.card - 1) * d.stride);
+        let (lo, hi) = ends.fold((self.offset, self.offset), |(lo, hi), e| {
+            (lo + e.min(0), hi + e.max(0))
+        });
+        self.dims.iter().all(|d| d.card > 0).then_some((lo, hi))
+    }
+
     /// Element offset of flat logical position `flat` (row-major over the
     /// cardinalities): fused unrank + apply, no allocation. This is the
     /// strided access plan's inner loop.
@@ -237,6 +247,30 @@ mod tests {
             let back = idx[0] * 10 + idx[1] * 2 + idx[2];
             assert_eq!(back, f);
         }
+    }
+
+    /// A span bounds exactly the points, whatever the strides' signs.
+    #[test]
+    fn span_is_the_least_and_greatest_point() {
+        let l = ConcreteLmad {
+            offset: 10,
+            dims: vec![
+                Dim {
+                    card: 3,
+                    stride: -4,
+                },
+                Dim { card: 2, stride: 1 },
+            ],
+        };
+        let points = l.points();
+        let bounds = (*points.iter().min().unwrap(), *points.iter().max().unwrap());
+        assert_eq!(l.span(), Some(bounds));
+        assert_eq!(l.span(), Some((2, 11)));
+        let empty = ConcreteLmad {
+            offset: 0,
+            dims: vec![Dim { card: 0, stride: 1 }],
+        };
+        assert_eq!(empty.span(), None);
     }
 
     #[test]

@@ -178,7 +178,8 @@ impl Case {
 }
 
 /// A measured table row: reference time plus the two Futhark-style
-/// variants, reported the way the paper's tables do.
+/// variants, reported the way the paper's tables do. Each time is the
+/// median over the measured rounds.
 #[derive(Clone, Debug)]
 pub struct Measurement {
     pub name: String,
@@ -186,6 +187,8 @@ pub struct Measurement {
     pub reference: Duration,
     pub unopt: Duration,
     pub opt: Duration,
+    /// Each measured round's unopt time / opt time.
+    pub round_impacts: Vec<f64>,
     pub unopt_stats: Stats,
     pub opt_stats: Stats,
     /// Plan-cache accounting of the unoptimized variant's session: one
@@ -210,75 +213,83 @@ impl Measurement {
         self.reference.as_secs_f64() / self.opt.as_secs_f64()
     }
 
-    /// The paper's "Opt. Impact" column: unopt time / opt time.
+    /// The paper's "Opt. Impact" column: the median of the rounds'
+    /// unopt time / opt time, so drift between rounds cancels.
     pub fn impact(&self) -> f64 {
-        self.unopt.as_secs_f64() / self.opt.as_secs_f64()
+        median(self.round_impacts.iter().copied())
     }
 }
 
-/// Paper methodology: run a number of times, "always discarding the first
-/// run and measuring the average wall time of the rest". Each sample is
-/// the program-body execution time (input upload and result download are
-/// excluded, as GPU benchmarks exclude host transfers).
-fn average_body_time<F: FnMut() -> Duration>(runs: usize, mut f: F) -> Duration {
-    let runs = runs.max(1);
-    f(); // warm-up, discarded
-    let mut total = Duration::ZERO;
-    for _ in 0..runs {
-        total += f();
+/// The median of `xs` (the mean of the middle two for an even count).
+fn median(xs: impl Iterator<Item = f64>) -> f64 {
+    let mut v: Vec<f64> = xs.collect();
+    v.sort_by(f64::total_cmp);
+    let m = v.len() / 2;
+    match v.len() % 2 {
+        0 => (v[m - 1] + v[m]) / 2.0,
+        _ => v[m],
     }
-    total / runs as u32
 }
 
-/// Measure one case: reference vs unopt vs opt. Each compiled variant
-/// runs inside one persistent [`Session`], the way a GPU benchmark reuses
-/// one device context: after the discarded warm-up, every run's
-/// allocations are served from the blocks the previous run released. The
-/// reported stats are those of the final (steady-state) run.
+/// Measure one case: reference vs unopt vs opt, interleaved. Paper
+/// methodology runs each a number of times, "always discarding the first
+/// run": here a round runs the reference, then the unoptimized variant,
+/// then the optimized one, and the first round is discarded, so drift
+/// on the machine lands on all three columns alike. Each sample is the
+/// program-body execution time (input upload and result download are
+/// excluded, as GPU benchmarks exclude host transfers). Each compiled
+/// variant runs inside one persistent [`Session`], the way a GPU
+/// benchmark reuses one device context: after the warm-up round, every
+/// run's allocations are served from the blocks the previous run
+/// released. The reported stats are those of the final (steady-state)
+/// run.
 pub fn measure_case(case: &Case) -> Measurement {
-    let unopt = case.compile(false);
-    let opt = case.compile(true);
-    let reference = average_body_time(case.runs, || {
+    let variants = [case.compile(false), case.compile(true)];
+    let mut sessions = [Session::new(), Session::new()];
+    let mut last_stats = [None, None];
+    let rounds = case.runs.max(1);
+    let mut samples: Vec<[f64; 3]> = Vec::with_capacity(rounds);
+    for round in 0..=rounds {
         let (t, out) = (case.reference)(&case.inputs);
         std::hint::black_box(out);
-        t
-    });
-    let measure_variant = |compiled: &Compiled| {
-        let mut session = Session::new();
-        let mut last_stats: Option<Stats> = None;
-        let t = average_body_time(case.runs, || {
-            let (out, stats) = case.run_in(&mut session, compiled);
+        let mut sample = [t.as_secs_f64(), 0.0, 0.0];
+        for (k, compiled) in variants.iter().enumerate() {
+            let (out, stats) = case.run_in(&mut sessions[k], compiled);
             std::hint::black_box(out);
-            let t = stats.total_time;
-            last_stats = Some(stats);
-            t
-        });
-        let plan = session.plan_stats();
-        // The whole point of `prepare`: one lowering per variant, every
-        // repeated run (warm-up included) served from the cache.
-        let total_runs = case.runs.max(1) as u64 + 1;
+            sample[k + 1] = stats.total_time.as_secs_f64();
+            last_stats[k] = Some(stats);
+        }
+        if round > 0 {
+            samples.push(sample);
+        }
+    }
+    // The whole point of `prepare`: one lowering per variant, every
+    // repeated run (warm-up included) served from the cache.
+    let [unopt_plan, opt_plan] = sessions.each_ref().map(|s| s.plan_stats());
+    for plan in [unopt_plan, opt_plan] {
         assert_eq!(
             (plan.builds, plan.cache_hits),
-            (1, total_runs - 1),
+            (1, rounds as u64),
             "{}/{}: plan cache missed on a repeated run",
             case.name,
             case.dataset
         );
-        (t, last_stats.expect("at least one measured run"), plan)
-    };
-    let (unopt_t, unopt_stats, unopt_plan) = measure_variant(&unopt);
-    let (opt_t, opt_stats, opt_plan) = measure_variant(&opt);
+    }
+    let column = |k: usize| Duration::from_secs_f64(median(samples.iter().map(|s| s[k])));
+    let [unopt_stats, opt_stats] = last_stats.map(|s| s.expect("at least one measured run"));
+    let [unopt, opt] = variants;
     Measurement {
         name: case.name.clone(),
         dataset: case.dataset.clone(),
-        reference,
-        unopt: unopt_t,
-        opt: opt_t,
+        reference: column(0),
+        unopt: column(1),
+        opt: column(2),
+        round_impacts: samples.iter().map(|s| s[1] / s[2]).collect(),
         unopt_stats,
         opt_stats,
         unopt_plan,
         opt_plan,
-        unopt_passes: unopt.compile_report.passes.clone(),
-        opt_passes: opt.compile_report.passes.clone(),
+        unopt_passes: unopt.compile_report.passes,
+        opt_passes: opt.compile_report.passes,
     }
 }

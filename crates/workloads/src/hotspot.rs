@@ -15,7 +15,7 @@
 //! boundary row — a three-way concat along the outer dimension.
 
 use crate::harness::Case;
-use arraymem_exec::{InputValue, KernelRegistry, OutputValue, View, ViewMut};
+use arraymem_exec::{InputValue, KernelRegistry, OutputValue};
 use arraymem_ir::{Builder, ElemType, Program, ScalarExp, Var};
 use arraymem_symbolic::{Env, Poly};
 
@@ -68,51 +68,34 @@ pub fn reference(n: usize, steps: usize, temp: &mut Vec<f32>, power: &[f32]) {
     }
 }
 
-/// Grid row `r` into the result row at memory offset `woff` (column
-/// stride `sc`): incremental flat addressing through the (row-major)
-/// input LMADs.
-fn row_kernel(temp: &View, power: &View, n: i64, r: i64, out: &ViewMut, woff: i64, sc: i64) {
-    let tl = temp.lmad().expect("temp is one LMAD");
-    let base = tl.offset + r * n;
-    let up = if r == 0 { 0 } else { n };
-    let down = if r == n - 1 { 0 } else { n };
-    let pl = power.lmad().expect("power is one LMAD");
-    let pbase = pl.offset + r * n;
-    let mut woff = woff;
-    for cc in 0..n {
-        let t = temp.read_f32_off(base + cc);
-        let e = if cc == n - 1 {
-            t
-        } else {
-            temp.read_f32_off(base + cc + 1)
-        };
-        let w = if cc == 0 {
-            t
-        } else {
-            temp.read_f32_off(base + cc - 1)
-        };
-        let v = cell_update(
-            t,
-            power.read_f32_off(pbase + cc),
-            temp.read_f32_off(base - up + cc),
-            temp.read_f32_off(base + down + cc),
-            e,
-            w,
-        );
-        out.write_f32_off(woff, v);
-        woff += sc;
+/// Grid row `r` of the `n`-wide grid into `out`: the clamped neighbour
+/// rows and the two edge cells picked once, so the interior is one loop
+/// over plain slices.
+fn row_kernel(temp: &[f32], power: &[f32], n: usize, r: usize, out: &mut [f32]) {
+    let row = |k: usize| &temp[k * n..][..n];
+    let (up, mid, down) = (row(r.saturating_sub(1)), row(r), row((r + 1).min(n - 1)));
+    let power = &power[r * n..][..n];
+    let out = &mut out[..n];
+    let cell = |c: usize, e: f32, w: f32| cell_update(mid[c], power[c], up[c], down[c], e, w);
+    out[0] = cell(0, mid[1.min(n - 1)], mid[0]);
+    for c in 1..n.saturating_sub(1) {
+        out[c] = cell(c, mid[c + 1], mid[c - 1]);
+    }
+    if n > 1 {
+        out[n - 1] = cell(n - 1, mid[n - 1], mid[n - 2]);
     }
 }
 
 /// Register one row kernel: instance `i` computes grid row `grid_row(n, i)`.
-fn register_rows(reg: &mut KernelRegistry, name: &str, grid_row: fn(i64, i64) -> i64) {
+fn register_rows(reg: &mut KernelRegistry, name: &'static str, grid_row: fn(i64, i64) -> i64) {
     reg.register(name, move |ctx| {
         let n = ctx.arg_i64(0);
-        let (temp, power, out) = (&ctx.inputs[0], &ctx.inputs[1], ctx.out);
-        let ol = out.lmad().expect("rows are one LMAD");
-        for i in ctx.rows.clone() {
-            let woff = ol.offset + i * ol.dims[0].stride;
-            row_kernel(temp, power, n, grid_row(n, i), out, woff, ol.dims[1].stride);
+        let ([temp, power], out) = ctx
+            .f32_slices()
+            .unwrap_or_else(|| panic!("{name}: grids and rows must be dense f32"));
+        for (i, row) in ctx.rows.clone().zip(out.chunks_exact_mut(n as usize)) {
+            let r = grid_row(n, i) as usize;
+            row_kernel(temp, power, n as usize, r, row);
         }
     });
 }

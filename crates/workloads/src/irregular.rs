@@ -88,13 +88,13 @@ pub fn spmv_register_kernels(reg: &mut KernelRegistry) {
         let rl = row_ptr.lmad().expect("row pointers are one LMAD");
         let ol = out.lmad().expect("sums are one LMAD");
         for i in ctx.rows.clone() {
-            let start = row_ptr.read_i64_off(rl.offset + i * rl.dims[0].stride);
-            let end = row_ptr.read_i64_off(rl.offset + (i + 1) * rl.dims[0].stride);
+            let start = row_ptr.read_off::<i64>(rl.offset + i * rl.dims[0].stride);
+            let end = row_ptr.read_off::<i64>(rl.offset + (i + 1) * rl.dims[0].stride);
             let mut acc = 0f32;
             for j in start..end {
-                acc += products.read_f32_off(pl.offset + j * pl.dims[0].stride);
+                acc += products.read_off::<f32>(pl.offset + j * pl.dims[0].stride);
             }
-            out.write_f32_off(ol.offset + i * ol.dims[0].stride, acc);
+            out.write_off::<f32>(ol.offset + i * ol.dims[0].stride, acc);
         }
     });
 }

@@ -151,26 +151,21 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
         let nx = ctx.arg_i64(0);
         let ny = ctx.arg_i64(1);
         let nz = ctx.arg_i64(2);
-        let (f, out) = (&ctx.inputs[0], ctx.out);
-        let l = f.lmad().expect("lattice is one LMAD");
-        let (sc, sq) = (l.dims[0].stride, l.dims[1].stride);
-        let base = l.offset;
-        let ol = out.lmad().expect("lattice is one LMAD");
-        let mut cells = [0f32; 19];
-        for cell in ctx.rows.clone() {
-            let x = cell % nx;
-            let y = (cell / nx) % ny;
-            let z = cell / (nx * ny);
-            cell_step(
-                (x, y, z),
-                (nx, ny, nz),
-                |c, q| f.read_f32_off(base + c * sc + q as i64 * sq),
-                &mut cells,
-            );
-            let mut woff = ol.offset + cell * ol.dims[0].stride;
-            for v in cells {
-                out.write_f32_off(woff, v);
-                woff += ol.dims[1].stride;
+        let ([f], out) = ctx
+            .f32_slices()
+            .expect("lbm_step: lattices must be dense f32");
+        // The first cell's coordinates, then a counter: no division per cell.
+        let first = ctx.rows.start;
+        let (mut x, mut y, mut z) = (first % nx, (first / nx) % ny, first / (nx * ny));
+        let read = |c: i64, q: usize| f[c as usize * 19 + q];
+        for o in out.chunks_exact_mut(19) {
+            cell_step((x, y, z), (nx, ny, nz), read, o.try_into().unwrap());
+            x += 1;
+            if x == nx {
+                (x, y) = (0, y + 1);
+            }
+            if y == ny {
+                (y, z) = (0, z + 1);
             }
         }
     });

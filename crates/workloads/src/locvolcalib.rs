@@ -84,15 +84,11 @@ pub fn reference(num_o: usize, num_x: usize, num_t: usize) -> Vec<f32> {
 pub fn register_kernels(reg: &mut KernelRegistry) {
     reg.register("lvc_payoff", |ctx| {
         let num_x = ctx.arg_i64(0) as usize;
-        let ol = ctx.out.lmad().expect("grid is one LMAD");
-        let mut v = vec![0f32; num_x];
-        for o in ctx.rows.clone() {
-            payoff_row(o, &mut v);
-            let mut woff = ol.offset + o * ol.dims[0].stride;
-            for &x in &v {
-                ctx.out.write_f32_off(woff, x);
-                woff += ol.dims[1].stride;
-            }
+        let ([], out) = ctx
+            .f32_slices()
+            .expect("lvc_payoff: grid must be dense f32");
+        for (o, row) in ctx.rows.clone().zip(out.chunks_exact_mut(num_x.max(1))) {
+            payoff_row(o, row);
         }
     });
     // Half the time schedule per launch: `phase` 0 runs steps
@@ -104,23 +100,13 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
         let phase = ctx.arg_i64(2);
         let half = num_t / 2;
         let steps = if phase == 0 { (0, half) } else { (half, num_t) };
-        let (grid, out) = (&ctx.inputs[0], ctx.out);
-        let gl = grid.lmad().expect("grid is one LMAD");
-        let ol = out.lmad().expect("grid is one LMAD");
-        let mut v = vec![0f32; num_x];
+        let ([grid], out) = ctx
+            .f32_slices()
+            .expect("lvc_steps: grids must be dense f32");
         let (mut cp, mut dp) = (vec![0f32; num_x], vec![0f32; num_x]);
-        for o in ctx.rows.clone() {
-            let mut off = gl.offset + o * gl.dims[0].stride;
-            for x in v.iter_mut() {
-                *x = grid.read_f32_off(off);
-                off += gl.dims[1].stride;
-            }
-            evolve_row(o, num_t, steps, &mut v, &mut cp, &mut dp);
-            let mut woff = ol.offset + o * ol.dims[0].stride;
-            for &x in &v {
-                out.write_f32_off(woff, x);
-                woff += ol.dims[1].stride;
-            }
+        for (o, v) in ctx.rows.clone().zip(out.chunks_exact_mut(num_x.max(1))) {
+            v.copy_from_slice(&grid[o as usize * num_x..][..num_x]);
+            evolve_row(o, num_t, steps, v, &mut cp, &mut dp);
         }
     });
 }

@@ -116,7 +116,7 @@ fn load_block(v: &View, k: i64, b: usize, buf: &mut [f32]) {
     for r in 0..b {
         let mut off = l.offset + k * l.dims[0].stride + r as i64 * sr;
         for cc in 0..b {
-            buf[r * b + cc] = v.read_f32_off(off);
+            buf[r * b + cc] = v.read_off::<f32>(off);
             off += sc;
         }
     }
@@ -129,7 +129,7 @@ fn store_block(out: &ViewMut, k: i64, b: usize, buf: &[f32]) {
     for r in 0..b {
         let mut off = l.offset + k * l.dims[0].stride + r as i64 * sr;
         for cc in 0..b {
-            out.write_f32_off(off, buf[r * b + cc]);
+            out.write_off::<f32>(off, buf[r * b + cc]);
             off += sc;
         }
     }

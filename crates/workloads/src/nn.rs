@@ -62,54 +62,43 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
     reg.register("nn_delta_sq", |ctx| {
         let lat0 = ctx.arg_f32(0);
         let lng0 = ctx.arg_f32(1);
-        let (lats, lngs, out) = (&ctx.inputs[0], &ctx.inputs[1], ctx.out);
-        let al = lats.lmad().expect("lats is one LMAD");
-        let gl = lngs.lmad().expect("lngs is one LMAD");
-        let ol = out.lmad().expect("deltas are one LMAD");
-        for i in ctx.rows.clone() {
-            let lat = lats.read_f32_off(al.offset + i * al.dims[0].stride);
-            let lng = lngs.read_f32_off(gl.offset + i * gl.dims[0].stride);
-            let o = ol.offset + i * ol.dims[0].stride;
-            out.write_f32_off(o, (lat - lat0) * (lat - lat0));
-            out.write_f32_off(o + ol.dims[1].stride, (lng - lng0) * (lng - lng0));
+        let ([lats, lngs], out) = ctx
+            .f32_slices()
+            .expect("nn_delta_sq: points and deltas must be dense f32");
+        for (i, o) in ctx.rows.clone().zip(out.chunks_exact_mut(2)) {
+            let (lat, lng) = (lats[i as usize], lngs[i as usize]);
+            o[0] = (lat - lat0) * (lat - lat0);
+            o[1] = (lng - lng0) * (lng - lng0);
         }
     });
     // Stage 2: Euclidean norm of each pair. Identical arithmetic to
     // `dist` above, split across the two launches.
     reg.register("nn_norm", |ctx| {
-        let (d2, out) = (&ctx.inputs[0], ctx.out);
-        let dl = d2.lmad().expect("deltas are one LMAD");
-        let ol = out.lmad().expect("norms are one LMAD");
-        for i in ctx.rows.clone() {
-            let o = dl.offset + i * dl.dims[0].stride;
-            let a = d2.read_f32_off(o);
-            let b = d2.read_f32_off(o + dl.dims[1].stride);
-            out.write_f32_off(ol.offset + i * ol.dims[0].stride, (a + b).sqrt());
+        let ([d2], out) = ctx
+            .f32_slices()
+            .expect("nn_norm: deltas and norms must be dense f32");
+        for (i, o) in ctx.rows.clone().zip(out) {
+            let i = i as usize;
+            *o = (d2[2 * i] + d2[2 * i + 1]).sqrt();
         }
     });
     // The "reduction": a single instance scanning for the minimum
     // (value, index) pair.
     reg.register("nn_argmin", |ctx| {
-        let (dists, out) = (&ctx.inputs[0], ctx.out);
-        let l = dists.lmad().expect("dists is one LMAD");
-        let ol = out.lmad().expect("result is one LMAD");
-        let n = l.dims[0].card;
-        let s = l.dims[0].stride;
-        for row in ctx.rows.clone() {
+        let ([dists], out) = ctx
+            .f32_slices()
+            .expect("nn_argmin: distances and result must be dense f32");
+        for o in out.chunks_exact_mut(2) {
             let mut best = f32::INFINITY;
-            let mut best_i = 0i64;
-            let mut off = l.offset;
-            for i in 0..n {
-                let d = dists.read_f32_off(off);
+            let mut best_i = 0usize;
+            for (i, &d) in dists.iter().enumerate() {
                 if d < best {
                     best = d;
                     best_i = i;
                 }
-                off += s;
             }
-            let o = ol.offset + row * ol.dims[0].stride;
-            out.write_f32_off(o, best);
-            out.write_f32_off(o + ol.dims[1].stride, best_i as f32);
+            o[0] = best;
+            o[1] = best_i as f32;
         }
     });
 }

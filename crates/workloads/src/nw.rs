@@ -85,13 +85,13 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
             let c0 = origin % n;
             let mut off = vl.offset + i * vl.dims[0].stride;
             for v in vert.iter_mut() {
-                *v = vbars.read_i64_off(off);
+                *v = vbars.read_off::<i64>(off);
                 off += vl.dims[1].stride;
             }
             // row_above starts as the horizontal bar; diag_left as the corner.
             let mut off = hl.offset + i * hl.dims[0].stride;
             for a in above.iter_mut() {
-                *a = hbars.read_i64_off(off);
+                *a = hbars.read_off::<i64>(off);
                 off += hl.dims[1].stride;
             }
             let mut corner = vert[0];
@@ -103,7 +103,7 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
                     let diag = if cc == 0 { corner } else { above[cc - 1] };
                     let v = (diag + nw_similarity(grow, c0 + cc as i64))
                         .max((*above_cc).max(left) - PENALTY);
-                    out.write_i64_off(woff, v);
+                    out.write_off::<i64>(woff, v);
                     cur[cc] = v;
                     left = v;
                     woff += sc;

@@ -81,41 +81,31 @@ pub fn reference(npaths: usize, steps: usize) -> f32 {
 pub fn register_kernels(reg: &mut KernelRegistry) {
     reg.register("op_bridge", |ctx| {
         let steps = ctx.arg_i64(0) as usize;
-        let l = ctx.out.lmad().expect("paths are one LMAD");
-        let st = l.dims[1].stride;
-        for i in ctx.rows.clone() {
-            let s0 = l.offset + i * l.dims[0].stride;
-            gen_path(i, steps, &mut |t, v| {
-                ctx.out.write_f32_off(s0 + t as i64 * st, v)
-            });
+        let ([], out) = ctx
+            .f32_slices()
+            .expect("op_bridge: paths must be dense f32");
+        for (i, row) in ctx.rows.clone().zip(out.chunks_exact_mut(steps.max(1))) {
+            gen_path(i, steps, &mut |t, v| row[t] = v);
         }
     });
     reg.register("op_payoff", |ctx| {
         let steps = ctx.arg_i64(0) as usize;
-        // Path `i`'s row, addressed through the whole input's LMAD.
-        let (paths, out) = (&ctx.inputs[0], ctx.out);
-        let l = paths.lmad().expect("paths are one LMAD");
-        let ol = out.lmad().expect("payoffs are one LMAD");
-        let st = l.dims[1].stride;
-        for i in ctx.rows.clone() {
-            let base = l.offset + i * l.dims[0].stride;
-            let v = payoff(&mut |t| paths.read_f32_off(base + t as i64 * st), steps);
-            out.write_f32_off(ol.offset + i * ol.dims[0].stride, v);
+        // Path `i`'s row of the whole input.
+        let ([paths], out) = ctx
+            .f32_slices()
+            .expect("op_payoff: paths and payoffs must be dense f32");
+        for (i, o) in ctx.rows.clone().zip(out) {
+            let row = &paths[i as usize * steps..][..steps];
+            *o = payoff(&mut |t| row[t], steps);
         }
     });
     reg.register("op_mean", |ctx| {
-        let (payoffs, out) = (&ctx.inputs[0], ctx.out);
-        let l = payoffs.lmad().expect("payoffs one LMAD");
-        let ol = out.lmad().expect("mean is one LMAD");
-        let n = l.dims[0].card;
-        for i in ctx.rows.clone() {
-            let mut total = 0f32;
-            let mut off = l.offset;
-            for _ in 0..n {
-                total += payoffs.read_f32_off(off);
-                off += l.dims[0].stride;
-            }
-            out.write_f32_off(ol.offset + i * ol.dims[0].stride, total / n as f32);
+        let ([payoffs], out) = ctx
+            .f32_slices()
+            .expect("op_mean: payoffs and mean must be dense f32");
+        for o in out {
+            let total = payoffs.iter().fold(0f32, |acc, &x| acc + x);
+            *o = total / payoffs.len() as f32;
         }
     });
 }

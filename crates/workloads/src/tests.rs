@@ -70,6 +70,55 @@ fn locvolcalib_small_validates() {
     assert_eq!(opt.bytes_copied, 0, "{opt:?}");
 }
 
+/// The five families whose kernels take their memory as slices compute
+/// exactly what their references do: every output bit for bit (tolerance
+/// 0, where `validate` allows 1e-4), optimized and unoptimized, inline and
+/// on two workers.
+#[test]
+fn sliced_kernels_match_their_references_bit_for_bit() {
+    let cases = [
+        crate::hotspot::case("128", 128, 8, 1),
+        crate::hotspot::case("512", 512, 8, 1),
+        crate::lbm::case("short", (16, 16, 8), 3, 1),
+        crate::optionpricing::case("medium", 2048, 32, 1),
+        crate::locvolcalib::case("small", 16, 64, 16, 1),
+        crate::nn::case("8552", 8552, 8, 1),
+    ];
+    let bits = |outs: &[arraymem_exec::OutputValue]| -> Vec<Vec<u32>> {
+        let bits_of =
+            |o: &arraymem_exec::OutputValue| o.as_f32s().iter().map(|x| x.to_bits()).collect();
+        outs.iter().map(bits_of).collect()
+    };
+    for case in &cases {
+        let expect = bits(&(case.reference)(&case.inputs).1);
+        for optimized in [false, true] {
+            let compiled = case.compile(optimized);
+            for threads in [1, 2] {
+                let mut session = arraymem_exec::Session::new();
+                let (out, _) = case.run_in_at(&mut session, &compiled, threads);
+                assert!(
+                    bits(&out) == expect,
+                    "{}/{}: optimized {optimized}, {threads} threads: not the reference's bits",
+                    case.name,
+                    case.dataset
+                );
+            }
+        }
+    }
+}
+
+/// `tables` interleaves its three columns per round: one impact sample per
+/// measured round, `impact()` their median, one plan build per variant.
+#[test]
+fn measure_case_reports_medians_of_interleaved_rounds() {
+    let m = crate::measure_case(&crate::hotspot::case("tiny", 16, 2, 3));
+    assert_eq!(m.round_impacts.len(), 3);
+    let mut sorted = m.round_impacts.clone();
+    sorted.sort_by(f64::total_cmp);
+    assert_eq!(m.impact(), sorted[1]);
+    assert_eq!((m.unopt_plan.builds, m.opt_plan.builds), (1, 1));
+}
+
 /// The three irregular cases at test scale.
 fn irregular_cases() -> Vec<crate::Case> {
     vec![

@@ -275,4 +275,24 @@ own_store() {
 }
 tier "a tenant's memory stays in its store (no cross-tenant arena, one free list)" own_store
 
+# Dense kernels take their memory as slices, checked once per call: the
+# unsafe code that hands them out is exec's, never a workload's, and the
+# five families whose output rows are dense address no element through
+# the per-element offset accessors. The qualification rule's unit tests
+# and the families' bit-for-bit agreement with their references follow.
+sliced_kernels() {
+    if grep -rn 'unsafe' crates/workloads/src; then
+        return 1
+    fi
+    if grep -n 'read_f32_off\|write_f32_off\|read_off\|write_off' \
+        crates/workloads/src/hotspot.rs crates/workloads/src/lbm.rs \
+        crates/workloads/src/optionpricing.rs crates/workloads/src/locvolcalib.rs \
+        crates/workloads/src/nn.rs; then
+        return 1
+    fi
+    cargo test --release --offline -p arraymem-exec -q -- row_slices slices_once kernel_call || return 1
+    cargo test --release --offline -p arraymem-workloads -q -- bit_for_bit
+}
+tier "dense kernels take slices (no unsafe in workloads, no per-element access)" sliced_kernels
+
 echo "== verify: OK ($(($(date +%s) - gate_start)) s) =="

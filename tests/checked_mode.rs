@@ -452,9 +452,11 @@ fn forced_parallel_verdict_is_refuted_as_par_overlap() {
         .collect();
     let mut kernels = KernelRegistry::new();
     kernels.register("bump", |ctx| {
+        let (il, ol) = (ctx.inputs[0].lmad().unwrap(), ctx.out.lmad().unwrap());
         for i in ctx.rows.clone() {
-            let v = ctx.inputs[0].get_i64(&[i]);
-            ctx.out.set_i64(&[i], v + 1);
+            let v = ctx.inputs[0].read_off::<i64>(il.offset + i * il.dims[0].stride);
+            ctx.out
+                .write_off::<i64>(ol.offset + i * ol.dims[0].stride, v + 1);
         }
     });
     let stats = run_checked_in(&mut Session::new(), &compiled, &[], &kernels, 4);

@@ -782,9 +782,8 @@ fn admission_queues_then_rejects_under_load() {
         while !*released {
             released = cv.wait(released).unwrap();
         }
-        for i in ctx.rows.clone() {
-            ctx.out.set_f32(&[i], 1.0);
-        }
+        let ([], out) = ctx.f32_slices().expect("rows are dense f32");
+        out.fill(1.0);
     });
     let bld = Builder::new("blocker");
     let mut b = bld.block();
