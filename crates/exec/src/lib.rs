@@ -6,14 +6,16 @@
 //!
 //! - [`store`]: numbered, untyped memory blocks, recycled through one
 //!   free list, with allocation accounting;
-//! - [`view`]: LMAD-addressed views over blocks — an index function whose
+//! - `view`: LMAD-addressed views over blocks — an index function whose
 //!   coefficients are integers (`arraymem_lmad::IndexFn<i64>`) plus a
-//!   block; the element type lives here, not in the block;
+//!   block; the element type lives here, not in the block. Views are the
+//!   executor's own: kernels reach memory through their context;
 //! - [`value`]: what a register holds — a `Copy` tag-and-word scalar or
 //!   block id — and the array handle the machine keeps beside its
 //!   registers (a block plus a shared index function);
 //! - [`kernel`]: the registry of native kernels a `map` may invoke (the
-//!   moral equivalent of generated device code);
+//!   moral equivalent of generated device code), and the one context
+//!   through which they reach memory — whole slices or staged rows;
 //! - [`pool`]: a work-stealing parallel-for on scoped threads (workers
 //!   spawned per dispatch and joined before it returns, chunks claimed
 //!   off a shared atomic counter, degrading gracefully to inline
@@ -49,7 +51,7 @@ pub mod stats;
 pub mod store;
 mod strip;
 pub mod value;
-pub mod view;
+mod view;
 pub mod vm;
 
 pub use cache::{PlanCache, PlanStats, PrepareOutcome};
@@ -61,7 +63,7 @@ pub use pool::{default_threads, DispatchInfo};
 pub use stats::{Diagnostic, Stats};
 pub use store::{ArenaStats, FleetMeter, MemStore};
 pub use value::{InputValue, OutputValue, Value};
-pub use view::{View, ViewMut};
+pub use view::Elem;
 pub use vm::{execute_plan, run_program, Mode, PlanHandle, Session};
 
 #[cfg(test)]

@@ -26,8 +26,8 @@
 //!   `map`: what the plan holds is the compiler's `IndexFn`/`Transform`/
 //!   `Lmad` over another coefficient type, and what the executor computes
 //!   with is the same structure over integers. Fully-constant index
-//!   functions are evaluated **now**, their [`AccessClass`] recorded in
-//!   the plan, and every execution shares the one copy;
+//!   functions are evaluated **now**, and every execution shares the one
+//!   copy;
 //! - kernel names resolve to dense registry indices once;
 //! - the compiler's [`ReleasePlan`] is fused into the stream as explicit
 //!   [`Instr::Release`] instructions — no per-run `ReleasePlan::compute`;
@@ -51,7 +51,6 @@ use arraymem_ir::{
     BinOp, Block, Constant, ElemType, Exp, MapBody, PatElem, Program, ScalarExp, SliceSpec, Stm,
     Type, UnOp, UpdateSrc, Var,
 };
-use arraymem_lmad::concrete::AccessClass;
 use arraymem_lmad::{ConcreteIxFn, IndexFn, Lmad, Transform};
 use arraymem_symbolic::{Poly, Sym};
 use std::cell::Cell;
@@ -142,30 +141,20 @@ pub(crate) fn eval_shape(shape: &[SlotPoly], regs: &[Value]) -> Result<Vec<i64>,
 }
 
 /// An index function lowered against the slot scope. `Ready` means every
-/// polynomial was constant: the integer index function *and its access
-/// class* are computed once per plan, never per run — every array a run
-/// binds to it shares the plan's copy.
+/// polynomial was constant: the integer index function is computed once
+/// per plan, never per run — every array a run binds to it shares the
+/// plan's copy.
 #[derive(Clone, Debug)]
 pub(crate) enum LoweredIxFn {
-    Ready {
-        ixfn: Arc<ConcreteIxFn>,
-        class: AccessClass,
-    },
+    Ready(Arc<ConcreteIxFn>),
     Dynamic(IndexFn<SlotPoly>),
 }
 
 impl LoweredIxFn {
-    pub(crate) fn eval_access(
-        &self,
-        regs: &[Value],
-    ) -> Result<(Arc<ConcreteIxFn>, AccessClass), Unsized> {
+    pub(crate) fn eval(&self, regs: &[Value]) -> Result<Arc<ConcreteIxFn>, Unsized> {
         match self {
-            LoweredIxFn::Ready { ixfn, class } => Ok((Arc::clone(ixfn), *class)),
-            LoweredIxFn::Dynamic(ixfn) => {
-                let c = eval_all(regs, |f| ixfn.map(f))?;
-                let class = c.classify();
-                Ok((Arc::new(c), class))
-            }
+            LoweredIxFn::Ready(ixfn) => Ok(Arc::clone(ixfn)),
+            LoweredIxFn::Dynamic(ixfn) => Ok(Arc::new(eval_all(regs, |f| ixfn.map(f))?)),
         }
     }
 }
@@ -759,10 +748,7 @@ impl Lowerer<'_> {
 
     fn lower_ixfn(&self, ix: &IndexFn) -> LoweredIxFn {
         match ix.map(Poly::as_const) {
-            Some(ixfn) => LoweredIxFn::Ready {
-                class: ixfn.classify(),
-                ixfn: Arc::new(ixfn),
-            },
+            Some(ixfn) => LoweredIxFn::Ready(Arc::new(ixfn)),
             None => LoweredIxFn::Dynamic(IndexFn {
                 lmads: ix.lmads.iter().map(|l| self.lower_lmad(l)).collect(),
             }),
@@ -1319,8 +1305,8 @@ fn fmt_dest(d: &Dest) -> String {
                 None => format!("<unbound {}>", md.block_var),
             };
             match &md.ixfn {
-                LoweredIxFn::Ready { ixfn, class } => {
-                    format!(" @ {block} {ixfn:?} [{class:?}]")
+                LoweredIxFn::Ready(ixfn) => {
+                    format!(" @ {block} {ixfn:?} [{:?}]", ixfn.classify())
                 }
                 LoweredIxFn::Dynamic(ixfn) => format!(" @ {block} {ixfn:?}"),
             }

@@ -156,7 +156,9 @@ impl<'a> Made<'a> {
         let Made(regs, words, inputs, lo, len, lanes) = *self;
         match regs[r as usize].how {
             How::Load(k, true) if !inputs.is_empty() => {
-                let strip = inputs[k as usize].strip(lo, len);
+                let strip = inputs[k as usize]
+                    .as_slice()
+                    .and_then(|s| s.get(lo..lo + len));
                 strip.expect("contiguous and `width` long when the map was resolved")
             }
             _ => typed(&words[r as usize * lanes..][..len]),
@@ -182,7 +184,8 @@ impl Strips {
         for (k, view) in inputs.iter().enumerate() {
             let tag = Tag::of(view.elem());
             // A boolean word is any non-zero word until it is loaded.
-            let slice = with_lane_type!(tag, view.strip::<T>(0, width).is_some());
+            let slice =
+                with_lane_type!(tag, view.as_slice::<T>().is_some_and(|s| s.len() >= width));
             let in_place = slice && borrow(k) && tag != Tag::Bool;
             let r = self.push(tag, How::Load(k as u32, in_place));
             self.slots.push((ml.params[k], r));

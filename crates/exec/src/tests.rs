@@ -134,16 +134,13 @@ fn fig4a_concat_becomes_noop() {
 }
 
 /// `rev_row`: row `i` of the result is row `i` of the input reversed,
-/// read and written through the offset accessors.
+/// staged through a row buffer.
 fn rev_rows(ctx: &crate::KernelCtx) {
-    let w = ctx.arg_i64(0);
-    let (src, out) = (&ctx.inputs[0], ctx.out);
-    let (sl, ol) = (src.lmad().unwrap(), out.lmad().unwrap());
+    let mut row = vec![0f32; ctx.arg_i64(0) as usize];
     for i in ctx.rows.clone() {
-        for j in 0..w {
-            let v = src.read_off::<f32>(sl.apply(&[i, w - 1 - j]));
-            out.write_off::<f32>(ol.apply(&[i, j]), v);
-        }
+        ctx.read_row(0, i, &mut row);
+        row.reverse();
+        ctx.write_row(i, &row);
     }
 }
 
@@ -192,13 +189,20 @@ fn kernel_map_rows_inplace_vs_private() {
 /// `i` of the result is row `i` of the input reversed and doubled. The
 /// kernel takes its memory as slices (it panics if a call does not
 /// qualify) and counts its calls in `calls`.
-fn dbl_map(w: i64, calls: &Arc<AtomicU64>) -> (Program, Env, KernelRegistry) {
+///
+/// Staged, the map is NW-shaped: it reads the rows of the left half of an
+/// `n × 2w` matrix through a reversed view (a negative stride), and the
+/// result is the matrix with its right half replaced by the map — written
+/// in place when optimized, so the input and `out` are views of one block
+/// and the kernel stages both through a row buffer.
+fn dbl_map(w: i64, staged: bool, calls: &Arc<AtomicU64>) -> (Program, Env, KernelRegistry) {
     let mut kernels = KernelRegistry::new();
     let counter = Arc::clone(calls);
     kernels.register("dbl", move |ctx| {
         counter.fetch_add(1, Ordering::Relaxed);
         let w = ctx.arg_i64(0).max(1) as usize;
-        let ([src], out) = ctx.f32_slices().expect("dbl: rows are dense f32");
+        let (src, out) = (ctx.input::<f32>(0), ctx.rows_mut());
+        let (src, out) = src.zip(out).expect("dbl: rows are dense f32");
         for (i, row) in ctx.rows.clone().zip(out.chunks_exact_mut(w)) {
             let from = src[i as usize * w..][..w].iter().rev();
             for (o, x) in row.iter_mut().zip(from) {
@@ -206,22 +210,42 @@ fn dbl_map(w: i64, calls: &Arc<AtomicU64>) -> (Program, Env, KernelRegistry) {
             }
         }
     });
+    let counter = Arc::clone(calls);
+    kernels.register("dbl_staged", move |ctx| {
+        counter.fetch_add(1, Ordering::Relaxed);
+        let mut row = vec![0f32; ctx.arg_i64(0).max(1) as usize];
+        for i in ctx.rows.clone() {
+            ctx.read_row(0, i, &mut row);
+            row.iter_mut().for_each(|x| *x *= 2.0);
+            ctx.write_row(i, &row);
+        }
+    });
     let mut b = Builder::new("dbl");
     let n = b.scalar_param("dn", ElemType::I64);
     let row: Vec<Poly> = if w == 0 { vec![] } else { vec![c(w)] };
-    let shape = std::iter::once(p(n)).chain(row.clone()).collect();
-    let src = b.array_param("dsrc", ElemType::F32, shape);
     let mut body = b.block();
-    let ys = body.map_kernel(
-        "dys",
-        "dbl",
-        p(n),
-        row,
-        ElemType::F32,
-        vec![src],
-        vec![ScalarExp::i64(w)],
-    );
-    let blk = body.finish(vec![ys]);
+    let wd = w.max(1);
+    let half = |offset, stride| {
+        let inner = (w > 0).then(|| Dim::new(c(w), c(stride)));
+        let dims = std::iter::once(Dim::new(p(n), c(2 * wd))).chain(inner);
+        Lmad::new(c(offset), dims.collect())
+    };
+    let src = match staged {
+        true => b.array_param("dA", ElemType::F32, vec![p(n) * c(2 * wd)]),
+        false => b.array_param("dsrc", ElemType::F32, [vec![p(n)], row.clone()].concat()),
+    };
+    let input = match staged {
+        true => body.slice("dleft", src, Transform::LmadSlice(half(wd - 1, -1))),
+        false => src,
+    };
+    let args = vec![ScalarExp::i64(w)];
+    let name = if staged { "dbl_staged" } else { "dbl" };
+    let ys = body.map_kernel("dys", name, p(n), row, ElemType::F32, vec![input], args);
+    let result = match staged {
+        true => body.update("dA'", src, SliceSpec::Lmad(half(wd, 1)), ys),
+        false => ys,
+    };
+    let blk = body.finish(vec![result]);
     let mut env = Env::new();
     env.assume_ge(n, 1);
     (b.finish(blk), env, kernels)
@@ -231,10 +255,16 @@ fn dbl_map(w: i64, calls: &Arc<AtomicU64>) -> (Program, Env, KernelRegistry) {
 /// `Memory` with its `Safe` verdict, in place; the unoptimized compile in
 /// `Memory` without verdicts, through private tiles — at `threads`, each as
 /// (outputs, stats, kernel calls).
-fn dbl_three_ways(w: i64, n: usize, threads: usize) -> [(Vec<OutputValue>, crate::Stats, u64); 3] {
+fn dbl_three_ways(
+    w: i64,
+    staged: bool,
+    n: usize,
+    threads: usize,
+) -> [(Vec<OutputValue>, crate::Stats, u64); 3] {
     let calls = Arc::new(AtomicU64::new(0));
-    let (prog, env, kernels) = dbl_map(w, &calls);
-    let data: Vec<f32> = (0..n * w.max(1) as usize).map(|x| x as f32).collect();
+    let (prog, env, kernels) = dbl_map(w, staged, &calls);
+    let len = n * w.max(1) as usize * (1 + staged as usize);
+    let data: Vec<f32> = (0..len).map(|x| x as f32).collect();
     let inputs = vec![InputValue::I64(n as i64), InputValue::ArrayF32(data)];
     let counted = |r: Result<(Vec<OutputValue>, crate::Stats), String>| {
         let (out, stats) = r.expect("run");
@@ -268,7 +298,7 @@ fn dbl_three_ways(w: i64, n: usize, threads: usize) -> [(Vec<OutputValue>, crate
 fn kernel_calls_run_whole_chunks() {
     let n = 1_000;
     for threads in [1, 2, 8] {
-        let [pure, direct, buffered] = dbl_three_ways(1, n, threads);
+        let [pure, direct, buffered] = dbl_three_ways(1, false, n, threads);
         for (out, stats, calls) in [&pure, &direct, &buffered] {
             let chunks = match threads {
                 1 => 1,
@@ -288,8 +318,10 @@ fn kernel_calls_run_whole_chunks() {
 /// and rank-1 rows, and for buffered rows too wide for a 64 KiB tile to
 /// hold two (one row per tile) or four (three per tile, and chunks that
 /// end in a short tile). Inline, a buffered map makes one call per tile.
-/// Every call qualifies for slices: the result's rows, a private tile's
-/// (whose LMAD offset is negative past its first slot) and `Pure`'s.
+/// Every call of the sliced kernel qualifies for slices: the result's
+/// rows, a private tile's (whose LMAD offset is negative past its first
+/// slot) and `Pure`'s. The staged, NW-shaped twin agrees too, and its
+/// optimized map runs in place, copying nothing.
 #[test]
 fn kernel_calls_agree_direct_buffered_and_pure() {
     for (w, n, tiles) in [
@@ -299,18 +331,61 @@ fn kernel_calls_agree_direct_buffered_and_pure() {
         (5_000, 260, 87),
     ] {
         let wd = w.max(1) as usize;
-        let expect: Vec<f32> = (0..n * wd)
-            .map(|x| 2.0 * (x / wd * wd + wd - 1 - x % wd) as f32)
+        let dbl = |x: usize| 2.0 * (x / wd * wd + wd - 1 - x % wd) as f32;
+        let sliced: Vec<f32> = (0..n * wd).map(dbl).collect();
+        let staged: Vec<f32> = (0..n * 2 * wd)
+            .map(|x| match (x / wd) % 2 {
+                0 => x as f32,
+                _ => dbl(x - wd),
+            })
             .collect();
-        for threads in [1, 2, 8] {
-            let runs = dbl_three_ways(w, n, threads);
-            for (out, _, _) in &runs {
-                assert_eq!(out[0].as_f32s(), &expect[..], "w {w}, {threads} threads");
-            }
-            if threads == 1 {
-                assert_eq!(runs[2].2, tiles, "w {w}");
+        for (is_staged, expect) in [(false, sliced), (true, staged)] {
+            for threads in [1, 2, 8] {
+                let runs = dbl_three_ways(w, is_staged, n, threads);
+                for (out, _, _) in &runs {
+                    let at = format!("w {w}, staged {is_staged}, {threads} threads");
+                    assert!(out[0].as_f32s() == &expect[..], "{at}");
+                }
+                if threads == 1 {
+                    assert_eq!(runs[2].2, tiles, "w {w}, staged {is_staged}");
+                }
+                if is_staged {
+                    assert_eq!(runs[1].1.bytes_copied, 0, "w {w}: in place");
+                }
             }
         }
+    }
+}
+
+/// A kernel that writes a row outside its call's rows is its request's
+/// typed error, inline and dispatched, and the session's next run — the
+/// same plan, a kernel that keeps to its rows — succeeds.
+#[test]
+fn a_write_outside_a_calls_rows_is_the_requests_error() {
+    let calls = Arc::new(AtomicU64::new(0));
+    let (prog, env, kernels) = dbl_map(0, false, &calls);
+    let mut rogue = KernelRegistry::new();
+    rogue.register("dbl", |ctx| ctx.write_row(ctx.rows.end, &[0f32]));
+    let compiled = compile(&prog, &Options::optimized().with_env(env)).unwrap();
+    let n = 1_000;
+    let data: Vec<f32> = (0..n).map(|x| x as f32).collect();
+    let inputs = vec![InputValue::I64(n as i64), InputValue::ArrayF32(data)];
+    for threads in [1, 2] {
+        let mut session = crate::Session::new();
+        let par = &compiled.report.par_safety;
+        let h = session
+            .prepare_full(&compiled.program, &kernels, &[], &[], par)
+            .expect("prepare");
+        let err = session
+            .run_plan(h, &inputs, &rogue, Mode::Memory, threads)
+            .expect_err("a write outside the call's rows");
+        assert!(err.contains("outside its rows"), "{threads} threads: {err}");
+        let (out, stats) = session
+            .run_plan(h, &inputs, &kernels, Mode::Memory, threads)
+            .expect("the session's next run");
+        let expect: Vec<f32> = (0..n).map(|x| 2.0 * x as f32).collect();
+        assert_eq!(out[0].as_f32s(), &expect[..]);
+        assert_eq!(stats.pool_dispatches, (threads > 1) as u64);
     }
 }
 

@@ -7,7 +7,6 @@
 //! handed out by reference count — never by deep copy.
 
 use arraymem_ir::ElemType;
-use arraymem_lmad::concrete::AccessClass;
 use arraymem_lmad::ConcreteIxFn;
 use std::sync::Arc;
 
@@ -18,35 +17,12 @@ pub(crate) struct ArrayRef {
     pub block: usize,
     pub elem: ElemType,
     pub ixfn: Arc<ConcreteIxFn>,
-    /// Access tier of `ixfn`, classified once when the array value is
-    /// created — or earlier, at plan-lower time, when the index function
-    /// is statically known. Views over this array reuse it instead of
-    /// re-classifying per access path.
-    pub class: AccessClass,
 }
 
 impl ArrayRef {
-    /// An array reference, classifying its index function now.
     pub fn new(block: usize, elem: ElemType, ixfn: ConcreteIxFn) -> ArrayRef {
-        let class = ixfn.classify();
-        ArrayRef::with_class(block, elem, Arc::new(ixfn), class)
-    }
-
-    /// An array reference with a pre-computed access class (the lowering
-    /// stage classifies statically-known index functions once per plan).
-    pub fn with_class(
-        block: usize,
-        elem: ElemType,
-        ixfn: Arc<ConcreteIxFn>,
-        class: AccessClass,
-    ) -> ArrayRef {
-        debug_assert_eq!(class, ixfn.classify());
-        ArrayRef {
-            block,
-            elem,
-            ixfn,
-            class,
-        }
+        let ixfn = Arc::new(ixfn);
+        ArrayRef { block, elem, ixfn }
     }
 }
 

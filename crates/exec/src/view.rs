@@ -4,26 +4,26 @@
 //! function; element access computes `base + ixfn(i, j, ...)` — exactly
 //! the code the paper's compiler inlines per access. A block is untyped
 //! words ([`crate::store`]); the view's element type says how to read
-//! them. A kernel takes its memory as slices once per call
-//! ([`crate::KernelCtx::f32_slices`]) or, where its views are strided,
-//! through the offset accessors ([`View::read_off`],
-//! [`ViewMut::write_off`]). The VM moves elements it does not interpret by
-//! *width* (4 or 8 bytes) and converts to and from [`Value`] with
-//! [`View::get`] / [`ViewMut::set`] — or, for a single point, with
-//! [`RawBuf::get`] / [`RawBuf::set`] at an offset it computed itself, no
-//! view built.
+//! them. Views are the executor's: a kernel reaches memory only through
+//! [`crate::KernelCtx`], as whole slices ([`View::as_slice`],
+//! [`ViewMut::rows_mut`]) or as rows staged through a buffer
+//! ([`View::read_row`], [`ViewMut::write_row`]). The VM moves elements it
+//! does not interpret by *width* (4 or 8 bytes) and converts to and from
+//! [`Value`] with [`View::get`] / [`ViewMut::set`] — or, for a single
+//! point, with [`RawBuf::get`] / [`RawBuf::set`] at an offset it computed
+//! itself, no view built.
 //!
 //! Views may alias (e.g. NW's kernel reads bars of the same block its
 //! output is rebased into); the compiler's non-overlap proof is what makes
 //! concurrent use sound, so all access goes through raw pointers with
-//! explicit bounds checks — per element, or once per kernel call for
-//! slices.
+//! explicit bounds checks — per element, once per contiguous run (the
+//! copies and staged rows), or once per kernel call for slices.
 
 use crate::store::RawBuf;
 use crate::value::Value;
 use arraymem_ir::ElemType;
 use arraymem_lmad::concrete::AccessClass;
-use arraymem_lmad::{ConcreteIxFn, ConcreteLmad};
+use arraymem_lmad::{ConcreteIxFn, Dim};
 use std::ops::Range;
 
 /// A Rust type a typed accessor may read block words as (booleans are
@@ -161,29 +161,12 @@ impl View {
         View { buf, ixfn, plan }
     }
 
-    /// A view whose access class was classified earlier (at array-value
-    /// creation or plan-lower time), skipping the per-view re-classify.
-    pub(crate) fn with_class(buf: RawBuf, ixfn: ConcreteIxFn, plan: AccessClass) -> View {
-        debug_assert_eq!(plan, ixfn.classify());
-        View { buf, ixfn, plan }
-    }
-
     pub fn ixfn(&self) -> &ConcreteIxFn {
         &self.ixfn
     }
 
-    pub fn shape(&self) -> Vec<i64> {
-        self.ixfn.shape()
-    }
-
     pub fn num_elems(&self) -> i64 {
         self.ixfn.num_elems()
-    }
-
-    /// The single LMAD, when the view is one LMAD (the common case kernels
-    /// specialize on).
-    pub fn lmad(&self) -> Option<&ConcreteLmad> {
-        self.ixfn.as_single()
     }
 
     /// Memory offset of a flat logical position.
@@ -199,24 +182,6 @@ impl View {
             AccessClass::Strided => self.ixfn.lmads[0].offset_of_flat(flat),
             AccessClass::General => self.ixfn.index_flat(flat),
         })
-    }
-
-    #[inline]
-    fn load<T: Elem>(&self, off: usize) -> T {
-        // Booleans share the i64 accessors (both are 64-bit words).
-        debug_assert!(
-            self.buf.elem == T::TYPE || (self.buf.elem, T::TYPE) == (ElemType::Bool, ElemType::I64)
-        );
-        // SAFETY: `off` passed `in_block`, so it is inside the block's
-        // `len` elements, each `size_of::<T>()` bytes wide.
-        unsafe { *(self.buf.ptr as *const T).add(off) }
-    }
-
-    /// Read by precomputed memory offset (as produced by the view's LMAD)
-    /// — the incremental-addressing style of generated kernel code.
-    #[inline]
-    pub fn read_off<T: Elem>(&self, off: i64) -> T {
-        self.load(self.buf.in_block(off))
     }
 
     /// The element at flat logical position `flat`, as the [`Value`] of
@@ -239,21 +204,55 @@ impl View {
         self.buf.elem
     }
 
-    /// Elements `[lo, lo + len)` in flat order as a slice of the block: a
-    /// contiguous view's strips need no copy.
-    pub(crate) fn strip<T: Elem>(&self, lo: usize, len: usize) -> Option<&[T]> {
-        self.as_slice::<T>()?.get(lo..lo + len)
+    /// The same elements copied into `out`, run by run.
+    pub(crate) fn load_strip<T: Copy>(&self, lo: usize, out: &mut [T]) {
+        let dst = Runs::new(out.as_mut_ptr(), out.len(), 0, None);
+        copy_runs(dst, self.runs(lo as i64), out.len() as i64)
     }
 
-    /// The same elements copied into `out` — through the index function
-    /// where there is no slice to copy from.
-    pub(crate) fn load_strip<T: Elem>(&self, lo: usize, out: &mut [T]) {
-        if let Some(s) = self.strip(lo, out.len()) {
-            return out.copy_from_slice(s);
-        }
-        for (k, o) in out.iter_mut().enumerate() {
-            *o = self.load(self.addr_flat((lo + k) as i64));
-        }
+    /// The bytes the view can reach, `[lo, hi)`: its LMAD's span (a
+    /// chain's whole block) clamped to the block, `None` if empty.
+    fn span(&self) -> Option<(usize, usize)> {
+        let last = self.buf.len as i64 - 1;
+        let (lo, hi) = self
+            .ixfn
+            .as_single()
+            .map_or(Some((0, last)), |l| l.span())?;
+        let (lo, hi) = (lo.max(0) as usize, hi.min(last) as usize);
+        let (at, w) = (self.buf.ptr as usize, self.buf.elem.size_bytes());
+        (lo <= hi).then_some((at + lo * w, at + (hi + 1) * w))
+    }
+
+    /// Whether the two views' spans share a byte.
+    pub(crate) fn meets(&self, other: &View) -> bool {
+        let spans = self.span().zip(other.span());
+        spans.is_some_and(|(a, b)| a.0 < b.1 && b.0 < a.1)
+    }
+
+    /// The first flat position of row `i` (the outer dimension fixed at
+    /// `i`); panics unless `i` is a row and `len` its element count.
+    fn row_start(&self, i: i64, len: usize) -> i64 {
+        let dims = &self.ixfn.lmads.last().unwrap().dims;
+        let (outer, row) = dims.split_first().expect("a rank-0 view has no rows");
+        let row_len: i64 = row.iter().map(|d| d.card).product();
+        assert!(
+            (0..outer.card).contains(&i) && row_len == len as i64,
+            "row {i} of {len} elements out of bounds of {} rows of {row_len}",
+            outer.card
+        );
+        i * row_len
+    }
+
+    /// The view's elements in flat order from position `at`, as runs.
+    fn runs<T>(&self, at: i64) -> Runs<'_, T> {
+        assert_eq!(size_of::<T>(), self.buf.elem.size_bytes());
+        Runs::new(self.buf.ptr as *const T, self.buf.len, at, Some(&self.ixfn))
+    }
+
+    /// Copy row `i` into `buf`, one bounds check per run end.
+    pub(crate) fn read_row<T: Elem>(&self, i: i64, buf: &mut [T]) {
+        assert_eq!(self.buf.elem, T::TYPE, "a row read as another type");
+        self.load_strip(self.row_start(i, buf.len()) as usize, buf)
     }
 
     fn slice_bounds<T>(&self) -> Option<(usize, usize)> {
@@ -270,13 +269,8 @@ impl ViewMut {
         ViewMut(View::new(buf, ixfn))
     }
 
-    /// See [`View::with_class`].
-    pub(crate) fn with_class(buf: RawBuf, ixfn: ConcreteIxFn, plan: AccessClass) -> ViewMut {
-        ViewMut(View::with_class(buf, ixfn, plan))
-    }
-
     /// Slide the view `delta` elements through its block: what the rows
-    /// from `i` (a [`fix_outer`] row, a tile of rows) become as the rows
+    /// from `i` (a row, a tile of rows) become as the rows
     /// from `i + k` with `delta = k · stride`, without rebuilding the index
     /// function.
     pub(crate) fn shift(&mut self, delta: i64) {
@@ -297,19 +291,36 @@ impl ViewMut {
     // one block, and the compiler's non-overlap proofs — not the borrow
     // checker — guarantee exclusive access, hence the `&self` receivers.
 
-    #[inline]
-    fn store<T: Elem>(&self, off: usize, v: T) {
-        debug_assert!(
-            self.buf.elem == T::TYPE || (self.buf.elem, T::TYPE) == (ElemType::Bool, ElemType::I64)
-        );
-        // SAFETY: as in `View::load`.
-        unsafe { *(self.buf.ptr as *mut T).add(off) = v }
+    /// Copy `buf` into row `i`; see [`View::read_row`].
+    pub(crate) fn write_row<T: Elem>(&self, i: i64, buf: &[T]) {
+        assert_eq!(self.buf.elem, T::TYPE, "a row written as another type");
+        self.store_strip(self.row_start(i, buf.len()) as usize, buf)
     }
 
-    /// Write by precomputed memory offset; see [`View::read_off`].
-    #[inline]
-    pub fn write_off<T: Elem>(&self, off: i64, v: T) {
-        self.store(self.buf.in_block(off), v)
+    /// Rows `rows` as one slice (row `i` at `(i − rows.start)·row
+    /// length`) if the view is one LMAD of `T` whose rows are dense
+    /// row-major, one after another, inside the block. Checks the rows,
+    /// not the whole view (a private tile's offset is negative); O(rank).
+    #[allow(clippy::mut_from_ref)]
+    pub(crate) fn rows_mut<T: Elem>(&self, rows: Range<i64>) -> Option<&mut [T]> {
+        let l = self.ixfn.as_single().filter(|_| self.buf.elem == T::TYPE)?;
+        let (outer, row) = l.dims.split_first()?;
+        let row_len = row.iter().rev().try_fold(1, |len, d| {
+            (d.card >= 0 && (d.card == 1 || d.stride == len)).then_some(len * d.card)
+        })?;
+        let (n, start) = (rows.end - rows.start, l.offset + rows.start * outer.stride);
+        let (len, dense) = (n * row_len, n <= 1 || outer.stride == row_len);
+        let inside = 0 <= rows.start && n >= 0 && rows.end <= outer.card && start >= 0;
+        (dense && inside && (start + len) as usize <= self.buf.len).then_some(())?;
+        // SAFETY: the rows are `len` elements from `start`, checked inside
+        // the block above; the kernel context hands them out once per call
+        // and keeps the call's other accesses off the view's span.
+        Some(unsafe {
+            std::slice::from_raw_parts_mut(
+                (self.buf.ptr as *mut T).add(start as usize),
+                len as usize,
+            )
+        })
     }
 
     /// Store `v`, converted to the view's element type, at flat logical
@@ -329,15 +340,10 @@ impl ViewMut {
         self.buf.store_word(self.addr_flat(to), w)
     }
 
-    /// Store `src` as elements `[lo, lo + src.len())`, in flat order.
-    pub(crate) fn store_strip<T: Elem>(&self, lo: usize, src: &[T]) {
-        let slice = self.as_slice_mut::<T>();
-        if let Some(d) = slice.and_then(|d| d.get_mut(lo..lo + src.len())) {
-            return d.copy_from_slice(src);
-        }
-        for (k, &v) in src.iter().enumerate() {
-            self.store(self.addr_flat((lo + k) as i64), v);
-        }
+    /// Store `src` as elements `[lo, lo + src.len())`, run by run.
+    pub(crate) fn store_strip<T: Copy>(&self, lo: usize, src: &[T]) {
+        let from = Runs::new(src.as_ptr(), src.len(), 0, None);
+        copy_runs(self.runs(lo as i64), from, src.len() as i64)
     }
 
     /// Store `v` into every element of the view.
@@ -362,48 +368,6 @@ impl ViewMut {
         // non-overlap proof (see above).
         Some(unsafe { std::slice::from_raw_parts_mut((self.buf.ptr as *mut T).add(base), n) })
     }
-}
-
-/// [`KernelCtx::f32_slices`](crate::KernelCtx::f32_slices) for any `T`:
-/// `None` unless the call qualifies. Checks `out`'s rows, not its whole
-/// view (a private tile's offset is negative); O(inputs + rank).
-#[allow(clippy::mut_from_ref)]
-pub(crate) fn row_slices<'v, T: Elem, const N: usize>(
-    inputs: &'v [View],
-    out: &'v ViewMut,
-    rows: Range<i64>,
-) -> Option<([&'v [T]; N], &'v mut [T])> {
-    let lmad = |v: &'v View| v.lmad().filter(|_| v.buf.elem == T::TYPE);
-    let ol = lmad(out).filter(|_| inputs.len() == N)?;
-    let (outer, row) = ol.dims.split_first()?;
-    let row_len = row.iter().rev().try_fold(1, |len, d| {
-        (d.card >= 0 && (d.card == 1 || d.stride == len)).then_some(len * d.card)
-    })?;
-    let (n, start) = (rows.end - rows.start, ol.offset + rows.start * outer.stride);
-    let (len, dense) = (n * row_len, n <= 1 || outer.stride == row_len);
-    let inside = 0 <= rows.start && n >= 0 && rows.end <= outer.card && start >= 0;
-    (dense && inside && (start + len) as usize <= out.buf.len).then_some(())?;
-    // Spans clamped to the block (a tile's leaves it), as byte addresses.
-    let span = |v: &View, l: &ConcreteLmad| {
-        let (lo, hi) = l.span()?;
-        let (lo, hi) = (lo.max(0), hi.min(v.buf.len as i64 - 1));
-        let (at, w) = (v.buf.ptr as i64, size_of::<T>() as i64);
-        (lo <= hi).then_some((at + lo * w, at + hi * w))
-    };
-    let out_span = span(out, ol);
-    let mut slices = [&[][..]; N];
-    for (s, v) in slices.iter_mut().zip(inputs) {
-        let meets = span(v, lmad(v)?).zip(out_span);
-        let meets = meets.is_some_and(|(a, b)| a.0 <= b.1 && b.0 <= a.1);
-        *s = v.as_slice().filter(|_| !meets)?;
-    }
-    // SAFETY: rows `rows` are `n · row_len` elements from `start`, checked
-    // inside the block above; no input slice meets them (or any other row
-    // of `out`), and the caller hands them out once per kernel call.
-    let rows = unsafe {
-        std::slice::from_raw_parts_mut((out.buf.ptr as *mut T).add(start as usize), len as usize)
-    };
-    Some((slices, rows))
 }
 
 /// One strip of gather (`dst[at + k] = src[idx[k]]`) or scatter
@@ -456,95 +420,143 @@ pub(crate) fn move_lanes(
     }
 }
 
-/// Fix the outer logical dimension of an index function at `i`.
-pub(crate) fn fix_outer(ixfn: &ConcreteIxFn, i: i64) -> ConcreteIxFn {
-    let mut out = ixfn.clone();
-    let logical = out.lmads.last_mut().unwrap();
-    assert!(!logical.dims.is_empty(), "cannot fix a rank-0 view");
-    let outer = logical.dims.remove(0);
-    debug_assert!(i >= 0 && i < outer.card, "row {i} out of {}", outer.card);
-    logical.offset += i * outer.stride;
-    out
-}
-
 /// Copy all elements of `src` into `dst` (same logical shape and element
 /// type), returning the number of bytes moved. This is the runtime's one
 /// copy routine — "update", "concat", the mapnest's row copy-out and
-/// result download — tiered: one `memcpy` when both sides are contiguous,
-/// a `memmove` per row when both are row-contiguous, element by element
-/// otherwise. Elements move by width; their type is never looked at.
+/// result download — run by run ([`copy_runs`]): one `memmove` for two
+/// contiguous views. Elements move by width; their type is never looked
+/// at.
 pub(crate) fn copy_view(dst: &ViewMut, src: &View) -> u64 {
     let n = src.num_elems();
     debug_assert_eq!(dst.num_elems(), n);
-    if n <= 0 {
-        return 0;
-    }
     let width = src.buf.elem.size_bytes();
     match width {
-        4 => copy_elems::<u32>(dst, src, n),
-        _ => copy_elems::<u64>(dst, src, n),
+        4 => copy_runs::<u32>(dst.runs(0), src.runs(0), n),
+        _ => copy_runs::<u64>(dst.runs(0), src.runs(0), n),
     }
-    n as u64 * width as u64
+    n.max(0) as u64 * width as u64
 }
 
-fn copy_elems<T: Copy>(dst: &ViewMut, src: &View, n: i64) {
-    if let (Some(d), Some(s)) = (dst.as_slice_mut::<T>(), src.as_slice::<T>()) {
-        d.copy_from_slice(s);
-        return;
+/// Elements in flat order from position `at` of a block of `len` elements
+/// at `ptr` — through an index function, or dense (`ixfn` none) — as runs
+/// within blocks of `card` elements `stride` apart, the blocks stepped
+/// along the `outer` dimensions.
+struct Runs<'a, T> {
+    ptr: *mut T,
+    len: usize,
+    at: i64,
+    ixfn: Option<&'a ConcreteIxFn>,
+    card: i64,
+    stride: i64,
+    outer: &'a [Dim<i64>],
+    /// The block the last run lay in (first block 0): its first flat
+    /// position, its offset and its index along the (innermost eight)
+    /// `outer` dimensions.
+    blk: (i64, i64, [i64; 8]),
+}
+
+impl<'a, T> Runs<'a, T> {
+    /// One LMAD's innermost dimensions, while each continues the next, make
+    /// a block; a chain's blocks are its elements; a dense buffer is one.
+    fn new(ptr: *const T, len: usize, at: i64, ixfn: Option<&'a ConcreteIxFn>) -> Self {
+        let dims = ixfn
+            .and_then(|ix| ix.as_single())
+            .map_or(&[][..], |l| &l.dims);
+        let (mut card, stride) = match (ixfn, dims.last()) {
+            (None, _) => (i64::MAX, 1),
+            (_, last) => last.map_or((1, 0), |d| (d.card, d.stride)),
+        };
+        let mut k = dims.len().saturating_sub(1);
+        while k > 0 && dims[k - 1].stride == card * stride {
+            (k, card) = (k - 1, card * dims[k - 1].card);
+        }
+        // Block 0, where a contiguous view's every run lies (no division);
+        // none yet for a chain, whose first element is computed when asked.
+        let blk = match ixfn.map(|ix| ix.as_single()) {
+            Some(None) => (i64::MIN, 0, [0; 8]),
+            single => (0, single.flatten().map_or(0, |l| l.offset), [0; 8]),
+        };
+        let (ptr, outer) = (ptr as *mut T, &dims[..k]);
+        Runs {
+            ptr,
+            len,
+            at,
+            ixfn,
+            card,
+            stride,
+            outer,
+            blk,
+        }
     }
-    // SAFETY (every raw move below): `T` has the element width (asserted by
-    // `as_slice` above), and each offset passed `in_block` — directly, via
-    // `addr_flat`, or as a whole row in the assert before the `memmove`.
-    let (sp, dp) = (src.buf.ptr as *const T, dst.buf.ptr as *mut T);
-    // Strided copy through both index functions. Specialize the
-    // innermost dimension when both sides are single LMADs.
-    let lmads = dst.lmad().zip(src.lmad());
-    let Some((dl, sl)) = lmads.filter(|(_, sl)| !sl.dims.is_empty()) else {
-        for f in 0..n {
-            let (so, do_) = (src.addr_flat(f), dst.addr_flat(f));
-            unsafe { *dp.add(do_) = *sp.add(so) }
-        }
-        return;
-    };
-    let shape = sl.shape();
-    let rank = shape.len();
-    // Iterate the outer dims, stream the innermost. When both innermost
-    // strides are 1 (row-contiguous on both sides — e.g. copying a bar of
-    // a rebased matrix) each run is a single `memcpy`.
-    let inner = shape[rank - 1];
-    let (s_in, d_in) = (sl.dims[rank - 1].stride, dl.dims[rank - 1].stride);
-    let rows_contiguous = s_in == 1 && d_in == 1 && inner > 0;
-    let outer: i64 = shape[..rank - 1].iter().product();
-    let mut idx = vec![0i64; rank];
-    for _ in 0..outer.max(1) {
-        idx[rank - 1] = 0;
-        let mut so = sl.apply(&idx);
-        let mut do_ = dl.apply(&idx);
-        if rows_contiguous {
-            assert!(
-                so >= 0
-                    && (so + inner) as usize <= src.buf.len
-                    && do_ >= 0
-                    && (do_ + inner) as usize <= dst.buf.len,
-                "copy out of bounds"
-            );
-            // memmove, not memcpy: src and dst may be views of one block.
-            unsafe { std::ptr::copy(sp.add(so as usize), dp.add(do_ as usize), inner as usize) }
-        } else {
-            for _ in 0..inner {
-                let (s, d) = (src.buf.in_block(so), dst.buf.in_block(do_));
-                unsafe { *dp.add(d) = *sp.add(s) }
-                so += s_in;
-                do_ += d_in;
+
+    /// The run from element `f` on, to the end of its block and at most
+    /// `max` long: its first element, stride and length, both ends checked
+    /// inside the block. The next block is a step of an odometer over the
+    /// outer dimensions; only a jump, or a carry past the eighth, divides.
+    #[inline(always)]
+    fn run(&mut self, f: i64, max: i64) -> (*mut T, isize, usize) {
+        let (f, card, stride) = (self.at + f, self.card, self.stride);
+        let (b, o, idx) = &mut self.blk;
+        if f == *b + card && step(self.outer, idx, o) {
+            *b = f;
+        } else if !(*b..*b + card).contains(&f) {
+            *b = f - f.rem_euclid(card);
+            let mut q = *b / card;
+            for (d, i) in self.outer.iter().rev().zip(idx.iter_mut()) {
+                (*i, q) = (q.rem_euclid(d.card), q.div_euclid(d.card));
             }
+            *o = self.ixfn.map_or(*b, |ix| ix.index_flat(*b));
         }
-        // Increment the outer counter.
-        for d in (0..rank - 1).rev() {
-            idx[d] += 1;
-            if idx[d] < shape[d] {
-                break;
+        let (off, n) = (*o + (f - *b) * stride, max.min(*b + card - f));
+        let last = off + (n - 1) * stride;
+        assert!(
+            n > 0 && off.min(last) >= 0 && (off.max(last) as usize) < self.len,
+            "view access out of bounds: run {off}..={last} outside block of {}",
+            self.len
+        );
+        // SAFETY: `off` is inside the block's `len` elements.
+        let first = unsafe { self.ptr.add(off as usize) };
+        (first, stride as isize, n as usize)
+    }
+}
+
+/// Step the odometer `idx` (innermost first) over `dims` (outermost first)
+/// by one, moving `off` with it; false past its end or its eighth digit.
+#[inline(always)]
+fn step(dims: &[Dim<i64>], idx: &mut [i64; 8], off: &mut i64) -> bool {
+    for (d, i) in dims.iter().rev().zip(idx) {
+        (*i, *off) = (*i + 1, *off + d.stride);
+        if *i < d.card {
+            return true;
+        }
+        (*i, *off) = (0, *off - d.card * d.stride);
+    }
+    false
+}
+
+/// Copy `n` elements in flat order from `src` to `dst`, a run at a time —
+/// the destination's within the source's: one bounds check per run end,
+/// none per element, nothing allocated.
+fn copy_runs<T: Copy>(mut dst: Runs<T>, mut src: Runs<T>, n: i64) {
+    let mut f = 0;
+    while f < n {
+        let (mut s, ss, len) = src.run(f, n - f);
+        let end = f + len as i64;
+        while f < end {
+            let (d, ds, len) = dst.run(f, end - f);
+            // SAFETY: both runs' ends are inside their blocks (checked by
+            // `run`), so every element between them is; `copy` is a memmove,
+            // as two views of one block may overlap.
+            unsafe {
+                if (ss, ds) == (1, 1) {
+                    std::ptr::copy(s, d, len)
+                } else {
+                    for k in 0..len as isize {
+                        *d.offset(k * ds) = *s.offset(k * ss)
+                    }
+                }
             }
-            idx[d] = 0;
+            (s, f) = (s.wrapping_offset(len as isize * ss), f + len as i64);
         }
     }
 }
@@ -555,7 +567,18 @@ mod tests {
     use crate::store::MemStore;
     use crate::InputValue;
     use arraymem_ir::ElemType;
-    use arraymem_lmad::Dim;
+    use arraymem_lmad::ConcreteLmad;
+
+    /// Fix the outer logical dimension of an index function at `i`.
+    fn fix_outer(ixfn: &ConcreteIxFn, i: i64) -> ConcreteIxFn {
+        let mut out = ixfn.clone();
+        let logical = out.lmads.last_mut().unwrap();
+        assert!(!logical.dims.is_empty(), "cannot fix a rank-0 view");
+        let outer = logical.dims.remove(0);
+        debug_assert!(i >= 0 && i < outer.card, "row {i} out of {}", outer.card);
+        logical.offset += i * outer.stride;
+        out
+    }
 
     fn store_with(data: Vec<f32>) -> (MemStore, usize) {
         let mut s = MemStore::new();
@@ -569,8 +592,10 @@ mod tests {
     fn typed_access_round_trips() {
         let (mut s, b) = store_with(vec![0.0; 12]);
         let v = ViewMut::new(s.raw(b), ConcreteIxFn::row_major(&[3, 4]));
-        v.write_off(11, 7.5f32); // [2, 3]
-        assert_eq!(v.read_off::<f32>(11), 7.5);
+        v.write_row(2, &[0.0, 0.0, 0.0, 7.5f32]); // [2, 3]
+        let mut row = [0f32; 4];
+        v.read_row(2, &mut row);
+        assert_eq!(row[3], 7.5);
         assert_eq!(v.get(11).as_f32(), 7.5);
     }
 
@@ -615,67 +640,59 @@ mod tests {
         }
     }
 
-    /// An f32 view of `block` with LMAD `offset + {dims}`.
-    fn lmad_view(s: &mut MemStore, block: usize, offset: i64, dims: &[(i64, i64)]) -> ViewMut {
-        let dims = dims.iter().map(|&(card, stride)| Dim { card, stride });
-        let lmad = ConcreteLmad {
-            offset,
-            dims: dims.collect(),
+    /// Runs walk an LMAD as its index function does: strips from every
+    /// start and of every length, read and (where the layout is one to
+    /// one) written, and whole copies between layouts of one shape — row
+    /// major, padded, transposed, reversed, broadcast along a stride-0
+    /// dimension, and reversed whole (one run of stride −1).
+    #[test]
+    fn runs_agree_with_the_index_function() {
+        let layouts: [(i64, [(i64, i64); 3]); 6] = [
+            (0, [(2, 12), (3, 4), (4, 1)]),
+            (1, [(2, 20), (3, 5), (4, 1)]),
+            (0, [(2, 1), (3, 2), (4, 6)]),
+            (3, [(2, 12), (3, 4), (4, -1)]),
+            (5, [(2, 0), (3, 4), (4, 1)]),
+            (23, [(2, -12), (3, -4), (4, -1)]),
+        ];
+        let (mut s, block) = store_with((0..40).map(|x| x as f32).collect());
+        let ids: Vec<usize> = layouts.iter().map(|_| s.alloc(ElemType::F32, 40)).collect();
+        let dsts: Vec<RawBuf> = ids.into_iter().map(|b| s.raw(b)).collect();
+        let view = |raw, (offset, dims): (i64, [(i64, i64); 3])| {
+            let dims = dims.iter().map(|&(card, stride)| Dim { card, stride });
+            let lmad = ConcreteLmad {
+                offset,
+                dims: dims.collect(),
+            };
+            ViewMut::new(raw, ConcreteIxFn::from_lmad(lmad))
         };
-        ViewMut::new(s.raw(block), ConcreteIxFn::from_lmad(lmad))
-    }
-
-    /// A kernel call's slices: a direct map's rows of its result, and a
-    /// buffered map's rows in a private tile whose LMAD offset is negative
-    /// (worker 1's two-row tile holds rows 6..8, so the offset is
-    /// `(1·2 − 6)·3`); rows outside the tile's block are refused.
-    #[test]
-    fn row_slices_take_a_calls_rows() {
-        let mut s = MemStore::new();
-        let (a, b, t) = (
-            s.alloc(ElemType::F32, 12),
-            s.alloc(ElemType::F32, 12),
-            s.alloc(ElemType::F32, 12),
-        );
-        let input = [(*lmad_view(&mut s, a, 0, &[(4, 3), (3, 1)])).clone()];
-        let out = lmad_view(&mut s, b, 0, &[(4, 3), (3, 1)]);
-        let ([whole], rows) = row_slices::<f32, 1>(&input, &out, 1..3).unwrap();
-        assert_eq!((whole.len(), rows.len()), (12, 6));
-        rows[0] = 5.0;
-        assert_eq!(out.get(3).as_f32(), 5.0, "row 1 starts at element 3");
-        let tile = lmad_view(&mut s, t, -12, &[(8, 3), (3, 1)]);
-        let (_, rows) = row_slices::<f32, 1>(&input, &tile, 6..8).unwrap();
-        rows.fill(1.0);
-        let block = View::new(s.raw(t), ConcreteIxFn::row_major(&[12]));
-        let got: Vec<f32> = (0..12).map(|f| block.get(f).as_f32()).collect();
-        assert_eq!(got[6..], [1.0; 6], "rows 6..8 are the tile's second slot");
-        assert!(row_slices::<f32, 1>(&input, &tile, 2..4).is_none());
-    }
-
-    /// What a kernel call must not get as slices: an input whose span
-    /// meets rows of `out` that another call writes, a strided NW-shaped
-    /// `out` (a 2×2 block of a 4-wide matrix), and a non-f32 input.
-    #[test]
-    fn row_slices_refuse_what_does_not_qualify() {
-        let mut s = MemStore::new();
-        let (b, c, ints) = (
-            s.alloc(ElemType::F32, 12),
-            s.alloc(ElemType::F32, 12),
-            s.alloc(ElemType::I64, 4),
-        );
-        let out = lmad_view(&mut s, b, 0, &[(4, 3), (3, 1)]);
-        let row_3 = [(*lmad_view(&mut s, b, 9, &[(1, 3), (3, 1)])).clone()];
-        assert!(row_slices::<f32, 1>(&row_3, &out, 0..2).is_none());
-        let elsewhere = [(*lmad_view(&mut s, c, 9, &[(1, 3), (3, 1)])).clone()];
-        assert!(row_slices::<f32, 1>(&elsewhere, &out, 0..2).is_some());
-        let block = lmad_view(&mut s, b, 5, &[(2, 4), (2, 1)]);
-        assert!(row_slices::<f32, 0>(&[], &block, 0..2).is_none());
-        assert!(
-            row_slices::<f32, 0>(&[], &block, 1..2).is_some(),
-            "one row is dense"
-        );
-        let ints = [View::new(s.raw(ints), ConcreteIxFn::row_major(&[4]))];
-        assert!(row_slices::<f32, 1>(&ints, &out, 0..2).is_none());
+        let block = s.raw(block);
+        for (k, &layout) in layouts.iter().enumerate() {
+            let src = view(block, layout);
+            let at = |f: i64| src.ixfn().index_flat(f) as f32;
+            for lo in 0..24 {
+                for len in 0..=24 - lo {
+                    let mut buf = vec![-1f32; len];
+                    src.load_strip(lo, &mut buf);
+                    let expect: Vec<f32> = (lo..lo + len).map(|f| at(f as i64)).collect();
+                    assert_eq!(buf, expect, "{layout:?} strip {lo}+{len}");
+                }
+            }
+            for (&to, &dst_layout) in dsts.iter().zip(&layouts).filter(|(_, l)| l.1[0].1 != 0) {
+                let dst = view(to, dst_layout);
+                copy_view(&dst, &src);
+                let got: Vec<f32> = (0..24).map(|f| dst.get(f).as_f32()).collect();
+                assert_eq!(
+                    got,
+                    (0..24).map(at).collect::<Vec<_>>(),
+                    "{layout:?} → {dst_layout:?}"
+                );
+                let written: Vec<f32> = (100..124).map(|x| x as f32).collect();
+                dst.store_strip(k % 5, &written[k % 5..]);
+                let got: Vec<f32> = (k as i64 % 5..24).map(|f| dst.get(f).as_f32()).collect();
+                assert_eq!(got, written[k % 5..], "{dst_layout:?} store from {}", k % 5);
+            }
+        }
     }
 
     #[test]
@@ -744,7 +761,7 @@ mod tests {
             let sb = s.alloc_input(elem, 8, &data).unwrap();
             let dst = ViewMut::new(s.raw(db), ConcreteIxFn::row_major(&[8]));
             let src = View::new(s.raw(sb), ConcreteIxFn::row_major(&[8]));
-            // Both sides hand out plain slices: the single-memcpy tier.
+            // Both sides are contiguous: one run, one memmove.
             match elem.size_bytes() {
                 4 => {
                     assert!(dst.as_slice_mut::<u32>().is_some() && src.as_slice::<u32>().is_some())
@@ -802,9 +819,24 @@ mod tests {
                 },
             ],
         };
-        let v = View::new(s.raw(b), ix);
+        let v = View::new(s.raw(b), ix.clone());
         let got: Vec<f32> = (0..6).map(|i| v.get(i).as_f32()).collect();
         assert_eq!(got, vec![0.0, 3.0, 1.0, 4.0, 2.0, 5.0]);
+        // Copied and loaded run by run, an element at a time.
+        let d = s.alloc(ElemType::F32, 6);
+        let dst = ViewMut::new(s.raw(d), ConcreteIxFn::row_major(&[6]));
+        assert_eq!(copy_view(&dst, &v), 24);
+        let got: Vec<f32> = (0..6).map(|i| dst.get(i).as_f32()).collect();
+        assert_eq!(got, vec![0.0, 3.0, 1.0, 4.0, 2.0, 5.0]);
+        let mut strip = [0f32; 3];
+        v.load_strip(2, &mut strip);
+        assert_eq!(strip, [1.0, 4.0, 2.0]);
+        // An empty chain copies nothing (its first element is never asked).
+        let mut empty = ix;
+        empty.lmads[2].dims[0].card = 0;
+        let empty = View::new(s.raw(b), empty);
+        let none = ViewMut::new(s.raw(d), ConcreteIxFn::row_major(&[0]));
+        assert_eq!(copy_view(&none, &empty), 0);
     }
 }
 
@@ -813,7 +845,7 @@ mod negative_len_tests {
     use super::*;
     use crate::store::MemStore;
     use arraymem_ir::ElemType;
-    use arraymem_lmad::Dim;
+    use arraymem_lmad::ConcreteLmad;
 
     /// Regression (code review): a view whose runtime-computed length is
     /// negative must not produce a wrapped-length slice.

@@ -78,10 +78,10 @@ use crate::plan::{
 };
 use crate::pool::parallel_for_chunks;
 use crate::stats::{Diagnostic, Stats};
-use crate::store::{CellState, MemStore, RawBuf};
+use crate::store::{CellState, MemStore};
 use crate::strip::{Strips, STRIP};
 use crate::value::{ArrayRef, InputValue, OutputValue, Tag, Value};
-use crate::view::{copy_view, fix_outer, move_lanes, View, ViewMut};
+use crate::view::{copy_view, move_lanes, View, ViewMut};
 use arraymem_core::{CircuitCheck, MergeRecord, ParLevel, ParSafetyRecord};
 use arraymem_ir::validate::lmad_slice_is_injective;
 use arraymem_ir::{ElemType, Program, Type};
@@ -320,19 +320,10 @@ pub(crate) fn catch_panic<T>(
     })
 }
 
-/// A result array copied out into a dense vector, through the runtime's
-/// one (tiered) copy routine.
-fn download<T: Clone + Default>(src: &View, elem: ElemType) -> Vec<T> {
+/// A result array copied out into a dense vector, run by run.
+fn download<T: Copy + Default>(src: &View) -> Vec<T> {
     let mut out = vec![T::default(); src.num_elems().max(0) as usize];
-    let buf = RawBuf {
-        ptr: out.as_mut_ptr() as *mut u8,
-        len: out.len(),
-        elem,
-    };
-    copy_view(
-        &ViewMut::new(buf, ConcreteIxFn::row_major(&src.shape())),
-        src,
-    );
+    src.load_strip(0, &mut out);
     out
 }
 
@@ -393,9 +384,9 @@ impl Machine<'_> {
         self.check_read(a.block, &a.ixfn);
         let view = self.view(&a);
         match a.elem {
-            ElemType::F32 => OutputValue::ArrayF32(download(&view, a.elem)),
-            ElemType::F64 => OutputValue::ArrayF64(download(&view, a.elem)),
-            ElemType::I64 | ElemType::Bool => OutputValue::ArrayI64(download(&view, a.elem)),
+            ElemType::F32 => OutputValue::ArrayF32(download(&view)),
+            ElemType::F64 => OutputValue::ArrayF64(download(&view)),
+            ElemType::I64 | ElemType::Bool => OutputValue::ArrayI64(download(&view)),
         }
     }
 
@@ -548,17 +539,18 @@ impl Machine<'_> {
         overlap: impl FnOnce(String, String, i64, i64, i64) -> Diagnostic,
     ) -> bool {
         let mut owner: HashMap<i64, i64> = HashMap::new();
-        for i in 0..width.max(0) {
-            for off in fix_outer(ixfn, i).all_offsets() {
-                self.stats.cells_checked += 1;
-                match owner.insert(off, i) {
-                    Some(prev) if prev != i => {
-                        let d = overlap(self.stm_name(), format!("{ixfn:?}"), off, prev, i);
-                        self.diag(d);
-                        return false;
-                    }
-                    _ => {}
+        // Row `i` is flat positions `i·row..(i + 1)·row`.
+        let n = ixfn.num_elems().max(0) * (width > 0) as i64;
+        let row = (n / width.max(1)).max(1);
+        for (i, off) in (0..n).map(|f| (f / row, ixfn.index_flat(f))) {
+            self.stats.cells_checked += 1;
+            match owner.insert(off, i) {
+                Some(prev) if prev != i => {
+                    let d = overlap(self.stm_name(), format!("{ixfn:?}"), off, prev, i);
+                    self.diag(d);
+                    return false;
                 }
+                _ => {}
             }
         }
         true
@@ -950,10 +942,11 @@ impl Machine<'_> {
                 }
                 kernel(&KernelCtx {
                     rows: lo..hi,
-                    inputs: &inputs,
                     args: &argv,
+                    inputs: &inputs,
                     out: private.as_ref().unwrap_or(&out_view),
                     sliced: Default::default(),
+                    staged: Default::default(),
                 });
                 if let (Some(p), Some((src, dst))) = (&mut private, &mut copy) {
                     copy_view(dst, src);
@@ -1188,21 +1181,20 @@ impl Machine<'_> {
     }
 
     /// A view of an array, for an instruction about to go over all of it.
-    /// Views own their index function (kernels build and drop row views
-    /// of their own), so this is the one place an array's is copied —
-    /// once per instruction, never per element.
+    /// Views own their index function (the machine slides row views of
+    /// its own), so this is the one place an array's is copied and
+    /// classified — once per instruction, never per element.
     fn view(&mut self, a: &ArrayRef) -> View {
-        View::with_class(self.store.raw(a.block), (*a.ixfn).clone(), a.class)
+        View::new(self.store.raw(a.block), (*a.ixfn).clone())
     }
 
     fn view_mut(&mut self, a: &ArrayRef) -> ViewMut {
-        ViewMut::with_class(self.store.raw(a.block), (*a.ixfn).clone(), a.class)
+        ViewMut::new(self.store.raw(a.block), (*a.ixfn).clone())
     }
 
     /// Resolve the destination array for a fresh creation: in `Memory`
-    /// mode this honours the lowered binding (block slot + index function,
-    /// with the access class precomputed when static); in `Pure` mode a
-    /// fresh dense block is allocated.
+    /// mode this honours the lowered binding (block slot + index function);
+    /// in `Pure` mode a fresh dense block is allocated.
     fn fresh_dest(&mut self, d: &Dest) -> Result<ArrayRef, String> {
         if self.mem_like() {
             let md = d
@@ -1215,10 +1207,13 @@ impl Machine<'_> {
             let block = self.regs[block_slot as usize]
                 .as_mem()
                 .ok_or_else(|| format!("memory block {} unbound", md.block_var))?;
-            let access = md.ixfn.eval_access(&self.regs);
-            let (ixfn, class) =
-                access.map_err(|e| e.of(&format!("index function of {}", d.var)))?;
-            Ok(ArrayRef::with_class(block, d.elem, ixfn, class))
+            let ixfn = md.ixfn.eval(&self.regs);
+            let ixfn = ixfn.map_err(|e| e.of(&format!("index function of {}", d.var)))?;
+            Ok(ArrayRef {
+                block,
+                elem: d.elem,
+                ixfn,
+            })
         } else {
             let shape = eval_shape(&d.shape, &self.regs).map_err(|e| e.of("shape"))?;
             let block = self.store.try_alloc(d.elem, elem_count(&shape)?)?;

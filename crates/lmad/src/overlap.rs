@@ -35,27 +35,33 @@ pub struct OverlapProof {
 /// the disjunctions index analysis produces (e.g. `i = 0` vs `i ≥ 1`).
 const MAX_CASE_SPLITS: usize = 2;
 
+/// A proof derivation, its lines formatted only when it is recorded.
+struct Trace(Option<Vec<String>>);
+
+impl Trace {
+    fn push(&mut self, line: impl FnOnce() -> String) {
+        if let Some(lines) = &mut self.0 {
+            lines.push(line());
+        }
+    }
+}
+
 /// Sufficient-condition test that two LMADs' point sets are disjoint.
 pub fn non_overlap(l1: &Lmad, l2: &Lmad, env: &Env) -> bool {
-    non_overlap_traced(l1, l2, env).disjoint
+    run_with_splits(l1, l2, env, &mut Trace(None), MAX_CASE_SPLITS)
 }
 
 /// As [`non_overlap`], also returning the proof derivation.
 pub fn non_overlap_traced(l1: &Lmad, l2: &Lmad, env: &Env) -> OverlapProof {
-    let mut trace = Vec::new();
+    let mut trace = Trace(Some(Vec::new()));
     let disjoint = run_with_splits(l1, l2, env, &mut trace, MAX_CASE_SPLITS);
+    let trace = trace.0.unwrap_or_default();
     OverlapProof { disjoint, trace }
 }
 
 /// Run the test; on failure, case-split on the boundary of a lower-bounded
 /// variable (`v = lo` vs `v ≥ lo + 1`) and require both branches to prove.
-fn run_with_splits(
-    l1: &Lmad,
-    l2: &Lmad,
-    env: &Env,
-    trace: &mut Vec<String>,
-    splits: usize,
-) -> bool {
+fn run_with_splits(l1: &Lmad, l2: &Lmad, env: &Env, trace: &mut Trace, splits: usize) -> bool {
     if run(l1, l2, env, trace) {
         return true;
     }
@@ -74,7 +80,7 @@ fn run_with_splits(
         env_eq.define(v, Poly::constant(lo));
         let mut env_gt = env.clone();
         env_gt.assume_ge(v, lo + 1);
-        trace.push(format!("case split: {v} = {lo} vs {v} ≥ {}", lo + 1));
+        trace.push(|| format!("case split: {v} = {lo} vs {v} ≥ {}", lo + 1));
         if run_with_splits(l1, l2, &env_eq, trace, splits - 1)
             && run_with_splits(l1, l2, &env_gt, trace, splits - 1)
         {
@@ -84,17 +90,17 @@ fn run_with_splits(
     false
 }
 
-fn run(l1: &Lmad, l2: &Lmad, env: &Env, trace: &mut Vec<String>) -> bool {
-    trace.push(format!("to prove: ({l1:?}) ∩ ({l2:?}) = ∅"));
+fn run(l1: &Lmad, l2: &Lmad, env: &Env, trace: &mut Trace) -> bool {
+    trace.push(|| format!("to prove: ({l1:?}) ∩ ({l2:?}) = ∅"));
     let (Some(n1), Some(n2)) = (l1.normalize_set(env), l2.normalize_set(env)) else {
-        trace.push("fail: cannot normalize strides to non-negative".into());
+        trace.push(|| "fail: cannot normalize strides to non-negative".into());
         return false;
     };
     // Degenerate cases: an empty set is disjoint from anything.
     for l in [&n1, &n2] {
         for d in &l.dims {
             if env.prove_nonneg(&(-(d.card.clone()))) {
-                trace.push("trivially disjoint: a cardinality is ≤ 0".into());
+                trace.push(|| "trivially disjoint: a cardinality is ≤ 0".into());
                 return true;
             }
         }
@@ -108,16 +114,14 @@ fn run(l1: &Lmad, l2: &Lmad, env: &Env, trace: &mut Vec<String>) -> bool {
     i2.sort_by_env(env);
     let d = n1.offset.clone() - n2.offset.clone();
     if !distribute(d, &mut i1, Some(&mut i2), env) {
-        trace.push("fail: could not distribute the offset difference".into());
+        trace.push(|| "fail: could not distribute the offset difference".into());
         return false;
     }
     if !i1.lowers_nonneg(env) || !i2.lowers_nonneg(env) {
-        trace.push("fail: a lower bound is not provably non-negative".into());
+        trace.push(|| "fail: a lower bound is not provably non-negative".into());
         return false;
     }
-    trace.push(format!(
-        "rewritten as sums of intervals:\n  I1 = {i1}\n  I2 = {i2}"
-    ));
+    trace.push(|| format!("rewritten as sums of intervals:\n  I1 = {i1}\n  I2 = {i2}"));
     check(&i1, &i2, env, MAX_SPLIT_DEPTH, trace)
 }
 
@@ -243,7 +247,7 @@ fn absorb(d: Poly, nonneg: bool, i1: &mut SumOfInts, i2: &mut Option<&mut SumOfI
     shift_side(if nonneg { d.clone() } else { d }, nonneg, &one, i1, i2)
 }
 
-fn check(i1: &SumOfInts, i2: &SumOfInts, env: &Env, depth: usize, trace: &mut Vec<String>) -> bool {
+fn check(i1: &SumOfInts, i2: &SumOfInts, env: &Env, depth: usize, trace: &mut Trace) -> bool {
     let r1 = i1.dims_nonoverlapping(env);
     let r2 = i2.dims_nonoverlapping(env);
     if r1.is_ok() && r2.is_ok() {
@@ -251,26 +255,28 @@ fn check(i1: &SumOfInts, i2: &SumOfInts, env: &Env, depth: usize, trace: &mut Ve
         debug_assert_eq!(i1.intervals.len(), i2.intervals.len());
         for (a, b) in i1.intervals.iter().zip(&i2.intervals) {
             if env.prove_lt(&a.hi, &b.lo) || env.prove_lt(&b.hi, &a.lo) {
-                trace.push(format!(
-                    "disjoint on stride ({:?}): [{:?}..{:?}] vs [{:?}..{:?}]",
-                    a.stride, a.lo, a.hi, b.lo, b.hi
-                ));
+                trace.push(|| {
+                    format!(
+                        "disjoint on stride ({:?}): [{:?}..{:?}] vs [{:?}..{:?}]",
+                        a.stride, a.lo, a.hi, b.lo, b.hi
+                    )
+                });
                 return true;
             }
         }
-        trace.push("fail: all dimensions clean but no disjoint interval pair".into());
+        trace.push(|| "fail: all dimensions clean but no disjoint interval pair".into());
         return false;
     }
     if depth == 0 {
-        trace.push("fail: split depth exhausted".into());
+        trace.push(|| "fail: split depth exhausted".into());
         return false;
     }
     let Some(v1) = split_variants(i1, r1, env, trace) else {
-        trace.push("fail: cannot split I1".into());
+        trace.push(|| "fail: cannot split I1".into());
         return false;
     };
     let Some(v2) = split_variants(i2, r2, env, trace) else {
-        trace.push("fail: cannot split I2".into());
+        trace.push(|| "fail: cannot split I2".into());
         return false;
     };
     for a in &v1 {
@@ -300,7 +306,7 @@ fn split_variants(
     i: &SumOfInts,
     r: Result<(), usize>,
     env: &Env,
-    trace: &mut Vec<String>,
+    trace: &mut Trace,
 ) -> Option<Vec<SumOfInts>> {
     let viol = match r {
         Ok(()) => return Some(vec![i.clone()]),
@@ -315,10 +321,12 @@ fn split_variants(
         )
     })?;
     let iv: &Interval = &i.intervals[j];
-    trace.push(format!(
-        "overlapping dimensions: stride ({:?}) ≯ reach; splitting [{:?}..{:?}]·({:?})",
-        i.intervals[viol].stride, iv.lo, iv.hi, iv.stride
-    ));
+    trace.push(|| {
+        format!(
+            "overlapping dimensions: stride ({:?}) ≯ reach; splitting [{:?}..{:?}]·({:?})",
+            i.intervals[viol].stride, iv.lo, iv.hi, iv.stride
+        )
+    });
     // Variant A: drop the last point.
     let mut a = i.clone();
     a.intervals[j].hi = a.intervals[j].hi.clone() - Poly::constant(1);
@@ -337,7 +345,7 @@ fn split_variants(
     if !b.lowers_nonneg(env) {
         return None;
     }
-    trace.push(format!("  rest: {a}\n  last: {b}"));
+    trace.push(|| format!("  rest: {a}\n  last: {b}"));
     Some(vec![a, b])
 }
 
@@ -611,12 +619,12 @@ mod sort_regression {
         let p2 = i2.eval_points(&lookup).unwrap();
         assert!(p1.iter().all(|p| !p2.contains(p)), "sets must be disjoint");
 
-        let mut trace = Vec::new();
+        let mut trace = Trace(Some(Vec::new()));
         assert!(
             check(&i1, &i2, &env, MAX_SPLIT_DEPTH, &mut trace),
             "disjoint pair rejected; the split recursion lost the \
              env-sorted stride order:\n{}",
-            trace.join("\n")
+            trace.0.unwrap_or_default().join("\n")
         );
     }
 }

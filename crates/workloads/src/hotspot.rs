@@ -90,8 +90,8 @@ fn row_kernel(temp: &[f32], power: &[f32], n: usize, r: usize, out: &mut [f32]) 
 fn register_rows(reg: &mut KernelRegistry, name: &'static str, grid_row: fn(i64, i64) -> i64) {
     reg.register(name, move |ctx| {
         let n = ctx.arg_i64(0);
-        let ([temp, power], out) = ctx
-            .f32_slices()
+        let ((temp, power), out) = (ctx.input::<f32>(0).zip(ctx.input::<f32>(1)))
+            .zip(ctx.rows_mut())
             .unwrap_or_else(|| panic!("{name}: grids and rows must be dense f32"));
         for (i, row) in ctx.rows.clone().zip(out.chunks_exact_mut(n as usize)) {
             let r = grid_row(n, i) as usize;

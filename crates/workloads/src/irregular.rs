@@ -83,18 +83,17 @@ pub fn spmv_register_kernels(reg: &mut KernelRegistry) {
     // are declared whole — the segment boundaries are runtime data, so
     // the row-wise read contract cannot describe them.
     reg.register("spmv_row_sum", |ctx| {
-        let (products, row_ptr, out) = (&ctx.inputs[0], &ctx.inputs[1], ctx.out);
-        let pl = products.lmad().expect("products are one LMAD");
-        let rl = row_ptr.lmad().expect("row pointers are one LMAD");
-        let ol = out.lmad().expect("sums are one LMAD");
-        for i in ctx.rows.clone() {
-            let start = row_ptr.read_off::<i64>(rl.offset + i * rl.dims[0].stride);
-            let end = row_ptr.read_off::<i64>(rl.offset + (i + 1) * rl.dims[0].stride);
+        let ((products, row_ptr), out) = (ctx.input::<f32>(0).zip(ctx.input::<i64>(1)))
+            .zip(ctx.rows_mut::<f32>())
+            .expect("spmv_row_sum: products, row pointers and sums must be dense");
+        for (i, o) in ctx.rows.clone().zip(out) {
+            // From +0.0, as the reference sums (`Iterator::sum` starts at
+            // −0.0, which an empty row would keep).
             let mut acc = 0f32;
-            for j in start..end {
-                acc += products.read_off::<f32>(pl.offset + j * pl.dims[0].stride);
+            for j in row_ptr[i as usize]..row_ptr[i as usize + 1] {
+                acc += products[j as usize];
             }
-            out.write_off::<f32>(ol.offset + i * ol.dims[0].stride, acc);
+            *o = acc;
         }
     });
 }

@@ -151,8 +151,7 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
         let nx = ctx.arg_i64(0);
         let ny = ctx.arg_i64(1);
         let nz = ctx.arg_i64(2);
-        let ([f], out) = ctx
-            .f32_slices()
+        let (f, out) = (ctx.input::<f32>(0).zip(ctx.rows_mut::<f32>()))
             .expect("lbm_step: lattices must be dense f32");
         // The first cell's coordinates, then a counter: no division per cell.
         let first = ctx.rows.start;

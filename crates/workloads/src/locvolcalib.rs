@@ -84,8 +84,8 @@ pub fn reference(num_o: usize, num_x: usize, num_t: usize) -> Vec<f32> {
 pub fn register_kernels(reg: &mut KernelRegistry) {
     reg.register("lvc_payoff", |ctx| {
         let num_x = ctx.arg_i64(0) as usize;
-        let ([], out) = ctx
-            .f32_slices()
+        let out = ctx
+            .rows_mut::<f32>()
             .expect("lvc_payoff: grid must be dense f32");
         for (o, row) in ctx.rows.clone().zip(out.chunks_exact_mut(num_x.max(1))) {
             payoff_row(o, row);
@@ -100,8 +100,7 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
         let phase = ctx.arg_i64(2);
         let half = num_t / 2;
         let steps = if phase == 0 { (0, half) } else { (half, num_t) };
-        let ([grid], out) = ctx
-            .f32_slices()
+        let (grid, out) = (ctx.input::<f32>(0).zip(ctx.rows_mut::<f32>()))
             .expect("lvc_steps: grids must be dense f32");
         let (mut cp, mut dp) = (vec![0f32; num_x], vec![0f32; num_x]);
         for (o, v) in ctx.rows.clone().zip(out.chunks_exact_mut(num_x.max(1))) {

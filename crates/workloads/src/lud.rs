@@ -12,7 +12,7 @@
 //! safe and elided.
 
 use crate::harness::Case;
-use arraymem_exec::{InputValue, KernelRegistry, OutputValue, View, ViewMut};
+use arraymem_exec::{InputValue, KernelCtx, KernelRegistry, OutputValue};
 use arraymem_ir::{Builder, ElemType, Program, ScalarExp, SliceSpec, Var};
 use arraymem_lmad::{Dim, Lmad, Transform};
 use arraymem_symbolic::{Env, Poly};
@@ -107,55 +107,29 @@ fn mm_sub_block(a: &mut [f32], n: usize, io: usize, jo: usize, ko: usize, b: usi
     }
 }
 
-/// Read b×b block `k` of a (possibly strided) rank-3 view into a dense
-/// local buffer (the kernels' "shared memory staging", as Rodinia does),
-/// addressing it through the whole view's LMAD.
-fn load_block(v: &View, k: i64, b: usize, buf: &mut [f32]) {
-    let l = v.lmad().expect("blocks are one LMAD");
-    let (sr, sc) = (l.dims[1].stride, l.dims[2].stride);
-    for r in 0..b {
-        let mut off = l.offset + k * l.dims[0].stride + r as i64 * sr;
-        for cc in 0..b {
-            buf[r * b + cc] = v.read_off::<f32>(off);
-            off += sc;
-        }
-    }
-}
-
-/// Write `buf` as b×b block `k` of the rank-3 result view.
-fn store_block(out: &ViewMut, k: i64, b: usize, buf: &[f32]) {
-    let l = out.lmad().expect("blocks are one LMAD");
-    let (sr, sc) = (l.dims[1].stride, l.dims[2].stride);
-    for r in 0..b {
-        let mut off = l.offset + k * l.dims[0].stride + r as i64 * sr;
-        for cc in 0..b {
-            out.write_off::<f32>(off, buf[r * b + cc]);
-            off += sc;
-        }
-    }
-}
-
-/// Register a block kernel: `f(inputs, i, b, scratch)` leaves instance
-/// `i`'s block in the first `b×b` of `scratch`, which holds `buffers` such
-/// blocks and is allocated once per call, for all its instances.
+/// Register a block kernel: `f(ctx, i, b, scratch)` leaves instance `i`'s
+/// block in the first `b×b` of `scratch`, which holds `buffers` such
+/// blocks and is allocated once per call, for all its instances. Blocks
+/// are strided views of the matrix, staged by rows (`ctx.read_row`) into
+/// dense local buffers — the kernels' "shared memory", as Rodinia's.
 fn register_blocks<F>(reg: &mut KernelRegistry, name: &str, buffers: usize, f: F)
 where
-    F: Fn(&[View], i64, usize, &mut [f32]) + Send + Sync + 'static,
+    F: Fn(&KernelCtx, i64, usize, &mut [f32]) + Send + Sync + 'static,
 {
     reg.register(name, move |ctx| {
         let b = ctx.arg_i64(0) as usize;
         let mut scratch = vec![0f32; buffers * b * b];
         for i in ctx.rows.clone() {
-            f(ctx.inputs, i, b, &mut scratch);
-            store_block(ctx.out, i, b, &scratch[..b * b]);
+            f(ctx, i, b, &mut scratch);
+            ctx.write_row(i, &scratch[..b * b]);
         }
     });
 }
 
 pub fn register_kernels(reg: &mut KernelRegistry) {
     // Diagonal block LU. Width 1; input: the diagonal block (whole).
-    register_blocks(reg, "lud_diagonal", 1, |inputs, _, b, blk| {
-        load_block(&inputs[0], 0, b, blk);
+    register_blocks(reg, "lud_diagonal", 1, |ctx, _, b, blk| {
+        ctx.read_row(0, 0, blk);
         for kk in 0..b {
             let pivot = blk[kk * b + kk];
             for i in kk + 1..b {
@@ -169,10 +143,10 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
     });
     // Perimeter row: instance j computes U(k, k+1+j). Inputs: factored
     // diagonal (whole), own row block (row-wise).
-    register_blocks(reg, "lud_perimeter_row", 2, |inputs, j, b, s| {
+    register_blocks(reg, "lud_perimeter_row", 2, |ctx, j, b, s| {
         let (blk, diag) = s.split_at_mut(b * b);
-        load_block(&inputs[0], 0, b, diag);
-        load_block(&inputs[1], j, b, blk);
+        ctx.read_row(0, 0, diag);
+        ctx.read_row(1, j, blk);
         for r in 1..b {
             for t in 0..r {
                 let l = diag[r * b + t];
@@ -183,10 +157,10 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
         }
     });
     // Perimeter column: instance i computes L(k+1+i, k).
-    register_blocks(reg, "lud_perimeter_col", 2, |inputs, i, b, s| {
+    register_blocks(reg, "lud_perimeter_col", 2, |ctx, i, b, s| {
         let (blk, diag) = s.split_at_mut(b * b);
-        load_block(&inputs[0], 0, b, diag);
-        load_block(&inputs[1], i, b, blk);
+        ctx.read_row(0, 0, diag);
+        ctx.read_row(1, i, blk);
         for cc in 0..b {
             for r in 0..b {
                 let mut v = blk[r * b + cc];
@@ -200,12 +174,12 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
     // Interior: instance j computes A(i, k+1+j) -= L(i,k)·U(k, k+1+j).
     // Inputs: L block (whole), U row blocks (row-wise), own blocks
     // (row-wise).
-    register_blocks(reg, "lud_interior", 3, |inputs, j, b, s| {
+    register_blocks(reg, "lud_interior", 3, |ctx, j, b, s| {
         let (own, rest) = s.split_at_mut(b * b);
         let (lblk, ublk) = rest.split_at_mut(b * b);
-        load_block(&inputs[0], 0, b, lblk);
-        load_block(&inputs[1], j, b, ublk);
-        load_block(&inputs[2], j, b, own);
+        ctx.read_row(0, 0, lblk);
+        ctx.read_row(1, j, ublk);
+        ctx.read_row(2, j, own);
         for r in 0..b {
             for t in 0..b {
                 let l = lblk[r * b + t];

@@ -62,8 +62,8 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
     reg.register("nn_delta_sq", |ctx| {
         let lat0 = ctx.arg_f32(0);
         let lng0 = ctx.arg_f32(1);
-        let ([lats, lngs], out) = ctx
-            .f32_slices()
+        let ((lats, lngs), out) = (ctx.input::<f32>(0).zip(ctx.input::<f32>(1)))
+            .zip(ctx.rows_mut::<f32>())
             .expect("nn_delta_sq: points and deltas must be dense f32");
         for (i, o) in ctx.rows.clone().zip(out.chunks_exact_mut(2)) {
             let (lat, lng) = (lats[i as usize], lngs[i as usize]);
@@ -74,8 +74,7 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
     // Stage 2: Euclidean norm of each pair. Identical arithmetic to
     // `dist` above, split across the two launches.
     reg.register("nn_norm", |ctx| {
-        let ([d2], out) = ctx
-            .f32_slices()
+        let (d2, out) = (ctx.input::<f32>(0).zip(ctx.rows_mut::<f32>()))
             .expect("nn_norm: deltas and norms must be dense f32");
         for (i, o) in ctx.rows.clone().zip(out) {
             let i = i as usize;
@@ -85,8 +84,7 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
     // The "reduction": a single instance scanning for the minimum
     // (value, index) pair.
     reg.register("nn_argmin", |ctx| {
-        let ([dists], out) = ctx
-            .f32_slices()
+        let (dists, out) = (ctx.input::<f32>(0).zip(ctx.rows_mut::<f32>()))
             .expect("nn_argmin: distances and result must be dense f32");
         for o in out.chunks_exact_mut(2) {
             let mut best = f32::INFINITY;

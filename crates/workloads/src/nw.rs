@@ -68,49 +68,27 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
         let n = ctx.arg_i64(0);
         let b = ctx.arg_i64(1) as usize;
         let base = ctx.arg_i64(2);
-        // Bar `i` of each perimeter input is read through the whole
-        // input's inlined LMAD; the block is written through the result's.
-        let (vbars, hbars, out) = (&ctx.inputs[0], &ctx.inputs[1], ctx.out);
-        let vl = vbars.lmad().expect("bars are one LMAD");
-        let hl = hbars.lmad().expect("bars are one LMAD");
-        let ol = out.lmad().expect("blocks are one LMAD");
-        let (sr, sc) = (ol.dims[1].stride, ol.dims[2].stride);
-        // Staging for the bars and the row being computed, once per call.
-        let mut vert = vec![0i64; b + 1];
-        let mut above = vec![0i64; b];
-        let mut cur = vec![0i64; b];
+        // The bars are views of the matrix the block is written into, so
+        // they are staged: the vertical bar, then the horizontal bar as
+        // row −1 of the block, computed below it and written by rows.
+        // Scratch once per call.
+        let mut scratch = vec![0i64; (b + 1) * (b + 1)];
+        let (vert, rows) = scratch.split_at_mut(b + 1);
         for i in ctx.rows.clone() {
             let origin = base + i * (n * (b as i64) - b as i64);
-            let r0 = origin / n;
-            let c0 = origin % n;
-            let mut off = vl.offset + i * vl.dims[0].stride;
-            for v in vert.iter_mut() {
-                *v = vbars.read_off::<i64>(off);
-                off += vl.dims[1].stride;
-            }
-            // row_above starts as the horizontal bar; diag_left as the corner.
-            let mut off = hl.offset + i * hl.dims[0].stride;
-            for a in above.iter_mut() {
-                *a = hbars.read_off::<i64>(off);
-                off += hl.dims[1].stride;
-            }
-            let mut corner = vert[0];
+            let (r0, c0) = (origin / n, origin % n);
+            ctx.read_row(0, i, vert);
+            ctx.read_row(1, i, &mut rows[..b]);
             for r in 0..b {
-                let mut left = vert[r + 1];
-                let mut woff = ol.offset + i * ol.dims[0].stride + r as i64 * sr;
-                let grow = r0 + r as i64;
-                for (cc, above_cc) in above.iter().enumerate() {
-                    let diag = if cc == 0 { corner } else { above[cc - 1] };
-                    let v = (diag + nw_similarity(grow, c0 + cc as i64))
-                        .max((*above_cc).max(left) - PENALTY);
-                    out.write_off::<i64>(woff, v);
-                    cur[cc] = v;
-                    left = v;
-                    woff += sc;
+                let (above, cur) = rows[r * b..(r + 2) * b].split_at_mut(b);
+                let (mut diag, mut left) = (vert[r], vert[r + 1]);
+                for (cc, v) in cur.iter_mut().enumerate() {
+                    *v = (diag + nw_similarity(r0 + r as i64, c0 + cc as i64))
+                        .max(above[cc].max(left) - PENALTY);
+                    (diag, left) = (above[cc], *v);
                 }
-                corner = vert[r + 1];
-                std::mem::swap(&mut above, &mut cur);
             }
+            ctx.write_row(i, &rows[b..]);
         }
     });
 }

@@ -81,8 +81,8 @@ pub fn reference(npaths: usize, steps: usize) -> f32 {
 pub fn register_kernels(reg: &mut KernelRegistry) {
     reg.register("op_bridge", |ctx| {
         let steps = ctx.arg_i64(0) as usize;
-        let ([], out) = ctx
-            .f32_slices()
+        let out = ctx
+            .rows_mut::<f32>()
             .expect("op_bridge: paths must be dense f32");
         for (i, row) in ctx.rows.clone().zip(out.chunks_exact_mut(steps.max(1))) {
             gen_path(i, steps, &mut |t, v| row[t] = v);
@@ -91,8 +91,7 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
     reg.register("op_payoff", |ctx| {
         let steps = ctx.arg_i64(0) as usize;
         // Path `i`'s row of the whole input.
-        let ([paths], out) = ctx
-            .f32_slices()
+        let (paths, out) = (ctx.input::<f32>(0).zip(ctx.rows_mut::<f32>()))
             .expect("op_payoff: paths and payoffs must be dense f32");
         for (i, o) in ctx.rows.clone().zip(out) {
             let row = &paths[i as usize * steps..][..steps];
@@ -100,8 +99,7 @@ pub fn register_kernels(reg: &mut KernelRegistry) {
         }
     });
     reg.register("op_mean", |ctx| {
-        let ([payoffs], out) = ctx
-            .f32_slices()
+        let (payoffs, out) = (ctx.input::<f32>(0).zip(ctx.rows_mut::<f32>()))
             .expect("op_mean: payoffs and mean must be dense f32");
         for o in out {
             let total = payoffs.iter().fold(0f32, |acc, &x| acc + x);

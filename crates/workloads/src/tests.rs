@@ -1,5 +1,6 @@
 use crate::{irregular, nw};
 use arraymem_core::{MergeReject, ParReject, RejectReason, RemarkKind};
+use arraymem_exec::OutputValue;
 
 #[test]
 fn nw_small_validates_and_circuits() {
@@ -70,12 +71,12 @@ fn locvolcalib_small_validates() {
     assert_eq!(opt.bytes_copied, 0, "{opt:?}");
 }
 
-/// The five families whose kernels take their memory as slices compute
-/// exactly what their references do: every output bit for bit (tolerance
-/// 0, where `validate` allows 1e-4), optimized and unoptimized, inline and
-/// on two workers.
+/// Every kernel family computes exactly what its reference does — the
+/// ones that take slices and the ones that stage rows (NW, LUD): every
+/// output bit for bit (tolerance 0, where `validate` allows 1e-4),
+/// optimized and unoptimized, inline and on two workers.
 #[test]
-fn sliced_kernels_match_their_references_bit_for_bit() {
+fn kernels_match_their_references_bit_for_bit() {
     let cases = [
         crate::hotspot::case("128", 128, 8, 1),
         crate::hotspot::case("512", 512, 8, 1),
@@ -83,10 +84,17 @@ fn sliced_kernels_match_their_references_bit_for_bit() {
         crate::optionpricing::case("medium", 2048, 32, 1),
         crate::locvolcalib::case("small", 16, 64, 16, 1),
         crate::nn::case("8552", 8552, 8, 1),
+        nw::case("8", 8, 16, 1),
+        nw::case("33", 33, 16, 1),
+        crate::lud::case("8", 8, 16, 1),
+        crate::lud::case("16", 16, 16, 1),
+        irregular::spmv_case("1000", 1000, 1000, 8, 1),
     ];
-    let bits = |outs: &[arraymem_exec::OutputValue]| -> Vec<Vec<u32>> {
-        let bits_of =
-            |o: &arraymem_exec::OutputValue| o.as_f32s().iter().map(|x| x.to_bits()).collect();
+    let bits = |outs: &[OutputValue]| -> Vec<Vec<u64>> {
+        let bits_of = |o: &OutputValue| match o {
+            OutputValue::ArrayI64(v) => v.iter().map(|&x| x as u64).collect(),
+            o => o.as_f32s().iter().map(|x| x.to_bits() as u64).collect(),
+        };
         outs.iter().map(bits_of).collect()
     };
     for case in &cases {

@@ -275,24 +275,28 @@ own_store() {
 }
 tier "a tenant's memory stays in its store (no cross-tenant arena, one free list)" own_store
 
-# Dense kernels take their memory as slices, checked once per call: the
-# unsafe code that hands them out is exec's, never a workload's, and the
-# five families whose output rows are dense address no element through
-# the per-element offset accessors. The qualification rule's unit tests
-# and the families' bit-for-bit agreement with their references follow.
-sliced_kernels() {
+# Kernels never see an index function: they reach memory through their
+# context only, as whole slices or as staged rows, checked once per slice
+# or per run. No kernel in the workloads or the tests names a view, its
+# LMAD or the context's views, the per-element offset accessors and the
+# f32-only slices are gone, and no workload has unsafe code. The
+# interface's unit tests, the write contract at a session (a row outside a
+# call's rows is the request's error), the direct/buffered/pure agreement
+# of a sliced and a staged kernel, the sanitizer's staged `bump` kernel
+# and every family's bit-for-bit agreement with its reference follow.
+kernel_memory() {
     if grep -rn 'unsafe' crates/workloads/src; then
         return 1
     fi
-    if grep -n 'read_f32_off\|write_f32_off\|read_off\|write_off' \
-        crates/workloads/src/hotspot.rs crates/workloads/src/lbm.rs \
-        crates/workloads/src/optionpricing.rs crates/workloads/src/locvolcalib.rs \
-        crates/workloads/src/nn.rs; then
+    if grep -rn 'read_off\|write_off\|f32_slices\|lmad()\|ctx\.inputs\|ctx\.out\b\|\bView\b\|\bViewMut\b' \
+        crates/workloads/src tests; then
         return 1
     fi
-    cargo test --release --offline -p arraymem-exec -q -- row_slices slices_once kernel_call || return 1
+    cargo test --release --offline -p arraymem-exec -q -- kernel:: kernel_call a_write_outside || return 1
+    cargo test --release --offline -p arraymem-bench --test checked_mode -q -- \
+        forced_parallel_verdict_is_refuted_as_par_overlap || return 1
     cargo test --release --offline -p arraymem-workloads -q -- bit_for_bit
 }
-tier "dense kernels take slices (no unsafe in workloads, no per-element access)" sliced_kernels
+tier "kernels reach memory as slices or staged rows (no view, LMAD or unsafe in kernels)" kernel_memory
 
 echo "== verify: OK ($(($(date +%s) - gate_start)) s) =="

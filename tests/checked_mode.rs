@@ -452,11 +452,10 @@ fn forced_parallel_verdict_is_refuted_as_par_overlap() {
         .collect();
     let mut kernels = KernelRegistry::new();
     kernels.register("bump", |ctx| {
-        let (il, ol) = (ctx.inputs[0].lmad().unwrap(), ctx.out.lmad().unwrap());
+        let mut v = [0i64];
         for i in ctx.rows.clone() {
-            let v = ctx.inputs[0].read_off::<i64>(il.offset + i * il.dims[0].stride);
-            ctx.out
-                .write_off::<i64>(ol.offset + i * ol.dims[0].stride, v + 1);
+            ctx.read_row(0, i, &mut v);
+            ctx.write_row(i, &[v[0] + 1]);
         }
     });
     let stats = run_checked_in(&mut Session::new(), &compiled, &[], &kernels, 4);

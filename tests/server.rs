@@ -782,7 +782,7 @@ fn admission_queues_then_rejects_under_load() {
         while !*released {
             released = cv.wait(released).unwrap();
         }
-        let ([], out) = ctx.f32_slices().expect("rows are dense f32");
+        let out = ctx.rows_mut::<f32>().expect("rows are dense f32");
         out.fill(1.0);
     });
     let bld = Builder::new("blocker");
